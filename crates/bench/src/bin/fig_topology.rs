@@ -1,8 +1,8 @@
 //! Operator-topology benchmark: the fused TP operator against its
 //! two-operator dataflow split, with per-operator-instance
 //! throughput/latency rows. Pass `--full` for the larger run, `--concurrent`
-//! to also measure the concurrent (per-operator-thread) runtime against the
-//! serial wave loop, `--parallelism N` to run the keyed road-statistics
+//! to also measure the threaded (per-operator-thread) driver against the
+//! inline one, `--parallelism N` to run the keyed road-statistics
 //! stage with `N` parallel instances, and `--json PATH` to also write the
 //! rows — including the per-instance sub-rows, wall-clock seconds, and
 //! back-pressure counters — as machine-readable JSON (uploaded by the CI

@@ -1052,7 +1052,7 @@ pub mod fig_topology {
         /// per-operator sub-rows) — the serial-vs-concurrent comparison axis.
         pub wall_s: f64,
         /// Total times a bounded edge channel was found full (back-pressure
-        /// observability; 0 under the serial wave loop).
+        /// observability; 0 under the inline driver).
         pub queue_full_waits: u64,
         /// Incremental checkpoints taken during the run (0 for renditions
         /// that run without durability).
@@ -1235,13 +1235,13 @@ pub mod fig_topology {
         (rows, wall_s, digest)
     }
 
-    /// Measure the fused TP app and the two-operator topology — serial wave
-    /// loop and (with `--concurrent`) the concurrent runtime with
+    /// Measure the fused TP app and the two-operator topology — inline
+    /// driver and (with `--concurrent`) the threaded driver with
     /// `--parallelism N` keyed statistics instances — on the same event
     /// stream; topology renditions contribute per-operator-instance
     /// sub-rows. Every rendition must agree on the final state digest — the
     /// measurement asserts it, so the benchmark doubles as a correctness
-    /// canary for the concurrent runtime and keyed parallelism.
+    /// canary for the threaded driver and keyed parallelism.
     pub fn measure(scale: Scale, options: TopologyOptions) -> Vec<TopologyRow> {
         let config = WorkloadConfig::toll_processing()
             .with_key_space(20_000)

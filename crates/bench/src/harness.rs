@@ -11,7 +11,7 @@ use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 /// How big to run an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// A few thousand events: used by `cargo bench` and CI smoke runs.
+    /// A few thousand events: the `fig*` binaries' default and CI smoke runs.
     Smoke,
     /// Tens of thousands of events: closer to the paper's batch sizes; used
     /// by the `fig*` binaries when `--full` is passed.

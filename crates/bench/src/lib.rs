@@ -3,9 +3,7 @@
 //!
 //! Each `figXX` module exposes a `run(scale)` function that executes the
 //! experiment and prints the same rows/series the paper reports; the
-//! `src/bin/figXX_*.rs` binaries are thin wrappers around these functions and
-//! the Criterion bench (`benches/figures.rs`) measures the core comparisons
-//! at [`Scale::Smoke`].
+//! `src/bin/figXX_*.rs` binaries are thin wrappers around these functions.
 //!
 //! Absolute numbers depend on the host; what the harness preserves is the
 //! *shape* of every figure — which system wins, by roughly what factor, and

@@ -292,8 +292,9 @@ impl Default for EngineConfig {
 /// Runtime configuration of an operator topology (a dataflow of
 /// transactional operators driven as one engine).
 ///
-/// The default is the *serial wave loop*: every punctuation propagates
-/// through the whole dataflow on the caller thread, one operator at a time.
+/// A topology runs one round protocol under one of two drivers. The default
+/// is *inline*: every punctuation round propagates through the whole dataflow
+/// on the caller thread, one operator at a time.
 /// With [`TopologyConfig::concurrent`] each operator instance runs on its own
 /// thread behind a bounded channel of event batches, so operators of one
 /// dataflow execute concurrently on multicores; `channel_capacity` bounds how
@@ -307,9 +308,9 @@ pub struct TopologyConfig {
     /// before the sender blocks. Memory in flight between two operators is
     /// bounded by `channel_capacity × punctuation interval` events.
     pub channel_capacity: usize,
-    /// Run every operator instance on its own thread (bounded channels,
-    /// punctuation alignment) instead of the serial wave loop. Final state
-    /// digests and outputs are identical either way — only timing changes.
+    /// Run every operator instance on its own thread behind a bounded
+    /// channel instead of inline on the caller thread. Final state digests
+    /// and outputs are identical either way — only timing changes.
     pub concurrent: bool,
 }
 
@@ -322,7 +323,7 @@ impl TopologyConfig {
         self
     }
 
-    /// Builder-style toggle of the concurrent (threaded) runtime.
+    /// Builder-style toggle of the threaded driver.
     #[must_use = "builder methods return the updated value instead of mutating in place"]
     pub fn with_concurrent(mut self, concurrent: bool) -> Self {
         self.concurrent = concurrent;

@@ -199,7 +199,9 @@ pub trait WireCodec: Sized {
     fn decode_json(line: &str) -> Result<Self, ProtocolError>;
 }
 
-/// Little-endian payload cursor used by [`WireCodec`] implementations.
+/// Little-endian payload cursor with totality guarantees (bounds checks,
+/// bounded counts, trailing-byte rejection): the one byte reader behind the
+/// [`WireCodec`] implementations, `MSC1` checkpoints and `MSR1` frames.
 #[derive(Debug)]
 pub struct PayloadReader<'a> {
     bytes: &'a [u8],
@@ -212,8 +214,8 @@ impl<'a> PayloadReader<'a> {
         Self { bytes, pos: 0 }
     }
 
-    /// Take the next `n` bytes.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
+    /// Take the next `n` raw bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let end = self.pos.checked_add(n).ok_or(ProtocolError::Truncated)?;
         let slice = self
             .bytes
@@ -225,27 +227,27 @@ impl<'a> PayloadReader<'a> {
 
     /// Read one byte.
     pub fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, ProtocolError> {
         Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
+            self.bytes(4)?.try_into().expect("4 bytes"),
         ))
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, ProtocolError> {
         Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
+            self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
 
     /// Read a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, ProtocolError> {
         Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
+            self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
 
@@ -260,6 +262,31 @@ impl<'a> PayloadReader<'a> {
         (0..count).map(|_| self.u64()).collect()
     }
 
+    /// Everything not yet consumed.
+    pub fn rest(&mut self) -> &'a [u8] {
+        let out = &self.bytes[self.pos..];
+        self.pos = self.bytes.len();
+        out
+    }
+
+    /// Reject a `count` of `what` that could not possibly fit in the
+    /// remaining bytes (each element needs at least `min_element_bytes`), so
+    /// a corrupt count cannot trigger a huge allocation.
+    pub fn bounded_count(
+        &self,
+        count: usize,
+        min_element_bytes: usize,
+        what: &str,
+    ) -> Result<usize, ProtocolError> {
+        let remaining = self.bytes.len() - self.pos;
+        if count.saturating_mul(min_element_bytes) > remaining {
+            return Err(ProtocolError::Malformed(format!(
+                "{what} count {count} exceeds remaining payload"
+            )));
+        }
+        Ok(count)
+    }
+
     /// Assert the payload is fully consumed (codecs call this last, so a
     /// frame cannot smuggle trailing bytes).
     pub fn finish(&self) -> Result<(), ProtocolError> {
@@ -267,7 +294,7 @@ impl<'a> PayloadReader<'a> {
             Ok(())
         } else {
             Err(ProtocolError::Malformed(format!(
-                "{} trailing bytes after event",
+                "{} trailing bytes after payload",
                 self.bytes.len() - self.pos
             )))
         }
@@ -360,6 +387,18 @@ mod tests {
         let mut r = PayloadReader::new(&payload);
         let _ = r.u8().unwrap();
         assert!(matches!(r.finish(), Err(ProtocolError::Malformed(_))));
+
+        // raw access: short reads are Truncated, impossible counts Malformed,
+        // and `rest` consumes whatever is left
+        assert_eq!(r.bytes(8).unwrap(), 42u64.to_le_bytes());
+        assert!(matches!(r.bytes(99), Err(ProtocolError::Truncated)));
+        assert_eq!(r.bounded_count(3, 8, "items").unwrap(), 3);
+        assert!(matches!(
+            r.bounded_count(4, 8, "items"),
+            Err(ProtocolError::Malformed(_))
+        ));
+        assert_eq!(r.rest().len(), 4 + 3 * 8);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! [topology]              # one per file
 //! name = "adclick"        # default: the file stem
 //! terminal = "attribution"
-//! concurrent = false      # serial wave loop vs concurrent runtime
+//! concurrent = false      # inline driver vs one thread per instance
 //! channel_capacity = 4    # per-edge bounded channel, in batches
 //! threads = 2             # worker threads per operator instance
 //! punctuation = 256       # default punctuation interval of every stage
@@ -243,7 +243,7 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Terminal stage id.
     pub terminal: String,
-    /// Concurrent runtime (per-instance threads) vs the serial wave loop.
+    /// Threaded driver (per-instance threads) vs the inline one.
     pub concurrent: bool,
     /// Per-edge bounded channel capacity, in punctuation batches.
     pub channel_capacity: usize,

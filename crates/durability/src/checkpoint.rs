@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use morphstream::pipeline::{CheckpointSink, CheckpointSource};
 use morphstream_common::hash::Fnv1a;
 use morphstream_common::json::{self, JsonObject};
-use morphstream_common::protocol::ProtocolError;
+use morphstream_common::protocol::{PayloadReader, ProtocolError};
 use morphstream_common::{Key, TableId, Value};
 use morphstream_storage::StateStore;
 
@@ -149,7 +149,7 @@ impl Checkpoint {
                 "checkpoint checksum mismatch".into(),
             ));
         }
-        let mut r = ByteReader::new(&body[4..]);
+        let mut r = PayloadReader::new(&body[4..]);
         let id = r.u64()?;
         let events_applied = r.u64()?;
         let output_digest = r.u64()?;
@@ -202,76 +202,6 @@ impl Checkpoint {
             full,
             stores,
         })
-    }
-}
-
-/// Cursor over checkpoint payload bytes with totality guarantees (bounds
-/// checks, bounded counts, trailing-byte rejection) — the same discipline
-/// as the wire codec's `PayloadReader`, plus raw-byte access for names.
-struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|end| *end <= self.bytes.len())
-            .ok_or(ProtocolError::Truncated)?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> Result<i64, ProtocolError> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-
-    /// Reject counts that could not possibly fit in the remaining bytes
-    /// (each element needs at least `min_element_bytes`), so corrupt counts
-    /// cannot trigger huge allocations.
-    fn bounded_count(
-        &self,
-        count: usize,
-        min_element_bytes: usize,
-        what: &str,
-    ) -> Result<usize, ProtocolError> {
-        let remaining = self.bytes.len() - self.pos;
-        if count.saturating_mul(min_element_bytes) > remaining {
-            return Err(ProtocolError::Malformed(format!(
-                "{what} count {count} exceeds remaining payload"
-            )));
-        }
-        Ok(count)
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::Malformed(format!(
-                "{} trailing bytes after checkpoint payload",
-                self.bytes.len() - self.pos
-            )))
-        }
     }
 }
 

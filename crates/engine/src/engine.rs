@@ -410,7 +410,7 @@ impl<A: StreamApp> MorphStream<A> {
 
     /// The punctuation interval in events; `usize::MAX` when unset (one
     /// batch per flush).
-    fn punctuation_interval(&self) -> usize {
+    pub(crate) fn punctuation_interval(&self) -> usize {
         self.config
             .punctuation_interval
             .unwrap_or(usize::MAX)

@@ -125,7 +125,7 @@ impl OperatorReport {
 /// row per routed connection (plus the implicit `(input)` → entry feed), so
 /// back-pressure is observable. `queue_full_waits` counts how often a sender
 /// found the edge's bounded channel full and had to block; it is always zero
-/// under the serial wave loop, which has no channels.
+/// under the inline driver, which has no channels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeReport {
     /// Name of the upstream operator (`"(input)"` for the entry feed).

@@ -1,30 +1,39 @@
 //! First-class operator topologies: chain transactional operators into a
-//! dataflow that is itself a [`TxnEngine`], with an optional concurrent
-//! runtime that executes the operators on separate threads.
+//! dataflow that is itself a [`TxnEngine`].
 //!
 //! The paper's programming model covers one transactional operator per
 //! engine, but real TSPE applications — S-Store's dataflows of transactional
 //! stored procedures, multi-stage fraud detection, enrichment → scoring →
 //! settlement chains — are *graphs* of such operators. A [`Topology`] wires
-//! several [`StreamApp`]s into a DAG: each operator runs its own MorphStream
-//! engine (its own TPG, decision model, and scheduling), every upstream
-//! operator's `Output` is routed into downstream operators' `Event`s through
-//! a first-class [`Route`] (map / filter / fan-out / keyed), and punctuations
-//! propagate downstream on every batch boundary.
+//! several [`StreamApp`](crate::StreamApp)s into a DAG: each operator runs
+//! its own MorphStream engine (its own TPG, decision model, and scheduling),
+//! every upstream operator's `Output` is routed into downstream operators'
+//! `Event`s through a first-class [`Route`] (map / filter / fan-out / keyed),
+//! and punctuations propagate downstream on every batch boundary.
 //!
-//! Two execution modes share one semantics (identical state digests and
-//! outputs, bit for bit):
+//! # One round protocol, two drivers
 //!
-//! * the default **serial wave loop** propagates each punctuation through the
-//!   whole dataflow on the caller thread, one operator at a time;
-//! * with [`TopologyConfig::concurrent`] every operator *instance* runs on
-//!   its own thread behind a **bounded channel** of punctuation batches, so
-//!   the operators of one dataflow execute concurrently on multicores.
-//!   Bounded channels give real back-pressure — a slow downstream operator
-//!   makes upstream sends (and ultimately `Pipeline::push`) block, keeping
-//!   in-flight memory at O(`channel_capacity` × punctuation interval) — and
-//!   per-edge `queue_full_waits` in the final [`RunReport`] make the
-//!   back-pressure observable.
+//! Every entry-punctuation-interval of pushed events is one numbered
+//! *round*, and a round visits each operator instance once: the instance
+//! waits for its part of the round on every incoming edge (punctuation
+//! alignment), ingests the parts in a fixed edge order, flushes, and routes
+//! what the batch emitted onward. `flush` and `finish` are rounds that also
+//! drain, and close, every operator; each completed round becomes one
+//! [`BatchSummary`].
+//! [`TopologyConfig::concurrent`](morphstream_common::TopologyConfig) only
+//! picks who runs that protocol, with identical digests, outputs and batch
+//! summaries either way:
+//!
+//! * by default the **inline driver** steps the operators on the caller
+//!   thread until none has a part waiting, so when `push` returns the round
+//!   it closed has passed every operator and the report and live rows are
+//!   current;
+//! * the **threaded driver** gives every instance its own thread behind a
+//!   bounded channel of `channel_capacity` rounds. A slow operator fills its
+//!   channel and upstream sends — ultimately `Pipeline::push` — block, so
+//!   in-flight memory stays at O(`channel_capacity` × punctuation interval);
+//!   per-edge `queue_full_waits` in the [`RunReport`] show where. The report
+//!   trails the stream until the next `flush`/`finish`.
 //!
 //! Operators gain data parallelism through
 //! [`OperatorHandle::with_parallelism`]: [`Route::keyed`] hash-partitions the
@@ -37,9 +46,9 @@
 //! [`Pipeline`](crate::Pipeline) sessions, the bench harness's generic drive
 //! loop, and trait-driven oracle tests work on a whole dataflow unchanged.
 //! Its [`RunReport`] aggregates every operator — per-instance sub-reports
-//! (`name#i` under parallelism) are attached as [`OperatorReport`]s when the
-//! session finishes, and their commit/abort counts sum to the top-level
-//! totals.
+//! (`name#i` under parallelism) are attached as
+//! [`OperatorReport`]s when the session finishes, and
+//! their commit/abort counts sum to the top-level totals.
 //!
 //! ```
 //! use morphstream::storage::StateStore;
@@ -104,7 +113,7 @@
 //!         |(word, committed): &(u64, bool)| committed.then_some(*word),
 //!     ),
 //! );
-//! // run concurrently: every operator instance on its own thread
+//! // threaded driver: every operator instance on its own thread
 //! let mut topology = builder
 //!     .build(counter, tally, TopologyConfig::default().with_concurrent(true))
 //!     .unwrap();
@@ -123,1111 +132,92 @@
 //! assert_eq!(store.read_latest(parities, 0).unwrap(), 4); // 2, 4, 6, 8
 //! ```
 
-use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
-use std::marker::PhantomData;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
-};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+mod builder;
+mod node;
+mod route;
+mod runtime;
 
-use morphstream_common::metrics::{Breakdown, StageTimings};
-use morphstream_common::{EngineConfig, TopologyConfig};
+pub use builder::{EntryBinding, OperatorHandle, TopologyBuilder, TopologyError};
+pub use route::Route;
+
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
 use morphstream_scheduler::SchedulingDecision;
 use morphstream_storage::StateStore;
 
-use crate::app::{StreamApp, TxnBuilder};
-use crate::engine::MorphStream;
 use crate::pipeline::{BatchHook, TxnEngine};
 use crate::report::{BatchSummary, EdgeReport, OperatorCounters, OperatorReport, RunReport};
+use node::{InstanceMsg, InstanceStats, RoundKind, ToTopology};
+use route::ErasedRoute;
+use runtime::Driver;
 
-/// Distinguishes handles of different builders, so a handle can never index
-/// into a topology it was not created for.
-static NEXT_BUILDER_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Typed reference to an operator added to a [`TopologyBuilder`]: carries the
-/// operator's event/output types so [`TopologyBuilder::connect`] and
-/// [`TopologyBuilder::build`] are checked at compile time, plus the
-/// operator's requested parallelism (see
-/// [`OperatorHandle::with_parallelism`]).
-pub struct OperatorHandle<E, O> {
-    builder: u64,
-    index: usize,
-    parallelism: usize,
-    _marker: PhantomData<fn(E) -> O>,
+/// Per-round accumulator: stats deltas from every operator instance fold in
+/// until the round is complete, then the round becomes one [`BatchSummary`].
+struct RoundAcc {
+    received: usize,
+    started: Instant,
+    entry_events: usize,
+    totals: InstanceStats,
+    decision: Option<SchedulingDecision>,
 }
 
-impl<E, O> Clone for OperatorHandle<E, O> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<E, O> Copy for OperatorHandle<E, O> {}
-
-impl<E, O> OperatorHandle<E, O> {
-    /// Request `n` parallel instances of this operator. Every incoming edge
-    /// of a parallel operator must be a [`Route::keyed`] route: the routed
-    /// events are hash-partitioned by their key across the instances, each
-    /// instance owns its partition's state, and the topology merges the
-    /// per-instance outputs back into the original event order — digests and
-    /// outputs are deterministic regardless of `n`.
-    ///
-    /// The parallelism is recorded when the handle is passed back into the
-    /// builder (`connect` or `build`), so request it before wiring the
-    /// operator. Parallel operators keep after-batch version reclamation off:
-    /// each instance stamps its own timestamp domain over the shared tables,
-    /// so no single instance watermark is safe to truncate with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use = "builder methods return the updated value instead of mutating in place"]
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        assert!(n >= 1, "parallelism must be at least 1");
-        self.parallelism = n;
-        self
-    }
-
-    /// The parallelism recorded on this handle.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
-    }
-}
-
-impl<E, O> std::fmt::Debug for OperatorHandle<E, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OperatorHandle")
-            .field("index", &self.index)
-            .field("parallelism", &self.parallelism)
-            .finish()
-    }
-}
-
-/// Why a [`TopologyBuilder::build`] call was rejected.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopologyError {
-    /// The operator graph contains a cycle; punctuation propagation requires
-    /// a DAG.
-    Cycle,
-    /// The named operator cannot receive events: it is not reachable from the
-    /// entry operator.
-    Unreachable(String),
-    /// The entry operator has an incoming edge; entry events arrive only from
-    /// the outside.
-    EntryHasUpstream(String),
-    /// The terminal operator has an outgoing edge; its outputs are the
-    /// topology's outputs.
-    TerminalHasDownstream(String),
-    /// The entry operator requested parallelism above one; entry events are
-    /// not routed, so there is no key to partition them by.
-    ParallelEntry(String),
-    /// An edge into a parallel operator uses a route without a key; only
-    /// [`Route::keyed`] routes can partition events across instances.
-    UnkeyedParallelRoute {
-        /// Upstream operator of the offending edge.
-        from: String,
-        /// Downstream (parallel) operator of the offending edge.
-        to: String,
-    },
-    /// An operator not declared as an entry has no upstream edge but feeds
-    /// the graph — an undeclared entry point. Every feeding source-like
-    /// operator must be declared: either merge the feeds ahead of a single
-    /// entry (e.g. with `Source::merge_by_timestamp` in
-    /// `morphstream_workloads`) so events arrive as one deterministically
-    /// ordered stream, or declare every entry with
-    /// [`TopologyBuilder::build_with_entries`].
-    MultiEntry {
-        /// The declared entry operator.
-        entry: String,
-        /// The operator acting as an undeclared entry.
-        extra: String,
-    },
-    /// The same operator was listed as an entry twice in
-    /// [`TopologyBuilder::build_with_entries`]; each entry receives each
-    /// round exactly once.
-    DuplicateEntry(String),
-    /// The [`TopologyConfig`] failed validation.
-    InvalidConfig(String),
-}
-
-impl std::fmt::Display for TopologyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TopologyError::Cycle => write!(f, "operator topology contains a cycle"),
-            TopologyError::Unreachable(name) => {
-                write!(
-                    f,
-                    "operator {name:?} is not reachable from the entry operator"
-                )
-            }
-            TopologyError::EntryHasUpstream(name) => {
-                write!(f, "entry operator {name:?} has an incoming edge")
-            }
-            TopologyError::TerminalHasDownstream(name) => {
-                write!(f, "terminal operator {name:?} has an outgoing edge")
-            }
-            TopologyError::ParallelEntry(name) => {
-                write!(
-                    f,
-                    "entry operator {name:?} cannot be parallel: entry events are not keyed"
-                )
-            }
-            TopologyError::UnkeyedParallelRoute { from, to } => {
-                write!(
-                    f,
-                    "edge {from:?} -> {to:?} must use Route::keyed: {to:?} runs parallel instances"
-                )
-            }
-            TopologyError::MultiEntry { entry, extra } => {
-                write!(
-                    f,
-                    "operator {extra:?} acts as an undeclared entry (no upstream edge) besides \
-                     {entry:?}; either merge the feeds ahead of one entry (e.g. with \
-                     Source::merge_by_timestamp) or declare every entry with \
-                     TopologyBuilder::build_with_entries"
-                )
-            }
-            TopologyError::DuplicateEntry(name) => {
-                write!(f, "operator {name:?} is listed as an entry more than once")
-            }
-            TopologyError::InvalidConfig(reason) => {
-                write!(f, "invalid topology configuration: {reason}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TopologyError {}
-
-// ---------------------------------------------------------------------------
-// Routes
-// ---------------------------------------------------------------------------
-
-/// The transformation half of a [`Route`]: expands one upstream output into
-/// downstream events.
-type ExpandFn<O, E2> = Box<dyn Fn(&O, &mut Vec<E2>) + Send>;
-/// The partition-key half of a [`Route::keyed`] route.
-type KeyFn<E2> = Arc<dyn Fn(&E2) -> u64 + Send + Sync>;
-
-/// How one operator's outputs become another operator's events.
-///
-/// A `Route` is attached to an edge with [`TopologyBuilder::connect`]. The
-/// plain constructors ([`Route::map`], [`Route::filter_map`],
-/// [`Route::fan_out`]) transform each upstream output into zero or more
-/// downstream events; [`Route::keyed`] additionally names the partition key
-/// used to spread the routed events across the parallel instances of the
-/// downstream operator (see [`OperatorHandle::with_parallelism`]).
-pub struct Route<O, E2> {
-    expand: ExpandFn<O, E2>,
-    key: Option<KeyFn<E2>>,
-}
-
-impl<O: 'static, E2: Send + 'static> Route<O, E2> {
-    /// Turn every upstream output into exactly one downstream event.
-    #[must_use = "a Route does nothing until attached with TopologyBuilder::connect"]
-    pub fn map(f: impl Fn(&O) -> E2 + Send + 'static) -> Self {
-        Self {
-            expand: Box::new(move |output, into| into.push(f(output))),
-            key: None,
-        }
-    }
-
-    /// Turn every upstream output into zero or one downstream events.
-    #[must_use = "a Route does nothing until attached with TopologyBuilder::connect"]
-    pub fn filter_map(f: impl Fn(&O) -> Option<E2> + Send + 'static) -> Self {
-        Self {
-            expand: Box::new(move |output, into| into.extend(f(output))),
-            key: None,
-        }
-    }
-
-    /// Fan every upstream output out into any number of downstream events.
-    #[must_use = "a Route does nothing until attached with TopologyBuilder::connect"]
-    pub fn fan_out<I>(f: impl Fn(&O) -> I + Send + 'static) -> Self
-    where
-        I: IntoIterator<Item = E2>,
-    {
-        Self {
-            expand: Box::new(move |output, into| into.extend(f(output))),
-            key: None,
-        }
-    }
-
-    /// Like [`Route::fan_out`], but the routed events carry a partition key:
-    /// when the downstream operator runs `n` parallel instances, each event
-    /// goes to the instance owning `hash(key_fn(event)) % n`, so all events
-    /// with one key — and therefore all updates to the state that key guards
-    /// — stay on one instance, in arrival order. Key by the downstream
-    /// operator's *state* key (the table key its transactions write), not by
-    /// an arbitrary attribute, so instances own disjoint state partitions.
-    #[must_use = "a Route does nothing until attached with TopologyBuilder::connect"]
-    pub fn keyed<I>(
-        key_fn: impl Fn(&E2) -> u64 + Send + Sync + 'static,
-        f: impl Fn(&O) -> I + Send + 'static,
-    ) -> Self
-    where
-        I: IntoIterator<Item = E2>,
-    {
-        Self {
-            expand: Box::new(move |output, into| into.extend(f(output))),
-            key: Some(Arc::new(key_fn)),
-        }
-    }
-
-    /// Whether this route carries a partition key (required by edges into
-    /// parallel operators).
-    pub fn is_keyed(&self) -> bool {
-        self.key.is_some()
-    }
-}
-
-/// Deterministic partition assignment for keyed routes.
-fn partition_of(key: u64, parts: usize) -> usize {
-    ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) % parts
-}
-
-/// One punctuation's worth of routed events, already split across the
-/// destination operator's instances. `positions[i][j]` is the index the
-/// `j`-th event of part `i` had in the round's canonical order, so the
-/// destination's outputs can be merged back into that order; identity parts
-/// (single-instance destinations) carry an empty positions list.
-struct RoutedParts {
-    parts: Vec<Box<dyn Any + Send>>,
-    positions: Vec<Vec<usize>>,
-    total: usize,
-}
-
-/// Erased route: maps an upstream output batch (`&Vec<O>`) plus the
-/// destination's instance count to the per-instance event batches.
-type ErasedRoute = Box<dyn Fn(&(dyn Any + Send), usize) -> RoutedParts + Send>;
-
-fn erase_route<O: Send + 'static, E2: Send + 'static>(route: Route<O, E2>) -> (bool, ErasedRoute) {
-    let Route { expand, key } = route;
-    let keyed = key.is_some();
-    let erased = move |outputs: &(dyn Any + Send), parts_n: usize| -> RoutedParts {
-        let outputs = outputs
-            .downcast_ref::<Vec<O>>()
-            .expect("edge source type checked by OperatorHandle");
-        let mut flat: Vec<E2> = Vec::new();
-        for output in outputs {
-            expand(output, &mut flat);
-        }
-        let total = flat.len();
-        if parts_n <= 1 {
-            return RoutedParts {
-                parts: vec![Box::new(flat)],
-                positions: vec![Vec::new()],
-                total,
-            };
-        }
-        let key = key
-            .as_ref()
-            .expect("parallel destinations require Route::keyed (validated at build)");
-        let mut parts: Vec<Vec<E2>> = (0..parts_n).map(|_| Vec::new()).collect();
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); parts_n];
-        for (index, event) in flat.into_iter().enumerate() {
-            let part = partition_of(key(&event), parts_n);
-            parts[part].push(event);
-            positions[part].push(index);
-        }
-        RoutedParts {
-            parts: parts
-                .into_iter()
-                .map(|part| Box::new(part) as Box<dyn Any + Send>)
-                .collect(),
-            positions,
-            total,
-        }
-    };
-    (keyed, Box::new(erased))
-}
-
-// ---------------------------------------------------------------------------
-// Operator instances
-// ---------------------------------------------------------------------------
-
-/// Wraps a user application so its outputs are *tapped* into a queue the
-/// topology drains after every batch, instead of accumulating inside the
-/// operator's own `RunReport`. The inner app is shared (`Arc`) so parallel
-/// instances of one operator run the same application object; outputs move —
-/// no `Clone` bound on routed output types.
-struct TapApp<A: StreamApp> {
-    inner: Arc<A>,
-    queue: Arc<Mutex<Vec<A::Output>>>,
-}
-
-impl<A: StreamApp> StreamApp for TapApp<A>
-where
-    A::Output: 'static,
-{
-    type Event = A::Event;
-    type Output = ();
-
-    fn state_access(&self, event: &A::Event, txn: &mut TxnBuilder) {
-        self.inner.state_access(event, txn);
-    }
-
-    fn post_process(&self, event: &A::Event, outcome: &crate::TxnOutcome) {
-        let output = self.inner.post_process(event, outcome);
-        self.queue
-            .lock()
-            .expect("output queue poisoned")
-            .push(output);
-    }
-
-    fn expected_abort_ratio(&self) -> f64 {
-        self.inner.expected_abort_ratio()
-    }
-}
-
-/// Cumulative session counters of one operator instance's engine. Deltas
-/// between two snapshots describe one propagation round.
-#[derive(Default, Clone)]
-struct InstanceStats {
-    events: usize,
-    committed: usize,
-    aborted: usize,
-    redone_ops: usize,
-    timings: StageTimings,
-    breakdown: Breakdown,
-}
-
-impl InstanceStats {
-    fn delta(&self, earlier: &InstanceStats) -> InstanceStats {
-        InstanceStats {
-            events: self.events.saturating_sub(earlier.events),
-            committed: self.committed.saturating_sub(earlier.committed),
-            aborted: self.aborted.saturating_sub(earlier.aborted),
-            redone_ops: self.redone_ops.saturating_sub(earlier.redone_ops),
-            timings: self.timings.saturating_sub(&earlier.timings),
-            breakdown: self.breakdown.saturating_sub(&earlier.breakdown),
-        }
-    }
-
-    fn merge(&mut self, other: &InstanceStats) {
-        self.events += other.events;
-        self.committed += other.committed;
-        self.aborted += other.aborted;
-        self.redone_ops += other.redone_ops;
-        self.timings.merge(&other.timings);
-        self.breakdown.merge(&other.breakdown);
-    }
-
-    fn is_zero(&self) -> bool {
-        self.events == 0 && self.committed == 0 && self.aborted == 0
-    }
-}
-
-/// Object-safe view of one operator *instance*: a typed
-/// `MorphStream<TapApp<A>>` behind event/output erasure, so both runtimes can
-/// drive heterogeneous instances uniformly (and the concurrent runtime can
-/// move each instance onto its own thread).
-trait ErasedInstance: Send {
-    /// Ingest a batch of events (a boxed `Vec<A::Event>`).
-    fn ingest_events(&mut self, events: Box<dyn Any + Send>);
-    /// The engine's punctuation interval in events (`usize::MAX` when unset:
-    /// one batch per flush).
-    fn punctuation_interval(&self) -> usize;
-    fn flush(&mut self);
-    /// Batches this instance's engine has completed in the current session —
-    /// a lock-free signal that new outputs are queued.
-    fn completed_batches(&self) -> usize;
-    /// Drain the tapped outputs as a boxed `Vec<A::Output>` plus their count.
-    fn take_outputs(&mut self) -> (Box<dyn Any + Send>, usize);
-    /// Cumulative session counters of this instance's engine.
-    fn stats(&self) -> InstanceStats;
-    fn last_batch(&self) -> Option<(Duration, SchedulingDecision)>;
-    /// Close the instance's session and condense it into a sub-report.
-    fn finish_instance(&mut self, name: &str) -> OperatorReport;
-}
-
-struct Instance<A: StreamApp>
-where
-    A::Output: 'static,
-{
-    engine: MorphStream<TapApp<A>>,
-    queue: Arc<Mutex<Vec<A::Output>>>,
-}
-
-impl<A: StreamApp> ErasedInstance for Instance<A>
-where
-    A::Output: 'static,
-{
-    fn ingest_events(&mut self, events: Box<dyn Any + Send>) {
-        let events = events
-            .downcast::<Vec<A::Event>>()
-            .expect("routed event type checked by OperatorHandle");
-        for event in *events {
-            self.engine.ingest(event);
-        }
-    }
-
-    fn punctuation_interval(&self) -> usize {
-        self.engine
-            .config()
-            .punctuation_interval
-            .unwrap_or(usize::MAX)
-            .max(1)
-    }
-
-    fn flush(&mut self) {
-        self.engine.flush();
-    }
-
-    fn completed_batches(&self) -> usize {
-        self.engine.report().batches.len()
-    }
-
-    fn take_outputs(&mut self) -> (Box<dyn Any + Send>, usize) {
-        let mut queue = self.queue.lock().expect("output queue poisoned");
-        let outputs = std::mem::take(&mut *queue);
-        let count = outputs.len();
-        (Box::new(outputs), count)
-    }
-
-    fn stats(&self) -> InstanceStats {
-        let report = self.engine.report();
-        InstanceStats {
-            events: report.events(),
-            committed: report.committed,
-            aborted: report.aborted,
-            redone_ops: report.redone_ops,
-            timings: report.stage_timings,
-            breakdown: report.breakdown.clone(),
-        }
-    }
-
-    fn last_batch(&self) -> Option<(Duration, SchedulingDecision)> {
-        self.engine
-            .report()
-            .batches
-            .last()
-            .map(|b| (b.elapsed, b.decision))
-    }
-
-    fn finish_instance(&mut self, name: &str) -> OperatorReport {
-        let run = self.engine.finish();
-        self.queue.lock().expect("output queue poisoned").clear();
-        OperatorReport::from_run(name, &run)
-    }
-}
-
-/// Merge per-instance output batches back into the round's canonical order:
-/// takes `(outputs, count, positions)` per instance plus the round's total
-/// size, returns the boxed merged `Vec<A::Output>`. Typed inside, erased at
-/// the call sites.
-type MergeFn = Arc<dyn Fn(Vec<MergePart>, usize) -> Box<dyn Any + Send> + Send + Sync>;
-type MergePart = (Box<dyn Any + Send>, usize, Vec<usize>);
-
-/// An operator instantiated for a topology: its parallel instances, the
-/// output-merge function, and the store it runs over.
-struct NodeParts {
-    name: String,
-    instances: Vec<Box<dyn ErasedInstance>>,
-    merge: MergeFn,
-}
-
-/// Type-erased operator registration: holds the application until
-/// [`TopologyBuilder::build`] knows the operator's parallelism and can
-/// instantiate the engines.
-trait ErasedSpec: Send {
-    fn name(&self) -> &str;
-    fn store(&self) -> &StateStore;
-    fn instantiate(self: Box<Self>, parallelism: usize) -> NodeParts;
-}
-
-struct NodeSpec<A: StreamApp> {
-    name: String,
-    app: A,
-    store: StateStore,
-    config: EngineConfig,
-}
-
-impl<A: StreamApp> ErasedSpec for NodeSpec<A>
-where
-    A::Output: 'static,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn store(&self) -> &StateStore {
-        &self.store
-    }
-
-    fn instantiate(self: Box<Self>, parallelism: usize) -> NodeParts {
-        let spec = *self;
-        let app = Arc::new(spec.app);
-        // Parallel instances each stamp their own timestamp domain over the
-        // shared tables, so no single instance watermark is safe to truncate
-        // with — reclamation stays off above parallelism one.
-        let engine_config = if parallelism > 1 {
-            spec.config.with_reclaim_after_batch(false)
-        } else {
-            spec.config
-        };
-        let instances = (0..parallelism)
-            .map(|_| {
-                let queue = Arc::new(Mutex::new(Vec::new()));
-                let tapped = TapApp {
-                    inner: Arc::clone(&app),
-                    queue: Arc::clone(&queue),
-                };
-                Box::new(Instance {
-                    engine: MorphStream::new(tapped, spec.store.clone(), engine_config),
-                    queue,
-                }) as Box<dyn ErasedInstance>
-            })
-            .collect();
-        let merge: MergeFn = Arc::new(|parts: Vec<MergePart>, total: usize| {
-            let mut slots: Vec<Option<A::Output>> = Vec::with_capacity(total);
-            slots.resize_with(total, || None);
-            for (outputs, count, positions) in parts {
-                let outputs = outputs
-                    .downcast::<Vec<A::Output>>()
-                    .expect("instance output type checked by OperatorHandle");
-                debug_assert_eq!(
-                    count,
-                    positions.len(),
-                    "outputs desynchronised from routing"
-                );
-                for (output, position) in outputs.into_iter().zip(positions) {
-                    slots[position] = Some(output);
-                }
-            }
-            let merged: Vec<A::Output> = slots
-                .into_iter()
-                .map(|slot| slot.expect("keyed partition covered every event"))
-                .collect();
-            Box::new(merged)
-        });
-        NodeParts {
-            name: spec.name,
-            instances,
-            merge,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-/// One routed connection between two operators, before instantiation.
-struct EdgeSpec {
-    dst: usize,
-    keyed: bool,
-    route: ErasedRoute,
-}
-
-/// One entry operator of a multi-entry topology, paired with the dispatch
-/// [`Route`] that selects (and converts) this entry's share of the topology's
-/// input stream. Pass a list of bindings to
-/// [`TopologyBuilder::build_with_entries`].
-///
-/// The input stream `In` is the *merged* stream of every feed, ordered by
-/// timestamp before it reaches the topology; each binding's route then picks
-/// out the events belonging to its entry (typically a `Route::filter_map` on
-/// a feed tag). Because dispatch operates on the already-merged stream, the
-/// resulting state digests are independent of how the individual feeds were
-/// interleaved at arrival.
-pub struct EntryBinding<In> {
-    builder: u64,
-    index: usize,
-    parallelism: usize,
-    route: ErasedRoute,
-    _marker: PhantomData<fn(In)>,
-}
-
-impl<In: Send + 'static> EntryBinding<In> {
-    /// Bind `handle` as an entry fed by `route` applied to the topology's
-    /// input events. The route's key (if any) is ignored: entries are
-    /// single-instance, so there is nothing to partition.
-    pub fn new<E2: Send + 'static, O>(handle: OperatorHandle<E2, O>, route: Route<In, E2>) -> Self {
-        let (_keyed, route) = erase_route(route);
-        Self {
-            builder: handle.builder,
-            index: handle.index,
-            parallelism: handle.parallelism,
-            route,
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<In> std::fmt::Debug for EntryBinding<In> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EntryBinding")
-            .field("index", &self.index)
-            .finish()
-    }
-}
-
-/// Builds a [`Topology`]: add operators, connect them with [`Route`]s, then
-/// [`TopologyBuilder::build`] the dataflow with a designated entry and
-/// terminal operator and a [`TopologyConfig`].
-pub struct TopologyBuilder {
-    id: u64,
-    specs: Vec<Box<dyn ErasedSpec>>,
-    edges: Vec<Vec<EdgeSpec>>,
-    parallelism: Vec<usize>,
-}
-
-impl Default for TopologyBuilder {
-    // Must go through `new()`: a derived default would use builder id 0,
-    // colliding with the first allocated id and defeating the foreign-handle
-    // check.
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TopologyBuilder {
-    /// Empty builder.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            id: NEXT_BUILDER_ID.fetch_add(1, Ordering::Relaxed),
-            specs: Vec::new(),
-            edges: Vec::new(),
-            parallelism: Vec::new(),
-        }
-    }
-
-    /// Add a transactional operator: `app` runs as its own MorphStream engine
-    /// over `store` with `config` (its own punctuation interval, TPG,
-    /// decision model, and worker pool). Returns the typed handle used to
-    /// [`connect`](TopologyBuilder::connect) it into the dataflow; call
-    /// [`OperatorHandle::with_parallelism`] on the handle to run several
-    /// instances of the operator.
-    ///
-    /// Operators may share a `StateStore` (and must, when downstream
-    /// operators read state written upstream), but two operators must never
-    /// write the *same table* — each operator assigns its own timestamps, and
-    /// interleaving two timestamp domains in one table's version chains would
-    /// un-order them. After-batch version reclamation is per-table (each
-    /// engine truncates only the tables it writes, with its own watermark),
-    /// so sharing a store no longer disables reclamation; tables an operator
-    /// itself accesses through windows are pinned automatically and keep
-    /// their history.
-    ///
-    /// **Cross-operator windows need an explicit pin**: when one operator
-    /// *writes* a table that a *different* operator window-reads, pin the
-    /// table up front with
-    /// [`StateStore::pin_table`](morphstream_storage::StateStore::pin_table).
-    /// Windowed accesses are discovered per-engine as batches decompose, so
-    /// the reader's automatic pin can land only after the writer's first
-    /// reclamation already truncated the shared history.
-    #[must_use]
-    pub fn add_operator<A: StreamApp>(
-        &mut self,
-        name: impl Into<String>,
-        app: A,
-        store: StateStore,
-        config: EngineConfig,
-    ) -> OperatorHandle<A::Event, A::Output>
-    where
-        A::Output: 'static,
-    {
-        let index = self.specs.len();
-        self.specs.push(Box::new(NodeSpec {
-            name: name.into(),
-            app,
-            store,
-            config,
-        }));
-        self.edges.push(Vec::new());
-        self.parallelism.push(1);
-        OperatorHandle {
-            builder: self.id,
-            index,
-            parallelism: 1,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Route `from`'s outputs into `to`'s events: after every batch `from`
-    /// completes, the [`Route`] is applied to each output in order and every
-    /// event it yields is ingested by `to` (then `to` is flushed, propagating
-    /// the punctuation). Add several edges from one operator to fan out
-    /// across downstream operators. An edge into a parallel operator must use
-    /// [`Route::keyed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either handle does not belong to this builder.
-    pub fn connect<E1, O1, E2, O2>(
-        &mut self,
-        from: OperatorHandle<E1, O1>,
-        to: OperatorHandle<E2, O2>,
-        route: Route<O1, E2>,
-    ) where
-        O1: Send + 'static,
-        E2: Send + 'static,
-    {
-        self.note_handle(from.builder, from.index, from.parallelism);
-        self.note_handle(to.builder, to.index, to.parallelism);
-        let (keyed, route) = erase_route(route);
-        self.edges[from.index].push(EdgeSpec {
-            dst: to.index,
-            keyed,
-            route,
-        });
-    }
-
-    /// Validate a handle and record the parallelism it carries (the highest
-    /// request wins, so a handle upgraded with `with_parallelism` takes
-    /// effect whenever any copy of it is passed back in).
-    fn note_handle(&mut self, builder: u64, index: usize, parallelism: usize) {
-        assert!(
-            builder == self.id && index < self.specs.len(),
-            "operator handle does not belong to this TopologyBuilder"
-        );
-        self.parallelism[index] = self.parallelism[index].max(parallelism);
-    }
-
-    /// Assemble the dataflow: `entry` receives the topology's input events,
-    /// `terminal`'s outputs become the topology's outputs (operators that are
-    /// neither the terminal nor connected further act as side-effecting
-    /// sinks; their outputs are discarded), and `config` selects the runtime
-    /// — the serial wave loop by default, or the concurrent per-operator
-    /// thread runtime with bounded channels (see [`TopologyConfig`]).
-    ///
-    /// Validates that the graph is a DAG, that every operator is reachable
-    /// from `entry`, that `entry` has no upstream and is not parallel, that
-    /// `terminal` has no downstream, and that every edge into a parallel
-    /// operator is keyed. This form declares exactly **one** entry: an
-    /// operator that feeds the graph without an upstream of its own is
-    /// rejected as [`TopologyError::MultiEntry`] — merge multiple feeds into
-    /// one ordered stream ahead of the entry (e.g.
-    /// `Source::merge_by_timestamp` in the workloads crate), or declare every
-    /// entry explicitly with [`TopologyBuilder::build_with_entries`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either handle does not belong to this builder.
-    pub fn build<In, EO, TE, Out>(
-        mut self,
-        entry: OperatorHandle<In, EO>,
-        terminal: OperatorHandle<TE, Out>,
-        config: TopologyConfig,
-    ) -> Result<Topology<In, Out>, TopologyError>
-    where
-        In: Send + 'static,
-        Out: Send + 'static,
-    {
-        self.note_handle(entry.builder, entry.index, entry.parallelism);
-        self.note_handle(terminal.builder, terminal.index, terminal.parallelism);
-        self.build_inner(vec![entry.index], None, terminal.index, config)
-    }
-
-    /// Assemble a dataflow with **multiple entry operators**. The topology's
-    /// input stream `In` is the timestamp-merged union of every feed; each
-    /// [`EntryBinding`]'s route picks its entry's share out of that stream
-    /// (typically by a feed tag) and converts it to the entry's event type.
-    ///
-    /// Semantics: events are staged and dispatched one *round* at a time —
-    /// every `min(entry punctuation intervals)` staged events, each binding's
-    /// route runs over the staged slice and every entry ingests its share and
-    /// flushes, so all entries advance in lock-step rounds and downstream
-    /// punctuation alignment works exactly as in the single-entry form. This
-    /// holds on both the serial wave loop and the concurrent runtime, which
-    /// ships one aligned round per entry per sequence number. Because
-    /// dispatch happens after the feeds were merged into one ordered stream,
-    /// digests are independent of the feeds' arrival interleaving.
-    ///
-    /// Entries must be single-instance (no [`OperatorHandle::with_parallelism`])
-    /// and must not appear twice. The same validations as
-    /// [`TopologyBuilder::build`] apply, with reachability seeded from every
-    /// entry. A single binding is allowed — the topology then behaves like
-    /// [`TopologyBuilder::build`] with an input-conversion route, except that
-    /// the entry flushes per round instead of cutting its own punctuation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a handle does not belong to this builder or `entries` is
-    /// empty.
-    pub fn build_with_entries<In, TE, Out>(
-        mut self,
-        entries: Vec<EntryBinding<In>>,
-        terminal: OperatorHandle<TE, Out>,
-        config: TopologyConfig,
-    ) -> Result<Topology<In, Out>, TopologyError>
-    where
-        In: Send + 'static,
-        Out: Send + 'static,
-    {
-        assert!(
-            !entries.is_empty(),
-            "build_with_entries requires at least one entry"
-        );
-        for entry in &entries {
-            self.note_handle(entry.builder, entry.index, entry.parallelism);
-        }
-        self.note_handle(terminal.builder, terminal.index, terminal.parallelism);
-        let mut indices = Vec::with_capacity(entries.len());
-        let mut routes = Vec::with_capacity(entries.len());
-        for entry in entries {
-            indices.push(entry.index);
-            routes.push(entry.route);
-        }
-        self.build_inner(indices, Some(routes), terminal.index, config)
-    }
-
-    /// Shared assembly path: `dispatch` is `None` for the single-entry form
-    /// (entry events are ingested directly and the entry engine cuts its own
-    /// punctuations) and `Some` for the multi-entry form (each round is
-    /// dispatched through the per-entry routes and entries flush per round).
-    fn build_inner<In, Out>(
-        mut self,
-        entries: Vec<usize>,
-        dispatch: Option<Vec<ErasedRoute>>,
-        terminal: usize,
-        config: TopologyConfig,
-    ) -> Result<Topology<In, Out>, TopologyError>
-    where
-        In: Send + 'static,
-        Out: Send + 'static,
-    {
-        if let Err(reason) = config.validate() {
-            return Err(TopologyError::InvalidConfig(reason));
-        }
-        let n = self.specs.len();
-
-        for (i, &e) in entries.iter().enumerate() {
-            if entries[..i].contains(&e) {
-                return Err(TopologyError::DuplicateEntry(
-                    self.specs[e].name().to_string(),
-                ));
-            }
-        }
-
-        let mut in_degree = vec![0usize; n];
-        for edges in &self.edges {
-            for edge in edges {
-                in_degree[edge.dst] += 1;
-            }
-        }
-        for &e in &entries {
-            if in_degree[e] != 0 {
-                return Err(TopologyError::EntryHasUpstream(
-                    self.specs[e].name().to_string(),
-                ));
-            }
-        }
-        // A source-like operator — no upstream but feeding the graph — that
-        // was not declared as an entry is a multi-entry attempt; report it as
-        // such instead of the misleading `Unreachable` the reachability sweep
-        // would produce. (An operator with no edges at all is merely stranded
-        // and still reports as unreachable below.)
-        if let Some(extra) = (0..n)
-            .find(|&i| !entries.contains(&i) && in_degree[i] == 0 && !self.edges[i].is_empty())
-        {
-            return Err(TopologyError::MultiEntry {
-                entry: self.specs[entries[0]].name().to_string(),
-                extra: self.specs[extra].name().to_string(),
-            });
-        }
-        if !self.edges[terminal].is_empty() {
-            return Err(TopologyError::TerminalHasDownstream(
-                self.specs[terminal].name().to_string(),
-            ));
-        }
-        for &e in &entries {
-            if self.parallelism[e] > 1 {
-                return Err(TopologyError::ParallelEntry(
-                    self.specs[e].name().to_string(),
-                ));
-            }
-        }
-        for (src, edges) in self.edges.iter().enumerate() {
-            for edge in edges {
-                if self.parallelism[edge.dst] > 1 && !edge.keyed {
-                    return Err(TopologyError::UnkeyedParallelRoute {
-                        from: self.specs[src].name().to_string(),
-                        to: self.specs[edge.dst].name().to_string(),
-                    });
-                }
-            }
-        }
-
-        // Kahn's algorithm: the propagation order. A leftover node means a
-        // cycle; an unreached node (in-degree never zero *via an entry*) is
-        // caught by the reachability check below.
-        let mut degree = in_degree.clone();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| degree[i] == 0).collect();
-        let mut topo_order = Vec::with_capacity(n);
-        while let Some(idx) = ready.pop() {
-            topo_order.push(idx);
-            for edge in &self.edges[idx] {
-                degree[edge.dst] -= 1;
-                if degree[edge.dst] == 0 {
-                    ready.push(edge.dst);
-                }
-            }
-        }
-        if topo_order.len() != n {
-            return Err(TopologyError::Cycle);
-        }
-
-        let mut reachable = vec![false; n];
-        let mut frontier = Vec::new();
-        for &e in &entries {
-            reachable[e] = true;
-            frontier.push(e);
-        }
-        while let Some(idx) = frontier.pop() {
-            for edge in &self.edges[idx] {
-                if !reachable[edge.dst] {
-                    reachable[edge.dst] = true;
-                    frontier.push(edge.dst);
-                }
-            }
-        }
-        if let Some(stranded) = (0..n).find(|&i| !reachable[i]) {
-            return Err(TopologyError::Unreachable(
-                self.specs[stranded].name().to_string(),
-            ));
-        }
-
-        // Deduplicate shared stores so per-wave memory accounting counts each
-        // underlying store once.
-        let mut stores: Vec<StateStore> = Vec::new();
-        for spec in &self.specs {
-            let store = spec.store();
-            if !stores
-                .iter()
-                .any(|s| s.instance_id() == store.instance_id())
-            {
-                stores.push(store.clone());
-            }
-        }
-
-        let names: Vec<String> = self.specs.iter().map(|s| s.name().to_string()).collect();
-        // Edge observability rows: the implicit input feeds first (one row
-        // per entry), then every routed edge in (source, insertion-order)
-        // order.
-        let mut edge_labels: Vec<(String, String)> = entries
-            .iter()
-            .map(|&e| ("(input)".to_string(), names[e].clone()))
-            .collect();
-        for (src, edges) in self.edges.iter().enumerate() {
-            for edge in edges {
-                edge_labels.push((names[src].clone(), names[edge.dst].clone()));
-            }
-        }
-        let edge_waits: Vec<Arc<AtomicU64>> = (0..edge_labels.len())
-            .map(|_| Arc::new(AtomicU64::new(0)))
-            .collect();
-
-        let parallelism = std::mem::take(&mut self.parallelism);
-        let nodes: Vec<NodeParts> = self
-            .specs
-            .drain(..)
-            .zip(&parallelism)
-            .map(|(spec, &p)| spec.instantiate(p))
-            .collect();
-        // In dispatch mode the smallest entry interval defines the round
-        // size, so no entry's punctuation is ever exceeded by a round.
-        let entry_punctuation = entries
-            .iter()
-            .map(|&e| nodes[e].instances[0].punctuation_interval())
-            .min()
-            .expect("at least one entry");
-        let single_cut = dispatch.is_none();
-
-        let shared = SessionShared {
-            report: RunReport::new(),
-            hook: None,
-            sink: None,
-            waves: 0,
-            run_started: None,
-            stores,
-            edge_labels,
-            edge_waits,
-        };
-        let mut topology = Topology {
-            names,
-            entry_indices: entries.clone(),
-            dispatch,
-            terminal_index: terminal,
-            entry_punctuation,
-            entry_buffer: Vec::new(),
-            shared,
-            serial: None,
-            concurrent: None,
-            _marker: PhantomData,
-        };
-        if config.concurrent {
-            topology.concurrent = Some(ConcurrentRuntime::launch(LaunchPlan {
-                nodes,
-                edges: self.edges,
-                topo_order,
-                entries,
-                single_cut,
-                terminal,
-                capacity: config.channel_capacity.max(1),
-                edge_waits: topology.shared.edge_waits.clone(),
-            }));
-        } else {
-            let pending = (0..n).map(|_| Vec::new()).collect();
-            topology.serial = Some(SerialRuntime {
-                nodes: nodes.into_iter().map(SerialNode::new).collect(),
-                edges: self.edges,
-                pending,
-                topo_order,
-                entries,
-                single_cut,
-                terminal,
-                entry_batches_seen: 0,
-                last_stats: AggregateStats::default(),
-            });
-        }
-        Ok(topology)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared session state and the serial runtime
-// ---------------------------------------------------------------------------
-
-/// Session state shared by both runtimes: the accumulated report, hook,
-/// wave counter, and the edge observability rows.
-struct SessionShared<Out> {
+/// Everything a topology session accumulates on the caller side: the report,
+/// hook and sink, the edge observability rows, and the fold that turns the
+/// cores' per-round reports into batch summaries, live rows and finish rows.
+struct Session<Out> {
     report: RunReport<Out>,
     hook: Option<BatchHook>,
     /// Installed output sink: terminal outputs are drained here instead of
     /// accumulating in the report (see [`TxnEngine::set_output_sink`]).
     sink: Option<crate::pipeline::OutputSink<Out>>,
-    waves: usize,
     run_started: Option<Instant>,
     /// The distinct state stores of the operators (shared stores counted
-    /// once), for per-wave memory accounting.
+    /// once), for per-round memory accounting.
     stores: Vec<StateStore>,
     edge_labels: Vec<(String, String)>,
     edge_waits: Vec<Arc<AtomicU64>>,
+    total_instances: usize,
+    seq_next: usize,
+    rounds: BTreeMap<usize, RoundAcc>,
+    /// Highest round sequence whose stats are fully folded in.
+    finalized: Option<usize>,
+    /// Highest round sequence whose terminal outputs arrived.
+    outputs_seq: Option<usize>,
+    /// Per-instance reports collected from `Finish` rounds, keyed like
+    /// `live_counters`.
+    operator_rows: BTreeMap<(usize, usize), OperatorReport>,
+    /// Latest cumulative counters per instance (keyed `(node, instance)` so
+    /// iteration yields the finish rows' order), refreshed by every round
+    /// report.
+    live_counters: BTreeMap<(usize, usize), OperatorCounters>,
 }
 
-impl<Out> SessionShared<Out> {
-    fn bytes_retained(&self) -> u64 {
-        self.stores.iter().map(StateStore::bytes_retained).sum()
-    }
-
-    /// Deliver a wave's terminal outputs: drained to the installed sink
-    /// (counted so `events()` stays exact) or retained in the report.
-    fn deliver_outputs(&mut self, outputs: Vec<Out>) {
-        match self.sink.as_mut() {
-            Some(sink) => {
-                self.report.drained_outputs += outputs.len();
-                for output in outputs {
-                    sink.emit(output);
-                }
-            }
-            None => self.report.outputs.extend(outputs),
+impl<Out: 'static> Session<Out> {
+    fn new(
+        stores: Vec<StateStore>,
+        edge_labels: Vec<(String, String)>,
+        edge_waits: Vec<Arc<AtomicU64>>,
+        total_instances: usize,
+    ) -> Self {
+        Self {
+            report: RunReport::new(),
+            hook: None,
+            sink: None,
+            run_started: None,
+            stores,
+            edge_labels,
+            edge_waits,
+            total_instances,
+            seq_next: 0,
+            rounds: BTreeMap::new(),
+            finalized: None,
+            outputs_seq: None,
+            operator_rows: BTreeMap::new(),
+            live_counters: BTreeMap::new(),
         }
     }
 
@@ -1243,767 +233,128 @@ impl<Out> SessionShared<Out> {
             .collect()
     }
 
-    fn record_round(&mut self, summary: BatchSummary, breakdown: &Breakdown) {
-        if let Some(hook) = self.hook.as_mut() {
-            hook(&summary);
-        }
-        let at = self.run_started.map(|s| s.elapsed()).unwrap_or_default();
-        self.report.record_batch(summary, breakdown, at);
-        self.waves += 1;
+    /// Open the next round and return its sequence number.
+    fn open_round(&mut self) -> usize {
+        let seq = self.seq_next;
+        self.seq_next += 1;
+        self.rounds.insert(
+            seq,
+            RoundAcc {
+                received: 0,
+                started: Instant::now(),
+                entry_events: 0,
+                totals: InstanceStats::default(),
+                decision: None,
+            },
+        );
+        seq
     }
 
-    fn reset_session(&mut self) {
-        self.waves = 0;
+    /// Whether round `seq` is fully recorded and its terminal outputs
+    /// arrived; with `reports`, also whether every instance handed in its
+    /// [`OperatorReport`] (the finish path).
+    fn settled(&self, seq: usize, reports: bool) -> bool {
+        self.finalized >= Some(seq)
+            && self.outputs_seq >= Some(seq)
+            && (!reports || self.operator_rows.len() == self.total_instances)
+    }
+
+    /// Fold one report from the cores into the session.
+    fn apply(&mut self, msg: ToTopology) {
+        match msg {
+            ToTopology::Outputs { seq, outputs } => {
+                let outputs = outputs
+                    .downcast::<Vec<Out>>()
+                    .expect("terminal output type checked by OperatorHandle");
+                // Drained to the installed sink (counted so `events()` stays
+                // exact) or retained in the report.
+                match self.sink.as_mut() {
+                    Some(sink) => {
+                        self.report.drained_outputs += outputs.len();
+                        outputs.into_iter().for_each(|output| sink.emit(output));
+                    }
+                    None => self.report.outputs.extend(*outputs),
+                }
+                self.outputs_seq = Some(seq);
+            }
+            ToTopology::Round(round) => {
+                let acc = self.rounds.get_mut(&round.seq);
+                let acc = acc.expect("round report for an unknown round");
+                acc.received += 1;
+                if round.is_entry {
+                    acc.entry_events += round.delta.events;
+                    acc.decision = acc.decision.or(round.decision);
+                }
+                acc.totals.merge(&round.delta);
+                let at = (round.node, round.instance);
+                self.live_counters.insert(at, round.live);
+                if let Some(report) = round.finished {
+                    self.operator_rows.insert(at, report);
+                }
+                self.finalize_rounds();
+            }
+        }
+    }
+
+    /// Rounds complete in order: turn every leading round all instances have
+    /// reported into a [`BatchSummary`]. A round that moved nothing records
+    /// nothing, so a trailing flush/finish never appends an empty batch.
+    fn finalize_rounds(&mut self) {
+        while let Some(entry) = self.rounds.first_entry() {
+            if entry.get().received < self.total_instances {
+                break;
+            }
+            let (seq, acc) = entry.remove_entry();
+            self.finalized = Some(seq);
+            if acc.entry_events == 0 && acc.totals.is_zero() {
+                continue;
+            }
+            let summary = BatchSummary {
+                batch: self.report.batches.len(),
+                events: acc.entry_events,
+                committed: acc.totals.committed,
+                aborted: acc.totals.aborted,
+                elapsed: acc.started.elapsed(),
+                decision: acc.decision.unwrap_or_default(),
+                redone_ops: acc.totals.redone_ops,
+                bytes_retained: self.stores.iter().map(StateStore::bytes_retained).sum(),
+                timings: acc.totals.timings,
+            };
+            if let Some(hook) = self.hook.as_mut() {
+                hook(&summary);
+            }
+            let at = self.run_started.map(|s| s.elapsed()).unwrap_or_default();
+            self.report.record_batch(summary, &acc.totals.breakdown, at);
+        }
+    }
+
+    /// Close the session: hand out its report with the finish rows attached
+    /// and reset everything a new session starts from.
+    fn finish(&mut self) -> RunReport<Out> {
+        let mut report = std::mem::take(&mut self.report);
+        report.operators = std::mem::take(&mut self.operator_rows)
+            .into_values()
+            .collect();
+        report.edges = self.edge_report();
+        if let Some(sink) = self.sink.as_mut() {
+            sink.flush();
+        }
+        self.live_counters.clear();
         self.run_started = None;
         self.hook = None;
         for waits in &self.edge_waits {
             waits.store(0, Ordering::Relaxed);
         }
+        report
     }
 }
-
-/// Cumulative counters aggregated over operators, used to turn two snapshots
-/// into one propagation wave's [`BatchSummary`].
-#[derive(Default, Clone)]
-struct AggregateStats {
-    /// Events ingested by the *entry* operator (the topology's input count).
-    entry_events: usize,
-    totals: InstanceStats,
-}
-
-/// One operator of the serial runtime: its instances plus the per-wave
-/// position bookkeeping that merges parallel outputs back into order.
-struct SerialNode {
-    name: String,
-    instances: Vec<Box<dyn ErasedInstance>>,
-    merge: MergeFn,
-    /// Canonical positions (within the current wave) of the events each
-    /// instance ingested, in ingestion order.
-    wave_positions: Vec<Vec<usize>>,
-    /// Events routed to this node in the current wave, across instances.
-    wave_total: usize,
-}
-
-impl SerialNode {
-    fn new(parts: NodeParts) -> Self {
-        let instances = parts.instances;
-        Self {
-            name: parts.name,
-            wave_positions: vec![Vec::new(); instances.len()],
-            instances,
-            merge: parts.merge,
-            wave_total: 0,
-        }
-    }
-
-    /// Ingest one routed round: part `i` goes to instance `i`; the round's
-    /// positions are offset by the events already routed this wave, so
-    /// several upstream rounds concatenate into one canonical order.
-    fn ingest_round(&mut self, round: RoutedParts) {
-        let RoutedParts {
-            parts,
-            positions,
-            total,
-        } = round;
-        debug_assert_eq!(parts.len(), self.instances.len());
-        let offset = self.wave_total;
-        for (index, (events, pos)) in parts.into_iter().zip(positions).enumerate() {
-            self.wave_positions[index].extend(pos.iter().map(|p| p + offset));
-            self.instances[index].ingest_events(events);
-        }
-        self.wave_total += total;
-    }
-
-    fn flush_instances(&mut self) {
-        for instance in &mut self.instances {
-            instance.flush();
-        }
-    }
-
-    /// Drain this wave's outputs, merged across instances into the canonical
-    /// order; `None` when nothing is queued.
-    fn take_wave_outputs(&mut self) -> Option<Box<dyn Any + Send>> {
-        if self.instances.len() == 1 {
-            self.wave_positions[0].clear();
-            self.wave_total = 0;
-            let (outputs, count) = self.instances[0].take_outputs();
-            return (count > 0).then_some(outputs);
-        }
-        let total = std::mem::replace(&mut self.wave_total, 0);
-        let mut parts: Vec<MergePart> = Vec::with_capacity(self.instances.len());
-        let mut drained = 0usize;
-        for (instance, positions) in self.instances.iter_mut().zip(&mut self.wave_positions) {
-            let (outputs, count) = instance.take_outputs();
-            drained += count;
-            parts.push((outputs, count, std::mem::take(positions)));
-        }
-        if drained == 0 && total == 0 {
-            return None;
-        }
-        Some((self.merge)(parts, total))
-    }
-
-    fn stats(&self) -> InstanceStats {
-        let mut sum = InstanceStats::default();
-        for instance in &self.instances {
-            sum.merge(&instance.stats());
-        }
-        sum
-    }
-
-    /// Live per-instance counters, labelled exactly as `finish_instances`
-    /// labels its reports, for observers that cannot wait for `finish`.
-    fn live_counters(&self, out: &mut Vec<OperatorCounters>) {
-        let parallel = self.instances.len() > 1;
-        for (i, instance) in self.instances.iter().enumerate() {
-            let stats = instance.stats();
-            out.push(OperatorCounters {
-                name: if parallel {
-                    format!("{}#{i}", self.name)
-                } else {
-                    self.name.clone()
-                },
-                events: stats.events as u64,
-                committed: stats.committed as u64,
-                aborted: stats.aborted as u64,
-                batches: instance.completed_batches() as u64,
-            });
-        }
-    }
-
-    fn finish_instances(&mut self) -> Vec<OperatorReport> {
-        let parallel = self.instances.len() > 1;
-        let name = self.name.clone();
-        self.instances
-            .iter_mut()
-            .enumerate()
-            .map(|(i, instance)| {
-                let label = if parallel {
-                    format!("{name}#{i}")
-                } else {
-                    name.clone()
-                };
-                instance.finish_instance(&label)
-            })
-            .collect()
-    }
-}
-
-/// The serial wave loop: operators execute one wave at a time on the caller
-/// thread, in topological order.
-struct SerialRuntime {
-    nodes: Vec<SerialNode>,
-    edges: Vec<Vec<EdgeSpec>>,
-    /// Routed-but-not-yet-ingested rounds per destination operator.
-    pending: Vec<Vec<RoutedParts>>,
-    topo_order: Vec<usize>,
-    entries: Vec<usize>,
-    /// Single-entry mode: the entry engine cuts its own punctuations from the
-    /// fed stream. In dispatch (multi-entry) mode entries flush per round
-    /// like every downstream operator.
-    single_cut: bool,
-    terminal: usize,
-    /// Entry-operator batches already propagated, so ingestion detects new
-    /// batch boundaries without locking the output queue per event
-    /// (single-entry mode only).
-    entry_batches_seen: usize,
-    last_stats: AggregateStats,
-}
-
-impl SerialRuntime {
-    fn aggregate_stats(&self) -> AggregateStats {
-        let mut agg = AggregateStats::default();
-        for (idx, node) in self.nodes.iter().enumerate() {
-            let stats = node.stats();
-            if self.entries.contains(&idx) {
-                agg.entry_events += stats.events;
-            }
-            agg.totals.merge(&stats);
-        }
-        agg
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent runtime: messages and workers
-// ---------------------------------------------------------------------------
-
-/// What a propagation round means to the operators it flows through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundKind {
-    /// An ordinary punctuation: the entry operator cuts its batch internally,
-    /// downstream operators flush on arrival (punctuation alignment).
-    Normal,
-    /// A synchronisation round: every operator (the entry included) flushes
-    /// its partial batch, so the round drains the whole dataflow.
-    Flush,
-    /// Flush *and* close every operator session, emitting the per-instance
-    /// [`OperatorReport`]s.
-    Finish,
-}
-
-/// One routed part of a round, addressed to a single operator instance.
-struct InstanceMsg {
-    seq: usize,
-    kind: RoundKind,
-    /// Which of the destination's incoming edges this part arrived on, in the
-    /// canonical (topological source order) numbering — the alignment slot.
-    in_edge: usize,
-    events: Box<dyn Any + Send>,
-    /// Canonical positions of `events` within the sending edge's round.
-    positions: Vec<usize>,
-    /// Total events of the sending edge's round (across all instances).
-    total: usize,
-}
-
-/// One instance's processed round, on its way to the operator's merger.
-struct MergerMsg {
-    seq: usize,
-    kind: RoundKind,
-    instance: usize,
-    outputs: Box<dyn Any + Send>,
-    count: usize,
-    positions: Vec<usize>,
-    /// Events routed to the whole operator this round (all instances agree).
-    total: usize,
-}
-
-/// Everything the worker threads report back to the topology.
-enum ToTopology {
-    /// The terminal operator's merged outputs for one round (sent every
-    /// round, possibly empty, so the caller can await round completion).
-    Outputs {
-        seq: usize,
-        outputs: Box<dyn Any + Send>,
-    },
-    /// One instance finished processing one round.
-    RoundStats {
-        seq: usize,
-        is_entry: bool,
-        delta: InstanceStats,
-        decision: Option<SchedulingDecision>,
-    },
-    /// One instance's cumulative counters after a round — the live
-    /// observability feed that lets [`Topology::live_rows`] report
-    /// per-operator rows while the instances run on worker threads.
-    Live {
-        node: usize,
-        instance: usize,
-        counters: OperatorCounters,
-    },
-    /// One instance closed its session (a `Finish` round).
-    Operator {
-        node: usize,
-        instance: usize,
-        report: OperatorReport,
-    },
-    /// A worker thread panicked; the payload is in the shared panic slot.
-    WorkerPanicked,
-}
-
-type PanicSlot = Arc<Mutex<Option<Box<dyn Any + Send>>>>;
-
-/// Send with back-pressure accounting: a full channel bumps the edge's
-/// `queue_full_waits` before blocking. Returns `false` when the receiver hung
-/// up (topology drop or worker panic) — the caller winds down.
-fn send_counting(tx: &SyncSender<InstanceMsg>, msg: InstanceMsg, waits: &AtomicU64) -> bool {
-    match tx.try_send(msg) {
-        Ok(()) => true,
-        Err(TrySendError::Full(msg)) => {
-            waits.fetch_add(1, Ordering::Relaxed);
-            tx.send(msg).is_ok()
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    }
-}
-
-/// The sender side of one outgoing edge: the route plus the destination
-/// instances' channels.
-struct OutEdge {
-    route: ErasedRoute,
-    dst_in_edge: usize,
-    dst_txs: Vec<SyncSender<InstanceMsg>>,
-    full_waits: Arc<AtomicU64>,
-}
-
-/// Routes one operator's merged round outputs onward: applies every outgoing
-/// edge (partitioning keyed routes across the destination's instances) and,
-/// on the terminal operator, ships the outputs to the topology.
-struct OutRouter {
-    edges: Vec<OutEdge>,
-    terminal_tx: Option<Sender<ToTopology>>,
-}
-
-impl OutRouter {
-    fn send_round(&self, seq: usize, kind: RoundKind, outputs: Box<dyn Any + Send>) -> bool {
-        for edge in &self.edges {
-            let RoutedParts {
-                parts,
-                positions,
-                total,
-            } = (edge.route)(outputs.as_ref(), edge.dst_txs.len());
-            for ((tx, events), positions) in edge.dst_txs.iter().zip(parts).zip(positions) {
-                let msg = InstanceMsg {
-                    seq,
-                    kind,
-                    in_edge: edge.dst_in_edge,
-                    events,
-                    positions,
-                    total,
-                };
-                if !send_counting(tx, msg, &edge.full_waits) {
-                    return false;
-                }
-            }
-        }
-        if let Some(tx) = &self.terminal_tx {
-            if tx.send(ToTopology::Outputs { seq, outputs }).is_err() {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// Where an instance sends its processed rounds: straight through the
-/// operator's router (single instance) or to the operator's merger.
-enum WorkerOut {
-    Router(OutRouter),
-    Merger(SyncSender<MergerMsg>),
-}
-
-/// One operator instance running on its own thread.
-struct InstanceWorker {
-    node: usize,
-    instance: usize,
-    label: String,
-    /// Whether this instance is an entry operator (its events count as the
-    /// topology's input and its decision labels the round).
-    is_entry: bool,
-    /// Whether this entry cuts its own punctuations from the fed stream
-    /// (single-entry mode); dispatch-mode entries flush per round instead.
-    entry_cuts: bool,
-    in_edge_count: usize,
-    rx: Receiver<InstanceMsg>,
-    inst: Box<dyn ErasedInstance>,
-    out: WorkerOut,
-    collector: Sender<ToTopology>,
-}
-
-impl InstanceWorker {
-    fn run(mut self) {
-        let mut queues: Vec<VecDeque<InstanceMsg>> = (0..self.in_edge_count.max(1))
-            .map(|_| VecDeque::new())
-            .collect();
-        let mut baseline = InstanceStats::default();
-        'session: loop {
-            // Drain the channel eagerly so bounded-channel back-pressure acts
-            // on the upstream sender, then process every aligned round.
-            let Ok(msg) = self.rx.recv() else { break };
-            queues[msg.in_edge].push_back(msg);
-            while queues.iter().all(|q| !q.is_empty()) {
-                // Punctuation alignment: one part per incoming edge, in the
-                // canonical edge order, all belonging to the same round.
-                let round: Vec<InstanceMsg> = queues
-                    .iter_mut()
-                    .map(|q| q.pop_front().expect("checked non-empty"))
-                    .collect();
-                let seq = round[0].seq;
-                let kind = round[0].kind;
-                debug_assert!(
-                    round.iter().all(|m| m.seq == seq && m.kind == kind),
-                    "edge rounds desynchronised"
-                );
-                let mut positions: Vec<usize> = Vec::new();
-                let mut offset = 0usize;
-                for msg in round {
-                    positions.extend(msg.positions.iter().map(|p| p + offset));
-                    offset += msg.total;
-                    self.inst.ingest_events(msg.events);
-                }
-                // A single-mode entry engine cuts its own punctuations from
-                // the fed events; every other operator (dispatch-mode
-                // entries included) flushes per round so its batches align
-                // with upstream batch boundaries.
-                if kind != RoundKind::Normal || !self.entry_cuts {
-                    self.inst.flush();
-                }
-                let stats = self.inst.stats();
-                let delta = stats.delta(&baseline);
-                baseline = stats;
-                let decision = if self.is_entry {
-                    self.inst.last_batch().map(|(_, decision)| decision)
-                } else {
-                    None
-                };
-                let (outputs, count) = self.inst.take_outputs();
-                let delivered = match &self.out {
-                    WorkerOut::Router(router) => router.send_round(seq, kind, outputs),
-                    WorkerOut::Merger(tx) => tx
-                        .send(MergerMsg {
-                            seq,
-                            kind,
-                            instance: self.instance,
-                            outputs,
-                            count,
-                            positions,
-                            total: offset,
-                        })
-                        .is_ok(),
-                };
-                let _ = self.collector.send(ToTopology::RoundStats {
-                    seq,
-                    is_entry: self.is_entry,
-                    delta,
-                    decision,
-                });
-                let _ = self.collector.send(ToTopology::Live {
-                    node: self.node,
-                    instance: self.instance,
-                    counters: OperatorCounters {
-                        name: self.label.clone(),
-                        events: baseline.events as u64,
-                        committed: baseline.committed as u64,
-                        aborted: baseline.aborted as u64,
-                        batches: self.inst.completed_batches() as u64,
-                    },
-                });
-                if kind == RoundKind::Finish {
-                    let report = self.inst.finish_instance(&self.label);
-                    baseline = InstanceStats::default();
-                    let _ = self.collector.send(ToTopology::Operator {
-                        node: self.node,
-                        instance: self.instance,
-                        report,
-                    });
-                }
-                if !delivered {
-                    break 'session;
-                }
-            }
-        }
-    }
-}
-
-/// Merges the parallel instances' per-round outputs back into the canonical
-/// order and routes them onward.
-struct MergerWorker {
-    rx: Receiver<MergerMsg>,
-    instances: usize,
-    merge: MergeFn,
-    out: OutRouter,
-}
-
-impl MergerWorker {
-    fn run(self) {
-        let mut queues: Vec<VecDeque<MergerMsg>> =
-            (0..self.instances).map(|_| VecDeque::new()).collect();
-        'session: loop {
-            let Ok(msg) = self.rx.recv() else { break };
-            queues[msg.instance].push_back(msg);
-            while queues.iter().all(|q| !q.is_empty()) {
-                let round: Vec<MergerMsg> = queues
-                    .iter_mut()
-                    .map(|q| q.pop_front().expect("checked non-empty"))
-                    .collect();
-                let seq = round[0].seq;
-                let kind = round[0].kind;
-                let total = round[0].total;
-                debug_assert!(
-                    round.iter().all(|m| m.seq == seq && m.total == total),
-                    "instance rounds desynchronised"
-                );
-                let parts: Vec<MergePart> = round
-                    .into_iter()
-                    .map(|m| (m.outputs, m.count, m.positions))
-                    .collect();
-                let merged = (self.merge)(parts, total);
-                if !self.out.send_round(seq, kind, merged) {
-                    break 'session;
-                }
-            }
-        }
-    }
-}
-
-/// Spawn a worker with panic capture: the first panic payload lands in the
-/// shared slot and a `WorkerPanicked` notice reaches the topology, which
-/// re-raises it on the caller thread with the original payload.
-fn spawn_worker(
-    thread_name: String,
-    panic_slot: PanicSlot,
-    collector: Sender<ToTopology>,
-    body: impl FnOnce() + Send + 'static,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(thread_name)
-        .spawn(move || {
-            if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(body)) {
-                let mut slot = panic_slot.lock().expect("panic slot poisoned");
-                slot.get_or_insert(payload);
-                drop(slot);
-                let _ = collector.send(ToTopology::WorkerPanicked);
-            }
-        })
-        .expect("failed to spawn topology worker thread")
-}
-
-/// Per-round accumulator: stats deltas from every operator instance fold in
-/// until the round is complete, then the round becomes one [`BatchSummary`].
-struct RoundAcc {
-    received: usize,
-    started: Instant,
-    entry_events: usize,
-    totals: InstanceStats,
-    decision: Option<SchedulingDecision>,
-}
-
-impl RoundAcc {
-    fn new(started: Instant) -> Self {
-        Self {
-            received: 0,
-            started,
-            entry_events: 0,
-            totals: InstanceStats::default(),
-            decision: None,
-        }
-    }
-}
-
-/// Everything `ConcurrentRuntime::launch` needs to wire the worker threads.
-struct LaunchPlan {
-    nodes: Vec<NodeParts>,
-    edges: Vec<Vec<EdgeSpec>>,
-    topo_order: Vec<usize>,
-    entries: Vec<usize>,
-    /// See [`SerialRuntime::single_cut`].
-    single_cut: bool,
-    terminal: usize,
-    capacity: usize,
-    /// Aligned with the builder's edge rows: the first `entries.len()` rows
-    /// are the input feeds.
-    edge_waits: Vec<Arc<AtomicU64>>,
-}
-
-/// The concurrent runtime: every operator instance on its own thread behind
-/// a bounded channel, mergers restoring output order for parallel operators,
-/// and an unbounded collector channel feeding rounds, outputs, and reports
-/// back to the caller thread.
-struct ConcurrentRuntime {
-    /// One input channel per entry operator (emptied on shutdown so blocked
-    /// workers observe the disconnect).
-    entry_txs: Vec<SyncSender<InstanceMsg>>,
-    entry_waits: Vec<Arc<AtomicU64>>,
-    collector_rx: Option<Receiver<ToTopology>>,
-    workers: Vec<JoinHandle<()>>,
-    panic_slot: PanicSlot,
-    total_instances: usize,
-    seq_next: usize,
-    rounds: BTreeMap<usize, RoundAcc>,
-    /// Highest round sequence whose stats are fully folded in.
-    finalized: Option<usize>,
-    /// Highest round sequence whose terminal outputs arrived.
-    outputs_seq: Option<usize>,
-    /// Per-instance reports collected from `Finish` rounds.
-    operator_rows: Vec<(usize, usize, OperatorReport)>,
-    /// Latest cumulative counters per instance (keyed `(node, instance)` so
-    /// iteration yields the serial runtime's row order), refreshed by the
-    /// `Live` messages every processed round emits.
-    live_counters: BTreeMap<(usize, usize), OperatorCounters>,
-}
-
-impl ConcurrentRuntime {
-    fn launch(plan: LaunchPlan) -> Self {
-        let LaunchPlan {
-            nodes,
-            edges,
-            topo_order,
-            entries,
-            single_cut,
-            terminal,
-            capacity,
-            edge_waits,
-        } = plan;
-        let n = nodes.len();
-        let total_instances: usize = nodes.iter().map(|node| node.instances.len()).sum();
-
-        // Bounded per-instance channels: the back-pressure boundary.
-        let mut txs: Vec<Vec<SyncSender<InstanceMsg>>> = Vec::with_capacity(n);
-        let mut rxs: Vec<Vec<Receiver<InstanceMsg>>> = Vec::with_capacity(n);
-        for node in &nodes {
-            let (mut node_txs, mut node_rxs) = (Vec::new(), Vec::new());
-            for _ in 0..node.instances.len() {
-                let (tx, rx) = sync_channel(capacity);
-                node_txs.push(tx);
-                node_rxs.push(rx);
-            }
-            txs.push(node_txs);
-            rxs.push(node_rxs);
-        }
-
-        // Canonical in-edge numbering: sort each destination's incoming edges
-        // by the source's topological position (then insertion order) — the
-        // same order the serial wave loop ingests rounds in.
-        let mut topo_pos = vec![0usize; n];
-        for (pos, &idx) in topo_order.iter().enumerate() {
-            topo_pos[idx] = pos;
-        }
-        let mut incoming: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); n];
-        for (src, node_edges) in edges.iter().enumerate() {
-            for (local, edge) in node_edges.iter().enumerate() {
-                incoming[edge.dst].push((topo_pos[src], src, local));
-            }
-        }
-        let mut in_edge_index: std::collections::HashMap<(usize, usize), usize> =
-            std::collections::HashMap::new();
-        let mut in_count = vec![0usize; n];
-        for (dst, mut sources) in incoming.into_iter().enumerate() {
-            sources.sort_unstable();
-            in_count[dst] = sources.len();
-            for (slot, (_, src, local)) in sources.into_iter().enumerate() {
-                in_edge_index.insert((src, local), slot);
-            }
-        }
-
-        let (collector_tx, collector_rx) = channel();
-        let panic_slot: PanicSlot = Arc::new(Mutex::new(None));
-        let entry_txs: Vec<SyncSender<InstanceMsg>> =
-            entries.iter().map(|&e| txs[e][0].clone()).collect();
-        let entry_waits: Vec<Arc<AtomicU64>> =
-            edge_waits[..entries.len()].iter().map(Arc::clone).collect();
-
-        // Routers: one per node, consuming the edge specs (global edge order
-        // = flatten by source then insertion, matching the edge rows after
-        // the per-entry input rows).
-        let mut edge_cursor = entries.len();
-        let mut routers: Vec<Option<OutRouter>> = Vec::with_capacity(n);
-        for (src, node_edges) in edges.into_iter().enumerate() {
-            let mut out_edges = Vec::with_capacity(node_edges.len());
-            for (local, edge) in node_edges.into_iter().enumerate() {
-                out_edges.push(OutEdge {
-                    route: edge.route,
-                    dst_in_edge: in_edge_index[&(src, local)],
-                    dst_txs: txs[edge.dst].clone(),
-                    full_waits: Arc::clone(&edge_waits[edge_cursor]),
-                });
-                edge_cursor += 1;
-            }
-            routers.push(Some(OutRouter {
-                edges: out_edges,
-                terminal_tx: (src == terminal).then(|| collector_tx.clone()),
-            }));
-        }
-
-        let mut workers = Vec::with_capacity(total_instances + n);
-        for (idx, node) in nodes.into_iter().enumerate() {
-            let parallel = node.instances.len() > 1;
-            let router = routers[idx].take().expect("router built per node");
-            // Parallel operators interpose a merger that restores the round's
-            // canonical output order before routing onward.
-            let (merger_tx, mut router) = if parallel {
-                let slots = node.instances.len();
-                let (tx, rx) = sync_channel(capacity.max(1) * slots);
-                workers.push(spawn_worker(
-                    format!("morph-topo-{}-merge", node.name),
-                    Arc::clone(&panic_slot),
-                    collector_tx.clone(),
-                    {
-                        let merge = Arc::clone(&node.merge);
-                        move || {
-                            MergerWorker {
-                                rx,
-                                instances: slots,
-                                merge,
-                                out: router,
-                            }
-                            .run()
-                        }
-                    },
-                ));
-                (Some(tx), None)
-            } else {
-                (None, Some(router))
-            };
-            let instance_rxs = std::mem::take(&mut rxs[idx]);
-            for (i, (inst, rx)) in node.instances.into_iter().zip(instance_rxs).enumerate() {
-                let label = if parallel {
-                    format!("{}#{i}", node.name)
-                } else {
-                    node.name.clone()
-                };
-                let out = match &merger_tx {
-                    Some(tx) => WorkerOut::Merger(tx.clone()),
-                    None => WorkerOut::Router(router.take().expect("single instance router")),
-                };
-                let is_entry = entries.contains(&idx);
-                let worker = InstanceWorker {
-                    node: idx,
-                    instance: i,
-                    label: label.clone(),
-                    is_entry,
-                    entry_cuts: single_cut && is_entry,
-                    in_edge_count: in_count[idx],
-                    rx,
-                    inst,
-                    out,
-                    collector: collector_tx.clone(),
-                };
-                workers.push(spawn_worker(
-                    format!("morph-topo-{label}"),
-                    Arc::clone(&panic_slot),
-                    collector_tx.clone(),
-                    move || worker.run(),
-                ));
-            }
-        }
-        // Drop the builder's collector sender so "all workers gone" surfaces
-        // as a disconnect on the caller side.
-        drop(collector_tx);
-
-        Self {
-            entry_txs,
-            entry_waits,
-            collector_rx: Some(collector_rx),
-            workers,
-            panic_slot,
-            total_instances,
-            seq_next: 0,
-            rounds: BTreeMap::new(),
-            finalized: None,
-            outputs_seq: None,
-            operator_rows: Vec::new(),
-            live_counters: BTreeMap::new(),
-        }
-    }
-
-    /// Close the channels and join every worker. Safe to call repeatedly;
-    /// also the drop path, so a topology dropped mid-stream winds down
-    /// without deadlock (receivers disconnect, blocked senders error out).
-    fn shutdown(&mut self) {
-        self.entry_txs.clear();
-        self.collector_rx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for ConcurrentRuntime {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The assembled topology
-// ---------------------------------------------------------------------------
 
 /// A DAG of transactional operators that is itself a [`TxnEngine`]: events
 /// pushed into the topology enter the entry operator, every completed batch's
 /// outputs are routed downstream with the punctuation, and the terminal
 /// operator's outputs become the topology's outputs. Built by
-/// [`TopologyBuilder`]; see the [module documentation](self) for the
-/// lifecycle, the two runtimes, and a complete example.
+/// [`TopologyBuilder`]; see the [module documentation](self) for the round
+/// protocol, its two drivers, and a complete example.
 pub struct Topology<In, Out> {
     names: Vec<String>,
     entry_indices: Vec<usize>,
@@ -2019,10 +370,8 @@ pub struct Topology<In, Out> {
     /// (no per-event boxing or virtual dispatch) and are handed to the entry
     /// operator(s) one punctuation interval at a time.
     entry_buffer: Vec<In>,
-    shared: SessionShared<Out>,
-    serial: Option<SerialRuntime>,
-    concurrent: Option<ConcurrentRuntime>,
-    _marker: PhantomData<fn(In) -> Out>,
+    session: Session<Out>,
+    driver: Box<dyn Driver>,
 }
 
 impl<In, Out> std::fmt::Debug for Topology<In, Out> {
@@ -2036,8 +385,8 @@ impl<In, Out> std::fmt::Debug for Topology<In, Out> {
             .field("operators", &self.names)
             .field("entries", &entries)
             .field("terminal", &self.names[self.terminal_index])
-            .field("concurrent", &self.concurrent.is_some())
-            .field("waves", &self.shared.waves)
+            .field("concurrent", &self.driver.is_threaded())
+            .field("rounds", &self.session.seq_next)
             .finish()
     }
 }
@@ -2058,375 +407,78 @@ where
         self.names.iter().map(String::as_str).collect()
     }
 
-    /// Whether the topology runs the concurrent (threaded) runtime.
+    /// Whether the operators run on threads of their own (the threaded
+    /// driver) rather than inline on the caller thread.
     pub fn is_concurrent(&self) -> bool {
-        self.concurrent.is_some()
+        self.driver.is_threaded()
     }
 
     /// Live per-operator counters and per-edge wait totals of the current
     /// session, for observers that cannot wait for `finish` (e.g. a metrics
-    /// scrape). Under the serial runtime the operator rows read the instance
-    /// counters directly, with the same labels [`TxnEngine::finish`] reports.
-    /// Under the concurrent runtime the rows come from the per-round `Live`
-    /// messages the worker threads feed through the collector channel, so
-    /// they trail the stream by at most the rounds still in flight and catch
-    /// up at every flush.
+    /// scrape), labelled as [`TxnEngine::finish`] labels its rows. An
+    /// instance appears once it has processed a round. Under the inline
+    /// driver the rows are current whenever a push returned; under the
+    /// threaded driver they trail the stream by at most the rounds still in
+    /// flight and catch up at every flush.
     pub fn live_rows(&self) -> (Vec<OperatorCounters>, Vec<EdgeReport>) {
-        let mut operators = Vec::new();
-        if let Some(rt) = self.serial.as_ref() {
-            for node in &rt.nodes {
-                node.live_counters(&mut operators);
-            }
-        } else if let Some(rt) = self.concurrent.as_ref() {
-            operators.extend(rt.live_counters.values().cloned());
-        }
-        (operators, self.shared.edge_report())
+        let operators = self.session.live_counters.values().cloned().collect();
+        (operators, self.session.edge_report())
     }
 
-    // ---- serial runtime -------------------------------------------------
-
-    /// One propagation wave: walk the operators in topological order,
-    /// ingesting routed rounds, flushing where a punctuation must propagate,
-    /// and routing drained outputs further downstream. With `flush_all` the
-    /// wave is a synchronisation point — every operator (the entry included)
-    /// drains its buffer and pipeline stages.
-    fn serial_wave(&mut self, flush_all: bool) {
-        let Some(rt) = self.serial.as_mut() else {
-            return;
-        };
-        let shared = &mut self.shared;
-        let wave_started = Instant::now();
-        for i in 0..rt.topo_order.len() {
-            let idx = rt.topo_order[i];
-            let rounds = std::mem::take(&mut rt.pending[idx]);
-            let routed_in = !rounds.is_empty();
-            for round in rounds {
-                rt.nodes[idx].ingest_round(round);
-            }
-            // Punctuation propagation: a downstream operator is flushed on
-            // every upstream batch boundary, so its batches align with (or
-            // subdivide, when its own punctuation interval is smaller) the
-            // batches of its upstream. In dispatch mode entries are fed
-            // through `pending` like everyone else and flush per round.
-            let cuts_own = rt.single_cut && idx == rt.entries[0];
-            if flush_all || (!cuts_own && routed_in) {
-                rt.nodes[idx].flush_instances();
-            }
-            if cuts_own {
-                // Any entry batches drained by this wave's flush are now
-                // propagated; keep the ingest-path boundary detector in sync.
-                rt.entry_batches_seen = rt.nodes[idx].instances[0].completed_batches();
-            }
-            let Some(outputs) = rt.nodes[idx].take_wave_outputs() else {
-                continue;
-            };
-            if idx == rt.terminal {
-                let outputs = outputs
-                    .downcast::<Vec<Out>>()
-                    .expect("terminal output type checked by OperatorHandle");
-                shared.deliver_outputs(*outputs);
-            } else {
-                for edge in &rt.edges[idx] {
-                    let parts = (edge.route)(outputs.as_ref(), rt.nodes[edge.dst].instances.len());
-                    rt.pending[edge.dst].push(parts);
-                }
-            }
-        }
-
-        // Fold the wave into the report as one BatchSummary: the delta of
-        // the aggregated operator counters since the previous wave. A wave
-        // that moved nothing records nothing, so a trailing flush/finish
-        // never appends an empty batch.
-        let now = rt.aggregate_stats();
-        let delta = now.totals.delta(&rt.last_stats.totals);
-        let events = now.entry_events - rt.last_stats.entry_events;
-        if events == 0 && delta.is_zero() {
-            return;
-        }
-        // End-to-end latency of the wave. Single-entry ingest-triggered waves
-        // start *after* the entry batch executed, so the entry batch's own
-        // cut-to-post latency is added; in a flush wave (and in dispatch
-        // mode, where entries execute inside the wave) it must not be
-        // counted twice.
-        let entry_last = rt.nodes[rt.entries[0]].instances[0].last_batch();
-        let entry_elapsed = if flush_all || !rt.single_cut {
-            Duration::ZERO
-        } else {
-            entry_last.map(|(elapsed, _)| elapsed).unwrap_or_default()
-        };
-        let summary = BatchSummary {
-            batch: shared.waves,
-            events,
-            committed: delta.committed,
-            aborted: delta.aborted,
-            elapsed: entry_elapsed + wave_started.elapsed(),
-            decision: entry_last.map(|(_, decision)| decision).unwrap_or_default(),
-            redone_ops: delta.redone_ops,
-            bytes_retained: shared.bytes_retained(),
-            timings: delta.timings,
-        };
-        rt.last_stats = now;
-        shared.record_round(summary, &delta.breakdown);
+    /// Fold whatever the cores reported so far into the session; with
+    /// `block`, wait for at least one report.
+    fn pump(&mut self, block: bool) {
+        let session = &mut self.session;
+        self.driver.pump(block, &mut |msg| session.apply(msg));
     }
 
-    /// Hand the staged entry events to the entry operator(s) and propagate
-    /// punctuations through the dataflow. In single-entry mode the entry
-    /// engine cuts its own batches and a wave runs only when a new batch
-    /// completed; in dispatch mode every feed is one round — each entry's
-    /// route selects its share of the staged slice and the wave flushes the
-    /// entries alongside the rest of the dataflow.
-    fn serial_feed(&mut self) {
-        if self.entry_buffer.is_empty() {
-            return;
-        }
+    /// Ship the staged entry events as one round and return its sequence
+    /// number. Under the threaded driver this blocks (back-pressure) while
+    /// an entry channel is full; under the inline driver the round has run
+    /// through the whole dataflow on return. In dispatch mode every entry
+    /// receives one aligned part of the round (possibly empty), keeping the
+    /// per-round instance accounting and the downstream punctuation
+    /// alignment intact.
+    fn feed(&mut self, kind: RoundKind) -> usize {
         let events = std::mem::take(&mut self.entry_buffer);
-        let trigger = match self.dispatch.as_ref() {
+        let seq = self.session.open_round();
+        let part = |events: Box<dyn Any + Send>, positions, total| InstanceMsg {
+            seq,
+            kind,
+            in_edge: 0,
+            events,
+            positions,
+            total,
+        };
+        match self.dispatch.as_ref() {
             Some(routes) => {
                 let staged: Box<dyn Any + Send> = Box::new(events);
-                let rt = self.serial.as_mut().expect("serial runtime");
-                for (&idx, route) in self.entry_indices.iter().zip(routes) {
-                    let parts = route(staged.as_ref(), rt.nodes[idx].instances.len());
-                    rt.pending[idx].push(parts);
+                for (slot, (&entry, route)) in self.entry_indices.iter().zip(routes).enumerate() {
+                    // Entries are single-instance, so the route yields
+                    // exactly one identity part.
+                    let mut routed = route(staged.as_ref(), 1);
+                    let events = routed.parts.pop().expect("identity part");
+                    let positions = routed.positions.pop().unwrap_or_default();
+                    self.driver
+                        .send_entry(entry, slot, part(events, positions, routed.total));
                 }
-                true
             }
             None => {
                 let total = events.len();
-                let rt = self.serial.as_mut().expect("serial runtime");
-                let entry = rt.entries[0];
-                rt.nodes[entry].ingest_round(RoutedParts {
-                    parts: vec![Box::new(events)],
-                    positions: vec![Vec::new()],
-                    total,
-                });
-                let completed = rt.nodes[entry].instances[0].completed_batches();
-                let new_batch = completed > rt.entry_batches_seen;
-                if new_batch {
-                    rt.entry_batches_seen = completed;
-                }
-                new_batch
-            }
-        };
-        if trigger {
-            self.serial_wave(false);
-        }
-    }
-
-    // ---- concurrent runtime ---------------------------------------------
-
-    /// Tear the runtime down and re-raise a worker panic with its original
-    /// payload (same discipline as pipelined construction), or report the
-    /// unexpected shutdown.
-    fn concurrent_fail(&mut self) -> ! {
-        let payload = self.concurrent.as_mut().and_then(|rt| {
-            // Join the workers *first*: a panicking worker's channels drop
-            // while it unwinds, so siblings (and this thread) can observe the
-            // disconnect before the payload lands in the slot — after the
-            // join, the slot is authoritative.
-            rt.shutdown();
-            rt.panic_slot.lock().expect("panic slot poisoned").take()
-        });
-        match payload {
-            Some(payload) => std::panic::resume_unwind(payload),
-            None => panic!("topology worker threads terminated unexpectedly"),
-        }
-    }
-
-    /// Fold one collector message into the session.
-    fn concurrent_apply(
-        shared: &mut SessionShared<Out>,
-        rt: &mut ConcurrentRuntime,
-        msg: ToTopology,
-    ) {
-        match msg {
-            ToTopology::Outputs { seq, outputs } => {
-                let outputs = outputs
-                    .downcast::<Vec<Out>>()
-                    .expect("terminal output type checked by OperatorHandle");
-                shared.deliver_outputs(*outputs);
-                rt.outputs_seq = Some(seq);
-            }
-            ToTopology::RoundStats {
-                seq,
-                is_entry,
-                delta,
-                decision,
-            } => {
-                let acc = rt
-                    .rounds
-                    .get_mut(&seq)
-                    .expect("round stats for an unknown round");
-                acc.received += 1;
-                if is_entry {
-                    acc.entry_events += delta.events;
-                    acc.decision = acc.decision.or(decision);
-                }
-                acc.totals.merge(&delta);
-                // Rounds complete in order: finalize every leading round all
-                // instances have reported.
-                while let Some(entry) = rt.rounds.first_entry() {
-                    if entry.get().received < rt.total_instances {
-                        break;
-                    }
-                    let (seq, acc) = entry.remove_entry();
-                    rt.finalized = Some(seq);
-                    if acc.entry_events == 0 && acc.totals.is_zero() {
-                        continue;
-                    }
-                    let summary = BatchSummary {
-                        batch: shared.waves,
-                        events: acc.entry_events,
-                        committed: acc.totals.committed,
-                        aborted: acc.totals.aborted,
-                        elapsed: acc.started.elapsed(),
-                        decision: acc.decision.unwrap_or_default(),
-                        redone_ops: acc.totals.redone_ops,
-                        bytes_retained: shared.bytes_retained(),
-                        timings: acc.totals.timings,
-                    };
-                    shared.record_round(summary, &acc.totals.breakdown);
-                }
-            }
-            ToTopology::Live {
-                node,
-                instance,
-                counters,
-            } => {
-                rt.live_counters.insert((node, instance), counters);
-            }
-            ToTopology::Operator {
-                node,
-                instance,
-                report,
-            } => {
-                rt.operator_rows.push((node, instance, report));
-            }
-            ToTopology::WorkerPanicked => {
-                // Handled by the caller (needs `&mut self` to tear down);
-                // flag through the panic slot which is already set.
+                let msg = part(Box::new(events), Vec::new(), total);
+                self.driver.send_entry(self.entry_indices[0], 0, msg);
             }
         }
-    }
-
-    /// Drain collector messages without blocking.
-    fn concurrent_drain(&mut self) {
-        loop {
-            let received = {
-                let rt = self.concurrent.as_ref().expect("concurrent runtime");
-                rt.collector_rx
-                    .as_ref()
-                    .expect("collector open while running")
-                    .try_recv()
-            };
-            match received {
-                Ok(ToTopology::WorkerPanicked) => self.concurrent_fail(),
-                Ok(msg) => {
-                    let rt = self.concurrent.as_mut().expect("concurrent runtime");
-                    Self::concurrent_apply(&mut self.shared, rt, msg);
-                }
-                Err(TryRecvError::Empty) => return,
-                Err(TryRecvError::Disconnected) => self.concurrent_fail(),
-            }
-        }
-    }
-
-    /// Ship the staged entry events as one round; returns its sequence
-    /// number. Blocks (back-pressure) when an entry channel is full. In
-    /// dispatch mode every entry receives one aligned part of the round
-    /// (possibly empty), keeping the per-round instance accounting and the
-    /// downstream punctuation alignment intact.
-    fn concurrent_feed(&mut self, kind: RoundKind) -> usize {
-        self.concurrent_drain();
-        let events = std::mem::take(&mut self.entry_buffer);
-        let total = events.len();
-        let (seq, delivered) = {
-            let dispatch = self.dispatch.as_ref();
-            let rt = self.concurrent.as_mut().expect("concurrent runtime");
-            let seq = rt.seq_next;
-            rt.seq_next += 1;
-            rt.rounds.insert(seq, RoundAcc::new(Instant::now()));
-            let delivered = match dispatch {
-                Some(routes) => {
-                    let staged: Box<dyn Any + Send> = Box::new(events);
-                    let mut ok = true;
-                    for ((tx, waits), route) in rt.entry_txs.iter().zip(&rt.entry_waits).zip(routes)
-                    {
-                        // Entries are single-instance, so the route yields
-                        // exactly one identity part.
-                        let mut parts = route(staged.as_ref(), 1);
-                        let msg = InstanceMsg {
-                            seq,
-                            kind,
-                            in_edge: 0,
-                            events: parts.parts.pop().expect("identity part"),
-                            positions: parts.positions.pop().unwrap_or_default(),
-                            total: parts.total,
-                        };
-                        if !send_counting(tx, msg, waits) {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    ok
-                }
-                None => {
-                    let msg = InstanceMsg {
-                        seq,
-                        kind,
-                        in_edge: 0,
-                        events: Box::new(events),
-                        positions: Vec::new(),
-                        total,
-                    };
-                    let tx = rt.entry_txs.first().expect("entry channel open");
-                    send_counting(tx, msg, &rt.entry_waits[0])
-                }
-            };
-            (seq, delivered)
-        };
-        if !delivered {
-            self.concurrent_fail();
-        }
+        self.pump(false);
         seq
     }
 
-    /// Block until round `seq` is fully recorded and its terminal outputs
-    /// arrived; with `reports` also until every instance reported its
-    /// [`OperatorReport`] (finish path).
-    fn concurrent_wait(&mut self, seq: usize, reports: bool) {
-        loop {
-            {
-                let rt = self.concurrent.as_ref().expect("concurrent runtime");
-                let rounds_done = rt.finalized >= Some(seq) && rt.outputs_seq >= Some(seq);
-                let reports_done = !reports || rt.operator_rows.len() == rt.total_instances;
-                if rounds_done && reports_done {
-                    return;
-                }
-            }
-            let received = {
-                let rt = self.concurrent.as_ref().expect("concurrent runtime");
-                rt.collector_rx
-                    .as_ref()
-                    .expect("collector open while running")
-                    .recv()
-            };
-            match received {
-                Ok(ToTopology::WorkerPanicked) | Err(_) => self.concurrent_fail(),
-                Ok(msg) => {
-                    let rt = self.concurrent.as_mut().expect("concurrent runtime");
-                    Self::concurrent_apply(&mut self.shared, rt, msg);
-                }
-            }
-        }
-    }
-
-    fn feed_entry(&mut self) {
-        if self.concurrent.is_some() {
-            if !self.entry_buffer.is_empty() {
-                self.concurrent_feed(RoundKind::Normal);
-            }
-        } else {
-            self.serial_feed();
+    /// Feed a round of `kind` and block until it is settled (see
+    /// [`Session::settled`]).
+    fn sync(&mut self, kind: RoundKind) {
+        let seq = self.feed(kind);
+        while !self.session.settled(seq, kind == RoundKind::Finish) {
+            self.pump(true);
         }
     }
 }
@@ -2440,97 +492,65 @@ where
     type Output = Out;
 
     fn ingest(&mut self, event: In) {
-        self.shared.run_started.get_or_insert_with(Instant::now);
+        self.session.run_started.get_or_insert_with(Instant::now);
         // The hot path is a typed buffer push; the staged events are handed
         // to the entry operator one punctuation interval at a time, so the
         // entry engine cuts exactly the batches it would have cut from
         // per-event pushes — without a per-event box or virtual dispatch.
         self.entry_buffer.push(event);
         if self.entry_buffer.len() >= self.entry_punctuation {
-            self.feed_entry();
+            self.feed(RoundKind::Normal);
         }
     }
 
     fn flush(&mut self) {
-        if self.concurrent.is_some() {
-            let seq = self.concurrent_feed(RoundKind::Flush);
-            self.concurrent_wait(seq, false);
-        } else {
-            self.serial_feed();
-            self.serial_wave(true);
-        }
+        self.sync(RoundKind::Flush);
     }
 
     fn finish(&mut self) -> RunReport<Out> {
         TxnEngine::flush(self);
-        let operators = if self.concurrent.is_some() {
-            let seq = self.concurrent_feed(RoundKind::Finish);
-            self.concurrent_wait(seq, true);
-            let rt = self.concurrent.as_mut().expect("concurrent runtime");
-            rt.operator_rows
-                .sort_by_key(|(node, instance, _)| (*node, *instance));
-            rt.rounds.clear();
-            rt.live_counters.clear();
-            rt.operator_rows
-                .drain(..)
-                .map(|(_, _, report)| report)
-                .collect()
-        } else {
-            let rt = self.serial.as_mut().expect("serial runtime");
-            rt.entry_batches_seen = 0;
-            rt.last_stats = AggregateStats::default();
-            rt.nodes
-                .iter_mut()
-                .flat_map(SerialNode::finish_instances)
-                .collect()
-        };
-        let mut report = std::mem::take(&mut self.shared.report);
-        report.operators = operators;
-        report.edges = self.shared.edge_report();
-        if let Some(sink) = self.shared.sink.as_mut() {
-            sink.flush();
-        }
-        self.shared.reset_session();
-        report
+        self.sync(RoundKind::Finish);
+        self.session.finish()
     }
 
     fn checkpoint(&mut self, sink: &mut dyn crate::pipeline::CheckpointSink) {
-        // Flush is the checkpoint barrier for both runtimes: the serial wave
-        // loop drains every operator inline, and the concurrent path blocks
-        // until the Flush round completed on every worker thread — so each
-        // store is quiescent while the sink walks it.
+        // Flush is the checkpoint barrier: it returns once the Flush round
+        // completed on every operator, so each store is quiescent while the
+        // sink walks it.
         TxnEngine::flush(self);
-        for (ordinal, store) in self.shared.stores.iter().enumerate() {
+        for (ordinal, store) in self.session.stores.iter().enumerate() {
             sink.store(ordinal, store, store.take_dirty_tables());
         }
     }
 
     fn restore(&mut self, source: &mut dyn crate::pipeline::CheckpointSource) {
-        for (ordinal, store) in self.shared.stores.iter().enumerate() {
+        for (ordinal, store) in self.session.stores.iter().enumerate() {
             source.restore(ordinal, store);
         }
     }
 
     fn report(&self) -> &RunReport<Out> {
-        // Under the concurrent runtime the report trails the stream until the
-        // next flush/finish synchronisation point (rounds complete on worker
-        // threads); the serial wave loop keeps it current per punctuation.
-        &self.shared.report
+        // Current per punctuation under the inline driver; under the
+        // threaded driver it trails the stream until the next flush/finish
+        // (rounds complete on worker threads).
+        &self.session.report
     }
 
     fn set_batch_hook(&mut self, hook: Option<BatchHook>) {
-        self.shared.hook = hook;
+        self.session.hook = hook;
     }
 
     fn set_output_sink(&mut self, sink: Option<crate::pipeline::OutputSink<Out>>) {
-        self.shared.sink = sink;
+        self.session.sink = sink;
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::route::partition_of;
     use super::*;
-    use morphstream_common::{TableId, Value};
+    use crate::{StreamApp, TxnBuilder};
+    use morphstream_common::{EngineConfig, TableId, TopologyConfig, Value};
     use morphstream_tpg::udfs;
 
     /// Doubles the incoming value into a per-key table; output carries the
@@ -2593,10 +613,17 @@ mod tests {
         punctuation: usize,
         topo: TopologyConfig,
     ) -> (Topology<u64, u64>, StateStore, TableId, TableId) {
+        let config = EngineConfig::with_threads(2).with_punctuation_interval(punctuation);
+        two_op_topology_with(config, topo)
+    }
+
+    fn two_op_topology_with(
+        config: EngineConfig,
+        topo: TopologyConfig,
+    ) -> (Topology<u64, u64>, StateStore, TableId, TableId) {
         let store = StateStore::new();
         let doubled = store.create_table("doubled", 0, true);
         let sums = store.create_table("sums", 0, true);
-        let config = EngineConfig::with_threads(2).with_punctuation_interval(punctuation);
         let mut builder = TopologyBuilder::new();
         let a = builder.add_operator("doubler", Doubler { table: doubled }, store.clone(), config);
         let b = builder.add_operator("summer", Summer { table: sums }, store.clone(), config);
@@ -2641,8 +668,78 @@ mod tests {
         assert_eq!(store.read_latest(sums, 0).unwrap(), 55);
     }
 
+    /// What the round fold recorded per batch: events, committed, aborted,
+    /// redone operations.
+    fn rounds<O>(report: &RunReport<O>) -> Vec<[usize; 4]> {
+        let batches = report.batches.iter();
+        batches
+            .map(|b| [b.events, b.committed, b.aborted, b.redone_ops])
+            .collect()
+    }
+
     #[test]
-    fn concurrent_runtime_matches_the_serial_wave_loop() {
+    fn both_drivers_record_the_same_batch_summaries() {
+        // 30 events at punctuation 4 leave a trailing partial batch; with a
+        // pipelined entry a batch surfaces one round after the one that cut it.
+        for pipelined in [false, true] {
+            let config = EngineConfig::with_threads(2)
+                .with_punctuation_interval(4)
+                .with_pipelined_construction(pipelined);
+            let run = |topo: TopologyConfig| {
+                let (mut topology, ..) = two_op_topology_with(config, topo);
+                topology.ingest_iter(1..=30u64);
+                topology.flush();
+                let flushed = rounds(topology.report());
+                let report = topology.finish();
+                // finish after flush moves nothing: no empty trailing batch
+                assert_eq!(rounds(&report), flushed);
+                flushed
+            };
+            let inline = run(TopologyConfig::default());
+            assert_eq!(inline.iter().map(|r| r[0]).sum::<usize>(), 30);
+            assert_eq!(inline.iter().map(|r| r[1]).sum::<usize>(), 60);
+            if !pipelined {
+                assert_eq!(inline.len(), 8);
+                assert_eq!(inline[0], [4, 8, 0, 0]);
+                assert_eq!(inline[7], [2, 4, 0, 0]);
+            }
+            for capacity in [1, 4] {
+                let threaded = TopologyConfig::default()
+                    .with_concurrent(true)
+                    .with_channel_capacity(capacity);
+                assert_eq!(run(threaded), inline, "pipelined={pipelined}");
+            }
+        }
+    }
+
+    #[test]
+    fn inline_driver_is_current_the_moment_a_push_returns() {
+        let (mut topology, ..) = two_op_topology(4, TopologyConfig::default());
+        for key in 1..=9u64 {
+            crate::Pipeline::new(&mut topology).push(key);
+            // every closed batch has already passed both operators
+            let closed = (key / 4) as usize;
+            let report = topology.report();
+            assert_eq!(report.batches.len(), closed);
+            assert_eq!(report.events(), closed * 4);
+            assert_eq!(report.committed, closed * 8);
+            assert_eq!(report.outputs.len(), closed * 4);
+            let (operators, edges) = topology.live_rows();
+            assert_eq!(edges.len(), 2);
+            if closed > 0 {
+                let names: Vec<&str> = operators.iter().map(|op| op.name.as_str()).collect();
+                assert_eq!(names, ["doubler", "summer"]);
+                for op in &operators {
+                    assert_eq!(op.events, closed as u64 * 4);
+                    assert_eq!(op.batches, closed as u64);
+                }
+            }
+        }
+        assert_eq!(topology.finish().events(), 9);
+    }
+
+    #[test]
+    fn threaded_driver_matches_the_inline_driver() {
         let (mut serial, serial_store, _, _) = two_op_topology(4, TopologyConfig::default());
         let expected = serial.run(1..=64u64);
 
@@ -3107,6 +1204,7 @@ mod tests {
             assert_eq!(report.outputs, expected.outputs);
             assert_eq!(report.events(), expected.events());
             assert_eq!(report.committed, expected.committed);
+            assert_eq!(rounds(&report), rounds(&expected));
             assert_eq!(
                 store.state_digest(),
                 serial_store.state_digest(),

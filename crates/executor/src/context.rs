@@ -129,6 +129,9 @@ impl ExecContext {
             let mut rt = self.runtime[op].lock();
             if rt.state != OpState::Aborted {
                 rt.state = OpState::Aborted;
+                drop(rt);
+                // The abort handler skips siblings it finds already aborted.
+                self.materialise_keys(op);
             }
             return;
         }
@@ -275,6 +278,23 @@ impl ExecContext {
         Ok((key, result, wrote))
     }
 
+    /// Touch the keys `op` would have read. Evaluating an operation
+    /// materialises the missing keys of auto-create tables; how many siblings
+    /// of a failing operation get that far before the abort lands depends on
+    /// the schedule, so the ones that never ran are brought to the same
+    /// footprint — the key set after a batch is then a function of the batch
+    /// alone, and state digests do not move with thread timing.
+    fn materialise_keys(&self, op: OpId) {
+        let operation = self.tpg.op(op);
+        let (spec, ts) = (&operation.spec, operation.ts);
+        let _ = self
+            .store
+            .read_before(spec.table, spec.target.resolve(ts), ts, 0);
+        for p in &spec.params {
+            let _ = self.store.read_before(p.table, p.key, ts, 0);
+        }
+    }
+
     fn rollback_op_write(&self, op: OpId, key: Key) {
         let operation = self.tpg.op(op);
         // Writer ids are batch-local op ids, so they recur in every batch:
@@ -352,6 +372,9 @@ impl ExecContext {
                     drop(rt);
                     self.rollback_op_write(sibling, key);
                     rolled_back.push(sibling);
+                } else if prev == OpState::Blocked {
+                    drop(rt);
+                    self.materialise_keys(sibling);
                 }
             }
 
@@ -599,6 +622,44 @@ mod tests {
         // the second op never wrote because the txn was already aborted.
         assert_eq!(store.read_latest(T, 1).unwrap(), 0);
         assert_eq!(report.outcomes[0].abort_reason, Some(AbortReason::Injected));
+    }
+
+    /// On an auto-create table the key set after an abort must not depend on
+    /// how far the failing operation's siblings got: a sibling that never ran
+    /// (eager), one that ran before the failure, and one that ran after it
+    /// (lazy) all leave its target and parameter keys materialised.
+    #[test]
+    fn aborted_siblings_materialise_the_same_keys_in_any_order() {
+        for (mode, sibling_first) in [
+            (AbortHandling::Eager, false),
+            (AbortHandling::Eager, true),
+            (AbortHandling::Lazy, false),
+        ] {
+            let store = StateStore::new();
+            assert_eq!(store.create_table("auto", 7, true), T);
+            let mut batch = TransactionBatch::new();
+            batch.push(Transaction::new(
+                1,
+                vec![
+                    OperationSpec::write(T, 0, vec![], udfs::always_abort()),
+                    OperationSpec::write(T, 1, vec![StateRef::new(T, 2)], udfs::add_delta(5)),
+                ],
+            ));
+            let tpg = Arc::new(TpgBuilder::new().build(batch));
+            let ctx = ExecContext::new(tpg, store.clone(), mode);
+            let mut breakdown = Breakdown::new();
+            for op in if sibling_first { [1, 0] } else { [0, 1] } {
+                ctx.run_op(op, &mut breakdown);
+            }
+            ctx.resolve_lazy_aborts(&mut breakdown);
+            let mut keys: Vec<_> = store.snapshot_latest(T).unwrap().into_iter().collect();
+            keys.sort_unstable();
+            assert_eq!(
+                keys,
+                vec![(0, 7), (1, 7), (2, 7)],
+                "{mode:?} {sibling_first}"
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! short by the socket is "incomplete, read more", not an error.
 
 use morphstream_common::hash::Fnv1a;
-use morphstream_common::protocol::{ProtocolError, MAX_FRAME_LEN};
+use morphstream_common::protocol::{PayloadReader, ProtocolError, MAX_FRAME_LEN};
 
 /// Magic preamble the primary writes after connecting.
 pub const REPL_MAGIC: [u8; 4] = *b"MSR1";
@@ -227,7 +227,7 @@ impl Frame {
 
     /// Decode a checksum-verified frame body.
     fn decode_body(body: &[u8]) -> Result<Frame, ProtocolError> {
-        let mut r = BodyReader::new(&body[1..]);
+        let mut r = PayloadReader::new(&body[1..]);
         let frame = match body[0] {
             TAG_HELLO => Frame::Hello {
                 version: r.u32()?,
@@ -281,76 +281,6 @@ impl Frame {
         };
         r.finish()?;
         Ok(frame)
-    }
-}
-
-/// Bounds-checked cursor over a frame body (same discipline as the `MSC1`
-/// reader: bounded counts, trailing-byte rejection).
-struct BodyReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|end| *end <= self.bytes.len())
-            .ok_or(ProtocolError::Truncated)?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().expect("8")))
-    }
-
-    /// Everything not yet consumed.
-    fn rest(&mut self) -> &'a [u8] {
-        let out = &self.bytes[self.pos..];
-        self.pos = self.bytes.len();
-        out
-    }
-
-    /// Reject counts that cannot fit in the remaining bytes.
-    fn bounded_count(
-        &self,
-        count: usize,
-        min_element_bytes: usize,
-        what: &str,
-    ) -> Result<usize, ProtocolError> {
-        let remaining = self.bytes.len() - self.pos;
-        if count.saturating_mul(min_element_bytes) > remaining {
-            return Err(ProtocolError::Malformed(format!(
-                "{what} count {count} exceeds remaining payload"
-            )));
-        }
-        Ok(count)
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::Malformed(format!(
-                "{} trailing bytes after frame payload",
-                self.bytes.len() - self.pos
-            )))
-        }
     }
 }
 

@@ -28,7 +28,6 @@ USAGE:
                         [--fsync always|interval|never]
                         [--checkpoint-retain N]
                         [--replicate-to HOST:PORT] [--ack sync|async]
-                        [--legacy-latency-gauges]
     morphstream standby --data-dir PATH [--listen HOST:PORT]
                         [--addr HOST:PORT] [--metrics-addr HOST:PORT]
                         [--topology pipeline.toml]
@@ -241,11 +240,7 @@ fn serve_until_shutdown(server: Server) -> ExitCode {
 fn cmd_serve(args: &[String]) -> ExitCode {
     let parsed = (|| -> Result<ServeOptions, String> {
         let mut known = SERVE_FLAGS.to_vec();
-        known.extend_from_slice(&[
-            ("--replicate-to", true),
-            ("--ack", true),
-            ("--legacy-latency-gauges", false),
-        ]);
+        known.extend_from_slice(&[("--replicate-to", true), ("--ack", true)]);
         known_flags(args, &known)?;
         let mut opts = ServeOptions {
             event_addr: "127.0.0.1:7878".into(),
@@ -265,7 +260,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         if opts.replicate_to.is_some() && opts.data_dir.is_none() {
             return Err("--replicate-to requires --data-dir (the WAL is what ships)".into());
         }
-        opts.legacy_latency_gauges = has_flag(args, "--legacy-latency-gauges");
         Ok(opts)
     })();
     let opts = match parsed {

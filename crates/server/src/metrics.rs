@@ -216,14 +216,8 @@ impl ServerMetrics {
 /// Render a lifetime snapshot as Prometheus text exposition format
 /// (version 0.0.4): `# HELP`/`# TYPE` headers, counters suffixed `_total`,
 /// label values escaped per the spec. Latency is exposed as a proper
-/// histogram (`_bucket`/`_sum`/`_count`); `legacy_latency_gauges`
-/// additionally emits the pre-histogram p50/p95 gauges for dashboards that
-/// still chart them.
-pub fn render_prometheus(
-    total: &ReportSnapshot,
-    metrics: &ServerMetrics,
-    legacy_latency_gauges: bool,
-) -> String {
+/// histogram (`_bucket`/`_sum`/`_count`).
+pub fn render_prometheus(total: &ReportSnapshot, metrics: &ServerMetrics) -> String {
     let mut out = String::with_capacity(2048);
     let counter = |out: &mut String, name: &str, help: &str, value: u64| {
         let _ = writeln!(out, "# HELP {name} {help}");
@@ -296,20 +290,6 @@ pub fn render_prometheus(
         "Throughput implied by the lifetime counters.",
         total.events_per_second(),
     );
-    if legacy_latency_gauges {
-        gauge(
-            &mut out,
-            "morphstream_p50_latency_ms",
-            "Median end-to-end event latency of the current session window (legacy; prefer morphstream_latency_ms).",
-            total.p50_latency_ms,
-        );
-        gauge(
-            &mut out,
-            "morphstream_p95_latency_ms",
-            "95th-percentile end-to-end event latency of the current session window (legacy; prefer morphstream_latency_ms).",
-            total.p95_latency_ms,
-        );
-    }
     gauge(
         &mut out,
         "morphstream_peak_bytes_retained",
@@ -647,7 +627,7 @@ mod tests {
             to: "audit".into(),
             queue_full_waits: 7,
         });
-        let text = render_prometheus(&total, &metrics, false);
+        let text = render_prometheus(&total, &metrics);
         assert!(text.contains("morphstream_events_total 100\n"));
         assert!(text.contains("morphstream_committed_total 95\n"));
         assert!(text.contains("morphstream_connections_total 2\n"));
@@ -665,13 +645,13 @@ mod tests {
     }
 
     #[test]
-    fn latency_is_a_histogram_and_p50_gauges_are_legacy_gated() {
+    fn latency_is_a_histogram() {
         let metrics = ServerMetrics::new();
         let mut total = ReportSnapshot::default();
         total.latency.observe_micros(700); // 0.7ms → le="1" bucket
         total.latency.observe_micros(30_000); // 30ms → le="50" bucket
 
-        let text = render_prometheus(&total, &metrics, false);
+        let text = render_prometheus(&total, &metrics);
         assert!(text.contains("# TYPE morphstream_latency_ms histogram\n"));
         assert!(text.contains("morphstream_latency_ms_bucket{le=\"0.5\"} 0\n"));
         assert!(text.contains("morphstream_latency_ms_bucket{le=\"1\"} 1\n"));
@@ -686,17 +666,13 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
         assert!(counts.windows(2).all(|w| w[0] <= w[1]));
-
-        let legacy = render_prometheus(&total, &metrics, true);
-        assert!(legacy.contains("morphstream_p50_latency_ms"));
-        assert!(legacy.contains("morphstream_p95_latency_ms"));
     }
 
     #[test]
     fn durability_family_appears_once_enabled() {
         let metrics = ServerMetrics::new();
         let total = ReportSnapshot::default();
-        let silent = render_prometheus(&total, &metrics, false);
+        let silent = render_prometheus(&total, &metrics);
         assert!(!silent.contains("morphstream_checkpoints_total"));
 
         metrics.durability.record_recovery(17);
@@ -708,7 +684,7 @@ mod tests {
         metrics.durability.set_wal(40, 2048, 2, 38);
         let total = metrics.total_with_live(&ReportSnapshot::default());
         assert_eq!(total.durability.checkpoints, 1);
-        let text = render_prometheus(&total, &metrics, false);
+        let text = render_prometheus(&total, &metrics);
         assert!(text.contains("morphstream_checkpoints_total 1\n"));
         assert!(text.contains("morphstream_checkpoint_bytes_total 4096\n"));
         assert!(text.contains("morphstream_wal_records_total 40\n"));
@@ -722,7 +698,7 @@ mod tests {
     fn replication_family_appears_once_attached() {
         let metrics = ServerMetrics::new();
         let total = ReportSnapshot::default();
-        let silent = render_prometheus(&total, &metrics, false);
+        let silent = render_prometheus(&total, &metrics);
         assert!(!silent.contains("morphstream_standby_connected"));
 
         let stats = Arc::new(ReplicationStats::new());
@@ -731,7 +707,7 @@ mod tests {
         stats.add_shipped(100, 3200);
         stats.record_ack(100);
         metrics.set_replication(Arc::clone(&stats));
-        let text = render_prometheus(&total, &metrics, false);
+        let text = render_prometheus(&total, &metrics);
         assert!(text.contains("morphstream_standby_connected 1\n"));
         assert!(text.contains("morphstream_replication_shipped_records_total 100\n"));
         assert!(text.contains("morphstream_replication_shipped_bytes_total 3200\n"));

@@ -74,8 +74,7 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Per-edge bounded channel capacity, in punctuation batches.
     pub channel_capacity: usize,
-    /// Run the concurrent (threaded) topology runtime instead of the serial
-    /// wave loop.
+    /// Run the topology's threaded driver instead of the inline one.
     pub concurrent: bool,
     /// Per-event cost of the downstream `audit` operator, in microseconds —
     /// raise it to demonstrate back-pressure end to end.
@@ -99,8 +98,6 @@ pub struct ServeOptions {
     pub replicate_to: Option<String>,
     /// Whether ingest waits for standby acknowledgements.
     pub ack: AckMode,
-    /// Also emit the pre-histogram p50/p95 latency gauges on `/metrics`.
-    pub legacy_latency_gauges: bool,
 }
 
 impl Default for ServeOptions {
@@ -121,7 +118,6 @@ impl Default for ServeOptions {
             checkpoint_retain: 0,
             replicate_to: None,
             ack: AckMode::Async,
-            legacy_latency_gauges: false,
         }
     }
 }
@@ -384,7 +380,6 @@ struct Shared {
     /// the state checkpoints persist and restarts resume. Shared with the
     /// engine's output sink closure, hence the `Arc`.
     output_digest: Arc<Mutex<Fnv1a>>,
-    legacy_gauges: bool,
 }
 
 /// A running server; shut it down with [`Server::shutdown`].
@@ -540,7 +535,6 @@ impl Server {
             ingested_since_rotate: AtomicU64::new(0),
             pushed: AtomicU64::new(0),
             output_digest,
-            legacy_gauges: opts.legacy_latency_gauges,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -759,15 +753,11 @@ fn scrape(shared: &Shared) -> String {
         if let Ok(state) = shared.engine.try_lock() {
             let total = live_total(shared, &state.engine);
             drop(state);
-            return render_prometheus(&total, &shared.metrics, shared.legacy_gauges);
+            return render_prometheus(&total, &shared.metrics);
         }
         thread::sleep(Duration::from_millis(4));
     }
-    render_prometheus(
-        &shared.metrics.cached_total(),
-        &shared.metrics,
-        shared.legacy_gauges,
-    )
+    render_prometheus(&shared.metrics.cached_total(), &shared.metrics)
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {

@@ -130,8 +130,7 @@ impl StateStore {
     /// unscoped store-level rollback: removing every version by a writer id
     /// regardless of timestamp deletes committed versions surviving from
     /// earlier batches under a recycled id (the cross-batch data-loss bug
-    /// this API replaced). The unscoped primitive remains available on
-    /// [`MvTable`](crate::MvTable) for tests and single-batch tooling.
+    /// this API replaced).
     pub fn rollback_writer_at(
         &self,
         table: TableId,

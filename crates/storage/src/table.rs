@@ -254,24 +254,6 @@ impl MvTable {
         Ok(())
     }
 
-    /// Remove every version of `key` written by `writer`, regardless of
-    /// timestamp. **Engines must not use this for abort rollback** when
-    /// writer ids are recycled across batches (batch-local op ids): it would
-    /// delete committed versions surviving from earlier batches under a
-    /// recycled id. Use [`MvTable::rollback_writer_at`] instead; this
-    /// unscoped primitive exists for tests and single-batch tooling.
-    pub fn rollback_writer(&self, key: Key, writer: WriterId) -> usize {
-        let mut shard = self.shard_for(key).write();
-        if let Some(chain) = shard.chains.get_mut(&key) {
-            let removed = chain.remove_writer(writer);
-            self.version_count
-                .fetch_sub(removed as u64, Ordering::Relaxed);
-            removed
-        } else {
-            0
-        }
-    }
-
     /// Remove the versions of `key` written by `writer` at exactly `ts` (see
     /// [`VersionChain::remove_writer_at`] for why aborts must scope their
     /// rollback when writer ids are recycled across batches).
@@ -416,9 +398,9 @@ mod tests {
         let t = table();
         t.write(5, 10, 0, 100, 1111).unwrap();
         t.write(5, 20, 0, 200, 2222).unwrap();
-        assert_eq!(t.rollback_writer(5, 200), 1);
+        assert_eq!(t.rollback_writer_at(5, 200, 20), 1);
         assert_eq!(t.read_latest(5).unwrap(), 1111);
-        assert_eq!(t.rollback_writer(5, 999), 0);
+        assert_eq!(t.rollback_writer_at(5, 999, 20), 0);
     }
 
     #[test]
@@ -431,8 +413,8 @@ mod tests {
         // its own timestamp and then aborts.
         t.write(5, 20, 0, 3, 2222).unwrap();
         assert_eq!(t.rollback_writer_at(5, 3, 20), 1);
-        // The committed version from batch 1 survives the rollback — the
-        // unscoped rollback_writer would have deleted it too.
+        // The committed version from batch 1 survives the rollback; one
+        // keyed on the writer id alone would have deleted it too.
         assert_eq!(t.read_latest(5).unwrap(), 1111);
         assert_eq!(t.rollback_writer_at(5, 3, 999), 0);
         assert_eq!(t.rollback_writer_at(5, 999, 10), 0);

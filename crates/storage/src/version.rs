@@ -121,20 +121,11 @@ impl VersionChain {
             .collect()
     }
 
-    /// Remove every version written by `writer`. Returns how many versions
-    /// were removed. This implements abort rollback: the latest remaining
-    /// version is automatically the latest version prior to the aborted
-    /// operation.
-    pub fn remove_writer(&mut self, writer: WriterId) -> usize {
-        let before = self.versions.len();
-        self.versions.retain(|v| v.writer != writer);
-        before - self.versions.len()
-    }
-
-    /// Remove the versions written by `writer` at exactly `ts`. This is the
-    /// abort rollback engines should use when writer ids are recycled across
-    /// batches (batch-local operation ids): scoping the removal to the
-    /// aborting transaction's own timestamp guarantees a version that
+    /// Remove the versions written by `writer` at exactly `ts` and return how
+    /// many were removed. This is abort rollback: the latest remaining version
+    /// is automatically the latest prior to the aborted operation. Writer ids
+    /// are batch-local operation ids and recur in every batch, so the removal
+    /// is scoped to the aborting transaction's own timestamp — a version that
     /// survived from an earlier batch can never be collaterally deleted by a
     /// later abort that happens to reuse the writer id.
     pub fn remove_writer_at(&mut self, writer: WriterId, ts: Timestamp) -> usize {
@@ -234,10 +225,10 @@ mod tests {
         chain.insert(v(10, 0, 1, 100));
         chain.insert(v(20, 0, 2, 200));
         assert_eq!(chain.read_before(30, 0).unwrap().value, 200);
-        assert_eq!(chain.remove_writer(2), 1);
+        assert_eq!(chain.remove_writer_at(2, 20), 1);
         assert_eq!(chain.read_before(30, 0).unwrap().value, 100);
         // removing a non-existent writer is a no-op
-        assert_eq!(chain.remove_writer(99), 0);
+        assert_eq!(chain.remove_writer_at(99, 20), 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ proptest! {
                 oracle.write(0, *ts, 0, i as u64, *value).unwrap();
             }
         }
-        table.rollback_writer(0, victim);
+        table.rollback_writer_at(0, victim, writes[victim as usize].0);
         prop_assert_eq!(table.read_latest(0).unwrap(), oracle.read_latest(0).unwrap());
         // Visibility at every probe timestamp matches as well.
         for probe in [1u64, 25, 50, 75, 100, 101] {

@@ -189,7 +189,9 @@ pub struct DerivedEdges {
 ///
 /// Rules (Sections 4.2–4.4):
 /// * consecutive *real* entries of different transactions produce a TD edge
-///   from the earlier to the later operation;
+///   from the earlier to the later operation — where a transaction has
+///   several consecutive entries in the list, from each of its entries, since
+///   nothing orders the operations of one transaction against each other;
 /// * a `ParamSource` virtual entry produces a PD edge from the latest earlier
 ///   *write* of this key to the owning operation;
 /// * a `NonDetPlaceholder` participates in the ordering chain in both
@@ -205,14 +207,19 @@ pub fn derive_edges(list: &SortedList, same_txn: impl Fn(OpId, OpId) -> bool) ->
     let entries = list.entries();
 
     // --- TD chain over real entries ---
-    let mut prev_real: Option<&ListEntry> = None;
-    for entry in entries.iter().filter(|e| e.is_real()) {
-        if let Some(prev) = prev_real {
-            if !same_txn(prev.op(), entry.op()) && prev.op() != entry.op() {
-                edges.td.push((prev.op(), entry.op()));
-            }
+    // One link of the chain is a run of entries of the same transaction:
+    // linking only nearest neighbours would let `W1 R1 | W2` (a transaction
+    // writing and reading the key, then a later writer) order `W2` after
+    // `R1` alone and race it against `W1`.
+    // (Runs are spans of `entries`; virtual entries inside one are skipped.)
+    let (mut prev_run, mut run) = (0..0, 0..0);
+    for (idx, entry) in entries.iter().enumerate().filter(|(_, e)| e.is_real()) {
+        if run.is_empty() || !same_txn(entries[run.start].op(), entry.op()) {
+            prev_run = std::mem::replace(&mut run, idx..idx);
         }
-        prev_real = Some(entry);
+        run.end = idx + 1;
+        let parents = entries[prev_run.clone()].iter().filter(|e| e.is_real());
+        edges.td.extend(parents.map(|prev| (prev.op(), entry.op())));
     }
 
     // --- PD edges from virtual entries ---
@@ -314,8 +321,17 @@ mod tests {
         list.push(real(0, 10, true));
         list.push(real(1, 10, true));
         list.finalize();
-        let edges = derive_edges(&list, |a, b| (a, b) == (0, 1) || (a, b) == (1, 0));
-        assert!(edges.td.is_empty());
+        let same_txn = |a, b| (a, b) == (0, 1) || (a, b) == (1, 0);
+        assert!(derive_edges(&list, same_txn).td.is_empty());
+
+        // ...but both order the next transaction's entry: unordered against
+        // each other, neither stands in for the other in the chain.
+        let mut list = SortedList::new(TableId(0), 1);
+        list.push(real(0, 10, true));
+        list.push(real(1, 10, false));
+        list.push(real(2, 20, true));
+        list.finalize();
+        assert_eq!(derive_edges(&list, same_txn).td, vec![(0, 2), (1, 2)]);
     }
 
     #[test]

@@ -260,8 +260,8 @@ impl TollProcessingApp {
     /// statistics stage is *keyed by road segment* and runs
     /// `stats_parallelism` parallel instances — every segment's statistics
     /// stay on one instance, so digests and outputs are identical for any
-    /// parallelism — and `topology_config` selects the serial wave loop or
-    /// the concurrent per-operator-thread runtime.
+    /// parallelism — and `topology_config` selects the inline or the
+    /// per-operator-thread driver.
     pub fn topology_with(
         store: &StateStore,
         config: &WorkloadConfig,

@@ -251,8 +251,8 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
     assert_eq!(balances.iter().sum::<Value>(), expected_total);
 
     // The unlocked variant processes everything but gives no serializability
-    // guarantee; the only invariant we can check is that it does not crash
-    // and reports every event.
+    // guarantee: it must not crash, must report every event, and its races
+    // stay within what lost updates can do (checked below).
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, &config);
     let mut engine = LockedSpeEngine::without_locks(
@@ -261,11 +261,23 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
         EngineConfig::with_threads(test_threads(4))
             .with_punctuation_interval(config.txns_per_batch),
     );
+    let transfers: Value = events
+        .iter()
+        .filter_map(|e| match e {
+            SlEvent::Transfer { amount, .. } => Some(*amount),
+            _ => None,
+        })
+        .sum();
     let report = engine.process(events);
     assert_eq!(report.events(), 1_500);
+    // Every account is still readable, and each final balance is the initial
+    // one plus some subset of the deltas its writers computed (a lost update
+    // drops deltas, it never invents one). A lost debit keeps its credit, so
+    // the racy total can exceed the serializable one — by at most every
+    // transfer's amount; losing every deposit and every credit bounds it
+    // from below.
     let app = StreamingLedgerApp::new(&store, &config);
     let unlocked_total: Value = final_balances(&store, &app, &config).iter().sum();
-    // lost updates can only lose money relative to the serializable total
-    // plus the deposits, never create it out of thin air beyond the oracle
-    assert!(unlocked_total <= expected_total);
+    assert!(unlocked_total <= expected_total + transfers);
+    assert!(unlocked_total >= expected_total - deposits - transfers);
 }

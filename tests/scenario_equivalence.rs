@@ -2,8 +2,8 @@
 //! scenario, loaded from its `scenarios/*.toml` file and run as a topology,
 //! must produce the exact `state_digest()` of a *fused* single-operator
 //! oracle that performs all stages' writes inside one transaction per event
-//! over the merged feed — across the serial wave loop vs the concurrent
-//! runtime and worker-thread counts. For `adclick.toml` this proves the
+//! over the merged feed — across the inline vs the threaded topology
+//! driver and worker-thread counts. For `adclick.toml` this proves the
 //! multi-entry dispatch (two feeds entering through different entry stages)
 //! is equivalent to a single merged feed; for `exchange.toml` it proves
 //! cross-stage abort semantics (an unfilled sell must not be tallied) match

@@ -2,7 +2,7 @@
 //! fused single-operator TP application and its two-operator topology split
 //! must produce identical `state_digest()`s and identical per-event outputs,
 //! across worker-thread counts (`MORPH_TEST_THREADS`), pipelined
-//! construction on/off, the serial wave loop vs the concurrent runtime, and
+//! construction on/off, the inline vs the threaded topology driver, and
 //! keyed statistics parallelism 1 vs 4 — while the topology is driven
 //! exclusively through the *generic* `TxnEngine` surface
 //! (`Pipeline::push_iter` and the bench harness's `drive` loop), never
@@ -50,8 +50,8 @@ fn run_topology(threads: usize, pipelined: bool) -> (u64, RunReport<bool>) {
     run_topology_with(threads, pipelined, false, 1)
 }
 
-/// The split with explicit runtime choices: serial wave loop vs concurrent
-/// per-operator threads, and keyed statistics parallelism.
+/// The split with explicit driver choices: inline vs per-operator
+/// threads, and keyed statistics parallelism.
 fn run_topology_with(
     threads: usize,
     pipelined: bool,
@@ -104,7 +104,7 @@ fn split_topology_matches_the_fused_app_across_threads_and_pipelining() {
 }
 
 #[test]
-fn concurrent_runtime_and_keyed_parallelism_match_the_serial_wave_loop() {
+fn threaded_driver_and_keyed_parallelism_match_the_inline_driver() {
     // The acceptance matrix of the concurrent-runtime redesign: digests and
     // outputs must be identical across {serial, concurrent} × parallelism
     // {1, 4} × threads {1, MORPH_TEST_THREADS} × pipelining on/off.

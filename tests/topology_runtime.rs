@@ -1,8 +1,9 @@
-//! Runtime behaviour of the concurrent topology: bounded channels give real
-//! back-pressure (a slow downstream operator blocks `Pipeline::push` and
-//! memory stays bounded), dropping a topology mid-stream joins every worker
-//! thread without deadlock, operator panics propagate with their original
-//! payload, and per-table version reclamation lets shared-store operators
+//! Runtime behaviour of a topology: under the threaded driver bounded
+//! channels give real back-pressure (a slow downstream operator blocks
+//! `Pipeline::push` and memory stays bounded) and dropping a topology
+//! mid-stream joins every worker thread without deadlock; under both drivers
+//! operator panics propagate with their original payload, and per-table
+//! version reclamation lets shared-store operators
 //! reclaim again without touching a sibling's windowed state.
 
 use morphstream::storage::StateStore;
@@ -140,14 +141,19 @@ fn dropping_a_topology_mid_stream_joins_all_workers_without_deadlock() {
 
 #[test]
 fn operator_panics_propagate_with_their_original_payload() {
-    /// Panics when it sees the poison event.
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
+
+    /// Panics when it sees the poison event, noting the thread it ran on.
     struct Exploder {
         table: TableId,
+        ran_on: Arc<Mutex<Option<ThreadId>>>,
     }
     impl StreamApp for Exploder {
         type Event = u64;
         type Output = bool;
         fn state_access(&self, key: &u64, txn: &mut TxnBuilder) {
+            *self.ran_on.lock().unwrap() = Some(std::thread::current().id());
             assert!(*key != 97, "boom on event 97");
             txn.write(self.table, *key % 8, udfs::add_delta(1));
         }
@@ -156,34 +162,47 @@ fn operator_panics_propagate_with_their_original_payload() {
         }
     }
 
-    let store = StateStore::new();
-    let src = store.create_table("src", 0, true);
-    let boom = store.create_table("boom", 0, true);
-    let config = EngineConfig::with_threads(1).with_punctuation_interval(16);
-    let mut builder = TopologyBuilder::new();
-    let fast = builder.add_operator("fast", FastCounter { table: src }, store.clone(), config);
-    let exploding =
-        builder.add_operator("exploding", Exploder { table: boom }, store.clone(), config);
-    builder.connect(fast, exploding, Route::map(|key: &u64| *key));
-    let mut topology = builder
-        .build(
-            fast,
-            exploding,
-            TopologyConfig::default().with_concurrent(true),
-        )
-        .expect("valid dataflow");
+    for concurrent in [false, true] {
+        let store = StateStore::new();
+        let src = store.create_table("src", 0, true);
+        let boom = store.create_table("boom", 0, true);
+        let ran_on = Arc::new(Mutex::new(None));
+        let config = EngineConfig::with_threads(1).with_punctuation_interval(16);
+        let mut builder = TopologyBuilder::new();
+        let fast = builder.add_operator("fast", FastCounter { table: src }, store.clone(), config);
+        let exploder = Exploder {
+            table: boom,
+            ran_on: Arc::clone(&ran_on),
+        };
+        let exploding = builder.add_operator("exploding", exploder, store.clone(), config);
+        builder.connect(fast, exploding, Route::map(|key: &u64| *key));
+        let mut topology = builder
+            .build(
+                fast,
+                exploding,
+                TopologyConfig::default().with_concurrent(concurrent),
+            )
+            .expect("valid dataflow");
 
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| topology.run(0..256u64)));
-    let payload = result.expect_err("the operator panic must surface on the caller");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        message.contains("boom on event 97"),
-        "panic payload was replaced: {message:?}"
-    );
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| topology.run(0..256u64)));
+        let payload = result.expect_err("the operator panic must surface on the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            message.contains("boom on event 97"),
+            "panic payload was replaced (concurrent={concurrent}): {message:?}"
+        );
+        // The inline driver unwinds straight through the caller: the operator
+        // ran on this thread, so there is no worker to leave behind. The
+        // threaded driver ran it on a worker, joined before the re-raise.
+        let here = std::thread::current().id();
+        assert_eq!(*ran_on.lock().unwrap() == Some(here), !concurrent);
+        drop(topology);
+    }
 }
 
 /// Appends every event to a log cell and window-reads its full history; the
@@ -258,7 +277,11 @@ fn sibling_watermarks_reclaim_their_own_tables_but_not_windowed_state() {
             "sibling watermark truncated windowed state (concurrent={concurrent})"
         );
         // the final window sum proves the full history stayed readable
-        assert_eq!(store.read_latest(log, 0).unwrap(), 64);
+        assert_eq!(
+            store.read_latest(log, 0).unwrap(),
+            64,
+            "an increment was lost (concurrent={concurrent})"
+        );
     }
 }
 
