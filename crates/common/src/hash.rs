@@ -38,6 +38,22 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.state
     }
+
+    /// Append the 8-byte little-endian digest of `buf[from..]` to `buf` —
+    /// the integrity trailer of the `MSW1`/`MSC1`/`MSR1` framings.
+    pub fn seal(buf: &mut Vec<u8>, from: usize) {
+        let mut fnv = Self::new();
+        fnv.update(&buf[from..]);
+        buf.extend_from_slice(&fnv.finish().to_le_bytes());
+    }
+
+    /// Whether `trailer` is the 8-byte trailer [`Fnv1a::seal`] writes for
+    /// `region`. A trailer of any other length never verifies.
+    pub fn verify(region: &[u8], trailer: &[u8]) -> bool {
+        let mut fnv = Self::new();
+        fnv.update(region);
+        trailer == fnv.finish().to_le_bytes()
+    }
 }
 
 impl Default for Fnv1a {
@@ -65,6 +81,16 @@ mod tests {
         assert_ne!(a.finish(), c.finish());
         // empty hasher reports the offset basis
         assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn seal_and_verify_agree_and_catch_damage() {
+        let mut buf = b"skipped|covered".to_vec();
+        Fnv1a::seal(&mut buf, 8);
+        let (region, trailer) = buf[8..].split_at(7);
+        assert!(Fnv1a::verify(region, trailer));
+        assert!(!Fnv1a::verify(b"coverex", trailer));
+        assert!(!Fnv1a::verify(region, &trailer[..7]));
     }
 
     #[test]

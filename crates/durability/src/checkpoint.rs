@@ -123,9 +123,7 @@ impl Checkpoint {
                 }
             }
         }
-        let mut fnv = Fnv1a::new();
-        fnv.update(&out);
-        out.extend_from_slice(&fnv.finish().to_le_bytes());
+        Fnv1a::seal(&mut out, 0);
         out
     }
 
@@ -141,10 +139,7 @@ impl Checkpoint {
             ));
         }
         let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte split"));
-        let mut fnv = Fnv1a::new();
-        fnv.update(body);
-        if fnv.finish() != stored {
+        if !Fnv1a::verify(body, trailer) {
             return Err(ProtocolError::Malformed(
                 "checkpoint checksum mismatch".into(),
             ));
@@ -916,7 +911,7 @@ mod tests {
         let table = store.create_table("counts", 0, true);
         let app = Counter { table };
         let mut engine = MorphStream::new(app, store.clone(), EngineConfig::with_threads(2));
-        engine.process(vec![1, 2, 1, 3, 1, 2]);
+        engine.run(vec![1, 2, 1, 3, 1, 2]);
 
         let mut builder = CheckpointBuilder::new();
         TxnEngine::checkpoint(&mut engine, &mut builder);

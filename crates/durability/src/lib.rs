@@ -14,15 +14,10 @@
 //!   record and a configurable [`FsyncPolicy`]. Segments rotate at
 //!   checkpoints and are garbage-collected once a checkpoint covers them.
 //!
-//! Recovery is the composition: load the latest checkpoint chain
-//! ([`CheckpointStore::load_chain`]), seed fresh stores through the
-//! engine's `restore` hook, resume the output digest from the saved FNV
-//! state, then replay the WAL tail (events with index ≥ the checkpoint's
-//! `events_applied`) through the same pipeline. Because punctuation
-//! placement does not affect final state or outputs (timestamps are
-//! assigned in ingestion order and MVCC resolves by timestamp), a replayed
-//! run converges to digest-identical state even when the crash hit
-//! mid-batch.
+//! [`DurableEngine`] composes the two around an engine — log-then-push
+//! ingest, flush-barrier checkpoints that rotate and truncate the log, and
+//! restore → replay → re-anchor recovery — and is where that protocol is
+//! specified; the serving primary and the hot standby both run it.
 //!
 //! The engine side of the contract is `TxnEngine::checkpoint` /
 //! `TxnEngine::restore` (see `morphstream::pipeline`), implemented by both
@@ -37,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod durable;
 pub mod error;
 pub mod wal;
 
@@ -44,6 +40,7 @@ pub use checkpoint::{
     ChainRestore, Checkpoint, CheckpointBuilder, CheckpointStore, LoadedChain, ManifestEntry,
     RedirtySink, SavedCheckpoint, StoreSection, TableSnapshot, CHECKPOINT_MAGIC, MANIFEST_NAME,
 };
+pub use durable::{DurableEngine, DurableStats, Recovery};
 pub use error::DurabilityError;
 pub use wal::{
     decode_segment, read_wal, repair_torn_tail, wal_start_index, DecodedSegment, FsyncPolicy,

@@ -47,6 +47,8 @@ pub const WAL_MAGIC: [u8; 4] = *b"MSW1";
 
 const REC_EVENT: u8 = 1;
 const REC_PUNCTUATION: u8 = 2;
+/// Bytes before a record's payload: `u8 tag` + `u32 len`.
+const RECORD_HEADER: usize = 5;
 
 /// When the log fsyncs, trading durability against append latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,6 +97,9 @@ pub struct WalLog {
     next_index: u64,
     records_appended: u64,
     bytes_appended: u64,
+    /// Segment files on disk: counted at open, kept current by
+    /// `ensure_segment` and `truncate_before`.
+    segments: u64,
     scratch: Vec<u8>,
 }
 
@@ -109,6 +114,7 @@ impl WalLog {
     ) -> Result<Self, DurabilityError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        let segments = list_segments(&dir)?.len() as u64;
         Ok(Self {
             dir,
             policy,
@@ -116,6 +122,7 @@ impl WalLog {
             next_index,
             records_appended: 0,
             bytes_appended: 0,
+            segments,
             scratch: Vec::new(),
         })
     }
@@ -137,14 +144,15 @@ impl WalLog {
 
     /// Number of segment files currently on disk.
     pub fn segment_count(&self) -> u64 {
-        list_segments(&self.dir)
-            .map(|s| s.len() as u64)
-            .unwrap_or(0)
+        self.segments
     }
 
     fn ensure_segment(&mut self) -> Result<&mut File, DurabilityError> {
         if self.current.is_none() {
             let path = self.dir.join(segment_name(self.next_index));
+            // An eventless segment of the same name (a crash right after
+            // its creation) is overwritten in place, not added.
+            let replaced = path.exists();
             let mut file = OpenOptions::new()
                 .write(true)
                 .create(true)
@@ -159,34 +167,32 @@ impl WalLog {
                 crate::sync_dir(&self.dir)?;
             }
             self.bytes_appended += (WAL_MAGIC.len() + 8) as u64;
+            self.segments += u64::from(!replaced);
             self.current = Some(file);
         }
         Ok(self.current.as_mut().expect("segment just ensured"))
     }
 
-    fn append_record(&mut self, tag: u8, payload_len: usize) -> Result<(), DurabilityError> {
-        debug_assert_eq!(self.scratch.len(), payload_len);
+    /// Finish the record in `scratch` — [`RECORD_HEADER`] placeholder bytes
+    /// with the tag set, then the payload — and append it with a single
+    /// `write_all`: a concurrent [`WalTailer`] may still observe the record
+    /// half-written, but the log pays one syscall per record.
+    fn append_record(&mut self) -> Result<(), DurabilityError> {
+        let payload_len = self.scratch.len() - RECORD_HEADER;
         if payload_len > MAX_FRAME_LEN {
             return Err(DurabilityError::corrupt(format!(
                 "WAL record of {payload_len} bytes exceeds the frame limit"
             )));
         }
-        let len = (payload_len as u32).to_le_bytes();
-        let mut fnv = Fnv1a::new();
-        fnv.update(&[tag]);
-        fnv.update(&len);
-        fnv.update(&self.scratch);
-        let checksum = fnv.finish().to_le_bytes();
+        self.scratch[1..RECORD_HEADER].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        Fnv1a::seal(&mut self.scratch, 0);
 
-        let payload = std::mem::take(&mut self.scratch);
-        let file = self.ensure_segment()?;
-        file.write_all(&[tag])?;
-        file.write_all(&len)?;
-        file.write_all(&payload)?;
-        file.write_all(&checksum)?;
-        self.scratch = payload;
+        let record = std::mem::take(&mut self.scratch);
+        let written = self.ensure_segment()?.write_all(&record);
+        self.scratch = record;
+        written?;
         self.records_appended += 1;
-        self.bytes_appended += (1 + 4 + payload_len + 8) as u64;
+        self.bytes_appended += self.scratch.len() as u64;
         Ok(())
     }
 
@@ -194,9 +200,9 @@ impl WalLog {
     /// [`FsyncPolicy::Always`] the record is durable on return.
     pub fn append_event<T: WireCodec>(&mut self, event: &T) -> Result<u64, DurabilityError> {
         self.scratch.clear();
+        self.scratch.extend_from_slice(&[REC_EVENT, 0, 0, 0, 0]);
         event.encode_binary(&mut self.scratch);
-        let len = self.scratch.len();
-        self.append_record(REC_EVENT, len)?;
+        self.append_record()?;
         let index = self.next_index;
         self.next_index += 1;
         if self.policy == FsyncPolicy::Always {
@@ -210,8 +216,10 @@ impl WalLog {
     pub fn mark_punctuation(&mut self) -> Result<(), DurabilityError> {
         self.scratch.clear();
         self.scratch
+            .extend_from_slice(&[REC_PUNCTUATION, 0, 0, 0, 0]);
+        self.scratch
             .extend_from_slice(&self.next_index.to_le_bytes());
-        self.append_record(REC_PUNCTUATION, 8)?;
+        self.append_record()?;
         if self.policy != FsyncPolicy::Never {
             self.sync()?;
         }
@@ -247,6 +255,7 @@ impl WalLog {
                 deleted += 1;
             }
         }
+        self.segments = segments.len() as u64 - deleted;
         Ok(deleted)
     }
 }
@@ -331,26 +340,20 @@ pub fn decode_segment<T: WireCodec>(bytes: &[u8]) -> Result<DecodedSegment<T>, P
 /// Try to decode one record at the head of `bytes`; `None` when the bytes
 /// are truncated, oversized, or fail the checksum.
 fn decode_record(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
-    if bytes.len() < 1 + 4 {
+    if bytes.len() < RECORD_HEADER {
         return None;
     }
     let tag = bytes[0];
-    let len = u32::from_le_bytes(bytes[1..5].try_into().expect("4")) as usize;
+    let len = u32::from_le_bytes(bytes[1..RECORD_HEADER].try_into().expect("4")) as usize;
     if len > MAX_FRAME_LEN {
         return None;
     }
-    let total = 1 + 4 + len + 8;
+    let total = RECORD_HEADER + len + 8;
     if bytes.len() < total {
         return None;
     }
-    let payload = &bytes[5..5 + len];
-    let stored = u64::from_le_bytes(bytes[5 + len..total].try_into().expect("8"));
-    let mut fnv = Fnv1a::new();
-    fnv.update(&bytes[..5 + len]);
-    if fnv.finish() != stored {
-        return None;
-    }
-    Some((tag, payload, total))
+    let (region, trailer) = bytes[..total].split_at(RECORD_HEADER + len);
+    Fnv1a::verify(region, trailer).then_some((tag, &region[RECORD_HEADER..], total))
 }
 
 /// Everything recovered from a WAL directory.

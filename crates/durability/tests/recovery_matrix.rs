@@ -4,264 +4,97 @@
 //! construction on/off — with the kill landing both on a punctuation
 //! boundary and mid-batch, and the checkpoint cut itself mid-batch.
 //!
-//! Each cell simulates the crash in-process: lifetime A WAL-appends and
-//! pushes a prefix of the stream (taking one checkpoint part-way), then is
-//! abandoned without `finish` — exactly what `kill -9` leaves on disk.
-//! Lifetime B restores the checkpoint, replays the WAL tail, pushes the rest
-//! of the stream, and must land on the same ledger/tally state digests and
-//! the same order-sensitive output digest as a reference run that never
-//! crashed.
+//! Each cell simulates the crash in-process on the production type: lifetime
+//! A is a [`DurableEngine`] that ingests a prefix of the stream (taking one
+//! checkpoint part-way) and is then dropped without a final checkpoint or
+//! `finish` — exactly what `kill -9` leaves on disk. Lifetime B is
+//! [`DurableEngine::open`] on the same directory: it restores the
+//! checkpoint, replays the WAL tail, ingests the rest of the stream, and
+//! must land on the same ledger/tally state digests and the same
+//! order-sensitive output digest as a reference run that never crashed and
+//! never touched the durability layer.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+mod support;
+
+use std::path::Path;
 
 use morphstream::storage::StateStore;
-use morphstream::{
-    udfs, EngineConfig, FnSink, Pipeline, Route, StreamApp, Topology, TopologyBuilder,
-    TopologyConfig, TxnBuilder, TxnEngine, TxnOutcome,
+use morphstream::TxnEngine;
+use morphstream_durability::{Checkpoint, DurableEngine, FsyncPolicy, Recovery};
+use morphstream_workloads::SlEvent;
+use support::{
+    build, reference, test_dir, test_events, Digests, Engine, Shape, CHECKPOINT_AT, PUNCTUATION,
 };
-use morphstream_common::hash::Fnv1a;
-use morphstream_common::{StateRef, TableId, WorkloadConfig};
-use morphstream_durability::{read_wal, CheckpointBuilder, CheckpointStore, FsyncPolicy, WalLog};
-use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
-const PUNCTUATION: usize = 50;
-const EVENTS: usize = 600;
-/// Mid-batch: 230 is not a multiple of the punctuation interval, so the
-/// checkpoint's flush cuts a partial batch.
-const CHECKPOINT_AT: usize = 230;
-
-/// The entry operator: Streaming Ledger semantics, but the output carries
-/// the primary account key so the downstream edge can partition by it.
-struct LedgerApp {
-    accounts: TableId,
+/// One lifetime of a durable server over `dir`: a fresh engine, recovered.
+/// No interval checkpoints — the tests place them.
+struct Lifetime {
+    durable: DurableEngine<Engine>,
+    stores: [StateStore; 2],
+    recovery: Option<Recovery>,
 }
 
-impl LedgerApp {
-    fn new(store: &StateStore) -> Self {
-        Self {
-            accounts: store.create_table("accounts", 0, true),
-        }
-    }
-}
-
-impl StreamApp for LedgerApp {
-    type Event = SlEvent;
-    /// `account << 1 | committed`.
-    type Output = u64;
-
-    fn state_access(&self, event: &SlEvent, txn: &mut TxnBuilder) {
-        match event {
-            SlEvent::Deposit { account, amount } => {
-                txn.write(self.accounts, *account, udfs::add_delta(*amount));
-            }
-            SlEvent::Transfer { from, to, amount } => {
-                txn.write(self.accounts, *from, udfs::withdraw(*amount));
-                txn.write_with_params(
-                    self.accounts,
-                    *to,
-                    vec![StateRef::new(self.accounts, *from)],
-                    udfs::credit_if_param_at_least(*amount, *amount),
-                );
-            }
+impl Lifetime {
+    fn open(shape: Shape, dir: &Path) -> Lifetime {
+        let (topology, stores) = build(shape);
+        let (durable, recovery) =
+            DurableEngine::open(dir, topology, FsyncPolicy::Never, 0, 0, PUNCTUATION as u64)
+                .expect("open the data directory");
+        Lifetime {
+            durable,
+            stores,
+            recovery,
         }
     }
 
-    fn post_process(&self, event: &SlEvent, outcome: &TxnOutcome) -> u64 {
-        let account = match event {
-            SlEvent::Deposit { account, .. } => *account,
-            SlEvent::Transfer { from, .. } => *from,
-        };
-        (account << 1) | outcome.committed as u64
-    }
-}
-
-/// The downstream operator: per-account event tally, keyed by the same
-/// account the route partitions on, so parallel instances own disjoint keys.
-struct TallyApp {
-    tallies: TableId,
-}
-
-impl StreamApp for TallyApp {
-    type Event = u64;
-    type Output = u64;
-
-    fn state_access(&self, event: &u64, txn: &mut TxnBuilder) {
-        txn.write(self.tallies, event >> 1, udfs::add_delta(1));
+    fn ingest(&mut self, slice: &[SlEvent]) {
+        self.durable
+            .ingest(slice.iter().cloned())
+            .expect("WAL append");
     }
 
-    fn post_process(&self, event: &u64, _outcome: &TxnOutcome) -> u64 {
-        *event
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Shape {
-    concurrent: bool,
-    parallelism: usize,
-    threads: usize,
-    pipelined: bool,
-}
-
-struct Run {
-    topology: Topology<SlEvent, u64>,
-    ledger_store: StateStore,
-    tally_store: StateStore,
-    output_digest: Arc<Mutex<Fnv1a>>,
-}
-
-fn build(shape: Shape) -> Run {
-    let ledger_store = StateStore::new();
-    let tally_store = StateStore::new();
-    let config = EngineConfig::with_threads(shape.threads)
-        .with_punctuation_interval(PUNCTUATION)
-        .with_pipelined_construction(shape.pipelined);
-    let mut builder = TopologyBuilder::new();
-    let ledger = builder.add_operator(
-        "ledger",
-        LedgerApp::new(&ledger_store),
-        ledger_store.clone(),
-        config,
-    );
-    let tally = builder
-        .add_operator(
-            "tally",
-            TallyApp {
-                tallies: tally_store.create_table("tallies", 0, true),
-            },
-            tally_store.clone(),
-            config,
-        )
-        .with_parallelism(shape.parallelism);
-    builder.connect(
-        ledger,
-        tally,
-        Route::keyed(|routed: &u64| routed >> 1, |out: &u64| Some(*out)),
-    );
-    let mut topology = builder
-        .build(
-            ledger,
-            tally,
-            TopologyConfig::default().with_concurrent(shape.concurrent),
-        )
-        .expect("ledger -> tally is a valid dataflow");
-    let output_digest = Arc::new(Mutex::new(Fnv1a::new()));
-    let digest = Arc::clone(&output_digest);
-    topology.set_output_sink(Some(Box::new(FnSink(move |out: u64| {
-        digest.lock().unwrap().update(&out.to_le_bytes());
-    }))));
-    Run {
-        topology,
-        ledger_store,
-        tally_store,
-        output_digest,
-    }
-}
-
-#[derive(Debug, PartialEq)]
-struct Digests {
-    ledger: u64,
-    tally: u64,
-    outputs: u64,
-}
-
-impl Run {
     fn finish(mut self) -> Digests {
-        self.topology.flush();
-        self.topology.finish();
+        self.durable.engine_mut().finish();
         Digests {
-            ledger: self.ledger_store.state_digest(),
-            tally: self.tally_store.state_digest(),
-            outputs: self.output_digest.lock().unwrap().finish(),
+            ledger: self.stores[0].state_digest(),
+            tally: self.stores[1].state_digest(),
+            outputs: self.durable.output_digest(),
         }
     }
-}
-
-fn test_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("morph-matrix-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The reference: one uninterrupted run of the whole stream.
-fn reference(shape: Shape, events: &[SlEvent]) -> Digests {
-    let mut run = build(shape);
-    {
-        let mut pipeline = Pipeline::new(&mut run.topology);
-        for event in events {
-            pipeline.push(event.clone());
-        }
-    }
-    run.finish()
 }
 
 /// Crash at `kill_at`, recover, finish the stream; return the digests.
 fn crashed_and_recovered(shape: Shape, events: &[SlEvent], kill_at: usize, dir: &Path) -> Digests {
-    // Lifetime A: WAL-append + push the prefix, checkpoint mid-way, then
-    // vanish without flush/finish (the in-flight suffix past the last
-    // punctuation dies with the process — but it is in the WAL).
+    // Lifetime A: ingest the prefix, checkpoint mid-way, then vanish (the
+    // in-flight suffix past the last punctuation dies with the process —
+    // but it is in the WAL).
     {
-        let mut run = build(shape);
-        let mut wal = WalLog::open(dir.join("wal"), FsyncPolicy::Never, 0).expect("open WAL");
-        let mut checkpoints = CheckpointStore::open(dir.join("checkpoints")).expect("open store");
-        let push = |run: &mut Run, wal: &mut WalLog, slice: &[SlEvent]| {
-            let mut pipeline = Pipeline::new(&mut run.topology);
-            for event in slice {
-                wal.append_event(event).expect("append");
-                pipeline.push(event.clone());
-            }
-        };
-        push(&mut run, &mut wal, &events[..CHECKPOINT_AT]);
-        let mut builder = CheckpointBuilder::new();
-        TxnEngine::checkpoint(&mut run.topology, &mut builder);
-        let checkpoint = builder.build(
-            checkpoints.next_id(),
-            wal.next_index(),
-            run.output_digest.lock().unwrap().finish(),
-        );
-        checkpoints.save(&checkpoint).expect("save checkpoint");
-        push(&mut run, &mut wal, &events[CHECKPOINT_AT..kill_at]);
-        // No flush, no finish: lifetime A is gone.
+        let mut a = Lifetime::open(shape, dir);
+        assert_eq!(a.recovery, None, "a fresh directory recovers nothing");
+        a.ingest(&events[..CHECKPOINT_AT]);
+        a.durable.checkpoint_now().expect("checkpoint");
+        a.ingest(&events[CHECKPOINT_AT..kill_at]);
     }
 
-    // Lifetime B: restore, replay the WAL tail, continue, finish.
-    let mut run = build(shape);
-    let checkpoints = CheckpointStore::open(dir.join("checkpoints")).expect("reopen store");
-    let mut loaded = checkpoints
-        .load_chain()
-        .expect("chain loads")
-        .expect("a checkpoint exists");
-    TxnEngine::restore(&mut run.topology, &mut loaded.restore);
-    *run.output_digest.lock().unwrap() = Fnv1a::from_state(loaded.output_digest);
-    assert_eq!(loaded.events_applied, CHECKPOINT_AT as u64);
-    let wal_state = read_wal::<SlEvent>(dir.join("wal")).expect("WAL reads");
-    let tail = wal_state.replay_tail(loaded.events_applied);
+    // Lifetime B: recover, continue, finish.
+    let mut b = Lifetime::open(shape, dir);
     assert_eq!(
-        tail.len(),
-        kill_at - CHECKPOINT_AT,
-        "tail covers checkpoint..kill"
+        b.recovery,
+        Some(Recovery {
+            checkpoint_id: Some(0),
+            events_applied: CHECKPOINT_AT as u64,
+            replayed_events: (kill_at - CHECKPOINT_AT) as u64,
+            torn_tail: false,
+        }),
+        "recovery restores the checkpoint and replays checkpoint..kill"
     );
-    {
-        let mut pipeline = Pipeline::new(&mut run.topology);
-        for (_, event) in tail {
-            pipeline.push(event);
-        }
-        for event in &events[kill_at..] {
-            pipeline.push(event.clone());
-        }
-    }
-    run.finish()
+    b.ingest(&events[kill_at..]);
+    b.finish()
 }
 
 #[test]
 fn kill_and_restart_is_digest_identical_across_the_runtime_matrix() {
-    let workload = WorkloadConfig::streaming_ledger()
-        .with_key_space(64)
-        .with_txns_per_batch(PUNCTUATION);
-    let events = StreamingLedgerApp::generate(&workload, EVENTS, 0.5);
+    let events = test_events();
 
     for concurrent in [false, true] {
         for parallelism in [1, 4] {
@@ -290,4 +123,169 @@ fn kill_and_restart_is_digest_identical_across_the_runtime_matrix() {
             }
         }
     }
+}
+
+const SHAPE: Shape = Shape {
+    concurrent: false,
+    parallelism: 2,
+    threads: 2,
+    pipelined: false,
+};
+
+/// A checkpoint that cannot be published must cost nothing: the WAL stays
+/// whole, the dirty flags come back, the next checkpoint captures what the
+/// failed one would have, and a crash after it still recovers to the
+/// uninterrupted digests.
+#[test]
+fn failed_checkpoint_keeps_the_wal_and_redirties_for_the_next_one() {
+    let events = test_events();
+    let dir = test_dir("failed-save");
+    let (checkpoints, aside) = (dir.join("checkpoints"), dir.join("checkpoints.aside"));
+    {
+        let mut a = Lifetime::open(SHAPE, &dir);
+        a.ingest(&events[..100]);
+        a.durable.checkpoint_now().expect("first checkpoint");
+        a.ingest(&events[100..CHECKPOINT_AT]);
+
+        // The checkpoint directory turns into a file: `save` cannot create
+        // its temp file in it.
+        std::fs::rename(&checkpoints, &aside).unwrap();
+        std::fs::write(&checkpoints, b"not a directory").unwrap();
+        let before = a.durable.stats();
+        assert!(a.durable.checkpoint_now().is_err(), "the save must fail");
+        assert_eq!(
+            a.durable.stats(),
+            before,
+            "nothing published, WAL neither rotated nor truncated"
+        );
+
+        // The directory comes back; the retry captures the tables the failed
+        // attempt consumed, and truncates the WAL behind itself.
+        std::fs::remove_file(&checkpoints).unwrap();
+        std::fs::rename(&aside, &checkpoints).unwrap();
+        a.durable.checkpoint_now().expect("checkpoint after repair");
+        assert_eq!(a.durable.stats().checkpoints, before.checkpoints + 1);
+        assert_eq!(a.durable.stats().wal_segments, before.wal_segments - 1);
+        a.ingest(&events[CHECKPOINT_AT..323]);
+    }
+    let mut b = Lifetime::open(SHAPE, &dir);
+    let recovery = b.recovery.clone().expect("recovery ran");
+    assert_eq!(recovery.events_applied, CHECKPOINT_AT as u64);
+    assert_eq!(recovery.replayed_events, (323 - CHECKPOINT_AT) as u64);
+    b.ingest(&events[323..]);
+    assert_eq!(b.finish(), reference(SHAPE, &events));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A torn last segment is repaired at open and reported; the re-anchor
+/// holds (reopening right away replays nothing); and once new appends seal
+/// the repaired segment behind a newer one, the restart after that still
+/// reads it (unrepaired, it would be damage in a sealed segment).
+#[test]
+fn torn_tail_is_repaired_the_reanchor_holds_and_the_sealed_segment_reads() {
+    let events = test_events();
+    let dir = test_dir("torn");
+    {
+        // Two chunks, so the marker lands at 100 and the segment ends in
+        // an event record.
+        let mut a = Lifetime::open(SHAPE, &dir);
+        a.ingest(&events[..100]);
+        a.ingest(&events[100..120]);
+    }
+    let segment = std::fs::read_dir(dir.join("wal")).unwrap().next();
+    let segment = segment.expect("one segment").unwrap().path();
+    let bytes = std::fs::read(&segment).unwrap();
+    std::fs::write(&segment, &bytes[..bytes.len() - 5]).unwrap();
+
+    let torn = Recovery {
+        checkpoint_id: None,
+        events_applied: 0,
+        replayed_events: 119,
+        torn_tail: true,
+    };
+    assert_eq!(Lifetime::open(SHAPE, &dir).recovery, Some(torn));
+    {
+        // The torn record (event 119) is gone; the client resends from the
+        // durable index, as a resuming loadgen does.
+        let mut b = Lifetime::open(SHAPE, &dir);
+        let reanchored = Recovery {
+            checkpoint_id: Some(0),
+            events_applied: 119,
+            replayed_events: 0,
+            torn_tail: false,
+        };
+        assert_eq!(b.recovery, Some(reanchored));
+        assert_eq!(b.durable.next_index(), 119);
+        b.ingest(&events[119..323]);
+    }
+    let mut c = Lifetime::open(SHAPE, &dir);
+    let recovery = c.recovery.clone().expect("recovery ran");
+    assert!(!recovery.torn_tail, "the repaired segment reads clean");
+    assert_eq!(recovery.replayed_events, 323 - 119);
+    c.ingest(&events[323..]);
+    assert_eq!(c.finish(), reference(SHAPE, &events));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Adopting a shipped chain on a directory with history of its own discards
+/// that history — WAL and checkpoints — before installing the chain.
+#[test]
+fn adopt_chain_discards_local_wal_and_checkpoints_first() {
+    let events = test_events();
+    let announced = CHECKPOINT_AT as u64;
+
+    // The chain a primary would ship: one checkpoint at CHECKPOINT_AT.
+    let primary_dir = test_dir("adopt-primary");
+    let mut primary = Lifetime::open(SHAPE, &primary_dir);
+    primary.ingest(&events[..CHECKPOINT_AT]);
+    primary.durable.checkpoint_now().expect("checkpoint");
+    let shipped = std::fs::read(primary_dir.join("checkpoints/chk-00000000.msc")).unwrap();
+    let chain = [Checkpoint::decode(&shipped).expect("chain decodes")];
+
+    // A replica with unrelated local history: other events, two
+    // checkpoints, a WAL tail.
+    let dir = test_dir("adopt-replica");
+    let mut replica = Lifetime::open(SHAPE, &dir);
+    replica.ingest(&events[300..400]);
+    replica.durable.checkpoint_now().expect("checkpoint");
+    replica.durable.checkpoint_now().expect("checkpoint");
+    replica.ingest(&events[400..450]);
+
+    // A chain that does not cover the announced index is refused before
+    // anything is deleted: the directory still recovers.
+    let refused = replica
+        .durable
+        .adopt_chain(build(SHAPE).0, &chain, announced + 1);
+    assert!(refused.is_err());
+    let replica = Lifetime::open(SHAPE, &dir);
+    assert_eq!(replica.durable.next_index(), 150);
+
+    let (fresh, stores) = build(SHAPE);
+    let mut adopted = Lifetime {
+        durable: replica
+            .durable
+            .adopt_chain(fresh, &chain, announced)
+            .expect("adopt"),
+        stores,
+        recovery: None,
+    };
+    assert_eq!(adopted.durable.next_index(), announced);
+    assert_eq!(adopted.durable.stats().wal_segments, 0, "old WAL deleted");
+    assert_eq!(
+        adopted.durable.latest_checkpoint_id(),
+        Some(1),
+        "old checkpoints (ids 0..=2) deleted: the chain's 0, re-anchored as 1"
+    );
+    adopted.ingest(&events[CHECKPOINT_AT..323]);
+    drop(adopted);
+
+    // What is on disk is the adopted history and nothing else.
+    let mut b = Lifetime::open(SHAPE, &dir);
+    let recovery = b.recovery.clone().expect("recovery ran");
+    assert_eq!(recovery.events_applied, announced);
+    assert_eq!(recovery.replayed_events, 323 - announced);
+    b.ingest(&events[323..]);
+    assert_eq!(b.finish(), reference(SHAPE, &events));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&primary_dir);
 }

@@ -343,9 +343,7 @@ impl<A: StreamApp> MorphStream<A> {
 
     /// Partition ingested transactions into groups by `group_of`; each group
     /// gets its own scheduling decision within a batch (the *nested*
-    /// configuration of Section 8.2.3). Applies to pushed sessions
-    /// ([`TxnEngine::ingest`] / [`TxnEngine::pipeline`]) and to
-    /// [`MorphStream::process`].
+    /// configuration of Section 8.2.3).
     ///
     /// Groups are planned and executed independently, so transactions of
     /// different groups must access disjoint states.
@@ -373,41 +371,6 @@ impl<A: StreamApp> MorphStream<A> {
         &self.app
     }
 
-    /// Process a stream of events, splitting it into punctuation-delimited
-    /// batches, and return the run report.
-    ///
-    /// Convenience wrapper over the push-based session API: equivalent to
-    /// pushing every event through [`TxnEngine::pipeline`] and finishing.
-    /// Prefer the pipeline in new code — it ingests incrementally from any
-    /// iterator instead of requiring the whole stream as a `Vec`.
-    pub fn process(&mut self, events: Vec<A::Event>) -> RunReport<A::Output> {
-        self.run(events)
-    }
-
-    /// Process a stream of events whose transactions are partitioned into
-    /// groups by `group_of` (see [`MorphStream::with_group_fn`]). With a
-    /// single group this degenerates to [`MorphStream::process`].
-    ///
-    /// Convenience wrapper over the push-based session, kept for one-shot
-    /// grouped runs with a non-`Send` grouping closure; sessions that push
-    /// incrementally install the grouping up front with
-    /// [`MorphStream::with_group_fn`].
-    pub fn process_grouped(
-        &mut self,
-        events: Vec<A::Event>,
-        group_of: impl Fn(&A::Event) -> usize,
-    ) -> RunReport<A::Output> {
-        // The grouped path runs construction inline (the closure need not be
-        // `Send`); drain any batches a pushed pipelined session left in
-        // flight first so batches keep executing in punctuation order.
-        self.drain_pipeline();
-        for event in events {
-            self.ingest_with(event, &group_of);
-        }
-        self.process_pending_serial(&group_of);
-        self.finish()
-    }
-
     /// The punctuation interval in events; `usize::MAX` when unset (one
     /// batch per flush).
     pub(crate) fn punctuation_interval(&self) -> usize {
@@ -415,15 +378,6 @@ impl<A: StreamApp> MorphStream<A> {
             .punctuation_interval
             .unwrap_or(usize::MAX)
             .max(1)
-    }
-
-    /// Buffer `event`; crossing the punctuation interval processes the batch
-    /// inline with `group_of` (the non-`Send`-closure legacy path).
-    fn ingest_with(&mut self, event: A::Event, group_of: &dyn Fn(&A::Event) -> usize) {
-        let punctuation = self.punctuation_interval();
-        if self.session.ingest(event, punctuation) {
-            self.process_pending_serial(group_of);
-        }
     }
 
     /// Construct and execute the buffered events inline as one batch; a
@@ -786,7 +740,7 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(64),
         );
-        let report = engine.process(transfer_events(300));
+        let report = engine.run(transfer_events(300));
         assert_eq!(report.events(), 300);
         assert_eq!(report.committed + report.aborted, 300);
         assert!(report.batches.len() >= 4);
@@ -811,7 +765,7 @@ mod tests {
             reference_store.clone(),
             EngineConfig::with_threads(2).with_punctuation_interval(50),
         );
-        reference.process(transfer_events(200));
+        reference.run(transfer_events(200));
         let expected = reference_store.snapshot_latest(accounts).unwrap();
 
         for decision in decisions {
@@ -822,7 +776,7 @@ mod tests {
                 EngineConfig::with_threads(4).with_punctuation_interval(50),
             )
             .with_fixed_decision(decision);
-            engine.process(transfer_events(200));
+            engine.run(transfer_events(200));
             assert_eq!(
                 store.snapshot_latest(accounts).unwrap(),
                 expected,
@@ -838,11 +792,12 @@ mod tests {
             Transfers { accounts },
             store.clone(),
             EngineConfig::with_threads(2).with_punctuation_interval(100),
-        );
-        let report = engine.process_grouped(transfer_events(200), |e| match e {
+        )
+        .with_group_fn(|e| match e {
             LedgerEvent::Deposit { .. } => 0,
             LedgerEvent::Transfer { .. } => 1,
         });
+        let report = engine.run(transfer_events(200));
         assert_eq!(report.events(), 200);
         assert_eq!(report.committed + report.aborted, 200);
     }
@@ -857,7 +812,7 @@ mod tests {
                 .with_punctuation_interval(50)
                 .with_reclaim_after_batch(false),
         );
-        keep.process(transfer_events(400));
+        keep.run(transfer_events(400));
 
         let (store_reclaim, accounts) = setup(100);
         let mut reclaim = MorphStream::new(
@@ -867,7 +822,7 @@ mod tests {
                 .with_punctuation_interval(50)
                 .with_reclaim_after_batch(true),
         );
-        reclaim.process(transfer_events(400));
+        reclaim.run(transfer_events(400));
 
         assert!(store_reclaim.version_count() < store_keep.version_count());
         // final balances identical
@@ -937,7 +892,7 @@ mod tests {
                 amount: 100,
             })
             .collect();
-        let report = engine.process(events);
+        let report = engine.run(events);
         assert_eq!(report.aborted, 64);
         assert_eq!(report.committed, 0);
         // no money was created or destroyed by the aborted transfers
@@ -963,7 +918,7 @@ mod tests {
         assert!(report.decision_trace().is_empty());
         assert_eq!(report.latency.len(), 0);
         // the legacy wrapper behaves identically
-        let report = engine.process(Vec::new());
+        let report = engine.run(Vec::new());
         assert_eq!(report.events(), 0);
         assert!(report.batches.is_empty());
     }
@@ -978,7 +933,7 @@ mod tests {
             ref_store.clone(),
             EngineConfig::with_threads(2).with_punctuation_interval(64),
         );
-        let expected = reference.process(transfer_events(300));
+        let expected = reference.run(transfer_events(300));
 
         let (store, accounts) = setup(1_000);
         let mut engine = MorphStream::new(
@@ -1032,7 +987,7 @@ mod tests {
             ref_store.clone(),
             EngineConfig::with_threads(2).with_punctuation_interval(64),
         );
-        let expected = reference.process(transfer_events(500));
+        let expected = reference.run(transfer_events(500));
 
         let (store, accounts) = setup(1_000);
         let mut engine = MorphStream::new(
@@ -1042,7 +997,7 @@ mod tests {
                 .with_punctuation_interval(64)
                 .with_pipelined_construction(true),
         );
-        let report = engine.process(transfer_events(500));
+        let report = engine.run(transfer_events(500));
 
         assert_eq!(report.events(), expected.events());
         assert_eq!(report.committed, expected.committed);
@@ -1144,7 +1099,7 @@ mod tests {
             store,
             EngineConfig::with_threads(2).with_punctuation_interval(64),
         );
-        let report = engine.process(transfer_events(128));
+        let report = engine.run(transfer_events(128));
         assert!(!report.decision_trace().is_empty());
         assert_eq!(report.batches.len(), 2);
     }

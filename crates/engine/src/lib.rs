@@ -13,11 +13,11 @@
 //! Ingestion is push-based: [`TxnEngine::pipeline`] opens a session whose
 //! `push`/`push_iter` calls trigger punctuation-delimited batch processing
 //! internally (see the [`pipeline`] module for the full lifecycle). The
-//! `process(Vec<Event>)` call below is a convenience wrapper over that
-//! session API for streams that are already materialised.
+//! [`TxnEngine::run`] call below is the one-shot convenience over that
+//! session API: ingest a whole stream, finish the session.
 //!
 //! ```
-//! use morphstream::{MorphStream, StreamApp, TxnBuilder, EngineConfig};
+//! use morphstream::{MorphStream, StreamApp, TxnBuilder, TxnEngine, EngineConfig};
 //! use morphstream::storage::StateStore;
 //! use morphstream_common::TableId;
 //!
@@ -43,7 +43,7 @@
 //! let words = store.create_table("words", 0, true);
 //! let app = WordCount { words };
 //! let mut engine = MorphStream::new(app, store.clone(), EngineConfig::with_threads(2));
-//! let report = engine.process(vec![1, 2, 1, 3, 1]);
+//! let report = engine.run(vec![1, 2, 1, 3, 1]);
 //! assert_eq!(report.committed, 5);
 //! assert_eq!(store.read_latest(words, 1).unwrap(), 3);
 //! ```
@@ -59,8 +59,8 @@ pub mod topology;
 pub use app::{StreamApp, TxnBuilder};
 pub use engine::{MorphStream, SchedulingMode};
 pub use pipeline::{
-    BatchHook, CheckpointSink, CheckpointSource, EventSink, EventSource, FnSink, OutputSink,
-    PendingBatch, Pipeline, SessionState, TxnEngine,
+    BatchHook, CheckpointSink, CheckpointSource, EventSink, EventSource, FnSink, OutputDigest,
+    OutputSink, PendingBatch, Pipeline, SessionState, TxnEngine,
 };
 pub use report::{
     BatchSummary, DurabilityCounters, EdgeReport, OperatorCounters, OperatorReport, ReportSnapshot,

@@ -9,8 +9,8 @@
 //! crossed, and a [`RunReport`] accumulates until the session is *finished*.
 //! [`Pipeline`] is the ergonomic session handle over any such engine.
 //!
-//! The pull-style `process(Vec<Event>)` helpers remain as thin convenience
-//! wrappers, but new code should push:
+//! [`TxnEngine::run`] is the one-shot convenience over a whole stream; a
+//! session pushes:
 //!
 //! ```
 //! use morphstream::storage::StateStore;
@@ -57,8 +57,10 @@
 //! assert_eq!(store.read_latest(words, 1).unwrap(), 3);
 //! ```
 
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use morphstream_common::hash::Fnv1a;
 use morphstream_common::metrics::Breakdown;
 use morphstream_common::TableId;
 use morphstream_storage::StateStore;
@@ -130,6 +132,37 @@ pub struct FnSink<F>(pub F);
 impl<T, F: FnMut(T)> EventSink<T> for FnSink<F> {
     fn emit(&mut self, item: T) {
         (self.0)(item);
+    }
+}
+
+/// The order-sensitive FNV-1a digest of every `u64` output an engine emits:
+/// the equivalence witness of the serve, recovery and failover paths. A
+/// handle onto one shared accumulator — the engine's sink feeds it, the
+/// holder reads it.
+#[derive(Clone)]
+pub struct OutputDigest(Arc<Mutex<Fnv1a>>);
+
+impl OutputDigest {
+    /// Install the digesting sink on `engine` (outputs then stream into the
+    /// digest instead of accumulating in the report) and hand back the
+    /// accumulator, starting at `from` — [`Fnv1a::new`] for a fresh stream,
+    /// [`Fnv1a::from_state`] to resume one a checkpoint saved.
+    pub fn install<E: TxnEngine<Output = u64>>(engine: &mut E, from: Fnv1a) -> Self {
+        let digest = Self(Arc::new(Mutex::new(from)));
+        let sink = digest.clone();
+        engine.set_output_sink(Some(Box::new(FnSink(move |out: u64| {
+            sink.lock().update(&out.to_le_bytes());
+        }))));
+        digest
+    }
+
+    /// The digest of every output emitted so far.
+    pub fn finish(&self) -> u64 {
+        self.lock().finish()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Fnv1a> {
+        self.0.lock().expect("digest lock")
     }
 }
 
@@ -382,8 +415,7 @@ pub trait TxnEngine {
         }
     }
 
-    /// Convenience: ingest `events` and finish the session — the push-based
-    /// equivalent of the legacy `process(Vec<Event>)` calls.
+    /// Convenience: ingest `events` and finish the session.
     fn run<I>(&mut self, events: I) -> RunReport<Self::Output>
     where
         I: IntoIterator<Item = Self::Event>,

@@ -183,9 +183,7 @@ impl Frame {
         let body_len = out.len() - body_start;
         debug_assert!(body_len <= MAX_REPL_FRAME, "frame built over the bound");
         out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        let mut fnv = Fnv1a::new();
-        fnv.update(&out[body_start..]);
-        out.extend_from_slice(&fnv.finish().to_le_bytes());
+        Fnv1a::seal(out, body_start);
     }
 
     /// Encoded bytes of this frame alone.
@@ -214,11 +212,8 @@ impl Frame {
         if bytes.len() < total {
             return Ok(None);
         }
-        let body = &bytes[4..4 + len];
-        let stored = u64::from_le_bytes(bytes[4 + len..total].try_into().expect("8"));
-        let mut fnv = Fnv1a::new();
-        fnv.update(body);
-        if fnv.finish() != stored {
+        let (body, trailer) = bytes[4..total].split_at(len);
+        if !Fnv1a::verify(body, trailer) {
             return Err(ProtocolError::Malformed("frame checksum mismatch".into()));
         }
         let frame = Self::decode_body(body)?;

@@ -90,13 +90,14 @@ impl Shared {
     }
 
     fn complete_ack(&self, durable_index: u64) {
+        // Stats first: a waiter released by this ack must already see it in
+        // the lag gauges.
+        self.stats.record_ack(durable_index);
         let mut acked = self.acked.lock().unwrap();
         if durable_index > *acked {
             *acked = durable_index;
         }
         self.ack_cond.notify_all();
-        drop(acked);
-        self.stats.record_ack(durable_index);
     }
 
     fn wake(&self) {

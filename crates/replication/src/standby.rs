@@ -12,32 +12,28 @@
 //!    primary decides the position is unservable and sends
 //!    [`Frame::BeginBootstrap`]: the standby discards local state and
 //!    rebuilds from the shipped checkpoint chain before tailing.
-//! 3. Every `Batch` is WAL-appended *then* pushed (the same
-//!    log-is-a-superset invariant the primary's ingest path keeps), and
-//!    acknowledged with the standby's durable index; `Punct` frames mirror
-//!    the primary's punctuation markers and drive the standby's own
-//!    periodic checkpoints.
+//! 3. Every `Batch` goes through [`DurableEngine::ingest`] — the same
+//!    log-then-push path the primary's ingest takes — and is acknowledged
+//!    with the standby's durable index; `Punct` frames mirror the primary's
+//!    punctuation markers and drive the standby's own periodic checkpoints.
 //!
 //! [`StandbyServer::promote`] stops replication, takes a final checkpoint,
-//! and hands the warm engine (plus its WAL and checkpoint store) to the
-//! caller — the server crate wraps it into a full serving primary.
+//! and hands the warm [`DurableEngine`] to the caller — the server crate
+//! wraps it into a full serving primary.
 
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use morphstream::storage::StateStore;
-use morphstream::{FnSink, Pipeline, Topology, TxnEngine};
-use morphstream_common::hash::Fnv1a;
+use morphstream::Topology;
 use morphstream_common::protocol::WireCodec;
-use morphstream_durability::{
-    read_wal, repair_torn_tail, Checkpoint, CheckpointBuilder, CheckpointStore, FsyncPolicy,
-    RedirtySink, WalLog, WalState,
-};
+pub use morphstream_durability::Recovery as StandbyRecovery;
+use morphstream_durability::{Checkpoint, DurableEngine, FsyncPolicy};
 use morphstream_workloads::SlEvent;
 
 use crate::link::{read_available, send_frame};
@@ -78,52 +74,24 @@ pub struct StandbyOptions {
     pub checkpoint_retain: usize,
 }
 
-/// What standby startup recovery found in its local data directory.
-#[derive(Debug, Clone)]
-pub struct StandbyRecovery {
-    /// Id of the newest checkpoint restored, if any existed.
-    pub checkpoint_id: Option<u64>,
-    /// WAL events replayed through the topology on top of the checkpoint.
-    pub replayed_events: u64,
-    /// Whether the local WAL ended in a torn record (repaired).
-    pub torn_tail: bool,
-}
-
-/// Everything the promoted standby hands to its new life as a primary: a
-/// warm engine, the digest it must keep extending, and the durable handles
-/// already positioned at the replicated index.
+/// The replicated engine with its stores: what the standby keeps warm, and
+/// what promotion hands to its new life as a primary.
 pub struct Promoted {
-    /// The warm topology, state fully applied up to `durable_index`.
-    pub engine: StandbyEngine,
+    /// The warm engine, state fully applied up to its
+    /// [`next_index`](DurableEngine::next_index), carrying the WAL, the
+    /// checkpoint store and the output digest it must keep extending.
+    pub durable: DurableEngine<StandbyEngine>,
     /// The engine's state stores, in digest order.
     pub stores: Vec<StateStore>,
-    /// The output digest the standby accumulated; the promoted server must
-    /// keep updating this same accumulator.
-    pub output_digest: Arc<Mutex<Fnv1a>>,
-    /// The standby's WAL, positioned at `durable_index`.
-    pub wal: WalLog,
-    /// The standby's checkpoint store (a final checkpoint was just taken).
-    pub checkpoints: CheckpointStore,
-    /// Events durably replicated and applied before promotion.
-    pub durable_index: u64,
-}
-
-/// The replicated engine plus its durable companions, all advancing under
-/// one lock so WAL appends, pushes, and checkpoints stay a consistent cut.
-struct Core {
-    engine: StandbyEngine,
-    stores: Vec<StateStore>,
-    output_digest: Arc<Mutex<Fnv1a>>,
-    wal: WalLog,
-    checkpoints: CheckpointStore,
-    events_since_checkpoint: u64,
 }
 
 struct Shared {
     stop: AtomicBool,
     stats: Arc<ReplicationStats>,
-    core: Mutex<Option<Core>>,
-    /// Mirror of the standby's durable index, readable without the core lock.
+    /// `None` only after a bootstrap failed half-way (nothing coherent in
+    /// memory; the next bootstrap reopens the directory) or once promoted.
+    replica: Mutex<Option<Promoted>>,
+    /// Mirror of the standby's durable index, readable without the replica lock.
     durable: AtomicU64,
     opts: StandbyOptions,
 }
@@ -147,17 +115,17 @@ impl StandbyServer {
     /// Recover whatever the local data directory holds, bind the
     /// replication listener, and start accepting the primary.
     pub fn start(opts: StandbyOptions, mut factory: EngineFactory) -> io::Result<StandbyServer> {
-        let (core, recovery) = open_core(&opts, &mut factory)?;
+        let (replica, recovery) = open_replica(&opts, &mut factory)?;
         let listener = TcpListener::bind(&opts.listen)?;
         let listen_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stats = Arc::new(ReplicationStats::new());
-        let durable = core.wal.next_index();
+        let durable = replica.durable.next_index();
         stats.record_ack(durable);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             stats,
-            core: Mutex::new(Some(core)),
+            replica: Mutex::new(Some(replica)),
             durable: AtomicU64::new(durable),
             opts,
         });
@@ -195,36 +163,22 @@ impl StandbyServer {
     }
 
     /// Stop replicating and hand over the warm engine: joins the accept
-    /// thread, takes a final checkpoint so the handoff is durable, and
-    /// returns everything a serving primary needs. Fails only when the
-    /// standby was killed mid-bootstrap and holds no coherent state.
+    /// thread and takes a final checkpoint so the handoff is durable. Fails
+    /// only when a bootstrap failed half-way and the standby holds no
+    /// coherent state.
     pub fn promote(mut self) -> io::Result<Promoted> {
         self.stop_and_join();
-        let mut core = self
+        let mut promoted = self
             .shared
-            .core
+            .replica
             .lock()
-            .expect("standby core lock")
+            .expect("standby replica lock")
             .take()
             .ok_or_else(|| io::Error::other("standby holds no coherent state (mid-bootstrap)"))?;
-        checkpoint_now(&mut core);
-        let durable_index = core.wal.next_index();
-        let Core {
-            engine,
-            stores,
-            output_digest,
-            wal,
-            checkpoints,
-            ..
-        } = core;
-        Ok(Promoted {
-            engine,
-            stores,
-            output_digest,
-            wal,
-            checkpoints,
-            durable_index,
-        })
+        if let Err(e) = promoted.durable.checkpoint_now() {
+            eprintln!("morphstream standby: final checkpoint failed: {e}");
+        }
+        Ok(promoted)
     }
 
     /// Stop the standby without promoting (local state stays on disk).
@@ -246,109 +200,24 @@ impl Drop for StandbyServer {
     }
 }
 
-/// Build (or recover) the standby's core from its local data directory:
-/// restore the checkpoint chain, replay the WAL tail, re-anchor.
-fn open_core(
+/// Build a fresh engine and recover the local data directory into it
+/// ([`DurableEngine::open`]). Punctuation 0: the standby mirrors the
+/// primary's markers instead of writing its own.
+fn open_replica(
     opts: &StandbyOptions,
     factory: &mut EngineFactory,
-) -> io::Result<(Core, Option<StandbyRecovery>)> {
-    let checkpoints = CheckpointStore::open_with_retention(
-        opts.data_dir.join("checkpoints"),
+) -> io::Result<(Promoted, Option<StandbyRecovery>)> {
+    let ReplicaEngine { engine, stores } = factory()?;
+    let (durable, recovery) = DurableEngine::open(
+        &opts.data_dir,
+        engine,
+        opts.fsync,
+        opts.checkpoint_interval,
         opts.checkpoint_retain,
+        0,
     )
     .map_err(to_io)?;
-    let ReplicaEngine { mut engine, stores } = factory()?;
-    let output_digest = Arc::new(Mutex::new(Fnv1a::new()));
-    install_sink(&mut engine, &output_digest);
-
-    let mut events_applied = 0u64;
-    let mut checkpoint_id = None;
-    if let Some(mut loaded) = checkpoints.load_chain().map_err(to_io)? {
-        engine.restore(&mut loaded.restore);
-        *output_digest.lock().expect("digest lock") = Fnv1a::from_state(loaded.output_digest);
-        events_applied = loaded.events_applied;
-        checkpoint_id = Some(loaded.last_id);
-    }
-    let wal_dir = opts.data_dir.join("wal");
-    let wal_state: WalState<SlEvent> = read_wal(&wal_dir).map_err(to_io)?;
-    if wal_state.torn_tail {
-        repair_torn_tail::<SlEvent>(&wal_dir).map_err(to_io)?;
-    }
-    let torn_tail = wal_state.torn_tail;
-    let next_index = wal_state
-        .events
-        .last()
-        .map(|(index, _)| index + 1)
-        .unwrap_or(events_applied)
-        .max(events_applied);
-    let tail = wal_state.replay_tail(events_applied);
-    let replayed_events = tail.len() as u64;
-    let recovered = checkpoint_id.is_some() || replayed_events > 0;
-    if replayed_events > 0 {
-        {
-            let mut pipeline = Pipeline::new(&mut engine);
-            for (_, event) in tail {
-                pipeline.push(event);
-            }
-        }
-        engine.flush();
-    }
-    let mut core = Core {
-        engine,
-        stores,
-        output_digest,
-        wal: WalLog::open(&wal_dir, opts.fsync, next_index).map_err(to_io)?,
-        checkpoints,
-        events_since_checkpoint: 0,
-    };
-    if recovered {
-        checkpoint_now(&mut core);
-    }
-    let report = recovered.then_some(StandbyRecovery {
-        checkpoint_id,
-        replayed_events,
-        torn_tail,
-    });
-    Ok((core, report))
-}
-
-fn install_sink(engine: &mut StandbyEngine, output_digest: &Arc<Mutex<Fnv1a>>) {
-    let digest = Arc::clone(output_digest);
-    engine.set_output_sink(Some(Box::new(FnSink(move |out: u64| {
-        digest
-            .lock()
-            .expect("digest lock")
-            .update(&out.to_le_bytes());
-    }))));
-}
-
-/// The standby's periodic checkpoint: same discipline as the primary's —
-/// flush to a barrier, snapshot dirty tables, publish atomically, rotate
-/// and truncate the WAL; on a failed save, re-dirty so nothing is lost.
-fn checkpoint_now(core: &mut Core) {
-    core.events_since_checkpoint = 0;
-    let mut builder = CheckpointBuilder::new();
-    core.engine.checkpoint(&mut builder);
-    let digest_state = core.output_digest.lock().expect("digest lock").finish();
-    let events_applied = core.wal.next_index();
-    let taken_dirty = builder.taken_dirty();
-    let checkpoint = builder.build(core.checkpoints.next_id(), events_applied, digest_state);
-    match core.checkpoints.save(&checkpoint) {
-        Ok(_) => {
-            if let Err(e) = core
-                .wal
-                .rotate()
-                .and_then(|()| core.wal.truncate_before(events_applied).map(|_| ()))
-            {
-                eprintln!("morphstream standby: WAL rotation failed: {e}");
-            }
-        }
-        Err(e) => {
-            eprintln!("morphstream standby: checkpoint failed: {e}");
-            let mut redirty = RedirtySink::new(taken_dirty);
-            core.engine.checkpoint(&mut redirty);
-        }
-    }
+    Ok((Promoted { durable, stores }, recovery))
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, mut factory: EngineFactory) {
@@ -380,6 +249,7 @@ struct Bootstrap {
     remaining: u32,
     events_applied: u64,
     buf: Vec<u8>,
+    chain: Vec<Checkpoint>,
 }
 
 fn handle_primary(
@@ -408,7 +278,7 @@ fn handle_primary(
         if frames.is_empty() {
             continue;
         }
-        let mut guard = shared.core.lock().expect("standby core lock");
+        let mut guard = shared.replica.lock().expect("standby replica lock");
         for frame in frames.drain(..) {
             process_frame(
                 shared,
@@ -427,7 +297,7 @@ fn handle_primary(
 fn process_frame(
     shared: &Shared,
     factory: &mut EngineFactory,
-    core: &mut Option<Core>,
+    replica: &mut Option<Promoted>,
     bootstrap: &mut Option<Bootstrap>,
     stream: &mut TcpStream,
     scratch: &mut Vec<u8>,
@@ -445,11 +315,8 @@ fn process_frame(
             }
             shared.stats.set_connected(true);
             shared.stats.set_wal_next(wal_next);
-            let (next_index, checkpoint_id) = match core.as_ref() {
-                Some(core) => (
-                    core.wal.next_index(),
-                    core.checkpoints.entries().last().map(|e| e.id),
-                ),
+            let (next_index, checkpoint_id) = match replica.as_ref() {
+                Some(r) => (r.durable.next_index(), r.durable.latest_checkpoint_id()),
                 None => (0, None),
             };
             send_frame(
@@ -465,30 +332,20 @@ fn process_frame(
             chain_len,
             events_applied,
         } => {
-            // Discard local state (drop handles before wiping their files).
-            *core = None;
-            reset_dir(&shared.opts.data_dir.join("wal"))?;
-            reset_dir(&shared.opts.data_dir.join("checkpoints"))?;
-            let mut fresh = fresh_core(shared, factory, 0)?;
+            let pending = Bootstrap {
+                remaining: chain_len,
+                events_applied,
+                buf: Vec::new(),
+                chain: Vec::new(),
+            };
             if chain_len == 0 {
                 // Nothing to ship: the primary itself starts at
                 // `events_applied` (0 unless its history was truncated away
                 // without any checkpoint, which cannot happen).
-                fresh.wal = WalLog::open(
-                    shared.opts.data_dir.join("wal"),
-                    shared.opts.fsync,
-                    events_applied,
-                )
-                .map_err(to_io)?;
-                ack(shared, stream, scratch, &fresh)?;
+                adopt(shared, factory, replica, pending, stream, scratch)?;
             } else {
-                *bootstrap = Some(Bootstrap {
-                    remaining: chain_len,
-                    events_applied,
-                    buf: Vec::new(),
-                });
+                *bootstrap = Some(pending);
             }
-            *core = Some(fresh);
         }
         Frame::CheckpointChunk { last_chunk, data } => {
             let state = bootstrap.as_mut().ok_or_else(|| {
@@ -501,57 +358,22 @@ fn process_frame(
             if !last_chunk {
                 return Ok(());
             }
-            let checkpoint = Checkpoint::decode(&state.buf).map_err(to_io)?;
+            state
+                .chain
+                .push(Checkpoint::decode(&state.buf).map_err(to_io)?);
             state.buf.clear();
             state.remaining = state.remaining.saturating_sub(1);
-            let done = state.remaining == 0;
-            let announced = state.events_applied;
-            let target = core
-                .as_mut()
-                .ok_or_else(|| io::Error::other("bootstrap without a core"))?;
-            target.checkpoints.save(&checkpoint).map_err(to_io)?;
-            if done {
-                let mut loaded =
-                    target
-                        .checkpoints
-                        .load_chain()
-                        .map_err(to_io)?
-                        .ok_or_else(|| {
-                            io::Error::new(io::ErrorKind::InvalidData, "shipped chain loads empty")
-                        })?;
-                if loaded.events_applied != announced {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "shipped chain covers {} events, primary announced {announced}",
-                            loaded.events_applied
-                        ),
-                    ));
-                }
-                target.engine.restore(&mut loaded.restore);
-                *target.output_digest.lock().expect("digest lock") =
-                    Fnv1a::from_state(loaded.output_digest);
-                target.wal = WalLog::open(
-                    shared.opts.data_dir.join("wal"),
-                    shared.opts.fsync,
-                    loaded.events_applied,
-                )
-                .map_err(to_io)?;
-                *bootstrap = None;
-                ack(shared, stream, scratch, target)?;
+            if state.remaining == 0 {
+                let complete = bootstrap.take().expect("bootstrap in flight");
+                adopt(shared, factory, replica, complete, stream, scratch)?;
             }
         }
         Frame::Batch {
             first_index,
             events,
         } => {
-            let core = core
-                .as_mut()
-                .filter(|_| bootstrap.is_none())
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "batch during bootstrap")
-                })?;
-            if first_index != core.wal.next_index() {
+            let durable = live(replica, bootstrap, "batch")?;
+            if first_index != durable.next_index() {
                 // Out of sequence (e.g. a stale sender after our state was
                 // rebuilt): drop the connection; the primary re-handshakes
                 // against our actual position.
@@ -559,44 +381,31 @@ fn process_frame(
                     io::ErrorKind::InvalidData,
                     format!(
                         "batch at index {first_index}, standby expects {}",
-                        core.wal.next_index()
+                        durable.next_index()
                     ),
                 ));
             }
             let count = events.len() as u64;
             let bytes: u64 = events.iter().map(|e| e.len() as u64).sum();
-            {
-                let mut pipeline = Pipeline::new(&mut core.engine);
-                for payload in &events {
-                    let event = SlEvent::decode_binary(payload).map_err(to_io)?;
-                    core.wal.append_event(&event).map_err(to_io)?;
-                    pipeline.push(event);
-                }
-            }
-            core.events_since_checkpoint += count;
+            let decoded: Vec<SlEvent> = events
+                .iter()
+                .map(|payload| SlEvent::decode_binary(payload))
+                .collect::<Result<_, _>>()
+                .map_err(to_io)?;
+            durable.ingest(decoded).map_err(to_io)?;
             shared.stats.add_shipped(count, bytes);
             shared.stats.set_wal_next(first_index + count);
-            ack(shared, stream, scratch, core)?;
+            ack(shared, stream, scratch, durable)?;
         }
         Frame::Punct { .. } => {
-            let core = core
-                .as_mut()
-                .filter(|_| bootstrap.is_none())
-                .ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "punctuation during bootstrap")
-                })?;
-            core.wal.mark_punctuation().map_err(to_io)?;
-            if shared.opts.checkpoint_interval > 0
-                && core.events_since_checkpoint >= shared.opts.checkpoint_interval
-            {
-                checkpoint_now(core);
-            }
-            ack(shared, stream, scratch, core)?;
+            let durable = live(replica, bootstrap, "punctuation")?;
+            durable.mark_punctuation().map_err(to_io)?;
+            ack(shared, stream, scratch, durable)?;
         }
         Frame::Heartbeat { wal_next } => {
             shared.stats.set_wal_next(wal_next);
-            if let Some(core) = core.as_ref() {
-                ack(shared, stream, scratch, core)?;
+            if let Some(r) = replica.as_ref() {
+                ack(shared, stream, scratch, &r.durable)?;
             }
         }
         other => {
@@ -609,52 +418,63 @@ fn process_frame(
     Ok(())
 }
 
+/// The engine a `Batch`/`Punct` applies to. Between `BeginBootstrap` and the
+/// last chunk the old state no longer counts: such frames are out of
+/// sequence.
+fn live<'r>(
+    replica: &'r mut Option<Promoted>,
+    bootstrap: &Option<Bootstrap>,
+    what: &str,
+) -> io::Result<&'r mut DurableEngine<StandbyEngine>> {
+    replica
+        .as_mut()
+        .filter(|_| bootstrap.is_none())
+        .map(|r| &mut r.durable)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{what} during bootstrap"),
+            )
+        })
+}
+
+/// Bootstrap complete: discard local state and adopt the shipped chain into
+/// a fresh engine ([`DurableEngine::adopt_chain`]), then acknowledge the
+/// new position.
+fn adopt(
+    shared: &Shared,
+    factory: &mut EngineFactory,
+    replica: &mut Option<Promoted>,
+    shipped: Bootstrap,
+    stream: &mut TcpStream,
+    scratch: &mut Vec<u8>,
+) -> io::Result<()> {
+    let old = match replica.take() {
+        Some(old) => old.durable,
+        None => open_replica(&shared.opts, factory)?.0.durable,
+    };
+    let ReplicaEngine { engine, stores } = factory()?;
+    let durable = old
+        .adopt_chain(engine, &shipped.chain, shipped.events_applied)
+        .map_err(to_io)?;
+    let adopted = replica.insert(Promoted { durable, stores });
+    ack(shared, stream, scratch, &adopted.durable)
+}
+
 /// Acknowledge the standby's durable index and mirror it into the stats.
 fn ack(
     shared: &Shared,
     stream: &mut TcpStream,
     scratch: &mut Vec<u8>,
-    core: &Core,
+    durable: &DurableEngine<StandbyEngine>,
 ) -> io::Result<()> {
-    let durable_index = core.wal.next_index();
+    let durable_index = durable.next_index();
     // Local bookkeeping first: once the primary sees this ack, observers on
     // this side must already see the same durable index.
     shared.durable.store(durable_index, Ordering::Relaxed);
     shared.stats.record_ack(durable_index);
     send_frame(stream, &Frame::Ack { durable_index }, scratch)?;
     Ok(())
-}
-
-/// A fresh empty core positioned at `next_index` (used by bootstrap resets).
-fn fresh_core(shared: &Shared, factory: &mut EngineFactory, next_index: u64) -> io::Result<Core> {
-    let ReplicaEngine { mut engine, stores } = factory()?;
-    let output_digest = Arc::new(Mutex::new(Fnv1a::new()));
-    install_sink(&mut engine, &output_digest);
-    Ok(Core {
-        engine,
-        stores,
-        output_digest,
-        wal: WalLog::open(
-            shared.opts.data_dir.join("wal"),
-            shared.opts.fsync,
-            next_index,
-        )
-        .map_err(to_io)?,
-        checkpoints: CheckpointStore::open_with_retention(
-            shared.opts.data_dir.join("checkpoints"),
-            shared.opts.checkpoint_retain,
-        )
-        .map_err(to_io)?,
-        events_since_checkpoint: 0,
-    })
-}
-
-fn reset_dir(dir: &Path) -> io::Result<()> {
-    match std::fs::remove_dir_all(dir) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
 }
 
 /// Read exactly `buf.len()` bytes, tolerating read timeouts (poll the stop

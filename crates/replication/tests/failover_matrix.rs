@@ -9,199 +9,69 @@
 //! acks, and (in the bootstrap test) checkpoint-chain transfer to a fresh
 //! standby whose position the primary's truncated WAL can no longer serve.
 //!
-//! The primary side is simulated in-process the way the recovery matrix
-//! simulates crashes: WAL-append + push a prefix, checkpoint part-way
-//! (rotating and truncating the WAL, as `serve` does), then vanish without
-//! `finish` — exactly what `kill -9` leaves behind.
+//! The primary side is the production [`DurableEngine`] driven in-process
+//! the way the recovery matrix drives it: ingest a prefix, checkpoint
+//! part-way (rotating and truncating the WAL), then drop it without a final
+//! checkpoint or `finish` — exactly what `kill -9` leaves behind.
 
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+#[path = "../../durability/tests/support/mod.rs"]
+mod support;
+
+use std::path::Path;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use morphstream::storage::StateStore;
-use morphstream::{
-    udfs, EngineConfig, FnSink, Pipeline, Route, StreamApp, Topology, TopologyBuilder,
-    TopologyConfig, TxnBuilder, TxnEngine, TxnOutcome,
-};
-use morphstream_common::hash::Fnv1a;
-use morphstream_common::{StateRef, TableId, WorkloadConfig};
-use morphstream_durability::{CheckpointBuilder, CheckpointStore, FsyncPolicy, WalLog};
+use morphstream::TxnEngine;
+use morphstream_durability::{DurableEngine, FsyncPolicy};
 use morphstream_replication::{
-    AckMode, Promoted, ReplicaEngine, ReplicationSender, SenderOptions, StandbyOptions,
-    StandbyServer,
+    AckMode, Promoted, ReplicaEngine, ReplicationSender, SenderOptions, StandbyEngine,
+    StandbyOptions, StandbyServer,
 };
-use morphstream_workloads::{SlEvent, StreamingLedgerApp};
+use morphstream_workloads::SlEvent;
+use support::{test_dir, test_events, Digests, Shape, CHECKPOINT_AT, EVENTS, PUNCTUATION};
 
 /// These tests run real senders that retry fixed localhost ports with
 /// backoff; run them one at a time so a retrying sender from one scenario
 /// can never reach an ephemeral listener of another.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-const PUNCTUATION: usize = 50;
-const EVENTS: usize = 600;
-/// Mid-batch: not a multiple of the punctuation interval, so the primary's
-/// checkpoint cuts a partial batch (and truncation moves the WAL start to a
-/// mid-batch index).
-const CHECKPOINT_AT: usize = 230;
 const DEADLINE: Duration = Duration::from_secs(30);
 
-/// The entry operator: Streaming Ledger semantics, output carries the
-/// primary account key so the downstream edge can partition by it.
-struct LedgerApp {
-    accounts: TableId,
-}
-
-impl StreamApp for LedgerApp {
-    type Event = SlEvent;
-    /// `account << 1 | committed`.
-    type Output = u64;
-
-    fn state_access(&self, event: &SlEvent, txn: &mut TxnBuilder) {
-        match event {
-            SlEvent::Deposit { account, amount } => {
-                txn.write(self.accounts, *account, udfs::add_delta(*amount));
-            }
-            SlEvent::Transfer { from, to, amount } => {
-                txn.write(self.accounts, *from, udfs::withdraw(*amount));
-                txn.write_with_params(
-                    self.accounts,
-                    *to,
-                    vec![StateRef::new(self.accounts, *from)],
-                    udfs::credit_if_param_at_least(*amount, *amount),
-                );
-            }
-        }
-    }
-
-    fn post_process(&self, event: &SlEvent, outcome: &TxnOutcome) -> u64 {
-        let account = match event {
-            SlEvent::Deposit { account, .. } => *account,
-            SlEvent::Transfer { from, .. } => *from,
-        };
-        (account << 1) | outcome.committed as u64
-    }
-}
-
-/// The downstream operator: per-account tally, keyed like the route.
-struct TallyApp {
-    tallies: TableId,
-}
-
-impl StreamApp for TallyApp {
-    type Event = u64;
-    type Output = u64;
-
-    fn state_access(&self, event: &u64, txn: &mut TxnBuilder) {
-        txn.write(self.tallies, event >> 1, udfs::add_delta(1));
-    }
-
-    fn post_process(&self, event: &u64, _outcome: &TxnOutcome) -> u64 {
-        *event
+fn shape(concurrent: bool) -> Shape {
+    Shape {
+        concurrent,
+        parallelism: 2,
+        threads: 2,
+        pipelined: false,
     }
 }
 
 fn build_engine(concurrent: bool) -> ReplicaEngine {
-    let ledger_store = StateStore::new();
-    let tally_store = StateStore::new();
-    let config = EngineConfig::with_threads(2).with_punctuation_interval(PUNCTUATION);
-    let mut builder = TopologyBuilder::new();
-    let ledger = builder.add_operator(
-        "ledger",
-        LedgerApp {
-            accounts: ledger_store.create_table("accounts", 0, true),
-        },
-        ledger_store.clone(),
-        config,
-    );
-    let tally = builder
-        .add_operator(
-            "tally",
-            TallyApp {
-                tallies: tally_store.create_table("tallies", 0, true),
-            },
-            tally_store.clone(),
-            config,
-        )
-        .with_parallelism(2);
-    builder.connect(
-        ledger,
-        tally,
-        Route::keyed(|routed: &u64| routed >> 1, |out: &u64| Some(*out)),
-    );
-    let engine = builder
-        .build(
-            ledger,
-            tally,
-            TopologyConfig::default().with_concurrent(concurrent),
-        )
-        .expect("ledger -> tally is a valid dataflow");
+    let (engine, stores) = support::build(shape(concurrent));
     ReplicaEngine {
         engine,
-        stores: vec![ledger_store, tally_store],
+        stores: stores.to_vec(),
     }
 }
 
-#[derive(Debug, PartialEq)]
-struct Digests {
-    ledger: u64,
-    tally: u64,
-    outputs: u64,
-}
-
-fn digest_sink(engine: &mut Topology<SlEvent, u64>) -> Arc<Mutex<Fnv1a>> {
-    let output_digest = Arc::new(Mutex::new(Fnv1a::new()));
-    let digest = Arc::clone(&output_digest);
-    engine.set_output_sink(Some(Box::new(FnSink(move |out: u64| {
-        digest.lock().unwrap().update(&out.to_le_bytes());
-    }))));
-    output_digest
-}
-
-fn test_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("morph-repl-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The reference: one uninterrupted local run of the whole stream.
-fn reference(concurrent: bool, events: &[SlEvent]) -> Digests {
-    let ReplicaEngine { mut engine, stores } = build_engine(concurrent);
-    let output_digest = digest_sink(&mut engine);
-    {
-        let mut pipeline = Pipeline::new(&mut engine);
-        for event in events {
-            pipeline.push(event.clone());
-        }
-    }
-    engine.flush();
-    engine.finish();
-    let outputs = output_digest.lock().unwrap().finish();
-    Digests {
-        ledger: stores[0].state_digest(),
-        tally: stores[1].state_digest(),
-        outputs,
-    }
-}
-
-/// A simulated primary: engine + WAL + checkpoints + live sender.
+/// A primary: the durable engine over `dir` plus a live sender tailing its
+/// WAL files.
 struct Primary {
-    engine: Topology<SlEvent, u64>,
-    output_digest: Arc<Mutex<Fnv1a>>,
-    wal: WalLog,
-    checkpoints: CheckpointStore,
+    durable: DurableEngine<StandbyEngine>,
     sender: ReplicationSender,
-    events_since_marker: usize,
 }
 
 impl Primary {
     fn start(dir: &Path, concurrent: bool, target: String, ack: AckMode) -> Primary {
-        let ReplicaEngine { mut engine, .. } = build_engine(concurrent);
-        let output_digest = digest_sink(&mut engine);
-        let wal = WalLog::open(dir.join("wal"), FsyncPolicy::Never, 0).expect("open WAL");
-        let checkpoints = CheckpointStore::open(dir.join("checkpoints")).expect("open store");
+        let (durable, _) = DurableEngine::open(
+            dir,
+            build_engine(concurrent).engine,
+            FsyncPolicy::Never,
+            0,
+            0,
+            PUNCTUATION as u64,
+        )
+        .expect("open the primary's data directory");
         let sender = ReplicationSender::start(
             SenderOptions {
                 target,
@@ -210,35 +80,20 @@ impl Primary {
                 punctuation: PUNCTUATION as u64,
                 ack,
             },
-            0,
+            durable.next_index(),
         );
-        Primary {
-            engine,
-            output_digest,
-            wal,
-            checkpoints,
-            sender,
-            events_since_marker: 0,
-        }
+        Primary { durable, sender }
     }
 
-    /// WAL-append + push `slice`, marking punctuations like `serve` does;
-    /// in sync mode, wait for the standby's ack at every marker.
+    /// Ingest `slice` an event at a time, nudging the sender like `serve`
+    /// does; in sync mode, wait for the standby's ack once per punctuation.
     fn push_replicated(&mut self, slice: &[SlEvent]) {
         for event in slice {
-            self.wal.append_event(event).expect("append");
-            {
-                let mut pipeline = Pipeline::new(&mut self.engine);
-                pipeline.push(event.clone());
-            }
-            self.events_since_marker += 1;
-            if self.events_since_marker == PUNCTUATION {
-                self.events_since_marker = 0;
-                self.wal.mark_punctuation().expect("marker");
-            }
-            self.sender.notify(self.wal.next_index());
-            if self.sender.ack_mode() == AckMode::Sync && self.events_since_marker == 0 {
-                self.wait_acked(self.wal.next_index());
+            self.durable.ingest([event.clone()]).expect("WAL append");
+            let tip = self.durable.next_index();
+            self.sender.notify(tip);
+            if self.sender.ack_mode() == AckMode::Sync && tip.is_multiple_of(PUNCTUATION as u64) {
+                self.wait_acked(tip);
             }
         }
     }
@@ -251,19 +106,8 @@ impl Primary {
         assert!(acked, "standby never acknowledged index {index}");
     }
 
-    /// Checkpoint + rotate + truncate, the way the serving primary does.
     fn checkpoint(&mut self) {
-        let mut builder = CheckpointBuilder::new();
-        TxnEngine::checkpoint(&mut self.engine, &mut builder);
-        let events_applied = self.wal.next_index();
-        let checkpoint = builder.build(
-            self.checkpoints.next_id(),
-            events_applied,
-            self.output_digest.lock().unwrap().finish(),
-        );
-        self.checkpoints.save(&checkpoint).expect("save checkpoint");
-        self.wal.rotate().expect("rotate");
-        self.wal.truncate_before(events_applied).expect("truncate");
+        self.durable.checkpoint_now().expect("checkpoint");
     }
 
     /// `kill -9`: the engine, log handles, and sender vanish; nothing is
@@ -285,31 +129,25 @@ fn standby_options(dir: &Path) -> StandbyOptions {
 
 /// Finish the stream on the promoted engine and digest everything.
 fn finish_promoted(mut promoted: Promoted, rest: &[SlEvent]) -> Digests {
-    {
-        let mut pipeline = Pipeline::new(&mut promoted.engine);
-        for event in rest {
-            pipeline.push(event.clone());
-        }
-    }
-    promoted.engine.flush();
-    promoted.engine.finish();
+    promoted
+        .durable
+        .ingest(rest.iter().cloned())
+        .expect("WAL append");
+    promoted.durable.engine_mut().finish();
     Digests {
         ledger: promoted.stores[0].state_digest(),
         tally: promoted.stores[1].state_digest(),
-        outputs: promoted.output_digest.lock().unwrap().finish(),
+        outputs: promoted.durable.output_digest(),
     }
 }
 
 #[test]
 fn killed_primary_and_promoted_standby_match_the_uninterrupted_reference() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let workload = WorkloadConfig::streaming_ledger()
-        .with_key_space(64)
-        .with_txns_per_batch(PUNCTUATION);
-    let events = StreamingLedgerApp::generate(&workload, EVENTS, 0.5);
+    let events = test_events();
 
     for concurrent in [false, true] {
-        let expected = reference(concurrent, &events);
+        let expected = support::reference(shape(concurrent), &events);
         for ack in [AckMode::Sync, AckMode::Async] {
             // 300 = a punctuation boundary; 323 = mid-batch.
             for kill_at in [300usize, 323] {
@@ -339,11 +177,12 @@ fn killed_primary_and_promoted_standby_match_the_uninterrupted_reference() {
                 let promoted = standby.promote().expect("standby promotes");
                 if ack == AckMode::Sync {
                     assert_eq!(
-                        promoted.durable_index, kill_at as u64,
+                        promoted.durable.next_index(),
+                        kill_at as u64,
                         "sync acks guarantee durability to the kill point"
                     );
                 }
-                let durable = promoted.durable_index as usize;
+                let durable = promoted.durable.next_index() as usize;
                 assert!(durable <= kill_at, "standby cannot be ahead of the primary");
                 let recovered = finish_promoted(promoted, &events[durable..]);
                 assert_eq!(
@@ -362,78 +201,42 @@ fn killed_primary_and_promoted_standby_match_the_uninterrupted_reference() {
 #[test]
 fn fresh_standby_bootstraps_from_the_checkpoint_chain_over_the_wire() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let workload = WorkloadConfig::streaming_ledger()
-        .with_key_space(64)
-        .with_txns_per_batch(PUNCTUATION);
-    let events = StreamingLedgerApp::generate(&workload, EVENTS, 0.5);
+    let events = test_events();
     let concurrent = false;
-    let expected = reference(concurrent, &events);
+    let expected = support::reference(shape(concurrent), &events);
 
     let primary_dir = test_dir("boot-primary");
     let standby_dir = test_dir("boot-standby");
 
+    // The address the standby will listen on, reserved while nothing does.
+    let standby_addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("reserve a port")
+        .to_string();
+
     // Build primary history *before* any standby exists: two checkpoints
-    // (a full one and an incremental on top), with the WAL truncated to
-    // start at the newest — a fresh standby's position 0 is unservable.
+    // (a full one and an incremental on top), with the WAL truncated behind
+    // them — a fresh standby's position 0 is unservable. Nothing listens
+    // yet; the sender retries with backoff until the standby comes up,
+    // which is itself part of the scenario.
     let mut primary = Primary::start(
         &primary_dir,
         concurrent,
-        // Nothing listens yet; the sender retries with backoff until the
-        // standby comes up, which is itself part of the scenario.
-        "127.0.0.1:1".into(),
+        standby_addr.clone(),
         AckMode::Async,
     );
     primary.push_replicated(&events[..100]);
     primary.checkpoint();
     primary.push_replicated(&events[100..CHECKPOINT_AT]);
     primary.checkpoint();
-    primary.kill();
-    assert!(
-        primary_dir.join("checkpoints").exists(),
-        "primary history exists"
-    );
 
-    // Now the standby comes up, and a new sender (same primary state)
-    // connects to it: position 0 is below the truncated WAL's start, so the
-    // chain must ship over the wire before live tailing begins.
-    let standby = StandbyServer::start(
-        standby_options(&standby_dir),
-        Box::new(move || Ok(build_engine(concurrent))),
-    )
-    .expect("standby starts");
-    assert_eq!(standby.durable_index(), 0, "fresh standby starts empty");
-    let ReplicaEngine { mut engine, .. } = build_engine(concurrent);
-    let output_digest = digest_sink(&mut engine);
-    let checkpoints = CheckpointStore::open(primary_dir.join("checkpoints")).expect("reopen");
-    let mut loaded = checkpoints
-        .load_chain()
-        .expect("chain loads")
-        .expect("chain");
-    TxnEngine::restore(&mut engine, &mut loaded.restore);
-    *output_digest.lock().unwrap() = Fnv1a::from_state(loaded.output_digest);
-    drop(checkpoints);
-    let mut primary = Primary {
-        engine,
-        output_digest,
-        wal: WalLog::open(
-            primary_dir.join("wal"),
-            FsyncPolicy::Never,
-            CHECKPOINT_AT as u64,
-        )
-        .expect("reopen WAL"),
-        checkpoints: CheckpointStore::open(primary_dir.join("checkpoints")).expect("reopen"),
-        sender: ReplicationSender::start(
-            SenderOptions {
-                target: standby.listen_addr().to_string(),
-                wal_dir: primary_dir.join("wal"),
-                checkpoint_dir: primary_dir.join("checkpoints"),
-                punctuation: PUNCTUATION as u64,
-                ack: AckMode::Sync,
-            },
-            CHECKPOINT_AT as u64,
-        ),
-        events_since_marker: CHECKPOINT_AT % PUNCTUATION,
-    };
+    // Now the standby comes up and the sender reaches it: the chain must
+    // ship over the wire before live tailing begins.
+    let mut options = standby_options(&standby_dir);
+    options.listen = standby_addr;
+    let standby = StandbyServer::start(options, Box::new(move || Ok(build_engine(concurrent))))
+        .expect("standby starts");
+    assert!(standby.recovery().is_none(), "fresh standby starts empty");
     primary.push_replicated(&events[CHECKPOINT_AT..]);
     primary.wait_acked(EVENTS as u64);
 
@@ -450,7 +253,7 @@ fn fresh_standby_bootstraps_from_the_checkpoint_chain_over_the_wire() {
     primary.kill();
 
     let promoted = standby.promote().expect("standby promotes");
-    assert_eq!(promoted.durable_index, EVENTS as u64);
+    assert_eq!(promoted.durable.next_index(), EVENTS as u64);
     let recovered = finish_promoted(promoted, &[]);
     assert_eq!(recovered, expected, "bootstrapped standby diverged");
 
@@ -461,12 +264,9 @@ fn fresh_standby_bootstraps_from_the_checkpoint_chain_over_the_wire() {
 #[test]
 fn standby_recovers_its_own_directory_across_restarts() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let workload = WorkloadConfig::streaming_ledger()
-        .with_key_space(64)
-        .with_txns_per_batch(PUNCTUATION);
-    let events = StreamingLedgerApp::generate(&workload, EVENTS, 0.5);
+    let events = test_events();
     let concurrent = false;
-    let expected = reference(concurrent, &events);
+    let expected = support::reference(shape(concurrent), &events);
 
     let primary_dir = test_dir("restart-primary");
     let standby_dir = test_dir("restart-standby");

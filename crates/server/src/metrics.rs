@@ -16,111 +16,88 @@
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use morphstream::{DurabilityCounters, ReportSnapshot};
+use morphstream_durability::DurableStats;
 use morphstream_replication::ReplicationStats;
 
-/// Lock-free durability counters, updated by the ingest path while holding
-/// the engine lock and read by scrapes that must never block behind it.
-/// Gauges for "when" are stored as nanoseconds since the metrics clock
-/// started ([`u64::MAX`] = never), so rendering needs no extra lock.
+/// Durability counters as the ingest path last mirrored them from its
+/// [`DurableEngine`](morphstream_durability::DurableEngine) (which owns the
+/// real ones), behind a lock of their own so that scrapes never wait for
+/// the engine lock.
 #[derive(Default)]
-pub struct DurabilityStats {
-    enabled: AtomicBool,
-    checkpoints: AtomicU64,
-    checkpoint_bytes: AtomicU64,
-    wal_records: AtomicU64,
-    wal_bytes: AtomicU64,
-    recoveries: AtomicU64,
-    recovered_events: AtomicU64,
-    wal_segments: AtomicU64,
-    durable_events: AtomicU64,
-    /// Duration of the most recent checkpoint, in nanoseconds.
-    last_checkpoint_nanos: AtomicU64,
-    /// When the most recent checkpoint finished, as nanoseconds on the
-    /// metrics clock; `u64::MAX` = no checkpoint yet.
-    last_checkpoint_at_nanos: AtomicU64,
+pub struct DurabilityStats(Mutex<Mirrored>);
+
+#[derive(Default, Clone, Copy)]
+struct Mirrored {
+    enabled: bool,
+    stats: DurableStats,
+    /// When the checkpoint count last moved, on the metrics clock.
+    last_checkpoint_at: Option<Duration>,
+    recoveries: u64,
+    recovered_events: u64,
 }
 
 impl DurabilityStats {
-    fn new() -> Self {
-        let stats = Self::default();
-        stats
-            .last_checkpoint_at_nanos
-            .store(u64::MAX, Ordering::Relaxed);
-        stats
+    fn lock(&self) -> std::sync::MutexGuard<'_, Mirrored> {
+        self.0.lock().expect("metrics lock")
     }
 
     /// Mark durability as configured: scrapes expose the family even while
     /// all counters are still zero.
     pub fn enable(&self) {
-        self.enabled.store(true, Ordering::Relaxed);
+        self.lock().enabled = true;
     }
 
     /// Whether durability is configured on this server.
     pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.lock().enabled
     }
 
     /// Record a crash recovery that replayed `replayed` WAL events.
     pub fn record_recovery(&self, replayed: u64) {
-        self.enable();
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
-        self.recovered_events.fetch_add(replayed, Ordering::Relaxed);
+        let mut m = self.lock();
+        m.enabled = true;
+        m.recoveries += 1;
+        m.recovered_events += replayed;
     }
 
-    /// Record one published checkpoint. `at` is the current reading of the
-    /// metrics clock (see [`ServerMetrics::clock`]).
-    pub fn record_checkpoint(&self, bytes: u64, took: Duration, at: Duration) {
-        self.enable();
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.last_checkpoint_nanos
-            .store(took.as_nanos() as u64, Ordering::Relaxed);
-        self.last_checkpoint_at_nanos
-            .store(at.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Publish the WAL's cumulative totals (the log handle owns the real
-    /// counters; this mirrors them for scrapes).
-    pub fn set_wal(&self, records: u64, bytes: u64, segments: u64, durable_events: u64) {
-        self.wal_records.store(records, Ordering::Relaxed);
-        self.wal_bytes.store(bytes, Ordering::Relaxed);
-        self.wal_segments.store(segments, Ordering::Relaxed);
-        self.durable_events.store(durable_events, Ordering::Relaxed);
+    /// Mirror the engine's cumulative counters. `now` is the current reading
+    /// of the metrics clock (see [`ServerMetrics::clock`]); it becomes the
+    /// last-checkpoint time when the count moved.
+    pub fn mirror(&self, stats: DurableStats, now: Duration) {
+        let mut m = self.lock();
+        if stats.checkpoints != m.stats.checkpoints {
+            m.last_checkpoint_at = Some(now);
+        }
+        m.stats = stats;
     }
 
     /// Events durably logged (the WAL's next index) — what a resuming
     /// client needs to know to skip already-ingested events.
     pub fn durable_events(&self) -> u64 {
-        self.durable_events.load(Ordering::Relaxed)
+        self.lock().stats.next_index
     }
 
     /// Render into the snapshot-level counter struct. `now` is the current
     /// reading of the metrics clock, for the last-checkpoint age.
     pub fn counters(&self, now: Duration) -> DurabilityCounters {
-        let at = self.last_checkpoint_at_nanos.load(Ordering::Relaxed);
-        let age = if at == u64::MAX {
-            -1.0
-        } else {
-            (now.as_nanos() as f64 - at as f64) / 1e9
-        };
+        let m = *self.lock();
         DurabilityCounters {
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
-            wal_records: self.wal_records.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            recovered_events: self.recovered_events.load(Ordering::Relaxed),
-            wal_segments: self.wal_segments.load(Ordering::Relaxed),
-            last_checkpoint_seconds: {
-                let nanos = self.last_checkpoint_nanos.load(Ordering::Relaxed);
-                nanos as f64 / 1e9
-            },
-            last_checkpoint_age_seconds: age,
+            checkpoints: m.stats.checkpoints,
+            checkpoint_bytes: m.stats.checkpoint_bytes,
+            wal_records: m.stats.wal_records,
+            wal_bytes: m.stats.wal_bytes,
+            recoveries: m.recoveries,
+            recovered_events: m.recovered_events,
+            wal_segments: m.stats.wal_segments,
+            last_checkpoint_seconds: m.stats.last_checkpoint.as_secs_f64(),
+            last_checkpoint_age_seconds: m
+                .last_checkpoint_at
+                .map_or(-1.0, |at| now.as_secs_f64() - at.as_secs_f64()),
         }
     }
 }
@@ -163,7 +140,7 @@ impl ServerMetrics {
             connections: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
-            durability: DurabilityStats::new(),
+            durability: DurabilityStats::default(),
             replication: Mutex::new(None),
             started: Instant::now(),
         }
@@ -181,9 +158,14 @@ impl ServerMetrics {
     }
 
     /// Current reading of the metrics clock (feeds
-    /// [`DurabilityStats::record_checkpoint`] and the age gauge).
+    /// [`DurabilityStats::mirror`] and the age gauge).
     pub fn clock(&self) -> Duration {
         self.started.elapsed()
+    }
+
+    /// [`DurabilityStats::mirror`] at the current clock reading.
+    pub fn mirror_durable(&self, stats: DurableStats) {
+        self.durability.mirror(stats, self.clock());
     }
 
     /// Fold a finished session's snapshot into the lifetime base.
@@ -193,8 +175,8 @@ impl ServerMetrics {
 
     /// Lifetime totals given a live snapshot of the current session; also
     /// refreshes the stale-scrape cache. The durability counters come from
-    /// this struct's atomics — the single source of truth — not from the
-    /// folded snapshots.
+    /// this struct's mirror of the engine's own, not from the folded
+    /// snapshots.
     pub fn total_with_live(&self, live: &ReportSnapshot) -> ReportSnapshot {
         let mut total = self.base.lock().expect("metrics lock").clone();
         total.fold(live);
@@ -205,7 +187,8 @@ impl ServerMetrics {
 
     /// The last coherent lifetime total, for scrapes that cannot take the
     /// engine lock without blocking behind back-pressure. Durability
-    /// counters and the checkpoint age are still live (they are atomics).
+    /// counters and the checkpoint age are still live (their mirror has a
+    /// lock of its own).
     pub fn cached_total(&self) -> ReportSnapshot {
         let mut total = self.cached.lock().expect("metrics lock").clone();
         total.durability = self.durability.counters(self.clock());
@@ -676,12 +659,15 @@ mod tests {
         assert!(!silent.contains("morphstream_checkpoints_total"));
 
         metrics.durability.record_recovery(17);
-        metrics.durability.record_checkpoint(
-            4096,
-            Duration::from_millis(3),
-            Duration::from_secs(1),
-        );
-        metrics.durability.set_wal(40, 2048, 2, 38);
+        metrics.mirror_durable(DurableStats {
+            next_index: 38,
+            wal_records: 40,
+            wal_bytes: 2048,
+            wal_segments: 2,
+            checkpoints: 1,
+            checkpoint_bytes: 4096,
+            last_checkpoint: Duration::from_millis(3),
+        });
         let total = metrics.total_with_live(&ReportSnapshot::default());
         assert_eq!(total.durability.checkpoints, 1);
         let text = render_prometheus(&total, &metrics);

@@ -20,7 +20,6 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -28,15 +27,12 @@ use std::time::{Duration, Instant};
 
 use morphstream::storage::StateStore;
 use morphstream::{
-    udfs, EngineConfig, EventSource, FnSink, Pipeline, ReportSnapshot, StreamApp, Topology,
+    udfs, EngineConfig, EventSource, OutputDigest, Pipeline, ReportSnapshot, StreamApp, Topology,
     TopologyBuilder, TopologyConfig, TxnBuilder, TxnEngine, TxnOutcome, WorkloadConfig,
 };
 use morphstream_common::hash::Fnv1a;
-use morphstream_common::json::JsonObject;
-use morphstream_durability::{
-    read_wal, repair_torn_tail, CheckpointBuilder, CheckpointStore, DurabilityError, FsyncPolicy,
-    RedirtySink, WalLog, WalState,
-};
+pub use morphstream_durability::Recovery as RecoveryReport;
+use morphstream_durability::{DurableEngine, FsyncPolicy};
 use morphstream_replication::{AckMode, Promoted, ReplicationSender, SenderOptions};
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
@@ -225,144 +221,55 @@ pub struct ServerSummary {
     pub decode_errors: u64,
 }
 
-/// The engine plus its durability companion, guarded by one lock: WAL
-/// appends and pipeline pushes must interleave in the same order, and a
-/// checkpoint is a consistent cut only while no push is in flight.
-struct EngineAndLog {
-    engine: ServeEngine,
-    durable: Option<Durable>,
+/// The served engine — bare, or inside the [`DurableEngine`] that logs,
+/// checkpoints and recovers it (the protocol is specified there). One lock
+/// guards either: WAL appends and pushes must interleave in the same order,
+/// and a checkpoint is a consistent cut only while no push is in flight.
+// One value per server, living in `Shared` and never moved: boxing a
+// variant would buy nothing.
+#[allow(clippy::large_enum_variant)]
+enum Served {
+    /// No `--data-dir`: the engine and the digest its output sink feeds.
+    InMemory(ServeEngine, OutputDigest),
+    OnDisk(DurableEngine<ServeEngine>),
 }
 
-/// The durable half of a serving engine: the write-ahead log events pass
-/// through on their way in, and the checkpoint store that periodically
-/// absorbs the log.
-struct Durable {
-    wal: WalLog,
-    checkpoints: CheckpointStore,
-    /// Events between incremental checkpoints (0 = never on interval).
-    interval: u64,
-    events_since_checkpoint: u64,
-    /// Punctuation interval: WAL markers (and `Interval`-policy fsyncs)
-    /// align with the engine's batch boundaries.
-    punctuation: u64,
-    events_since_marker: u64,
-}
-
-impl Durable {
-    /// Per-chunk bookkeeping after `logged` events were appended + pushed:
-    /// punctuation markers, interval checkpoints, scrape-visible counters.
-    fn after_chunk(
-        &mut self,
-        logged: u64,
-        engine: &mut ServeEngine,
-        output_digest: &Mutex<Fnv1a>,
-        metrics: &ServerMetrics,
-    ) {
-        self.events_since_marker += logged;
-        if self.punctuation > 0 && self.events_since_marker >= self.punctuation {
-            self.events_since_marker %= self.punctuation;
-            if let Err(e) = self.wal.mark_punctuation() {
-                eprintln!("morphstream serve: WAL punctuation marker failed: {e}");
-            }
+impl Served {
+    fn engine(&self) -> &ServeEngine {
+        match self {
+            Self::InMemory(engine, _) => engine,
+            Self::OnDisk(durable) => durable.engine(),
         }
-        self.events_since_checkpoint += logged;
-        if self.interval > 0 && self.events_since_checkpoint >= self.interval {
-            self.checkpoint_now(engine, output_digest, metrics);
-        }
-        self.publish_wal_stats(metrics);
     }
 
-    /// Take a checkpoint right now: flush the engine to a barrier, snapshot
-    /// every table dirtied since the last checkpoint, publish atomically,
-    /// then rotate the WAL and drop segments the checkpoint made obsolete.
-    fn checkpoint_now(
-        &mut self,
-        engine: &mut ServeEngine,
-        output_digest: &Mutex<Fnv1a>,
-        metrics: &ServerMetrics,
-    ) {
-        self.events_since_checkpoint = 0;
-        let started = Instant::now();
-        let mut builder = CheckpointBuilder::new();
-        TxnEngine::checkpoint(engine, &mut builder);
-        // The flush above pushed every appended event through the topology,
-        // so the digest state and the WAL index describe the same cut.
-        let digest_state = output_digest.lock().expect("digest lock").finish();
-        let events_applied = self.wal.next_index();
-        let taken_dirty = builder.taken_dirty();
-        let checkpoint = builder.build(self.checkpoints.next_id(), events_applied, digest_state);
-        match self.checkpoints.save(&checkpoint) {
-            Ok(saved) => {
-                if let Err(e) = self
-                    .wal
-                    .rotate()
-                    .and_then(|()| self.wal.truncate_before(events_applied).map(|_| ()))
-                {
-                    eprintln!("morphstream serve: WAL rotation failed: {e}");
-                }
-                metrics.durability.record_checkpoint(
-                    saved.bytes,
-                    started.elapsed(),
-                    metrics.clock(),
-                );
-            }
-            Err(e) => {
-                eprintln!("morphstream serve: checkpoint failed: {e}");
-                // The snapshot was never persisted, but the engine already
-                // consumed the dirty flags: give them back so the next
-                // checkpoint re-captures these tables, and leave the WAL
-                // untruncated so replay still covers their writes.
-                let mut redirty = RedirtySink::new(taken_dirty);
-                TxnEngine::checkpoint(engine, &mut redirty);
-            }
+    fn engine_mut(&mut self) -> &mut ServeEngine {
+        match self {
+            Self::InMemory(engine, _) => engine,
+            Self::OnDisk(durable) => durable.engine_mut(),
         }
-        self.publish_wal_stats(metrics);
     }
 
-    /// Mirror the WAL's cumulative totals into the scrape-visible atomics.
-    fn publish_wal_stats(&self, metrics: &ServerMetrics) {
-        metrics.durability.set_wal(
-            self.wal.records_appended(),
-            self.wal.bytes_appended(),
-            self.wal.segment_count(),
-            self.wal.next_index(),
-        );
+    /// The durable engine; `None` when serving from memory.
+    fn durable(&mut self) -> Option<&mut DurableEngine<ServeEngine>> {
+        match self {
+            Self::InMemory(..) => None,
+            Self::OnDisk(durable) => Some(durable),
+        }
     }
-}
 
-/// What startup recovery found and did (present on [`Server`] when
-/// `--data-dir` held prior state).
-#[derive(Debug, Clone)]
-pub struct RecoveryReport {
-    /// Id of the newest checkpoint restored, if any existed.
-    pub checkpoint_id: Option<u64>,
-    /// Events the restored checkpoint chain covered.
-    pub events_applied: u64,
-    /// WAL events replayed through the topology on top of the checkpoint.
-    pub replayed_events: u64,
-    /// Whether the last WAL segment ended in a torn record (dropped).
-    pub torn_tail: bool,
-}
-
-impl RecoveryReport {
-    /// One JSON object, for startup log lines and smoke-test artifacts.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObject::new();
-        obj = match self.checkpoint_id {
-            Some(id) => obj.unsigned("checkpoint_id", id),
-            None => obj.raw("checkpoint_id", "null"),
-        };
-        obj.unsigned("events_applied", self.events_applied)
-            .unsigned("replayed_events", self.replayed_events)
-            .boolean("torn_tail", self.torn_tail)
-            .build()
+    /// Order-sensitive digest of every output the topology emitted.
+    fn output_digest(&self) -> u64 {
+        match self {
+            Self::InMemory(_, digest) => digest.finish(),
+            Self::OnDisk(durable) => durable.output_digest(),
+        }
     }
 }
 
 /// Shared state between the accept loop, connection handlers, the metrics
 /// responder, and the shutdown path.
 struct Shared {
-    engine: Mutex<EngineAndLog>,
+    engine: Mutex<Served>,
     metrics: ServerMetrics,
     /// The replication shipping thread, when `--replicate-to` is set. Lives
     /// outside the engine lock: it tails the WAL *files*, so ingest only
@@ -376,10 +283,6 @@ struct Shared {
     /// after each chunk's pushes complete, so once it reaches a client's send
     /// count a subsequent `flush`/`finish` is guaranteed to cover the stream.
     pushed: AtomicU64,
-    /// Order-sensitive digest of every output the topology emitted; also
-    /// the state checkpoints persist and restarts resume. Shared with the
-    /// engine's output sink closure, hence the `Arc`.
-    output_digest: Arc<Mutex<Fnv1a>>,
 }
 
 /// A running server; shut it down with [`Server::shutdown`].
@@ -396,60 +299,42 @@ pub struct Server {
 
 impl Server {
     /// Bind both listeners and start accepting. Events flow as soon as this
-    /// returns. With a `data_dir`, prior state is recovered first — restore
-    /// the latest checkpoint chain, replay the WAL tail, re-anchor with a
-    /// fresh full checkpoint — before the listeners come up.
+    /// returns. With a `data_dir`, prior state is recovered first
+    /// ([`DurableEngine::open`]) — before the listeners come up.
     pub fn start(opts: ServeOptions) -> io::Result<Server> {
         let (mut engine, ledger_store, audit_store) = build_topology(&opts)?;
-
-        // Outputs stream into a digesting sink instead of accumulating in
-        // the report, so a long-lived server retains no per-event data; the
-        // digest doubles as the equivalence witness in tests. Installed
-        // before recovery so replayed outputs are digested too.
-        let output_digest = Arc::new(Mutex::new(Fnv1a::new()));
-        let digest = Arc::clone(&output_digest);
-        engine.set_output_sink(Some(Box::new(FnSink(move |out: u64| {
-            digest
-                .lock()
-                .expect("digest lock")
-                .update(&out.to_le_bytes());
-        }))));
-
-        let metrics = ServerMetrics::new();
-        let (durable, recovery) = match opts.data_dir.as_deref() {
+        // Either way outputs stream into a digesting sink instead of
+        // accumulating in the report, so a long-lived server retains no
+        // per-event data; the digest doubles as the equivalence witness.
+        let (served, recovery) = match opts.data_dir.as_deref() {
             Some(dir) => {
-                metrics.durability.enable();
-                let (durable, recovery) =
-                    open_durability(dir, &opts, &mut engine, &output_digest, &metrics)?;
-                (Some(durable), recovery)
+                let (durable, recovery) = DurableEngine::open(
+                    dir,
+                    engine,
+                    opts.fsync,
+                    opts.checkpoint_interval,
+                    opts.checkpoint_retain,
+                    opts.workload.txns_per_batch as u64,
+                )
+                .map_err(|e| io::Error::other(e.to_string()))?;
+                (Served::OnDisk(durable), recovery)
             }
-            None => (None, None),
+            None => {
+                let digest = OutputDigest::install(&mut engine, Fnv1a::new());
+                (Served::InMemory(engine, digest), None)
+            }
         };
-        Self::launch(
-            opts,
-            engine,
-            ledger_store,
-            audit_store,
-            output_digest,
-            metrics,
-            durable,
-            recovery,
-        )
+        Self::launch(opts, served, ledger_store, audit_store, recovery)
     }
 
     /// Start serving on a standby's warm, promoted engine: no topology
-    /// build, no recovery pass — the engine, output digest, WAL, and
-    /// checkpoint store arrive already positioned at the replicated index.
-    /// The engine keeps its standby-installed output sink (it feeds the
-    /// same digest accumulator [`Promoted::output_digest`] hands over).
+    /// build, no recovery pass — the [`DurableEngine`] arrives positioned
+    /// at the replicated index and keeps extending the output digest the
+    /// standby accumulated.
     pub fn start_promoted(opts: ServeOptions, promoted: Promoted) -> io::Result<Server> {
         let Promoted {
-            engine,
+            mut durable,
             stores,
-            output_digest,
-            wal,
-            checkpoints,
-            ..
         } = promoted;
         let ledger_store = stores
             .first()
@@ -459,43 +344,30 @@ impl Server {
             .get(1)
             .cloned()
             .unwrap_or_else(|| ledger_store.clone());
-        let metrics = ServerMetrics::new();
-        metrics.durability.enable();
-        let durable = Durable {
-            wal,
-            checkpoints,
-            interval: opts.checkpoint_interval,
-            events_since_checkpoint: 0,
-            punctuation: opts.workload.txns_per_batch as u64,
-            events_since_marker: 0,
-        };
-        durable.publish_wal_stats(&metrics);
-        Self::launch(
-            opts,
-            engine,
-            ledger_store,
-            audit_store,
-            output_digest,
-            metrics,
-            Some(durable),
-            None,
-        )
+        durable.set_punctuation(opts.workload.txns_per_batch as u64);
+        let served = Served::OnDisk(durable);
+        Self::launch(opts, served, ledger_store, audit_store, None)
     }
 
     /// Common tail of [`Server::start`] and [`Server::start_promoted`]:
     /// start replication shipping (when configured), bind both listeners,
     /// and spawn the accept + metrics threads.
-    #[allow(clippy::too_many_arguments)]
     fn launch(
         opts: ServeOptions,
-        engine: ServeEngine,
+        mut served: Served,
         ledger_store: StateStore,
         audit_store: StateStore,
-        output_digest: Arc<Mutex<Fnv1a>>,
-        metrics: ServerMetrics,
-        durable: Option<Durable>,
         recovery: Option<RecoveryReport>,
     ) -> io::Result<Server> {
+        let metrics = ServerMetrics::new();
+        if let Some(recovery) = recovery.as_ref() {
+            metrics.durability.record_recovery(recovery.replayed_events);
+        }
+        let wal_next = served.durable().map(|durable| {
+            metrics.durability.enable();
+            metrics.mirror_durable(durable.stats());
+            durable.next_index()
+        });
         let sender = match opts.replicate_to.as_ref() {
             Some(target) => {
                 let dir = opts.data_dir.as_deref().ok_or_else(|| {
@@ -504,7 +376,6 @@ impl Server {
                         "--replicate-to requires --data-dir (the WAL is what ships)",
                     )
                 })?;
-                let wal_next = durable.as_ref().map(|d| d.wal.next_index()).unwrap_or(0);
                 let sender = ReplicationSender::start(
                     SenderOptions {
                         target: target.clone(),
@@ -513,7 +384,7 @@ impl Server {
                         punctuation: opts.workload.txns_per_batch as u64,
                         ack: opts.ack,
                     },
-                    wal_next,
+                    wal_next.unwrap_or(0),
                 );
                 metrics.set_replication(sender.stats());
                 Some(sender)
@@ -527,14 +398,13 @@ impl Server {
         let (metrics_listener, metrics_addr) = crate::metrics::bind(&opts.metrics_addr)?;
 
         let shared = Arc::new(Shared {
-            engine: Mutex::new(EngineAndLog { engine, durable }),
+            engine: Mutex::new(served),
             metrics,
             sender,
             stop: AtomicBool::new(false),
             session_events: opts.session_events,
             ingested_since_rotate: AtomicU64::new(0),
             pushed: AtomicU64::new(0),
-            output_digest,
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -614,19 +484,18 @@ impl Server {
         self.metrics_thread
             .join()
             .expect("metrics responder panicked");
-        let (final_snapshot, wal_tip) = {
-            let mut guard = self.shared.engine.lock().expect("engine lock");
-            let state = &mut *guard;
-            if let Some(durable) = state.durable.as_mut() {
-                durable.checkpoint_now(
-                    &mut state.engine,
-                    &self.shared.output_digest,
-                    &self.shared.metrics,
-                );
-            }
-            state.engine.flush();
-            let tip = state.durable.as_ref().map(|d| d.wal.next_index());
-            (state.engine.finish().snapshot(), tip)
+        let (final_snapshot, wal_tip, output_digest) = {
+            let mut served = self.shared.engine.lock().expect("engine lock");
+            let tip = served.durable().map(|durable| {
+                if let Err(e) = durable.checkpoint_now() {
+                    eprintln!("morphstream serve: final checkpoint failed: {e}");
+                }
+                self.shared.metrics.mirror_durable(durable.stats());
+                durable.next_index()
+            });
+            served.engine_mut().flush();
+            let snapshot = served.engine_mut().finish().snapshot();
+            (snapshot, tip, served.output_digest())
         };
         if let (Some(sender), Some(tip)) = (self.shared.sender.as_ref(), wal_tip) {
             // Best-effort drain: give the standby a bounded window to
@@ -646,90 +515,12 @@ impl Server {
             snapshot,
             ledger_digest: self.ledger_store.state_digest(),
             audit_digest: self.audit_store.state_digest(),
-            output_digest: self
-                .shared
-                .output_digest
-                .lock()
-                .expect("digest lock")
-                .finish(),
+            output_digest,
             connections: self.shared.metrics.connections.load(Ordering::Relaxed),
             frames: self.shared.metrics.frames.load(Ordering::Relaxed),
             decode_errors: self.shared.metrics.decode_errors.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Open (or create) the durable data directory and recover prior state into
-/// `engine`: restore the checkpoint chain, resume the output digest, replay
-/// the WAL tail, then re-anchor with a fresh full checkpoint so a second
-/// restart never replays the same tail again.
-fn open_durability(
-    dir: &Path,
-    opts: &ServeOptions,
-    engine: &mut ServeEngine,
-    output_digest: &Mutex<Fnv1a>,
-    metrics: &ServerMetrics,
-) -> io::Result<(Durable, Option<RecoveryReport>)> {
-    let to_io = |e: DurabilityError| io::Error::other(e.to_string());
-    let checkpoints =
-        CheckpointStore::open_with_retention(dir.join("checkpoints"), opts.checkpoint_retain)
-            .map_err(to_io)?;
-    let mut events_applied = 0u64;
-    let mut checkpoint_id = None;
-    if let Some(mut loaded) = checkpoints.load_chain().map_err(to_io)? {
-        TxnEngine::restore(engine, &mut loaded.restore);
-        *output_digest.lock().expect("digest lock") = Fnv1a::from_state(loaded.output_digest);
-        events_applied = loaded.events_applied;
-        checkpoint_id = Some(loaded.last_id);
-    }
-    let wal_dir = dir.join("wal");
-    let wal_state: WalState<SlEvent> = read_wal(&wal_dir).map_err(to_io)?;
-    if wal_state.torn_tail {
-        // Seal the torn segment at its valid prefix now: the replay below
-        // (plus the re-anchor checkpoint) covers its events, and once new
-        // appends start a newer segment the torn one would otherwise read
-        // as damage in a sealed segment on the next restart.
-        repair_torn_tail::<SlEvent>(&wal_dir).map_err(to_io)?;
-    }
-    let next_index = wal_state
-        .events
-        .last()
-        .map(|(index, _)| index + 1)
-        .unwrap_or(events_applied)
-        .max(events_applied);
-    let torn_tail = wal_state.torn_tail;
-    let tail = wal_state.replay_tail(events_applied);
-    let replayed_events = tail.len() as u64;
-    let recovered = checkpoint_id.is_some() || replayed_events > 0;
-    if recovered {
-        {
-            let mut pipeline = Pipeline::new(engine);
-            for (_, event) in tail {
-                pipeline.push(event);
-            }
-        }
-        engine.flush();
-        metrics.durability.record_recovery(replayed_events);
-    }
-    let mut durable = Durable {
-        wal: WalLog::open(&wal_dir, opts.fsync, next_index).map_err(to_io)?,
-        checkpoints,
-        interval: opts.checkpoint_interval,
-        events_since_checkpoint: 0,
-        punctuation: opts.workload.txns_per_batch as u64,
-        events_since_marker: 0,
-    };
-    if recovered {
-        durable.checkpoint_now(engine, output_digest, metrics);
-    }
-    durable.publish_wal_stats(metrics);
-    let report = recovered.then_some(RecoveryReport {
-        checkpoint_id,
-        events_applied,
-        replayed_events,
-        torn_tail,
-    });
-    Ok((durable, report))
 }
 
 /// Live lifetime totals: the folded base plus the current session's report,
@@ -750,9 +541,9 @@ fn live_total(shared: &Shared, engine: &ServeEngine) -> ReportSnapshot {
 /// [`CACHE_REFRESH_CHUNKS`] chunks).
 fn scrape(shared: &Shared) -> String {
     for _ in 0..25 {
-        if let Ok(state) = shared.engine.try_lock() {
-            let total = live_total(shared, &state.engine);
-            drop(state);
+        if let Ok(served) = shared.engine.try_lock() {
+            let total = live_total(shared, served.engine());
+            drop(served);
             return render_prometheus(&total, &shared.metrics);
         }
         thread::sleep(Duration::from_millis(4));
@@ -805,52 +596,36 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             // Quiet interval: process the trailing partial batch so a slow
             // trickle of events still commits without waiting for a full
             // punctuation. try_lock — another connection may be mid-push.
-            if let Ok(mut state) = shared.engine.try_lock() {
-                state.engine.flush();
+            if let Ok(mut served) = shared.engine.try_lock() {
+                served.engine_mut().flush();
             }
             continue;
         }
         let (logged, wal_tip) = {
-            let mut guard = shared.engine.lock().expect("engine lock");
-            let state = &mut *guard;
-            let mut logged = 0u64;
-            {
-                let mut pipeline = Pipeline::new(&mut state.engine);
-                if let Some(durable) = state.durable.as_mut() {
-                    // Durable ingestion: an event reaches the pipeline only
-                    // after its WAL append succeeded, under the same lock
-                    // acquisition, so the log is always a superset of what
-                    // the engine has seen — in identical order.
-                    for event in buf.drain(..) {
-                        if let Err(e) = durable.wal.append_event(&event) {
-                            eprintln!(
-                                "morphstream serve: WAL append failed, closing connection: {e}"
-                            );
-                            break;
-                        }
-                        pipeline.push(event);
-                        logged += 1;
+            let mut served = shared.engine.lock().expect("engine lock");
+            let (logged, wal_tip) = match &mut *served {
+                Served::OnDisk(durable) => {
+                    let first = durable.next_index();
+                    if let Err(e) = durable.ingest(buf.drain(..)) {
+                        eprintln!("morphstream serve: WAL append failed, closing connection: {e}");
                     }
-                } else {
-                    for event in buf.drain(..) {
-                        pipeline.push(event);
-                        logged += 1;
-                    }
+                    shared.metrics.mirror_durable(durable.stats());
+                    let tip = durable.next_index();
+                    (tip - first, Some(tip))
                 }
-            }
-            if let Some(durable) = state.durable.as_mut() {
-                durable.after_chunk(
-                    logged,
-                    &mut state.engine,
-                    &shared.output_digest,
-                    &shared.metrics,
-                );
-            }
+                Served::InMemory(engine, _) => {
+                    let mut pipeline = Pipeline::new(engine);
+                    for event in buf.drain(..) {
+                        pipeline.push(event);
+                    }
+                    (n as u64, None)
+                }
+            };
             chunks += 1;
             if chunks.is_multiple_of(CACHE_REFRESH_CHUNKS) {
-                live_total(&shared, &state.engine);
+                live_total(&shared, served.engine());
             }
-            (logged, state.durable.as_ref().map(|d| d.wal.next_index()))
+            (logged, wal_tip)
         };
         shared.pushed.fetch_add(logged, Ordering::SeqCst);
         if let (Some(sender), Some(tip)) = (shared.sender.as_ref(), wal_tip) {
@@ -875,7 +650,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         // The connection ended (EOF or protocol error): process its trailing
         // partial batch now, so a closed stream is fully reflected in state
         // and metrics without waiting for other traffic or shutdown.
-        shared.engine.lock().expect("engine lock").engine.flush();
+        shared
+            .engine
+            .lock()
+            .expect("engine lock")
+            .engine_mut()
+            .flush();
     }
     shared
         .metrics
@@ -900,14 +680,14 @@ fn maybe_rotate_session(shared: &Shared, just_ingested: u64) {
     if total < shared.session_events {
         return;
     }
-    let mut state = shared.engine.lock().expect("engine lock");
+    let mut served = shared.engine.lock().expect("engine lock");
     // Re-check under the lock: another handler may have rotated already.
     if shared.ingested_since_rotate.load(Ordering::Relaxed) < shared.session_events {
         return;
     }
     shared.ingested_since_rotate.store(0, Ordering::Relaxed);
-    state.engine.flush();
-    let snapshot = state.engine.finish().snapshot();
+    served.engine_mut().flush();
+    let snapshot = served.engine_mut().finish().snapshot();
     shared.metrics.fold_session(&snapshot);
 }
 
@@ -916,22 +696,15 @@ fn maybe_rotate_session(shared: &Shared, just_ingested: u64) {
 /// of the TCP-vs-local digest-equivalence guarantee.
 pub fn reference_run(opts: &ServeOptions, events: Vec<SlEvent>) -> io::Result<ServerSummary> {
     let (mut engine, ledger_store, audit_store) = build_topology(opts)?;
-    let output_digest = Arc::new(Mutex::new(Fnv1a::new()));
-    let digest = Arc::clone(&output_digest);
-    let mut pipeline = engine.pipeline().output_sink(FnSink(move |out: u64| {
-        digest
-            .lock()
-            .expect("digest lock")
-            .update(&out.to_le_bytes());
-    }));
+    let output_digest = OutputDigest::install(&mut engine, Fnv1a::new());
+    let mut pipeline = engine.pipeline();
     pipeline.push_iter(events);
     let snapshot = pipeline.finish().snapshot();
-    let output_digest = output_digest.lock().expect("digest lock").finish();
     Ok(ServerSummary {
         snapshot,
         ledger_digest: ledger_store.state_digest(),
         audit_digest: audit_store.state_digest(),
-        output_digest,
+        output_digest: output_digest.finish(),
         connections: 0,
         frames: 0,
         decode_errors: 0,

@@ -4,89 +4,16 @@
 //! crash — to state and output digests identical to one uninterrupted run of
 //! the same stream.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+mod common;
 
 use morphstream_common::protocol::WireFormat;
-use morphstream_common::WorkloadConfig;
+
+use common::{
+    http_get, metric_value, send_stream, temp_dir, test_events, test_options, wait_for_ingest,
+};
 use morphstream_durability::{decode_segment, FsyncPolicy, WalLog};
-use morphstream_server::{encode_event, reference_run, write_preamble, ServeOptions, Server};
-use morphstream_workloads::{SlEvent, StreamingLedgerApp};
-
-fn test_events(count: usize, config: &WorkloadConfig) -> Vec<SlEvent> {
-    StreamingLedgerApp::generate(config, count, 0.5)
-}
-
-fn test_options(data_dir: Option<PathBuf>) -> ServeOptions {
-    let mut opts = ServeOptions::default();
-    opts.workload = opts
-        .workload
-        .with_key_space(10_000)
-        .with_txns_per_batch(1_000);
-    opts.workload.udf_complexity_us = 0;
-    opts.data_dir = data_dir;
-    opts
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("morph-serve-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn send_stream(addr: std::net::SocketAddr, events: &[SlEvent]) {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_nodelay(true).unwrap();
-    let mut wire = Vec::new();
-    let mut scratch = Vec::new();
-    write_preamble(WireFormat::Binary, &mut wire);
-    for event in events {
-        encode_event(event, WireFormat::Binary, &mut scratch, &mut wire).expect("encode event");
-    }
-    stream.write_all(&wire).expect("write stream");
-    stream.flush().unwrap();
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
-}
-
-fn wait_for_ingest(server: &Server, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while server.events_ingested() < expected {
-        assert!(
-            Instant::now() < deadline,
-            "server ingested {} of {expected} events before the deadline",
-            server.events_ingested()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split")
-        .1
-        .to_string()
-}
-
-fn metric_value(body: &str, name: &str) -> Option<f64> {
-    body.lines()
-        .filter(|line| !line.starts_with('#'))
-        .find_map(|line| {
-            let (sample, value) = line.rsplit_once(' ')?;
-            (sample == name).then(|| value.parse().expect("numeric sample"))
-        })
-}
+use morphstream_server::{reference_run, Server};
+use morphstream_workloads::SlEvent;
 
 /// Graceful restart: stop a durable server mid-stream, start a second one on
 /// the same data directory, feed it the rest. The second lifetime resumes
@@ -104,7 +31,7 @@ fn graceful_restart_resumes_from_checkpoint_to_identical_digests() {
         first.recovery().is_none(),
         "fresh data dir: nothing to recover"
     );
-    send_stream(first.event_addr(), &events[..2_500]);
+    send_stream(first.event_addr(), &events[..2_500], WireFormat::Binary);
     wait_for_ingest(&first, 2_500);
     first.shutdown();
 
@@ -120,7 +47,7 @@ fn graceful_restart_resumes_from_checkpoint_to_identical_digests() {
         "graceful shutdown leaves no WAL tail"
     );
     assert!(!recovery.torn_tail);
-    send_stream(second.event_addr(), &events[2_500..]);
+    send_stream(second.event_addr(), &events[2_500..], WireFormat::Binary);
     wait_for_ingest(&second, 1_500);
     let summary = second.shutdown();
 
@@ -169,7 +96,7 @@ fn crash_recovery_replays_wal_tail_through_the_server() {
     assert_eq!(recovery.replayed_events, 1_700, "the whole WAL is the tail");
     assert!(!recovery.torn_tail);
 
-    let scrape = http_get(server.metrics_addr(), "/metrics");
+    let (_, scrape) = http_get(server.metrics_addr(), "/metrics");
     assert_eq!(
         metric_value(&scrape, "morphstream_recovered_events_total"),
         Some(1_700.0)
@@ -187,7 +114,7 @@ fn crash_recovery_replays_wal_tail_through_the_server() {
         "durable_events tells a resuming client where to skip to"
     );
 
-    send_stream(server.event_addr(), &events[1_700..]);
+    send_stream(server.event_addr(), &events[1_700..], WireFormat::Binary);
     wait_for_ingest(&server, 1_300);
     let summary = server.shutdown();
 
@@ -259,7 +186,7 @@ inputs = ["accounts"]
     assert_eq!(recovery.replayed_events, 1_800, "the whole WAL is the tail");
     assert!(!recovery.torn_tail);
 
-    send_stream(server.event_addr(), &events[1_800..]);
+    send_stream(server.event_addr(), &events[1_800..], WireFormat::Binary);
     wait_for_ingest(&server, 1_200);
     let summary = server.shutdown();
 

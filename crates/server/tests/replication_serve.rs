@@ -4,70 +4,16 @@
 //! the promote flag, and a promoted standby serves the rest of the stream
 //! to digests identical to one uninterrupted run.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+mod common;
 
 use morphstream_common::protocol::WireFormat;
-use morphstream_common::WorkloadConfig;
-use morphstream_server::{
-    encode_event, promote_requested, reference_run, write_preamble, AckMode, ServeOptions, Server,
-    StandbyHandle,
+
+use std::time::{Duration, Instant};
+
+use common::{
+    http_get, metric_value, send_stream, temp_dir, test_events, test_options, wait_for_ingest,
 };
-use morphstream_workloads::{SlEvent, StreamingLedgerApp};
-
-fn test_events(count: usize, config: &WorkloadConfig) -> Vec<SlEvent> {
-    StreamingLedgerApp::generate(config, count, 0.5)
-}
-
-fn test_options(data_dir: Option<PathBuf>) -> ServeOptions {
-    let mut opts = ServeOptions::default();
-    opts.workload = opts
-        .workload
-        .with_key_space(10_000)
-        .with_txns_per_batch(1_000);
-    opts.workload.udf_complexity_us = 0;
-    opts.data_dir = data_dir;
-    opts
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("morph-repl-{tag}-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn send_stream(addr: std::net::SocketAddr, events: &[SlEvent]) {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_nodelay(true).unwrap();
-    let mut wire = Vec::new();
-    let mut scratch = Vec::new();
-    write_preamble(WireFormat::Binary, &mut wire);
-    for event in events {
-        encode_event(event, WireFormat::Binary, &mut scratch, &mut wire).expect("encode event");
-    }
-    stream.write_all(&wire).expect("write stream");
-    stream.flush().unwrap();
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
-}
-
-fn wait_for_ingest(server: &Server, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while server.events_ingested() < expected {
-        assert!(
-            Instant::now() < deadline,
-            "server ingested {} of {expected} events before the deadline",
-            server.events_ingested()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
+use morphstream_server::{promote_requested, reference_run, AckMode, Server, StandbyHandle};
 
 fn wait_for_durable(standby: &StandbyHandle, expected: u64) {
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -79,27 +25,6 @@ fn wait_for_durable(standby: &StandbyHandle, expected: u64) {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-}
-
-fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split")
-        .1
-        .to_string()
-}
-
-fn metric_value(body: &str, name: &str) -> Option<f64> {
-    body.lines()
-        .filter(|line| !line.starts_with('#'))
-        .find_map(|line| {
-            let (sample, value) = line.rsplit_once(' ')?;
-            (sample == name).then(|| value.parse().expect("numeric sample"))
-        })
 }
 
 /// The full failover story through the public server API: replicate under
@@ -127,12 +52,12 @@ fn replicated_serve_fails_over_to_a_promoted_standby_with_identical_digests() {
     primary_opts.ack = AckMode::Sync;
     let primary = Server::start(primary_opts).expect("primary starts");
 
-    send_stream(primary.event_addr(), &events[..HANDOFF]);
+    send_stream(primary.event_addr(), &events[..HANDOFF], WireFormat::Binary);
     wait_for_ingest(&primary, HANDOFF as u64);
     wait_for_durable(&standby, HANDOFF as u64);
 
     // Both sides expose the replication families, and the link is caught up.
-    let primary_scrape = http_get(primary.metrics_addr(), "/metrics");
+    let (_, primary_scrape) = http_get(primary.metrics_addr(), "/metrics");
     assert_eq!(
         metric_value(&primary_scrape, "morphstream_standby_connected"),
         Some(1.0)
@@ -150,7 +75,7 @@ fn replicated_serve_fails_over_to_a_promoted_standby_with_identical_digests() {
         Some(0.0),
         "sync acks leave no lag after ingest finishes"
     );
-    let standby_scrape = http_get(standby.metrics_addr(), "/metrics");
+    let (_, standby_scrape) = http_get(standby.metrics_addr(), "/metrics");
     assert_eq!(
         metric_value(&standby_scrape, "morphstream_standby_connected"),
         Some(1.0)
@@ -171,17 +96,24 @@ fn replicated_serve_fails_over_to_a_promoted_standby_with_identical_digests() {
             .expect("standby exposes ack age")
             >= 0.0
     );
-    assert_eq!(http_get(standby.metrics_addr(), "/healthz"), "ok\n");
+    assert_eq!(http_get(standby.metrics_addr(), "/healthz").1, "ok\n");
 
     // The admin endpoint flips the same flag SIGUSR1 does.
     assert!(!promote_requested());
-    assert_eq!(http_get(standby.metrics_addr(), "/promote"), "promoting\n");
+    assert_eq!(
+        http_get(standby.metrics_addr(), "/promote").1,
+        "promoting\n"
+    );
     assert!(promote_requested(), "/promote raises the promote flag");
 
     // Lose the primary, promote, and serve the rest of the stream there.
     primary.shutdown();
     let promoted = standby.promote().expect("promotion succeeds");
-    send_stream(promoted.event_addr(), &events[HANDOFF..]);
+    send_stream(
+        promoted.event_addr(),
+        &events[HANDOFF..],
+        WireFormat::Binary,
+    );
     wait_for_ingest(&promoted, (EVENTS - HANDOFF) as u64);
     let summary = promoted.shutdown();
 

@@ -5,92 +5,20 @@
 //! memory and nonzero `queue_full_waits`, and `/metrics` serves Prometheus
 //! text whose counters sum to the final report.
 
-use std::io::{Read, Write};
+mod common;
+
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use common::{http_get, metric_value, send_stream, test_events, test_options, wait_for_ingest};
 use morphstream_common::protocol::WireFormat;
-use morphstream_common::WorkloadConfig;
-use morphstream_server::{encode_event, reference_run, write_preamble, ServeOptions, Server};
-use morphstream_workloads::{SlEvent, StreamingLedgerApp};
-
-/// A compact but non-trivial stream: several punctuations, transfers that
-/// abort, and keys drawn Zipf-skewed from a small space.
-fn test_events(count: usize, config: &WorkloadConfig) -> Vec<SlEvent> {
-    StreamingLedgerApp::generate(config, count, 0.5)
-}
-
-fn test_options() -> ServeOptions {
-    let mut opts = ServeOptions::default();
-    opts.workload = opts
-        .workload
-        .with_key_space(10_000)
-        .with_txns_per_batch(1_000);
-    // Keep the emulated UDF cost out of test wall-clock.
-    opts.workload.udf_complexity_us = 0;
-    opts
-}
-
-/// Send `events` over one TCP connection in `format`, then half-close.
-fn send_stream(addr: std::net::SocketAddr, events: &[SlEvent], format: WireFormat) {
-    let mut stream = TcpStream::connect(addr).expect("connect to server");
-    stream.set_nodelay(true).unwrap();
-    let mut wire = Vec::new();
-    let mut scratch = Vec::new();
-    write_preamble(format, &mut wire);
-    for event in events {
-        encode_event(event, format, &mut scratch, &mut wire).expect("encode event");
-    }
-    stream.write_all(&wire).expect("write stream");
-    stream.flush().unwrap();
-    stream
-        .shutdown(std::net::Shutdown::Write)
-        .expect("half-close");
-    // Hold the read side open until the server has had a chance to drain;
-    // dropping the socket entirely is also fine, the server reads EOF.
-}
-
-/// Block until the server has pushed `expected` events into the engine.
-/// `Server::shutdown` stops *accepting* — a connection still sitting in the
-/// kernel backlog would be dropped — so every test drains first.
-fn wait_for_ingest(server: &Server, expected: u64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while server.events_ingested() < expected {
-        assert!(
-            Instant::now() < deadline,
-            "server ingested {} of {expected} events before the deadline",
-            server.events_ingested()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split");
-    (head.to_string(), body.to_string())
-}
-
-/// Parse the value of a non-comment sample line, e.g.
-/// `morphstream_events_total 500`.
-fn metric_value(body: &str, name: &str) -> Option<f64> {
-    body.lines()
-        .filter(|line| !line.starts_with('#'))
-        .find_map(|line| {
-            let (sample, value) = line.rsplit_once(' ')?;
-            (sample == name).then(|| value.parse().expect("numeric sample"))
-        })
-}
+use morphstream_server::{reference_run, ServeOptions, Server};
 
 #[test]
 fn tcp_fed_run_matches_push_iter_on_both_runtimes_and_formats() {
     for concurrent in [false, true] {
-        let mut opts = test_options();
+        let mut opts = test_options(None);
         opts.concurrent = concurrent;
         let events = test_events(5_000, &opts.workload);
         let expected = reference_run(&opts, events.clone()).expect("reference run");
@@ -126,7 +54,7 @@ fn tcp_fed_run_matches_push_iter_on_both_runtimes_and_formats() {
 
 #[test]
 fn slow_consumer_back_pressures_with_bounded_memory() {
-    let mut opts = test_options();
+    let mut opts = test_options(None);
     opts.workload = opts.workload.with_txns_per_batch(128);
     // Concurrent runtime, minimal channel, and an audit operator that is
     // deliberately slower than the ledger: the ledger→audit channel must
@@ -167,7 +95,7 @@ fn slow_consumer_back_pressures_with_bounded_memory() {
 
 #[test]
 fn metrics_endpoint_serves_prometheus_that_sums_to_the_final_report() {
-    let mut opts = test_options();
+    let mut opts = test_options(None);
     // Exactly 4 punctuations, so everything is processed without a flush.
     opts.workload = opts.workload.with_txns_per_batch(250);
     let events = test_events(1_000, &opts.workload);
@@ -244,7 +172,7 @@ fn metrics_endpoint_serves_prometheus_that_sums_to_the_final_report() {
 
 #[test]
 fn malformed_connection_errors_without_taking_the_server_down() {
-    let opts = test_options();
+    let opts = test_options(None);
     let events = test_events(500, &opts.workload);
     let server = Server::start(opts).expect("server starts");
 
@@ -264,7 +192,7 @@ fn malformed_connection_errors_without_taking_the_server_down() {
 
 #[test]
 fn session_rotation_preserves_lifetime_totals() {
-    let mut opts = test_options();
+    let mut opts = test_options(None);
     opts.workload = opts.workload.with_txns_per_batch(100);
     // Rotate every ~256 events: a 2_000-event stream crosses several
     // sessions, and the folded totals must still account for every event.

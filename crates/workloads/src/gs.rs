@@ -295,7 +295,7 @@ impl StreamApp for GrepSumApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morphstream::{EngineConfig, MorphStream};
+    use morphstream::{EngineConfig, MorphStream, TxnEngine};
 
     fn config() -> WorkloadConfig {
         WorkloadConfig::grep_sum()
@@ -315,7 +315,7 @@ mod tests {
             store,
             EngineConfig::with_threads(4).with_punctuation_interval(64),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         assert_eq!(report.committed, 300);
         assert_eq!(report.aborted, 0);
     }
@@ -331,7 +331,7 @@ mod tests {
             store,
             EngineConfig::with_threads(2).with_punctuation_interval(64),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         let ratio = report.aborted as f64 / 300.0;
         assert!(ratio > 0.2 && ratio < 0.6, "abort ratio {ratio}");
     }
@@ -352,7 +352,7 @@ mod tests {
             store,
             EngineConfig::with_threads(2).with_punctuation_interval(50),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         assert_eq!(report.committed, 100);
     }
 
@@ -372,7 +372,7 @@ mod tests {
             store,
             EngineConfig::with_threads(4).with_punctuation_interval(60),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         assert_eq!(report.committed, 120);
     }
 

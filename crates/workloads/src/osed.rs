@@ -280,7 +280,7 @@ impl OsedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morphstream::{EngineConfig, MorphStream};
+    use morphstream::{EngineConfig, MorphStream, TxnEngine};
 
     #[test]
     fn generator_produces_pulsed_events_and_probes() {
@@ -318,7 +318,7 @@ mod tests {
                 .with_punctuation_interval(generator.window + 1)
                 .with_reclaim_after_batch(false),
         );
-        let report = engine.process(tweets);
+        let report = engine.run(tweets);
         let osed = OsedReport::from_outputs(expected, &report.outputs);
         // detection should closely track the generated popularity
         assert!(

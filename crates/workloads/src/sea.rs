@@ -188,7 +188,7 @@ impl StreamApp for SeaApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morphstream::{EngineConfig, MorphStream};
+    use morphstream::{EngineConfig, MorphStream, TxnEngine};
 
     #[test]
     fn generator_mixes_quotes_and_trades_deterministically() {
@@ -226,7 +226,7 @@ mod tests {
                 .with_punctuation_interval(200)
                 .with_reclaim_after_batch(false),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         let actual_total: Value = report.outputs.iter().sum();
         let expected_total = *expected.last().unwrap() as Value;
         // The window in the engine is over event-time versions of the index

@@ -199,7 +199,7 @@ impl StreamApp for StreamingLedgerApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morphstream::{EngineConfig, MorphStream};
+    use morphstream::{EngineConfig, MorphStream, TxnEngine};
 
     fn small_config() -> WorkloadConfig {
         WorkloadConfig::streaming_ledger()
@@ -240,7 +240,7 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(config.txns_per_batch),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         assert_eq!(report.events(), 500);
         let total: Value = store.snapshot_latest(accounts).unwrap().values().sum();
         // Committed deposits add money, transfers conserve it. Deposits never
@@ -259,7 +259,7 @@ mod tests {
             store,
             EngineConfig::with_threads(2).with_punctuation_interval(100),
         );
-        let report = engine.process(events);
+        let report = engine.run(events);
         let ratio = report.aborted as f64 / 400.0;
         assert!(ratio > 0.3 && ratio < 0.7, "observed abort ratio {ratio}");
     }

@@ -438,8 +438,9 @@ mod tests {
             app,
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(100),
-        );
-        let report = engine.process_grouped(events, |e| e.group);
+        )
+        .with_group_fn(|e: &TpEvent| e.group);
+        let report = engine.run(events);
         assert_eq!(report.committed, committed_expected);
         // committed events each incremented one segment counter
         let total_counts: Value = store.snapshot_latest(segments).unwrap().values().sum();

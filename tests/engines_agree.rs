@@ -61,7 +61,7 @@ fn morphstream_adaptive_matches_the_sequential_oracle() {
         EngineConfig::with_threads(test_threads(4))
             .with_punctuation_interval(config.txns_per_batch),
     );
-    let report = engine.process(events);
+    let report = engine.run(events);
     assert!(report.aborted > 0, "the workload must exercise aborts");
     let app = StreamingLedgerApp::new(&store, &config);
     assert_eq!(final_balances(&store, &app, &config), expected);
@@ -83,7 +83,7 @@ fn every_fixed_scheduling_decision_matches_the_oracle() {
                 .with_punctuation_interval(config.txns_per_batch),
         )
         .with_fixed_decision(decision);
-        engine.process(events.clone());
+        engine.run(events.clone());
         let app = StreamingLedgerApp::new(&store, &config);
         assert_eq!(
             final_balances(&store, &app, &config),

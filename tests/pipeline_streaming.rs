@@ -44,7 +44,7 @@ fn pushing_across_uneven_boundaries_matches_process_exactly() {
     let ref_store = StateStore::new();
     let ref_app = StreamingLedgerApp::new(&ref_store, &config);
     let mut reference = MorphStream::new(ref_app, ref_store.clone(), engine_config());
-    let expected = reference.process(events.clone());
+    let expected = reference.run(events.clone());
 
     // Pushed session: same events arrive in chunks deliberately misaligned
     // with the punctuation interval of 128.
@@ -77,7 +77,7 @@ fn explicit_flushes_change_batching_but_not_final_state() {
     let ref_store = StateStore::new();
     let ref_app = StreamingLedgerApp::new(&ref_store, &config);
     let mut reference = MorphStream::new(ref_app, ref_store.clone(), engine_config());
-    let expected = reference.process(events.clone());
+    let expected = reference.run(events.clone());
 
     // Flush after every uneven chunk: partial batches everywhere. Batch
     // boundaries differ, but batches execute in timestamp order, so the
@@ -135,7 +135,7 @@ fn punctuation_interval_of_one_batches_every_event() {
     let ref_store = StateStore::new();
     let ref_app = StreamingLedgerApp::new(&ref_store, &config);
     let mut reference = MorphStream::new(ref_app, ref_store.clone(), engine_config());
-    let expected = reference.process(events.clone());
+    let expected = reference.run(events.clone());
 
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, &config);
@@ -283,7 +283,7 @@ fn dropping_a_pipeline_handle_keeps_the_session_resumable() {
     let ref_store = StateStore::new();
     let ref_app = StreamingLedgerApp::new(&ref_store, &config);
     let mut reference = MorphStream::new(ref_app, ref_store.clone(), engine_config());
-    let expected = reference.process(events.clone());
+    let expected = reference.run(events.clone());
 
     // The session lives on the engine: dropping a handle mid-stream and
     // opening a new one continues exactly where the first left off.
@@ -316,7 +316,7 @@ fn pipelined_push_sessions_match_the_serial_engine_and_report_overlap() {
     let ref_store = StateStore::new();
     let ref_app = StreamingLedgerApp::new(&ref_store, &config);
     let mut reference = MorphStream::new(ref_app, ref_store.clone(), engine_config());
-    let expected = reference.process(events.clone());
+    let expected = reference.run(events.clone());
 
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, &config);

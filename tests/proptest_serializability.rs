@@ -130,7 +130,7 @@ proptest! {
             EngineConfig::with_threads(threads).with_punctuation_interval(punctuation),
         )
         .with_fixed_decision(decision);
-        let report = engine.process(events.clone());
+        let report = engine.run(events.clone());
 
         prop_assert_eq!(report.events(), events.len());
         let snapshot = store.snapshot_latest(accounts).unwrap();
