@@ -139,6 +139,9 @@ impl<A: StreamApp> IngestState<A> {
             elapsed: batch_started.elapsed(),
             decision: Default::default(),
             redone_ops: executed.redone_ops,
+            // Baselines schedule no units and reclaim the whole store.
+            coarse_unit_builds: 0,
+            reclaim_keys_visited: 0,
             bytes_retained: store.bytes_retained(),
             // Baselines construct and execute strictly in sequence, so no
             // construction time is ever hidden behind execution.

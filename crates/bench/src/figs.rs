@@ -1062,13 +1062,14 @@ pub mod fig_topology {
     }
 
     impl TopologyRow {
-        fn percentiles(latency: &mut morphstream_common::metrics::LatencyRecorder) -> (f64, f64) {
-            let ms = |p: f64, l: &mut morphstream_common::metrics::LatencyRecorder| {
-                l.percentile(p)
+        fn percentiles(latency: &morphstream_common::metrics::LatencyRecorder) -> (f64, f64) {
+            let ms = |p: f64| {
+                latency
+                    .percentile(p)
                     .map(|d| d.as_secs_f64() * 1e3)
                     .unwrap_or(0.0)
             };
-            (ms(50.0, latency), ms(95.0, latency))
+            (ms(50.0), ms(95.0))
         }
 
         fn from_report(
@@ -1076,7 +1077,7 @@ pub mod fig_topology {
             report: &mut morphstream::RunReport<bool>,
             wall_s: f64,
         ) -> Self {
-            let (p50, p95) = Self::percentiles(&mut report.latency);
+            let (p50, p95) = Self::percentiles(&report.latency);
             let queue_full_waits = report.edges.iter().map(|e| e.queue_full_waits).sum();
             Self {
                 system: system.to_string(),
@@ -1094,8 +1095,7 @@ pub mod fig_topology {
         }
 
         fn from_operator(system: &str, op: &morphstream::OperatorReport) -> Self {
-            let mut latency = op.latency.clone();
-            let (p50, p95) = Self::percentiles(&mut latency);
+            let (p50, p95) = Self::percentiles(&op.latency);
             Self {
                 system: system.to_string(),
                 operator: Some(op.name.clone()),

@@ -72,7 +72,7 @@ pub struct SystemReport {
 
 impl SystemReport {
     /// Build from a run report.
-    pub fn from_run<O>(system: SystemUnderTest, mut report: RunReport<O>) -> Self {
+    pub fn from_run<O>(system: SystemUnderTest, report: RunReport<O>) -> Self {
         let p50 = report
             .latency
             .percentile(50.0)

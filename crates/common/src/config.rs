@@ -199,7 +199,9 @@ pub struct EngineConfig {
     pub punctuation_interval: Option<usize>,
     /// Reclaim multi-version state and processed TPGs after every batch
     /// (the analogue of the paper's "clear temporal objects" switch used in
-    /// Figure 17).
+    /// Figure 17). The reclaim visits the keys the batch wrote — each
+    /// table keeps the list of chains holding more than one version — so
+    /// its cost follows the batch, not the size of the state.
     pub reclaim_after_batch: bool,
     /// Emulated per-state-access network round-trip in microseconds. Used
     /// only by the conventional-SPE baseline to stand in for the Flink+Redis

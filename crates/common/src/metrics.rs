@@ -170,10 +170,21 @@ impl StageTimings {
 }
 
 /// Records end-to-end latencies and produces percentiles / CDF points.
+///
+/// Samples are stored as weighted runs — one `(latency, count)` entry per
+/// distinct microsecond value, kept in ascending order as they are recorded —
+/// so a batch of a thousand events that share one latency costs one entry, a
+/// session's footprint is bounded by how many distinct latencies it saw
+/// rather than by how many events, and every query works on `&self` without
+/// sorting. The [`LatencyHistogram`] is maintained alongside, at record time.
+/// Percentiles, mean and CDF are exactly those of the expanded sample list.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
-    samples_us: Vec<u64>,
-    sorted: bool,
+    /// `(latency µs, samples)`, ascending by latency, latencies distinct.
+    runs: Vec<(u64, u64)>,
+    /// Total samples: the sum of the run counts.
+    len: u64,
+    histogram: LatencyHistogram,
 }
 
 impl LatencyRecorder {
@@ -185,87 +196,130 @@ impl LatencyRecorder {
     /// Record a latency sample.
     #[inline]
     pub fn record(&mut self, latency: Duration) {
-        self.samples_us.push(latency.as_micros() as u64);
-        self.sorted = false;
+        self.record_micros_n(latency.as_micros() as u64, 1);
     }
 
     /// Record a latency already expressed in microseconds.
     #[inline]
     pub fn record_micros(&mut self, micros: u64) {
-        self.samples_us.push(micros);
-        self.sorted = false;
+        self.record_micros_n(micros, 1);
+    }
+
+    /// Record `samples` events that all saw the latency `micros` — what a
+    /// punctuation batch is — as one entry.
+    pub fn record_micros_n(&mut self, micros: u64, samples: u64) {
+        if samples == 0 {
+            return;
+        }
+        match self.runs.binary_search_by_key(&micros, |run| run.0) {
+            Ok(at) => self.runs[at].1 += samples,
+            Err(at) => self.runs.insert(at, (micros, samples)),
+        }
+        self.len += samples;
+        self.histogram.observe_micros_n(micros, samples);
     }
 
     /// Number of recorded samples.
     #[inline]
     pub fn len(&self) -> usize {
-        self.samples_us.len()
+        self.len as usize
     }
 
     /// True when no samples were recorded.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.samples_us.is_empty()
+        self.len == 0
+    }
+
+    /// Number of stored entries (distinct latencies) — what the recorder's
+    /// memory and query cost grow with, as opposed to [`Self::len`]. For the
+    /// tests that gate that footprint; not part of the reporting API.
+    #[doc(hidden)]
+    pub fn entries(&self) -> usize {
+        self.runs.len()
     }
 
     /// Merge the samples of another recorder.
     pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples_us.extend_from_slice(&other.samples_us);
-        self.sorted = false;
+        let mine = std::mem::take(&mut self.runs);
+        self.runs.reserve(mine.len() + other.runs.len());
+        let (mut a, mut b) = (mine.iter().peekable(), other.runs.iter().peekable());
+        while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
+            match x.0.cmp(&y.0) {
+                std::cmp::Ordering::Less => self.runs.extend(a.next()),
+                std::cmp::Ordering::Greater => self.runs.extend(b.next()),
+                std::cmp::Ordering::Equal => {
+                    self.runs.push((x.0, x.1 + y.1));
+                    a.next();
+                    b.next();
+                }
+            }
+        }
+        self.runs.extend(a);
+        self.runs.extend(b);
+        self.len += other.len;
+        self.histogram.fold(&other.histogram);
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples_us.sort_unstable();
-            self.sorted = true;
-        }
+    /// Latencies of the samples at the ascending 0-based `ranks` of the
+    /// sorted sample list, in one pass over the runs.
+    fn at_ranks<'a>(
+        &'a self,
+        ranks: impl IntoIterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let mut runs = self.runs.iter();
+        let (mut micros, mut covered) = (0, 0u64);
+        ranks.into_iter().map(move |rank| {
+            while covered <= rank {
+                let run = runs.next().expect("rank below the sample count");
+                micros = run.0;
+                covered += run.1;
+            }
+            micros
+        })
+    }
+
+    /// The rank the nearest-rank rule assigns to the fraction `frac` of the
+    /// way through the sorted samples.
+    fn rank_at(&self, frac: f64) -> u64 {
+        (frac * (self.len - 1) as f64).round() as u64
     }
 
     /// Percentile in `[0, 100]` as a duration; `None` when empty.
-    pub fn percentile(&mut self, p: f64) -> Option<Duration> {
-        if self.samples_us.is_empty() {
+    pub fn percentile(&self, p: f64) -> Option<Duration> {
+        if self.is_empty() {
             return None;
         }
-        self.ensure_sorted();
-        let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * (self.samples_us.len() - 1) as f64).round() as usize;
-        Some(Duration::from_micros(self.samples_us[rank]))
+        let rank = self.rank_at(p.clamp(0.0, 100.0) / 100.0);
+        self.at_ranks([rank]).next().map(Duration::from_micros)
     }
 
     /// Mean latency; `None` when empty.
     pub fn mean(&self) -> Option<Duration> {
-        if self.samples_us.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        let sum: u64 = self.samples_us.iter().sum();
-        Some(Duration::from_micros(sum / self.samples_us.len() as u64))
+        let sum: u64 = self.runs.iter().map(|(us, n)| us * n).sum();
+        Some(Duration::from_micros(sum / self.len))
     }
 
-    /// Bucket the recorded samples into a [`LatencyHistogram`] — the fixed
-    /// cumulative-bucket form Prometheus scrapes want, computed on demand so
-    /// the hot recording path stays a plain `Vec` push.
+    /// The recorded samples as a [`LatencyHistogram`] — the fixed
+    /// cumulative-bucket form Prometheus scrapes want. Kept current as
+    /// samples are recorded, so this is a copy of thirteen counters.
     pub fn histogram(&self) -> LatencyHistogram {
-        let mut hist = LatencyHistogram::new();
-        for &us in &self.samples_us {
-            hist.observe_micros(us);
-        }
-        hist
+        self.histogram.clone()
     }
 
     /// CDF as `(latency, cumulative_percent)` pairs with `points` entries,
     /// matching the latency plots of Figures 12b and 13b.
-    pub fn cdf(&mut self, points: usize) -> Vec<(Duration, f64)> {
-        if self.samples_us.is_empty() || points == 0 {
+    pub fn cdf(&self, points: usize) -> Vec<(Duration, f64)> {
+        if self.is_empty() || points == 0 {
             return Vec::new();
         }
-        self.ensure_sorted();
-        let n = self.samples_us.len();
-        (1..=points)
-            .map(|i| {
-                let frac = i as f64 / points as f64;
-                let rank = ((frac * (n - 1) as f64).round()) as usize;
-                (Duration::from_micros(self.samples_us[rank]), frac * 100.0)
-            })
+        let fracs = (1..=points).map(|i| i as f64 / points as f64);
+        self.at_ranks(fracs.clone().map(|frac| self.rank_at(frac)))
+            .zip(fracs)
+            .map(|(us, frac)| (Duration::from_micros(us), frac * 100.0))
             .collect()
     }
 }
@@ -300,14 +354,19 @@ impl LatencyHistogram {
 
     /// Record one latency expressed in microseconds.
     pub fn observe_micros(&mut self, micros: u64) {
+        self.observe_micros_n(micros, 1);
+    }
+
+    /// Record `samples` observations of the same latency.
+    pub fn observe_micros_n(&mut self, micros: u64, samples: u64) {
         let ms = micros as f64 / 1000.0;
         let slot = LATENCY_BUCKET_BOUNDS_MS
             .iter()
             .position(|&bound| ms <= bound)
             .unwrap_or(LATENCY_BUCKET_BOUNDS_MS.len());
-        self.buckets[slot] += 1;
-        self.sum_ms += ms;
-        self.count += 1;
+        self.buckets[slot] += samples;
+        self.sum_ms += ms * samples as f64;
+        self.count += samples;
     }
 
     /// Cumulative `(upper_bound_ms, count)` rows in exposition order; the
@@ -390,6 +449,7 @@ impl Throughput {
 #[derive(Debug, Clone, Default)]
 pub struct MemoryTimeline {
     points: Vec<(Duration, u64)>,
+    peak: u64,
 }
 
 impl MemoryTimeline {
@@ -401,6 +461,7 @@ impl MemoryTimeline {
     /// Record the bytes retained at elapsed time `at`.
     pub fn record(&mut self, at: Duration, bytes: u64) {
         self.points.push((at, bytes));
+        self.peak = self.peak.max(bytes);
     }
 
     /// Recorded `(elapsed, bytes)` samples in insertion order.
@@ -410,7 +471,7 @@ impl MemoryTimeline {
 
     /// Largest recorded footprint.
     pub fn peak_bytes(&self) -> u64 {
-        self.points.iter().map(|(_, b)| *b).max().unwrap_or(0)
+        self.peak
     }
 }
 
@@ -501,6 +562,115 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.len(), 2);
         assert_eq!(a.percentile(100.0).unwrap(), Duration::from_micros(100));
+    }
+
+    /// The per-sample recorder the weighted one replaced: every sample
+    /// stored, sorted on demand, the histogram bucketed from the samples.
+    #[derive(Default)]
+    struct ExpandedReference {
+        samples_us: Vec<u64>,
+    }
+
+    impl ExpandedReference {
+        fn record_n(&mut self, micros: u64, samples: u64) {
+            self.samples_us
+                .extend(std::iter::repeat_n(micros, samples as usize));
+        }
+
+        fn sorted(&self) -> Vec<u64> {
+            let mut sorted = self.samples_us.clone();
+            sorted.sort_unstable();
+            sorted
+        }
+
+        fn percentile(&self, p: f64) -> Option<Duration> {
+            let sorted = self.sorted();
+            let last = sorted.len().checked_sub(1)?;
+            let rank = ((p.clamp(0.0, 100.0) / 100.0) * last as f64).round() as usize;
+            Some(Duration::from_micros(sorted[rank]))
+        }
+
+        fn mean(&self) -> Option<Duration> {
+            let n = self.samples_us.len() as u64;
+            let sum: u64 = self.samples_us.iter().sum();
+            (n > 0).then(|| Duration::from_micros(sum / n))
+        }
+
+        fn cdf(&self, points: usize) -> Vec<(Duration, f64)> {
+            let sorted = self.sorted();
+            if sorted.is_empty() {
+                return Vec::new();
+            }
+            (1..=points)
+                .map(|i| {
+                    let frac = i as f64 / points as f64;
+                    let rank = (frac * (sorted.len() - 1) as f64).round() as usize;
+                    (Duration::from_micros(sorted[rank]), frac * 100.0)
+                })
+                .collect()
+        }
+
+        fn histogram(&self) -> LatencyHistogram {
+            let mut hist = LatencyHistogram::new();
+            for &us in &self.samples_us {
+                hist.observe_micros(us);
+            }
+            hist
+        }
+    }
+
+    fn assert_same_answers(weighted: &LatencyRecorder, expanded: &ExpandedReference) {
+        assert_eq!(weighted.len(), expanded.samples_us.len());
+        assert_eq!(weighted.is_empty(), expanded.samples_us.is_empty());
+        for p in [0.0, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(weighted.percentile(p), expanded.percentile(p), "p{p}");
+        }
+        assert_eq!(weighted.mean(), expanded.mean());
+        assert_eq!(weighted.cdf(20), expanded.cdf(20));
+        let (ours, theirs) = (weighted.histogram(), expanded.histogram());
+        assert_eq!(ours.cumulative_buckets(), theirs.cumulative_buckets());
+        assert_eq!(ours.count, theirs.count);
+        let tolerance = 1e-9 * theirs.sum_ms.max(1.0);
+        assert!((ours.sum_ms - theirs.sum_ms).abs() <= tolerance);
+    }
+
+    #[test]
+    fn weighted_runs_answer_exactly_as_the_expanded_samples() {
+        use crate::rng::DetRng;
+        for seed in 0..200u64 {
+            let mut rng = DetRng::new(seed);
+            // few distinct latencies on even seeds (entries coalesce), a
+            // wide spread across every histogram bucket on odd ones
+            let spread = if seed % 2 == 0 { 12 } else { 4_000_000 };
+            let mut halves = [
+                (LatencyRecorder::new(), ExpandedReference::default()),
+                (LatencyRecorder::new(), ExpandedReference::default()),
+            ];
+            for step in 0..rng.next_below(60) {
+                let (weighted, expanded) = &mut halves[(step % 2) as usize];
+                let (us, n) = (rng.next_below(spread), rng.next_below(40));
+                weighted.record_micros_n(us, n);
+                expanded.record_n(us, n);
+                assert_same_answers(weighted, expanded);
+                assert!(weighted.entries() <= expanded.samples_us.len());
+            }
+            let [(mut weighted, mut expanded), (other, other_expanded)] = halves;
+            weighted.merge(&other);
+            expanded.samples_us.extend(other_expanded.samples_us);
+            assert_same_answers(&weighted, &expanded);
+        }
+    }
+
+    #[test]
+    fn a_batch_is_one_entry_however_many_events_it_holds() {
+        let mut rec = LatencyRecorder::new();
+        rec.record_micros_n(7_000, 1_024);
+        rec.record_micros_n(7_000, 1_024);
+        rec.record_micros_n(6_500, 10_240);
+        rec.record_micros_n(9_000, 0);
+        assert_eq!((rec.len(), rec.entries()), (12_288, 2));
+        assert_eq!(rec.percentile(50.0), Some(Duration::from_micros(6_500)));
+        assert_eq!(rec.percentile(95.0), Some(Duration::from_micros(7_000)));
     }
 
     #[test]

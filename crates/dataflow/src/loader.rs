@@ -600,12 +600,15 @@ pub fn load_str(
     })
 }
 
-/// Generate and merge every feed of a validated spec: concatenate in
-/// declaration order, assign each event its entry ordinal, stably sort by
-/// `ts`. The result is independent of how the feeds would arrive.
+/// Generate and merge every feed of a validated spec, ordered by `ts` with
+/// ties going to the feed declared first, then to position within the feed —
+/// the order a stable sort of the feeds' concatenation gives — and each
+/// event stamped with its entry ordinal. The feeds are pulled one event at a
+/// time and merged as they generate, straight into the result; its order is
+/// independent of how the feeds would arrive.
 pub fn build_events(spec: &ScenarioSpec) -> Result<Vec<ScenarioEvent>, LoadError> {
     let entries = spec.entry_ids();
-    let mut all = Vec::new();
+    let mut feeds = Vec::with_capacity(spec.feeds.len());
     for feed in &spec.feeds {
         let ordinal = entries
             .iter()
@@ -618,13 +621,35 @@ pub fn build_events(spec: &ScenarioSpec) -> Result<Vec<ScenarioEvent>, LoadError
             events: feed.events,
             seed: feed.seed,
         };
-        let mut events = source.build(&ctx)?;
-        for ev in &mut events {
-            ev.feed = ordinal;
-        }
-        all.extend(events);
+        feeds.push((ordinal, source.build(&ctx)?.peekable()));
     }
-    all.sort_by_key(|ev| ev.ts);
+    let total = spec.feeds.iter().map(|feed| feed.events).sum();
+    let mut all: Vec<ScenarioEvent> = Vec::with_capacity(total);
+    // A handful of feeds at most: the earliest head is found by scanning
+    // them, first declared first, so a later feed wins only when strictly
+    // earlier.
+    loop {
+        let mut earliest: Option<(usize, u64)> = None;
+        for (index, (_, events)) in feeds.iter_mut().enumerate() {
+            if let Some(head) = events.peek() {
+                if earliest.is_none_or(|(_, ts)| head.ts < ts) {
+                    earliest = Some((index, head.ts));
+                }
+            }
+        }
+        let Some((index, _)) = earliest else { break };
+        let (ordinal, events) = &mut feeds[index];
+        let mut ev = events.next().expect("peeked");
+        ev.feed = *ordinal;
+        // The merge is only a sort if every feed is itself in order, which
+        // `FeedContext::timeline` guarantees of the registered sources.
+        debug_assert!(
+            events.peek().is_none_or(|next| next.ts >= ev.ts),
+            "feed {:?} generated event times out of order",
+            spec.feeds[index].id
+        );
+        all.push(ev);
+    }
     Ok(all)
 }
 

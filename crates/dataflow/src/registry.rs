@@ -79,8 +79,24 @@ impl FeedContext<'_> {
 
     /// The `phase`/`stride` event-time knobs every source accepts: event `i`
     /// carries `ts = phase + i * stride`, so feeds interleave by timestamp.
+    /// The last event's time must fit a `u64`, which is what makes every
+    /// feed non-decreasing in `ts`.
     pub fn timeline(&self) -> Result<(u64, u64), LoadError> {
-        Ok((self.u64_or("phase", 0)?, self.u64_or("stride", 1)?.max(1)))
+        let (phase, stride) = (self.u64_or("phase", 0)?, self.u64_or("stride", 1)?.max(1));
+        let last = (self.events as u64).saturating_sub(1);
+        if last
+            .checked_mul(stride)
+            .and_then(|span| span.checked_add(phase))
+            .is_none()
+        {
+            return Err(LoadError::Invalid {
+                scope: scope_feed(self.feed),
+                message: format!(
+                    "phase {phase} + {last} * stride {stride} overflows the event-time range"
+                ),
+            });
+        }
+        Ok((phase, stride))
     }
 }
 
@@ -335,13 +351,19 @@ pub struct SourceSpec {
     /// Accepted config keys as `(key, description-with-default)` pairs
     /// (besides the builtin `events`/`seed`/`phase`/`stride`).
     pub keys: &'static [(&'static str, &'static str)],
-    builder: fn(&FeedContext<'_>) -> Result<Vec<ScenarioEvent>, LoadError>,
+    builder: fn(&FeedContext<'_>) -> Result<FeedEvents, LoadError>,
 }
 
+/// A feed's events, generated one at a time in event-time order (every
+/// source stamps event `i` with `phase + i * stride`, so `ts` never
+/// decreases) — the loader merges the feeds as it pulls them, without
+/// materialising any feed on its own.
+pub type FeedEvents = Box<dyn Iterator<Item = ScenarioEvent>>;
+
 impl SourceSpec {
-    /// Generate the feed's events (their `feed` ordinal is assigned by the
-    /// loader afterwards).
-    pub fn build(&self, ctx: &FeedContext<'_>) -> Result<Vec<ScenarioEvent>, LoadError> {
+    /// The generator of the feed's events (their `feed` ordinal is assigned
+    /// by the loader as it merges them).
+    pub fn build(&self, ctx: &FeedContext<'_>) -> Result<FeedEvents, LoadError> {
         (self.builder)(ctx)
     }
 }
@@ -359,14 +381,12 @@ static SOURCES: &[SourceSpec] = &[
             let max_amount = ctx.u64_or("max_amount", 1_000)?.max(2);
             let (phase, stride) = ctx.timeline()?;
             let mut rng = DetRng::new(ctx.seed);
-            Ok((0..ctx.events as u64)
-                .map(|i| {
-                    let mut ev = ScenarioEvent::new(EventKind::Card, phase + i * stride);
-                    ev.key = rng.next_range(0, accounts);
-                    ev.amount = rng.next_range(1, max_amount) as Value;
-                    ev
-                })
-                .collect())
+            Ok(Box::new((0..ctx.events as u64).map(move |i| {
+                let mut ev = ScenarioEvent::new(EventKind::Card, phase + i * stride);
+                ev.key = rng.next_range(0, accounts);
+                ev.amount = rng.next_range(1, max_amount) as Value;
+                ev
+            })))
         },
     },
     SourceSpec {
@@ -386,23 +406,21 @@ static SOURCES: &[SourceSpec] = &[
             let permille = ctx.u64_or("transfer_permille", 300)?.min(1_000);
             let (phase, stride) = ctx.timeline()?;
             let mut rng = DetRng::new(ctx.seed);
-            Ok((0..ctx.events as u64)
-                .map(|i| {
-                    let transfer = rng.next_below(1_000) < permille;
-                    let kind = if transfer {
-                        EventKind::Transfer
-                    } else {
-                        EventKind::Deposit
-                    };
-                    let mut ev = ScenarioEvent::new(kind, phase + i * stride);
-                    ev.key = rng.next_range(0, accounts);
-                    if transfer {
-                        ev.key2 = rng.next_range(0, accounts);
-                    }
-                    ev.amount = rng.next_range(1, max_amount) as Value;
-                    ev
-                })
-                .collect())
+            Ok(Box::new((0..ctx.events as u64).map(move |i| {
+                let transfer = rng.next_below(1_000) < permille;
+                let kind = if transfer {
+                    EventKind::Transfer
+                } else {
+                    EventKind::Deposit
+                };
+                let mut ev = ScenarioEvent::new(kind, phase + i * stride);
+                ev.key = rng.next_range(0, accounts);
+                if transfer {
+                    ev.key2 = rng.next_range(0, accounts);
+                }
+                ev.amount = rng.next_range(1, max_amount) as Value;
+                ev
+            })))
         },
     },
     SourceSpec {
@@ -430,15 +448,13 @@ static SOURCES: &[SourceSpec] = &[
             let max_qty = ctx.u64_or("max_qty", 20)?.max(2);
             let (phase, stride) = ctx.timeline()?;
             let mut rng = DetRng::new(ctx.seed);
-            Ok((0..ctx.events as u64)
-                .map(|i| {
-                    let mut ev = ScenarioEvent::new(kind, phase + i * stride);
-                    ev.key = rng.next_range(0, traders);
-                    ev.key2 = rng.next_range(0, levels);
-                    ev.amount = rng.next_range(1, max_qty) as Value;
-                    ev
-                })
-                .collect())
+            Ok(Box::new((0..ctx.events as u64).map(move |i| {
+                let mut ev = ScenarioEvent::new(kind, phase + i * stride);
+                ev.key = rng.next_range(0, traders);
+                ev.key2 = rng.next_range(0, levels);
+                ev.amount = rng.next_range(1, max_qty) as Value;
+                ev
+            })))
         },
     },
     SourceSpec {
@@ -453,14 +469,12 @@ static SOURCES: &[SourceSpec] = &[
             let max_cost = ctx.u64_or("max_cost", 50)?.max(2);
             let (phase, stride) = ctx.timeline()?;
             let mut rng = DetRng::new(ctx.seed);
-            Ok((0..ctx.events as u64)
-                .map(|i| {
-                    let mut ev = ScenarioEvent::new(EventKind::Impression, phase + i * stride);
-                    ev.key = rng.next_range(0, campaigns);
-                    ev.amount = rng.next_range(1, max_cost) as Value;
-                    ev
-                })
-                .collect())
+            Ok(Box::new((0..ctx.events as u64).map(move |i| {
+                let mut ev = ScenarioEvent::new(EventKind::Impression, phase + i * stride);
+                ev.key = rng.next_range(0, campaigns);
+                ev.amount = rng.next_range(1, max_cost) as Value;
+                ev
+            })))
         },
     },
     SourceSpec {
@@ -471,14 +485,12 @@ static SOURCES: &[SourceSpec] = &[
             let campaigns = ctx.u64_or("campaigns", 32)?.max(1);
             let (phase, stride) = ctx.timeline()?;
             let mut rng = DetRng::new(ctx.seed);
-            Ok((0..ctx.events as u64)
-                .map(|i| {
-                    let mut ev = ScenarioEvent::new(EventKind::Click, phase + i * stride);
-                    ev.key = rng.next_range(0, campaigns);
-                    ev.amount = 1;
-                    ev
-                })
-                .collect())
+            Ok(Box::new((0..ctx.events as u64).map(move |i| {
+                let mut ev = ScenarioEvent::new(EventKind::Click, phase + i * stride);
+                ev.key = rng.next_range(0, campaigns);
+                ev.amount = 1;
+                ev
+            })))
         },
     },
     SourceSpec {
@@ -495,15 +507,13 @@ static SOURCES: &[SourceSpec] = &[
             let max_toll = ctx.u64_or("max_toll", 10)?.max(2);
             let (phase, stride) = ctx.timeline()?;
             let mut rng = DetRng::new(ctx.seed);
-            Ok((0..ctx.events as u64)
-                .map(|i| {
-                    let mut ev = ScenarioEvent::new(EventKind::Toll, phase + i * stride);
-                    ev.key = rng.next_range(0, vehicles);
-                    ev.key2 = rng.next_range(0, segments);
-                    ev.amount = rng.next_range(1, max_toll) as Value;
-                    ev
-                })
-                .collect())
+            Ok(Box::new((0..ctx.events as u64).map(move |i| {
+                let mut ev = ScenarioEvent::new(EventKind::Toll, phase + i * stride);
+                ev.key = rng.next_range(0, vehicles);
+                ev.key2 = rng.next_range(0, segments);
+                ev.amount = rng.next_range(1, max_toll) as Value;
+                ev
+            })))
         },
     },
 ];

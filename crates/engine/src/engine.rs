@@ -26,13 +26,13 @@ use std::time::{Duration, Instant};
 use morphstream_common::metrics::{Breakdown, BreakdownBucket, StageTimings};
 use morphstream_common::{EngineConfig, Timestamp};
 use morphstream_executor::execute_batch_with_units;
-use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision, WorkloadObservation};
+use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision};
 use morphstream_storage::StateStore;
 use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, Transaction, TransactionBatch};
 
 use crate::app::{StreamApp, TxnBuilder};
 use crate::pipeline::{BatchHook, PendingBatch, SessionState, TxnEngine};
-use crate::report::{BatchSummary, RunReport};
+use crate::report::{BatchSummary, ReclaimVisits, RunReport};
 
 /// Partitioning function assigning each event to a scheduling group (the
 /// *nested* configuration of Section 8.2.3).
@@ -308,6 +308,8 @@ pub struct MorphStream<A: StreamApp> {
     /// the next batch's construction interval is intersected for the overlap
     /// metric.
     last_execute: Option<(Instant, Instant)>,
+    /// Meters the store's reclaim visits into per-batch figures.
+    reclaim_visits: ReclaimVisits,
 }
 
 impl<A: StreamApp> MorphStream<A> {
@@ -315,6 +317,7 @@ impl<A: StreamApp> MorphStream<A> {
     pub fn new(app: A, store: StateStore, config: EngineConfig) -> Self {
         let planner = TpgBuilder::new().with_threads(config.construction_threads());
         Self {
+            reclaim_visits: ReclaimVisits::new([&store]),
             app: Arc::new(app),
             store,
             config,
@@ -480,24 +483,29 @@ impl<A: StreamApp> MorphStream<A> {
         let mut committed = 0usize;
         let mut aborted = 0usize;
         let mut redone_ops = 0usize;
+        let mut coarse_unit_builds = 0u64;
         for tpg in groups {
             let Some(tpg) = tpg else {
                 outcomes_per_group.push(Vec::new());
                 continue;
             };
-            // Scheduling: decision model over the TPG properties.
+            // Scheduling: decision model over the TPG properties. The coarse
+            // partition is built only if the model needs its cycle flag to
+            // choose, or the decision taken is to run on it.
             let explore_start = Instant::now();
-            let coarse_units = SchedulingUnits::coarse(&tpg);
+            let mut build_coarse = || {
+                coarse_unit_builds += 1;
+                SchedulingUnits::coarse(&tpg)
+            };
+            let mut coarse_units = None;
             let decision = match &self.mode {
                 SchedulingMode::Fixed(decision) => *decision,
-                SchedulingMode::Adaptive(model) => {
-                    let observation =
-                        WorkloadObservation::new(tpg.stats().clone(), coarse_units.had_cycles);
-                    model.decide(&observation)
-                }
+                SchedulingMode::Adaptive(model) => model.decide_with(tpg.stats(), || {
+                    coarse_units.insert(build_coarse()).had_cycles
+                }),
             };
             let units = match decision.granularity {
-                Granularity::Coarse => coarse_units,
+                Granularity::Coarse => coarse_units.take().unwrap_or_else(build_coarse),
                 Granularity::Fine => SchedulingUnits::fine(&tpg),
             };
             breakdown.add(BreakdownBucket::Explore, explore_start.elapsed());
@@ -546,6 +554,7 @@ impl<A: StreamApp> MorphStream<A> {
             self.store
                 .truncate_tables_before(&written_tables, watermark);
         }
+        let reclaim_keys_visited = self.reclaim_visits.take([&self.store]);
         let execute_interval = (execute_started, Instant::now());
         // Construction time hidden behind the previous batch's execution:
         // zero by construction in the serial engine (the intervals cannot
@@ -569,6 +578,8 @@ impl<A: StreamApp> MorphStream<A> {
             elapsed: batch_started.elapsed(),
             decision: decision_of_first_group.unwrap_or_default(),
             redone_ops,
+            coarse_unit_builds,
+            reclaim_keys_visited,
             bytes_retained: self.store.bytes_retained(),
             timings: StageTimings {
                 construct,

@@ -8,6 +8,7 @@ use morphstream_common::metrics::{
     Breakdown, LatencyHistogram, LatencyRecorder, MemoryTimeline, StageTimings, Throughput,
 };
 use morphstream_scheduler::SchedulingDecision;
+use morphstream_storage::StateStore;
 
 /// Summary of one processed batch (one punctuation interval).
 #[derive(Debug, Clone)]
@@ -31,12 +32,52 @@ pub struct BatchSummary {
     pub decision: SchedulingDecision,
     /// Operations redone because of upstream aborts.
     pub redone_ops: usize,
+    /// Coarse scheduling-unit partitions built for the batch: one per group
+    /// whose decision needed the cycle flag or chose `c-schedule`, so 0 for a
+    /// batch the cheap TD/PD test already sent to `f-schedule`.
+    pub coarse_unit_builds: u64,
+    /// Version chains the after-batch reclaim visited: the keys written
+    /// since their last reclaim, not the keys of the tables. On a store
+    /// shared with concurrently running engines, their visits count too.
+    pub reclaim_keys_visited: u64,
     /// Bytes retained by the state store when the batch finished.
     pub bytes_retained: u64,
     /// Construct/execute wall-clock split of the batch, including how much of
     /// the construction ran concurrently with another batch's execution
     /// (always zero without pipelined construction).
     pub timings: StageTimings,
+}
+
+/// Turns the stores' cumulative reclaim-visit counters into per-batch
+/// figures: what the counters gained since the previous batch is the next
+/// [`BatchSummary::reclaim_keys_visited`]. Read from the stores, not summed
+/// from the engines on them: engines that share a store would each count the
+/// visits of the others running beside them.
+#[derive(Debug)]
+pub(crate) struct ReclaimVisits {
+    seen: u64,
+}
+
+impl ReclaimVisits {
+    fn total<'a>(stores: impl IntoIterator<Item = &'a StateStore>) -> u64 {
+        stores
+            .into_iter()
+            .map(StateStore::reclaim_keys_visited)
+            .sum()
+    }
+
+    /// Start counting from what `stores` have visited so far.
+    pub(crate) fn new<'a>(stores: impl IntoIterator<Item = &'a StateStore>) -> Self {
+        Self {
+            seen: Self::total(stores),
+        }
+    }
+
+    /// Chains the reclaims of `stores` visited since the last call.
+    pub(crate) fn take<'a>(&mut self, stores: impl IntoIterator<Item = &'a StateStore>) -> u64 {
+        let total = Self::total(stores);
+        total.saturating_sub(std::mem::replace(&mut self.seen, total))
+    }
 }
 
 impl BatchSummary {
@@ -166,6 +207,10 @@ pub struct RunReport<O> {
     pub aborted: usize,
     /// Operations redone because of upstream aborts, summed over batches.
     pub redone_ops: usize,
+    /// Coarse scheduling-unit partitions built, summed over batches.
+    pub coarse_unit_builds: u64,
+    /// Version chains visited by after-batch reclaims, summed over batches.
+    pub reclaim_keys_visited: u64,
     /// Aggregate throughput over the processing time of all batches.
     pub throughput: Throughput,
     /// End-to-end latency samples of every event.
@@ -200,6 +245,8 @@ impl<O> RunReport<O> {
             committed: 0,
             aborted: 0,
             redone_ops: 0,
+            coarse_unit_builds: 0,
+            reclaim_keys_visited: 0,
             throughput: Throughput::default(),
             latency: LatencyRecorder::new(),
             breakdown: Breakdown::new(),
@@ -217,19 +264,20 @@ impl<O> RunReport<O> {
         self.outputs.len() + self.drained_outputs
     }
 
-    /// Fold one processed batch into the report: per-event latency samples,
-    /// commit/abort counts, throughput, the execution breakdown, the memory
-    /// timeline (`at` is the offset since the run started), and the summary
-    /// itself. Shared by the MorphStream engine and the baseline harness so
-    /// their per-batch bookkeeping cannot drift.
+    /// Fold one processed batch into the report: the batch's latency (one
+    /// weighted entry for all of its events), commit/abort counts,
+    /// throughput, the execution breakdown, the memory timeline (`at` is the
+    /// offset since the run started), and the summary itself. Shared by the
+    /// MorphStream engine and the baseline harness so their per-batch
+    /// bookkeeping cannot drift.
     pub fn record_batch(&mut self, summary: BatchSummary, breakdown: &Breakdown, at: Duration) {
-        let latency_us = summary.elapsed.as_micros() as u64;
-        for _ in 0..summary.events {
-            self.latency.record_micros(latency_us);
-        }
+        self.latency
+            .record_micros_n(summary.elapsed.as_micros() as u64, summary.events as u64);
         self.committed += summary.committed;
         self.aborted += summary.aborted;
         self.redone_ops += summary.redone_ops;
+        self.coarse_unit_builds += summary.coarse_unit_builds;
+        self.reclaim_keys_visited += summary.reclaim_keys_visited;
         // Latency uses `elapsed` (end-to-end, queueing included); throughput
         // uses `processing_time` — under pipelined construction adjacent
         // batches' `elapsed` spans overlap, and summing them would undercount
@@ -269,25 +317,28 @@ impl<O> RunReport<O> {
     }
 
     /// Condense the report into plain cumulative counters (plus a few
-    /// point-in-time gauges), cheap to take repeatedly while a session runs.
-    /// The server's `/metrics` endpoint scrapes these; two snapshots subtract
-    /// into a delta with [`ReportSnapshot::delta_since`].
+    /// point-in-time gauges), cheap to take repeatedly while a session runs:
+    /// nothing is cloned or sorted, the histogram and the peak are kept
+    /// current as batches are recorded, and the two quantiles scan the
+    /// distinct latencies seen — so the cost does not grow with the events
+    /// of the session. The server's `/metrics` endpoint scrapes these; two
+    /// snapshots subtract into a delta with [`ReportSnapshot::delta_since`].
     pub fn snapshot(&self) -> ReportSnapshot {
-        let mut latency = self.latency.clone();
-        let pct = |l: &mut LatencyRecorder, p: f64| {
-            l.percentile(p)
-                .map(|d| d.as_secs_f64() * 1e3)
-                .unwrap_or(0.0)
+        let pct = |p: f64| {
+            let latency = self.latency.percentile(p);
+            latency.map_or(0.0, |d| d.as_secs_f64() * 1e3)
         };
         ReportSnapshot {
             events: self.events() as u64,
             committed: self.committed as u64,
             aborted: self.aborted as u64,
             redone_ops: self.redone_ops as u64,
+            coarse_unit_builds: self.coarse_unit_builds,
+            reclaim_keys_visited: self.reclaim_keys_visited,
             batches: self.batches.len() as u64,
             processing_seconds: self.throughput.elapsed.as_secs_f64(),
-            p50_latency_ms: pct(&mut latency, 50.0),
-            p95_latency_ms: pct(&mut latency, 95.0),
+            p50_latency_ms: pct(50.0),
+            p95_latency_ms: pct(95.0),
             peak_bytes_retained: self.memory.peak_bytes(),
             latency: self.latency.histogram(),
             durability: DurabilityCounters::default(),
@@ -361,6 +412,12 @@ pub struct ReportSnapshot {
     pub aborted: u64,
     /// Operations redone because of upstream aborts.
     pub redone_ops: u64,
+    /// Coarse scheduling-unit partitions built (see
+    /// [`BatchSummary::coarse_unit_builds`]).
+    pub coarse_unit_builds: u64,
+    /// Version chains visited by after-batch reclaims (see
+    /// [`BatchSummary::reclaim_keys_visited`]).
+    pub reclaim_keys_visited: u64,
     /// Punctuation batches processed.
     pub batches: u64,
     /// Engine-occupancy processing time summed over batches, in seconds.
@@ -455,6 +512,12 @@ impl ReportSnapshot {
         delta.committed = self.committed.saturating_sub(prev.committed);
         delta.aborted = self.aborted.saturating_sub(prev.aborted);
         delta.redone_ops = self.redone_ops.saturating_sub(prev.redone_ops);
+        delta.coarse_unit_builds = self
+            .coarse_unit_builds
+            .saturating_sub(prev.coarse_unit_builds);
+        delta.reclaim_keys_visited = self
+            .reclaim_keys_visited
+            .saturating_sub(prev.reclaim_keys_visited);
         delta.batches = self.batches.saturating_sub(prev.batches);
         delta.processing_seconds = (self.processing_seconds - prev.processing_seconds).max(0.0);
         delta.latency = self.latency.saturating_delta(&prev.latency);
@@ -512,6 +575,8 @@ impl ReportSnapshot {
         self.committed += other.committed;
         self.aborted += other.aborted;
         self.redone_ops += other.redone_ops;
+        self.coarse_unit_builds += other.coarse_unit_builds;
+        self.reclaim_keys_visited += other.reclaim_keys_visited;
         self.batches += other.batches;
         self.processing_seconds += other.processing_seconds;
         if other.events > 0 {
@@ -563,6 +628,8 @@ impl ReportSnapshot {
             .unsigned("committed", self.committed)
             .unsigned("aborted", self.aborted)
             .unsigned("redone_ops", self.redone_ops)
+            .unsigned("coarse_unit_builds", self.coarse_unit_builds)
+            .unsigned("reclaim_keys_visited", self.reclaim_keys_visited)
             .unsigned("batches", self.batches)
             .fixed("processing_seconds", self.processing_seconds, 6)
             .fixed("events_per_second", self.events_per_second(), 1)
@@ -596,6 +663,8 @@ mod tests {
             elapsed: Duration::from_millis(150), // includes pipeline queueing
             decision: SchedulingDecision::default(),
             redone_ops: 0,
+            coarse_unit_builds: 0,
+            reclaim_keys_visited: 0,
             bytes_retained: 0,
             timings: StageTimings {
                 construct: Duration::from_millis(40),
@@ -631,6 +700,8 @@ mod tests {
                 elapsed: Duration::from_millis(1),
                 decision: d,
                 redone_ops: 0,
+                coarse_unit_builds: 0,
+                reclaim_keys_visited: 0,
                 bytes_retained: 0,
                 timings: StageTimings::default(),
             });
@@ -649,6 +720,8 @@ mod tests {
             elapsed: Duration::from_millis(10),
             decision: SchedulingDecision::default(),
             redone_ops: 1,
+            coarse_unit_builds: 2,
+            reclaim_keys_visited: 7,
             bytes_retained: 512,
             timings: StageTimings {
                 construct: Duration::from_millis(4),

@@ -150,7 +150,9 @@ use morphstream_scheduler::SchedulingDecision;
 use morphstream_storage::StateStore;
 
 use crate::pipeline::{BatchHook, TxnEngine};
-use crate::report::{BatchSummary, EdgeReport, OperatorCounters, OperatorReport, RunReport};
+use crate::report::{
+    BatchSummary, EdgeReport, OperatorCounters, OperatorReport, ReclaimVisits, RunReport,
+};
 use node::{InstanceMsg, InstanceStats, RoundKind, ToTopology};
 use route::ErasedRoute;
 use runtime::Driver;
@@ -176,8 +178,10 @@ struct Session<Out> {
     sink: Option<crate::pipeline::OutputSink<Out>>,
     run_started: Option<Instant>,
     /// The distinct state stores of the operators (shared stores counted
-    /// once), for per-round memory accounting.
+    /// once), for per-round memory and reclaim accounting.
     stores: Vec<StateStore>,
+    /// Meters the stores' reclaim visits into per-round figures.
+    reclaim_visits: ReclaimVisits,
     edge_labels: Vec<(String, String)>,
     edge_waits: Vec<Arc<AtomicU64>>,
     total_instances: usize,
@@ -208,6 +212,7 @@ impl<Out: 'static> Session<Out> {
             hook: None,
             sink: None,
             run_started: None,
+            reclaim_visits: ReclaimVisits::new(&stores),
             stores,
             edge_labels,
             edge_waits,
@@ -309,6 +314,7 @@ impl<Out: 'static> Session<Out> {
             if acc.entry_events == 0 && acc.totals.is_zero() {
                 continue;
             }
+            let reclaim_keys_visited = self.reclaim_visits.take(&self.stores);
             let summary = BatchSummary {
                 batch: self.report.batches.len(),
                 events: acc.entry_events,
@@ -317,6 +323,8 @@ impl<Out: 'static> Session<Out> {
                 elapsed: acc.started.elapsed(),
                 decision: acc.decision.unwrap_or_default(),
                 redone_ops: acc.totals.redone_ops,
+                coarse_unit_builds: acc.totals.coarse_unit_builds,
+                reclaim_keys_visited,
                 bytes_retained: self.stores.iter().map(StateStore::bytes_retained).sum(),
                 timings: acc.totals.timings,
             };

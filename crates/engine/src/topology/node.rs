@@ -64,6 +64,7 @@ pub(super) struct InstanceStats {
     pub(super) committed: usize,
     pub(super) aborted: usize,
     pub(super) redone_ops: usize,
+    pub(super) coarse_unit_builds: u64,
     pub(super) timings: StageTimings,
     pub(super) breakdown: Breakdown,
 }
@@ -75,6 +76,9 @@ impl InstanceStats {
             committed: self.committed.saturating_sub(earlier.committed),
             aborted: self.aborted.saturating_sub(earlier.aborted),
             redone_ops: self.redone_ops.saturating_sub(earlier.redone_ops),
+            coarse_unit_builds: self
+                .coarse_unit_builds
+                .saturating_sub(earlier.coarse_unit_builds),
             timings: self.timings.saturating_sub(&earlier.timings),
             breakdown: self.breakdown.saturating_sub(&earlier.breakdown),
         }
@@ -85,6 +89,7 @@ impl InstanceStats {
         self.committed += other.committed;
         self.aborted += other.aborted;
         self.redone_ops += other.redone_ops;
+        self.coarse_unit_builds += other.coarse_unit_builds;
         self.timings.merge(&other.timings);
         self.breakdown.merge(&other.breakdown);
     }
@@ -162,6 +167,7 @@ where
             committed: report.committed,
             aborted: report.aborted,
             redone_ops: report.redone_ops,
+            coarse_unit_builds: report.coarse_unit_builds,
             timings: report.stage_timings,
             breakdown: report.breakdown.clone(),
         }

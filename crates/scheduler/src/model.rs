@@ -2,7 +2,10 @@
 //!
 //! The model reads the properties of the constructed TPG (Table 2) plus the
 //! cyclic-dependency flag of the coarse unit partition and picks one decision
-//! per dimension:
+//! per dimension. The flag is the one input that is not free — it takes
+//! building the coarse partition — and it can only veto `c-schedule`, so the
+//! model asks for it last, and only when the free inputs leave the choice
+//! open ([`DecisionModel::decide_with`]):
 //!
 //! * **Exploration** — `s-explore` when there are many dependencies to
 //!   resolve *and* the vertex degree distribution is uniform enough that the
@@ -42,29 +45,14 @@ impl WorkloadObservation {
             coarse_cycles,
         }
     }
+}
 
-    fn deps_per_op(&self) -> f64 {
-        if self.stats.num_ops == 0 {
-            0.0
-        } else {
-            (self.stats.td_edges + self.stats.pd_edges) as f64 / self.stats.num_ops as f64
-        }
-    }
-
-    fn td_per_op(&self) -> f64 {
-        if self.stats.num_ops == 0 {
-            0.0
-        } else {
-            self.stats.td_edges as f64 / self.stats.num_ops as f64
-        }
-    }
-
-    fn pd_per_op(&self) -> f64 {
-        if self.stats.num_ops == 0 {
-            0.0
-        } else {
-            self.stats.pd_edges as f64 / self.stats.num_ops as f64
-        }
+/// `edges` per operation of the batch; 0 for an empty batch.
+fn per_op(stats: &TpgStats, edges: usize) -> f64 {
+    if stats.num_ops == 0 {
+        0.0
+    } else {
+        edges as f64 / stats.num_ops as f64
     }
 }
 
@@ -127,9 +115,13 @@ impl DecisionModel {
 
     /// Pick the exploration strategy (dimension I of Figure 7).
     pub fn decide_exploration(&self, obs: &WorkloadObservation) -> ExplorationStrategy {
+        self.exploration_for(&obs.stats)
+    }
+
+    fn exploration_for(&self, stats: &TpgStats) -> ExplorationStrategy {
         let t = &self.thresholds;
-        if obs.deps_per_op() >= t.deps_per_op_high {
-            if obs.stats.degree_skew <= t.degree_skew_high {
+        if per_op(stats, stats.td_edges + stats.pd_edges) >= t.deps_per_op_high {
+            if stats.degree_skew <= t.degree_skew_high {
                 // Many dependencies, balanced degree distribution: strata keep
                 // threads busy and synchronisation is cheap relative to the
                 // number of resolved dependencies.
@@ -144,10 +136,20 @@ impl DecisionModel {
 
     /// Pick the scheduling granularity (dimension II of Figure 7).
     pub fn decide_granularity(&self, obs: &WorkloadObservation) -> Granularity {
+        self.granularity_for(&obs.stats, || obs.coarse_cycles)
+    }
+
+    /// The granularity rule, cheapest conjunct first: `coarse_cycles` is
+    /// called only when the TD and PD counts already favour `c-schedule`.
+    fn granularity_for(
+        &self,
+        stats: &TpgStats,
+        coarse_cycles: impl FnOnce() -> bool,
+    ) -> Granularity {
         let t = &self.thresholds;
-        if !obs.coarse_cycles
-            && obs.td_per_op() >= t.td_per_op_high
-            && obs.pd_per_op() < t.pd_per_op_high
+        if per_op(stats, stats.td_edges) >= t.td_per_op_high
+            && per_op(stats, stats.pd_edges) < t.pd_per_op_high
+            && !coarse_cycles()
         {
             Granularity::Coarse
         } else {
@@ -157,9 +159,13 @@ impl DecisionModel {
 
     /// Pick the abort handling mechanism (dimension III of Figure 7).
     pub fn decide_abort_handling(&self, obs: &WorkloadObservation) -> AbortHandling {
+        self.abort_handling_for(&obs.stats)
+    }
+
+    fn abort_handling_for(&self, stats: &TpgStats) -> AbortHandling {
         let t = &self.thresholds;
-        if obs.stats.mean_cost_us < t.complexity_high_us
-            && obs.stats.expected_abort_ratio >= t.abort_ratio_high
+        if stats.mean_cost_us < t.complexity_high_us
+            && stats.expected_abort_ratio >= t.abort_ratio_high
         {
             AbortHandling::Lazy
         } else {
@@ -169,10 +175,24 @@ impl DecisionModel {
 
     /// Full decision across the three dimensions.
     pub fn decide(&self, obs: &WorkloadObservation) -> SchedulingDecision {
+        self.decide_with(&obs.stats, || obs.coarse_cycles)
+    }
+
+    /// Full decision from the TPG statistics, asking for the coarse
+    /// partition's cyclic-dependency flag only if it can change the outcome:
+    /// `coarse_cycles` (typically "build the coarse units and look") runs at
+    /// most once, and not at all for a batch whose TD/PD counts already rule
+    /// `c-schedule` out. Equals
+    /// `decide(&WorkloadObservation::new(stats, coarse_cycles()))` always.
+    pub fn decide_with(
+        &self,
+        stats: &TpgStats,
+        coarse_cycles: impl FnOnce() -> bool,
+    ) -> SchedulingDecision {
         SchedulingDecision {
-            exploration: self.decide_exploration(obs),
-            granularity: self.decide_granularity(obs),
-            abort_handling: self.decide_abort_handling(obs),
+            exploration: self.exploration_for(stats),
+            granularity: self.granularity_for(stats, coarse_cycles),
+            abort_handling: self.abort_handling_for(stats),
         }
     }
 }
@@ -243,6 +263,30 @@ mod tests {
 
         let few_td = WorkloadObservation::new(stats(1000, 100, 20, 2.0, 10.0, 0.0), false);
         assert_eq!(model.decide_granularity(&few_td), Granularity::Fine);
+    }
+
+    #[test]
+    fn the_cycle_flag_is_asked_for_only_when_td_and_pd_leave_coarse_open() {
+        let model = DecisionModel::new();
+        let ask = |stats: &TpgStats, cycles: bool| {
+            let mut asked = false;
+            let decision = model.decide_with(stats, || {
+                asked = true;
+                cycles
+            });
+            let eager = model.decide(&WorkloadObservation::new(stats.clone(), cycles));
+            assert_eq!(decision, eager);
+            asked
+        };
+        let open = stats(1000, 900, 20, 2.0, 10.0, 0.0);
+        let many_pd = stats(1000, 900, 400, 2.0, 10.0, 0.0);
+        let few_td = stats(1000, 100, 20, 2.0, 10.0, 0.0);
+        for cycles in [false, true] {
+            assert!(ask(&open, cycles));
+            assert!(!ask(&many_pd, cycles));
+            assert!(!ask(&few_td, cycles));
+            assert!(!ask(&TpgStats::default(), cycles));
+        }
     }
 
     #[test]

@@ -215,8 +215,8 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadgenReport> {
     stream.shutdown(std::net::Shutdown::Write)?;
     let elapsed = started.elapsed();
 
-    let pct = |recorder: &mut LatencyRecorder, p: f64| {
-        recorder
+    let pct = |p: f64| {
+        writes
             .percentile(p)
             .map(|d| d.as_secs_f64() * 1000.0)
             .unwrap_or(0.0)
@@ -224,9 +224,9 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadgenReport> {
     Ok(LoadgenReport {
         sent,
         elapsed,
-        p50_write_ms: pct(&mut writes, 50.0),
-        p95_write_ms: pct(&mut writes, 95.0),
-        p99_write_ms: pct(&mut writes, 99.0),
+        p50_write_ms: pct(50.0),
+        p95_write_ms: pct(95.0),
+        p99_write_ms: pct(99.0),
         reconnects,
     })
 }

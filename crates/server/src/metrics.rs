@@ -233,6 +233,18 @@ pub fn render_prometheus(total: &ReportSnapshot, metrics: &ServerMetrics) -> Str
     );
     counter(
         &mut out,
+        "morphstream_coarse_unit_builds_total",
+        "Coarse scheduling-unit partitions built (0 per batch the TD/PD test sends to fine-grained scheduling).",
+        total.coarse_unit_builds,
+    );
+    counter(
+        &mut out,
+        "morphstream_reclaim_keys_visited_total",
+        "Version chains visited by after-batch reclaims (keys written since their last reclaim, not keys held).",
+        total.reclaim_keys_visited,
+    );
+    counter(
+        &mut out,
         "morphstream_batches_total",
         "Punctuation batches processed.",
         total.batches,
@@ -510,6 +522,11 @@ pub(crate) fn serve_http(
 /// [`serve_http`] plus an extra route hook: `extra` sees the request path
 /// first and may claim it with a `(status, content_type, body)` response
 /// (the standby's `/promote` admin endpoint rides on this).
+///
+/// The listener is polled rather than blocked on, so the loop leaves within
+/// a poll of `running` turning false whatever the listen address is; the
+/// idle tick is 1 ms because it is also the floor under every scrape's
+/// latency.
 pub(crate) fn serve_http_with(
     listener: TcpListener,
     running: impl Fn() -> bool,
@@ -523,8 +540,9 @@ pub(crate) fn serve_http_with(
         match listener.accept() {
             Ok((stream, _)) => handle_http(stream, &scrape, &extra),
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(1));
             }
+            // Out of descriptors or the like: give it a moment to pass.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -602,6 +620,8 @@ mod tests {
             committed: 95,
             aborted: 5,
             batches: 10,
+            coarse_unit_builds: 3,
+            reclaim_keys_visited: 1_234,
             processing_seconds: 0.5,
             ..Default::default()
         };
@@ -614,6 +634,8 @@ mod tests {
         assert!(text.contains("morphstream_events_total 100\n"));
         assert!(text.contains("morphstream_committed_total 95\n"));
         assert!(text.contains("morphstream_connections_total 2\n"));
+        assert!(text.contains("morphstream_coarse_unit_builds_total 3\n"));
+        assert!(text.contains("morphstream_reclaim_keys_visited_total 1234\n"));
         assert!(text
             .contains("morphstream_edge_queue_full_waits_total{from=\"ledger\",to=\"audit\"} 7\n"));
         // every exposed family carries HELP and TYPE headers

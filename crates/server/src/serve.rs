@@ -46,11 +46,6 @@ const INGEST_CHUNK: usize = 256;
 /// Poll interval of the accept loop and the idle tick of quiet connections.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Ingest chunks between scrape-cache refreshes (~4k events): under sustained
-/// back-pressure the engine lock is almost never free at scrape time, so the
-/// ingest path itself keeps the fallback totals fresh.
-const CACHE_REFRESH_CHUNKS: u64 = 16;
-
 /// Everything `morphstream serve` needs to come up. [`Default`] binds
 /// ephemeral ports (for tests); the CLI fills in real addresses and knobs.
 #[derive(Debug, Clone)]
@@ -534,21 +529,17 @@ fn live_total(shared: &Shared, engine: &ServeEngine) -> ReportSnapshot {
     shared.metrics.total_with_live(&live)
 }
 
-/// Render the current lifetime metrics, preferring a live engine snapshot
-/// but falling back to the last coherent one when the engine lock is held by
-/// a push blocked in back-pressure (a scrape must never wait behind the
-/// dataflow; the ingest path refreshes the fallback every
-/// [`CACHE_REFRESH_CHUNKS`] chunks).
+/// Render the current lifetime metrics: a live engine snapshot when the
+/// engine lock is free, else the last coherent one — a scrape never waits
+/// behind the dataflow, and never serves more than one ingest chunk of
+/// staleness, because the ingest path refreshes the fallback after every
+/// chunk it pushes.
 fn scrape(shared: &Shared) -> String {
-    for _ in 0..25 {
-        if let Ok(served) = shared.engine.try_lock() {
-            let total = live_total(shared, served.engine());
-            drop(served);
-            return render_prometheus(&total, &shared.metrics);
-        }
-        thread::sleep(Duration::from_millis(4));
-    }
-    render_prometheus(&shared.metrics.cached_total(), &shared.metrics)
+    let total = match shared.engine.try_lock() {
+        Ok(served) => live_total(shared, served.engine()),
+        Err(_) => shared.metrics.cached_total(),
+    };
+    render_prometheus(&total, &shared.metrics)
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
@@ -586,7 +577,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let mut source: SocketEventSource<SlEvent> = SocketEventSource::new(stream);
     let mut buf: Vec<SlEvent> = Vec::with_capacity(INGEST_CHUNK);
-    let mut chunks = 0u64;
     loop {
         let n = source.next_batch(INGEST_CHUNK, &mut buf);
         if n == 0 {
@@ -621,10 +611,8 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                     (n as u64, None)
                 }
             };
-            chunks += 1;
-            if chunks.is_multiple_of(CACHE_REFRESH_CHUNKS) {
-                live_total(&shared, served.engine());
-            }
+            // Keep the scrape fallback current while the lock is held anyway.
+            live_total(&shared, served.engine());
             (logged, wal_tip)
         };
         shared.pushed.fetch_add(logged, Ordering::SeqCst);

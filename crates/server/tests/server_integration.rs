@@ -214,6 +214,23 @@ fn session_rotation_preserves_lifetime_totals() {
     assert_eq!(summary.output_digest, expected.output_digest);
 }
 
+#[test]
+fn shutdown_does_not_depend_on_reaching_the_metrics_listener() {
+    // The responder is told to stop through its flag, never through its own
+    // socket, so a wildcard listen address is as good as loopback.
+    let mut opts = test_options(None);
+    opts.metrics_addr = "0.0.0.0:0".into();
+    let server = Server::start(opts).expect("server starts");
+    let started = Instant::now();
+    let summary = server.shutdown();
+    assert_eq!(summary.snapshot.events, 0);
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+}
+
 /// The same options without rotation, for the reference side.
 fn test_options_like(opts: &ServeOptions) -> ServeOptions {
     let mut reference = opts.clone();

@@ -167,7 +167,9 @@ impl StateStore {
     }
 
     /// Reclaim old versions of exactly `tables` at watermark `ts`, skipping
-    /// pinned tables. This is the per-table-scoped reclamation used by
+    /// pinned tables; costs one visit per key written since its last reclaim
+    /// (see [`MvTable::truncate_before`]), whatever the tables hold. This is
+    /// the per-table-scoped reclamation used by
     /// engines whose store is shared with sibling operators of a topology:
     /// every operator stamps its own timestamp domain, so a watermark is only
     /// meaningful for the tables *that operator writes* — truncating the
@@ -198,13 +200,25 @@ impl StateStore {
             .sum()
     }
 
-    /// Approximate bytes retained across all tables.
+    /// Approximate bytes retained across all tables (a sum of per-shard
+    /// totals, not a walk over the keys).
     pub fn bytes_retained(&self) -> u64 {
         self.inner
             .tables
             .read()
             .iter()
             .map(|t| t.bytes_retained())
+            .sum()
+    }
+
+    /// Version chains visited by every reclaim of every table so far
+    /// (cumulative; see [`MvTable::reclaim_keys_visited`]).
+    pub fn reclaim_keys_visited(&self) -> u64 {
+        self.inner
+            .tables
+            .read()
+            .iter()
+            .map(|t| t.reclaim_keys_visited())
             .sum()
     }
 

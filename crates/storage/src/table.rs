@@ -1,7 +1,8 @@
 //! A sharded multi-version table.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use parking_lot::RwLock;
 
@@ -14,9 +15,44 @@ use crate::version::{Version, VersionChain, WriterId};
 /// worker-thread counts so that uncontended keys rarely share a lock.
 const SHARDS: usize = 64;
 
+/// One lock's worth of a table: its chains plus the running totals of them,
+/// all guarded by the shard lock every mutation already holds — so the
+/// table-wide figures are sums over the shards, never walks over the keys.
 #[derive(Default)]
 struct Shard {
     chains: HashMap<Key, VersionChain>,
+    /// Keys whose chain may hold more than one version: the only chains a
+    /// reclaim has anything to drop from. A key is pushed when its chain
+    /// grows past one version and stays (flagged in the chain, so listed at
+    /// most once) until a reclaim finds the chain back at one.
+    multi: Vec<Key>,
+    /// Versions retained by `chains`.
+    versions: u64,
+    /// Bytes retained by `chains`: every chain's capacity plus its key.
+    bytes: u64,
+    /// Chains visited by every reclaim so far.
+    reclaim_visited: u64,
+}
+
+/// Bytes a chain accounts for in its shard's total.
+fn chain_bytes(chain: &VersionChain) -> u64 {
+    chain.bytes_retained() + std::mem::size_of::<Key>() as u64
+}
+
+impl Shard {
+    /// The chain of `key`; an absent one is created at `create_at`, or stays
+    /// absent (`None`) when there is no value to create it at.
+    fn chain_mut(&mut self, key: Key, create_at: Option<Value>) -> Option<&mut VersionChain> {
+        match self.chains.entry(key) {
+            Entry::Occupied(slot) => Some(slot.into_mut()),
+            Entry::Vacant(slot) => {
+                let chain = slot.insert(VersionChain::with_initial(create_at?));
+                self.versions += 1;
+                self.bytes += chain_bytes(chain);
+                Some(chain)
+            }
+        }
+    }
 }
 
 /// A multi-version table: one version chain per key, sharded for concurrent
@@ -27,8 +63,6 @@ pub struct MvTable {
     default_value: Value,
     auto_create: bool,
     shards: Vec<RwLock<Shard>>,
-    /// Total number of versions currently retained, across all shards.
-    version_count: AtomicU64,
     /// Pinned tables are exempt from [`MvTable::truncate_before`]: windowed
     /// reads aggregate historical versions, so once a table serves windows
     /// its history must survive after-batch reclamation.
@@ -60,7 +94,6 @@ impl MvTable {
             default_value,
             auto_create,
             shards,
-            version_count: AtomicU64::new(0),
             pinned: std::sync::atomic::AtomicBool::new(false),
             dirty: std::sync::atomic::AtomicBool::new(true),
         }
@@ -132,16 +165,14 @@ impl MvTable {
 
     /// Pre-allocate `keys` with the table's default value.
     pub fn preallocate<I: IntoIterator<Item = Key>>(&self, keys: I) {
-        let mut created = 0u64;
+        let mut any_created = false;
         for key in keys {
             let mut shard = self.shard_for(key).write();
-            shard.chains.entry(key).or_insert_with(|| {
-                created += 1;
-                VersionChain::with_initial(self.default_value)
-            });
+            let keys_before = shard.chains.len();
+            shard.chain_mut(key, Some(self.default_value));
+            any_created |= shard.chains.len() > keys_before;
         }
-        self.version_count.fetch_add(created, Ordering::Relaxed);
-        if created > 0 {
+        if any_created {
             self.mark_dirty();
         }
     }
@@ -155,15 +186,18 @@ impl MvTable {
     /// to seed initial balances before a run.
     pub fn seed(&self, key: Key, value: Value) {
         let mut shard = self.shard_for(key).write();
-        let prev = shard.chains.insert(key, VersionChain::with_initial(value));
-        if prev.is_none() {
-            self.version_count.fetch_add(1, Ordering::Relaxed);
-        } else if let Some(prev) = prev {
-            // replacing an existing chain: adjust the version count.
-            let removed = prev.len() as u64;
-            self.version_count.fetch_sub(removed, Ordering::Relaxed);
-            self.version_count.fetch_add(1, Ordering::Relaxed);
+        let shard = &mut *shard;
+        let mut chain = VersionChain::with_initial(value);
+        shard.versions += 1;
+        shard.bytes += chain_bytes(&chain);
+        if let Some(prev) = shard.chains.get(&key) {
+            // A replaced chain takes its totals with it and leaves its place
+            // in the reclaim list (if it has one) to the new chain.
+            shard.versions -= prev.len() as u64;
+            shard.bytes -= chain_bytes(prev);
+            chain.listed = prev.listed;
         }
+        shard.chains.insert(key, chain);
         self.mark_dirty();
     }
 
@@ -228,28 +262,26 @@ impl MvTable {
         value: Value,
     ) -> Result<()> {
         let mut shard = self.shard_for(key).write();
-        let chain = match shard.chains.get_mut(&key) {
-            Some(chain) => chain,
-            None if self.auto_create => {
-                self.version_count.fetch_add(1, Ordering::Relaxed);
-                shard
-                    .chains
-                    .entry(key)
-                    .or_insert_with(|| VersionChain::with_initial(self.default_value))
-            }
-            None => {
-                return Err(MorphError::UnknownKey {
-                    state: self.state_ref(key),
-                })
-            }
+        let create_at = self.auto_create.then_some(self.default_value);
+        let Some(chain) = shard.chain_mut(key, create_at) else {
+            return Err(MorphError::UnknownKey {
+                state: self.state_ref(key),
+            });
         };
+        let capacity_before = chain.bytes_retained();
         chain.insert(Version {
             ts,
             stmt,
             writer,
             value,
         });
-        self.version_count.fetch_add(1, Ordering::Relaxed);
+        let grown = chain.bytes_retained() - capacity_before;
+        let newly_listed = chain.len() > 1 && !std::mem::replace(&mut chain.listed, true);
+        shard.versions += 1;
+        shard.bytes += grown;
+        if newly_listed {
+            shard.multi.push(key);
+        }
         self.mark_dirty();
         Ok(())
     }
@@ -259,14 +291,12 @@ impl MvTable {
     /// rollback when writer ids are recycled across batches).
     pub fn rollback_writer_at(&self, key: Key, writer: WriterId, ts: Timestamp) -> usize {
         let mut shard = self.shard_for(key).write();
-        if let Some(chain) = shard.chains.get_mut(&key) {
-            let removed = chain.remove_writer_at(writer, ts);
-            self.version_count
-                .fetch_sub(removed as u64, Ordering::Relaxed);
-            removed
-        } else {
-            0
-        }
+        let removed = match shard.chains.get_mut(&key) {
+            Some(chain) => chain.remove_writer_at(writer, ts),
+            None => 0,
+        };
+        shard.versions -= removed as u64;
+        removed
     }
 
     /// Versions of `key` whose timestamps fall inside `[lo, hi]`.
@@ -284,40 +314,57 @@ impl MvTable {
     /// Drop versions older than the newest one at or before `ts`, for every
     /// key (the after-batch reclamation toggle). A no-op on pinned tables
     /// (see [`MvTable::pin`]).
+    ///
+    /// Costs one visit per key written since its chain was last reclaimed
+    /// down to a single version — not one per key of the table: only chains
+    /// holding more than one version have anything to drop, and each shard
+    /// keeps the list of those.
     pub fn truncate_before(&self, ts: Timestamp) {
         if self.is_pinned() {
             return;
         }
         for shard in &self.shards {
             let mut shard = shard.write();
-            for chain in shard.chains.values_mut() {
-                let before = chain.len() as u64;
+            let Shard {
+                chains,
+                multi,
+                versions,
+                reclaim_visited,
+                ..
+            } = &mut *shard;
+            *reclaim_visited += multi.len() as u64;
+            multi.retain(|key| {
+                let chain = chains.get_mut(key).expect("chains are never removed");
+                let before = chain.len();
                 chain.truncate_before(ts);
-                let removed = before - chain.len() as u64;
-                if removed > 0 {
-                    self.version_count.fetch_sub(removed, Ordering::Relaxed);
-                }
-            }
+                *versions -= (before - chain.len()) as u64;
+                chain.listed = chain.len() > 1;
+                chain.listed
+            });
         }
+    }
+
+    /// Sum of one per-shard total over the shards.
+    fn sum_shards(&self, total: impl Fn(&Shard) -> u64) -> u64 {
+        self.shards.iter().map(|shard| total(&shard.read())).sum()
     }
 
     /// Total number of retained versions.
     pub fn version_count(&self) -> u64 {
-        self.version_count.load(Ordering::Relaxed)
+        self.sum_shards(|shard| shard.versions)
     }
 
-    /// Approximate bytes retained by the table's version chains.
+    /// Approximate bytes retained by the table's version chains: every
+    /// chain's capacity plus its key, summed from the per-shard totals.
     pub fn bytes_retained(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .chains
-                    .values()
-                    .map(|c| c.bytes_retained() + std::mem::size_of::<Key>() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
+        self.sum_shards(|shard| shard.bytes)
+    }
+
+    /// Version chains visited by every [`MvTable::truncate_before`] so far
+    /// (cumulative): per reclaim, the number of keys written since their
+    /// chain last shrank to one version, whatever the size of the table.
+    pub fn reclaim_keys_visited(&self) -> u64 {
+        self.sum_shards(|shard| shard.reclaim_visited)
     }
 
     /// Latest value of every key — used by tests to compare engines against a
@@ -344,6 +391,39 @@ impl std::fmt::Debug for MvTable {
             .field("keys", &self.key_count())
             .field("versions", &self.version_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl MvTable {
+    /// What the per-shard totals must equal, found the way they used to be:
+    /// by visiting every chain. `(versions, bytes, listed keys, keys)`.
+    fn walk(&self) -> (u64, u64, usize, usize) {
+        let mut totals = (0, 0, 0, 0);
+        for shard in &self.shards {
+            let shard = shard.read();
+            for (key, chain) in &shard.chains {
+                totals.0 += chain.len() as u64;
+                totals.1 += chain_bytes(chain);
+                let listed = shard.multi.iter().filter(|k| *k == key).count();
+                assert_eq!(listed, chain.listed as usize, "key {key} listed {listed}x");
+                assert!(
+                    chain.listed || chain.len() <= 1,
+                    "key {key} escaped the list"
+                );
+            }
+            totals.2 += shard.multi.len();
+            totals.3 += shard.chains.len();
+        }
+        totals
+    }
+
+    /// Assert the totals equal the walk, and that no key is listed twice.
+    fn assert_totals_match_walk(&self) {
+        let (versions, bytes, listed, keys) = self.walk();
+        assert_eq!(self.version_count(), versions);
+        assert_eq!(self.bytes_retained(), bytes);
+        assert!(listed <= keys);
     }
 }
 
@@ -512,6 +592,72 @@ mod tests {
         }
         assert!(t.bytes_retained() > b0);
         assert_eq!(t.version_count(), v0 + 199);
+        t.assert_totals_match_walk();
+    }
+
+    #[test]
+    fn totals_equal_a_walk_after_every_step_of_a_mixed_history() {
+        use morphstream_common::rng::DetRng;
+        for auto_create in [false, true] {
+            let t = MvTable::new(TableId(0), "t", 5, auto_create);
+            t.preallocate_range(24);
+            let mut rng = DetRng::new(0x5EED ^ auto_create as u64);
+            let mut ts = 0;
+            for step in 0..4_000u64 {
+                let key = rng.next_below(if auto_create { 40 } else { 24 });
+                match rng.next_below(16) {
+                    0..=8 => {
+                        ts += 1;
+                        // some writes land out of order, as speculation does
+                        let at = ts - rng.next_below(3).min(ts - 1);
+                        t.write(key, at, 0, step % 7, step as Value).unwrap();
+                    }
+                    9..=10 => {
+                        t.rollback_writer_at(
+                            key,
+                            rng.next_below(7),
+                            ts - rng.next_below(3).min(ts),
+                        );
+                    }
+                    11 => t.seed(key, step as Value),
+                    12 => t.preallocate(key..key + 3),
+                    13 => {
+                        let _ = t.read_before(key + 8, ts + 1, 0);
+                    }
+                    _ => {
+                        let visited = t.reclaim_keys_visited();
+                        let multi = t.walk().2 as u64;
+                        t.truncate_before(ts.saturating_sub(rng.next_below(4)));
+                        assert_eq!(t.reclaim_keys_visited() - visited, multi);
+                    }
+                }
+                t.assert_totals_match_walk();
+            }
+            // a reclaim past every write leaves one version per key and an
+            // empty list: the next one visits nothing
+            t.truncate_before(u64::MAX);
+            let (versions, _, listed, keys) = t.walk();
+            assert_eq!((versions, listed), (keys as u64, 0));
+            let visited = t.reclaim_keys_visited();
+            t.truncate_before(u64::MAX);
+            assert_eq!(t.reclaim_keys_visited(), visited);
+        }
+    }
+
+    #[test]
+    fn reclaim_visits_only_the_keys_written_since_the_last_one() {
+        let t = MvTable::new(TableId(0), "big", 0, false);
+        t.preallocate_range(10_000);
+        for round in 0..5u64 {
+            for key in [3, 77, 4_242, 3] {
+                t.write(key, round * 10 + 1, 0, key, 1).unwrap();
+            }
+            let visited = t.reclaim_keys_visited();
+            t.truncate_before(round * 10 + 9);
+            assert_eq!(t.reclaim_keys_visited() - visited, 3);
+            assert_eq!(t.version_count(), 10_000);
+        }
+        t.assert_totals_match_walk();
     }
 
     #[test]
@@ -531,5 +677,36 @@ mod tests {
             }
         });
         assert_eq!(t.version_count(), 64 + 8 * 100);
+        t.assert_totals_match_walk();
+    }
+
+    #[test]
+    fn concurrent_writers_and_a_reclaim_per_round_keep_the_totals_exact() {
+        let t = MvTable::new(TableId(2), "c", 0, false);
+        t.preallocate_range(64);
+        for round in 0..20u64 {
+            let base = round * 10_000;
+            std::thread::scope(|s| {
+                for thread in 0..8u64 {
+                    let t = &t;
+                    s.spawn(move || {
+                        for i in 0..50u64 {
+                            // threads overlap on keys, so shards' lists are
+                            // pushed to from several writers at once
+                            let key = (thread * 5 + i) % 64;
+                            let ts = base + thread * 100 + i + 1;
+                            t.write(key, ts, 0, ts, 1).unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(t.version_count(), 64 + 8 * 50);
+            t.assert_totals_match_walk();
+            let visited = t.reclaim_keys_visited();
+            t.truncate_before(base + 9_999);
+            assert!(t.reclaim_keys_visited() - visited <= 64);
+            assert_eq!(t.version_count(), 64);
+            t.assert_totals_match_walk();
+        }
     }
 }

@@ -40,6 +40,10 @@ impl Version {
 #[derive(Debug, Clone, Default)]
 pub struct VersionChain {
     versions: Vec<Version>,
+    /// Set while the owning table lists this chain's key among those a
+    /// reclaim must visit (see `MvTable::truncate_before`), so a key is
+    /// listed at most once however often its chain regrows.
+    pub(crate) listed: bool,
 }
 
 impl VersionChain {
@@ -52,6 +56,7 @@ impl VersionChain {
                 writer: INITIAL_WRITER,
                 value,
             }],
+            listed: false,
         }
     }
 

@@ -5,12 +5,139 @@
 //! * rollback of a writer restores exactly the state visible before it wrote;
 //! * windowed reads return precisely the versions inside the window;
 //! * the sequence of visible values at increasing timestamps is consistent
-//!   with replaying the writes in timestamp order.
+//!   with replaying the writes in timestamp order;
+//! * the table's running totals (`version_count`, `bytes_retained`) and the
+//!   keys its reclaims visit are, after every step of any history, what a
+//!   model that walks every chain finds.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use morphstream_common::TableId;
+use morphstream_common::{Key, TableId, Timestamp, Value};
 use morphstream_storage::{MvTable, Version, VersionChain};
+
+/// One step of a table history.
+#[derive(Debug, Clone)]
+enum Step {
+    Write(Key, Timestamp, u64, Value),
+    Rollback(Key, u64, Timestamp),
+    Seed(Key, Value),
+    Preallocate(Key, u64),
+    Read(Key, Timestamp),
+    Truncate(Timestamp),
+    Pin,
+}
+
+/// Steps over a small key and timestamp space, so chains grow, shrink and
+/// regrow, writers and timestamps recur, and reads and writes fall on keys
+/// that do not exist yet. Weighted towards writes; pinning is rare because
+/// it ends reclamation for good.
+fn step() -> impl Strategy<Value = Step> {
+    let key = || 0u64..12;
+    let ts = || 1u64..40;
+    let write =
+        || (key(), ts(), 0u64..5, -50i64..50).prop_map(|(k, t, w, v)| Step::Write(k, t, w, v));
+    let truncate = || (0u64..45).prop_map(Step::Truncate);
+    prop_oneof![
+        write(),
+        write(),
+        write(),
+        write(),
+        (key(), 0u64..5, ts()).prop_map(|(k, w, t)| Step::Rollback(k, w, t)),
+        (key(), 0u64..5, ts()).prop_map(|(k, w, t)| Step::Rollback(k, w, t)),
+        (key(), -50i64..50).prop_map(|(k, v)| Step::Seed(k, v)),
+        (key(), 1u64..4).prop_map(|(k, n)| Step::Preallocate(k, n)),
+        (key(), ts()).prop_map(|(k, t)| Step::Read(k, t)),
+        truncate(),
+        truncate(),
+        truncate(),
+        (0u64..12).prop_filter_map("pin one time in twelve", |n| (n == 0).then_some(Step::Pin)),
+    ]
+}
+
+/// The table as plain chains, every figure found by walking them.
+struct Model {
+    default_value: Value,
+    auto_create: bool,
+    chains: BTreeMap<Key, VersionChain>,
+    /// Keys whose chain outgrew one version since a reclaim last found it
+    /// at one: what the next reclaim has to visit.
+    outgrown: BTreeSet<Key>,
+    pinned: bool,
+    visited: u64,
+}
+
+impl Model {
+    fn create(&mut self, key: Key) {
+        let initial = VersionChain::with_initial(self.default_value);
+        self.chains.entry(key).or_insert(initial);
+    }
+
+    fn apply(&mut self, step: &Step) {
+        match *step {
+            Step::Write(key, ts, writer, value) => {
+                if self.auto_create {
+                    self.create(key);
+                }
+                if let Some(chain) = self.chains.get_mut(&key) {
+                    chain.insert(Version {
+                        ts,
+                        stmt: 0,
+                        writer,
+                        value,
+                    });
+                    if chain.len() > 1 {
+                        self.outgrown.insert(key);
+                    }
+                }
+            }
+            Step::Rollback(key, writer, ts) => {
+                if let Some(chain) = self.chains.get_mut(&key) {
+                    chain.remove_writer_at(writer, ts);
+                }
+            }
+            Step::Seed(key, value) => {
+                self.chains.insert(key, VersionChain::with_initial(value));
+            }
+            Step::Preallocate(key, n) => (key..key + n).for_each(|key| self.create(key)),
+            Step::Read(key, _) => {
+                if self.auto_create {
+                    self.create(key);
+                }
+            }
+            Step::Truncate(ts) => {
+                if !self.pinned {
+                    self.visited += self.outgrown.len() as u64;
+                    for chain in self.chains.values_mut() {
+                        chain.truncate_before(ts);
+                    }
+                    let chains = &self.chains;
+                    self.outgrown.retain(|key| chains[key].len() > 1);
+                }
+            }
+            Step::Pin => self.pinned = true,
+        }
+    }
+}
+
+fn apply_to_table(table: &MvTable, step: &Step) {
+    match *step {
+        Step::Write(key, ts, writer, value) => {
+            let _ = table.write(key, ts, 0, writer, value);
+        }
+        Step::Rollback(key, writer, ts) => {
+            table.rollback_writer_at(key, writer, ts);
+        }
+        Step::Seed(key, value) => table.seed(key, value),
+        Step::Preallocate(key, n) => table.preallocate(key..key + n),
+        Step::Read(key, ts) => {
+            let _ = table.read_before(key, ts, 0);
+        }
+        Step::Truncate(ts) => table.truncate_before(ts),
+        Step::Pin => table.pin(),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -125,5 +252,39 @@ proptest! {
         let latest_before = table.read_latest(0).unwrap();
         table.truncate_before(cut);
         prop_assert_eq!(table.read_latest(0).unwrap(), latest_before);
+    }
+
+    #[test]
+    fn totals_and_reclaim_visits_match_a_model_that_walks_every_chain(
+        steps in proptest::collection::vec(step(), 1..120),
+        auto_create in prop_oneof![Just(false), Just(true)],
+    ) {
+        let table = MvTable::new(TableId(0), "t", 3, auto_create);
+        let mut model = Model {
+            default_value: 3,
+            auto_create,
+            chains: BTreeMap::new(),
+            outgrown: BTreeSet::new(),
+            pinned: false,
+            visited: 0,
+        };
+        let preallocated = Step::Preallocate(0, 6);
+        for step in std::iter::once(&preallocated).chain(&steps) {
+            apply_to_table(&table, step);
+            model.apply(step);
+
+            prop_assert_eq!(table.key_count(), model.chains.len(), "after {:?}", step);
+            for (key, chain) in &model.chains {
+                let surviving = table.window(*key, 0, Timestamp::MAX).unwrap();
+                prop_assert_eq!(&surviving[..], chain.versions(), "key {} after {:?}", key, step);
+            }
+            let versions: usize = model.chains.values().map(VersionChain::len).sum();
+            prop_assert_eq!(table.version_count(), versions as u64, "after {:?}", step);
+            let key_bytes = std::mem::size_of::<Key>() as u64;
+            let bytes: u64 = model.chains.values().map(|c| c.bytes_retained() + key_bytes).sum();
+            prop_assert_eq!(table.bytes_retained(), bytes, "after {:?}", step);
+            prop_assert_eq!(table.reclaim_keys_visited(), model.visited, "after {:?}", step);
+            prop_assert!(model.outgrown.len() <= model.chains.len());
+        }
     }
 }

@@ -28,7 +28,7 @@ where
 {
     let mut pipeline = engine.pipeline();
     pipeline.push_iter(StreamingLedgerApp::source(config, EVENTS, TRANSFER_RATIO));
-    let mut report = pipeline.finish();
+    let report = pipeline.finish();
     println!(
         "{:<14} {:>14.2} {:>12.2} {:>10}",
         name,
