@@ -67,12 +67,6 @@ impl<A: StreamApp> LockedSpeEngine<A> {
         &self.store
     }
 
-    /// Process a stream of events — convenience wrapper over the push-based
-    /// [`TxnEngine`] session.
-    pub fn process(&mut self, events: Vec<A::Event>) -> RunReport<A::Output> {
-        self.run(events)
-    }
-
     /// Batch executor: round-robin workers against the latest state values,
     /// optionally under the global lock.
     fn execute(
@@ -362,7 +356,7 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(100),
         );
-        let report = engine.process((0..400).collect());
+        let report = engine.run(0..400);
         assert_eq!(report.committed, 400);
         let total: Value = store.snapshot_latest(table).unwrap().values().sum();
         assert_eq!(total, 400);
@@ -381,7 +375,7 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(8).with_punctuation_interval(2_000),
         );
-        let report = engine.process((0..2_000).collect());
+        let report = engine.run(0..2_000);
         assert_eq!(report.events(), 2_000);
         let total: Value = store.snapshot_latest(table).unwrap().values().sum();
         assert!(total <= 2_000);
@@ -395,13 +389,13 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(2).with_punctuation_interval(100),
         );
-        let fast_report = fast.process((0..100).collect());
+        let fast_report = fast.run(0..100);
 
         let (store2, table2) = setup();
         let mut slow_config = EngineConfig::with_threads(2).with_punctuation_interval(100);
         slow_config.remote_state_latency_us = 200;
         let mut slow = LockedSpeEngine::with_locks(Counter { table: table2 }, store2, slow_config);
-        let slow_report = slow.process((0..100).collect());
+        let slow_report = slow.run(0..100);
 
         assert!(
             slow_report.throughput.elapsed > fast_report.throughput.elapsed,

@@ -60,12 +60,6 @@ impl<A: StreamApp> SStoreEngine<A> {
         &self.store
     }
 
-    /// Process a stream of events — convenience wrapper over the push-based
-    /// [`TxnEngine`] session.
-    pub fn process(&mut self, events: Vec<A::Event>) -> RunReport<A::Output> {
-        self.run(events)
-    }
-
     /// Batch executor: whole transactions scheduled per state partition.
     fn execute(
         num_partitions: usize,
@@ -171,7 +165,7 @@ mod tests {
         );
         let events: Vec<(u64, u64, Value)> =
             (0..200).map(|i| (i % 32, (i * 7 + 1) % 32, 5)).collect();
-        let report = engine.process(events);
+        let report = engine.run(events);
         assert_eq!(report.events(), 200);
         let total: Value = store.snapshot_latest(accounts).unwrap().values().sum();
         assert_eq!(total, 32 * 1_000);

@@ -33,9 +33,6 @@ pub struct TStreamEngine<A: StreamApp> {
     app: A,
     store: StateStore,
     config: EngineConfig,
-    /// Emulate the whole-batch redo TStream performs when any transaction of
-    /// the batch aborted. Enabled by default; disabled in a few unit tests.
-    emulate_batch_redo: bool,
     state: IngestState<A>,
 }
 
@@ -46,15 +43,8 @@ impl<A: StreamApp> TStreamEngine<A> {
             app,
             store,
             config,
-            emulate_batch_redo: true,
             state: IngestState::new(),
         }
-    }
-
-    /// Toggle the whole-batch redo emulation.
-    pub fn with_batch_redo_emulation(mut self, enabled: bool) -> Self {
-        self.emulate_batch_redo = enabled;
-        self
     }
 
     /// Shared state store handle.
@@ -62,17 +52,9 @@ impl<A: StreamApp> TStreamEngine<A> {
         &self.store
     }
 
-    /// Process a stream of events — convenience wrapper over the push-based
-    /// [`TxnEngine`] session.
-    pub fn process(&mut self, events: Vec<A::Event>) -> RunReport<A::Output> {
-        self.run(events)
-    }
-
     /// Batch executor: per-key operation chains with lazy aborts and the
     /// whole-batch redo penalty.
-    fn execute(
-        emulate_batch_redo: bool,
-    ) -> impl FnMut(TransactionBatch, &StateStore, usize) -> ExecutedBatch {
+    fn execute() -> impl FnMut(TransactionBatch, &StateStore, usize) -> ExecutedBatch {
         let decision = SchedulingDecision {
             exploration: ExplorationStrategy::StructuredDfs,
             granularity: Granularity::Coarse,
@@ -86,7 +68,7 @@ impl<A: StreamApp> TStreamEngine<A> {
             let report = execute_batch_with_units(tpg, units, decision, store, threads);
             let execute_elapsed = execute_started.elapsed();
             let mut breakdown = report.breakdown.clone();
-            if emulate_batch_redo && report.aborted() > 0 {
+            if report.aborted() > 0 {
                 // TStream redoes the entire batch once aborts are discovered;
                 // emulate the wasted wall-clock time of that redo.
                 let redo_deadline = Instant::now() + execute_elapsed;
@@ -117,12 +99,8 @@ impl<A: StreamApp> TxnEngine for TStreamEngine<A> {
     }
 
     fn flush(&mut self) {
-        self.state.flush(
-            &self.app,
-            &self.store,
-            &self.config,
-            Self::execute(self.emulate_batch_redo),
-        );
+        self.state
+            .flush(&self.app, &self.store, &self.config, Self::execute());
     }
 
     fn finish(&mut self) -> RunReport<A::Output> {
@@ -191,7 +169,7 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(50),
         );
-        let report = engine.process((1..=200).collect());
+        let report = engine.run(1..=200);
         assert_eq!(report.committed, 200);
         let total: Value = store.snapshot_latest(accounts).unwrap().values().sum();
         assert_eq!(total, 200 * 10);
@@ -209,7 +187,7 @@ mod tests {
             store.clone(),
             EngineConfig::with_threads(2).with_punctuation_interval(100),
         );
-        let clean = clean_engine.process(clean_events.clone());
+        let clean = clean_engine.run(clean_events.clone());
 
         let (store2, accounts2) = setup();
         let mut aborty_engine = TStreamEngine::new(
@@ -220,7 +198,7 @@ mod tests {
             store2,
             EngineConfig::with_threads(2).with_punctuation_interval(100),
         );
-        let aborty = aborty_engine.process(clean_events);
+        let aborty = aborty_engine.run(clean_events);
         assert!(aborty.aborted > 0);
         assert!(clean.aborted == 0);
         // the redo penalty shows up in the abort bucket of the breakdown

@@ -6,12 +6,8 @@
 //! system-level knobs (worker threads, punctuation interval, version
 //! reclamation) shared by MorphStream and the baselines.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Workload characteristics of Table 6.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct WorkloadConfig {
     /// `θ` — Zipf skew of the state access distribution (0.0 = uniform).
     pub zipf_theta: f64,
@@ -176,19 +172,9 @@ impl Default for WorkloadConfig {
 
 /// System-level engine configuration shared by MorphStream and the baselines.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct EngineConfig {
     /// Number of worker threads used by the execution stage.
     pub num_threads: usize,
-    /// Number of worker threads used by TPG construction (both the sharded
-    /// stream-processing phase and the per-list transaction-processing
-    /// phase). `None` means "follow [`EngineConfig::num_threads`]" — or half
-    /// of it when pipelined construction is on, since construction then runs
-    /// *concurrently* with the execution worker pool and taking the full
-    /// count would oversubscribe the machine. The one documented knob
-    /// construction parallelism hangs off; read it through
-    /// [`EngineConfig::construction_threads`].
-    pub construction_threads: Option<usize>,
     /// Overlap TPG construction of punctuation `N+1` with execution of
     /// punctuation `N` on a dedicated construction thread (Section 4.2's
     /// "construction overlaps event arrival"). Off by default; final state
@@ -226,34 +212,11 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style update of the construction thread count. Pass the number
-    /// of workers the TPG builder may use; by default construction follows
-    /// [`EngineConfig::num_threads`].
-    #[must_use = "builder methods return the updated value instead of mutating in place"]
-    pub fn with_construction_threads(mut self, threads: usize) -> Self {
-        self.construction_threads = Some(threads);
-        self
-    }
-
     /// Builder-style toggle of pipelined (double-buffered) TPG construction.
     #[must_use = "builder methods return the updated value instead of mutating in place"]
     pub fn with_pipelined_construction(mut self, pipelined: bool) -> Self {
         self.pipelined_construction = pipelined;
         self
-    }
-
-    /// Effective construction worker count: the explicit
-    /// [`EngineConfig::construction_threads`] override when set, otherwise
-    /// [`EngineConfig::num_threads`] — halved when pipelined construction is
-    /// on, because construction then competes with the execution worker pool
-    /// for the same cores. Never less than 1.
-    pub fn construction_threads(&self) -> usize {
-        let default = if self.pipelined_construction {
-            self.num_threads / 2
-        } else {
-            self.num_threads
-        };
-        self.construction_threads.unwrap_or(default).max(1)
     }
 
     /// Builder-style toggle of after-batch reclamation.
@@ -271,9 +234,6 @@ impl EngineConfig {
         if let Some(0) = self.punctuation_interval {
             return Err("punctuation_interval must be at least 1".into());
         }
-        if let Some(0) = self.construction_threads {
-            return Err("construction_threads must be at least 1 when set".into());
-        }
         Ok(())
     }
 }
@@ -282,7 +242,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             num_threads: default_parallelism(),
-            construction_threads: None,
             pipelined_construction: false,
             punctuation_interval: None,
             reclaim_after_batch: true,
@@ -304,7 +263,6 @@ impl Default for EngineConfig {
 /// back-pressure knob — a slow downstream operator makes upstream sends (and
 /// ultimately the caller's `push`) block instead of buffering the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct TopologyConfig {
     /// Punctuation batches that may queue on each operator-to-operator edge
     /// before the sender blocks. Memory in flight between two operators is
@@ -460,34 +418,6 @@ mod tests {
     #[test]
     fn default_parallelism_is_positive() {
         assert!(default_parallelism() >= 1);
-    }
-
-    #[test]
-    fn construction_threads_follow_num_threads_unless_overridden() {
-        let cfg = EngineConfig::with_threads(6);
-        assert_eq!(cfg.construction_threads(), 6);
-        let cfg = cfg.with_construction_threads(2);
-        assert_eq!(cfg.construction_threads(), 2);
-        assert!(cfg.validate().is_ok());
-        assert!(EngineConfig::with_threads(2)
-            .with_construction_threads(0)
-            .validate()
-            .is_err());
-    }
-
-    #[test]
-    fn pipelined_construction_halves_the_default_construction_threads() {
-        // Construction runs concurrently with the execution pool, so the
-        // default splits the cores instead of oversubscribing them.
-        let cfg = EngineConfig::with_threads(8).with_pipelined_construction(true);
-        assert_eq!(cfg.construction_threads(), 4);
-        let cfg = EngineConfig::with_threads(1).with_pipelined_construction(true);
-        assert_eq!(cfg.construction_threads(), 1);
-        // an explicit override still wins
-        let cfg = EngineConfig::with_threads(8)
-            .with_pipelined_construction(true)
-            .with_construction_threads(8);
-        assert_eq!(cfg.construction_threads(), 8);
     }
 
     #[test]

@@ -393,18 +393,6 @@ impl LatencyHistogram {
         self.sum_ms += other.sum_ms;
         self.count += other.count;
     }
-
-    /// Per-bucket difference `self - earlier`, clamped at zero — the
-    /// observations of the interval between two cumulative snapshots.
-    pub fn saturating_delta(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
-        let mut delta = LatencyHistogram::new();
-        for (i, slot) in delta.buckets.iter_mut().enumerate() {
-            *slot = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        delta.sum_ms = (self.sum_ms - earlier.sum_ms).max(0.0);
-        delta.count = self.count.saturating_sub(earlier.count);
-        delta
-    }
 }
 
 /// Throughput helper: events processed over elapsed wall-clock time.
@@ -696,9 +684,6 @@ mod tests {
         folded.fold(&hist);
         folded.fold(&hist);
         assert_eq!(folded.count, 6);
-        let delta = folded.saturating_delta(&hist);
-        assert_eq!(delta, hist);
-        assert_eq!(hist.saturating_delta(&folded).count, 0);
     }
 
     #[test]

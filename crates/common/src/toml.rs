@@ -78,17 +78,6 @@ impl TomlValue {
             _ => None,
         }
     }
-
-    /// Human name of the value's type, used in loader error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            TomlValue::String(_) => "string",
-            TomlValue::Integer(_) => "integer",
-            TomlValue::Float(_) => "float",
-            TomlValue::Boolean(_) => "boolean",
-            TomlValue::Array(_) => "array",
-        }
-    }
 }
 
 /// An insertion-ordered table of key/value pairs.
@@ -123,7 +112,8 @@ impl TomlTable {
         self.entries.is_empty()
     }
 
-    /// Insert a pair (test/serializer helper; the parser rejects duplicates).
+    /// Append a pair. Does not look for an earlier one of the same key: the
+    /// parser rejects duplicates before it inserts.
     pub fn insert(&mut self, key: impl Into<String>, value: TomlValue) {
         self.entries.push((key.into(), value));
     }
@@ -159,79 +149,6 @@ impl TomlDocument {
             .iter()
             .filter(move |(n, _)| *n == name)
             .map(|(_, t)| t)
-    }
-
-    /// Serialize back to TOML text. Parsing the output reproduces the
-    /// document (the round-trip property checked by the fuzz suite).
-    pub fn to_toml_string(&self) -> String {
-        let mut out = String::new();
-        write_table_body(&mut out, &self.root);
-        for (name, table) in &self.tables {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&format!("[{name}]\n"));
-            write_table_body(&mut out, table);
-        }
-        for (name, table) in &self.arrays {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&format!("[[{name}]]\n"));
-            write_table_body(&mut out, table);
-        }
-        out
-    }
-}
-
-fn write_table_body(out: &mut String, table: &TomlTable) {
-    for (key, value) in table.iter() {
-        out.push_str(key);
-        out.push_str(" = ");
-        write_value(out, value);
-        out.push('\n');
-    }
-}
-
-fn write_value(out: &mut String, value: &TomlValue) {
-    match value {
-        TomlValue::String(s) => {
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-        }
-        TomlValue::Integer(n) => out.push_str(&n.to_string()),
-        TomlValue::Float(f) => {
-            // Keep a decimal point (or exponent) so the value re-parses as a
-            // float rather than collapsing to an integer.
-            let s = format!("{f}");
-            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                out.push_str(&s);
-            } else {
-                out.push_str(&s);
-                out.push_str(".0");
-            }
-        }
-        TomlValue::Boolean(b) => out.push_str(if *b { "true" } else { "false" }),
-        TomlValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
     }
 }
 
@@ -581,14 +498,5 @@ mod tests {
         assert!(TomlDocument::parse("_key = 1\n").is_ok());
         assert!(TomlDocument::parse("x = _1\n").is_err());
         assert!(TomlDocument::parse("x = 1_\n").is_err());
-    }
-
-    #[test]
-    fn round_trips_through_the_serializer() {
-        let text = "a = 1\ns = \"x\\\"y\"\n\n[t]\nf = 2.5\n\n[[arr]]\nb = true\nv = [1, 2]\n";
-        let doc = TomlDocument::parse(text).unwrap();
-        let rendered = doc.to_toml_string();
-        let reparsed = TomlDocument::parse(&rendered).unwrap();
-        assert_eq!(doc, reparsed);
     }
 }

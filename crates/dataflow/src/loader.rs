@@ -46,7 +46,7 @@ use morphstream::{
     EngineConfig, EntryBinding, OperatorHandle, Route, StreamApp, Topology, TopologyBuilder,
     TopologyConfig, TopologyError, TxnBuilder, TxnOutcome,
 };
-use morphstream_common::toml::{TomlDocument, TomlError, TomlTable};
+use morphstream_common::toml::{TomlDocument, TomlError, TomlTable, TomlValue};
 use morphstream_workloads::SlEvent;
 
 use crate::event::{EventKind, ScenarioEvent};
@@ -405,29 +405,11 @@ fn parse_stage(section: &TomlTable, default_punctuation: usize) -> Result<StageS
         app: app.clone(),
     })?;
     reject_unknown_keys(section, &scope, STAGE_KEYS, app_spec.keys)?;
-    let inputs = match section.get("inputs") {
-        None => Vec::new(),
-        Some(value) => {
-            let items = value.as_array().ok_or_else(|| LoadError::BadType {
-                scope: scope.clone(),
-                key: "inputs".into(),
-                expected: "array of stage ids",
-            })?;
-            let mut inputs = Vec::with_capacity(items.len());
-            for item in items {
-                inputs.push(
-                    item.as_str()
-                        .ok_or_else(|| LoadError::BadType {
-                            scope: scope.clone(),
-                            key: "inputs".into(),
-                            expected: "array of stage ids",
-                        })?
-                        .to_string(),
-                );
-            }
-            inputs
-        }
-    };
+    let inputs = typed_key(section, &scope, "inputs", "array of stage ids", |value| {
+        let ids = value.as_array()?.iter();
+        ids.map(|id| id.as_str().map(str::to_string)).collect()
+    })?
+    .unwrap_or_default();
     let route = str_key(section, &scope, "route")?
         .unwrap_or("forward")
         .to_string();
@@ -493,15 +475,27 @@ fn reject_unknown_keys(
     Ok(())
 }
 
+/// The value of an optional key, through the accessor of the type it must
+/// have (`expected` names that type in the error).
+fn typed_key<'t, V>(
+    table: &'t TomlTable,
+    scope: &str,
+    key: &str,
+    expected: &'static str,
+    accessor: impl Fn(&'t TomlValue) -> Option<V>,
+) -> Result<Option<V>, LoadError> {
+    let Some(value) = table.get(key) else {
+        return Ok(None);
+    };
+    accessor(value).map(Some).ok_or_else(|| LoadError::BadType {
+        scope: scope.to_string(),
+        key: key.to_string(),
+        expected,
+    })
+}
+
 fn str_key<'t>(table: &'t TomlTable, scope: &str, key: &str) -> Result<Option<&'t str>, LoadError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_str().map(Some).ok_or_else(|| LoadError::BadType {
-            scope: scope.to_string(),
-            key: key.to_string(),
-            expected: "string",
-        }),
-    }
+    typed_key(table, scope, key, "string", TomlValue::as_str)
 }
 
 fn require_str<'t>(
@@ -516,29 +510,13 @@ fn require_str<'t>(
 }
 
 fn bool_key(table: &TomlTable, scope: &str, key: &str) -> Result<Option<bool>, LoadError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_bool().map(Some).ok_or_else(|| LoadError::BadType {
-            scope: scope.to_string(),
-            key: key.to_string(),
-            expected: "boolean",
-        }),
-    }
+    typed_key(table, scope, key, "boolean", TomlValue::as_bool)
 }
 
 fn u64_key(table: &TomlTable, scope: &str, key: &str) -> Result<Option<u64>, LoadError> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_integer()
-            .filter(|n| *n >= 0)
-            .map(|n| Some(n as u64))
-            .ok_or_else(|| LoadError::BadType {
-                scope: scope.to_string(),
-                key: key.to_string(),
-                expected: "non-negative integer",
-            }),
-    }
+    typed_key(table, scope, key, "non-negative integer", |v| {
+        v.as_integer().and_then(|n| u64::try_from(n).ok())
+    })
 }
 
 fn usize_key(table: &TomlTable, scope: &str, key: &str) -> Result<Option<usize>, LoadError> {
@@ -591,7 +569,7 @@ pub fn load_str(
         spec.concurrent = concurrent;
     }
     let events = build_events(&spec)?;
-    let (topology, store) = assemble(&spec)?;
+    let (topology, store) = assemble(&spec, dispatch_route, |ev| ev)?;
     Ok(LoadedScenario {
         spec,
         topology,
@@ -668,12 +646,65 @@ fn topology_config(spec: &ScenarioSpec) -> TopologyConfig {
         .with_concurrent(spec.concurrent)
 }
 
-fn assemble(
+/// Wraps the terminal stage's app so the topology's output is `Out`: the
+/// stage's own event for `morphstream run`, the compact digest
+/// `morphstream serve` streams into its output sink.
+struct Terminal<F> {
+    inner: ScenarioApp,
+    output: F,
+}
+
+impl<Out, F> StreamApp for Terminal<F>
+where
+    Out: Send + 'static,
+    F: Fn(ScenarioEvent) -> Out + Send + Sync + 'static,
+{
+    type Event = ScenarioEvent;
+    type Output = Out;
+
+    fn state_access(&self, ev: &ScenarioEvent, txn: &mut TxnBuilder) {
+        self.inner.state_access(ev, txn);
+    }
+
+    fn post_process(&self, ev: &ScenarioEvent, outcome: &TxnOutcome) -> Out {
+        (self.output)(self.inner.post_process(ev, outcome))
+    }
+
+    fn expected_abort_ratio(&self) -> f64 {
+        self.inner.expected_abort_ratio()
+    }
+}
+
+/// Build the dataflow a validated spec declares: `entry` gives the route
+/// that picks (and converts) entry ordinal `k`'s share of the input stream,
+/// `output` turns the terminal stage's events into the topology's outputs.
+fn assemble<In, Out>(
     spec: &ScenarioSpec,
-) -> Result<(Topology<ScenarioEvent, ScenarioEvent>, StateStore), LoadError> {
+    entry: impl Fn(u32) -> Route<In, ScenarioEvent>,
+    output: impl Fn(ScenarioEvent) -> Out + Send + Sync + 'static,
+) -> Result<(Topology<In, Out>, StateStore), LoadError>
+where
+    In: Send + 'static,
+    Out: Send + 'static,
+{
+    if let Some(stage) = spec
+        .stages
+        .iter()
+        .find(|s| s.inputs.contains(&spec.terminal))
+    {
+        return Err(LoadError::Invalid {
+            scope: format!("stage {:?}", stage.id),
+            message: format!(
+                "the terminal stage {:?} cannot feed another stage",
+                spec.terminal
+            ),
+        });
+    }
     let store = StateStore::new();
     let mut builder = TopologyBuilder::new();
     let mut handles: Vec<(&str, OperatorHandle<ScenarioEvent, ScenarioEvent>)> = Vec::new();
+    let mut terminal: Option<OperatorHandle<ScenarioEvent, Out>> = None;
+    let mut output = Some(output);
     for stage in &spec.stages {
         let ctx = StageContext {
             stage: &stage.id,
@@ -683,35 +714,47 @@ fn assemble(
         let app = registry::app(&stage.app)
             .expect("stage apps are validated")
             .build(&ctx)?;
-        let mut handle =
-            builder.add_operator(&stage.id, app, store.clone(), engine_config(spec, stage));
-        if stage.parallelism > 1 {
-            handle = handle.with_parallelism(stage.parallelism);
+        let config = engine_config(spec, stage);
+        if stage.id == spec.terminal {
+            let output = output.take().expect("stage ids are unique");
+            let app = Terminal { inner: app, output };
+            let handle = builder.add_operator(&stage.id, app, store.clone(), config);
+            terminal = Some(handle.with_parallelism(stage.parallelism));
+        } else {
+            let handle = builder.add_operator(&stage.id, app, store.clone(), config);
+            handles.push((&stage.id, handle.with_parallelism(stage.parallelism)));
         }
-        handles.push((&stage.id, handle));
     }
+    let terminal = terminal.expect("terminal is a validated stage id");
     let lookup = |id: &str| {
         handles
             .iter()
             .find(|(name, _)| *name == id)
-            .expect("stage ids are validated")
+            .expect("stage ids are validated; the terminal feeds nothing")
             .1
     };
     for stage in &spec.stages {
-        let to = lookup(&stage.id);
         let route = registry::route(&stage.route).expect("stage routes are validated");
         for input in &stage.inputs {
-            builder.connect(lookup(input), to, route.build());
+            if stage.id == spec.terminal {
+                builder.connect(lookup(input), terminal, route.build());
+            } else {
+                builder.connect(lookup(input), lookup(&stage.id), route.build());
+            }
         }
     }
-    let entries = spec
-        .entry_ids()
-        .iter()
-        .enumerate()
-        .map(|(ordinal, id)| EntryBinding::new(lookup(id), dispatch_route(ordinal as u32)))
+    let entries = spec.entry_ids().into_iter().zip(0u32..);
+    let entries = entries
+        .map(|(id, ordinal)| {
+            if id == spec.terminal {
+                EntryBinding::new(terminal, entry(ordinal))
+            } else {
+                EntryBinding::new(lookup(id), entry(ordinal))
+            }
+        })
         .collect();
     let topology = builder
-        .build_with_entries(entries, lookup(&spec.terminal), topology_config(spec))
+        .build_with_entries(entries, terminal, topology_config(spec))
         .map_err(LoadError::Build)?;
     Ok((topology, store))
 }
@@ -737,7 +780,16 @@ pub fn load_serve_file(path: &Path) -> Result<ServeScenario, LoadError> {
         error: e.to_string(),
     })?;
     let spec = ScenarioSpec::parse(&text, &path.display().to_string())?;
-    let (topology, store) = assemble_serve(&spec)?;
+    let entries = spec.entry_ids().len();
+    if entries != 1 {
+        return Err(LoadError::Invalid {
+            scope: "[topology]".to_string(),
+            message: format!(
+                "serve requires exactly one entry stage (the socket is the only feed), found {entries}"
+            ),
+        });
+    }
+    let (topology, store) = assemble(&spec, |_| Route::map(convert_sl), |ev| ev.digest())?;
     Ok(ServeScenario {
         spec,
         topology,
@@ -762,115 +814,4 @@ fn convert_sl(ev: &SlEvent) -> ScenarioEvent {
             out
         }
     }
-}
-
-/// Wraps the terminal stage's app so the topology's output is the compact
-/// `u64` the server digests and streams into its output sink.
-struct DigestTerminal {
-    inner: ScenarioApp,
-}
-
-impl StreamApp for DigestTerminal {
-    type Event = ScenarioEvent;
-    type Output = u64;
-
-    fn state_access(&self, ev: &ScenarioEvent, txn: &mut TxnBuilder) {
-        self.inner.state_access(ev, txn);
-    }
-
-    fn post_process(&self, ev: &ScenarioEvent, outcome: &TxnOutcome) -> u64 {
-        self.inner.post_process(ev, outcome).digest()
-    }
-
-    fn expected_abort_ratio(&self) -> f64 {
-        self.inner.expected_abort_ratio()
-    }
-}
-
-fn assemble_serve(spec: &ScenarioSpec) -> Result<(Topology<SlEvent, u64>, StateStore), LoadError> {
-    let entries = spec.entry_ids();
-    if entries.len() != 1 {
-        return Err(LoadError::Invalid {
-            scope: "[topology]".to_string(),
-            message: format!(
-                "serve requires exactly one entry stage (the socket is the only feed), found {}",
-                entries.len()
-            ),
-        });
-    }
-    for stage in &spec.stages {
-        if stage.inputs.contains(&spec.terminal) {
-            return Err(LoadError::Invalid {
-                scope: format!("stage {:?}", stage.id),
-                message: format!(
-                    "the terminal stage {:?} cannot feed another stage",
-                    spec.terminal
-                ),
-            });
-        }
-    }
-    let store = StateStore::new();
-    let mut builder = TopologyBuilder::new();
-    let mut handles: Vec<(&str, OperatorHandle<ScenarioEvent, ScenarioEvent>)> = Vec::new();
-    let mut terminal: Option<OperatorHandle<ScenarioEvent, u64>> = None;
-    for stage in &spec.stages {
-        let ctx = StageContext {
-            stage: &stage.id,
-            store: &store,
-            config: &stage.config,
-        };
-        let app = registry::app(&stage.app)
-            .expect("stage apps are validated")
-            .build(&ctx)?;
-        let config = engine_config(spec, stage);
-        if stage.id == spec.terminal {
-            let mut handle = builder.add_operator(
-                &stage.id,
-                DigestTerminal { inner: app },
-                store.clone(),
-                config,
-            );
-            if stage.parallelism > 1 {
-                handle = handle.with_parallelism(stage.parallelism);
-            }
-            terminal = Some(handle);
-        } else {
-            let mut handle = builder.add_operator(&stage.id, app, store.clone(), config);
-            if stage.parallelism > 1 {
-                handle = handle.with_parallelism(stage.parallelism);
-            }
-            handles.push((&stage.id, handle));
-        }
-    }
-    let terminal_handle = terminal.expect("terminal is a validated stage id");
-    let lookup = |id: &str| {
-        handles
-            .iter()
-            .find(|(name, _)| *name == id)
-            .expect("stage ids are validated; the terminal feeds nothing")
-            .1
-    };
-    for stage in &spec.stages {
-        let route = registry::route(&stage.route).expect("stage routes are validated");
-        if stage.id == spec.terminal {
-            for input in &stage.inputs {
-                builder.connect(lookup(input), terminal_handle, route.build());
-            }
-        } else {
-            let to = lookup(&stage.id);
-            for input in &stage.inputs {
-                builder.connect(lookup(input), to, route.build());
-            }
-        }
-    }
-    let entry_id = entries[0];
-    let binding = if entry_id == spec.terminal {
-        EntryBinding::new(terminal_handle, Route::map(convert_sl))
-    } else {
-        EntryBinding::new(lookup(entry_id), Route::map(convert_sl))
-    };
-    let topology = builder
-        .build_with_entries(vec![binding], terminal_handle, topology_config(spec))
-        .map_err(LoadError::Build)?;
-    Ok((topology, store))
 }

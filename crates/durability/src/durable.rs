@@ -17,8 +17,9 @@
 //!   flags the capture consumed are handed back and the WAL is left alone:
 //!   the next checkpoint re-captures, and replay still covers the writes.
 //! * **Recover** ([`DurableEngine::open`]) — restore the newest checkpoint
-//!   chain, resume the output digest from its saved state, repair a torn
-//!   last WAL segment, replay the events the chain does not cover, and
+//!   chain, resume the output digest from its saved state, walk the WAL
+//!   once (sealing a torn or headerless last segment where the walk
+//!   stopped), replay the events the chain does not cover, and
 //!   re-anchor with a fresh checkpoint so a second restart replays nothing.
 //!   Punctuation placement does not affect final state or outputs
 //!   (timestamps follow ingestion order, MVCC resolves by timestamp), so the
@@ -38,7 +39,7 @@ use morphstream_common::protocol::WireCodec;
 
 use crate::checkpoint::{Checkpoint, CheckpointBuilder, CheckpointStore, RedirtySink};
 use crate::error::DurabilityError;
-use crate::wal::{read_wal, repair_torn_tail, FsyncPolicy, WalLog};
+use crate::wal::{recover_wal, FsyncPolicy, WalLog};
 
 /// What [`DurableEngine::open`] found in the data directory and did about it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,21 +147,16 @@ where
         let output_digest = OutputDigest::install(&mut engine, digest);
 
         let wal_dir = dir.join("wal");
-        let wal_state = read_wal::<E::Event>(&wal_dir)?;
+        // One walk of the log: it frames and checksums every record, decodes
+        // the events the chain does not cover, and seals the newest segment
+        // where it stops being whole — the replay below (plus the re-anchor)
+        // covers its events, and once new appends start a newer segment a
+        // torn one would otherwise read as damage in a sealed segment on the
+        // next restart.
+        let wal_state = recover_wal::<E::Event>(&wal_dir, events_applied)?;
         let torn_tail = wal_state.torn_tail;
-        if torn_tail {
-            // Seal the torn segment at its valid prefix now: the replay
-            // below (plus the re-anchor) covers its events, and once new
-            // appends start a newer segment the torn one would otherwise
-            // read as damage in a sealed segment on the next restart.
-            repair_torn_tail::<E::Event>(&wal_dir)?;
-        }
-        let next_index = wal_state
-            .events
-            .last()
-            .map_or(events_applied, |(index, _)| index + 1)
-            .max(events_applied);
-        let tail = wal_state.replay_tail(events_applied);
+        let tail = wal_state.events;
+        let next_index = tail.last().map_or(events_applied, |(index, _)| index + 1);
         let replayed_events = tail.len() as u64;
         for (_, event) in tail {
             engine.ingest(event);
@@ -344,6 +340,12 @@ where
     /// here bypass the log; use [`DurableEngine::ingest`].
     pub fn engine_mut(&mut self) -> &mut E {
         &mut self.engine
+    }
+
+    /// The log, for fault injection in tests ([`WalLog::swap_segment`]).
+    #[doc(hidden)]
+    pub fn wal_mut(&mut self) -> &mut WalLog {
+        &mut self.wal
     }
 
     /// Events durably logged so far: the WAL's next index.

@@ -43,8 +43,8 @@ pub use checkpoint::{
 pub use durable::{DurableEngine, DurableStats, Recovery};
 pub use error::DurabilityError;
 pub use wal::{
-    decode_segment, read_wal, repair_torn_tail, wal_start_index, DecodedSegment, FsyncPolicy,
-    TailError, TailItem, WalLog, WalState, WalTailer, WAL_MAGIC,
+    decode_segment, read_wal, wal_start_index, DecodedSegment, FsyncPolicy, TailError, TailItem,
+    WalLog, WalState, WalTailer, WAL_MAGIC,
 };
 
 /// fsync a directory so just-created or just-renamed entries survive power

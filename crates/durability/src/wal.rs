@@ -18,37 +18,51 @@
 //!           u64 fnv                FNV-1a over [tag, len bytes, payload]
 //! ```
 //!
-//! A crash can tear the record being written when power fails, so the
-//! *last* segment is decoded leniently: the valid prefix is kept and the
-//! torn tail dropped. Damage in any earlier segment (which was sealed by a
-//! later rotation) is a hard error — that data is really gone. Decoding is
-//! total either way: corrupt bytes produce errors or a clean torn-prefix,
-//! never a panic. Recovery must then call [`repair_torn_tail`] so the torn
-//! segment is truncated to its valid prefix on disk: once the server
-//! appends new events a newer segment exists, the torn one counts as
-//! sealed, and un-repaired damage would turn into a hard error on the
-//! *next* restart.
+//! One walk reads that format — header check, record framing, tag
+//! classification — for the live [`WalTailer`], for recovery ([`read_wal`])
+//! and for [`decode_segment`] alike.
+//!
+//! A crash can tear the record being written when power fails, or land
+//! between a segment's creation and its header, so the *last* segment is
+//! read leniently: the valid prefix is kept and the torn tail dropped, and a
+//! file too short for its header is a segment nothing was logged to. Damage
+//! in any earlier segment (which was sealed by a later rotation) is a hard
+//! error — that data is really gone. Reading is total either way: corrupt
+//! bytes produce errors or a clean torn-prefix, never a panic. Recovery
+//! then seals the newest segment on disk at the offset its walk stopped at
+//! (a headerless one is deleted): once the server appends new events a
+//! newer segment exists, the torn one counts as sealed, and un-repaired
+//! damage would turn into a hard error on the *next* restart.
+//!
+//! The append side keeps the same invariant while it runs: a record that
+//! could not be written whole is cut off again before anything else is
+//! appended behind it (see [`WalLog`]).
 //!
 //! Segments rotate at checkpoints; once a checkpoint covers index `n`,
 //! every segment whose successor starts at or below `n` is obsolete and
 //! [`WalLog::truncate_before`] deletes it.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use morphstream_common::hash::Fnv1a;
-use morphstream_common::protocol::{ProtocolError, WireCodec, MAX_FRAME_LEN};
+use morphstream_common::protocol::{WireCodec, MAX_FRAME_LEN};
 
 use crate::error::DurabilityError;
 
 /// Version-tagged magic prefix of a WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"MSW1";
 
+/// Bytes of a segment header: the magic, then `u64 first_index`.
+const SEGMENT_HEADER: usize = WAL_MAGIC.len() + 8;
+
 const REC_EVENT: u8 = 1;
 const REC_PUNCTUATION: u8 = 2;
 /// Bytes before a record's payload: `u8 tag` + `u32 len`.
 const RECORD_HEADER: usize = 5;
+/// Bytes after a record's payload: the `u64` FNV-1a trailer.
+const RECORD_TRAILER: usize = 8;
 
 /// When the log fsyncs, trading durability against append latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,13 +100,55 @@ impl FsyncPolicy {
     }
 }
 
+/// The segment appends go to.
+struct Tip {
+    path: PathBuf,
+    file: File,
+    /// Length of the header plus every record written whole: the offset a
+    /// failed append is cut back to.
+    len: u64,
+    /// Set by a failed append: part of a record may sit behind `len`.
+    suspect: bool,
+}
+
+impl Tip {
+    /// Append `record` whole, or leave the segment marked suspect.
+    fn append(&mut self, record: &[u8]) -> io::Result<()> {
+        let written = self.file.write_all(record);
+        match written {
+            Ok(()) => self.len += record.len() as u64,
+            Err(_) => self.suspect = true,
+        }
+        written
+    }
+
+    /// Cut the segment back to its last whole record, through a fresh
+    /// handle — where the old one's cursor stands after a failed write is
+    /// anyone's guess.
+    fn heal(&mut self) -> io::Result<()> {
+        let mut file = OpenOptions::new().write(true).open(&self.path)?;
+        file.set_len(self.len)?;
+        file.seek(SeekFrom::Start(self.len))?;
+        self.file = file;
+        self.suspect = false;
+        Ok(())
+    }
+}
+
 /// Append half of the write-ahead log.
+///
+/// An append that fails part-way may leave a partial record at the end of
+/// the open segment. Nothing is ever written behind one: the next append
+/// (or the rotation that would seal the segment) first cuts the segment
+/// back to its last whole record, and fails in its turn for as long as
+/// that cannot be done — acknowledged events never sit behind bytes that
+/// recovery would stop at.
 pub struct WalLog {
     dir: PathBuf,
     policy: FsyncPolicy,
     /// Open segment, if any; a new one is started lazily on first append
     /// after open or rotation.
-    current: Option<File>,
+    current: Option<Tip>,
     /// Global index of the next event to append.
     next_index: u64,
     records_appended: u64,
@@ -147,8 +203,20 @@ impl WalLog {
         self.segments
     }
 
-    fn ensure_segment(&mut self) -> Result<&mut File, DurabilityError> {
-        if self.current.is_none() {
+    /// The open segment, cut back to its last whole record first if a
+    /// failed append left it suspect.
+    fn healed_tip(&mut self) -> Result<Option<&mut Tip>, DurabilityError> {
+        let Some(tip) = self.current.as_mut() else {
+            return Ok(None);
+        };
+        if tip.suspect {
+            tip.heal()?;
+        }
+        Ok(Some(tip))
+    }
+
+    fn ensure_segment(&mut self) -> Result<&mut Tip, DurabilityError> {
+        if self.healed_tip()?.is_none() {
             let path = self.dir.join(segment_name(self.next_index));
             // An eventless segment of the same name (a crash right after
             // its creation) is overwritten in place, not added.
@@ -157,18 +225,25 @@ impl WalLog {
                 .write(true)
                 .create(true)
                 .truncate(true)
-                .open(path)?;
-            file.write_all(&WAL_MAGIC)?;
-            file.write_all(&self.next_index.to_le_bytes())?;
+                .open(&path)?;
+            let mut header = [0u8; SEGMENT_HEADER];
+            header[..WAL_MAGIC.len()].copy_from_slice(&WAL_MAGIC);
+            header[WAL_MAGIC.len()..].copy_from_slice(&self.next_index.to_le_bytes());
+            file.write_all(&header)?;
             // Make the directory entry durable too: fsyncing record bytes is
             // worthless if the file itself vanishes with the dir on power
             // loss. Once per segment, so cheap under any policy.
             if self.policy != FsyncPolicy::Never {
                 crate::sync_dir(&self.dir)?;
             }
-            self.bytes_appended += (WAL_MAGIC.len() + 8) as u64;
+            self.bytes_appended += SEGMENT_HEADER as u64;
             self.segments += u64::from(!replaced);
-            self.current = Some(file);
+            self.current = Some(Tip {
+                path,
+                file,
+                len: SEGMENT_HEADER as u64,
+                suspect: false,
+            });
         }
         Ok(self.current.as_mut().expect("segment just ensured"))
     }
@@ -188,7 +263,9 @@ impl WalLog {
         Fnv1a::seal(&mut self.scratch, 0);
 
         let record = std::mem::take(&mut self.scratch);
-        let written = self.ensure_segment()?.write_all(&record);
+        let written = self
+            .ensure_segment()
+            .and_then(|tip| Ok(tip.append(&record)?));
         self.scratch = record;
         written?;
         self.records_appended += 1;
@@ -228,8 +305,8 @@ impl WalLog {
 
     /// fsync the open segment (no-op when nothing is open).
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
-        if let Some(file) = self.current.as_mut() {
-            file.sync_data()?;
+        if let Some(tip) = self.current.as_mut() {
+            tip.file.sync_data()?;
         }
         Ok(())
     }
@@ -238,7 +315,9 @@ impl WalLog {
     /// at checkpoints so [`WalLog::truncate_before`] can delete whole
     /// segments that a checkpoint has made obsolete.
     pub fn rotate(&mut self) -> Result<(), DurabilityError> {
-        self.sync()?;
+        if let Some(tip) = self.healed_tip()? {
+            tip.file.sync_data()?;
+        }
         self.current = None;
         Ok(())
     }
@@ -258,6 +337,186 @@ impl WalLog {
         self.segments = segments.len() as u64 - deleted;
         Ok(deleted)
     }
+
+    /// Fault injection for tests: put `file` in place of the open segment's
+    /// handle and return the real one (`None` when no segment is open).
+    #[doc(hidden)]
+    pub fn swap_segment(&mut self, file: File) -> Option<File> {
+        let tip = self.current.as_mut()?;
+        Some(std::mem::replace(&mut tip.file, file))
+    }
+}
+
+/// Try to decode one record at the head of `bytes`: its tag, its payload
+/// and its framed length. `None` when the bytes are truncated, oversized,
+/// or fail the checksum.
+fn decode_record(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
+    if bytes.len() < RECORD_HEADER {
+        return None;
+    }
+    let tag = bytes[0];
+    let len = u32::from_le_bytes(bytes[1..RECORD_HEADER].try_into().expect("4")) as usize;
+    if len > MAX_FRAME_LEN {
+        return None;
+    }
+    let total = RECORD_HEADER + len + RECORD_TRAILER;
+    if bytes.len() < total {
+        return None;
+    }
+    let (region, trailer) = bytes[..total].split_at(RECORD_HEADER + len);
+    Fnv1a::verify(region, trailer).then_some((tag, &region[RECORD_HEADER..], total))
+}
+
+/// One record, as the walk classifies it.
+enum Record<'a> {
+    /// An event record: the global index the writer gave it, and its MSB1
+    /// payload.
+    Event { index: u64, payload: &'a [u8] },
+    /// A punctuation marker: the writer's `next_index` at mark time.
+    Punctuation(u64),
+}
+
+/// The one walk over a segment's bytes — header, `[tag][len][payload][fnv]`
+/// framing, tag classification — whoever reads them: a [`WalTailer`]
+/// following a file that is still growing, recovery running to the end of
+/// one that is not, or [`decode_segment`] over an image in memory.
+struct SegmentWalk<R> {
+    src: R,
+    /// The header's `first_index`.
+    first_index: u64,
+    /// Global index of the next event record the walk will see.
+    index: u64,
+    /// Bytes read from `src`; past `walked`, not yet walked (they may end
+    /// mid-record while the writer is inside its `write_all`).
+    carry: Vec<u8>,
+    walked: usize,
+    /// Segment offset of the first unwalked byte: the length of the header
+    /// plus every record walked so far.
+    valid_len: u64,
+}
+
+impl<R: Read> SegmentWalk<R> {
+    /// Read and check the header. `Ok(None)` when `src` ends before a whole
+    /// one: a segment whose writer has not got that far (yet).
+    fn open(mut src: R) -> Result<Option<Self>, DurabilityError> {
+        let mut header = [0u8; SEGMENT_HEADER];
+        let mut got = 0;
+        while got < header.len() {
+            match src.read(&mut header[got..])? {
+                0 => return Ok(None),
+                n => got += n,
+            }
+        }
+        let (magic, first_index) = header.split_at(WAL_MAGIC.len());
+        if magic != WAL_MAGIC {
+            return Err(DurabilityError::corrupt(
+                "bad WAL segment magic (expected MSW1)",
+            ));
+        }
+        let first_index = u64::from_le_bytes(first_index.try_into().expect("8-byte index"));
+        Ok(Some(Self {
+            src,
+            first_index,
+            index: first_index,
+            carry: Vec::new(),
+            walked: 0,
+            valid_len: SEGMENT_HEADER as u64,
+        }))
+    }
+
+    /// Read whatever more `src` holds by now; returns the byte count.
+    fn fill(&mut self) -> io::Result<usize> {
+        self.carry.drain(..self.walked);
+        self.walked = 0;
+        self.src.read_to_end(&mut self.carry)
+    }
+
+    /// Whether bytes are buffered that the walk has not got past.
+    fn pending(&self) -> bool {
+        self.walked < self.carry.len()
+    }
+
+    /// Step over the next record. `Ok(None)` when the buffered bytes do not
+    /// hold a whole one: they end mid-record, or fail the length bound or
+    /// the checksum. A checksummed record this build cannot classify is an
+    /// error; the walk does not step over it.
+    fn next(&mut self) -> Result<Option<Record<'_>>, DurabilityError> {
+        let Some((tag, payload, frame)) = decode_record(&self.carry[self.walked..]) else {
+            return Ok(None);
+        };
+        let record = match tag {
+            REC_EVENT => Record::Event {
+                index: self.index,
+                payload,
+            },
+            REC_PUNCTUATION => {
+                let bytes: [u8; 8] = payload.try_into().map_err(|_| {
+                    DurabilityError::corrupt("punctuation marker payload is not 8 bytes")
+                })?;
+                Record::Punctuation(u64::from_le_bytes(bytes))
+            }
+            other => {
+                return Err(DurabilityError::corrupt(format!(
+                    "unknown WAL record tag {other}"
+                )))
+            }
+        };
+        self.index += u64::from(tag == REC_EVENT);
+        self.walked += frame;
+        self.valid_len += frame as u64;
+        Ok(Some(record))
+    }
+
+    /// Run the walk to the end of `src`, decoding the events at or past
+    /// global index `from` into `events`. Returns whether it stopped short
+    /// of the end — at a torn, damaged or unknown record, or at a payload
+    /// its checksum vouches for but `T` cannot decode (another codec wrote
+    /// it: the same trust boundary). Nothing after such a record can be
+    /// trusted; `valid_len` is where it starts.
+    fn run<T: WireCodec>(
+        &mut self,
+        from: u64,
+        events: &mut Vec<(u64, T)>,
+    ) -> Result<bool, DurabilityError> {
+        self.fill()?;
+        loop {
+            match self.next() {
+                Ok(Some(Record::Event { index, payload })) if index >= from => {
+                    match T::decode_binary(payload) {
+                        Ok(event) => events.push((index, event)),
+                        Err(_) => {
+                            let frame = RECORD_HEADER + payload.len() + RECORD_TRAILER;
+                            self.valid_len -= frame as u64;
+                            return Ok(true);
+                        }
+                    }
+                }
+                Ok(Some(_)) => {}
+                Ok(None) => return Ok(self.pending()),
+                Err(_) => return Ok(true),
+            }
+        }
+    }
+}
+
+impl SegmentWalk<File> {
+    /// [`SegmentWalk::open`] on the segment file at `path`, whose name says
+    /// it starts at global index `name_index`; errors name the file.
+    fn open_file(path: &Path, name_index: u64) -> Result<Option<Self>, DurabilityError> {
+        let corrupt =
+            |what: String| DurabilityError::corrupt(format!("{}: {what}", path.display()));
+        let walk = Self::open(File::open(path)?).map_err(|e| match e {
+            DurabilityError::Corrupt(what) => corrupt(what),
+            io => io,
+        })?;
+        match walk {
+            Some(walk) if walk.first_index != name_index => Err(corrupt(format!(
+                "header index {} does not match file name",
+                walk.first_index
+            ))),
+            walk => Ok(walk),
+        }
+    }
 }
 
 /// One decoded segment: the valid record prefix plus whether a torn or
@@ -268,8 +527,6 @@ pub struct DecodedSegment<T> {
     pub first_index: u64,
     /// Events in append order.
     pub events: Vec<T>,
-    /// Punctuation markers: the `next_index` value at each marker.
-    pub punctuations: Vec<u64>,
     /// True when trailing bytes after the last valid record were dropped.
     pub torn: bool,
     /// Byte length of the valid prefix (header plus every valid record);
@@ -277,83 +534,20 @@ pub struct DecodedSegment<T> {
     pub valid_len: usize,
 }
 
-/// Decode one segment image. Total: a malformed header is an error; any
-/// damage after it truncates to the valid record prefix with `torn` set
-/// (nothing after a bad record can be trusted). Never panics.
-pub fn decode_segment<T: WireCodec>(bytes: &[u8]) -> Result<DecodedSegment<T>, ProtocolError> {
-    if bytes.len() < WAL_MAGIC.len() + 8 {
-        return Err(ProtocolError::Truncated);
-    }
-    if bytes[..4] != WAL_MAGIC {
-        return Err(ProtocolError::Malformed(
-            "bad WAL segment magic (expected MSW1)".into(),
-        ));
-    }
-    let first_index = u64::from_le_bytes(bytes[4..12].try_into().expect("8-byte header"));
-    let mut out = DecodedSegment {
-        first_index,
-        events: Vec::new(),
-        punctuations: Vec::new(),
-        torn: false,
-        valid_len: 12,
-    };
-    let mut pos = 12;
-    while pos < bytes.len() {
-        match decode_record(&bytes[pos..]) {
-            Some((tag, payload, consumed)) => {
-                match tag {
-                    REC_EVENT => match T::decode_binary(payload) {
-                        Ok(event) => out.events.push(event),
-                        Err(_) => {
-                            // Checksum passed but the payload does not
-                            // decode: written by a different/newer codec.
-                            // Same trust boundary as a torn record.
-                            out.torn = true;
-                            return Ok(out);
-                        }
-                    },
-                    REC_PUNCTUATION => {
-                        if payload.len() != 8 {
-                            out.torn = true;
-                            return Ok(out);
-                        }
-                        out.punctuations
-                            .push(u64::from_le_bytes(payload.try_into().expect("8")));
-                    }
-                    _ => {
-                        out.torn = true;
-                        return Ok(out);
-                    }
-                }
-                pos += consumed;
-                out.valid_len = pos;
-            }
-            None => {
-                out.torn = true;
-                return Ok(out);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Try to decode one record at the head of `bytes`; `None` when the bytes
-/// are truncated, oversized, or fail the checksum.
-fn decode_record(bytes: &[u8]) -> Option<(u8, &[u8], usize)> {
-    if bytes.len() < RECORD_HEADER {
-        return None;
-    }
-    let tag = bytes[0];
-    let len = u32::from_le_bytes(bytes[1..RECORD_HEADER].try_into().expect("4")) as usize;
-    if len > MAX_FRAME_LEN {
-        return None;
-    }
-    let total = RECORD_HEADER + len + 8;
-    if bytes.len() < total {
-        return None;
-    }
-    let (region, trailer) = bytes[..total].split_at(RECORD_HEADER + len);
-    Fnv1a::verify(region, trailer).then_some((tag, &region[RECORD_HEADER..], total))
+/// Decode one segment image. Total: a malformed or incomplete header is an
+/// error; any damage after it truncates to the valid record prefix with
+/// `torn` set (nothing after a bad record can be trusted). Never panics.
+pub fn decode_segment<T: WireCodec>(bytes: &[u8]) -> Result<DecodedSegment<T>, DurabilityError> {
+    let mut walk = SegmentWalk::open(bytes)?
+        .ok_or_else(|| DurabilityError::corrupt("WAL segment shorter than its header"))?;
+    let mut events = Vec::new();
+    let torn = walk.run(0, &mut events)?;
+    Ok(DecodedSegment {
+        first_index: walk.first_index,
+        events: events.into_iter().map(|(_, event)| event).collect(),
+        torn,
+        valid_len: walk.valid_len as usize,
+    })
 }
 
 /// Everything recovered from a WAL directory.
@@ -379,15 +573,32 @@ impl<T> WalState<T> {
 }
 
 /// Read every segment of a WAL directory, oldest first. Only the *last*
-/// segment may be torn; damage anywhere else is an error. A missing
-/// directory reads as empty.
+/// segment may be torn or headerless; damage anywhere else is an error. A
+/// missing directory reads as empty, and nothing on disk is changed.
 pub fn read_wal<T: WireCodec>(dir: impl AsRef<Path>) -> Result<WalState<T>, DurabilityError> {
-    let dir = dir.as_ref();
-    let segments = match list_segments(dir) {
-        Ok(s) => s,
-        Err(DurabilityError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
+    walk_wal(dir.as_ref(), 0, false)
+}
+
+/// [`read_wal`] for recovery: only the events at or past global index `from`
+/// are decoded (every record is still framed and checksummed), and the
+/// newest segment is sealed on disk where its walk stopped — a torn tail is
+/// cut off (the dropped events are covered by the re-anchor checkpoint), a
+/// headerless file deleted. Without that, the first append after recovery
+/// starts a newer segment, the torn one becomes "sealed", and the next
+/// restart would refuse to start over damage that no longer matters.
+pub(crate) fn recover_wal<T: WireCodec>(
+    dir: &Path,
+    from: u64,
+) -> Result<WalState<T>, DurabilityError> {
+    walk_wal(dir, from, true)
+}
+
+fn walk_wal<T: WireCodec>(
+    dir: &Path,
+    from: u64,
+    seal: bool,
+) -> Result<WalState<T>, DurabilityError> {
+    let segments = list_segments_or_empty(dir)?;
     let mut state = WalState {
         events: Vec::new(),
         segments: segments.len() as u64,
@@ -395,61 +606,37 @@ pub fn read_wal<T: WireCodec>(dir: impl AsRef<Path>) -> Result<WalState<T>, Dura
     };
     let last = segments.len().saturating_sub(1);
     for (i, (name_index, path)) in segments.iter().enumerate() {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let decoded: DecodedSegment<T> = decode_segment(&bytes)
-            .map_err(|e| DurabilityError::corrupt(format!("{}: {e}", path.display())))?;
-        if decoded.first_index != *name_index {
-            return Err(DurabilityError::corrupt(format!(
-                "{}: header index {} does not match file name",
-                path.display(),
-                decoded.first_index
-            )));
+        let sealed = |what: &str| {
+            DurabilityError::corrupt(format!("{}: {what} in a sealed segment", path.display()))
+        };
+        let Some(mut walk) = SegmentWalk::open_file(path, *name_index)? else {
+            // The writer died before the header was whole: nothing was ever
+            // logged to this file.
+            if i != last {
+                return Err(sealed("incomplete header"));
+            }
+            if seal {
+                fs::remove_file(path)?;
+                crate::sync_dir(dir)?;
+            }
+            break;
+        };
+        if walk.run(from, &mut state.events)? {
+            if i != last {
+                return Err(sealed("damaged record"));
+            }
+            state.torn_tail = true;
+            if seal {
+                let file = OpenOptions::new().write(true).open(path)?;
+                file.set_len(walk.valid_len)?;
+                // sync_all: the truncated length is metadata, sync_data may
+                // skip it.
+                file.sync_all()?;
+                crate::sync_dir(dir)?;
+            }
         }
-        if decoded.torn && i != last {
-            return Err(DurabilityError::corrupt(format!(
-                "{}: damaged record in a sealed segment",
-                path.display()
-            )));
-        }
-        state.torn_tail = decoded.torn;
-        let base = decoded.first_index;
-        state.events.extend(
-            decoded
-                .events
-                .into_iter()
-                .enumerate()
-                .map(|(off, event)| (base + off as u64, event)),
-        );
     }
     Ok(state)
-}
-
-/// Truncate a torn last segment to its valid record prefix, sealing it
-/// cleanly on disk. Recovery calls this after [`read_wal`] reports a torn
-/// tail (the dropped events are covered by the re-anchor checkpoint):
-/// without the repair, the first append after recovery starts a newer
-/// segment, the torn one becomes "sealed", and the next restart would
-/// refuse to start over damage that no longer matters. Returns `true` when
-/// a segment was actually rewritten.
-pub fn repair_torn_tail<T: WireCodec>(dir: impl AsRef<Path>) -> Result<bool, DurabilityError> {
-    let dir = dir.as_ref();
-    let Some((_, path)) = list_segments(dir)?.pop() else {
-        return Ok(false);
-    };
-    let mut bytes = Vec::new();
-    File::open(&path)?.read_to_end(&mut bytes)?;
-    let decoded: DecodedSegment<T> = decode_segment(&bytes)
-        .map_err(|e| DurabilityError::corrupt(format!("{}: {e}", path.display())))?;
-    if !decoded.torn {
-        return Ok(false);
-    }
-    let file = OpenOptions::new().write(true).open(&path)?;
-    file.set_len(decoded.valid_len as u64)?;
-    // sync_all: the truncated length is metadata, sync_data may skip it.
-    file.sync_all()?;
-    crate::sync_dir(dir)?;
-    Ok(true)
 }
 
 /// One record observed by a [`WalTailer`].
@@ -513,16 +700,6 @@ impl From<std::io::Error> for TailError {
     }
 }
 
-struct OpenSegment {
-    first_index: u64,
-    file: File,
-    /// Global index of the next event record the decode cursor will see.
-    index: u64,
-    /// Bytes read from the file but not yet decoded (may end mid-record
-    /// while the writer is between `write_all` calls).
-    carry: Vec<u8>,
-}
-
 /// Incremental reader over a live WAL directory: follows appends, segment
 /// rotations, and truncations made by a concurrent [`WalLog`] writer in the
 /// same process or another one on the same filesystem.
@@ -536,7 +713,7 @@ pub struct WalTailer {
     dir: PathBuf,
     /// Next event index to emit.
     next_index: u64,
-    current: Option<OpenSegment>,
+    current: Option<SegmentWalk<File>>,
 }
 
 impl WalTailer {
@@ -569,7 +746,7 @@ impl WalTailer {
                 return Ok(emitted);
             }
             let seg = self.current.as_mut().expect("segment is open");
-            if Self::fill(seg)? > 0 {
+            if seg.fill()? > 0 {
                 continue;
             }
             // EOF on the current segment: either the writer is still on it
@@ -580,10 +757,10 @@ impl WalTailer {
             };
             // Re-read once: the writer may have completed a half-observed
             // record between our EOF read and the rotation we just listed.
-            if Self::fill(seg)? > 0 {
+            if seg.fill()? > 0 {
                 continue;
             }
-            if !seg.carry.is_empty() {
+            if seg.pending() {
                 return Err(DurabilityError::corrupt(format!(
                     "WAL segment {} sealed with a torn tail",
                     segment_name(seg.first_index)
@@ -601,62 +778,32 @@ impl WalTailer {
         Ok(emitted)
     }
 
-    /// Decode complete records buffered in `carry`, emitting at most `max`.
+    /// Walk the complete records buffered so far, emitting at most `max`.
     fn drain_carry(&mut self, out: &mut Vec<TailItem>, max: usize) -> Result<usize, TailError> {
         let seg = self.current.as_mut().expect("segment is open");
         let mut emitted = 0;
-        let mut pos = 0;
         while emitted < max {
-            let Some((tag, payload, consumed)) = decode_record(&seg.carry[pos..]) else {
-                break;
-            };
-            match tag {
-                REC_EVENT => {
-                    if seg.index >= self.next_index {
+            match seg.next()? {
+                None => break,
+                Some(Record::Event { index, payload }) => {
+                    if index >= self.next_index {
                         out.push(TailItem::Event {
-                            index: seg.index,
+                            index,
                             payload: payload.to_vec(),
                         });
                         emitted += 1;
-                        self.next_index = seg.index + 1;
+                        self.next_index = index + 1;
                     }
-                    seg.index += 1;
                 }
-                REC_PUNCTUATION => {
-                    let bytes: [u8; 8] = payload.try_into().map_err(|_| {
-                        DurabilityError::corrupt("punctuation marker payload is not 8 bytes")
-                    })?;
-                    let value = u64::from_le_bytes(bytes);
-                    if value >= self.next_index {
-                        out.push(TailItem::Punctuation { next_index: value });
+                Some(Record::Punctuation(next_index)) => {
+                    if next_index >= self.next_index {
+                        out.push(TailItem::Punctuation { next_index });
                         emitted += 1;
                     }
                 }
-                other => {
-                    return Err(DurabilityError::corrupt(format!(
-                        "unknown WAL record tag {other}"
-                    ))
-                    .into());
-                }
             }
-            pos += consumed;
         }
-        seg.carry.drain(..pos);
         Ok(emitted)
-    }
-
-    /// Read whatever new bytes the segment file has; returns the count.
-    fn fill(seg: &mut OpenSegment) -> Result<usize, TailError> {
-        let mut buf = [0u8; 16 * 1024];
-        let mut total = 0;
-        loop {
-            let n = seg.file.read(&mut buf)?;
-            if n == 0 {
-                return Ok(total);
-            }
-            seg.carry.extend_from_slice(&buf[..n]);
-            total += n;
-        }
     }
 
     /// Open the segment containing `next_index`. `Ok(false)` when nothing
@@ -673,40 +820,8 @@ impl WalTailer {
             }
             return Ok(false);
         };
-        let mut file = File::open(path)?;
-        let mut header = [0u8; 12];
-        let mut got = 0;
-        while got < header.len() {
-            let n = file.read(&mut header[got..])?;
-            if n == 0 {
-                // The writer created the file but has not finished the
-                // header; nothing to read yet.
-                return Ok(false);
-            }
-            got += n;
-        }
-        if header[..4] != WAL_MAGIC {
-            return Err(DurabilityError::corrupt(format!(
-                "{}: bad WAL segment magic",
-                path.display()
-            ))
-            .into());
-        }
-        let header_index = u64::from_le_bytes(header[4..12].try_into().expect("8-byte header"));
-        if header_index != first {
-            return Err(DurabilityError::corrupt(format!(
-                "{}: header index {header_index} does not match file name",
-                path.display()
-            ))
-            .into());
-        }
-        self.current = Some(OpenSegment {
-            first_index: first,
-            file,
-            index: first,
-            carry: Vec::new(),
-        });
-        Ok(true)
+        self.current = SegmentWalk::open_file(path, first)?;
+        Ok(self.current.is_some())
     }
 }
 
@@ -757,6 +872,7 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
 mod tests {
     use super::*;
     use crate::test_dir;
+    use morphstream_common::protocol::ProtocolError;
 
     /// Minimal event codec for tests: one u64, MSB1-style framing.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -841,13 +957,14 @@ mod tests {
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
 
-        // Recovery: read the valid prefix, then repair the torn segment.
+        // Recovery: read the valid prefix, then seal the segment where the
+        // walk stopped.
         let state: WalState<Probe> = read_wal(&dir).unwrap();
         assert!(state.torn_tail);
         assert_eq!(state.events.len(), 3);
-        assert!(repair_torn_tail::<Probe>(&dir).unwrap());
-        // Idempotent: a clean segment is left alone.
-        assert!(!repair_torn_tail::<Probe>(&dir).unwrap());
+        assert!(recover_wal::<Probe>(&dir, 0).unwrap().torn_tail);
+        // Sealed where the walk stopped: the next walk finds nothing torn.
+        assert!(!recover_wal::<Probe>(&dir, 0).unwrap().torn_tail);
 
         // The server appends again, sealing the repaired segment behind a
         // newer one; the next restart must still read the whole log.
@@ -862,6 +979,101 @@ mod tests {
             (0..4).map(|i| (i, Probe(i))).collect::<Vec<_>>()
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between a segment's creation and its header leaves a newest
+    /// file of 0–11 bytes. Nothing was logged to it: it reads as empty, the
+    /// repair removes it, and the log goes on under the same name. Behind a
+    /// newer segment the same file is damage.
+    #[test]
+    fn a_headerless_last_segment_reads_as_empty_and_is_removed() {
+        for header_bytes in [0, 4, 11] {
+            let dir = test_dir("wal-headerless");
+            let mut log = WalLog::open(&dir, FsyncPolicy::Never, 0).unwrap();
+            for i in 0..3u64 {
+                log.append_event(&Probe(i)).unwrap();
+            }
+            log.rotate().unwrap();
+            drop(log);
+            let mut header = WAL_MAGIC.to_vec();
+            header.extend_from_slice(&3u64.to_le_bytes());
+            let headerless = dir.join(segment_name(3));
+            fs::write(&headerless, &header[..header_bytes]).unwrap();
+
+            // the live tailer has always read that file as "nothing yet"
+            let mut items = Vec::new();
+            assert_eq!(WalTailer::new(&dir, 0).poll(&mut items, 100).unwrap(), 3);
+
+            let state = read_wal::<Probe>(&dir).expect("a read gets past it");
+            assert!(headerless.exists(), "and changes nothing");
+            assert_eq!(
+                recover_wal::<Probe>(&dir, 0).expect("so does recovery"),
+                state
+            );
+            assert!(!headerless.exists(), "which removes it");
+            assert_eq!(state.segments, 2);
+            assert!(!state.torn_tail, "no record was dropped");
+            assert_eq!(
+                state.events,
+                (0..3).map(|i| (i, Probe(i))).collect::<Vec<_>>()
+            );
+
+            let mut log = WalLog::open(&dir, FsyncPolicy::Never, 3).unwrap();
+            assert_eq!(log.append_event(&Probe(3)).unwrap(), 3);
+            assert_eq!(log.segment_count(), 2);
+            log.rotate().unwrap();
+            assert_eq!(read_wal::<Probe>(&dir).unwrap().events.len(), 4);
+
+            // sealed behind a newer segment, a short header stays an error
+            fs::write(dir.join(segment_name(2)), &header[..header_bytes]).unwrap();
+            assert!(read_wal::<Probe>(&dir).is_err());
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A record that could not be written whole must not end up *inside*
+    /// the log: the segment is cut back to its last whole record before the
+    /// next append (or the rotation that would seal it) writes anything.
+    #[test]
+    fn a_failed_append_is_cut_off_before_anything_is_written_behind_it() {
+        for seal in [false, true] {
+            let dir = test_dir("wal-failed-append");
+            let mut log = WalLog::open(&dir, FsyncPolicy::Never, 0).unwrap();
+            for i in 0..3u64 {
+                log.append_event(&Probe(i)).unwrap();
+            }
+            // The disk takes 7 bytes of the next record, then says no. What
+            // a `write_all` cut short leaves behind — the bytes, and the
+            // handle's cursor past them — is done to the real handle by
+            // hand; the append itself meets one whose writes fail (it is
+            // read-only).
+            let segment = dir.join(segment_name(0));
+            let whole = fs::metadata(&segment).unwrap().len();
+            let mut real = log.swap_segment(File::open(&segment).unwrap()).unwrap();
+            real.write_all(&[REC_EVENT, 8, 0, 0, 0, 9, 9]).unwrap();
+            assert!(log.append_event(&Probe(99)).is_err());
+            assert_eq!(log.next_index(), 3, "the failed event was not counted");
+            assert_eq!(fs::metadata(&segment).unwrap().len(), whole + 7);
+            drop(real);
+
+            if seal {
+                log.rotate().unwrap();
+            }
+            for i in 3..6u64 {
+                assert_eq!(log.append_event(&Probe(i)).unwrap(), i);
+            }
+            log.rotate().unwrap();
+            log.append_event(&Probe(6)).unwrap();
+            log.sync().unwrap();
+
+            let state: WalState<Probe> = read_wal(&dir).expect("no damage was sealed in");
+            assert!(!state.torn_tail);
+            assert_eq!(
+                state.events,
+                (0..7).map(|i| (i, Probe(i))).collect::<Vec<_>>()
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -227,6 +227,100 @@ fn torn_tail_is_repaired_the_reanchor_holds_and_the_sealed_segment_reads() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash between a WAL segment's creation and its header — the first
+/// append after a checkpoint's rotation, or the very first append — leaves a
+/// newest segment of 0–11 bytes. Nothing was logged to it: startup reads it
+/// as empty, and the run converges to the uninterrupted digests.
+#[test]
+fn a_headerless_newest_segment_does_not_brick_startup() {
+    let events = test_events();
+    for header_bytes in [0, 4, 11] {
+        for checkpointed in [false, true] {
+            let dir = test_dir("headerless");
+            let logged = if checkpointed { CHECKPOINT_AT } else { 0 };
+            if checkpointed {
+                let mut a = Lifetime::open(SHAPE, &dir);
+                a.ingest(&events[..CHECKPOINT_AT]);
+                a.durable.checkpoint_now().expect("checkpoint");
+            }
+            let mut header = morphstream_durability::WAL_MAGIC.to_vec();
+            header.extend_from_slice(&(logged as u64).to_le_bytes());
+            let wal = dir.join("wal");
+            std::fs::create_dir_all(&wal).unwrap();
+            let headerless = wal.join(format!("seg-{logged:020}.msw"));
+            std::fs::write(&headerless, &header[..header_bytes]).unwrap();
+
+            let mut b = Lifetime::open(SHAPE, &dir);
+            let recovered = b.recovery.as_ref().map(|r| r.events_applied);
+            assert_eq!(recovered, checkpointed.then_some(CHECKPOINT_AT as u64));
+            assert_eq!(b.durable.next_index(), logged as u64);
+            b.ingest(&events[logged..323]);
+            drop(b);
+
+            let mut c = Lifetime::open(SHAPE, &dir);
+            let recovery = c.recovery.clone().expect("recovery ran");
+            assert!(!recovery.torn_tail);
+            assert_eq!(recovery.replayed_events, (323 - logged) as u64);
+            c.ingest(&events[323..]);
+            assert_eq!(
+                c.finish(),
+                reference(SHAPE, &events),
+                "header_bytes={header_bytes} checkpointed={checkpointed}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// An append that fails part-way (a full disk) leaves a partial record at
+/// the log's tip. The events acknowledged after it must not sit behind those
+/// bytes: a crash then recovers all of them, and the segment, once sealed,
+/// still reads.
+#[test]
+fn events_logged_after_a_failed_append_survive_the_crash() {
+    use std::io::Write;
+
+    let events = test_events();
+    let dir = test_dir("failed-append");
+    {
+        let mut a = Lifetime::open(SHAPE, &dir);
+        a.ingest(&events[..100]);
+        // 7 bytes of the next record reach the file, then its write fails:
+        // the bytes (and the cursor past them, as a `write_all` cut short
+        // leaves it) are put there through the segment's real handle, the
+        // append meets a read-only one in its place.
+        let segment = dir.join("wal").join(format!("seg-{:020}.msw", 0));
+        let read_only = std::fs::File::open(&segment).unwrap();
+        let real = a.durable.wal_mut().swap_segment(read_only);
+        let mut real = real.expect("a segment is open");
+        real.write_all(&[1, 25, 0, 0, 0, 9, 9]).unwrap();
+        let refused = a.durable.ingest(events[100..110].iter().cloned());
+        assert!(refused.is_err(), "the append fails");
+        assert_eq!(
+            a.durable.next_index(),
+            100,
+            "nothing of the chunk is logged"
+        );
+        drop(real);
+        // The client resends from the durable index; these are acknowledged.
+        a.ingest(&events[100..323]);
+    }
+    {
+        let mut b = Lifetime::open(SHAPE, &dir);
+        let recovery = b.recovery.clone().expect("recovery ran");
+        assert!(!recovery.torn_tail, "no partial record was left in the log");
+        assert_eq!(recovery.replayed_events, 323, "every acknowledged event");
+        // The re-anchor sealed that segment; more appends, another crash.
+        b.ingest(&events[323..400]);
+    }
+    let mut c = Lifetime::open(SHAPE, &dir);
+    let recovery = c.recovery.clone().expect("recovery ran");
+    assert_eq!(recovery.replayed_events, 400 - 323);
+    c.ingest(&events[400..]);
+    assert_eq!(c.finish(), reference(SHAPE, &events));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Adopting a shipped chain on a directory with history of its own discards
 /// that history — WAL and checkpoints — before installing the chain.
 #[test]

@@ -111,12 +111,6 @@ impl TxnBuilder {
         self
     }
 
-    /// Add a pre-built operation spec.
-    pub fn push_spec(&mut self, spec: OperationSpec) -> &mut Self {
-        self.push(spec);
-        self
-    }
-
     fn push(&mut self, spec: OperationSpec) {
         self.ops.push(spec.with_cost_us(self.cost_us));
     }

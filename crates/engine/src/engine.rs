@@ -284,6 +284,18 @@ impl<E> Drop for ConstructionStage<E> {
     }
 }
 
+/// Workers TPG construction runs on: the execution worker count — halved
+/// under pipelined construction, where it runs *beside* the execution pool
+/// and the full count would oversubscribe the machine. Never less than 1.
+fn construction_threads(config: &EngineConfig) -> usize {
+    let threads = if config.pipelined_construction {
+        config.num_threads / 2
+    } else {
+        config.num_threads
+    };
+    threads.max(1)
+}
+
 /// Wall-clock intersection of two intervals — how much of a batch's
 /// construction ran while another batch was executing.
 fn interval_overlap(a: (Instant, Instant), b: (Instant, Instant)) -> Duration {
@@ -315,10 +327,16 @@ pub struct MorphStream<A: StreamApp> {
 impl<A: StreamApp> MorphStream<A> {
     /// Create an engine for `app` over `store`.
     pub fn new(app: A, store: StateStore, config: EngineConfig) -> Self {
-        let planner = TpgBuilder::new().with_threads(config.construction_threads());
+        Self::with_shared_app(Arc::new(app), store, config)
+    }
+
+    /// [`MorphStream::new`] over an application object other engines run
+    /// too: the parallel instances of one topology operator.
+    pub(crate) fn with_shared_app(app: Arc<A>, store: StateStore, config: EngineConfig) -> Self {
+        let planner = TpgBuilder::new().with_threads(construction_threads(&config));
         Self {
             reclaim_visits: ReclaimVisits::new([&store]),
-            app: Arc::new(app),
+            app,
             store,
             config,
             mode: SchedulingMode::default(),
@@ -381,6 +399,12 @@ impl<A: StreamApp> MorphStream<A> {
             .punctuation_interval
             .unwrap_or(usize::MAX)
             .max(1)
+    }
+
+    /// Take the outputs of the batches completed since the last call (see
+    /// [`SessionState::take_outputs`]).
+    pub(crate) fn take_outputs(&mut self) -> Vec<A::Output> {
+        self.session.take_outputs()
     }
 
     /// Construct and execute the buffered events inline as one batch; a
@@ -1089,17 +1113,20 @@ mod tests {
     }
 
     #[test]
-    fn construction_threads_knob_controls_the_planner() {
-        let (store, accounts) = setup(100);
-        let engine = MorphStream::new(
-            Transfers { accounts },
-            store,
-            EngineConfig::with_threads(4).with_construction_threads(2),
-        );
-        assert_eq!(engine.planner.threads(), 2);
-        let (store, accounts) = setup(100);
-        let engine = MorphStream::new(Transfers { accounts }, store, EngineConfig::with_threads(3));
-        assert_eq!(engine.planner.threads(), 3);
+    fn the_planner_follows_the_worker_count_and_halves_it_when_pipelined() {
+        let planner_threads = |config: EngineConfig| {
+            let (store, accounts) = setup(100);
+            MorphStream::new(Transfers { accounts }, store, config)
+                .planner
+                .threads()
+        };
+        assert_eq!(planner_threads(EngineConfig::with_threads(3)), 3);
+        // Pipelined construction runs beside the execution pool, so the
+        // default splits the cores instead of oversubscribing them.
+        let pipelined =
+            |threads| EngineConfig::with_threads(threads).with_pipelined_construction(true);
+        assert_eq!(planner_threads(pipelined(8)), 4);
+        assert_eq!(planner_threads(pipelined(1)), 1);
     }
 
     #[test]

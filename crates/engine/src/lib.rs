@@ -63,8 +63,7 @@ pub use pipeline::{
     OutputSink, PendingBatch, Pipeline, SessionState, TxnEngine,
 };
 pub use report::{
-    BatchSummary, DurabilityCounters, EdgeReport, OperatorCounters, OperatorReport, ReportSnapshot,
-    RunReport,
+    BatchSummary, EdgeReport, OperatorCounters, OperatorReport, ReportSnapshot, RunReport,
 };
 pub use topology::{EntryBinding, OperatorHandle, Route, Topology, TopologyBuilder, TopologyError};
 

@@ -188,11 +188,12 @@ pub struct PendingBatch<E> {
 ///
 /// Engines differ only in how a batch executes; the session mechanics —
 /// punctuation cuts, batch indexing, hook firing, metric folding, buffer
-/// recycling, finish-time reset — live here so MorphStream and the baselines
-/// cannot drift. The flow per batch is [`SessionState::ingest`] until it
-/// returns `true` → [`SessionState::begin_batch`] → execute, pushing
-/// per-event outputs with [`SessionState::push_output`] →
-/// [`SessionState::complete_batch`].
+/// recycling, finish-time reset — live here so MorphStream, the baselines
+/// and a whole [`Topology`](crate::Topology) (whose "batch" is a round
+/// through its operators) cannot drift. The flow per batch is
+/// [`SessionState::ingest`] until it returns `true` →
+/// [`SessionState::begin_batch`] → execute, pushing per-event outputs with
+/// [`SessionState::push_output`] → [`SessionState::complete_batch`].
 ///
 /// The buffer is double-buffered by construction: [`SessionState::begin_batch`]
 /// moves the events out, so a cut batch can travel through a construction /
@@ -255,6 +256,16 @@ impl<E, O> SessionState<E, O> {
             }
             None => self.report.outputs.push(output),
         }
+    }
+
+    /// Take the outputs retained so far, counting them as drained so
+    /// `events()` stays exact: how a holder that forwards outputs batch by
+    /// batch (an operator instance of a topology) collects them without a
+    /// sink.
+    pub fn take_outputs(&mut self) -> Vec<O> {
+        let outputs = std::mem::take(&mut self.report.outputs);
+        self.report.drained_outputs += outputs.len();
+        outputs
     }
 
     /// Record a processed batch: fire the hook, fold the metrics into the
@@ -338,10 +349,11 @@ pub trait CheckpointSource {
 
 /// A transactional stream engine driven by pushed events.
 ///
-/// Implemented by [`MorphStream`](crate::MorphStream) and by the three
-/// reconstructed baselines, so benchmarks and applications drive every system
-/// through one interface. Events accumulate in an internal buffer of at most
-/// one punctuation interval; crossing the interval triggers batch processing,
+/// Implemented by [`MorphStream`](crate::MorphStream), by a
+/// [`Topology`](crate::Topology) of them, and by the three reconstructed
+/// baselines, so benchmarks and applications drive every system through one
+/// interface. Events accumulate in an internal buffer of at most one
+/// punctuation interval; crossing the interval triggers batch processing,
 /// which keeps ingestion memory bounded regardless of stream length.
 pub trait TxnEngine {
     /// Input event type.

@@ -147,19 +147,6 @@ impl OperatorReport {
     pub fn k_events_per_second(&self) -> f64 {
         self.throughput.k_events_per_second()
     }
-
-    /// Render as one JSON object (counters plus throughput), via the shared
-    /// [`morphstream_common::json`] path.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .string("name", &self.name)
-            .unsigned("events", self.events as u64)
-            .unsigned("committed", self.committed as u64)
-            .unsigned("aborted", self.aborted as u64)
-            .unsigned("batches", self.batches as u64)
-            .fixed("k_events_per_second", self.k_events_per_second(), 3)
-            .build()
-    }
 }
 
 /// Per-edge channel statistics of a [`Topology`](crate::Topology) run: one
@@ -321,8 +308,7 @@ impl<O> RunReport<O> {
     /// nothing is cloned or sorted, the histogram and the peak are kept
     /// current as batches are recorded, and the two quantiles scan the
     /// distinct latencies seen — so the cost does not grow with the events
-    /// of the session. The server's `/metrics` endpoint scrapes these; two
-    /// snapshots subtract into a delta with [`ReportSnapshot::delta_since`].
+    /// of the session. The server's `/metrics` endpoint scrapes these.
     pub fn snapshot(&self) -> ReportSnapshot {
         let pct = |p: f64| {
             let latency = self.latency.percentile(p);
@@ -341,7 +327,6 @@ impl<O> RunReport<O> {
             p95_latency_ms: pct(95.0),
             peak_bytes_retained: self.memory.peak_bytes(),
             latency: self.latency.histogram(),
-            durability: DurabilityCounters::default(),
             operators: self
                 .operators
                 .iter()
@@ -355,12 +340,6 @@ impl<O> RunReport<O> {
                 .collect(),
             edges: self.edges.clone(),
         }
-    }
-
-    /// The counters accumulated since `prev` was taken from this same
-    /// session: `snapshot().delta_since(prev)`.
-    pub fn snapshot_delta(&self, prev: &ReportSnapshot) -> ReportSnapshot {
-        self.snapshot().delta_since(prev)
     }
 }
 
@@ -393,15 +372,14 @@ impl OperatorCounters {
 }
 
 /// A point-in-time condensation of a [`RunReport`] into plain counters and
-/// gauges: no outputs, no per-event samples — safe to clone, subtract, fold,
-/// and serialize however often an observer polls.
+/// gauges: no outputs, no per-event samples — safe to clone, fold, and
+/// serialize however often an observer polls.
 ///
 /// All integer fields are *cumulative counters* within the session the
 /// snapshot was taken from; `p50/p95` and `peak_bytes_retained` are gauges
-/// describing the session so far. [`ReportSnapshot::delta_since`] subtracts
-/// counters (gauges are carried from `self`), and [`ReportSnapshot::fold`]
-/// adds counters across session boundaries — how a long-lived server keeps
-/// totals while rotating sessions to bound report memory.
+/// describing the session so far. [`ReportSnapshot::fold`] adds counters
+/// across session boundaries — how a long-lived server keeps totals while
+/// rotating sessions to bound report memory.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReportSnapshot {
     /// Events processed (retained plus drained outputs).
@@ -431,65 +409,10 @@ pub struct ReportSnapshot {
     /// End-to-end latency distribution as a fixed-bucket histogram — the
     /// fold-able form `/metrics` renders as `_bucket`/`_sum`/`_count` rows.
     pub latency: LatencyHistogram,
-    /// Checkpoint/WAL counters (all zero unless the process runs durably).
-    pub durability: DurabilityCounters,
     /// Per-operator counters (empty for a single-operator engine).
     pub operators: Vec<OperatorCounters>,
     /// Per-edge back-pressure counters (empty for a single-operator engine).
     pub edges: Vec<EdgeReport>,
-}
-
-/// Checkpoint and write-ahead-log counters of a durable process, carried
-/// inside [`ReportSnapshot`] so `/metrics` and `fig_topology --json` expose
-/// them through the same path as the engine counters. Counter fields are
-/// cumulative; the `last_checkpoint_*`/`wal_segments` fields are gauges.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DurabilityCounters {
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Bytes of checkpoint files written (incremental sections only).
-    pub checkpoint_bytes: u64,
-    /// Events appended to the write-ahead input log.
-    pub wal_records: u64,
-    /// Bytes appended to the write-ahead input log.
-    pub wal_bytes: u64,
-    /// Recoveries performed at startup (0 or 1 per process).
-    pub recoveries: u64,
-    /// Events replayed from the log during recovery.
-    pub recovered_events: u64,
-    /// Live WAL segment files (gauge).
-    pub wal_segments: u64,
-    /// Duration of the most recent checkpoint, in seconds (gauge).
-    pub last_checkpoint_seconds: f64,
-    /// Time since the most recent checkpoint finished, in seconds (gauge;
-    /// negative when no checkpoint was taken yet).
-    pub last_checkpoint_age_seconds: f64,
-}
-
-impl DurabilityCounters {
-    /// Whether any durability activity was recorded.
-    pub fn is_active(&self) -> bool {
-        self.checkpoints > 0 || self.wal_records > 0 || self.recoveries > 0
-    }
-
-    /// Render as one JSON object.
-    pub fn to_json(&self) -> String {
-        JsonObject::new()
-            .unsigned("checkpoints", self.checkpoints)
-            .unsigned("checkpoint_bytes", self.checkpoint_bytes)
-            .unsigned("wal_records", self.wal_records)
-            .unsigned("wal_bytes", self.wal_bytes)
-            .unsigned("recoveries", self.recoveries)
-            .unsigned("recovered_events", self.recovered_events)
-            .unsigned("wal_segments", self.wal_segments)
-            .fixed("last_checkpoint_seconds", self.last_checkpoint_seconds, 6)
-            .fixed(
-                "last_checkpoint_age_seconds",
-                self.last_checkpoint_age_seconds,
-                3,
-            )
-            .build()
-    }
 }
 
 impl ReportSnapshot {
@@ -500,70 +423,6 @@ impl ReportSnapshot {
         } else {
             self.events as f64 / self.processing_seconds
         }
-    }
-
-    /// Counter-wise difference `self - prev` (saturating, so a snapshot from
-    /// a fresh session subtracted against an old one never underflows).
-    /// Gauges (`p50/p95`, peak bytes) are taken from `self` unchanged;
-    /// operator and edge rows are matched by name.
-    pub fn delta_since(&self, prev: &ReportSnapshot) -> ReportSnapshot {
-        let mut delta = self.clone();
-        delta.events = self.events.saturating_sub(prev.events);
-        delta.committed = self.committed.saturating_sub(prev.committed);
-        delta.aborted = self.aborted.saturating_sub(prev.aborted);
-        delta.redone_ops = self.redone_ops.saturating_sub(prev.redone_ops);
-        delta.coarse_unit_builds = self
-            .coarse_unit_builds
-            .saturating_sub(prev.coarse_unit_builds);
-        delta.reclaim_keys_visited = self
-            .reclaim_keys_visited
-            .saturating_sub(prev.reclaim_keys_visited);
-        delta.batches = self.batches.saturating_sub(prev.batches);
-        delta.processing_seconds = (self.processing_seconds - prev.processing_seconds).max(0.0);
-        delta.latency = self.latency.saturating_delta(&prev.latency);
-        let d = &mut delta.durability;
-        d.checkpoints = self
-            .durability
-            .checkpoints
-            .saturating_sub(prev.durability.checkpoints);
-        d.checkpoint_bytes = self
-            .durability
-            .checkpoint_bytes
-            .saturating_sub(prev.durability.checkpoint_bytes);
-        d.wal_records = self
-            .durability
-            .wal_records
-            .saturating_sub(prev.durability.wal_records);
-        d.wal_bytes = self
-            .durability
-            .wal_bytes
-            .saturating_sub(prev.durability.wal_bytes);
-        d.recoveries = self
-            .durability
-            .recoveries
-            .saturating_sub(prev.durability.recoveries);
-        d.recovered_events = self
-            .durability
-            .recovered_events
-            .saturating_sub(prev.durability.recovered_events);
-        for op in &mut delta.operators {
-            if let Some(p) = prev.operators.iter().find(|p| p.name == op.name) {
-                op.events = op.events.saturating_sub(p.events);
-                op.committed = op.committed.saturating_sub(p.committed);
-                op.aborted = op.aborted.saturating_sub(p.aborted);
-                op.batches = op.batches.saturating_sub(p.batches);
-            }
-        }
-        for edge in &mut delta.edges {
-            if let Some(p) = prev
-                .edges
-                .iter()
-                .find(|p| p.from == edge.from && p.to == edge.to)
-            {
-                edge.queue_full_waits = edge.queue_full_waits.saturating_sub(p.queue_full_waits);
-            }
-        }
-        delta
     }
 
     /// Add `other`'s counters into `self` (rows matched by name, unmatched
@@ -585,18 +444,6 @@ impl ReportSnapshot {
         }
         self.peak_bytes_retained = self.peak_bytes_retained.max(other.peak_bytes_retained);
         self.latency.fold(&other.latency);
-        self.durability.checkpoints += other.durability.checkpoints;
-        self.durability.checkpoint_bytes += other.durability.checkpoint_bytes;
-        self.durability.wal_records += other.durability.wal_records;
-        self.durability.wal_bytes += other.durability.wal_bytes;
-        self.durability.recoveries += other.durability.recoveries;
-        self.durability.recovered_events += other.durability.recovered_events;
-        if other.durability.is_active() {
-            self.durability.wal_segments = other.durability.wal_segments;
-            self.durability.last_checkpoint_seconds = other.durability.last_checkpoint_seconds;
-            self.durability.last_checkpoint_age_seconds =
-                other.durability.last_checkpoint_age_seconds;
-        }
         for op in &other.operators {
             match self.operators.iter_mut().find(|s| s.name == op.name) {
                 Some(s) => {
@@ -636,7 +483,6 @@ impl ReportSnapshot {
             .fixed("p50_latency_ms", self.p50_latency_ms, 3)
             .fixed("p95_latency_ms", self.p95_latency_ms, 3)
             .unsigned("peak_bytes_retained", self.peak_bytes_retained)
-            .raw("durability", self.durability.to_json())
             .array("operators", self.operators.iter().map(|o| o.to_json()))
             .array("edges", self.edges.iter().map(|e| e.to_json()))
             .build()
@@ -732,30 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_subtracts_counters_and_keeps_gauges() {
-        let mut report: RunReport<u64> = RunReport::new();
-        report.outputs.extend([1, 2, 3]);
-        report.record_batch(summary(3, 2), &Breakdown::new(), Duration::from_millis(10));
-        let early = report.snapshot();
-        assert_eq!(early.events, 3);
-        assert_eq!(early.committed, 2);
-        assert_eq!(early.batches, 1);
-        assert!(early.p95_latency_ms > 0.0);
-
-        report.drained_outputs += 4; // a sink drained the next batch's outputs
-        report.record_batch(summary(4, 4), &Breakdown::new(), Duration::from_millis(20));
-        let delta = report.snapshot_delta(&early);
-        assert_eq!(delta.events, 4);
-        assert_eq!(delta.committed, 4);
-        assert_eq!(delta.aborted, 0); // both aborts were in the first batch
-        assert_eq!(delta.batches, 1);
-        assert!(delta.processing_seconds > 0.0);
-        // gauges come from the later snapshot, not a subtraction
-        assert_eq!(delta.peak_bytes_retained, 512);
-        assert!(delta.p50_latency_ms > 0.0);
-    }
-
-    #[test]
     fn snapshot_fold_accumulates_across_sessions() {
         let mut total = ReportSnapshot::default();
         let mut session = ReportSnapshot {
@@ -793,41 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn durability_counters_fold_and_delta_like_the_engine_counters() {
-        let mut total = ReportSnapshot::default();
-        let live = ReportSnapshot {
-            durability: DurabilityCounters {
-                checkpoints: 2,
-                checkpoint_bytes: 4096,
-                wal_records: 100,
-                wal_bytes: 2000,
-                recoveries: 1,
-                recovered_events: 40,
-                wal_segments: 3,
-                last_checkpoint_seconds: 0.01,
-                last_checkpoint_age_seconds: 5.0,
-            },
-            ..Default::default()
-        };
-        total.fold(&live);
-        total.fold(&live);
-        assert_eq!(total.durability.checkpoints, 4);
-        assert_eq!(total.durability.wal_records, 200);
-        // gauges track the live session, not a sum
-        assert_eq!(total.durability.wal_segments, 3);
-        assert!((total.durability.last_checkpoint_age_seconds - 5.0).abs() < 1e-9);
-
-        let delta = total.delta_since(&live);
-        assert_eq!(delta.durability.checkpoints, 2);
-        assert_eq!(delta.durability.recovered_events, 40);
-        assert!(delta.durability.is_active());
-        assert!(!ReportSnapshot::default().durability.is_active());
-        // rendered JSON carries the nested durability object
-        let json = live.to_json();
-        assert!(json.contains("\"durability\":{\"checkpoints\":2"));
-    }
-
-    #[test]
     fn snapshot_latency_histogram_follows_the_recorded_samples() {
         let mut report: RunReport<u64> = RunReport::new();
         report.outputs.extend([1, 2]);
@@ -844,11 +631,10 @@ mod tests {
         report.outputs.extend([7, 8]);
         report.record_batch(summary(2, 2), &Breakdown::new(), Duration::from_millis(5));
         let rendered = report.snapshot().to_json();
-        // durability/operators/edges are nested, which the flat parser
-        // rejects — strip them for the round-trip check of the scalar
-        // counters.
+        // operators/edges are nested, which the flat parser rejects — strip
+        // them for the round-trip check of the scalar counters.
         let scalars = rendered
-            .split(",\"durability\":")
+            .split(",\"operators\":")
             .next()
             .map(|s| format!("{s}}}"))
             .unwrap();

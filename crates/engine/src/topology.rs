@@ -149,7 +149,7 @@ use std::time::Instant;
 use morphstream_scheduler::SchedulingDecision;
 use morphstream_storage::StateStore;
 
-use crate::pipeline::{BatchHook, TxnEngine};
+use crate::pipeline::{BatchHook, SessionState, TxnEngine};
 use crate::report::{
     BatchSummary, EdgeReport, OperatorCounters, OperatorReport, ReclaimVisits, RunReport,
 };
@@ -167,16 +167,16 @@ struct RoundAcc {
     decision: Option<SchedulingDecision>,
 }
 
-/// Everything a topology session accumulates on the caller side: the report,
-/// hook and sink, the edge observability rows, and the fold that turns the
-/// cores' per-round reports into batch summaries, live rows and finish rows.
-struct Session<Out> {
-    report: RunReport<Out>,
-    hook: Option<BatchHook>,
-    /// Installed output sink: terminal outputs are drained here instead of
-    /// accumulating in the report (see [`TxnEngine::set_output_sink`]).
-    sink: Option<crate::pipeline::OutputSink<Out>>,
-    run_started: Option<Instant>,
+/// Everything a topology session accumulates on the caller side: the
+/// engines' shared [`SessionState`] (entry staging buffer, report, hook,
+/// sink), the edge observability rows, and the fold that turns the cores'
+/// per-round reports into batch summaries, live rows and finish rows.
+struct Session<In, Out> {
+    /// Pushed events are staged here — a typed buffer push, no per-event box
+    /// or virtual dispatch — and handed to the entry operator(s) one
+    /// punctuation interval at a time; terminal outputs and finalized rounds
+    /// land in its report.
+    state: SessionState<In, Out>,
     /// The distinct state stores of the operators (shared stores counted
     /// once), for per-round memory and reclaim accounting.
     stores: Vec<StateStore>,
@@ -200,7 +200,7 @@ struct Session<Out> {
     live_counters: BTreeMap<(usize, usize), OperatorCounters>,
 }
 
-impl<Out: 'static> Session<Out> {
+impl<In, Out: 'static> Session<In, Out> {
     fn new(
         stores: Vec<StateStore>,
         edge_labels: Vec<(String, String)>,
@@ -208,10 +208,7 @@ impl<Out: 'static> Session<Out> {
         total_instances: usize,
     ) -> Self {
         Self {
-            report: RunReport::new(),
-            hook: None,
-            sink: None,
-            run_started: None,
+            state: SessionState::new(),
             reclaim_visits: ReclaimVisits::new(&stores),
             stores,
             edge_labels,
@@ -271,14 +268,8 @@ impl<Out: 'static> Session<Out> {
                 let outputs = outputs
                     .downcast::<Vec<Out>>()
                     .expect("terminal output type checked by OperatorHandle");
-                // Drained to the installed sink (counted so `events()` stays
-                // exact) or retained in the report.
-                match self.sink.as_mut() {
-                    Some(sink) => {
-                        self.report.drained_outputs += outputs.len();
-                        outputs.into_iter().for_each(|output| sink.emit(output));
-                    }
-                    None => self.report.outputs.extend(*outputs),
+                for output in *outputs {
+                    self.state.push_output(output);
                 }
                 self.outputs_seq = Some(seq);
             }
@@ -316,7 +307,7 @@ impl<Out: 'static> Session<Out> {
             }
             let reclaim_keys_visited = self.reclaim_visits.take(&self.stores);
             let summary = BatchSummary {
-                batch: self.report.batches.len(),
+                batch: self.state.report().batches.len(),
                 events: acc.entry_events,
                 committed: acc.totals.committed,
                 aborted: acc.totals.aborted,
@@ -328,28 +319,22 @@ impl<Out: 'static> Session<Out> {
                 bytes_retained: self.stores.iter().map(StateStore::bytes_retained).sum(),
                 timings: acc.totals.timings,
             };
-            if let Some(hook) = self.hook.as_mut() {
-                hook(&summary);
-            }
-            let at = self.run_started.map(|s| s.elapsed()).unwrap_or_default();
-            self.report.record_batch(summary, &acc.totals.breakdown, at);
+            // The round's events left with the entry parts: no buffer
+            // comes back to recycle.
+            self.state
+                .complete_batch(Vec::new(), summary, &acc.totals.breakdown);
         }
     }
 
     /// Close the session: hand out its report with the finish rows attached
     /// and reset everything a new session starts from.
     fn finish(&mut self) -> RunReport<Out> {
-        let mut report = std::mem::take(&mut self.report);
+        let mut report = self.state.finish();
         report.operators = std::mem::take(&mut self.operator_rows)
             .into_values()
             .collect();
         report.edges = self.edge_report();
-        if let Some(sink) = self.sink.as_mut() {
-            sink.flush();
-        }
         self.live_counters.clear();
-        self.run_started = None;
-        self.hook = None;
         for waits in &self.edge_waits {
             waits.store(0, Ordering::Relaxed);
         }
@@ -374,11 +359,7 @@ pub struct Topology<In, Out> {
     /// The entry operator's punctuation interval (the smallest across
     /// entries in dispatch mode), captured at build time.
     entry_punctuation: usize,
-    /// Typed staging buffer for entry events: pushed events accumulate here
-    /// (no per-event boxing or virtual dispatch) and are handed to the entry
-    /// operator(s) one punctuation interval at a time.
-    entry_buffer: Vec<In>,
-    session: Session<Out>,
+    session: Session<In, Out>,
     driver: Box<dyn Driver>,
 }
 
@@ -448,7 +429,10 @@ where
     /// per-round instance accounting and the downstream punctuation
     /// alignment intact.
     fn feed(&mut self, kind: RoundKind) -> usize {
-        let events = std::mem::take(&mut self.entry_buffer);
+        // A flush or finish round drains the operators even when nothing is
+        // staged.
+        let staged = self.session.state.begin_batch();
+        let events = staged.map(|batch| batch.events).unwrap_or_default();
         let seq = self.session.open_round();
         let part = |events: Box<dyn Any + Send>, positions, total| InstanceMsg {
             seq,
@@ -500,13 +484,9 @@ where
     type Output = Out;
 
     fn ingest(&mut self, event: In) {
-        self.session.run_started.get_or_insert_with(Instant::now);
-        // The hot path is a typed buffer push; the staged events are handed
-        // to the entry operator one punctuation interval at a time, so the
-        // entry engine cuts exactly the batches it would have cut from
-        // per-event pushes — without a per-event box or virtual dispatch.
-        self.entry_buffer.push(event);
-        if self.entry_buffer.len() >= self.entry_punctuation {
+        // One staged punctuation interval is one round, so the entry engine
+        // cuts exactly the batches it would have cut from per-event pushes.
+        if self.session.state.ingest(event, self.entry_punctuation) {
             self.feed(RoundKind::Normal);
         }
     }
@@ -541,15 +521,15 @@ where
         // Current per punctuation under the inline driver; under the
         // threaded driver it trails the stream until the next flush/finish
         // (rounds complete on worker threads).
-        &self.session.report
+        self.session.state.report()
     }
 
     fn set_batch_hook(&mut self, hook: Option<BatchHook>) {
-        self.session.hook = hook;
+        self.session.state.set_batch_hook(hook);
     }
 
     fn set_output_sink(&mut self, sink: Option<crate::pipeline::OutputSink<Out>>) {
-        self.session.sink = sink;
+        self.session.state.set_output_sink(sink);
     }
 }
 

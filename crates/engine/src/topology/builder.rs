@@ -605,7 +605,6 @@ impl TopologyBuilder {
             dispatch,
             terminal_index: terminal,
             entry_punctuation,
-            entry_buffer: Vec::new(),
             session: Session::new(stores, edge_labels, edge_waits, total_instances),
             driver,
         })

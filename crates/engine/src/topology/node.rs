@@ -9,7 +9,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use morphstream_common::metrics::{Breakdown, StageTimings};
 use morphstream_common::EngineConfig;
@@ -17,44 +17,10 @@ use morphstream_scheduler::SchedulingDecision;
 use morphstream_storage::StateStore;
 
 use super::route::ErasedRoute;
-use crate::app::{StreamApp, TxnBuilder};
+use crate::app::StreamApp;
 use crate::engine::MorphStream;
 use crate::pipeline::TxnEngine;
 use crate::report::{OperatorCounters, OperatorReport};
-
-/// Wraps a user application so its outputs are *tapped* into a queue the
-/// topology drains after every batch, instead of accumulating inside the
-/// operator's own `RunReport`. The inner app is shared (`Arc`) so parallel
-/// instances of one operator run the same application object; outputs move —
-/// no `Clone` bound on routed output types.
-struct TapApp<A: StreamApp> {
-    inner: Arc<A>,
-    queue: Arc<Mutex<Vec<A::Output>>>,
-}
-
-impl<A: StreamApp> StreamApp for TapApp<A>
-where
-    A::Output: 'static,
-{
-    type Event = A::Event;
-    type Output = ();
-
-    fn state_access(&self, event: &A::Event, txn: &mut TxnBuilder) {
-        self.inner.state_access(event, txn);
-    }
-
-    fn post_process(&self, event: &A::Event, outcome: &crate::TxnOutcome) {
-        let output = self.inner.post_process(event, outcome);
-        self.queue
-            .lock()
-            .expect("output queue poisoned")
-            .push(output);
-    }
-
-    fn expected_abort_ratio(&self) -> f64 {
-        self.inner.expected_abort_ratio()
-    }
-}
 
 /// Cumulative session counters of one operator instance's engine. Deltas
 /// between two snapshots describe one propagation round.
@@ -99,10 +65,10 @@ impl InstanceStats {
     }
 }
 
-/// Object-safe view of one operator *instance*: a typed
-/// `MorphStream<TapApp<A>>` behind event/output erasure, so the round cores
-/// drive heterogeneous instances uniformly (and the threaded driver can move
-/// each instance onto its own thread).
+/// Object-safe view of one operator *instance*: a typed `MorphStream<A>`
+/// behind event/output erasure, so the round cores drive heterogeneous
+/// instances uniformly (and the threaded driver can move each instance onto
+/// its own thread).
 pub(super) trait ErasedInstance: Send {
     /// Ingest a batch of events (a boxed `Vec<A::Event>`).
     fn ingest_events(&mut self, events: Box<dyn Any + Send>);
@@ -112,7 +78,8 @@ pub(super) trait ErasedInstance: Send {
     fn flush(&mut self);
     /// Batches this instance's engine has completed in the current session.
     fn completed_batches(&self) -> usize;
-    /// Drain the tapped outputs as a boxed `Vec<A::Output>`.
+    /// Take what the engine emitted since the last call, as a boxed
+    /// `Vec<A::Output>`.
     fn take_outputs(&mut self) -> Box<dyn Any + Send>;
     /// Cumulative session counters of this instance's engine.
     fn stats(&self) -> InstanceStats;
@@ -122,12 +89,8 @@ pub(super) trait ErasedInstance: Send {
     fn finish_instance(&mut self, name: &str) -> OperatorReport;
 }
 
-struct Instance<A: StreamApp>
-where
-    A::Output: 'static,
-{
-    engine: MorphStream<TapApp<A>>,
-    queue: Arc<Mutex<Vec<A::Output>>>,
+struct Instance<A: StreamApp> {
+    engine: MorphStream<A>,
 }
 
 impl<A: StreamApp> ErasedInstance for Instance<A>
@@ -156,8 +119,7 @@ where
     }
 
     fn take_outputs(&mut self) -> Box<dyn Any + Send> {
-        let mut queue = self.queue.lock().expect("output queue poisoned");
-        Box::new(std::mem::take(&mut *queue))
+        Box::new(self.engine.take_outputs())
     }
 
     fn stats(&self) -> InstanceStats {
@@ -178,9 +140,7 @@ where
     }
 
     fn finish_instance(&mut self, name: &str) -> OperatorReport {
-        let run = self.engine.finish();
-        self.queue.lock().expect("output queue poisoned").clear();
-        OperatorReport::from_run(name, &run)
+        OperatorReport::from_run(name, &self.engine.finish())
     }
 }
 
@@ -229,6 +189,8 @@ where
 
     fn instantiate(self: Box<Self>, parallelism: usize) -> NodeParts {
         let spec = *self;
+        // Parallel instances run the same application object; outputs move
+        // out of each engine's session, so routed types need no `Clone`.
         let app = Arc::new(spec.app);
         // Parallel instances each stamp their own timestamp domain over the
         // shared tables, so no single instance watermark is safe to truncate
@@ -240,15 +202,12 @@ where
         };
         let instances = (0..parallelism)
             .map(|_| {
-                let queue = Arc::new(Mutex::new(Vec::new()));
-                let tapped = TapApp {
-                    inner: Arc::clone(&app),
-                    queue: Arc::clone(&queue),
-                };
-                Box::new(Instance {
-                    engine: MorphStream::new(tapped, spec.store.clone(), engine_config),
-                    queue,
-                }) as Box<dyn ErasedInstance>
+                let engine = MorphStream::with_shared_app(
+                    Arc::clone(&app),
+                    spec.store.clone(),
+                    engine_config,
+                );
+                Box::new(Instance { engine }) as Box<dyn ErasedInstance>
             })
             .collect();
         let merge: MergeFn = Arc::new(|parts: Vec<MergePart>, total: usize| {

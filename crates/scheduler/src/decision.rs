@@ -1,12 +1,9 @@
 //! The three scheduling dimensions and their possible decisions (Table 1).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How worker threads traverse the TPG to find operations to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum ExplorationStrategy {
     /// Structured exploration, breadth-first: all threads process one stratum
     /// of the TPG, synchronise on a barrier, and advance together. Minimal
@@ -46,7 +43,6 @@ impl fmt::Display for ExplorationStrategy {
 
 /// The size of the unit handed to a worker thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum Granularity {
     /// `f-schedule`: a single operation per scheduling unit. Maximum
     /// parallelism, highest context-switching overhead.
@@ -68,7 +64,6 @@ impl fmt::Display for Granularity {
 
 /// When transaction aborts are processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub enum AbortHandling {
     /// `e-abort`: abort the failing transaction immediately, roll back and
     /// redo affected operations right away. Less wasted work, more context
@@ -91,7 +86,6 @@ impl fmt::Display for AbortHandling {
 
 /// A complete scheduling decision: one choice per dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SchedulingDecision {
     /// Exploration strategy.
     pub exploration: ExplorationStrategy,

@@ -22,8 +22,6 @@
 //! the paper derives its bracketed threshold numbers experimentally.
 
 use morphstream_tpg::TpgStats;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 use crate::decision::{AbortHandling, ExplorationStrategy, Granularity, SchedulingDecision};
 
@@ -59,7 +57,6 @@ fn per_op(stats: &TpgStats, edges: usize) -> f64 {
 /// Tunable thresholds of the decision model (the bracketed numbers of
 /// Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct ModelThresholds {
     /// Dependencies per operation above which the batch counts as having a
     /// "high" number of dependencies.
@@ -92,7 +89,6 @@ impl Default for ModelThresholds {
 
 /// The heuristic decision model.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DecisionModel {
     thresholds: ModelThresholds,
 }

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use morphstream::{DurabilityCounters, ReportSnapshot};
+use morphstream::{OperatorCounters, ReportSnapshot};
 use morphstream_durability::DurableStats;
 use morphstream_replication::ReplicationStats;
 
@@ -52,11 +52,6 @@ impl DurabilityStats {
         self.lock().enabled = true;
     }
 
-    /// Whether durability is configured on this server.
-    pub fn enabled(&self) -> bool {
-        self.lock().enabled
-    }
-
     /// Record a crash recovery that replayed `replayed` WAL events.
     pub fn record_recovery(&self, replayed: u64) {
         let mut m = self.lock();
@@ -76,29 +71,75 @@ impl DurabilityStats {
         m.stats = stats;
     }
 
-    /// Events durably logged (the WAL's next index) — what a resuming
-    /// client needs to know to skip already-ingested events.
-    pub fn durable_events(&self) -> u64 {
-        self.lock().stats.next_index
-    }
-
-    /// Render into the snapshot-level counter struct. `now` is the current
-    /// reading of the metrics clock, for the last-checkpoint age.
-    pub fn counters(&self, now: Duration) -> DurabilityCounters {
+    /// Append the checkpoint/WAL metric families to a scrape body; nothing
+    /// unless durability is configured. `now` is the current reading of the
+    /// metrics clock, for the last-checkpoint age.
+    fn render(&self, out: &mut String, now: Duration) {
         let m = *self.lock();
-        DurabilityCounters {
-            checkpoints: m.stats.checkpoints,
-            checkpoint_bytes: m.stats.checkpoint_bytes,
-            wal_records: m.stats.wal_records,
-            wal_bytes: m.stats.wal_bytes,
-            recoveries: m.recoveries,
-            recovered_events: m.recovered_events,
-            wal_segments: m.stats.wal_segments,
-            last_checkpoint_seconds: m.stats.last_checkpoint.as_secs_f64(),
-            last_checkpoint_age_seconds: m
-                .last_checkpoint_at
-                .map_or(-1.0, |at| now.as_secs_f64() - at.as_secs_f64()),
+        if !m.enabled {
+            return;
         }
+        counter(
+            out,
+            "morphstream_checkpoints_total",
+            "Checkpoints published.",
+            m.stats.checkpoints,
+        );
+        counter(
+            out,
+            "morphstream_checkpoint_bytes_total",
+            "Bytes written by published checkpoints.",
+            m.stats.checkpoint_bytes,
+        );
+        counter(
+            out,
+            "morphstream_wal_records_total",
+            "Records appended to the write-ahead log (events + punctuation markers).",
+            m.stats.wal_records,
+        );
+        counter(
+            out,
+            "morphstream_wal_bytes_total",
+            "Bytes appended to the write-ahead log, including framing.",
+            m.stats.wal_bytes,
+        );
+        counter(
+            out,
+            "morphstream_recoveries_total",
+            "Crash recoveries performed at startup.",
+            m.recoveries,
+        );
+        counter(
+            out,
+            "morphstream_recovered_events_total",
+            "Events replayed from the write-ahead log during recovery.",
+            m.recovered_events,
+        );
+        gauge(
+            out,
+            "morphstream_wal_segments",
+            "Write-ahead log segment files currently on disk.",
+            m.stats.wal_segments as f64,
+        );
+        gauge(
+            out,
+            "morphstream_durable_events",
+            "Events durably logged (the WAL's next index); a resuming client skips this many.",
+            m.stats.next_index as f64,
+        );
+        gauge(
+            out,
+            "morphstream_last_checkpoint_seconds",
+            "Duration of the most recent checkpoint.",
+            m.stats.last_checkpoint.as_secs_f64(),
+        );
+        gauge(
+            out,
+            "morphstream_last_checkpoint_age_seconds",
+            "Seconds since the most recent checkpoint (-1 = none yet).",
+            m.last_checkpoint_at
+                .map_or(-1.0, |at| now.as_secs_f64() - at.as_secs_f64()),
+        );
     }
 }
 
@@ -174,39 +215,47 @@ impl ServerMetrics {
     }
 
     /// Lifetime totals given a live snapshot of the current session; also
-    /// refreshes the stale-scrape cache. The durability counters come from
-    /// this struct's mirror of the engine's own, not from the folded
-    /// snapshots.
+    /// refreshes the stale-scrape cache.
     pub fn total_with_live(&self, live: &ReportSnapshot) -> ReportSnapshot {
         let mut total = self.base.lock().expect("metrics lock").clone();
         total.fold(live);
-        total.durability = self.durability.counters(self.clock());
         *self.cached.lock().expect("metrics lock") = total.clone();
         total
     }
 
     /// The last coherent lifetime total, for scrapes that cannot take the
-    /// engine lock without blocking behind back-pressure. Durability
-    /// counters and the checkpoint age are still live (their mirror has a
-    /// lock of its own).
+    /// engine lock without blocking behind back-pressure. (The durability
+    /// families a scrape renders are live either way: their mirror has a
+    /// lock of its own.)
     pub fn cached_total(&self) -> ReportSnapshot {
-        let mut total = self.cached.lock().expect("metrics lock").clone();
-        total.durability = self.durability.counters(self.clock());
-        total
+        self.cached.lock().expect("metrics lock").clone()
     }
+}
+
+fn counter(out: &mut String, name: &str, help: &str, value: u64) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} counter");
+    let _ = writeln!(out, "{name} {value}");
+}
+
+fn gauge(out: &mut String, name: &str, help: &str, value: f64) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} gauge");
+    let _ = writeln!(out, "{name} {value}");
 }
 
 /// Render a lifetime snapshot as Prometheus text exposition format
 /// (version 0.0.4): `# HELP`/`# TYPE` headers, counters suffixed `_total`,
 /// label values escaped per the spec. Latency is exposed as a proper
-/// histogram (`_bucket`/`_sum`/`_count`).
+/// histogram (`_bucket`/`_sum`/`_count`). The engine families come from
+/// `total`; the socket, durability and replication ones from `metrics`.
 pub fn render_prometheus(total: &ReportSnapshot, metrics: &ServerMetrics) -> String {
+    render_at(total, metrics, metrics.clock())
+}
+
+/// [`render_prometheus`] at the metrics-clock reading `now`.
+fn render_at(total: &ReportSnapshot, metrics: &ServerMetrics, now: Duration) -> String {
     let mut out = String::with_capacity(2048);
-    let counter = |out: &mut String, name: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {value}");
-    };
     counter(
         &mut out,
         "morphstream_events_total",
@@ -268,11 +317,6 @@ pub fn render_prometheus(total: &ReportSnapshot, metrics: &ServerMetrics) -> Str
         metrics.decode_errors.load(Ordering::Relaxed),
     );
 
-    let gauge = |out: &mut String, name: &str, help: &str, value: f64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {value}");
-    };
     gauge(
         &mut out,
         "morphstream_processing_seconds",
@@ -315,69 +359,7 @@ pub fn render_prometheus(total: &ReportSnapshot, metrics: &ServerMetrics) -> Str
     let _ = writeln!(out, "morphstream_latency_ms_sum {}", total.latency.sum_ms);
     let _ = writeln!(out, "morphstream_latency_ms_count {}", total.latency.count);
 
-    if metrics.durability.enabled() || total.durability.is_active() {
-        let d = &total.durability;
-        counter(
-            &mut out,
-            "morphstream_checkpoints_total",
-            "Checkpoints published.",
-            d.checkpoints,
-        );
-        counter(
-            &mut out,
-            "morphstream_checkpoint_bytes_total",
-            "Bytes written by published checkpoints.",
-            d.checkpoint_bytes,
-        );
-        counter(
-            &mut out,
-            "morphstream_wal_records_total",
-            "Records appended to the write-ahead log (events + punctuation markers).",
-            d.wal_records,
-        );
-        counter(
-            &mut out,
-            "morphstream_wal_bytes_total",
-            "Bytes appended to the write-ahead log, including framing.",
-            d.wal_bytes,
-        );
-        counter(
-            &mut out,
-            "morphstream_recoveries_total",
-            "Crash recoveries performed at startup.",
-            d.recoveries,
-        );
-        counter(
-            &mut out,
-            "morphstream_recovered_events_total",
-            "Events replayed from the write-ahead log during recovery.",
-            d.recovered_events,
-        );
-        gauge(
-            &mut out,
-            "morphstream_wal_segments",
-            "Write-ahead log segment files currently on disk.",
-            d.wal_segments as f64,
-        );
-        gauge(
-            &mut out,
-            "morphstream_durable_events",
-            "Events durably logged (the WAL's next index); a resuming client skips this many.",
-            metrics.durability.durable_events() as f64,
-        );
-        gauge(
-            &mut out,
-            "morphstream_last_checkpoint_seconds",
-            "Duration of the most recent checkpoint.",
-            d.last_checkpoint_seconds,
-        );
-        gauge(
-            &mut out,
-            "morphstream_last_checkpoint_age_seconds",
-            "Seconds since the most recent checkpoint (-1 = none yet).",
-            d.last_checkpoint_age_seconds,
-        );
-    }
+    metrics.durability.render(&mut out, now);
 
     if let Some(repl) = metrics.replication() {
         gauge(
@@ -418,58 +400,22 @@ pub fn render_prometheus(total: &ReportSnapshot, metrics: &ServerMetrics) -> Str
         );
     }
 
+    type Column = (&'static str, &'static str, fn(&OperatorCounters) -> u64);
+    const OPERATOR_COLUMNS: [Column; 4] = [
+        ("events", "Events processed", |op| op.events),
+        ("committed", "Committed transactions", |op| op.committed),
+        ("aborted", "Aborted transactions", |op| op.aborted),
+        ("batches", "Punctuation batches", |op| op.batches),
+    ];
     if !total.operators.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP morphstream_operator_events_total Events processed per operator instance."
-        );
-        let _ = writeln!(out, "# TYPE morphstream_operator_events_total counter");
-        for op in &total.operators {
-            let _ = writeln!(
-                out,
-                "morphstream_operator_events_total{{operator=\"{}\"}} {}",
-                escape_label(&op.name),
-                op.events
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP morphstream_operator_committed_total Committed transactions per operator instance."
-        );
-        let _ = writeln!(out, "# TYPE morphstream_operator_committed_total counter");
-        for op in &total.operators {
-            let _ = writeln!(
-                out,
-                "morphstream_operator_committed_total{{operator=\"{}\"}} {}",
-                escape_label(&op.name),
-                op.committed
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP morphstream_operator_aborted_total Aborted transactions per operator instance."
-        );
-        let _ = writeln!(out, "# TYPE morphstream_operator_aborted_total counter");
-        for op in &total.operators {
-            let _ = writeln!(
-                out,
-                "morphstream_operator_aborted_total{{operator=\"{}\"}} {}",
-                escape_label(&op.name),
-                op.aborted
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP morphstream_operator_batches_total Punctuation batches per operator instance."
-        );
-        let _ = writeln!(out, "# TYPE morphstream_operator_batches_total counter");
-        for op in &total.operators {
-            let _ = writeln!(
-                out,
-                "morphstream_operator_batches_total{{operator=\"{}\"}} {}",
-                escape_label(&op.name),
-                op.batches
-            );
+        for (column, help, value) in OPERATOR_COLUMNS {
+            let name = format!("morphstream_operator_{column}_total");
+            let _ = writeln!(out, "# HELP {name} {help} per operator instance.");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for op in &total.operators {
+                let operator = escape_label(&op.name);
+                let _ = writeln!(out, "{name}{{operator=\"{operator}\"}} {}", value(op));
+            }
         }
     }
     if !total.edges.is_empty() {
@@ -690,8 +636,6 @@ mod tests {
             checkpoint_bytes: 4096,
             last_checkpoint: Duration::from_millis(3),
         });
-        let total = metrics.total_with_live(&ReportSnapshot::default());
-        assert_eq!(total.durability.checkpoints, 1);
         let text = render_prometheus(&total, &metrics);
         assert!(text.contains("morphstream_checkpoints_total 1\n"));
         assert!(text.contains("morphstream_checkpoint_bytes_total 4096\n"));
@@ -700,6 +644,60 @@ mod tests {
         assert!(text.contains("morphstream_durable_events 38\n"));
         assert!(text.contains("morphstream_wal_segments 2\n"));
         assert!(text.contains("morphstream_last_checkpoint_seconds 0.003"));
+    }
+
+    /// The durability families moved from a struct inside the snapshot to
+    /// the mirror itself, and the per-operator families into one loop; what
+    /// a scrape says did not change. The fixture is the parent commit's
+    /// rendering of this same input.
+    #[test]
+    fn a_durable_scrape_is_byte_identical_to_the_parent_commits() {
+        let metrics = ServerMetrics::new();
+        metrics.connections.store(2, Ordering::Relaxed);
+        metrics.frames.store(100, Ordering::Relaxed);
+        metrics.durability.record_recovery(17);
+        metrics.durability.mirror(
+            DurableStats {
+                next_index: 38,
+                wal_records: 40,
+                wal_bytes: 2048,
+                wal_segments: 2,
+                checkpoints: 1,
+                checkpoint_bytes: 4096,
+                last_checkpoint: Duration::from_millis(3),
+            },
+            Duration::from_millis(2_000),
+        );
+        let mut total = ReportSnapshot {
+            events: 100,
+            committed: 95,
+            aborted: 5,
+            redone_ops: 4,
+            coarse_unit_builds: 3,
+            reclaim_keys_visited: 1_234,
+            batches: 10,
+            processing_seconds: 0.5,
+            peak_bytes_retained: 4_096,
+            ..Default::default()
+        };
+        total.latency.observe_micros(700);
+        total.latency.observe_micros(30_000);
+        for (name, events) in [("ledger", 100), ("au\"dit#1", 60)] {
+            total.operators.push(OperatorCounters {
+                name: name.into(),
+                events,
+                committed: events - 2,
+                aborted: 2,
+                batches: 10,
+            });
+        }
+        total.edges.push(morphstream::EdgeReport {
+            from: "ledger".into(),
+            to: "au\"dit".into(),
+            queue_full_waits: 7,
+        });
+        let text = render_at(&total, &metrics, Duration::from_millis(5_500));
+        assert_eq!(text, include_str!("../tests/fixtures/durable_scrape.prom"));
     }
 
     #[test]

@@ -453,12 +453,6 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
     }
 
-    /// True once a stop was requested (by [`Server::request_stop`] or a
-    /// signal-driven caller flipping the same decision).
-    pub fn stop_requested(&self) -> bool {
-        self.shared.stop.load(Ordering::SeqCst)
-    }
-
     /// Events pushed into the engine over the server's lifetime. A client
     /// that sent `n` events and half-closed can poll this to `n` before
     /// [`Server::shutdown`] to guarantee the summary accounts for all of

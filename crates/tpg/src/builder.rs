@@ -43,9 +43,8 @@ impl Default for TpgBuilder {
 impl TpgBuilder {
     /// Single-threaded builder: both construction phases run on the calling
     /// thread. Construction parallelism is opt-in through
-    /// [`TpgBuilder::with_threads`]; the engine wires it to the one
-    /// documented knob, `EngineConfig::construction_threads` (which follows
-    /// `num_threads` unless overridden).
+    /// [`TpgBuilder::with_threads`]; the engine derives it from
+    /// `EngineConfig::num_threads`.
     pub fn new() -> Self {
         Self { num_threads: 1 }
     }

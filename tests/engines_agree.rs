@@ -108,7 +108,7 @@ fn tstream_and_sstore_baselines_match_the_oracle() {
             EngineConfig::with_threads(test_threads(4))
                 .with_punctuation_interval(config.txns_per_batch),
         );
-        engine.process(events.clone());
+        engine.run(events.clone());
         let app = StreamingLedgerApp::new(&store, &config);
         assert_eq!(
             final_balances(&store, &app, &config),
@@ -125,7 +125,7 @@ fn tstream_and_sstore_baselines_match_the_oracle() {
             EngineConfig::with_threads(test_threads(4))
                 .with_punctuation_interval(config.txns_per_batch),
         );
-        engine.process(events.clone());
+        engine.run(events.clone());
         let app = StreamingLedgerApp::new(&store, &config);
         assert_eq!(
             final_balances(&store, &app, &config),
@@ -244,7 +244,7 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
         EngineConfig::with_threads(test_threads(4))
             .with_punctuation_interval(config.txns_per_batch),
     );
-    engine.process(events.clone());
+    engine.run(events.clone());
     let app = StreamingLedgerApp::new(&store, &config);
     let balances = final_balances(&store, &app, &config);
     assert!(balances.iter().all(|b| *b >= 0));
@@ -268,7 +268,7 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
             _ => None,
         })
         .sum();
-    let report = engine.process(events);
+    let report = engine.run(events);
     assert_eq!(report.events(), 1_500);
     // Every account is still readable, and each final balance is the initial
     // one plus some subset of the deltas its writers computed (a lost update

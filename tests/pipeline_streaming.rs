@@ -1,14 +1,15 @@
 //! Integration tests of the push-based `Pipeline` ingestion API: pushed
 //! sessions must match the legacy `process()` wrapper exactly, the
-//! `on_batch` hook must fire once per punctuation, and every engine driven
-//! through the unified `TxnEngine` trait must agree on final state.
+//! `on_batch` hook must fire once per punctuation, every engine driven
+//! through the unified `TxnEngine` trait must agree on final state, and all
+//! of them — a whole topology included — keep one session contract.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use morphstream::storage::StateStore;
-use morphstream::{EngineConfig, MorphStream, TxnEngine};
-use morphstream_baselines::{SStoreEngine, TStreamEngine};
+use morphstream::{EngineConfig, EventSink, MorphStream, TxnEngine};
+use morphstream_baselines::{LockedSpeEngine, SStoreEngine, TStreamEngine};
 use morphstream_common::config::test_threads;
 use morphstream_common::{Value, WorkloadConfig};
 use morphstream_workloads::{SlEvent, Source, StreamingLedgerApp};
@@ -161,49 +162,6 @@ fn punctuation_interval_of_one_batches_every_event() {
 }
 
 #[test]
-fn flush_on_an_empty_session_is_a_noop_and_finish_adds_no_trailing_batch() {
-    let config = config();
-    let store = StateStore::new();
-    let app = StreamingLedgerApp::new(&store, &config);
-    let mut engine = MorphStream::new(app, store, engine_config());
-
-    // flushes before anything was pushed are no-ops
-    let mut pipeline = engine.pipeline();
-    pipeline.flush();
-    pipeline.flush();
-    assert_eq!(pipeline.report().batches.len(), 0);
-
-    // push exactly two punctuation intervals: both batches are cut by the
-    // punctuation crossings, so the explicit flush afterwards has nothing to
-    // do, and finish must not append an empty trailing batch either.
-    pipeline.push_iter(StreamingLedgerApp::source(&config, 256, 0.7));
-    assert_eq!(pipeline.report().batches.len(), 2);
-    pipeline.flush();
-    assert_eq!(pipeline.report().batches.len(), 2);
-    let report = pipeline.finish();
-    assert_eq!(report.batches.len(), 2);
-    assert_eq!(report.events(), 256);
-    assert!(report.batches.iter().all(|b| b.events == 128));
-
-    // same contract under pipelined construction, where flush also drains
-    // the in-flight construction stage
-    let store = StateStore::new();
-    let app = StreamingLedgerApp::new(&store, &config);
-    let mut engine = MorphStream::new(
-        app,
-        store,
-        engine_config().with_pipelined_construction(true),
-    );
-    let mut pipeline = engine.pipeline();
-    pipeline.push_iter(StreamingLedgerApp::source(&config, 256, 0.7));
-    pipeline.flush();
-    assert_eq!(pipeline.report().batches.len(), 2);
-    let report = pipeline.finish();
-    assert_eq!(report.batches.len(), 2);
-    assert_eq!(report.events(), 256);
-}
-
-#[test]
 fn empty_pipeline_finishes_with_an_empty_report() {
     let config = config();
     for punctuation in [None, Some(64)] {
@@ -273,6 +231,163 @@ fn all_engines_agree_on_final_state_through_the_trait() {
         events,
     );
     assert_eq!(sstore, reference, "S-Store diverged from MorphStream");
+}
+
+/// Counts what reaches an installed output sink.
+struct CountingSink {
+    emitted: Arc<AtomicUsize>,
+    flushed: Arc<AtomicUsize>,
+}
+
+impl<T> EventSink<T> for CountingSink {
+    fn emit(&mut self, _item: T) {
+        self.emitted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn flush(&mut self) {
+        self.flushed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// What every `TxnEngine` owes its callers about a session, whatever runs
+/// its batches: an empty finish is a well-formed empty report; a flush or a
+/// finish with nothing buffered appends no batch; the hook fires once per
+/// batch and is cleared by finish; an output sink survives finish, is
+/// flushed by it, and `events()` stays exact while it drains; a dropped
+/// `Pipeline` handle leaves the session open. `engine` cuts a punctuation
+/// every 128 events.
+fn session_contract<E: TxnEngine<Event = SlEvent>>(name: &str, mut engine: E) {
+    let config = config();
+    let stream = |events: usize| StreamingLedgerApp::source(&config, events, 0.7);
+
+    // Nothing pushed: flushes are no-ops, finish hands out an empty report.
+    engine.flush();
+    engine.flush();
+    assert_eq!(engine.report().batches.len(), 0, "{name}");
+    let report = engine.finish();
+    assert_eq!(report.events(), 0, "{name}");
+    assert_eq!((report.committed, report.aborted), (0, 0), "{name}");
+    assert!(
+        report.outputs.is_empty() && report.batches.is_empty(),
+        "{name}"
+    );
+    assert!(report.decision_trace().is_empty(), "{name}");
+    assert_eq!(report.k_events_per_second(), 0.0, "{name}");
+
+    // Exactly two punctuation intervals: the crossings cut both batches, so
+    // neither the flush nor the finish behind them has a batch to add. The
+    // hook saw both.
+    let fired = Arc::new(AtomicUsize::new(0));
+    let counter = fired.clone();
+    let mut pipeline = engine.pipeline().on_batch(move |batch| {
+        assert_eq!(batch.events, 128);
+        counter.fetch_add(1, Ordering::Relaxed);
+    });
+    pipeline.push_iter(stream(256));
+    pipeline.flush();
+    assert_eq!(pipeline.report().batches.len(), 2, "{name}");
+    let report = pipeline.finish();
+    assert_eq!(report.batches.len(), 2, "{name}");
+    assert_eq!(report.events(), 256, "{name}");
+    assert_eq!(
+        report.outputs.len(),
+        256,
+        "{name}: no sink, outputs retained"
+    );
+    assert_eq!(fired.load(Ordering::Relaxed), 2, "{name}");
+
+    // Finish cleared the hook, and the next session starts from batch 0.
+    let report = engine.run(stream(128));
+    assert_eq!(report.batches.len(), 1, "{name}");
+    assert_eq!(report.batches[0].batch, 0, "{name}");
+    assert_eq!(fired.load(Ordering::Relaxed), 2, "{name}: stale hook fired");
+
+    // A sink drains the outputs; the report counts them instead.
+    let (emitted, flushed) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    engine.set_output_sink(Some(Box::new(CountingSink {
+        emitted: emitted.clone(),
+        flushed: flushed.clone(),
+    })));
+    engine.ingest_iter(stream(300));
+    engine.flush();
+    assert_eq!(engine.report().events(), 300, "{name}");
+    assert!(engine.report().outputs.is_empty(), "{name}");
+    assert_eq!(emitted.load(Ordering::Relaxed), 300, "{name}");
+    assert_eq!(flushed.load(Ordering::Relaxed), 0, "{name}");
+    let report = engine.finish();
+    assert_eq!(
+        (report.events(), report.drained_outputs),
+        (300, 300),
+        "{name}"
+    );
+    // (a dataflow counts every operator's transactions)
+    assert_eq!((report.committed + report.aborted) % 300, 0, "{name}");
+    assert_eq!(flushed.load(Ordering::Relaxed), 1, "{name}: finish flushes");
+    // ... and it is still installed for the next session.
+    let report = engine.run(stream(200));
+    assert_eq!((report.events(), report.outputs.len()), (200, 0), "{name}");
+    assert_eq!(emitted.load(Ordering::Relaxed), 500, "{name}");
+    assert_eq!(flushed.load(Ordering::Relaxed), 2, "{name}");
+    engine.set_output_sink(None);
+    let report = engine.run(stream(10));
+    assert_eq!(
+        (report.outputs.len(), report.drained_outputs),
+        (10, 0),
+        "{name}"
+    );
+    assert_eq!(emitted.load(Ordering::Relaxed), 500, "{name}");
+
+    // The session lives on the engine, not on the handle.
+    let mut events = stream(500);
+    {
+        let mut first = engine.pipeline();
+        first.push_iter(events.by_ref().take(200)); // 128 processed, 72 buffered
+    } // dropped without finish()
+    let mut second = engine.pipeline();
+    second.push_iter(events);
+    let report = second.finish();
+    assert_eq!(report.events(), 500, "{name}");
+    assert_eq!(report.batches.len(), 4, "{name}: 3 x 128 + 116");
+}
+
+#[test]
+fn every_engine_keeps_the_session_contract() {
+    let config = config();
+    let ledger = || {
+        let store = StateStore::new();
+        (StreamingLedgerApp::new(&store, &config), store)
+    };
+    let (app, store) = ledger();
+    session_contract("MorphStream", MorphStream::new(app, store, engine_config()));
+    let (app, store) = ledger();
+    let pipelined = engine_config().with_pipelined_construction(true);
+    session_contract(
+        "MorphStream, pipelined",
+        MorphStream::new(app, store, pipelined),
+    );
+    let (app, store) = ledger();
+    session_contract("TStream", TStreamEngine::new(app, store, engine_config()));
+    let (app, store) = ledger();
+    session_contract("S-Store", SStoreEngine::new(app, store, engine_config()));
+    let (app, store) = ledger();
+    let locked = LockedSpeEngine::with_locks(app, store, engine_config());
+    session_contract("locked SPE", locked);
+
+    // A whole dataflow is an engine like the others: the served two-operator
+    // `ledger -> audit` topology, under either driver.
+    for concurrent in [false, true] {
+        let options = morphstream_server::ServeOptions {
+            workload: config,
+            threads: test_threads(2),
+            concurrent,
+            ..Default::default()
+        };
+        let (topology, ..) = morphstream_server::build_topology(&options).unwrap();
+        assert_eq!(topology.operator_count(), 2);
+        assert_eq!(topology.is_concurrent(), concurrent);
+        let name = if concurrent { "threaded" } else { "inline" };
+        session_contract(&format!("topology, {name} driver"), topology);
+    }
 }
 
 #[test]
