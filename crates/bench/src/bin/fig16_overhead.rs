@@ -1,7 +1,7 @@
 //! Regenerates Figure 16 of the paper. Pass `--full` for the larger run and
-//! `--json PATH` to also write the rows — including the construct/execute
-//! overlap of the pipelined engine — as machine-readable JSON (uploaded by
-//! the CI smoke-bench job as `BENCH_fig16_smoke.json`).
+//! `--json PATH` to also write the rows — including the construct and execute
+//! stage times — as machine-readable JSON (uploaded by the CI smoke-bench job
+//! as `BENCH_fig16_smoke.json`).
 fn main() {
     let scale = morphstream_bench::Scale::from_args();
     // Validate the argument list before the (multi-second) measurement runs.

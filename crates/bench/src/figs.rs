@@ -339,9 +339,8 @@ pub mod fig15 {
     }
 }
 
-/// Figure 16: runtime breakdown, memory footprint, and — new to the
-/// pipelined engine — how much TPG-construction time is hidden behind
-/// execution (the construction-overhead axis of 16a).
+/// Figure 16: runtime breakdown, memory footprint, and the wall time of the
+/// construction and execution stages (the construction-overhead axis of 16a).
 pub mod fig16 {
     use super::*;
 
@@ -361,8 +360,6 @@ pub mod fig16 {
         pub construct_s: f64,
         /// Wall time of the execution stage (seconds).
         pub execute_s: f64,
-        /// Construction time that ran concurrently with execution (seconds).
-        pub overlap_s: f64,
     }
 
     impl Fig16Row {
@@ -377,14 +374,7 @@ pub mod fig16 {
                 peak_bytes: report.memory.peak_bytes(),
                 construct_s: timings.construct.as_secs_f64(),
                 execute_s: timings.execute.as_secs_f64(),
-                overlap_s: timings.overlap.as_secs_f64(),
             }
-        }
-
-        /// `overlap_s / construct_s`, clamped to [0, 1] (the clamp semantics
-        /// live in `StageTimings::overlap_fraction`).
-        pub fn overlap_fraction(&self) -> f64 {
-            crate::harness::overlap_fraction_of(self.construct_s, self.overlap_s)
         }
 
         /// One JSON object row, via the shared [`morphstream_common::json`]
@@ -398,14 +388,12 @@ pub mod fig16 {
             row.unsigned("peak_bytes", self.peak_bytes)
                 .fixed("construct_s", self.construct_s, 6)
                 .fixed("execute_s", self.execute_s, 6)
-                .fixed("overlap_s", self.overlap_s, 6)
-                .fixed("overlap_fraction", self.overlap_fraction(), 4)
                 .build()
         }
     }
 
     /// Write the measured rows as one JSON document (the CI smoke-bench
-    /// uploads this as `BENCH_fig16_smoke.json` so construction-overlap
+    /// uploads this as `BENCH_fig16_smoke.json` so breakdown and stage-time
     /// regressions show up in artifacts).
     pub fn write_json(
         path: &std::path::Path,
@@ -421,10 +409,7 @@ pub mod fig16 {
         std::fs::write(path, doc)
     }
 
-    /// Per-system breakdown fractions, peak memory and stage timings. The
-    /// MorphStream row is measured twice: serially and with pipelined
-    /// construction, whose `overlap_s` shows the construction time hidden
-    /// behind execution.
+    /// Per-system breakdown fractions, peak memory and stage timings.
     pub fn measure(scale: Scale) -> Vec<Fig16Row> {
         let (config, events) = bench_sl_config(scale);
         let workload = DynamicWorkload::new(config, events / 2);
@@ -452,12 +437,6 @@ pub mod fig16 {
             all_events.clone(),
         );
         let (store, app) = fresh_app();
-        let pipelined = row(
-            "MorphStream (pipelined)",
-            MorphStream::new(app, store, engine_config.with_pipelined_construction(true)),
-            all_events.clone(),
-        );
-        let (store, app) = fresh_app();
         let tstream = row(
             "TStream",
             TStreamEngine::new(app, store, engine_config),
@@ -469,7 +448,7 @@ pub mod fig16 {
             SStoreEngine::new(app, store, engine_config),
             all_events,
         );
-        vec![morph, pipelined, tstream, sstore]
+        vec![morph, tstream, sstore]
     }
 
     /// Print the figure and return the measured rows (so the CI smoke-bench
@@ -477,7 +456,7 @@ pub mod fig16 {
     pub fn run(scale: Scale) -> Vec<Fig16Row> {
         banner(
             "Figure 16",
-            "runtime breakdown, memory footprint, construction overlap (dynamic SL)",
+            "runtime breakdown, memory footprint, stage times (dynamic SL)",
         );
         let rows = measure(scale);
         for row in &rows {
@@ -490,11 +469,8 @@ pub mod fig16 {
                 row.peak_bytes as f64 / (1024.0 * 1024.0)
             );
             println!(
-                "    construct {:.3}s / execute {:.3}s / hidden {:.3}s ({:.0}% of construction)",
-                row.construct_s,
-                row.execute_s,
-                row.overlap_s,
-                row.overlap_fraction() * 100.0
+                "    construct {:.3}s / execute {:.3}s",
+                row.construct_s, row.execute_s
             );
         }
         rows
@@ -804,11 +780,14 @@ pub mod fig21 {
     use super::*;
 
     /// `(system, total busy seconds, memory-wait fraction)` rows and
-    /// `(configuration, cores, k events/s)` scalability series; the
-    /// scalability sweep includes the pipelined-construction MorphStream
-    /// configuration alongside the serial one.
+    /// `(system, cores, k events/s)` scalability series.
     #[allow(clippy::type_complexity)]
-    pub fn measure(scale: Scale) -> (Vec<(SystemUnderTest, f64, f64)>, Vec<(String, usize, f64)>) {
+    pub fn measure(
+        scale: Scale,
+    ) -> (
+        Vec<(SystemUnderTest, f64, f64)>,
+        Vec<(SystemUnderTest, usize, f64)>,
+    ) {
         let (config, events) = bench_sl_config(scale);
         let events_vec = StreamingLedgerApp::generate(&config, events, 0.6);
         let systems = [
@@ -846,22 +825,8 @@ pub mod fig21 {
             let engine_config = bench_engine_config(threads, config.txns_per_batch);
             for system in systems {
                 let report = run_sl_on(system, &config, engine_config, events_vec.clone());
-                scalability.push((system.to_string(), threads, report.k_events_per_second));
+                scalability.push((system, threads, report.k_events_per_second));
             }
-            // The pipelined configuration (construction of punctuation N+1
-            // overlaps execution of punctuation N), measured through the same
-            // driver as the serial rows it is compared against.
-            let report = run_sl_on(
-                SystemUnderTest::MorphStream,
-                &config,
-                engine_config.with_pipelined_construction(true),
-                events_vec.clone(),
-            );
-            scalability.push((
-                "MorphStream (pipelined)".to_string(),
-                threads,
-                report.k_events_per_second,
-            ));
         }
         (ticks, scalability)
     }
@@ -886,7 +851,7 @@ pub mod fig21 {
         }
         println!("{:<28} {:>8} {:>12}", "system", "cores", "k events/s");
         for (system, cores, kps) in scalability {
-            println!("{system:<28} {cores:>8} {kps:>12.2}");
+            println!("{:<28} {cores:>8} {kps:>12.2}", system.to_string());
         }
     }
 }

@@ -65,9 +65,6 @@ pub struct SystemReport {
     pub peak_bytes_retained: u64,
     /// Total TPG-construction wall time across batches (seconds).
     pub construct_seconds: f64,
-    /// Construction time hidden behind execution of other batches (seconds);
-    /// non-zero only for the pipelined MorphStream configuration.
-    pub overlap_seconds: f64,
 }
 
 impl SystemReport {
@@ -92,13 +89,7 @@ impl SystemReport {
             aborted: report.aborted,
             peak_bytes_retained: report.memory.peak_bytes(),
             construct_seconds: report.stage_timings.construct.as_secs_f64(),
-            overlap_seconds: report.stage_timings.overlap.as_secs_f64(),
         }
-    }
-
-    /// Fraction of construction time hidden behind execution.
-    pub fn overlap_fraction(&self) -> f64 {
-        overlap_fraction_of(self.construct_seconds, self.overlap_seconds)
     }
 
     /// One formatted table row.
@@ -135,24 +126,8 @@ impl SystemReport {
             .unsigned("aborted", self.aborted as u64)
             .unsigned("peak_bytes_retained", self.peak_bytes_retained)
             .fixed("construct_s", self.construct_seconds, 6)
-            .fixed("overlap_s", self.overlap_seconds, 6)
-            .fixed("overlap_fraction", self.overlap_fraction(), 4)
             .build()
     }
-}
-
-/// `overlap_s / construct_s`, clamped to [0, 1]. Delegates to
-/// [`StageTimings::overlap_fraction`] so the clamp and zero-construct
-/// semantics live in exactly one place, however a report stores its timings.
-pub fn overlap_fraction_of(construct_s: f64, overlap_s: f64) -> f64 {
-    use morphstream_common::metrics::StageTimings;
-    use std::time::Duration;
-    StageTimings {
-        construct: Duration::from_secs_f64(construct_s.max(0.0)),
-        execute: Duration::ZERO,
-        overlap: Duration::from_secs_f64(overlap_s.max(0.0)),
-    }
-    .overlap_fraction()
 }
 
 pub(crate) use morphstream_common::json::escape as json_escape;
@@ -317,7 +292,6 @@ mod tests {
             aborted: 2,
             peak_bytes_retained: 4_096,
             construct_seconds: 0.5,
-            overlap_seconds: 0.25,
         }
     }
 
@@ -333,19 +307,9 @@ mod tests {
             r#""aborted":2"#,
             r#""peak_bytes_retained":4096"#,
             r#""construct_s":0.500000"#,
-            r#""overlap_s":0.250000"#,
-            r#""overlap_fraction":0.5000"#,
         ] {
             assert!(json.contains(needle), "{json} missing {needle}");
         }
-    }
-
-    #[test]
-    fn overlap_fraction_handles_zero_construct_time() {
-        let mut report = sample_report();
-        assert!((report.overlap_fraction() - 0.5).abs() < 1e-9);
-        report.construct_seconds = 0.0;
-        assert_eq!(report.overlap_fraction(), 0.0);
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl Default for WorkloadConfig {
 pub struct EngineConfig {
     /// Number of worker threads used by the execution stage.
     pub num_threads: usize,
-    /// Overlap TPG construction of punctuation `N+1` with execution of
-    /// punctuation `N` on a dedicated construction thread (Section 4.2's
-    /// "construction overlaps event arrival"). Off by default; final state
-    /// and per-batch outputs are identical either way — only timing changes.
-    pub pipelined_construction: bool,
     /// Number of input events between punctuations. `None` means "use the
     /// workload's `txns_per_batch`".
     pub punctuation_interval: Option<usize>,
@@ -212,13 +207,6 @@ impl EngineConfig {
         self
     }
 
-    /// Builder-style toggle of pipelined (double-buffered) TPG construction.
-    #[must_use = "builder methods return the updated value instead of mutating in place"]
-    pub fn with_pipelined_construction(mut self, pipelined: bool) -> Self {
-        self.pipelined_construction = pipelined;
-        self
-    }
-
     /// Builder-style toggle of after-batch reclamation.
     #[must_use = "builder methods return the updated value instead of mutating in place"]
     pub fn with_reclaim_after_batch(mut self, reclaim: bool) -> Self {
@@ -242,7 +230,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             num_threads: default_parallelism(),
-            pipelined_construction: false,
             punctuation_interval: None,
             reclaim_after_batch: true,
             remote_state_latency_us: 0,
@@ -418,14 +405,6 @@ mod tests {
     #[test]
     fn default_parallelism_is_positive() {
         assert!(default_parallelism() >= 1);
-    }
-
-    #[test]
-    fn pipelined_construction_is_opt_in() {
-        assert!(!EngineConfig::default().pipelined_construction);
-        let cfg = EngineConfig::with_threads(2).with_pipelined_construction(true);
-        assert!(cfg.pipelined_construction);
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -118,12 +118,12 @@ impl Breakdown {
     }
 }
 
-/// Wall-clock timings of the two pipeline stages a punctuation flows through
+/// Wall-clock timings of the two stages a punctuation flows through
 /// (construct = decompose + TPG build, execute = schedule + run + post), plus
-/// how much of the construction ran *concurrently* with another batch's
-/// execution. `overlap` is the Figure 16 "construction overhead hidden behind
-/// execution" metric: in the serial engine it is zero; with pipelined
-/// construction it approaches `min(construct, execute)` of adjacent batches.
+/// `overlap`, the Figure 16 "construction overhead hidden behind execution"
+/// metric. The engines run one batch's stages in turn, so every engine
+/// reports `overlap` as zero; the field and [`StageTimings::overlap_fraction`]
+/// stay because the benchmark's per-layer report reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Time spent decomposing events and building the TPG.

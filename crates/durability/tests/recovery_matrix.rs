@@ -1,8 +1,8 @@
 //! The crash-recovery matrix: kill-and-restart is digest-identical to an
 //! uninterrupted run across every runtime shape — {serial, concurrent} ×
-//! downstream parallelism {1, 4} × worker threads {1, 4} × pipelined
-//! construction on/off — with the kill landing both on a punctuation
-//! boundary and mid-batch, and the checkpoint cut itself mid-batch.
+//! downstream parallelism {1, 4} × worker threads {1, 4} — with the kill
+//! landing both on a punctuation boundary and mid-batch, and the checkpoint
+//! cut itself mid-batch.
 //!
 //! Each cell simulates the crash in-process on the production type: lifetime
 //! A is a [`DurableEngine`] that ingests a prefix of the stream (taking one
@@ -99,26 +99,22 @@ fn kill_and_restart_is_digest_identical_across_the_runtime_matrix() {
     for concurrent in [false, true] {
         for parallelism in [1, 4] {
             for threads in [1, 4] {
-                for pipelined in [false, true] {
-                    let shape = Shape {
-                        concurrent,
-                        parallelism,
-                        threads,
-                        pipelined,
-                    };
-                    let expected = reference(shape, &events);
-                    // 300 = a punctuation boundary; 323 = mid-batch.
-                    for kill_at in [300, 323] {
-                        let dir = test_dir("kill");
-                        let recovered = crashed_and_recovered(shape, &events, kill_at, &dir);
-                        assert_eq!(
-                            recovered, expected,
-                            "digests diverged: concurrent={concurrent} \
-                             parallelism={parallelism} threads={threads} \
-                             pipelined={pipelined} kill_at={kill_at}"
-                        );
-                        let _ = std::fs::remove_dir_all(&dir);
-                    }
+                let shape = Shape {
+                    concurrent,
+                    parallelism,
+                    threads,
+                };
+                let expected = reference(shape, &events);
+                // 300 = a punctuation boundary; 323 = mid-batch.
+                for kill_at in [300, 323] {
+                    let dir = test_dir("kill");
+                    let recovered = crashed_and_recovered(shape, &events, kill_at, &dir);
+                    assert_eq!(
+                        recovered, expected,
+                        "digests diverged: concurrent={concurrent} \
+                         parallelism={parallelism} threads={threads} kill_at={kill_at}"
+                    );
+                    let _ = std::fs::remove_dir_all(&dir);
                 }
             }
         }
@@ -129,7 +125,6 @@ const SHAPE: Shape = Shape {
     concurrent: false,
     parallelism: 2,
     threads: 2,
-    pipelined: false,
 };
 
 /// A checkpoint that cannot be published must cost nothing: the WAL stays

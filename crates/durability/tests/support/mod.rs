@@ -91,7 +91,6 @@ pub struct Shape {
     pub concurrent: bool,
     pub parallelism: usize,
     pub threads: usize,
-    pub pipelined: bool,
 }
 
 pub type Engine = Topology<SlEvent, u64>;
@@ -100,9 +99,7 @@ pub type Engine = Topology<SlEvent, u64>;
 pub fn build(shape: Shape) -> (Engine, [StateStore; 2]) {
     let ledger_store = StateStore::new();
     let tally_store = StateStore::new();
-    let config = EngineConfig::with_threads(shape.threads)
-        .with_punctuation_interval(PUNCTUATION)
-        .with_pipelined_construction(shape.pipelined);
+    let config = EngineConfig::with_threads(shape.threads).with_punctuation_interval(PUNCTUATION);
     let mut builder = TopologyBuilder::new();
     let ledger = builder.add_operator(
         "ledger",

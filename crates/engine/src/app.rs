@@ -141,11 +141,12 @@ impl TxnBuilder {
 /// 3. *post-processing* — once the transaction commits or aborts, the
 ///    application turns the outcome into an output record.
 ///
-/// Applications and their events are `'static` so the engine may decompose a
-/// batch on a dedicated construction thread while the previous batch executes
-/// (pipelined construction). `state_access` must not read the shared state —
-/// it *declares* accesses; under pipelined construction it runs before
-/// earlier transactions have committed.
+/// Applications are `Send + Sync + 'static`, and so are their events, because
+/// a topology's threaded driver runs each operator engine on its own thread
+/// and hands it event batches across a channel, and the parallel instances of
+/// one operator share a single `Arc<A>`. `state_access` must not read the
+/// shared state — it *declares* accesses, and runs while the batch is planned,
+/// before any of its transactions executes.
 pub trait StreamApp: Send + Sync + 'static {
     /// Input event type.
     type Event: Send + Sync + 'static;

@@ -11,20 +11,14 @@
 //! * The **TxnExecutor** runs the batch through the executor crate
 //!   (execution stage).
 //!
-//! With [`EngineConfig::pipelined_construction`] enabled the planning stage
-//! of punctuation `N+1` runs on a dedicated construction thread while
-//! punctuation `N` executes on the worker pool (Section 4.2: construction is
-//! meant to overlap event arrival and execution). The two stages are drained
-//! by `flush`/`finish`, batches always execute in punctuation order, and the
-//! final state is identical to the serial engine; only the timing — reported
-//! through [`BatchSummary::timings`] — changes.
+//! A punctuation runs the three stages in order on the thread that cut it:
+//! the `ingest` that crossed the interval, or a `flush`.
 
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morphstream_common::metrics::{Breakdown, BreakdownBucket, StageTimings};
-use morphstream_common::{EngineConfig, Timestamp};
+use morphstream_common::{EngineConfig, TableId, Timestamp};
 use morphstream_executor::execute_batch_with_units;
 use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision};
 use morphstream_storage::StateStore;
@@ -36,7 +30,7 @@ use crate::report::{BatchSummary, ReclaimVisits, RunReport};
 
 /// Partitioning function assigning each event to a scheduling group (the
 /// *nested* configuration of Section 8.2.3).
-type GroupFn<E> = Arc<dyn Fn(&E) -> usize + Send + Sync>;
+type GroupFn<E> = Box<dyn Fn(&E) -> usize + Send + Sync>;
 
 /// How the engine picks scheduling decisions.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,245 +57,12 @@ struct ProgressController {
 
 impl ProgressController {
     /// Reserve `n` consecutive timestamps and return the first one. The
-    /// batch that owns the reservation assigns them in event order, so a
-    /// batch can be constructed off-thread while later events keep arriving.
+    /// batch that owns the reservation assigns them in event order.
     fn reserve(&mut self, n: usize) -> Timestamp {
         let first = self.next + 1;
         self.next += n as Timestamp;
         first
     }
-}
-
-/// A punctuation batch whose stream-processing and planning phases are done:
-/// the output of the construction stage, ready for scheduling and execution.
-struct ConstructedBatch<E> {
-    /// The batch's events, in ingestion order (needed for post-processing).
-    events: Vec<E>,
-    /// Index of the batch within the session.
-    batch_index: usize,
-    /// Planned TPG per scheduling group; `None` for groups with no events.
-    groups: Vec<Option<Arc<Tpg>>>,
-    /// `(group, txn index within group)` of every event.
-    txn_locator: Vec<(usize, usize)>,
-    /// Highest timestamp assigned to this batch's transactions; versions at
-    /// or before it may be reclaimed once the batch committed.
-    watermark: Timestamp,
-    /// Tables written by this batch — the scope of after-batch reclamation.
-    /// Reclamation is per-table because the watermark is only meaningful in
-    /// *this* engine's timestamp domain: on a store shared with sibling
-    /// operators of a topology, truncating a table the sibling writes would
-    /// apply an alien watermark to its version chains.
-    written_tables: Vec<morphstream_common::TableId>,
-    /// Tables serving windowed accesses in this batch (targets of windowed
-    /// reads/writes plus their window parameters); pinned before
-    /// reclamation so trailing windows keep their history.
-    windowed_tables: Vec<morphstream_common::TableId>,
-    /// When the batch was cut from the ingest buffer.
-    batch_started: Instant,
-    /// Wall-clock interval of the construction stage.
-    construct_started: Instant,
-    construct_finished: Instant,
-}
-
-/// A batch handed to the construction stage.
-struct ConstructJob<E> {
-    events: Vec<E>,
-    batch_index: usize,
-    /// First of the `events.len()` timestamps reserved for the batch.
-    ts_base: Timestamp,
-    batch_started: Instant,
-}
-
-/// Decompose `events` into per-group transaction batches and plan their TPGs
-/// — the construction stage. Runs on the calling thread in the serial engine
-/// and on the dedicated construction thread in the pipelined engine; both
-/// paths execute exactly this code, so the modes cannot diverge.
-fn construct_batch<A: StreamApp>(
-    app: &A,
-    planner: &TpgBuilder,
-    group_of: &(dyn Fn(&A::Event) -> usize + '_),
-    job: ConstructJob<A::Event>,
-) -> ConstructedBatch<A::Event> {
-    let ConstructJob {
-        events,
-        batch_index,
-        ts_base,
-        batch_started,
-    } = job;
-    let construct_started = Instant::now();
-
-    // ---- Phase 1: stream processing (pre-processing + decomposition) ----
-    let mut groups: Vec<TransactionBatch> = Vec::new();
-    let mut txn_locator: Vec<(usize, usize)> = Vec::with_capacity(events.len());
-    let mut written_tables: Vec<morphstream_common::TableId> = Vec::new();
-    let mut windowed_tables: Vec<morphstream_common::TableId> = Vec::new();
-    let note = |set: &mut Vec<morphstream_common::TableId>, table: morphstream_common::TableId| {
-        if !set.contains(&table) {
-            set.push(table);
-        }
-    };
-    for (event_index, event) in events.iter().enumerate() {
-        let ts = ts_base + event_index as Timestamp;
-        let mut builder = TxnBuilder::new();
-        app.state_access(event, &mut builder);
-        let ops = builder.into_ops();
-        for op in &ops {
-            if op.kind.is_write() {
-                note(&mut written_tables, op.table);
-            }
-            if op.kind.is_windowed() {
-                note(&mut windowed_tables, op.table);
-                for param in &op.params {
-                    note(&mut windowed_tables, param.table);
-                }
-            }
-        }
-        let txn = Transaction::new(ts, ops).with_event_index(event_index);
-        let group = group_of(event);
-        while groups.len() <= group {
-            groups.push(
-                TransactionBatch::new().with_expected_abort_ratio(app.expected_abort_ratio()),
-            );
-        }
-        txn_locator.push((group, groups[group].len()));
-        groups[group].push(txn);
-    }
-
-    // ---- Phase 2: planning (TPG construction, sharded by state key) ----
-    let groups: Vec<Option<Arc<Tpg>>> = groups
-        .into_iter()
-        .map(|group| {
-            if group.is_empty() {
-                None
-            } else {
-                Some(Arc::new(planner.build(group)))
-            }
-        })
-        .collect();
-
-    let watermark = ts_base + events.len().saturating_sub(1) as Timestamp;
-    ConstructedBatch {
-        events,
-        batch_index,
-        groups,
-        txn_locator,
-        watermark,
-        written_tables,
-        windowed_tables,
-        batch_started,
-        construct_started,
-        construct_finished: Instant::now(),
-    }
-}
-
-/// The dedicated construction thread plus its two FIFO channels. At most one
-/// batch is kept in flight by the engine (submit `N+1`, then execute `N`), so
-/// memory stays bounded by two punctuation intervals.
-struct ConstructionStage<E> {
-    job_tx: Option<mpsc::Sender<ConstructJob<E>>>,
-    done_rx: mpsc::Receiver<ConstructedBatch<E>>,
-    worker: Option<JoinHandle<()>>,
-    in_flight: usize,
-}
-
-impl<E: Send + 'static> ConstructionStage<E> {
-    fn spawn<A: StreamApp<Event = E>>(
-        app: Arc<A>,
-        planner: TpgBuilder,
-        group_of: GroupFn<E>,
-    ) -> Self {
-        let (job_tx, job_rx) = mpsc::channel::<ConstructJob<E>>();
-        let (done_tx, done_rx) = mpsc::channel();
-        let worker = std::thread::Builder::new()
-            .name("morph-construct".into())
-            .spawn(move || {
-                while let Ok(job) = job_rx.recv() {
-                    let constructed =
-                        construct_batch(app.as_ref(), &planner, group_of.as_ref(), job);
-                    if done_tx.send(constructed).is_err() {
-                        break; // engine dropped mid-session
-                    }
-                }
-            })
-            .expect("failed to spawn the construction thread");
-        Self {
-            job_tx: Some(job_tx),
-            done_rx,
-            worker: Some(worker),
-            in_flight: 0,
-        }
-    }
-
-    fn submit(&mut self, job: ConstructJob<E>) {
-        let sent = self
-            .job_tx
-            .as_ref()
-            .expect("construction stage already shut down")
-            .send(job);
-        if sent.is_err() {
-            self.propagate_worker_failure();
-        }
-        self.in_flight += 1;
-    }
-
-    /// Block until the oldest in-flight batch is constructed and take it;
-    /// returns the batch plus how long the caller waited (pipeline sync
-    /// time). `None` when nothing is in flight.
-    fn take(&mut self) -> Option<(ConstructedBatch<E>, Duration)> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        let wait_started = Instant::now();
-        let constructed = match self.done_rx.recv() {
-            Ok(constructed) => constructed,
-            Err(_) => self.propagate_worker_failure(),
-        };
-        self.in_flight -= 1;
-        Some((constructed, wait_started.elapsed()))
-    }
-
-    /// The worker hung up: join it and re-raise its panic with the original
-    /// payload (an app panicking in `state_access` during off-thread
-    /// construction must surface exactly like it does in the serial engine).
-    fn propagate_worker_failure(&mut self) -> ! {
-        if let Some(worker) = self.worker.take() {
-            if let Err(payload) = worker.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        unreachable!("construction thread exited without panicking while channels were open");
-    }
-}
-
-impl<E> Drop for ConstructionStage<E> {
-    fn drop(&mut self) {
-        // Closing the job channel ends the worker loop; join so no thread
-        // outlives the engine. Pending results are dropped with `done_rx`.
-        self.job_tx.take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
-
-/// Workers TPG construction runs on: the execution worker count — halved
-/// under pipelined construction, where it runs *beside* the execution pool
-/// and the full count would oversubscribe the machine. Never less than 1.
-fn construction_threads(config: &EngineConfig) -> usize {
-    let threads = if config.pipelined_construction {
-        config.num_threads / 2
-    } else {
-        config.num_threads
-    };
-    threads.max(1)
-}
-
-/// Wall-clock intersection of two intervals — how much of a batch's
-/// construction ran while another batch was executing.
-fn interval_overlap(a: (Instant, Instant), b: (Instant, Instant)) -> Duration {
-    let start = a.0.max(b.0);
-    let end = a.1.min(b.1);
-    end.saturating_duration_since(start)
 }
 
 /// The MorphStream engine.
@@ -312,14 +73,10 @@ pub struct MorphStream<A: StreamApp> {
     mode: SchedulingMode,
     progress: ProgressController,
     planner: TpgBuilder,
-    group_of: Option<GroupFn<A::Event>>,
+    /// Scheduling group of an event; every event is in group 0 unless
+    /// [`MorphStream::with_group_fn`] installed a partitioning.
+    group_of: GroupFn<A::Event>,
     session: SessionState<A::Event, A::Output>,
-    /// Lazily spawned construction stage (pipelined mode only).
-    construction: Option<ConstructionStage<A::Event>>,
-    /// Execution interval of the most recently executed batch, against which
-    /// the next batch's construction interval is intersected for the overlap
-    /// metric.
-    last_execute: Option<(Instant, Instant)>,
     /// Meters the store's reclaim visits into per-batch figures.
     reclaim_visits: ReclaimVisits,
 }
@@ -333,7 +90,8 @@ impl<A: StreamApp> MorphStream<A> {
     /// [`MorphStream::new`] over an application object other engines run
     /// too: the parallel instances of one topology operator.
     pub(crate) fn with_shared_app(app: Arc<A>, store: StateStore, config: EngineConfig) -> Self {
-        let planner = TpgBuilder::new().with_threads(construction_threads(&config));
+        // TPG construction is sharded over the execution worker count.
+        let planner = TpgBuilder::new().with_threads(config.num_threads.max(1));
         Self {
             reclaim_visits: ReclaimVisits::new([&store]),
             app,
@@ -342,10 +100,8 @@ impl<A: StreamApp> MorphStream<A> {
             mode: SchedulingMode::default(),
             progress: ProgressController::default(),
             planner,
-            group_of: None,
+            group_of: Box::new(|_: &A::Event| 0),
             session: SessionState::new(),
-            construction: None,
-            last_execute: None,
         }
     }
 
@@ -373,7 +129,7 @@ impl<A: StreamApp> MorphStream<A> {
         mut self,
         group_of: impl Fn(&A::Event) -> usize + Send + Sync + 'static,
     ) -> Self {
-        self.group_of = Some(Arc::new(group_of));
+        self.group_of = Box::new(group_of);
         self
     }
 
@@ -407,99 +163,77 @@ impl<A: StreamApp> MorphStream<A> {
         self.session.take_outputs()
     }
 
-    /// Construct and execute the buffered events inline as one batch; a
+    /// Run the buffered events as one punctuation batch — planning,
+    /// scheduling, execution, post-processing — on the calling thread; a
     /// no-op on an empty buffer.
-    fn process_pending_serial(&mut self, group_of: &dyn Fn(&A::Event) -> usize) {
+    fn process_pending(&mut self) {
         let Some(PendingBatch { events, batch }) = self.session.begin_batch() else {
             return;
         };
         let ts_base = self.progress.reserve(events.len());
-        let constructed = construct_batch(
-            self.app.as_ref(),
-            &self.planner,
-            group_of,
-            ConstructJob {
-                events,
-                batch_index: batch,
-                ts_base,
-                batch_started: Instant::now(),
-            },
-        );
-        self.execute_constructed(constructed, Duration::ZERO);
-    }
+        let batch_started = Instant::now();
 
-    /// Hand the buffered events to the construction thread and, while it
-    /// builds them, execute the previously constructed batch. Keeps at most
-    /// one batch in flight, so memory is bounded by two punctuation
-    /// intervals and batches execute strictly in punctuation order.
-    fn process_pending_pipelined(&mut self) {
-        let Some(PendingBatch { events, batch }) = self.session.begin_batch() else {
-            return;
+        // ---- Phase 1: stream processing (pre-processing + decomposition) ----
+        let mut groups: Vec<TransactionBatch> = Vec::new();
+        let mut txn_locator: Vec<(usize, usize)> = Vec::with_capacity(events.len());
+        // Tables written by this batch — the scope of after-batch reclamation
+        // — and tables serving windowed accesses (targets of windowed
+        // reads/writes plus their window parameters), pinned before
+        // reclamation so trailing windows keep their history.
+        let mut written_tables: Vec<TableId> = Vec::new();
+        let mut windowed_tables: Vec<TableId> = Vec::new();
+        let note = |set: &mut Vec<TableId>, table: TableId| {
+            if !set.contains(&table) {
+                set.push(table);
+            }
         };
-        let ts_base = self.progress.reserve(events.len());
-        let job = ConstructJob {
-            events,
-            batch_index: batch,
-            ts_base,
-            batch_started: Instant::now(),
-        };
-        self.construction_stage().submit(job);
-        if self.construction.as_ref().is_some_and(|s| s.in_flight > 1) {
-            self.execute_next_constructed();
+        for (event_index, event) in events.iter().enumerate() {
+            let ts = ts_base + event_index as Timestamp;
+            let mut builder = TxnBuilder::new();
+            self.app.state_access(event, &mut builder);
+            let ops = builder.into_ops();
+            for op in &ops {
+                if op.kind.is_write() {
+                    note(&mut written_tables, op.table);
+                }
+                if op.kind.is_windowed() {
+                    note(&mut windowed_tables, op.table);
+                    for param in &op.params {
+                        note(&mut windowed_tables, param.table);
+                    }
+                }
+            }
+            let txn = Transaction::new(ts, ops).with_event_index(event_index);
+            let group = (self.group_of)(event);
+            while groups.len() <= group {
+                groups.push(
+                    TransactionBatch::new()
+                        .with_expected_abort_ratio(self.app.expected_abort_ratio()),
+                );
+            }
+            txn_locator.push((group, groups[group].len()));
+            groups[group].push(txn);
         }
-    }
 
-    /// The construction stage, spawned on first use with the app, planner
-    /// and grouping function of this engine.
-    fn construction_stage(&mut self) -> &mut ConstructionStage<A::Event> {
-        if self.construction.is_none() {
-            self.construction = Some(ConstructionStage::spawn(
-                self.app.clone(),
-                self.planner.clone(),
-                self.group_fn(),
-            ));
-        }
-        self.construction.as_mut().expect("just initialised")
-    }
-
-    /// Take the oldest in-flight constructed batch (blocking on its
-    /// construction if needed) and execute it.
-    fn execute_next_constructed(&mut self) {
-        let taken = self.construction.as_mut().and_then(ConstructionStage::take);
-        if let Some((constructed, wait)) = taken {
-            self.execute_constructed(constructed, wait);
-        }
-    }
-
-    /// Execute every batch still in the construction stage, oldest first.
-    fn drain_pipeline(&mut self) {
-        while self.construction.as_ref().is_some_and(|s| s.in_flight > 0) {
-            self.execute_next_constructed();
-        }
-    }
-
-    /// Scheduling + execution + post-processing of one constructed batch —
-    /// the downstream half of the punctuation pipeline. `wait` is how long
-    /// the engine blocked on the construction stage (pipeline sync time).
-    fn execute_constructed(&mut self, constructed: ConstructedBatch<A::Event>, wait: Duration) {
-        let ConstructedBatch {
-            events,
-            batch_index,
-            groups,
-            txn_locator,
-            watermark,
-            written_tables,
-            windowed_tables,
-            batch_started,
-            construct_started,
-            construct_finished,
-        } = constructed;
-        let construct = construct_finished.duration_since(construct_started);
+        // ---- Phase 2: planning (TPG construction, sharded by state key) ----
+        let groups: Vec<Option<Arc<Tpg>>> = groups
+            .into_iter()
+            .map(|group| {
+                if group.is_empty() {
+                    None
+                } else {
+                    Some(Arc::new(self.planner.build(group)))
+                }
+            })
+            .collect();
+        // Versions at or before the batch's last timestamp may be reclaimed
+        // once the batch committed.
+        let watermark = ts_base + events.len().saturating_sub(1) as Timestamp;
+        let construct = batch_started.elapsed();
         let mut breakdown = Breakdown::new();
         breakdown.add(BreakdownBucket::Construct, construct);
-        breakdown.add(BreakdownBucket::Sync, wait);
 
-        // ---- Scheduling + execution per group ----
+        // ---- Phase 3: scheduling + execution per group ----
         let execute_started = Instant::now();
         let mut execute_in_workers = Duration::ZERO;
         let mut outcomes_per_group = Vec::with_capacity(groups.len());
@@ -566,8 +300,8 @@ impl<A: StreamApp> MorphStream<A> {
         for table in &windowed_tables {
             let _ = self.store.pin_table(*table);
         }
-        // Checkpoint cue: the construction stage already knows which tables
-        // this batch touched, so dirty-marking rides on that set instead of
+        // Checkpoint cue: decomposition already knows which tables this
+        // batch touched, so dirty-marking rides on that set instead of
         // relying solely on the per-write flag inside the store.
         self.store.mark_tables_dirty(&written_tables);
         if self.config.reclaim_after_batch {
@@ -579,23 +313,12 @@ impl<A: StreamApp> MorphStream<A> {
                 .truncate_tables_before(&written_tables, watermark);
         }
         let reclaim_keys_visited = self.reclaim_visits.take([&self.store]);
-        let execute_interval = (execute_started, Instant::now());
-        // Construction time hidden behind the previous batch's execution:
-        // zero by construction in the serial engine (the intervals cannot
-        // intersect), positive when the pipeline overlapped the stages. The
-        // overlap is intersected against the same full-stage interval that
-        // `timings.execute` reports, so `overlap <= min(construct, execute)`
-        // holds for adjacent batches.
-        let overlap = self
-            .last_execute
-            .map(|prev| interval_overlap((construct_started, construct_finished), prev))
-            .unwrap_or(Duration::ZERO);
-        self.last_execute = Some(execute_interval);
+        let execute = execute_started.elapsed();
         // The worker-pool time is a lower bound of the stage wall; the gap is
         // scheduling + post-processing + reclamation overhead.
-        debug_assert!(execute_in_workers <= execute_interval.1.duration_since(execute_interval.0));
+        debug_assert!(execute_in_workers <= execute);
         let summary = BatchSummary {
-            batch: batch_index,
+            batch,
             events: events.len(),
             committed,
             aborted,
@@ -607,18 +330,12 @@ impl<A: StreamApp> MorphStream<A> {
             bytes_retained: self.store.bytes_retained(),
             timings: StageTimings {
                 construct,
-                execute: execute_interval.1.duration_since(execute_interval.0),
-                overlap,
+                execute,
+                // One batch is in flight at a time: nothing overlaps.
+                overlap: Duration::ZERO,
             },
         };
         self.session.complete_batch(events, summary, &breakdown);
-    }
-
-    /// The stored grouping function, defaulting to a single group.
-    fn group_fn(&self) -> GroupFn<A::Event> {
-        self.group_of
-            .clone()
-            .unwrap_or_else(|| Arc::new(|_: &A::Event| 0))
     }
 }
 
@@ -627,30 +344,14 @@ impl<A: StreamApp> TxnEngine for MorphStream<A> {
     type Output = A::Output;
 
     fn ingest(&mut self, event: A::Event) {
-        // The grouping function is only consulted when a batch is cut, so it
-        // is resolved lazily — the per-event path is a plain buffer push.
         let punctuation = self.punctuation_interval();
         if self.session.ingest(event, punctuation) {
-            if self.config.pipelined_construction {
-                self.process_pending_pipelined();
-            } else {
-                let group_of = self.group_fn();
-                self.process_pending_serial(group_of.as_ref());
-            }
+            self.process_pending();
         }
     }
 
     fn flush(&mut self) {
-        // A flush is a synchronisation point: the trailing partial batch is
-        // processed *and* both pipeline stages are drained, so the report
-        // covers every pushed event when this returns.
-        if self.config.pipelined_construction {
-            self.process_pending_pipelined();
-            self.drain_pipeline();
-        } else {
-            let group_of = self.group_fn();
-            self.process_pending_serial(group_of.as_ref());
-        }
+        self.process_pending();
     }
 
     fn finish(&mut self) -> RunReport<A::Output> {
@@ -659,8 +360,8 @@ impl<A: StreamApp> TxnEngine for MorphStream<A> {
     }
 
     fn checkpoint(&mut self, sink: &mut dyn crate::pipeline::CheckpointSink) {
-        // The flush is the checkpoint barrier: both pipeline stages drain,
-        // so the store reflects every pushed event before it is offered.
+        // The flush is the checkpoint barrier: the store reflects every
+        // pushed event before it is offered.
         TxnEngine::flush(self);
         sink.store(0, &self.store, self.store.take_dirty_tables());
     }
@@ -1015,105 +716,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_construction_matches_the_serial_engine_exactly() {
-        let (ref_store, accounts) = setup(1_000);
-        let mut reference = MorphStream::new(
-            Transfers { accounts },
-            ref_store.clone(),
-            EngineConfig::with_threads(2).with_punctuation_interval(64),
-        );
-        let expected = reference.run(transfer_events(500));
-
-        let (store, accounts) = setup(1_000);
-        let mut engine = MorphStream::new(
-            Transfers { accounts },
-            store.clone(),
-            EngineConfig::with_threads(2)
-                .with_punctuation_interval(64)
-                .with_pipelined_construction(true),
-        );
-        let report = engine.run(transfer_events(500));
-
-        assert_eq!(report.events(), expected.events());
-        assert_eq!(report.committed, expected.committed);
-        assert_eq!(report.aborted, expected.aborted);
-        assert_eq!(report.outputs, expected.outputs);
-        assert_eq!(report.batches.len(), expected.batches.len());
-        // batches completed in punctuation order
-        let order: Vec<usize> = report.batches.iter().map(|b| b.batch).collect();
-        assert_eq!(order, (0..report.batches.len()).collect::<Vec<_>>());
-        assert_eq!(
-            store.snapshot_latest(accounts).unwrap(),
-            ref_store.snapshot_latest(accounts).unwrap()
-        );
-        // stage timings were recorded; the serial reference hides nothing
-        assert!(report.stage_timings.construct > std::time::Duration::ZERO);
-        assert_eq!(expected.stage_timings.overlap, std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn pipelined_sessions_stay_reusable_and_flush_drains_both_stages() {
-        let (store, accounts) = setup(1_000);
-        let mut engine = MorphStream::new(
-            Transfers { accounts },
-            store,
-            EngineConfig::with_threads(2)
-                .with_punctuation_interval(32)
-                .with_pipelined_construction(true),
-        );
-        let mut pipeline = engine.pipeline();
-        pipeline.push_iter(transfer_events(100));
-        pipeline.flush();
-        // after a flush both stages are drained: the report is complete
-        assert_eq!(pipeline.report().events(), 100);
-        let first = pipeline.finish();
-        assert_eq!(first.events(), 100);
-        let second = engine.run(transfer_events(50));
-        assert_eq!(second.events(), 50);
-        assert_eq!(second.batches.first().map(|b| b.batch), Some(0));
-    }
-
-    #[test]
-    fn construction_thread_panics_propagate_with_the_original_payload() {
-        struct Exploder {
-            accounts: TableId,
-        }
-        impl StreamApp for Exploder {
-            type Event = u64;
-            type Output = bool;
-            fn state_access(&self, event: &u64, txn: &mut TxnBuilder) {
-                assert!(*event != 42, "boom on event 42");
-                txn.write(self.accounts, *event % 8, udfs::add_delta(1));
-            }
-            fn post_process(&self, _event: &u64, outcome: &TxnOutcome) -> bool {
-                outcome.committed
-            }
-        }
-        let (store, accounts) = setup(100);
-        let mut engine = MorphStream::new(
-            Exploder { accounts },
-            store,
-            EngineConfig::with_threads(2)
-                .with_punctuation_interval(8)
-                .with_pipelined_construction(true),
-        );
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.run((0..64).collect::<Vec<u64>>())
-        }));
-        let payload = result.expect_err("the app panic must surface");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            message.contains("boom on event 42"),
-            "panic payload was replaced: {message:?}"
-        );
-    }
-
-    #[test]
-    fn the_planner_follows_the_worker_count_and_halves_it_when_pipelined() {
+    fn the_planner_follows_the_worker_count() {
         let planner_threads = |config: EngineConfig| {
             let (store, accounts) = setup(100);
             MorphStream::new(Transfers { accounts }, store, config)
@@ -1121,12 +724,6 @@ mod tests {
                 .threads()
         };
         assert_eq!(planner_threads(EngineConfig::with_threads(3)), 3);
-        // Pipelined construction runs beside the execution pool, so the
-        // default splits the cores instead of oversubscribing them.
-        let pipelined =
-            |threads| EngineConfig::with_threads(threads).with_pipelined_construction(true);
-        assert_eq!(planner_threads(pipelined(8)), 4);
-        assert_eq!(planner_threads(pipelined(1)), 1);
     }
 
     #[test]

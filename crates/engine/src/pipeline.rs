@@ -195,11 +195,10 @@ pub struct PendingBatch<E> {
 /// [`SessionState::begin_batch`] → execute, pushing per-event outputs with
 /// [`SessionState::push_output`] → [`SessionState::complete_batch`].
 ///
-/// The buffer is double-buffered by construction: [`SessionState::begin_batch`]
-/// moves the events out, so a cut batch can travel through a construction /
-/// execution pipeline while a fresh buffer keeps filling from the stream;
-/// [`SessionState::complete_batch`] recycles the drained allocation when the
-/// new buffer is still empty.
+/// [`SessionState::begin_batch`] moves the events out, so the engine owns the
+/// cut batch while it runs (and a topology's threaded driver can hand it to
+/// another thread); [`SessionState::complete_batch`] recycles the drained
+/// allocation as the buffer when no new event arrived in between.
 pub struct SessionState<E, O> {
     buffer: Vec<E>,
     report: RunReport<O>,
@@ -363,16 +362,15 @@ pub trait TxnEngine {
 
     /// Push one event into the session. When the pushed event crosses the
     /// punctuation interval, the buffered batch is processed before this
-    /// method returns — except under pipelined construction
-    /// (`EngineConfig::pipelined_construction`), where the batch is handed to
-    /// the construction stage and the *previous* batch executes instead, so
-    /// the report may lag the stream by one punctuation until a flush.
+    /// method returns, so [`TxnEngine::report`] is current. The one
+    /// exception is a [`Topology`](crate::Topology) on its threaded driver,
+    /// which hands the round to its operator threads: its report may trail
+    /// the stream until the next flush.
     fn ingest(&mut self, event: Self::Event);
 
     /// Process whatever is buffered as a (possibly partial) batch. A no-op
-    /// when nothing is buffered. This is a synchronisation point: engines
-    /// with a construction pipeline drain *both* stages, so every pushed
-    /// event is reflected in [`TxnEngine::report`] when this returns.
+    /// when nothing is buffered. This is a synchronisation point: every
+    /// pushed event is reflected in [`TxnEngine::report`] when this returns.
     fn flush(&mut self);
 
     /// Flush, close the session, and return the accumulated [`RunReport`].

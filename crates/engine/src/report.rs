@@ -22,10 +22,10 @@ pub struct BatchSummary {
     /// Aborted transactions.
     pub aborted: usize,
     /// End-to-end wall-clock time from the batch being cut to its results
-    /// landing — the latency of the batch. Under pipelined construction this
-    /// includes time queued behind the previous batch, so adjacent batches'
-    /// `elapsed` intervals overlap; use [`BatchSummary::processing_time`]
-    /// when summing across batches (throughput).
+    /// landing — the latency of the batch. A topology round on the threaded
+    /// driver includes time queued on its channels; use
+    /// [`BatchSummary::processing_time`] when summing across batches
+    /// (throughput).
     pub elapsed: Duration,
     /// The scheduling decision used for the batch (the decision of the first
     /// group when the nested configuration is used).
@@ -42,9 +42,8 @@ pub struct BatchSummary {
     pub reclaim_keys_visited: u64,
     /// Bytes retained by the state store when the batch finished.
     pub bytes_retained: u64,
-    /// Construct/execute wall-clock split of the batch, including how much of
-    /// the construction ran concurrently with another batch's execution
-    /// (always zero without pipelined construction).
+    /// Construct/execute wall-clock split of the batch. Its `overlap` is
+    /// always zero: an engine plans and executes one batch at a time.
     pub timings: StageTimings,
 }
 
@@ -81,13 +80,11 @@ impl ReclaimVisits {
 }
 
 impl BatchSummary {
-    /// Wall-clock time this batch actually occupied the engine:
-    /// construction plus execution, minus the construction that was hidden
-    /// behind another batch's execution. Unlike [`BatchSummary::elapsed`],
-    /// these intervals are disjoint across batches in *both* engine modes, so
-    /// they sum correctly into run throughput.
+    /// Wall-clock time this batch occupied the engine: construction plus
+    /// execution. Unlike [`BatchSummary::elapsed`], these intervals are
+    /// disjoint across batches, so they sum correctly into run throughput.
     pub fn processing_time(&self) -> Duration {
-        (self.timings.construct + self.timings.execute).saturating_sub(self.timings.overlap)
+        self.timings.construct + self.timings.execute
     }
 
     /// Throughput of this batch in events per second (over
@@ -121,7 +118,7 @@ pub struct OperatorReport {
     pub throughput: Throughput,
     /// Per-event latency samples recorded by this operator.
     pub latency: LatencyRecorder,
-    /// Construct/execute/overlap stage timings of this operator.
+    /// Construct/execute stage timings of this operator.
     pub stage_timings: StageTimings,
     /// Runtime breakdown of this operator's batches.
     pub breakdown: Breakdown,
@@ -206,9 +203,8 @@ pub struct RunReport<O> {
     pub breakdown: Breakdown,
     /// Memory retained by auxiliary structures over time.
     pub memory: MemoryTimeline,
-    /// Construct/execute/overlap stage timings summed over all batches. The
-    /// `overlap` component is the construction time the pipelined engine hid
-    /// behind execution (the Figure 16 construction-overhead axis).
+    /// Construct/execute stage timings summed over all batches (the Figure 16
+    /// construction-overhead axis); `overlap` is always zero.
     pub stage_timings: StageTimings,
     /// Per-batch summaries (throughput-over-time plots).
     pub batches: Vec<BatchSummary>,
@@ -266,9 +262,7 @@ impl<O> RunReport<O> {
         self.coarse_unit_builds += summary.coarse_unit_builds;
         self.reclaim_keys_visited += summary.reclaim_keys_visited;
         // Latency uses `elapsed` (end-to-end, queueing included); throughput
-        // uses `processing_time` — under pipelined construction adjacent
-        // batches' `elapsed` spans overlap, and summing them would undercount
-        // the rate by up to 2x.
+        // uses `processing_time`, the stage time the batch held its engine.
         self.throughput.merge(&Throughput::new(
             summary.events as u64,
             summary.processing_time(),
@@ -284,9 +278,10 @@ impl<O> RunReport<O> {
         self.throughput.k_events_per_second()
     }
 
-    /// Fraction of TPG-construction time that was hidden behind the execution
-    /// of other batches: 0 for the serial engine, approaching 1 when the
-    /// pipelined engine fully overlaps construction with execution.
+    /// Fraction of TPG-construction time hidden behind the execution of
+    /// other batches: always 0, since every batch is planned and executed in
+    /// turn. Kept because the benchmark reports it as
+    /// `engine.construct_overlap_share`.
     pub fn construction_overlap_fraction(&self) -> f64 {
         self.stage_timings.overlap_fraction()
     }
@@ -506,7 +501,7 @@ mod tests {
             events: 1000,
             committed: 990,
             aborted: 10,
-            elapsed: Duration::from_millis(150), // includes pipeline queueing
+            elapsed: Duration::from_millis(150), // includes channel queueing
             decision: SchedulingDecision::default(),
             redone_ops: 0,
             coarse_unit_builds: 0,
@@ -514,11 +509,11 @@ mod tests {
             bytes_retained: 0,
             timings: StageTimings {
                 construct: Duration::from_millis(40),
-                execute: Duration::from_millis(80),
-                overlap: Duration::from_millis(20),
+                execute: Duration::from_millis(60),
+                overlap: Duration::ZERO,
             },
         };
-        // 40 + 80 - 20 = 100ms of engine occupancy for 1000 events
+        // 40 + 60 = 100ms of engine occupancy for 1000 events
         assert_eq!(b.processing_time(), Duration::from_millis(100));
         assert!((b.events_per_second() - 10_000.0).abs() < 1.0);
     }

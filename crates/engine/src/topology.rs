@@ -667,36 +667,29 @@ mod tests {
 
     #[test]
     fn both_drivers_record_the_same_batch_summaries() {
-        // 30 events at punctuation 4 leave a trailing partial batch; with a
-        // pipelined entry a batch surfaces one round after the one that cut it.
-        for pipelined in [false, true] {
-            let config = EngineConfig::with_threads(2)
-                .with_punctuation_interval(4)
-                .with_pipelined_construction(pipelined);
-            let run = |topo: TopologyConfig| {
-                let (mut topology, ..) = two_op_topology_with(config, topo);
-                topology.ingest_iter(1..=30u64);
-                topology.flush();
-                let flushed = rounds(topology.report());
-                let report = topology.finish();
-                // finish after flush moves nothing: no empty trailing batch
-                assert_eq!(rounds(&report), flushed);
-                flushed
-            };
-            let inline = run(TopologyConfig::default());
-            assert_eq!(inline.iter().map(|r| r[0]).sum::<usize>(), 30);
-            assert_eq!(inline.iter().map(|r| r[1]).sum::<usize>(), 60);
-            if !pipelined {
-                assert_eq!(inline.len(), 8);
-                assert_eq!(inline[0], [4, 8, 0, 0]);
-                assert_eq!(inline[7], [2, 4, 0, 0]);
-            }
-            for capacity in [1, 4] {
-                let threaded = TopologyConfig::default()
-                    .with_concurrent(true)
-                    .with_channel_capacity(capacity);
-                assert_eq!(run(threaded), inline, "pipelined={pipelined}");
-            }
+        // 30 events at punctuation 4 leave a trailing partial batch.
+        let config = EngineConfig::with_threads(2).with_punctuation_interval(4);
+        let run = |topo: TopologyConfig| {
+            let (mut topology, ..) = two_op_topology_with(config, topo);
+            topology.ingest_iter(1..=30u64);
+            topology.flush();
+            let flushed = rounds(topology.report());
+            let report = topology.finish();
+            // finish after flush moves nothing: no empty trailing batch
+            assert_eq!(rounds(&report), flushed);
+            flushed
+        };
+        let inline = run(TopologyConfig::default());
+        assert_eq!(inline.iter().map(|r| r[0]).sum::<usize>(), 30);
+        assert_eq!(inline.iter().map(|r| r[1]).sum::<usize>(), 60);
+        assert_eq!(inline.len(), 8);
+        assert_eq!(inline[0], [4, 8, 0, 0]);
+        assert_eq!(inline[7], [2, 4, 0, 0]);
+        for capacity in [1, 4] {
+            let threaded = TopologyConfig::default()
+                .with_concurrent(true)
+                .with_channel_capacity(capacity);
+            assert_eq!(run(threaded), inline, "capacity={capacity}");
         }
     }
 

@@ -414,8 +414,8 @@ impl Threads {
     }
 
     /// Tear the runtime down and re-raise a worker panic with its original
-    /// payload (same discipline as pipelined construction), or report the
-    /// unexpected shutdown.
+    /// payload, so an app panic surfaces as it would on the inline driver,
+    /// or report the unexpected shutdown.
     fn fail(&mut self) -> ! {
         // Join the workers *first*: a panicking worker's channels drop while
         // it unwinds, so siblings (and this thread) can observe the

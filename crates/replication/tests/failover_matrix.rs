@@ -42,7 +42,6 @@ fn shape(concurrent: bool) -> Shape {
         concurrent,
         parallelism: 2,
         threads: 2,
-        pipelined: false,
     }
 }
 

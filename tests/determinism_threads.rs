@@ -1,16 +1,14 @@
 //! Determinism across thread counts: the same workload seed must produce a
 //! byte-identical final-state digest and per-event output history on every
 //! `EngineConfig::with_threads(1..=8)`, for every bundled workload generator
-//! (SL, GS, OSED, SEA, TP, Dynamic) — with and without pipelined
-//! construction. This catches data races in the sharded TPG builder and the
-//! construction/execution pipeline that the oracle-equivalence tests (which
-//! fix one thread count per run) can miss.
+//! (SL, GS, OSED, SEA, TP, Dynamic). This catches data races in the sharded
+//! TPG builder and the parallel executor that the oracle-equivalence tests
+//! (which fix one thread count per run) can miss.
 
 use std::fmt::Debug;
 
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, MorphStream, StreamApp, TxnEngine};
-use morphstream_common::config::test_threads;
 use morphstream_common::{Timestamp, WorkloadConfig};
 use morphstream_workloads::{
     DynamicWorkload, GrepSumApp, OsedApp, SeaApp, SeaGenerator, StreamingLedgerApp,
@@ -38,7 +36,7 @@ struct RunDigest {
 
 /// Build a fresh engine via `make`, run the workload at `threads` workers,
 /// and fingerprint the result.
-fn run_once<A, F>(make: &F, threads: usize, pipelined: bool) -> RunDigest
+fn run_once<A, F>(make: &F, threads: usize) -> RunDigest
 where
     A: StreamApp,
     A::Output: Debug,
@@ -48,8 +46,7 @@ where
     let config = EngineConfig {
         num_threads: threads,
         ..config
-    }
-    .with_pipelined_construction(pipelined);
+    };
     let mut engine = MorphStream::new(app, store.clone(), config);
     let report = engine.run(events);
     RunDigest {
@@ -60,26 +57,19 @@ where
     }
 }
 
-/// The digest must be identical for threads 1..=8, serial and pipelined.
+/// The digest must be identical for threads 1..=8.
 fn assert_deterministic<A, F>(workload: &str, make: F)
 where
     A: StreamApp,
     A::Output: Debug,
     F: Fn() -> (A, StateStore, Vec<A::Event>, EngineConfig),
 {
-    let reference = run_once(&make, 1, false);
+    let reference = run_once(&make, 1);
     for threads in 2..=8usize {
-        let digest = run_once(&make, threads, false);
+        let digest = run_once(&make, threads);
         assert_eq!(
             digest, reference,
-            "{workload}: serial run with {threads} threads diverged"
-        );
-    }
-    for threads in [1, 2, test_threads(4)] {
-        let digest = run_once(&make, threads, true);
-        assert_eq!(
-            digest, reference,
-            "{workload}: pipelined run with {threads} threads diverged"
+            "{workload}: run with {threads} threads diverged"
         );
     }
 }

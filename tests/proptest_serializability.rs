@@ -150,21 +150,19 @@ proptest! {
         prop_assert_eq!(total, INITIAL * ACCOUNTS as Value + committed_deposits);
     }
 
-    /// Random batches pushed through `Pipeline::push_iter` with arbitrary
-    /// chunking and punctuation boundaries, across the {1,2,4,8} thread
-    /// matrix with pipelined construction on and off, must all reach the
-    /// identical final `StateStore` snapshot and the identical serializable
-    /// per-event history.
+    /// Random batches pushed through a `Pipeline` session's `push_iter`
+    /// with arbitrary chunking and punctuation boundaries, across the
+    /// {1,2,4,8} thread matrix, must all reach the identical final
+    /// `StateStore` snapshot and the identical serializable per-event
+    /// history.
     #[test]
     fn pushed_pipelined_sessions_match_the_oracle_across_thread_counts(
         events in proptest::collection::vec(op_strategy(), 1..80),
         punctuation in 1usize..40,
         threads_idx in 0usize..4,
-        pipelined_idx in 0usize..2,
         chunk in 1usize..50,
     ) {
         let threads = [1usize, 2, 4, 8][threads_idx];
-        let pipelined = pipelined_idx == 1;
         let (expected, expected_outcomes) = oracle_full(&events);
 
         let store = StateStore::new();
@@ -173,9 +171,7 @@ proptest! {
         let mut engine = MorphStream::new(
             Ledger { accounts },
             store.clone(),
-            EngineConfig::with_threads(threads)
-                .with_punctuation_interval(punctuation)
-                .with_pipelined_construction(pipelined),
+            EngineConfig::with_threads(threads).with_punctuation_interval(punctuation),
         );
         let mut pipeline = engine.pipeline();
         for part in events.chunks(chunk) {

@@ -1,17 +1,14 @@
 //! Equivalence and determinism proof for the operator-topology runtime: a
 //! fused single-operator TP application and its two-operator topology split
 //! must produce identical `state_digest()`s and identical per-event outputs,
-//! across worker-thread counts (`MORPH_TEST_THREADS`), pipelined
-//! construction on/off, the inline vs the threaded topology driver, and
-//! keyed statistics parallelism 1 vs 4 — while the topology is driven
-//! exclusively through the *generic* `TxnEngine` surface
-//! (`Pipeline::push_iter` and the bench harness's `drive` loop), never
+//! across worker-thread counts (`MORPH_TEST_THREADS`), the inline vs the
+//! threaded topology driver, and keyed statistics parallelism 1 vs 4 —
+//! while the topology is driven exclusively through the *generic*
+//! `TxnEngine` surface (`Pipeline::push_iter` and `TxnEngine::run`), never
 //! through topology-specific calls.
 
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, MorphStream, RunReport, TopologyConfig, TxnEngine};
-use morphstream_baselines::SystemUnderTest;
-use morphstream_bench::harness::drive;
 use morphstream_common::config::test_threads;
 use morphstream_common::WorkloadConfig;
 use morphstream_workloads::{TollProcessingApp, TpEvent};
@@ -28,17 +25,15 @@ fn events() -> Vec<TpEvent> {
     TollProcessingApp::generate(&config(), 1_200)
 }
 
-fn engine_config(threads: usize, pipelined: bool) -> EngineConfig {
-    EngineConfig::with_threads(threads)
-        .with_punctuation_interval(config().txns_per_batch)
-        .with_pipelined_construction(pipelined)
+fn engine_config(threads: usize) -> EngineConfig {
+    EngineConfig::with_threads(threads).with_punctuation_interval(config().txns_per_batch)
 }
 
 /// Run the fused single-operator app; returns the store digest and report.
-fn run_fused(threads: usize, pipelined: bool) -> (u64, RunReport<bool>) {
+fn run_fused(threads: usize) -> (u64, RunReport<bool>) {
     let store = StateStore::new();
     let app = TollProcessingApp::new(&store, &config());
-    let mut engine = MorphStream::new(app, store.clone(), engine_config(threads, pipelined));
+    let mut engine = MorphStream::new(app, store.clone(), engine_config(threads));
     let mut pipeline = engine.pipeline();
     pipeline.push_iter(events());
     let report = pipeline.finish();
@@ -46,15 +41,14 @@ fn run_fused(threads: usize, pipelined: bool) -> (u64, RunReport<bool>) {
 }
 
 /// Run the two-operator split through the generic `Pipeline` session.
-fn run_topology(threads: usize, pipelined: bool) -> (u64, RunReport<bool>) {
-    run_topology_with(threads, pipelined, false, 1)
+fn run_topology(threads: usize) -> (u64, RunReport<bool>) {
+    run_topology_with(threads, false, 1)
 }
 
 /// The split with explicit driver choices: inline vs per-operator
 /// threads, and keyed statistics parallelism.
 fn run_topology_with(
     threads: usize,
-    pipelined: bool,
     concurrent: bool,
     parallelism: usize,
 ) -> (u64, RunReport<bool>) {
@@ -62,7 +56,7 @@ fn run_topology_with(
     let mut topology = TollProcessingApp::topology_with(
         &store,
         &config(),
-        engine_config(threads, pipelined),
+        engine_config(threads),
         TopologyConfig::default().with_concurrent(concurrent),
         parallelism,
     );
@@ -73,33 +67,31 @@ fn run_topology_with(
 }
 
 #[test]
-fn split_topology_matches_the_fused_app_across_threads_and_pipelining() {
-    let (expected_digest, expected) = run_fused(1, false);
+fn split_topology_matches_the_fused_app_across_thread_counts() {
+    let (expected_digest, expected) = run_fused(1);
     assert_eq!(expected.events(), 1_200);
     assert!(expected.aborted > 0, "the workload must exercise aborts");
 
     for threads in [1, test_threads(4)] {
-        for pipelined in [false, true] {
-            // the fused app itself is deterministic across configurations
-            let (fused_digest, fused) = run_fused(threads, pipelined);
-            assert_eq!(
-                fused_digest, expected_digest,
-                "fused run diverged at threads={threads} pipelined={pipelined}"
-            );
-            assert_eq!(fused.outputs, expected.outputs);
+        // the fused app itself is deterministic across thread counts
+        let (fused_digest, fused) = run_fused(threads);
+        assert_eq!(
+            fused_digest, expected_digest,
+            "fused run diverged at threads={threads}"
+        );
+        assert_eq!(fused.outputs, expected.outputs);
 
-            // ... and the topology split reproduces it bit for bit
-            let (digest, report) = run_topology(threads, pipelined);
-            assert_eq!(
-                digest, expected_digest,
-                "topology diverged at threads={threads} pipelined={pipelined}"
-            );
-            assert_eq!(
-                report.outputs, expected.outputs,
-                "topology outputs diverged at threads={threads} pipelined={pipelined}"
-            );
-            assert_eq!(report.events(), expected.events());
-        }
+        // ... and the topology split reproduces it bit for bit
+        let (digest, report) = run_topology(threads);
+        assert_eq!(
+            digest, expected_digest,
+            "topology diverged at threads={threads}"
+        );
+        assert_eq!(
+            report.outputs, expected.outputs,
+            "topology outputs diverged at threads={threads}"
+        );
+        assert_eq!(report.events(), expected.events());
     }
 }
 
@@ -107,34 +99,29 @@ fn split_topology_matches_the_fused_app_across_threads_and_pipelining() {
 fn threaded_driver_and_keyed_parallelism_match_the_inline_driver() {
     // The acceptance matrix of the concurrent-runtime redesign: digests and
     // outputs must be identical across {serial, concurrent} × parallelism
-    // {1, 4} × threads {1, MORPH_TEST_THREADS} × pipelining on/off.
-    let (expected_digest, expected) = run_fused(1, false);
+    // {1, 4} × threads {1, MORPH_TEST_THREADS}.
+    let (expected_digest, expected) = run_fused(1);
     for concurrent in [false, true] {
         for parallelism in [1usize, 4] {
             for threads in [1, test_threads(4)] {
-                for pipelined in [false, true] {
-                    let (digest, report) =
-                        run_topology_with(threads, pipelined, concurrent, parallelism);
-                    let label = format!(
-                        "concurrent={concurrent} parallelism={parallelism} \
-                         threads={threads} pipelined={pipelined}"
-                    );
-                    assert_eq!(digest, expected_digest, "digest diverged at {label}");
-                    assert_eq!(
-                        report.outputs, expected.outputs,
-                        "outputs diverged at {label}"
-                    );
-                    assert_eq!(report.events(), expected.events());
-                    // per-instance rows: toll-charge + road-stats{#i}
-                    assert_eq!(report.operators.len(), 1 + parallelism, "{label}");
-                    let committed: usize = report.operators.iter().map(|op| op.committed).sum();
-                    assert_eq!(report.committed, committed, "{label}");
-                    // edge rows are always present; back-pressure counters
-                    // only tick under the concurrent runtime
-                    assert_eq!(report.edges.len(), 2);
-                    if !concurrent {
-                        assert!(report.edges.iter().all(|e| e.queue_full_waits == 0));
-                    }
+                let (digest, report) = run_topology_with(threads, concurrent, parallelism);
+                let label =
+                    format!("concurrent={concurrent} parallelism={parallelism} threads={threads}");
+                assert_eq!(digest, expected_digest, "digest diverged at {label}");
+                assert_eq!(
+                    report.outputs, expected.outputs,
+                    "outputs diverged at {label}"
+                );
+                assert_eq!(report.events(), expected.events());
+                // per-instance rows: toll-charge + road-stats{#i}
+                assert_eq!(report.operators.len(), 1 + parallelism, "{label}");
+                let committed: usize = report.operators.iter().map(|op| op.committed).sum();
+                assert_eq!(report.committed, committed, "{label}");
+                // edge rows are always present; back-pressure counters
+                // only tick under the concurrent runtime
+                assert_eq!(report.edges.len(), 2);
+                if !concurrent {
+                    assert!(report.edges.iter().all(|e| e.queue_full_waits == 0));
                 }
             }
         }
@@ -143,7 +130,7 @@ fn threaded_driver_and_keyed_parallelism_match_the_inline_driver() {
 
 #[test]
 fn per_operator_reports_sum_to_the_topology_totals() {
-    let (_, report) = run_topology(test_threads(4), false);
+    let (_, report) = run_topology(test_threads(4));
 
     assert_eq!(report.operators.len(), 2);
     assert_eq!(report.operators[0].name, "toll-charge");
@@ -181,20 +168,19 @@ fn topology_runs_through_the_generic_bench_drive_loop() {
     let mut fused = MorphStream::new(
         fused_app,
         fused_store.clone(),
-        engine_config(test_threads(4), false),
+        engine_config(test_threads(4)),
     );
-    let fused_report = drive(SystemUnderTest::MorphStream, &mut fused, events());
+    let fused_report = fused.run(events());
 
     let store = StateStore::new();
     let mut topology =
-        TollProcessingApp::topology(&store, &config(), engine_config(test_threads(4), false));
-    // the very same generic driver the figure harnesses use
-    let report = drive(SystemUnderTest::Topology, &mut topology, events());
+        TollProcessingApp::topology(&store, &config(), engine_config(test_threads(4)));
+    // the very same generic `TxnEngine::run` loop the bench harness drives
+    let report = topology.run(events());
 
     assert_eq!(store.state_digest(), fused_store.state_digest());
-    assert_eq!(report.system, SystemUnderTest::Topology);
     assert_eq!(report.aborted, fused_report.aborted);
-    assert!(report.k_events_per_second > 0.0);
+    assert!(report.k_events_per_second() > 0.0);
     // committed counts both operators, so it is the fused count plus one
     // (always-committing) statistics transaction per event
     assert_eq!(report.committed, fused_report.committed + 1_200);
@@ -204,7 +190,7 @@ fn topology_runs_through_the_generic_bench_drive_loop() {
 fn topology_sessions_are_reusable_and_flush_aligned_with_punctuations() {
     let store = StateStore::new();
     let mut topology =
-        TollProcessingApp::topology(&store, &config(), engine_config(test_threads(4), true));
+        TollProcessingApp::topology(&store, &config(), engine_config(test_threads(4)));
 
     // First session: uneven chunks with explicit mid-stream flushes.
     let mut pipeline = topology.pipeline();
@@ -226,7 +212,7 @@ fn topology_sessions_are_reusable_and_flush_aligned_with_punctuations() {
     // a pure function of the (deterministic) applied updates.
     let reference = {
         let store = StateStore::new();
-        let mut topology = TollProcessingApp::topology(&store, &config(), engine_config(1, false));
+        let mut topology = TollProcessingApp::topology(&store, &config(), engine_config(1));
         topology.run(events());
         topology.run(events());
         store.state_digest()
