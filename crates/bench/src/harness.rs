@@ -2,7 +2,7 @@
 //! workload through it, and report throughput/latency in the paper's units.
 
 use morphstream::storage::StateStore;
-use morphstream::{EngineConfig, EventSource, MorphStream, RunReport, TxnEngine};
+use morphstream::{EngineConfig, MorphStream, RunReport, TxnEngine};
 use morphstream_baselines::{LockedSpeEngine, SStoreEngine, SystemUnderTest, TStreamEngine};
 use morphstream_common::json::JsonObject;
 use morphstream_common::WorkloadConfig;
@@ -185,25 +185,6 @@ where
     I: IntoIterator<Item = E::Event>,
 {
     SystemReport::from_run(system, engine.run(events))
-}
-
-/// Chunk size used when pulling from an [`EventSource`] in
-/// [`drive_source`]: big enough to amortise the pull loop, far smaller than
-/// a punctuation interval.
-pub const SOURCE_CHUNK: usize = 256;
-
-/// Like [`drive`], but pulling from any conveyor-style [`EventSource`] —
-/// a generated workload source or a socket decoder — through
-/// [`Pipeline::push_source`](morphstream::Pipeline::push_source), so the
-/// benchmark path and the server path exercise the same ingestion loop.
-pub fn drive_source<E, S>(system: SystemUnderTest, engine: &mut E, source: &mut S) -> SystemReport
-where
-    E: TxnEngine,
-    S: EventSource<Event = E::Event>,
-{
-    let mut pipeline = engine.pipeline();
-    pipeline.push_source(source, SOURCE_CHUNK);
-    SystemReport::from_run(system, pipeline.finish())
 }
 
 /// Run the Streaming Ledger workload on one system and return its condensed

@@ -1,8 +1,10 @@
 //! [`DurableEngine`]: an engine, its write-ahead log, its checkpoint store
 //! and its output digest, advancing as one consistent cut. The one place the
-//! log → push → checkpoint → recover protocol is written down: `morphstream
-//! serve --data-dir` and `morphstream standby` each hold one, and the kill
-//! and failover matrices drive it directly.
+//! log → push → checkpoint → recover protocol is written down, and the one
+//! door events enter a served engine by: `morphstream serve` holds one with
+//! or without `--data-dir`, `morphstream standby` holds one, and the kill
+//! and failover matrices drive it directly. No method pushes an event past
+//! the log.
 //!
 //! * **Ingest** — every event is appended to the WAL *before* it is pushed
 //!   into the engine, under the caller's one lock, so the log is always a
@@ -26,13 +28,15 @@
 //!   replayed run converges to digest-identical state even when the crash —
 //!   or a checkpoint's flush — cut a batch in half.
 //!
-//! Dropping a `DurableEngine` without a final
+//! Opened on no directory, a `DurableEngine` keeps nothing on disk: ingest
+//! only pushes and counts, a checkpoint is a no-op, and there is nothing to
+//! recover. Dropping one opened on a directory without a final
 //! [`DurableEngine::checkpoint_now`] leaves on disk what `kill -9` would.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use morphstream::{OutputDigest, TxnEngine};
+use morphstream::{OutputDigest, RunReport, TxnEngine};
 use morphstream_common::hash::Fnv1a;
 use morphstream_common::json::JsonObject;
 use morphstream_common::protocol::WireCodec;
@@ -74,7 +78,7 @@ impl Recovery {
 /// mirror.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DurableStats {
-    /// Events durably logged: the WAL's next index.
+    /// Events ingested: the WAL's next index.
     pub next_index: u64,
     /// WAL records appended (events + punctuation markers).
     pub wal_records: u64,
@@ -98,10 +102,19 @@ where
     E::Event: WireCodec,
 {
     engine: E,
+    output_digest: OutputDigest,
+    /// Events ingested; on disk, the WAL's next index.
+    next_index: u64,
+    /// The data directory's log and checkpoints; `None` keeps nothing on
+    /// disk.
+    disk: Option<Disk>,
+}
+
+/// A data directory: the WAL, the checkpoint store, and when to write each.
+struct Disk {
+    dir: PathBuf,
     wal: WalLog,
     checkpoints: CheckpointStore,
-    output_digest: OutputDigest,
-    dir: PathBuf,
     fsync: FsyncPolicy,
     checkpoint_retain: usize,
     /// Events between interval checkpoints (0 = never on interval).
@@ -115,6 +128,29 @@ where
     stats: DurableStats,
 }
 
+impl Disk {
+    /// Account `logged` just-appended events: write a punctuation marker if
+    /// one is due, and say whether an interval checkpoint is.
+    fn logged(&mut self, logged: u64) -> bool {
+        self.since_checkpoint += logged;
+        if self.punctuation == 0 {
+            return false;
+        }
+        self.since_marker += logged;
+        if self.since_marker >= self.punctuation {
+            self.since_marker %= self.punctuation;
+            if let Err(e) = self.wal.mark_punctuation() {
+                eprintln!("morphstream durability: WAL punctuation marker failed: {e}");
+            }
+        }
+        self.checkpoint_due()
+    }
+
+    fn checkpoint_due(&self) -> bool {
+        self.checkpoint_interval > 0 && self.since_checkpoint >= self.checkpoint_interval
+    }
+}
+
 impl<E: TxnEngine<Output = u64>> DurableEngine<E>
 where
     E::Event: WireCodec,
@@ -123,15 +159,25 @@ where
     /// and recover whatever it holds into the fresh `engine`, whose output
     /// sink becomes the digest. `punctuation` is the engine's punctuation
     /// interval, or 0 for a replica that mirrors its primary's markers.
+    /// With no `dir` nothing is created and the recovery is `None`.
     pub fn open(
-        dir: impl AsRef<Path>,
+        dir: Option<&Path>,
         mut engine: E,
         fsync: FsyncPolicy,
         checkpoint_interval: u64,
         checkpoint_retain: usize,
         punctuation: u64,
     ) -> Result<(Self, Option<Recovery>), DurabilityError> {
-        let dir = dir.as_ref().to_path_buf();
+        let Some(dir) = dir else {
+            let output_digest = OutputDigest::install(&mut engine, Fnv1a::new());
+            let durable = Self {
+                engine,
+                output_digest,
+                next_index: 0,
+                disk: None,
+            };
+            return Ok((durable, None));
+        };
         let checkpoints =
             CheckpointStore::open_with_retention(dir.join("checkpoints"), checkpoint_retain)?;
         let mut events_applied = 0;
@@ -163,17 +209,20 @@ where
         }
         let mut durable = Self {
             engine,
-            wal: WalLog::open(&wal_dir, fsync, next_index)?,
-            checkpoints,
             output_digest,
-            dir,
-            fsync,
-            checkpoint_retain,
-            checkpoint_interval,
-            since_checkpoint: 0,
-            punctuation,
-            since_marker: 0,
-            stats: DurableStats::default(),
+            next_index,
+            disk: Some(Disk {
+                dir: dir.to_path_buf(),
+                wal: WalLog::open(&wal_dir, fsync, next_index)?,
+                checkpoints,
+                fsync,
+                checkpoint_retain,
+                checkpoint_interval,
+                since_checkpoint: 0,
+                punctuation,
+                since_marker: 0,
+                stats: DurableStats::default(),
+            }),
         };
         let recovery = (checkpoint_id.is_some() || replayed_events > 0).then_some(Recovery {
             checkpoint_id,
@@ -198,26 +247,21 @@ where
         &mut self,
         events: impl IntoIterator<Item = E::Event>,
     ) -> Result<(), DurabilityError> {
-        let first = self.wal.next_index();
+        let first = self.next_index;
         let mut result = Ok(());
         for event in events {
-            if let Err(e) = self.wal.append_event(&event) {
-                result = Err(e);
-                break;
-            }
-            self.engine.ingest(event);
-        }
-        let logged = self.wal.next_index() - first;
-        self.since_checkpoint += logged;
-        if self.punctuation > 0 {
-            self.since_marker += logged;
-            if self.since_marker >= self.punctuation {
-                self.since_marker %= self.punctuation;
-                if let Err(e) = self.wal.mark_punctuation() {
-                    eprintln!("morphstream durability: WAL punctuation marker failed: {e}");
+            if let Some(disk) = self.disk.as_mut() {
+                if let Err(e) = disk.wal.append_event(&event) {
+                    result = Err(e);
+                    break;
                 }
             }
-            self.checkpoint_if_due();
+            self.engine.ingest(event);
+            self.next_index += 1;
+        }
+        let logged = self.next_index - first;
+        if self.disk.as_mut().is_some_and(|disk| disk.logged(logged)) {
+            self.checkpoint_or_warn();
         }
         result
     }
@@ -226,8 +270,13 @@ where
     /// take the interval checkpoint if one is due: a replica checkpoints on
     /// its primary's punctuation boundaries.
     pub fn mark_punctuation(&mut self) -> Result<(), DurabilityError> {
-        self.wal.mark_punctuation()?;
-        self.checkpoint_if_due();
+        let Some(disk) = self.disk.as_mut() else {
+            return Ok(());
+        };
+        disk.wal.mark_punctuation()?;
+        if disk.checkpoint_due() {
+            self.checkpoint_or_warn();
+        }
         Ok(())
     }
 
@@ -235,13 +284,9 @@ where
     /// events instead of mirroring a primary's: what promotion does to a
     /// replica's engine.
     pub fn set_punctuation(&mut self, punctuation: u64) {
-        self.punctuation = punctuation;
-        self.since_marker = 0;
-    }
-
-    fn checkpoint_if_due(&mut self) {
-        if self.checkpoint_interval > 0 && self.since_checkpoint >= self.checkpoint_interval {
-            self.checkpoint_or_warn();
+        if let Some(disk) = self.disk.as_mut() {
+            disk.punctuation = punctuation;
+            disk.since_marker = 0;
         }
     }
 
@@ -256,22 +301,26 @@ where
     /// Take a checkpoint right now (the module documentation has the
     /// steps). `Err` means it was not published — the dirty flags were
     /// handed back — or that it was but the WAL could not be trimmed.
+    /// Without a data directory there is nothing to take: `Ok(())`.
     pub fn checkpoint_now(&mut self) -> Result<(), DurabilityError> {
-        self.since_checkpoint = 0;
+        let Some(disk) = self.disk.as_mut() else {
+            return Ok(());
+        };
+        disk.since_checkpoint = 0;
         let started = Instant::now();
         let mut builder = CheckpointBuilder::new();
         self.engine.checkpoint(&mut builder);
         // The flush inside `checkpoint` pushed every appended event through
         // the engine, so the digest state and the WAL index describe the
         // same cut as the captured tables.
-        let events_applied = self.wal.next_index();
+        let events_applied = self.next_index;
         let taken_dirty = builder.taken_dirty();
         let checkpoint = builder.build(
-            self.checkpoints.next_id(),
+            disk.checkpoints.next_id(),
             events_applied,
             self.output_digest.finish(),
         );
-        let saved = match self.checkpoints.save(&checkpoint) {
+        let saved = match disk.checkpoints.save(&checkpoint) {
             Ok(saved) => saved,
             Err(e) => {
                 // Never persisted, but the engine already consumed the dirty
@@ -282,11 +331,11 @@ where
                 return Err(e);
             }
         };
-        self.stats.checkpoints += 1;
-        self.stats.checkpoint_bytes += saved.bytes;
-        self.stats.last_checkpoint = started.elapsed();
-        self.wal.rotate()?;
-        self.wal.truncate_before(events_applied)?;
+        disk.stats.checkpoints += 1;
+        disk.stats.checkpoint_bytes += saved.bytes;
+        disk.stats.last_checkpoint = started.elapsed();
+        disk.wal.rotate()?;
+        disk.wal.truncate_before(events_applied)?;
         Ok(())
     }
 
@@ -297,7 +346,8 @@ where
     /// chain is then written out and recovered like any other directory
     /// ([`DurableEngine::open`], re-anchor included) into the fresh
     /// `engine`. On error nothing of the old state remains in memory, and
-    /// whatever reached the disk is what the next `open` recovers.
+    /// whatever reached the disk is what the next `open` recovers. Needs a
+    /// data directory to write the chain to.
     pub fn adopt_chain(
         self,
         engine: E,
@@ -310,12 +360,18 @@ where
                 "shipped chain covers {covered} events, primary announced {events_applied}"
             )));
         }
+        let disk = self.disk.as_ref().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "adopting a checkpoint chain needs a data directory",
+            )
+        })?;
         let (dir, fsync, interval, retain, punctuation) = (
-            self.dir.clone(),
-            self.fsync,
-            self.checkpoint_interval,
-            self.checkpoint_retain,
-            self.punctuation,
+            disk.dir.clone(),
+            disk.fsync,
+            disk.checkpoint_interval,
+            disk.checkpoint_retain,
+            disk.punctuation,
         );
         drop(self);
         for sub in ["wal", "checkpoints"] {
@@ -328,7 +384,7 @@ where
         for checkpoint in chain {
             shipped.save(checkpoint)?;
         }
-        Ok(Self::open(dir, engine, fsync, interval, retain, punctuation)?.0)
+        Ok(Self::open(Some(&dir), engine, fsync, interval, retain, punctuation)?.0)
     }
 
     /// The engine, for reads (reports, live rows).
@@ -336,21 +392,29 @@ where
         &self.engine
     }
 
-    /// The engine, for session control (`flush`, `finish`). Events pushed
-    /// here bypass the log; use [`DurableEngine::ingest`].
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
+    /// Process whatever the engine has buffered as a (possibly partial)
+    /// batch ([`TxnEngine::flush`]).
+    pub fn flush(&mut self) {
+        self.engine.flush();
+    }
+
+    /// Flush, then close the engine's session and return its report
+    /// ([`TxnEngine::finish`]); outputs keep streaming into the digest.
+    pub fn finish_session(&mut self) -> RunReport<u64> {
+        self.engine.flush();
+        self.engine.finish()
     }
 
     /// The log, for fault injection in tests ([`WalLog::swap_segment`]).
+    /// Panics without a data directory.
     #[doc(hidden)]
     pub fn wal_mut(&mut self) -> &mut WalLog {
-        &mut self.wal
+        &mut self.disk.as_mut().expect("a data directory").wal
     }
 
-    /// Events durably logged so far: the WAL's next index.
+    /// Events ingested so far; on disk, the WAL's next index.
     pub fn next_index(&self) -> u64 {
-        self.wal.next_index()
+        self.next_index
     }
 
     /// Order-sensitive digest of every output emitted so far, across
@@ -361,17 +425,24 @@ where
 
     /// Id of the newest checkpoint in the live chain, if any.
     pub fn latest_checkpoint_id(&self) -> Option<u64> {
-        self.checkpoints.entries().last().map(|e| e.id)
+        let disk = self.disk.as_ref()?;
+        disk.checkpoints.entries().last().map(|e| e.id)
     }
 
     /// The cumulative counters, as of now.
     pub fn stats(&self) -> DurableStats {
+        let Some(disk) = self.disk.as_ref() else {
+            return DurableStats {
+                next_index: self.next_index,
+                ..DurableStats::default()
+            };
+        };
         DurableStats {
-            next_index: self.wal.next_index(),
-            wal_records: self.wal.records_appended(),
-            wal_bytes: self.wal.bytes_appended(),
-            wal_segments: self.wal.segment_count(),
-            ..self.stats
+            next_index: self.next_index,
+            wal_records: disk.wal.records_appended(),
+            wal_bytes: disk.wal.bytes_appended(),
+            wal_segments: disk.wal.segment_count(),
+            ..disk.stats
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   file + rename + directory fsync). A checkpoint that happens to cover
 //!   every table is *full* and supersedes the chain before it.
 //! * [`wal`] — a write-ahead log of input events, appended *before* events
-//!   reach `Pipeline::push`, framed into `MSW1` segments with a CRC per
+//!   reach the engine, framed into `MSW1` segments with a CRC per
 //!   record and a configurable [`FsyncPolicy`]. Segments rotate at
 //!   checkpoints and are garbage-collected once a checkpoint covers them.
 //!

@@ -1,5 +1,5 @@
 //! Write-ahead input log: every event is appended (and optionally fsynced)
-//! *before* it reaches `Pipeline::push`, so the log is always a superset of
+//! *before* it reaches the engine, so the log is always a superset of
 //! what the engine has seen, in identical order. Recovery replays the tail
 //! of the log — events with index ≥ the latest checkpoint's
 //! `events_applied` — through the same pipeline.
@@ -517,6 +517,23 @@ impl SegmentWalk<File> {
             walk => Ok(walk),
         }
     }
+
+    /// [`SegmentWalk::fill`] for a segment its writer may still cut back (a
+    /// failed append is healed by truncating to the last whole record):
+    /// bytes the walk could not step over are read again from `valid_len`,
+    /// not kept with new bytes appended behind them. Returns whether the
+    /// buffered bytes changed.
+    fn refill(&mut self) -> io::Result<bool> {
+        if !self.pending() {
+            return Ok(self.fill()? > 0);
+        }
+        let held = self.carry.split_off(self.walked);
+        self.carry.clear();
+        self.walked = 0;
+        self.src.seek(SeekFrom::Start(self.valid_len))?;
+        self.src.read_to_end(&mut self.carry)?;
+        Ok(self.carry != held)
+    }
 }
 
 /// One decoded segment: the valid record prefix plus whether a torn or
@@ -704,9 +721,11 @@ impl From<std::io::Error> for TailError {
 /// rotations, and truncations made by a concurrent [`WalLog`] writer in the
 /// same process or another one on the same filesystem.
 ///
-/// A record being written can be observed half-complete; the tailer buffers
-/// the partial bytes and resumes on the next [`WalTailer::poll`] — a short
-/// read is "try again later", never an error. When truncation has deleted
+/// A record being written can be observed half-complete; the tailer reads
+/// the partial bytes again on the next [`WalTailer::poll`] — a short read is
+/// "try again later", never an error, and stray bytes of a failed append the
+/// writer has since cut off are replaced by what it wrote over them. When
+/// truncation has deleted
 /// the segment holding the requested position, `poll` reports
 /// [`TailError::Gap`] and the reader must re-sync from a checkpoint.
 pub struct WalTailer {
@@ -746,7 +765,7 @@ impl WalTailer {
                 return Ok(emitted);
             }
             let seg = self.current.as_mut().expect("segment is open");
-            if seg.fill()? > 0 {
+            if seg.refill()? {
                 continue;
             }
             // EOF on the current segment: either the writer is still on it
@@ -757,7 +776,7 @@ impl WalTailer {
             };
             // Re-read once: the writer may have completed a half-observed
             // record between our EOF read and the rotation we just listed.
-            if seg.fill()? > 0 {
+            if seg.refill()? {
                 continue;
             }
             if seg.pending() {
@@ -1051,6 +1070,10 @@ mod tests {
             let whole = fs::metadata(&segment).unwrap().len();
             let mut real = log.swap_segment(File::open(&segment).unwrap()).unwrap();
             real.write_all(&[REC_EVENT, 8, 0, 0, 0, 9, 9]).unwrap();
+            // A live tailer reads the stray bytes before they are cut off.
+            let mut tailer = WalTailer::new(&dir, 0);
+            let mut tailed = Vec::new();
+            assert_eq!(tailer.poll(&mut tailed, 100).unwrap(), 3);
             assert!(log.append_event(&Probe(99)).is_err());
             assert_eq!(log.next_index(), 3, "the failed event was not counted");
             assert_eq!(fs::metadata(&segment).unwrap().len(), whole + 7);
@@ -1062,6 +1085,19 @@ mod tests {
             for i in 3..6u64 {
                 assert_eq!(log.append_event(&Probe(i)).unwrap(), i);
             }
+            // It goes on from the cut: the records written over the stray
+            // bytes arrive without waiting for a rotation.
+            tailed.clear();
+            assert_eq!(tailer.poll(&mut tailed, 100).unwrap(), 3);
+            assert_eq!(
+                tailed,
+                (3..6u64)
+                    .map(|i| TailItem::Event {
+                        index: i,
+                        payload: i.to_le_bytes().to_vec()
+                    })
+                    .collect::<Vec<_>>()
+            );
             log.rotate().unwrap();
             log.append_event(&Probe(6)).unwrap();
             log.sync().unwrap();

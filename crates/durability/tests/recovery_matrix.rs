@@ -19,7 +19,6 @@ mod support;
 use std::path::Path;
 
 use morphstream::storage::StateStore;
-use morphstream::TxnEngine;
 use morphstream_durability::{Checkpoint, DurableEngine, FsyncPolicy, Recovery};
 use morphstream_workloads::SlEvent;
 use support::{
@@ -37,9 +36,15 @@ struct Lifetime {
 impl Lifetime {
     fn open(shape: Shape, dir: &Path) -> Lifetime {
         let (topology, stores) = build(shape);
-        let (durable, recovery) =
-            DurableEngine::open(dir, topology, FsyncPolicy::Never, 0, 0, PUNCTUATION as u64)
-                .expect("open the data directory");
+        let (durable, recovery) = DurableEngine::open(
+            Some(dir),
+            topology,
+            FsyncPolicy::Never,
+            0,
+            0,
+            PUNCTUATION as u64,
+        )
+        .expect("open the data directory");
         Lifetime {
             durable,
             stores,
@@ -54,7 +59,7 @@ impl Lifetime {
     }
 
     fn finish(mut self) -> Digests {
-        self.durable.engine_mut().finish();
+        self.durable.finish_session();
         Digests {
             ledger: self.stores[0].state_digest(),
             tally: self.stores[1].state_digest(),

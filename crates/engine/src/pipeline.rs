@@ -71,36 +71,18 @@ use crate::report::{BatchSummary, RunReport};
 /// long-running sessions report progress without waiting for `finish()`.
 pub type BatchHook = Box<dyn FnMut(&BatchSummary) + Send>;
 
-/// A pull-side event feed: anything that can hand the engine the next chunk
-/// of events — a generated workload, a merged pair of feeds, or a socket
-/// decoder.
-///
-/// The conveyor-style contract splits ingestion into *offer* and *consume*:
-/// [`EventSource::next_batch`] appends up to `max` ready events, and
-/// [`EventSource::ack`] tells the source they were durably handed to the
-/// engine (a socket source frees its frame buffers there; generated sources
-/// ignore it). Pull-based drivers ([`Pipeline::push_source`], the bench
-/// harness, `morphstream serve`) are generic over this trait, so a workload
-/// generator and a TCP connection feed the engine through the same path.
+/// A pull-side event feed that hands its consumer the next chunk of events:
+/// the server's socket decoder implements it, and `morphstream serve` pulls
+/// one chunk per engine-lock acquisition. (A generated workload is an
+/// ordinary [`Iterator`]; [`Pipeline::push_iter`] takes it directly.)
 pub trait EventSource {
     /// The event type this source yields.
     type Event;
 
     /// Append up to `max` events to `out`, returning how many were appended.
-    /// Returning `0` means the source is exhausted — drivers stop pulling.
-    /// A blocking source (socket) may wait for data before returning.
+    /// Returning `0` means nothing is ready — the source is exhausted, or a
+    /// socket's read timed out. A blocking source may wait for data first.
     fn next_batch(&mut self, max: usize, out: &mut Vec<Self::Event>) -> usize;
-
-    /// Acknowledge that the last `n` delivered events were consumed.
-    /// Sources with retained buffers release them here; the default is a
-    /// no-op.
-    fn ack(&mut self, _n: usize) {}
-
-    /// Events this source will still yield, when known up front (generated
-    /// workloads). `None` for unbounded feeds such as sockets.
-    fn remaining_events(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// A push-side consumer of items leaving the engine: per-event outputs, or
@@ -499,29 +481,6 @@ impl<'e, E: TxnEngine> Pipeline<'e, E> {
     /// `Vec` first.
     pub fn push_iter<I: IntoIterator<Item = E::Event>>(&mut self, events: I) {
         self.engine.ingest_iter(events);
-    }
-
-    /// Drain an [`EventSource`] to exhaustion: pull chunks of up to
-    /// `chunk` events, push each in order, and `ack` the source after the
-    /// chunk is fully handed to the engine. Equivalent to
-    /// [`Pipeline::push_iter`] over the same events — the server's socket
-    /// decoder and a generated workload drive the engine identically here.
-    pub fn push_source<S>(&mut self, source: &mut S, chunk: usize)
-    where
-        S: EventSource<Event = E::Event> + ?Sized,
-    {
-        let chunk = chunk.max(1);
-        let mut buf = Vec::with_capacity(chunk);
-        loop {
-            let n = source.next_batch(chunk, &mut buf);
-            if n == 0 {
-                break;
-            }
-            for event in buf.drain(..) {
-                self.engine.ingest(event);
-            }
-            source.ack(n);
-        }
     }
 
     /// Install an output sink on the underlying engine (builder-style); see

@@ -1014,7 +1014,9 @@ mod tests {
             }
         );
         // the message tells the user how to fix it
-        assert!(err.to_string().contains("merge_by_timestamp"));
+        let message = err.to_string();
+        assert!(message.contains("merge the feeds into one timestamp-ordered stream"));
+        assert!(message.contains("build_with_entries"));
     }
 
     #[test]

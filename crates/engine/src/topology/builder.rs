@@ -105,10 +105,9 @@ pub enum TopologyError {
     /// An operator not declared as an entry has no upstream edge but feeds
     /// the graph — an undeclared entry point. Every feeding source-like
     /// operator must be declared: either merge the feeds ahead of a single
-    /// entry (e.g. with `Source::merge_by_timestamp` in
-    /// `morphstream_workloads`) so events arrive as one deterministically
-    /// ordered stream, or declare every entry with
-    /// [`TopologyBuilder::build_with_entries`].
+    /// entry into one timestamp-ordered stream (as the dataflow loader's
+    /// `build_events` does for a scenario's feeds), or declare every entry
+    /// with [`TopologyBuilder::build_with_entries`].
     MultiEntry {
         /// The declared entry operator.
         entry: String,
@@ -155,8 +154,8 @@ impl std::fmt::Display for TopologyError {
                 write!(
                     f,
                     "operator {extra:?} acts as an undeclared entry (no upstream edge) besides \
-                     {entry:?}; either merge the feeds ahead of one entry (e.g. with \
-                     Source::merge_by_timestamp) or declare every entry with \
+                     {entry:?}; either merge the feeds into one timestamp-ordered stream \
+                     ahead of one entry or declare every entry with \
                      TopologyBuilder::build_with_entries"
                 )
             }
@@ -358,8 +357,7 @@ impl TopologyBuilder {
     /// operator is keyed. This form declares exactly **one** entry: an
     /// operator that feeds the graph without an upstream of its own is
     /// rejected as [`TopologyError::MultiEntry`] — merge multiple feeds into
-    /// one ordered stream ahead of the entry (e.g.
-    /// `Source::merge_by_timestamp` in the workloads crate), or declare every
+    /// one timestamp-ordered stream ahead of the entry, or declare every
     /// entry explicitly with [`TopologyBuilder::build_with_entries`].
     ///
     /// # Panics

@@ -209,7 +209,7 @@ fn open_replica(
 ) -> io::Result<(Promoted, Option<StandbyRecovery>)> {
     let ReplicaEngine { engine, stores } = factory()?;
     let (durable, recovery) = DurableEngine::open(
-        &opts.data_dir,
+        Some(&opts.data_dir),
         engine,
         opts.fsync,
         opts.checkpoint_interval,

@@ -21,7 +21,6 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use morphstream::TxnEngine;
 use morphstream_durability::{DurableEngine, FsyncPolicy};
 use morphstream_replication::{
     AckMode, Promoted, ReplicaEngine, ReplicationSender, SenderOptions, StandbyEngine,
@@ -63,7 +62,7 @@ struct Primary {
 impl Primary {
     fn start(dir: &Path, concurrent: bool, target: String, ack: AckMode) -> Primary {
         let (durable, _) = DurableEngine::open(
-            dir,
+            Some(dir),
             build_engine(concurrent).engine,
             FsyncPolicy::Never,
             0,
@@ -132,7 +131,7 @@ fn finish_promoted(mut promoted: Promoted, rest: &[SlEvent]) -> Digests {
         .durable
         .ingest(rest.iter().cloned())
         .expect("WAL append");
-    promoted.durable.engine_mut().finish();
+    promoted.durable.finish_session();
     Digests {
         ledger: promoted.stores[0].state_digest(),
         tally: promoted.stores[1].state_digest(),

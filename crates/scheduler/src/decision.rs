@@ -96,26 +96,6 @@ pub struct SchedulingDecision {
 }
 
 impl SchedulingDecision {
-    /// The configuration the original TStream system corresponds to:
-    /// per-state operation chains explored structurally with lazy,
-    /// whole-batch abort handling.
-    pub fn tstream_like() -> Self {
-        Self {
-            exploration: ExplorationStrategy::StructuredBfs,
-            granularity: Granularity::Coarse,
-            abort_handling: AbortHandling::Lazy,
-        }
-    }
-
-    /// A fully fine-grained, eager configuration (maximum adaptivity cost).
-    pub fn fine_eager() -> Self {
-        Self {
-            exploration: ExplorationStrategy::NonStructured,
-            granularity: Granularity::Fine,
-            abort_handling: AbortHandling::Eager,
-        }
-    }
-
     /// Every possible decision, for exhaustive sweeps (2 × 3 × 2 = 12).
     pub fn all() -> Vec<Self> {
         let mut out = Vec::with_capacity(12);
@@ -192,15 +172,5 @@ mod tests {
         dedup.sort_by_key(|d| format!("{d}"));
         dedup.dedup();
         assert_eq!(dedup.len(), 12);
-    }
-
-    #[test]
-    fn presets_match_their_descriptions() {
-        let t = SchedulingDecision::tstream_like();
-        assert_eq!(t.granularity, Granularity::Coarse);
-        assert_eq!(t.abort_handling, AbortHandling::Lazy);
-        let f = SchedulingDecision::fine_eager();
-        assert_eq!(f.granularity, Granularity::Fine);
-        assert_eq!(f.abort_handling, AbortHandling::Eager);
     }
 }

@@ -4,11 +4,10 @@
 //! an in-memory cursor in tests), auto-detects the wire format from the
 //! first byte of the connection (`{` → JSON lines, otherwise the
 //! [`BINARY_MAGIC`] preamble must follow), and decodes complete events
-//! incrementally. Because it implements the same [`EventSource`] trait as
-//! the generated workload sources, the server feeds the engine through the
-//! exact ingestion loop the benchmarks use — this is the satellite "a
-//! partitioned Kafka-like source can later slot in without touching the
-//! engine" seam.
+//! incrementally. Each connection handler pulls chunks from it with
+//! [`EventSource::next_batch`] and hands them to the served engine's one
+//! door, `DurableEngine::ingest`; another feed (a partitioned log, say)
+//! would slot in behind the same trait without touching the engine.
 //!
 //! Buffered bytes are bounded: the decoder only reads from the socket when
 //! no complete event is parseable, so at most one partial frame plus one

@@ -5,15 +5,15 @@
 //! The server accepts events over TCP in two self-describing wire formats
 //! (length-prefixed binary behind an `MSB1` magic, or JSON lines starting
 //! with `{` — see [`morphstream_common::protocol`]), decodes them with a
-//! [`SocketEventSource`] (an ordinary
-//! [`EventSource`](morphstream::EventSource), so sockets and generated
-//! workloads feed the engine through the same trait), and pushes them
-//! through [`Pipeline::push`](morphstream::Pipeline::push) into a
-//! `ledger → audit` dataflow. Back-pressure is end-to-end: a slow operator
-//! fills the bounded inter-operator channel, the blocked push holds the
-//! ingestion lock, the connection handler stops reading, and TCP flow
-//! control throttles the client — memory stays bounded to one punctuation
-//! interval plus the channel capacity.
+//! [`SocketEventSource`], and ingests them into a `ledger → audit` dataflow
+//! through its one door,
+//! [`DurableEngine::ingest`](morphstream_durability::DurableEngine::ingest)
+//! — the same with or without a data directory; without one nothing is
+//! logged. Back-pressure is end-to-end: a slow operator fills the bounded
+//! inter-operator channel, the blocked ingest holds the engine lock, the
+//! connection handler stops reading, and TCP flow control throttles the
+//! client — memory stays bounded to one punctuation interval plus the
+//! channel capacity.
 //!
 //! Observability is a `/metrics` endpoint in Prometheus text format (live
 //! [`ReportSnapshot`](morphstream::ReportSnapshot) of the current session

@@ -24,7 +24,7 @@ use morphstream_common::json::JsonObject;
 use morphstream_common::metrics::LatencyRecorder;
 use morphstream_common::protocol::WireFormat;
 use morphstream_common::WorkloadConfig;
-use morphstream_workloads::{EventSource, SlEvent, StreamingLedgerApp};
+use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
 use crate::codec::{encode_event, write_preamble};
 
@@ -153,16 +153,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadgenReport> {
     // Skip by generating and discarding: the generator is deterministic per
     // seed, so event `skip` here is byte-identical to event `skip` of a
     // run that sent the whole stream.
-    let mut discard: Vec<SlEvent> = Vec::new();
-    let mut to_skip = opts.skip.min(opts.events);
-    while to_skip > 0 {
-        discard.clear();
-        let n = source.next_batch(to_skip.min(4096), &mut discard);
-        if n == 0 {
-            break;
-        }
-        to_skip -= n;
-    }
+    source.by_ref().take(opts.skip).for_each(drop);
 
     let mut reconnects = 0u64;
     let mut stream = establish(opts, &mut reconnects)?;
@@ -177,7 +168,8 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadgenReport> {
     let started = Instant::now();
     loop {
         events.clear();
-        if source.next_batch(burst, &mut events) == 0 {
+        events.extend(source.by_ref().take(burst));
+        if events.is_empty() {
             break;
         }
         wire.clear();

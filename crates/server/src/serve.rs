@@ -4,14 +4,15 @@
 //! `ledger → audit` [`Topology`]: the entry operator executes the
 //! deposits/transfers, and a downstream `audit` operator tallies commit
 //! outcomes into its own table (its per-event cost is the configurable
-//! "slow terminal operator" of the back-pressure story). Each accepted
-//! connection decodes events through a [`SocketEventSource`] and pushes them
-//! through [`Pipeline::push`](morphstream::Pipeline::push), so the PR 5
-//! back-pressure chain extends to the socket: a slow operator fills the
-//! bounded inter-operator channel, the blocked push holds the ingestion
-//! lock, the handler stops reading, the kernel socket buffer fills, and TCP
-//! flow control throttles the client. Memory stays bounded to one
-//! punctuation interval plus the channel capacity.
+//! "slow terminal operator" of the back-pressure story). The engine sits in
+//! a [`DurableEngine`] — on the `--data-dir` directory, or on none — and
+//! [`DurableEngine::ingest`] is the one way in: each accepted connection
+//! decodes chunks of events through a [`SocketEventSource`] and ingests them
+//! under the engine lock, so the back-pressure chain extends to the socket:
+//! a slow operator fills the bounded inter-operator channel, the blocked
+//! ingest holds the lock, the handler stops reading, the kernel socket
+//! buffer fills, and TCP flow control throttles the client. Memory stays
+//! bounded to one punctuation interval plus the channel capacity.
 //!
 //! Sessions rotate after a configurable number of events so the in-engine
 //! [`RunReport`](morphstream::RunReport) never grows without bound; each
@@ -27,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use morphstream::storage::StateStore;
 use morphstream::{
-    udfs, EngineConfig, EventSource, OutputDigest, Pipeline, ReportSnapshot, StreamApp, Topology,
+    udfs, EngineConfig, EventSource, OutputDigest, ReportSnapshot, StreamApp, Topology,
     TopologyBuilder, TopologyConfig, TxnBuilder, TxnEngine, TxnOutcome, WorkloadConfig,
 };
 use morphstream_common::hash::Fnv1a;
@@ -74,7 +75,7 @@ pub struct ServeOptions {
     /// its report into the lifetime totals (0 = never rotate).
     pub session_events: u64,
     /// Durable data directory (checkpoints + write-ahead log). `None`
-    /// disables durability entirely.
+    /// keeps nothing on disk.
     pub data_dir: Option<std::path::PathBuf>,
     /// Events between incremental checkpoints when durability is on
     /// (0 = checkpoint only at recovery and shutdown).
@@ -216,55 +217,13 @@ pub struct ServerSummary {
     pub decode_errors: u64,
 }
 
-/// The served engine — bare, or inside the [`DurableEngine`] that logs,
-/// checkpoints and recovers it (the protocol is specified there). One lock
-/// guards either: WAL appends and pushes must interleave in the same order,
-/// and a checkpoint is a consistent cut only while no push is in flight.
-// One value per server, living in `Shared` and never moved: boxing a
-// variant would buy nothing.
-#[allow(clippy::large_enum_variant)]
-enum Served {
-    /// No `--data-dir`: the engine and the digest its output sink feeds.
-    InMemory(ServeEngine, OutputDigest),
-    OnDisk(DurableEngine<ServeEngine>),
-}
-
-impl Served {
-    fn engine(&self) -> &ServeEngine {
-        match self {
-            Self::InMemory(engine, _) => engine,
-            Self::OnDisk(durable) => durable.engine(),
-        }
-    }
-
-    fn engine_mut(&mut self) -> &mut ServeEngine {
-        match self {
-            Self::InMemory(engine, _) => engine,
-            Self::OnDisk(durable) => durable.engine_mut(),
-        }
-    }
-
-    /// The durable engine; `None` when serving from memory.
-    fn durable(&mut self) -> Option<&mut DurableEngine<ServeEngine>> {
-        match self {
-            Self::InMemory(..) => None,
-            Self::OnDisk(durable) => Some(durable),
-        }
-    }
-
-    /// Order-sensitive digest of every output the topology emitted.
-    fn output_digest(&self) -> u64 {
-        match self {
-            Self::InMemory(_, digest) => digest.finish(),
-            Self::OnDisk(durable) => durable.output_digest(),
-        }
-    }
-}
-
 /// Shared state between the accept loop, connection handlers, the metrics
 /// responder, and the shutdown path.
 struct Shared {
-    engine: Mutex<Served>,
+    /// The served engine. One lock: WAL appends and pushes must interleave
+    /// in the same order, and a checkpoint is a consistent cut only while
+    /// no push is in flight.
+    engine: Mutex<DurableEngine<ServeEngine>>,
     metrics: ServerMetrics,
     /// The replication shipping thread, when `--replicate-to` is set. Lives
     /// outside the engine lock: it tails the WAL *files*, so ingest only
@@ -297,29 +256,20 @@ impl Server {
     /// returns. With a `data_dir`, prior state is recovered first
     /// ([`DurableEngine::open`]) — before the listeners come up.
     pub fn start(opts: ServeOptions) -> io::Result<Server> {
-        let (mut engine, ledger_store, audit_store) = build_topology(&opts)?;
-        // Either way outputs stream into a digesting sink instead of
+        let (engine, ledger_store, audit_store) = build_topology(&opts)?;
+        // Outputs stream into the durable engine's digesting sink instead of
         // accumulating in the report, so a long-lived server retains no
         // per-event data; the digest doubles as the equivalence witness.
-        let (served, recovery) = match opts.data_dir.as_deref() {
-            Some(dir) => {
-                let (durable, recovery) = DurableEngine::open(
-                    dir,
-                    engine,
-                    opts.fsync,
-                    opts.checkpoint_interval,
-                    opts.checkpoint_retain,
-                    opts.workload.txns_per_batch as u64,
-                )
-                .map_err(|e| io::Error::other(e.to_string()))?;
-                (Served::OnDisk(durable), recovery)
-            }
-            None => {
-                let digest = OutputDigest::install(&mut engine, Fnv1a::new());
-                (Served::InMemory(engine, digest), None)
-            }
-        };
-        Self::launch(opts, served, ledger_store, audit_store, recovery)
+        let (durable, recovery) = DurableEngine::open(
+            opts.data_dir.as_deref(),
+            engine,
+            opts.fsync,
+            opts.checkpoint_interval,
+            opts.checkpoint_retain,
+            opts.workload.txns_per_batch as u64,
+        )
+        .map_err(|e| io::Error::other(e.to_string()))?;
+        Self::launch(opts, durable, ledger_store, audit_store, recovery)
     }
 
     /// Start serving on a standby's warm, promoted engine: no topology
@@ -340,8 +290,7 @@ impl Server {
             .cloned()
             .unwrap_or_else(|| ledger_store.clone());
         durable.set_punctuation(opts.workload.txns_per_batch as u64);
-        let served = Served::OnDisk(durable);
-        Self::launch(opts, served, ledger_store, audit_store, None)
+        Self::launch(opts, durable, ledger_store, audit_store, None)
     }
 
     /// Common tail of [`Server::start`] and [`Server::start_promoted`]:
@@ -349,7 +298,7 @@ impl Server {
     /// and spawn the accept + metrics threads.
     fn launch(
         opts: ServeOptions,
-        mut served: Served,
+        durable: DurableEngine<ServeEngine>,
         ledger_store: StateStore,
         audit_store: StateStore,
         recovery: Option<RecoveryReport>,
@@ -358,11 +307,10 @@ impl Server {
         if let Some(recovery) = recovery.as_ref() {
             metrics.durability.record_recovery(recovery.replayed_events);
         }
-        let wal_next = served.durable().map(|durable| {
+        if opts.data_dir.is_some() {
             metrics.durability.enable();
-            metrics.mirror_durable(durable.stats());
-            durable.next_index()
-        });
+        }
+        metrics.mirror_durable(durable.stats());
         let sender = match opts.replicate_to.as_ref() {
             Some(target) => {
                 let dir = opts.data_dir.as_deref().ok_or_else(|| {
@@ -379,7 +327,7 @@ impl Server {
                         punctuation: opts.workload.txns_per_batch as u64,
                         ack: opts.ack,
                     },
-                    wal_next.unwrap_or(0),
+                    durable.next_index(),
                 );
                 metrics.set_replication(sender.stats());
                 Some(sender)
@@ -393,7 +341,7 @@ impl Server {
         let (metrics_listener, metrics_addr) = crate::metrics::bind(&opts.metrics_addr)?;
 
         let shared = Arc::new(Shared {
-            engine: Mutex::new(served),
+            engine: Mutex::new(durable),
             metrics,
             sender,
             stop: AtomicBool::new(false),
@@ -463,8 +411,8 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, let every connection handler
-    /// finish its in-flight chunk, take a final checkpoint (when durable)
-    /// so a clean restart replays nothing, then drain buffered punctuations
+    /// finish its in-flight chunk, take a final checkpoint (with a data
+    /// directory) so a clean restart replays nothing, then drain buffered punctuations
     /// (`flush` + `finish`) so nothing pushed before the stop is lost, and
     /// return the lifetime summary.
     pub fn shutdown(self) -> ServerSummary {
@@ -473,20 +421,16 @@ impl Server {
         self.metrics_thread
             .join()
             .expect("metrics responder panicked");
-        let (final_snapshot, wal_tip, output_digest) = {
-            let mut served = self.shared.engine.lock().expect("engine lock");
-            let tip = served.durable().map(|durable| {
-                if let Err(e) = durable.checkpoint_now() {
-                    eprintln!("morphstream serve: final checkpoint failed: {e}");
-                }
-                self.shared.metrics.mirror_durable(durable.stats());
-                durable.next_index()
-            });
-            served.engine_mut().flush();
-            let snapshot = served.engine_mut().finish().snapshot();
-            (snapshot, tip, served.output_digest())
+        let (final_snapshot, tip, output_digest) = {
+            let mut durable = self.shared.engine.lock().expect("engine lock");
+            if let Err(e) = durable.checkpoint_now() {
+                eprintln!("morphstream serve: final checkpoint failed: {e}");
+            }
+            self.shared.metrics.mirror_durable(durable.stats());
+            let snapshot = durable.finish_session().snapshot();
+            (snapshot, durable.next_index(), durable.output_digest())
         };
-        if let (Some(sender), Some(tip)) = (self.shared.sender.as_ref(), wal_tip) {
+        if let Some(sender) = self.shared.sender.as_ref() {
             // Best-effort drain: give the standby a bounded window to
             // acknowledge everything this server logged (the final
             // checkpoint above covers the tip, so even a late-joining
@@ -530,7 +474,7 @@ fn live_total(shared: &Shared, engine: &ServeEngine) -> ReportSnapshot {
 /// chunk it pushes.
 fn scrape(shared: &Shared) -> String {
     let total = match shared.engine.try_lock() {
-        Ok(served) => live_total(shared, served.engine()),
+        Ok(durable) => live_total(shared, durable.engine()),
         Err(_) => shared.metrics.cached_total(),
     };
     render_prometheus(&total, &shared.metrics)
@@ -562,8 +506,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// One connection: decode chunks of events and push them into the shared
-/// engine. The read timeout doubles as the idle tick (flush partial batches,
+/// One connection: decode chunks of events and ingest them through the
+/// shared durable engine. The read timeout doubles as the idle tick (flush partial batches,
 /// poll the stop flag) and as the guarantee that shutdown never waits on a
 /// silent client.
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
@@ -580,37 +524,25 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             // Quiet interval: process the trailing partial batch so a slow
             // trickle of events still commits without waiting for a full
             // punctuation. try_lock — another connection may be mid-push.
-            if let Ok(mut served) = shared.engine.try_lock() {
-                served.engine_mut().flush();
+            if let Ok(mut durable) = shared.engine.try_lock() {
+                durable.flush();
             }
             continue;
         }
-        let (logged, wal_tip) = {
-            let mut served = shared.engine.lock().expect("engine lock");
-            let (logged, wal_tip) = match &mut *served {
-                Served::OnDisk(durable) => {
-                    let first = durable.next_index();
-                    if let Err(e) = durable.ingest(buf.drain(..)) {
-                        eprintln!("morphstream serve: WAL append failed, closing connection: {e}");
-                    }
-                    shared.metrics.mirror_durable(durable.stats());
-                    let tip = durable.next_index();
-                    (tip - first, Some(tip))
-                }
-                Served::InMemory(engine, _) => {
-                    let mut pipeline = Pipeline::new(engine);
-                    for event in buf.drain(..) {
-                        pipeline.push(event);
-                    }
-                    (n as u64, None)
-                }
-            };
+        let (logged, tip) = {
+            let mut durable = shared.engine.lock().expect("engine lock");
+            let first = durable.next_index();
+            if let Err(e) = durable.ingest(buf.drain(..)) {
+                eprintln!("morphstream serve: WAL append failed, closing connection: {e}");
+            }
+            shared.metrics.mirror_durable(durable.stats());
             // Keep the scrape fallback current while the lock is held anyway.
-            live_total(&shared, served.engine());
-            (logged, wal_tip)
+            live_total(&shared, durable.engine());
+            let tip = durable.next_index();
+            (tip - first, tip)
         };
         shared.pushed.fetch_add(logged, Ordering::SeqCst);
-        if let (Some(sender), Some(tip)) = (shared.sender.as_ref(), wal_tip) {
+        if let Some(sender) = shared.sender.as_ref() {
             // Nudge the shipping thread outside the engine lock; in sync
             // mode this connection's reads then wait for the standby's
             // acknowledgement — extending the back-pressure chain across
@@ -620,7 +552,6 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 sender.wait_for_ack(tip, &|| shared.stop.load(Ordering::SeqCst));
             }
         }
-        source.ack(logged as usize);
         maybe_rotate_session(&shared, logged);
         if logged < n as u64 {
             // A WAL append failed mid-chunk: the unlogged remainder was
@@ -632,12 +563,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         // The connection ended (EOF or protocol error): process its trailing
         // partial batch now, so a closed stream is fully reflected in state
         // and metrics without waiting for other traffic or shutdown.
-        shared
-            .engine
-            .lock()
-            .expect("engine lock")
-            .engine_mut()
-            .flush();
+        shared.engine.lock().expect("engine lock").flush();
     }
     shared
         .metrics
@@ -662,20 +588,20 @@ fn maybe_rotate_session(shared: &Shared, just_ingested: u64) {
     if total < shared.session_events {
         return;
     }
-    let mut served = shared.engine.lock().expect("engine lock");
+    let mut durable = shared.engine.lock().expect("engine lock");
     // Re-check under the lock: another handler may have rotated already.
     if shared.ingested_since_rotate.load(Ordering::Relaxed) < shared.session_events {
         return;
     }
     shared.ingested_since_rotate.store(0, Ordering::Relaxed);
-    served.engine_mut().flush();
-    let snapshot = served.engine_mut().finish().snapshot();
+    let snapshot = durable.finish_session().snapshot();
     shared.metrics.fold_session(&snapshot);
 }
 
 /// Feed `events` to the same dataflow [`Server::start`] runs, via
-/// [`Pipeline::push_iter`], and summarise identically — the reference side
-/// of the TCP-vs-local digest-equivalence guarantee.
+/// [`Pipeline::push_iter`](morphstream::Pipeline::push_iter), and summarise
+/// identically — the reference side of the TCP-vs-local digest-equivalence
+/// guarantee.
 pub fn reference_run(opts: &ServeOptions, events: Vec<SlEvent>) -> io::Result<ServerSummary> {
     let (mut engine, ledger_store, audit_store) = build_topology(opts)?;
     let output_digest = OutputDigest::install(&mut engine, Fnv1a::new());

@@ -7,9 +7,10 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 
+use morphstream::EventSource;
 use morphstream_common::protocol::{WireCodec, WireFormat};
 use morphstream_server::{encode_event, write_preamble, SocketEventSource};
-use morphstream_workloads::{EventSource, GsEvent, SlEvent};
+use morphstream_workloads::{GsEvent, SlEvent};
 
 /// Largest integer JSON carries exactly (the parser goes through `f64`).
 const JSON_MAX: u64 = (1 << 53) - 1;

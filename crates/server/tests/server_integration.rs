@@ -1,7 +1,7 @@
 //! End-to-end tests of `morphstream serve`: a real TCP server in-process,
 //! real sockets, and the three acceptance properties of the issue —
 //! TCP-fed runs are digest-identical to `push_iter` runs (serial and
-//! concurrent runtimes), a flooded slow consumer back-pressures with bounded
+//! concurrent runtimes, with and without a data directory), a flooded slow consumer back-pressures with bounded
 //! memory and nonzero `queue_full_waits`, and `/metrics` serves Prometheus
 //! text whose counters sum to the final report.
 
@@ -11,7 +11,9 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use common::{http_get, metric_value, send_stream, test_events, test_options, wait_for_ingest};
+use common::{
+    http_get, metric_value, send_stream, temp_dir, test_events, test_options, wait_for_ingest,
+};
 use morphstream_common::protocol::WireFormat;
 use morphstream_server::{reference_run, ServeOptions, Server};
 
@@ -25,29 +27,52 @@ fn tcp_fed_run_matches_push_iter_on_both_runtimes_and_formats() {
         assert_eq!(expected.snapshot.events, 5_000, "reference run sanity");
         assert!(expected.snapshot.aborted > 0, "stream exercises aborts");
 
-        for format in [WireFormat::Binary, WireFormat::JsonLines] {
-            let server = Server::start(opts.clone()).expect("server starts");
-            send_stream(server.event_addr(), &events, format);
-            wait_for_ingest(&server, 5_000);
-            let summary = server.shutdown();
+        // The same door with and without a disk: only the log differs.
+        for data_dir in [None, Some(temp_dir("tcp-fed"))] {
+            let on_disk = data_dir.is_some();
+            for format in [WireFormat::Binary, WireFormat::JsonLines] {
+                let cell = format!("concurrent={concurrent}, on_disk={on_disk}, {format:?}");
+                if let Some(dir) = data_dir.as_ref() {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+                let server = Server::start(ServeOptions {
+                    data_dir: data_dir.clone(),
+                    ..opts.clone()
+                })
+                .expect("server starts");
+                send_stream(server.event_addr(), &events, format);
+                wait_for_ingest(&server, 5_000);
+                let (_, scrape) = http_get(server.metrics_addr(), "/metrics");
+                for family in ["morphstream_wal_", "morphstream_checkpoint"] {
+                    assert_eq!(
+                        scrape.contains(family),
+                        on_disk,
+                        "{family}* families are scraped exactly when on disk ({cell})"
+                    );
+                }
+                let summary = server.shutdown();
 
-            assert_eq!(
-                summary.ledger_digest, expected.ledger_digest,
-                "ledger state diverged (concurrent={concurrent}, {format:?})"
-            );
-            assert_eq!(
-                summary.audit_digest, expected.audit_digest,
-                "audit state diverged (concurrent={concurrent}, {format:?})"
-            );
-            assert_eq!(
-                summary.output_digest, expected.output_digest,
-                "output stream diverged (concurrent={concurrent}, {format:?})"
-            );
-            assert_eq!(summary.snapshot.events, expected.snapshot.events);
-            assert_eq!(summary.snapshot.committed, expected.snapshot.committed);
-            assert_eq!(summary.snapshot.aborted, expected.snapshot.aborted);
-            assert_eq!(summary.frames, 5_000);
-            assert_eq!(summary.decode_errors, 0);
+                assert_eq!(
+                    summary.ledger_digest, expected.ledger_digest,
+                    "ledger state diverged ({cell})"
+                );
+                assert_eq!(
+                    summary.audit_digest, expected.audit_digest,
+                    "audit state diverged ({cell})"
+                );
+                assert_eq!(
+                    summary.output_digest, expected.output_digest,
+                    "output stream diverged ({cell})"
+                );
+                assert_eq!(summary.snapshot.events, expected.snapshot.events);
+                assert_eq!(summary.snapshot.committed, expected.snapshot.committed);
+                assert_eq!(summary.snapshot.aborted, expected.snapshot.aborted);
+                assert_eq!(summary.frames, 5_000);
+                assert_eq!(summary.decode_errors, 0);
+            }
+            if let Some(dir) = data_dir {
+                let _ = std::fs::remove_dir_all(dir);
+            }
         }
     }
 }

@@ -217,32 +217,6 @@ impl Tpg {
         &self.stats
     }
 
-    /// Stratification for structured exploration: `rank[op]` is the length of
-    /// the longest TD/PD path ending at `op`; all operations of a stratum can
-    /// run once the previous strata finished. Returns `(ranks, num_strata)`.
-    ///
-    /// The TPG over TD/PD edges is a DAG by construction (edges always point
-    /// from a smaller to a larger timestamp), so a single pass over the
-    /// operations in timestamp order suffices.
-    pub fn strata(&self) -> (Vec<usize>, usize) {
-        let n = self.ops.len();
-        let mut order: Vec<OpId> = (0..n).collect();
-        order.sort_by_key(|&id| (self.ops[id].ts, self.ops[id].stmt, id));
-        let mut rank = vec![0usize; n];
-        let mut max_rank = 0usize;
-        for id in order {
-            let r = self.parents[id]
-                .iter()
-                .map(|(p, _)| rank[*p] + 1)
-                .max()
-                .unwrap_or(0);
-            rank[id] = r;
-            max_rank = max_rank.max(r);
-        }
-        let num_strata = if n == 0 { 0 } else { max_rank + 1 };
-        (rank, num_strata)
-    }
-
     /// Check the structural invariants the executor relies on. Used by tests
     /// and debug assertions, not on the hot path.
     pub fn validate(&self) -> Result<(), String> {
@@ -345,17 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn strata_follow_longest_dependency_paths() {
-        let tpg = sample_tpg();
-        let (rank, num_strata) = tpg.strata();
-        assert_eq!(num_strata, 2);
-        assert_eq!(rank[0], 0);
-        assert_eq!(rank[1], 1);
-        assert_eq!(rank[2], 0);
-        assert_eq!(rank[3], 1);
-    }
-
-    #[test]
     fn txn_accessors_round_trip() {
         let tpg = sample_tpg();
         assert_eq!(tpg.txn_ops(1), &[1, 2]);
@@ -368,9 +331,6 @@ mod tests {
     fn empty_tpg_is_valid() {
         let tpg = Tpg::assemble(vec![], vec![], vec![], vec![], 0.0);
         assert_eq!(tpg.num_ops(), 0);
-        let (ranks, strata) = tpg.strata();
-        assert!(ranks.is_empty());
-        assert_eq!(strata, 0);
         tpg.validate().unwrap();
     }
 }

@@ -198,30 +198,6 @@ impl Iterator for GsSource {
     }
 }
 
-impl crate::Source for GsSource {}
-
-impl morphstream::EventSource for GsSource {
-    type Event = GsEvent;
-
-    fn next_batch(&mut self, max: usize, out: &mut Vec<GsEvent>) -> usize {
-        let mut pulled = 0;
-        while pulled < max {
-            match self.next() {
-                Some(event) => {
-                    out.push(event);
-                    pulled += 1;
-                }
-                None => break,
-            }
-        }
-        pulled
-    }
-
-    fn remaining_events(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
 impl StreamApp for GrepSumApp {
     type Event = GsEvent;
     type Output = Option<Value>;

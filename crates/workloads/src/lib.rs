@@ -10,8 +10,9 @@
 //! seed, so every figure can be regenerated bit-for-bit, and every
 //! application implements [`morphstream::StreamApp`] so it can run unchanged
 //! on MorphStream and on the reconstructed baselines. The SL and GS
-//! generators additionally expose lazy [`Source`]s that yield events one at
-//! a time for push-based ingestion with bounded memory.
+//! generators are iterators underneath (`StreamingLedgerApp::source`,
+//! `GrepSumApp::source`) that yield events one at a time for push-based
+//! ingestion with bounded memory.
 
 #![warn(missing_docs)]
 
@@ -20,7 +21,6 @@ pub mod gs;
 pub mod osed;
 pub mod sea;
 pub mod sl;
-pub mod source;
 pub mod tp;
 pub mod wire;
 
@@ -29,12 +29,7 @@ pub use gs::{GrepSumApp, GsEvent, GsSource};
 pub use osed::{OsedApp, OsedReport, Tweet, TweetGenerator};
 pub use sea::{SeaApp, SeaEvent, SeaGenerator};
 pub use sl::{SlEvent, SlSource, StreamingLedgerApp};
-pub use source::{from_iter, IterSource, MergeByTimestamp, Source};
 pub use tp::{RoadStatsApp, TollChargeApp, TollProcessingApp, TpCharged, TpEvent};
 
-// The conveyor-style source/sink traits live in the engine crate (the
-// Pipeline is generic over them); re-exported here because workload sources
-// are their canonical implementors.
-pub use morphstream::{EventSink, EventSource, FnSink, OutputSink};
 pub use morphstream_common::protocol::WireCodec;
 pub use morphstream_common::WorkloadConfig;

@@ -141,30 +141,6 @@ impl Iterator for SlSource {
     }
 }
 
-impl crate::Source for SlSource {}
-
-impl morphstream::EventSource for SlSource {
-    type Event = SlEvent;
-
-    fn next_batch(&mut self, max: usize, out: &mut Vec<SlEvent>) -> usize {
-        let mut pulled = 0;
-        while pulled < max {
-            match self.next() {
-                Some(event) => {
-                    out.push(event);
-                    pulled += 1;
-                }
-                None => break,
-            }
-        }
-        pulled
-    }
-
-    fn remaining_events(&self) -> Option<usize> {
-        Some(self.remaining)
-    }
-}
-
 impl StreamApp for StreamingLedgerApp {
     type Event = SlEvent;
     type Output = bool;
@@ -219,6 +195,17 @@ mod tests {
             .filter(|e| matches!(e, SlEvent::Transfer { .. }))
             .count();
         assert!((300..700).contains(&transfers));
+    }
+
+    #[test]
+    fn source_size_hint_tracks_consumption() {
+        let mut source = StreamingLedgerApp::source(&small_config(), 10, 0.5);
+        assert_eq!(source.size_hint(), (10, Some(10)));
+        source.next();
+        assert_eq!(source.size_hint(), (9, Some(9)));
+        assert_eq!(source.by_ref().count(), 9);
+        assert_eq!(source.size_hint(), (0, Some(0)));
+        assert!(source.next().is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use morphstream::{EngineConfig, EventSink, MorphStream, TxnEngine};
 use morphstream_baselines::{LockedSpeEngine, SStoreEngine, TStreamEngine};
 use morphstream_common::config::test_threads;
 use morphstream_common::{Value, WorkloadConfig};
-use morphstream_workloads::{SlEvent, Source, StreamingLedgerApp};
+use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
 fn config() -> WorkloadConfig {
     WorkloadConfig::streaming_ledger()
@@ -432,7 +432,7 @@ fn dropping_a_pipeline_handle_keeps_the_session_resumable() {
 fn lazy_source_reports_its_size_and_streams_through() {
     let config = config();
     let source = StreamingLedgerApp::source(&config, 256, 0.5);
-    assert_eq!(source.expected_events(), Some(256));
+    assert_eq!(source.size_hint(), (256, Some(256)));
 
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, &config);
