@@ -6,198 +6,149 @@
 //! keep the state in an external store and guard multi-key updates with a
 //! distributed lock. That architecture pays two costs on every state access:
 //! a network round trip and, when correctness matters, global lock
-//! contention. This module models both: every state access spins for
-//! `remote_state_latency_us` (the emulated round trip) and, in the
-//! `with_locks` configuration, the whole transaction holds a global mutex.
-//! Disabling the lock recovers some throughput but allows lost updates —
-//! exactly the correctness problem Section 8.2.1 points out.
+//! contention. This module models both: every state access spins for the
+//! emulated round trip and, in the `with_locks` configuration, the whole
+//! transaction holds a global mutex. Disabling the lock recovers some
+//! throughput but allows lost updates — exactly the correctness problem
+//! Section 8.2.1 points out. The executor builds no TPG and takes no
+//! scheduling decision; everything around the batch is MorphStream's own
+//! punctuation path ([`LockedSpe::with_locks`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use morphstream::storage::StateStore;
-use morphstream::{BatchHook, EngineConfig, RunReport, StreamApp, TxnEngine, TxnOutcome};
+use morphstream::{BatchExecutor, EngineConfig, ExecutedBatch, MorphStream, StreamApp, TxnOutcome};
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{AbortReason, Timestamp};
-use morphstream_tpg::{AccessKind, Transaction, UdfInput, UdfOutcome};
+use morphstream_common::AbortReason;
+use morphstream_tpg::{AccessKind, Transaction, TransactionBatch, UdfInput, UdfOutcome};
 
-use crate::harness::{ExecutedBatch, IngestState};
-
-/// The conventional-SPE baseline engine.
-pub struct LockedSpeEngine<A: StreamApp> {
-    app: A,
-    store: StateStore,
-    config: EngineConfig,
-    with_locks: bool,
+/// The conventional-SPE batch executor: round-robin workers against the
+/// latest state values, optionally under one global lock.
+pub struct LockedSpe {
+    /// Whether every transaction holds the global lock.
+    locks: bool,
+    /// Emulated network round trip per state access.
+    remote_latency: Duration,
     /// Execution-order clock shared by every batch of the engine's lifetime;
     /// it starts far above any event timestamp so the newest write of the
     /// external store always wins over event-time versions.
-    exec_clock: Arc<std::sync::atomic::AtomicU64>,
-    state: IngestState<A>,
+    exec_clock: AtomicU64,
 }
 
-impl<A: StreamApp> LockedSpeEngine<A> {
-    /// Engine that guards every transaction with a global lock (correct but
-    /// slow).
-    pub fn with_locks(app: A, store: StateStore, config: EngineConfig) -> Self {
-        Self::new(app, store, config, true)
+impl LockedSpe {
+    /// A MorphStream engine for `app` over `store` that guards every
+    /// transaction with a global lock (correct but slow), paying
+    /// `remote_latency` per state access.
+    pub fn with_locks<A: StreamApp>(
+        app: A,
+        store: StateStore,
+        config: EngineConfig,
+        remote_latency: Duration,
+    ) -> MorphStream<A> {
+        Self::engine(app, store, config, true, remote_latency)
     }
 
-    /// Engine without locking (fast but incorrect under contention).
-    pub fn without_locks(app: A, store: StateStore, config: EngineConfig) -> Self {
-        Self::new(app, store, config, false)
+    /// As [`LockedSpe::with_locks`], without locking (fast but incorrect
+    /// under contention).
+    pub fn without_locks<A: StreamApp>(
+        app: A,
+        store: StateStore,
+        config: EngineConfig,
+        remote_latency: Duration,
+    ) -> MorphStream<A> {
+        Self::engine(app, store, config, false, remote_latency)
     }
 
-    fn new(app: A, store: StateStore, config: EngineConfig, with_locks: bool) -> Self {
-        Self {
-            app,
-            store,
-            config,
-            with_locks,
-            exec_clock: Arc::new(std::sync::atomic::AtomicU64::new(1 << 32)),
-            state: IngestState::new(),
-        }
-    }
-
-    /// Shared state store handle.
-    pub fn store(&self) -> &StateStore {
-        &self.store
-    }
-
-    /// Batch executor: round-robin workers against the latest state values,
-    /// optionally under the global lock.
-    fn execute(
-        &self,
-    ) -> impl FnMut(morphstream_tpg::TransactionBatch, &StateStore, usize) -> ExecutedBatch {
-        let with_locks = self.with_locks;
-        let remote_latency = Duration::from_micros(self.config.remote_state_latency_us);
-        let exec_clock = self.exec_clock.clone();
-        move |batch, store, threads| {
-            execute_locked_batch(
-                batch.into_sorted(),
-                store,
-                threads,
-                with_locks,
-                remote_latency,
-                &exec_clock,
-            )
-        }
-    }
-}
-
-impl<A: StreamApp> TxnEngine for LockedSpeEngine<A> {
-    type Event = A::Event;
-    type Output = A::Output;
-
-    fn ingest(&mut self, event: A::Event) {
-        // Plain buffer push per event; the executor is only built when the
-        // punctuation interval is crossed and a batch must be cut.
-        if self.state.buffer_event(event, &self.config) {
-            TxnEngine::flush(self);
-        }
-    }
-
-    fn flush(&mut self) {
-        let execute = self.execute();
-        self.state
-            .flush(&self.app, &self.store, &self.config, execute);
-    }
-
-    fn finish(&mut self) -> RunReport<A::Output> {
-        TxnEngine::flush(self);
-        self.state.finish()
-    }
-
-    fn report(&self) -> &RunReport<A::Output> {
-        self.state.report()
-    }
-
-    fn set_batch_hook(&mut self, hook: Option<BatchHook>) {
-        self.state.set_batch_hook(hook);
-    }
-
-    fn set_output_sink(&mut self, sink: Option<morphstream::OutputSink<A::Output>>) {
-        self.state.set_output_sink(sink);
-    }
-}
-
-/// Execute a batch the conventional-SPE way: events are spread round-robin
-/// over the workers and each transaction runs its operations one by one
-/// against the *latest* value of every state (no multi-versioning, no
-/// dependency tracking).
-fn execute_locked_batch(
-    txns: Vec<Transaction>,
-    store: &StateStore,
-    threads: usize,
-    with_locks: bool,
-    remote_latency: Duration,
-    exec_clock: &Arc<std::sync::atomic::AtomicU64>,
-) -> ExecutedBatch {
-    let n = txns.len();
-    let global_lock = Mutex::new(());
-    let outcomes: Vec<Mutex<Option<TxnOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next_writer = AtomicUsize::new(0);
-    let txns = Arc::new(txns);
-
-    let partials: Vec<Breakdown> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let txns = txns.clone();
-            let outcomes = &outcomes;
-            let global_lock = &global_lock;
-            let next_writer = &next_writer;
-            let exec_clock = exec_clock.clone();
-            handles.push(scope.spawn(move || {
-                let mut breakdown = Breakdown::new();
-                for (txn_idx, txn) in txns.iter().enumerate().skip(worker).step_by(threads) {
-                    let lock_wait = Instant::now();
-                    let guard = if with_locks {
-                        Some(global_lock.lock())
-                    } else {
-                        None
-                    };
-                    breakdown.add(BreakdownBucket::Lock, lock_wait.elapsed());
-
-                    let useful = Instant::now();
-                    let outcome = run_transaction(
-                        txn_idx,
-                        txn,
-                        store,
-                        remote_latency,
-                        next_writer,
-                        &exec_clock,
-                    );
-                    breakdown.add(BreakdownBucket::Useful, useful.elapsed());
-                    drop(guard);
-                    *outcomes[txn_idx].lock() = Some(outcome);
-                }
-                breakdown
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("locked-SPE worker panicked"))
-            .collect()
-    });
-
-    let mut breakdown = Breakdown::new();
-    for partial in partials {
-        breakdown.merge(&partial);
-    }
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| {
-            o.into_inner()
-                .expect("every transaction produced an outcome")
+    fn engine<A: StreamApp>(
+        app: A,
+        store: StateStore,
+        config: EngineConfig,
+        locks: bool,
+        remote_latency: Duration,
+    ) -> MorphStream<A> {
+        MorphStream::new(app, store, config).with_executor(LockedSpe {
+            locks,
+            remote_latency,
+            exec_clock: AtomicU64::new(1 << 32),
         })
-        .collect();
-    ExecutedBatch {
-        outcomes,
-        breakdown,
-        redone_ops: 0,
+    }
+}
+
+impl BatchExecutor for LockedSpe {
+    /// Execute a batch the conventional-SPE way: events are spread
+    /// round-robin over the workers and each transaction runs its operations
+    /// one by one against the *latest* value of every state (no
+    /// multi-versioning, no dependency tracking).
+    fn execute(
+        &mut self,
+        batch: TransactionBatch,
+        store: &StateStore,
+        threads: usize,
+    ) -> ExecutedBatch {
+        let txns = batch.into_sorted();
+        let global_lock = Mutex::new(());
+        let outcomes: Vec<Mutex<Option<TxnOutcome>>> =
+            txns.iter().map(|_| Mutex::new(None)).collect();
+        let next_writer = AtomicUsize::new(0);
+        let (locks, remote_latency, exec_clock) =
+            (self.locks, self.remote_latency, &self.exec_clock);
+
+        let partials: Vec<Breakdown> = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(threads);
+            for worker in 0..threads {
+                let (txns, outcomes) = (&txns, &outcomes);
+                let (global_lock, next_writer) = (&global_lock, &next_writer);
+                handles.push(scope.spawn(move || {
+                    let mut breakdown = Breakdown::new();
+                    for (txn_idx, txn) in txns.iter().enumerate().skip(worker).step_by(threads) {
+                        let lock_wait = Instant::now();
+                        let guard = locks.then(|| global_lock.lock());
+                        breakdown.add(BreakdownBucket::Lock, lock_wait.elapsed());
+
+                        let useful = Instant::now();
+                        let outcome = run_transaction(
+                            txn_idx,
+                            txn,
+                            store,
+                            remote_latency,
+                            next_writer,
+                            exec_clock,
+                        );
+                        breakdown.add(BreakdownBucket::Useful, useful.elapsed());
+                        drop(guard);
+                        *outcomes[txn_idx].lock() = Some(outcome);
+                    }
+                    breakdown
+                }));
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("locked-SPE worker panicked"))
+                .collect()
+        });
+
+        let mut breakdown = Breakdown::new();
+        for partial in partials {
+            breakdown.merge(&partial);
+        }
+        let outcomes = outcomes
+            .into_iter()
+            .map(|o| {
+                o.into_inner()
+                    .expect("every transaction produced an outcome")
+            })
+            .collect();
+        ExecutedBatch {
+            outcomes,
+            breakdown,
+            redone_ops: 0,
+            plan: Duration::ZERO,
+            decision: None,
+            coarse_unit_builds: 0,
+        }
     }
 }
 
@@ -207,7 +158,7 @@ fn run_transaction(
     store: &StateStore,
     remote_latency: Duration,
     next_writer: &AtomicUsize,
-    exec_clock: &std::sync::atomic::AtomicU64,
+    exec_clock: &AtomicU64,
 ) -> TxnOutcome {
     let mut op_results = Vec::with_capacity(txn.ops.len());
     let mut written: Vec<(
@@ -313,15 +264,11 @@ fn emulate_round_trip(latency: Duration) {
     }
 }
 
-/// Timestamp type re-exported for documentation completeness.
-#[allow(dead_code)]
-type Ts = Timestamp;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use morphstream::udfs;
-    use morphstream::TxnBuilder;
+    use morphstream::{TxnBuilder, TxnEngine};
     use morphstream_common::{TableId, Value};
 
     struct Counter {
@@ -351,10 +298,11 @@ mod tests {
     #[test]
     fn locked_variant_is_correct_under_contention() {
         let (store, table) = setup();
-        let mut engine = LockedSpeEngine::with_locks(
+        let mut engine = LockedSpe::with_locks(
             Counter { table },
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(100),
+            Duration::ZERO,
         );
         let report = engine.run(0..400);
         assert_eq!(report.committed, 400);
@@ -370,10 +318,11 @@ mod tests {
         // engine still reports the events processed (it cannot detect its own
         // incorrectness — that is the point of Figure 11's caveat).
         let (store, table) = setup();
-        let mut engine = LockedSpeEngine::without_locks(
+        let mut engine = LockedSpe::without_locks(
             Counter { table },
             store.clone(),
             EngineConfig::with_threads(8).with_punctuation_interval(2_000),
+            Duration::ZERO,
         );
         let report = engine.run(0..2_000);
         assert_eq!(report.events(), 2_000);
@@ -383,18 +332,18 @@ mod tests {
 
     #[test]
     fn remote_latency_slows_processing_down() {
+        let config = EngineConfig::with_threads(2).with_punctuation_interval(100);
         let (store, table) = setup();
-        let mut fast = LockedSpeEngine::with_locks(
-            Counter { table },
-            store.clone(),
-            EngineConfig::with_threads(2).with_punctuation_interval(100),
-        );
+        let mut fast = LockedSpe::with_locks(Counter { table }, store, config, Duration::ZERO);
         let fast_report = fast.run(0..100);
 
         let (store2, table2) = setup();
-        let mut slow_config = EngineConfig::with_threads(2).with_punctuation_interval(100);
-        slow_config.remote_state_latency_us = 200;
-        let mut slow = LockedSpeEngine::with_locks(Counter { table: table2 }, store2, slow_config);
+        let mut slow = LockedSpe::with_locks(
+            Counter { table: table2 },
+            store2,
+            config,
+            Duration::from_micros(200),
+        );
         let slow_report = slow.run(0..100);
 
         assert!(

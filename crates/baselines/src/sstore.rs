@@ -11,114 +11,66 @@
 //! partitions the graph into *transaction-granularity* units with additional
 //! partition-level conflict edges
 //! ([`SchedulingUnits::by_partitioned_transaction`]), then executes them with
-//! the non-structured driver and eager aborts.
+//! the non-structured driver and eager aborts. Everything around the batch
+//! is MorphStream's own punctuation path ([`SStore::engine`]).
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use morphstream::storage::StateStore;
 use morphstream::{
-    AbortHandling, BatchHook, EngineConfig, ExplorationStrategy, Granularity, RunReport,
-    SchedulingDecision, StreamApp, TxnEngine,
+    AbortHandling, BatchExecutor, EngineConfig, ExecutedBatch, ExplorationStrategy, Granularity,
+    MorphStream, SchedulingDecision, StreamApp,
 };
 use morphstream_executor::execute_batch_with_units;
 use morphstream_tpg::{SchedulingUnits, TpgBuilder, TransactionBatch};
 
-use crate::harness::{ExecutedBatch, IngestState};
+/// S-Store's one way to run a batch: whole transactions, dispatched as
+/// their partitions free up, aborts resolved as they happen.
+pub(crate) const DECISION: SchedulingDecision = SchedulingDecision {
+    exploration: ExplorationStrategy::NonStructured,
+    granularity: Granularity::Coarse,
+    abort_handling: AbortHandling::Eager,
+};
 
-/// The S-Store baseline engine.
-pub struct SStoreEngine<A: StreamApp> {
-    app: A,
-    store: StateStore,
-    config: EngineConfig,
-    /// Number of state partitions; defaults to the worker-thread count, as in
-    /// the original system where each partition is owned by one site.
-    num_partitions: usize,
-    state: IngestState<A>,
+/// The S-Store batch executor: whole transactions scheduled per state
+/// partition, planned by a serial TPG builder.
+pub struct SStore {
+    planner: TpgBuilder,
 }
 
-impl<A: StreamApp> SStoreEngine<A> {
-    /// Create an S-Store engine for `app` over `store`.
-    pub fn new(app: A, store: StateStore, config: EngineConfig) -> Self {
-        let num_partitions = config.num_threads.max(1);
-        Self {
-            app,
-            store,
-            config,
-            num_partitions,
-            state: IngestState::new(),
-        }
+impl SStore {
+    /// A MorphStream engine for `app` over `store` that runs every batch the
+    /// S-Store way.
+    pub fn engine<A: StreamApp>(app: A, store: StateStore, config: EngineConfig) -> MorphStream<A> {
+        MorphStream::new(app, store, config).with_executor(SStore {
+            planner: TpgBuilder::new(),
+        })
     }
+}
 
-    /// Override the number of state partitions.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.num_partitions = partitions.max(1);
-        self
-    }
-
-    /// Shared state store handle.
-    pub fn store(&self) -> &StateStore {
-        &self.store
-    }
-
-    /// Batch executor: whole transactions scheduled per state partition.
+impl BatchExecutor for SStore {
     fn execute(
-        num_partitions: usize,
-    ) -> impl FnMut(TransactionBatch, &StateStore, usize) -> ExecutedBatch {
-        let decision = SchedulingDecision {
-            exploration: ExplorationStrategy::NonStructured,
-            granularity: Granularity::Coarse,
-            abort_handling: AbortHandling::Eager,
-        };
-        let planner = TpgBuilder::new();
-        move |batch, store, threads| {
-            let tpg = Arc::new(planner.build(batch));
-            let units = SchedulingUnits::by_partitioned_transaction(&tpg, num_partitions);
-            let report = execute_batch_with_units(tpg, units, decision, store, threads);
-            ExecutedBatch {
-                redone_ops: report.redone_ops,
-                breakdown: report.breakdown.clone(),
-                outcomes: report.outcomes,
-            }
+        &mut self,
+        batch: TransactionBatch,
+        store: &StateStore,
+        threads: usize,
+    ) -> ExecutedBatch {
+        let plan_started = Instant::now();
+        let tpg = Arc::new(self.planner.build(batch));
+        let plan = plan_started.elapsed();
+        // One state partition per worker, as in the original system where
+        // each partition is owned by one site.
+        let units = SchedulingUnits::by_partitioned_transaction(&tpg, threads.max(1));
+        let report = execute_batch_with_units(tpg, units, DECISION, store, threads);
+        ExecutedBatch {
+            outcomes: report.outcomes,
+            breakdown: report.breakdown,
+            redone_ops: report.redone_ops,
+            plan,
+            decision: Some(DECISION),
+            coarse_unit_builds: 0,
         }
-    }
-}
-
-impl<A: StreamApp> TxnEngine for SStoreEngine<A> {
-    type Event = A::Event;
-    type Output = A::Output;
-
-    fn ingest(&mut self, event: A::Event) {
-        // Plain buffer push per event; the executor is only built when the
-        // punctuation interval is crossed and a batch must be cut.
-        if self.state.buffer_event(event, &self.config) {
-            TxnEngine::flush(self);
-        }
-    }
-
-    fn flush(&mut self) {
-        self.state.flush(
-            &self.app,
-            &self.store,
-            &self.config,
-            Self::execute(self.num_partitions),
-        );
-    }
-
-    fn finish(&mut self) -> RunReport<A::Output> {
-        TxnEngine::flush(self);
-        self.state.finish()
-    }
-
-    fn report(&self) -> &RunReport<A::Output> {
-        self.state.report()
-    }
-
-    fn set_batch_hook(&mut self, hook: Option<BatchHook>) {
-        self.state.set_batch_hook(hook);
-    }
-
-    fn set_output_sink(&mut self, sink: Option<morphstream::OutputSink<A::Output>>) {
-        self.state.set_output_sink(sink);
     }
 }
 
@@ -126,7 +78,7 @@ impl<A: StreamApp> TxnEngine for SStoreEngine<A> {
 mod tests {
     use super::*;
     use morphstream::udfs;
-    use morphstream::TxnBuilder;
+    use morphstream::{TxnBuilder, TxnEngine};
     use morphstream_common::{StateRef, TableId, Value};
     use morphstream_executor::TxnOutcome;
 
@@ -158,7 +110,7 @@ mod tests {
         let store = StateStore::new();
         let accounts = store.create_table("accounts", 1_000, false);
         store.preallocate_range(accounts, 32).unwrap();
-        let mut engine = SStoreEngine::new(
+        let mut engine = SStore::engine(
             Transfers { accounts },
             store.clone(),
             EngineConfig::with_threads(4).with_punctuation_interval(64),
@@ -170,16 +122,5 @@ mod tests {
         let total: Value = store.snapshot_latest(accounts).unwrap().values().sum();
         assert_eq!(total, 32 * 1_000);
         assert!(report.k_events_per_second() > 0.0);
-    }
-
-    #[test]
-    fn partition_override_is_respected() {
-        let store = StateStore::new();
-        let accounts = store.create_table("accounts", 100, false);
-        store.preallocate_range(accounts, 8).unwrap();
-        let engine =
-            SStoreEngine::new(Transfers { accounts }, store, EngineConfig::with_threads(2))
-                .with_partitions(1);
-        assert_eq!(engine.num_partitions, 1);
     }
 }

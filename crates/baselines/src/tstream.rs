@@ -12,112 +12,78 @@
 //! structured DFS driver (spin-waiting on dependencies, like TStream's
 //! blocking) and lazy abort handling; when any transaction aborted, the
 //! wasted re-processing of the batch is emulated by re-spinning the useful
-//! time once, mirroring the whole-batch redo.
+//! time once, mirroring the whole-batch redo. Everything around the batch
+//! is MorphStream's own punctuation path ([`TStream::engine`]).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use morphstream::storage::StateStore;
 use morphstream::{
-    AbortHandling, BatchHook, EngineConfig, ExplorationStrategy, Granularity, RunReport,
-    SchedulingDecision, StreamApp, TxnEngine,
+    AbortHandling, BatchExecutor, EngineConfig, ExecutedBatch, ExplorationStrategy, Granularity,
+    MorphStream, SchedulingDecision, StreamApp,
 };
 use morphstream_common::metrics::BreakdownBucket;
 use morphstream_executor::execute_batch_with_units;
 use morphstream_tpg::{SchedulingUnits, TpgBuilder, TransactionBatch};
 
-use crate::harness::{ExecutedBatch, IngestState};
+/// TStream's one way to run a batch: depth-first over per-key operation
+/// chains, aborts resolved once the batch is done.
+pub(crate) const DECISION: SchedulingDecision = SchedulingDecision {
+    exploration: ExplorationStrategy::StructuredDfs,
+    granularity: Granularity::Coarse,
+    abort_handling: AbortHandling::Lazy,
+};
 
-/// The TStream baseline engine.
-pub struct TStreamEngine<A: StreamApp> {
-    app: A,
-    store: StateStore,
-    config: EngineConfig,
-    state: IngestState<A>,
+/// The TStream batch executor: per-key operation chains with lazy aborts and
+/// the whole-batch redo penalty, planned by a serial TPG builder.
+pub struct TStream {
+    planner: TpgBuilder,
 }
 
-impl<A: StreamApp> TStreamEngine<A> {
-    /// Create a TStream engine for `app` over `store`.
-    pub fn new(app: A, store: StateStore, config: EngineConfig) -> Self {
-        Self {
-            app,
-            store,
-            config,
-            state: IngestState::new(),
-        }
-    }
-
-    /// Shared state store handle.
-    pub fn store(&self) -> &StateStore {
-        &self.store
-    }
-
-    /// Batch executor: per-key operation chains with lazy aborts and the
-    /// whole-batch redo penalty.
-    fn execute() -> impl FnMut(TransactionBatch, &StateStore, usize) -> ExecutedBatch {
-        let decision = SchedulingDecision {
-            exploration: ExplorationStrategy::StructuredDfs,
-            granularity: Granularity::Coarse,
-            abort_handling: AbortHandling::Lazy,
-        };
-        let planner = TpgBuilder::new();
-        move |batch, store, threads| {
-            let tpg = Arc::new(planner.build(batch));
-            let units = SchedulingUnits::coarse(&tpg);
-            let execute_started = Instant::now();
-            let report = execute_batch_with_units(tpg, units, decision, store, threads);
-            let execute_elapsed = execute_started.elapsed();
-            let mut breakdown = report.breakdown.clone();
-            if report.aborted() > 0 {
-                // TStream redoes the entire batch once aborts are discovered;
-                // emulate the wasted wall-clock time of that redo.
-                let redo_deadline = Instant::now() + execute_elapsed;
-                while Instant::now() < redo_deadline {
-                    std::hint::spin_loop();
-                }
-                breakdown.add(BreakdownBucket::Abort, execute_elapsed);
-            }
-            ExecutedBatch {
-                redone_ops: report.redone_ops,
-                breakdown,
-                outcomes: report.outcomes,
-            }
-        }
+impl TStream {
+    /// A MorphStream engine for `app` over `store` that runs every batch the
+    /// TStream way.
+    pub fn engine<A: StreamApp>(app: A, store: StateStore, config: EngineConfig) -> MorphStream<A> {
+        MorphStream::new(app, store, config).with_executor(TStream {
+            planner: TpgBuilder::new(),
+        })
     }
 }
 
-impl<A: StreamApp> TxnEngine for TStreamEngine<A> {
-    type Event = A::Event;
-    type Output = A::Output;
-
-    fn ingest(&mut self, event: A::Event) {
-        // Plain buffer push per event; the executor is only built when the
-        // punctuation interval is crossed and a batch must be cut.
-        if self.state.buffer_event(event, &self.config) {
-            TxnEngine::flush(self);
+impl BatchExecutor for TStream {
+    fn execute(
+        &mut self,
+        batch: TransactionBatch,
+        store: &StateStore,
+        threads: usize,
+    ) -> ExecutedBatch {
+        let plan_started = Instant::now();
+        let tpg = Arc::new(self.planner.build(batch));
+        let plan = plan_started.elapsed();
+        let units = SchedulingUnits::coarse(&tpg);
+        let execute_started = Instant::now();
+        let report = execute_batch_with_units(tpg, units, DECISION, store, threads);
+        let execute_elapsed = execute_started.elapsed();
+        let any_aborted = report.aborted() > 0;
+        let mut breakdown = report.breakdown;
+        if any_aborted {
+            // TStream redoes the entire batch once aborts are discovered;
+            // emulate the wasted wall-clock time of that redo.
+            let redo_deadline = Instant::now() + execute_elapsed;
+            while Instant::now() < redo_deadline {
+                std::hint::spin_loop();
+            }
+            breakdown.add(BreakdownBucket::Abort, execute_elapsed);
         }
-    }
-
-    fn flush(&mut self) {
-        self.state
-            .flush(&self.app, &self.store, &self.config, Self::execute());
-    }
-
-    fn finish(&mut self) -> RunReport<A::Output> {
-        TxnEngine::flush(self);
-        self.state.finish()
-    }
-
-    fn report(&self) -> &RunReport<A::Output> {
-        self.state.report()
-    }
-
-    fn set_batch_hook(&mut self, hook: Option<BatchHook>) {
-        self.state.set_batch_hook(hook);
-    }
-
-    fn set_output_sink(&mut self, sink: Option<morphstream::OutputSink<A::Output>>) {
-        self.state.set_output_sink(sink);
+        ExecutedBatch {
+            outcomes: report.outcomes,
+            breakdown,
+            redone_ops: report.redone_ops,
+            plan,
+            decision: Some(DECISION),
+            coarse_unit_builds: 1,
+        }
     }
 }
 
@@ -125,7 +91,7 @@ impl<A: StreamApp> TxnEngine for TStreamEngine<A> {
 mod tests {
     use super::*;
     use morphstream::udfs;
-    use morphstream::TxnBuilder;
+    use morphstream::{TxnBuilder, TxnEngine};
     use morphstream_common::{TableId, Value};
     use morphstream_executor::TxnOutcome;
 
@@ -161,7 +127,7 @@ mod tests {
     #[test]
     fn tstream_commits_clean_workloads() {
         let (store, accounts) = setup();
-        let mut engine = TStreamEngine::new(
+        let mut engine = TStream::engine(
             Deposits {
                 accounts,
                 abort_every: 0,
@@ -179,7 +145,7 @@ mod tests {
     fn aborts_trigger_batch_redo_penalty() {
         let (store, accounts) = setup();
         let clean_events: Vec<u64> = (1..=200).collect();
-        let mut clean_engine = TStreamEngine::new(
+        let mut clean_engine = TStream::engine(
             Deposits {
                 accounts,
                 abort_every: 0,
@@ -190,7 +156,7 @@ mod tests {
         let clean = clean_engine.run(clean_events.clone());
 
         let (store2, accounts2) = setup();
-        let mut aborty_engine = TStreamEngine::new(
+        let mut aborty_engine = TStream::engine(
             Deposits {
                 accounts: accounts2,
                 abort_every: 4,

@@ -6,7 +6,7 @@ use morphstream::{
     AbortHandling, EngineConfig, ExplorationStrategy, Granularity, MorphStream, SchedulingDecision,
     TxnEngine,
 };
-use morphstream_baselines::{SStoreEngine, SystemUnderTest, TStreamEngine};
+use morphstream_baselines::{SStore, SystemUnderTest, TStream};
 use morphstream_common::metrics::BreakdownBucket;
 use morphstream_common::WorkloadConfig;
 use morphstream_workloads::{
@@ -195,7 +195,7 @@ pub mod fig13 {
         {
             let store = StateStore::new();
             let app = TollProcessingApp::new(&store, &config);
-            let mut engine = TStreamEngine::new(app, store, engine_config);
+            let mut engine = TStream::engine(app, store, engine_config);
             let r = drive(SystemUnderTest::TStream, &mut engine, events.clone());
             rows.push((
                 "TStream".to_string(),
@@ -206,7 +206,7 @@ pub mod fig13 {
         {
             let store = StateStore::new();
             let app = TollProcessingApp::new(&store, &config);
-            let mut engine = SStoreEngine::new(app, store, engine_config);
+            let mut engine = SStore::engine(app, store, engine_config);
             let r = drive(SystemUnderTest::SStore, &mut engine, events);
             rows.push((
                 "S-Store".to_string(),
@@ -307,7 +307,7 @@ pub mod fig15 {
             {
                 let store = StateStore::new();
                 let app = GrepSumApp::new(&store, &config);
-                let mut engine = TStreamEngine::new(app, store, engine_config);
+                let mut engine = TStream::engine(app, store, engine_config);
                 rows.push((
                     SystemUnderTest::TStream,
                     non_det,
@@ -318,7 +318,7 @@ pub mod fig15 {
             {
                 let store = StateStore::new();
                 let app = GrepSumApp::new(&store, &config);
-                let mut engine = SStoreEngine::new(app, store, engine_config);
+                let mut engine = SStore::engine(app, store, engine_config);
                 rows.push((
                     SystemUnderTest::SStore,
                     non_det,
@@ -439,13 +439,13 @@ pub mod fig16 {
         let (store, app) = fresh_app();
         let tstream = row(
             "TStream",
-            TStreamEngine::new(app, store, engine_config),
+            TStream::engine(app, store, engine_config),
             all_events.clone(),
         );
         let (store, app) = fresh_app();
         let sstore = row(
             "S-Store",
-            SStoreEngine::new(app, store, engine_config),
+            SStore::engine(app, store, engine_config),
             all_events,
         );
         vec![morph, tstream, sstore]
@@ -802,14 +802,11 @@ pub mod fig21 {
             let store = StateStore::new();
             let app = StreamingLedgerApp::new(&store, &config);
             let report = match system {
-                SystemUnderTest::MorphStream => {
-                    MorphStream::new(app, store, engine_config).run(events_vec.clone())
-                }
-                SystemUnderTest::TStream => {
-                    TStreamEngine::new(app, store, engine_config).run(events_vec.clone())
-                }
-                _ => SStoreEngine::new(app, store, engine_config).run(events_vec.clone()),
-            };
+                SystemUnderTest::MorphStream => MorphStream::new(app, store, engine_config),
+                SystemUnderTest::TStream => TStream::engine(app, store, engine_config),
+                _ => SStore::engine(app, store, engine_config),
+            }
+            .run(events_vec.clone());
             let total = report.breakdown.total().as_secs_f64();
             // "memory bound" stand-in: share of busy time spent waiting on
             // state access coordination rather than computing.

@@ -1,9 +1,11 @@
 //! Shared helpers for the figure harnesses: build a system under test, run a
 //! workload through it, and report throughput/latency in the paper's units.
 
+use std::time::Duration;
+
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, MorphStream, RunReport, TxnEngine};
-use morphstream_baselines::{LockedSpeEngine, SStoreEngine, SystemUnderTest, TStreamEngine};
+use morphstream_baselines::{LockedSpe, SStore, SystemUnderTest, TStream};
 use morphstream_common::json::JsonObject;
 use morphstream_common::WorkloadConfig;
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
@@ -176,6 +178,9 @@ pub fn bench_engine_config(threads: usize, punctuation: usize) -> EngineConfig {
     EngineConfig::with_threads(threads).with_punctuation_interval(punctuation)
 }
 
+/// Emulated network round trip per state access of the Flink+Redis stand-in.
+const REMOTE_STATE_LATENCY: Duration = Duration::from_micros(20);
+
 /// Drive any engine through the unified [`TxnEngine`] trait and condense its
 /// report. The single driver loop shared by every figure and every system
 /// under test.
@@ -198,42 +203,28 @@ pub fn run_sl_on(
 ) -> SystemReport {
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, config);
-    match system {
-        SystemUnderTest::MorphStream => {
-            let mut engine = MorphStream::new(app, store, engine_config);
-            drive(system, &mut engine, events)
-        }
-        SystemUnderTest::TStream => {
-            let mut engine = TStreamEngine::new(app, store, engine_config);
-            drive(system, &mut engine, events)
-        }
-        SystemUnderTest::SStore => {
-            let mut engine = SStoreEngine::new(app, store, engine_config);
-            drive(system, &mut engine, events)
-        }
+    let mut engine = match system {
+        SystemUnderTest::MorphStream => MorphStream::new(app, store, engine_config),
+        SystemUnderTest::TStream => TStream::engine(app, store, engine_config),
+        SystemUnderTest::SStore => SStore::engine(app, store, engine_config),
         SystemUnderTest::LockedSpeWithLocks => {
-            let mut cfg = engine_config;
-            cfg.remote_state_latency_us = cfg.remote_state_latency_us.max(20);
-            let mut engine = LockedSpeEngine::with_locks(app, store, cfg);
-            drive(system, &mut engine, events)
+            LockedSpe::with_locks(app, store, engine_config, REMOTE_STATE_LATENCY)
         }
         SystemUnderTest::LockedSpeWithoutLocks => {
-            let mut cfg = engine_config;
-            cfg.remote_state_latency_us = cfg.remote_state_latency_us.max(20);
-            let mut engine = LockedSpeEngine::without_locks(app, store, cfg);
-            drive(system, &mut engine, events)
+            LockedSpe::without_locks(app, store, engine_config, REMOTE_STATE_LATENCY)
         }
         SystemUnderTest::Topology => {
             // The degenerate single-operator dataflow: measures the topology
             // wrapper's overhead over the bare engine on the same workload.
             let mut builder = morphstream::TopologyBuilder::new();
             let op = builder.add_operator("streaming-ledger", app, store, engine_config);
-            let mut engine = builder
+            let mut topology = builder
                 .build(op, op, morphstream::TopologyConfig::default())
                 .expect("a single operator is a valid dataflow");
-            drive(system, &mut engine, events)
+            return drive(system, &mut topology, events);
         }
-    }
+    };
+    drive(system, &mut engine, events)
 }
 
 /// Streaming Ledger configuration used by the benchmarks: Table 6 defaults

@@ -184,10 +184,6 @@ pub struct EngineConfig {
     /// table keeps the list of chains holding more than one version — so
     /// its cost follows the batch, not the size of the state.
     pub reclaim_after_batch: bool,
-    /// Emulated per-state-access network round-trip in microseconds. Used
-    /// only by the conventional-SPE baseline to stand in for the Flink+Redis
-    /// deployment of Figure 11; engines ignore it.
-    pub remote_state_latency_us: u64,
 }
 
 impl EngineConfig {
@@ -232,7 +228,6 @@ impl Default for EngineConfig {
             num_threads: default_parallelism(),
             punctuation_interval: None,
             reclaim_after_batch: true,
-            remote_state_latency_us: 0,
         }
     }
 }

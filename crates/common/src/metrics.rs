@@ -119,16 +119,19 @@ impl Breakdown {
 }
 
 /// Wall-clock timings of the two stages a punctuation flows through
-/// (construct = decompose + TPG build, execute = schedule + run + post), plus
-/// `overlap`, the Figure 16 "construction overhead hidden behind execution"
-/// metric. The engines run one batch's stages in turn, so every engine
-/// reports `overlap` as zero; the field and [`StageTimings::overlap_fraction`]
-/// stay because the benchmark's per-layer report reads them.
+/// (construct = decompose + TPG build, execute = schedule + run + post +
+/// reclaim), plus `overlap`, the Figure 16 "construction overhead hidden
+/// behind execution" metric. Every engine — baselines included — runs one
+/// punctuation path that charges `construct` to the breakdown's construct
+/// bucket as well; a batch executor that builds no TPG contributes
+/// decomposition only. The stages of one batch run in turn, so `overlap` is
+/// always zero; the field and [`StageTimings::overlap_fraction`] stay
+/// because the benchmark's per-layer report reads them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Time spent decomposing events and building the TPG.
     pub construct: Duration,
-    /// Time spent scheduling, executing and post-processing.
+    /// Time spent scheduling, executing, post-processing and reclaiming.
     pub execute: Duration,
     /// Portion of `construct` that ran while another batch was executing.
     pub overlap: Duration,

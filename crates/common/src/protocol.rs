@@ -17,7 +17,7 @@
 //! never panics — so a misbehaving client cannot take the server down, and
 //! never silently skipped, so a protocol bug cannot drop events.
 
-use std::io::{self, Read, Write};
+use std::io;
 
 use crate::json::JsonParseError;
 
@@ -115,66 +115,6 @@ impl WireFormat {
             WireFormat::JsonLines => "json",
         }
     }
-}
-
-/// Write one length-prefixed binary frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len: payload.len() });
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    Ok(())
-}
-
-/// Read one length-prefixed binary frame into `buf` (cleared first).
-///
-/// Returns `Ok(false)` on a clean end of stream (EOF *between* frames);
-/// EOF in the middle of a frame is [`ProtocolError::Truncated`].
-pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool, ProtocolError> {
-    let mut len_bytes = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_bytes)? {
-        ReadOutcome::Eof => return Ok(false),
-        ReadOutcome::Partial => return Err(ProtocolError::Truncated),
-        ReadOutcome::Full => {}
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::Oversized { len });
-    }
-    buf.clear();
-    buf.resize(len, 0);
-    match read_exact_or_eof(r, buf)? {
-        ReadOutcome::Full => Ok(true),
-        _ => Err(ProtocolError::Truncated),
-    }
-}
-
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-/// `read_exact` that distinguishes "no bytes at all" (EOF between frames)
-/// from "some bytes then EOF" (a truncated frame).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(ReadOutcome::Full)
 }
 
 /// An event type that can travel over both wire formats.
@@ -313,55 +253,6 @@ pub fn put_u64_list(out: &mut Vec<u8>, items: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_round_trip() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        write_frame(&mut wire, b"world!").unwrap();
-        let mut cursor = io::Cursor::new(wire);
-        let mut buf = Vec::new();
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
-        assert_eq!(buf, b"hello");
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
-        assert_eq!(buf, b"");
-        assert!(read_frame(&mut cursor, &mut buf).unwrap());
-        assert_eq!(buf, b"world!");
-        assert!(!read_frame(&mut cursor, &mut buf).unwrap());
-    }
-
-    #[test]
-    fn oversized_frames_are_rejected_on_both_sides() {
-        let huge = vec![0u8; MAX_FRAME_LEN + 1];
-        assert!(matches!(
-            write_frame(&mut Vec::new(), &huge),
-            Err(ProtocolError::Oversized { .. })
-        ));
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut io::Cursor::new(wire), &mut Vec::new()),
-            Err(ProtocolError::Oversized { .. })
-        ));
-    }
-
-    #[test]
-    fn truncated_frames_error_instead_of_hanging() {
-        // length says 10 bytes, stream carries 3
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&10u32.to_le_bytes());
-        wire.extend_from_slice(b"abc");
-        assert!(matches!(
-            read_frame(&mut io::Cursor::new(wire), &mut Vec::new()),
-            Err(ProtocolError::Truncated)
-        ));
-        // EOF inside the length prefix itself
-        assert!(matches!(
-            read_frame(&mut io::Cursor::new(vec![1u8, 0]), &mut Vec::new()),
-            Err(ProtocolError::Truncated)
-        ));
-    }
 
     #[test]
     fn payload_reader_guards_counts_and_trailing_bytes() {

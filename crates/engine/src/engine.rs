@@ -12,17 +12,20 @@
 //!   (execution stage).
 //!
 //! A punctuation runs the three stages in order on the thread that cut it:
-//! the `ingest` that crossed the interval, or a `flush`.
+//! the `ingest` that crossed the interval, or a `flush`. Planning,
+//! scheduling and execution of each group are a [`BatchExecutor`]'s; the
+//! built-in one is MorphStream's, and the reconstructed baselines install
+//! their own, so every system shares the rest of the punctuation path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morphstream_common::metrics::{Breakdown, BreakdownBucket, StageTimings};
 use morphstream_common::{EngineConfig, TableId, Timestamp};
-use morphstream_executor::execute_batch_with_units;
+use morphstream_executor::{execute_batch_with_units, TxnOutcome};
 use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision};
 use morphstream_storage::StateStore;
-use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, Transaction, TransactionBatch};
+use morphstream_tpg::{SchedulingUnits, TpgBuilder, Transaction, TransactionBatch};
 
 use crate::app::{StreamApp, TxnBuilder};
 use crate::pipeline::{BatchHook, PendingBatch, SessionState, TxnEngine};
@@ -39,13 +42,114 @@ pub enum SchedulingMode {
     /// grouped processing is used) — the "Morph" behaviour.
     Adaptive(DecisionModel),
     /// Always use one fixed decision (used by the ablation studies of
-    /// Section 8.4 and by the baseline reconstructions).
+    /// Section 8.4).
     Fixed(SchedulingDecision),
 }
 
 impl Default for SchedulingMode {
     fn default() -> Self {
         SchedulingMode::Adaptive(DecisionModel::new())
+    }
+}
+
+/// What a [`BatchExecutor`] hands back for one group of a punctuation batch.
+#[derive(Debug)]
+pub struct ExecutedBatch {
+    /// Per-transaction outcomes, in the order of the batch's transactions.
+    pub outcomes: Vec<TxnOutcome>,
+    /// Runtime breakdown of scheduling and execution. The engine adds the
+    /// `Construct` bucket itself, from decomposition and [`Self::plan`].
+    pub breakdown: Breakdown,
+    /// Operations redone because of upstream aborts.
+    pub redone_ops: usize,
+    /// Time spent building the TPG; zero for an executor that builds none.
+    pub plan: Duration,
+    /// The scheduling decision the group ran under; `None` for an executor
+    /// that takes none.
+    pub decision: Option<SchedulingDecision>,
+    /// Coarse scheduling-unit partitions built for the group.
+    pub coarse_unit_builds: u64,
+}
+
+/// Plans (if it plans at all) and executes one decomposed group of a
+/// punctuation batch against the store, on `threads` workers.
+///
+/// The engine owns everything around the call — decomposition, timestamps,
+/// post-processing, pinning, dirty-marking, reclamation and the batch
+/// summary — so systems that differ only in how a batch runs share one
+/// punctuation path. MorphStream's adaptive or fixed scheduling is the
+/// built-in executor; [`MorphStream::with_executor`] installs another.
+pub trait BatchExecutor: Send {
+    /// Plan and execute `batch`.
+    fn execute(
+        &mut self,
+        batch: TransactionBatch,
+        store: &StateStore,
+        threads: usize,
+    ) -> ExecutedBatch;
+}
+
+/// The built-in executor: build the group's TPG, decide how to schedule it
+/// (per [`SchedulingMode`]), and run it.
+struct Morph {
+    mode: SchedulingMode,
+    planner: TpgBuilder,
+}
+
+impl Morph {
+    fn new(mode: SchedulingMode, config: &EngineConfig) -> Self {
+        // TPG construction is sharded over the execution worker count.
+        let planner = TpgBuilder::new().with_threads(config.num_threads.max(1));
+        Self { mode, planner }
+    }
+}
+
+impl BatchExecutor for Morph {
+    fn execute(
+        &mut self,
+        batch: TransactionBatch,
+        store: &StateStore,
+        threads: usize,
+    ) -> ExecutedBatch {
+        // Planning: TPG construction, sharded by state key.
+        let plan_started = Instant::now();
+        let tpg = Arc::new(self.planner.build(batch));
+        let plan = plan_started.elapsed();
+
+        // Scheduling: decision model over the TPG properties. The coarse
+        // partition is built only if the model needs its cycle flag to
+        // choose, or the decision taken is to run on it.
+        let explore_start = Instant::now();
+        let mut coarse_unit_builds = 0u64;
+        let mut build_coarse = || {
+            coarse_unit_builds += 1;
+            SchedulingUnits::coarse(&tpg)
+        };
+        let mut coarse_units = None;
+        let decision = match &self.mode {
+            SchedulingMode::Fixed(decision) => *decision,
+            SchedulingMode::Adaptive(model) => model.decide_with(tpg.stats(), || {
+                coarse_units.insert(build_coarse()).had_cycles
+            }),
+        };
+        let units = match decision.granularity {
+            Granularity::Coarse => coarse_units.take().unwrap_or_else(build_coarse),
+            Granularity::Fine => SchedulingUnits::fine(&tpg),
+        };
+        let explore = explore_start.elapsed();
+
+        // Execution.
+        let report = execute_batch_with_units(tpg, units, decision, store, threads);
+        let mut breakdown = report.breakdown;
+        breakdown.add(BreakdownBucket::Explore, explore);
+        ExecutedBatch {
+            outcomes: report.outcomes,
+            breakdown,
+            redone_ops: report.redone_ops,
+            plan,
+            decision: Some(decision),
+            coarse_unit_builds,
+        }
     }
 }
 
@@ -70,9 +174,9 @@ pub struct MorphStream<A: StreamApp> {
     app: Arc<A>,
     store: StateStore,
     config: EngineConfig,
-    mode: SchedulingMode,
     progress: ProgressController,
-    planner: TpgBuilder,
+    /// Plans and executes each group of a punctuation batch.
+    executor: Box<dyn BatchExecutor>,
     /// Scheduling group of an event; every event is in group 0 unless
     /// [`MorphStream::with_group_fn`] installed a partitioning.
     group_of: GroupFn<A::Event>,
@@ -90,25 +194,22 @@ impl<A: StreamApp> MorphStream<A> {
     /// [`MorphStream::new`] over an application object other engines run
     /// too: the parallel instances of one topology operator.
     pub(crate) fn with_shared_app(app: Arc<A>, store: StateStore, config: EngineConfig) -> Self {
-        // TPG construction is sharded over the execution worker count.
-        let planner = TpgBuilder::new().with_threads(config.num_threads.max(1));
         Self {
             reclaim_visits: ReclaimVisits::new([&store]),
+            executor: Box::new(Morph::new(SchedulingMode::default(), &config)),
             app,
             store,
             config,
-            mode: SchedulingMode::default(),
             progress: ProgressController::default(),
-            planner,
             group_of: Box::new(|_: &A::Event| 0),
             session: SessionState::new(),
         }
     }
 
-    /// Replace the scheduling mode (adaptive by default).
+    /// Run the built-in executor under `mode` (adaptive by default).
     #[must_use = "builder methods return the updated value instead of mutating in place"]
     pub fn with_scheduling_mode(mut self, mode: SchedulingMode) -> Self {
-        self.mode = mode;
+        self.executor = Box::new(Morph::new(mode, &self.config));
         self
     }
 
@@ -116,6 +217,15 @@ impl<A: StreamApp> MorphStream<A> {
     #[must_use = "builder methods return the updated value instead of mutating in place"]
     pub fn with_fixed_decision(self, decision: SchedulingDecision) -> Self {
         self.with_scheduling_mode(SchedulingMode::Fixed(decision))
+    }
+
+    /// Plan and execute every group with `executor` instead of the built-in
+    /// one — how the reconstructed baselines are built. Everything else a
+    /// punctuation does stays the engine's.
+    #[must_use = "builder methods return the updated value instead of mutating in place"]
+    pub fn with_executor(mut self, executor: impl BatchExecutor + 'static) -> Self {
+        self.executor = Box::new(executor);
+        self
     }
 
     /// Partition ingested transactions into groups by `group_of`; each group
@@ -163,9 +273,10 @@ impl<A: StreamApp> MorphStream<A> {
         self.session.take_outputs()
     }
 
-    /// Run the buffered events as one punctuation batch — planning,
-    /// scheduling, execution, post-processing — on the calling thread; a
-    /// no-op on an empty buffer.
+    /// Run the buffered events as one punctuation batch — decomposition,
+    /// then planning, scheduling and execution by the executor, then
+    /// post-processing and reclamation — on the calling thread; a no-op on an
+    /// empty buffer. The one batch loop of every engine, baselines included.
     fn process_pending(&mut self) {
         let Some(PendingBatch { events, batch }) = self.session.begin_batch() else {
             return;
@@ -215,77 +326,41 @@ impl<A: StreamApp> MorphStream<A> {
             groups[group].push(txn);
         }
 
-        // ---- Phase 2: planning (TPG construction, sharded by state key) ----
-        let groups: Vec<Option<Arc<Tpg>>> = groups
-            .into_iter()
-            .map(|group| {
-                if group.is_empty() {
-                    None
-                } else {
-                    Some(Arc::new(self.planner.build(group)))
-                }
-            })
-            .collect();
         // Versions at or before the batch's last timestamp may be reclaimed
         // once the batch committed.
         let watermark = ts_base + events.len().saturating_sub(1) as Timestamp;
-        let construct = batch_started.elapsed();
-        let mut breakdown = Breakdown::new();
-        breakdown.add(BreakdownBucket::Construct, construct);
+        let decompose = batch_started.elapsed();
 
-        // ---- Phase 3: scheduling + execution per group ----
+        // ---- Phases 2 and 3: each group planned, scheduled and executed ----
         let execute_started = Instant::now();
-        let mut execute_in_workers = Duration::ZERO;
+        let mut breakdown = Breakdown::new();
+        let mut plan = Duration::ZERO;
         let mut outcomes_per_group = Vec::with_capacity(groups.len());
         let mut decision_of_first_group = None;
         let mut committed = 0usize;
         let mut aborted = 0usize;
         let mut redone_ops = 0usize;
         let mut coarse_unit_builds = 0u64;
-        for tpg in groups {
-            let Some(tpg) = tpg else {
+        for group in groups {
+            if group.is_empty() {
                 outcomes_per_group.push(Vec::new());
                 continue;
-            };
-            // Scheduling: decision model over the TPG properties. The coarse
-            // partition is built only if the model needs its cycle flag to
-            // choose, or the decision taken is to run on it.
-            let explore_start = Instant::now();
-            let mut build_coarse = || {
-                coarse_unit_builds += 1;
-                SchedulingUnits::coarse(&tpg)
-            };
-            let mut coarse_units = None;
-            let decision = match &self.mode {
-                SchedulingMode::Fixed(decision) => *decision,
-                SchedulingMode::Adaptive(model) => model.decide_with(tpg.stats(), || {
-                    coarse_units.insert(build_coarse()).had_cycles
-                }),
-            };
-            let units = match decision.granularity {
-                Granularity::Coarse => coarse_units.take().unwrap_or_else(build_coarse),
-                Granularity::Fine => SchedulingUnits::fine(&tpg),
-            };
-            breakdown.add(BreakdownBucket::Explore, explore_start.elapsed());
-            if decision_of_first_group.is_none() {
-                decision_of_first_group = Some(decision);
             }
-
-            // Execution.
-            let batch_report = execute_batch_with_units(
-                tpg,
-                units,
-                decision,
-                &self.store,
-                self.config.num_threads,
-            );
-            breakdown.merge(&batch_report.breakdown);
-            execute_in_workers += batch_report.execute_wall;
-            committed += batch_report.committed();
-            aborted += batch_report.aborted();
-            redone_ops += batch_report.redone_ops;
-            outcomes_per_group.push(batch_report.outcomes);
+            let executed = self
+                .executor
+                .execute(group, &self.store, self.config.num_threads);
+            plan += executed.plan;
+            breakdown.merge(&executed.breakdown);
+            decision_of_first_group = decision_of_first_group.or(executed.decision);
+            let group_committed = executed.outcomes.iter().filter(|o| o.committed).count();
+            committed += group_committed;
+            aborted += executed.outcomes.len() - group_committed;
+            redone_ops += executed.redone_ops;
+            coarse_unit_builds += executed.coarse_unit_builds;
+            outcomes_per_group.push(executed.outcomes);
         }
+        let construct = decompose + plan;
+        breakdown.add(BreakdownBucket::Construct, construct);
 
         // ---- Post-processing ----
         for (event, (group, txn_idx)) in events.iter().zip(&txn_locator) {
@@ -313,10 +388,9 @@ impl<A: StreamApp> MorphStream<A> {
                 .truncate_tables_before(&written_tables, watermark);
         }
         let reclaim_keys_visited = self.reclaim_visits.take([&self.store]);
-        let execute = execute_started.elapsed();
-        // The worker-pool time is a lower bound of the stage wall; the gap is
-        // scheduling + post-processing + reclamation overhead.
-        debug_assert!(execute_in_workers <= execute);
+        // Everything after planning: scheduling, execution, post-processing
+        // and reclamation.
+        let execute = execute_started.elapsed().saturating_sub(plan);
         let summary = BatchSummary {
             batch,
             events: events.len(),
@@ -717,13 +791,8 @@ mod tests {
 
     #[test]
     fn the_planner_follows_the_worker_count() {
-        let planner_threads = |config: EngineConfig| {
-            let (store, accounts) = setup(100);
-            MorphStream::new(Transfers { accounts }, store, config)
-                .planner
-                .threads()
-        };
-        assert_eq!(planner_threads(EngineConfig::with_threads(3)), 3);
+        let built_in = Morph::new(SchedulingMode::default(), &EngineConfig::with_threads(3));
+        assert_eq!(built_in.planner.threads(), 3);
     }
 
     #[test]

@@ -168,11 +168,11 @@ pub struct PendingBatch<E> {
 /// the event buffer of at most one punctuation interval, the report
 /// accumulated across processed batches, and the per-batch hook.
 ///
-/// Engines differ only in how a batch executes; the session mechanics —
-/// punctuation cuts, batch indexing, hook firing, metric folding, buffer
-/// recycling, finish-time reset — live here so MorphStream, the baselines
-/// and a whole [`Topology`](crate::Topology) (whose "batch" is a round
-/// through its operators) cannot drift. The flow per batch is
+/// The session mechanics — punctuation cuts, batch indexing, hook firing,
+/// metric folding, buffer recycling, finish-time reset — live here so
+/// MorphStream (and with it every baseline executor) and a whole
+/// [`Topology`](crate::Topology) (whose "batch" is a round through its
+/// operators) cannot drift. The flow per batch is
 /// [`SessionState::ingest`] until it returns `true` →
 /// [`SessionState::begin_batch`] → execute, pushing per-event outputs with
 /// [`SessionState::push_output`] → [`SessionState::complete_batch`].
@@ -330,12 +330,14 @@ pub trait CheckpointSource {
 
 /// A transactional stream engine driven by pushed events.
 ///
-/// Implemented by [`MorphStream`](crate::MorphStream), by a
-/// [`Topology`](crate::Topology) of them, and by the three reconstructed
-/// baselines, so benchmarks and applications drive every system through one
-/// interface. Events accumulate in an internal buffer of at most one
-/// punctuation interval; crossing the interval triggers batch processing,
-/// which keeps ingestion memory bounded regardless of stream length.
+/// Implemented by [`MorphStream`](crate::MorphStream) — which the three
+/// reconstructed baselines are too, each with its own
+/// [`BatchExecutor`](crate::BatchExecutor) — and by a
+/// [`Topology`](crate::Topology) of them, so benchmarks and applications
+/// drive every system through one interface. Events accumulate in an
+/// internal buffer of at most one punctuation interval; crossing the
+/// interval triggers batch processing, which keeps ingestion memory bounded
+/// regardless of stream length.
 pub trait TxnEngine {
     /// Input event type.
     type Event;

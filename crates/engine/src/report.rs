@@ -27,8 +27,11 @@ pub struct BatchSummary {
     /// [`BatchSummary::processing_time`] when summing across batches
     /// (throughput).
     pub elapsed: Duration,
-    /// The scheduling decision used for the batch (the decision of the first
-    /// group when the nested configuration is used).
+    /// The scheduling decision the engine's batch executor ran the batch
+    /// under (the decision of the first group when the nested configuration
+    /// is used): MorphStream's adaptive or fixed choice, or a baseline's own
+    /// fixed one. The default decision for an executor that takes none (the
+    /// locked SPE).
     pub decision: SchedulingDecision,
     /// Operations redone because of upstream aborts.
     pub redone_ops: usize,

@@ -495,7 +495,6 @@ impl ExecContext {
             decision,
             udf_evaluations: self.udf_evaluations.load(Ordering::Relaxed),
             redone_ops: self.redone_ops.load(Ordering::Relaxed),
-            execute_wall: std::time::Duration::ZERO,
         }
     }
 }

@@ -22,31 +22,15 @@ pub use report::{BatchReport, TxnOutcome};
 use std::sync::Arc;
 
 use morphstream_common::metrics::Breakdown;
-use morphstream_scheduler::{AbortHandling, Granularity, SchedulingDecision};
+use morphstream_scheduler::{AbortHandling, SchedulingDecision};
 use morphstream_storage::StateStore;
 use morphstream_tpg::{SchedulingUnits, Tpg};
 
-/// Execute one batch (one TPG) against `store` with `num_threads` workers,
-/// following `decision`.
+/// Execute one batch (one TPG) partitioned into `units` against `store` with
+/// `num_threads` workers, following `decision`.
 ///
 /// Returns the per-transaction outcomes plus the runtime breakdown gathered
 /// while executing.
-pub fn execute_batch(
-    tpg: Arc<Tpg>,
-    decision: SchedulingDecision,
-    store: &StateStore,
-    num_threads: usize,
-) -> BatchReport {
-    let units = match decision.granularity {
-        Granularity::Fine => SchedulingUnits::fine(&tpg),
-        Granularity::Coarse => SchedulingUnits::coarse(&tpg),
-    };
-    execute_batch_with_units(tpg, units, decision, store, num_threads)
-}
-
-/// Like [`execute_batch`], but with a pre-computed unit partition (the engine
-/// computes the coarse partition anyway to feed the decision model, so it can
-/// be reused here).
 pub fn execute_batch_with_units(
     tpg: Arc<Tpg>,
     units: SchedulingUnits,
@@ -55,7 +39,6 @@ pub fn execute_batch_with_units(
     num_threads: usize,
 ) -> BatchReport {
     let num_threads = num_threads.max(1);
-    let execute_started = std::time::Instant::now();
     let ctx = ExecContext::new(tpg.clone(), store.clone(), decision.abort_handling);
 
     let mut breakdown = Breakdown::new();
@@ -73,7 +56,5 @@ pub fn execute_batch_with_units(
         ctx.resolve_lazy_aborts(&mut breakdown);
     }
 
-    let mut report = ctx.into_report(breakdown, decision);
-    report.execute_wall = execute_started.elapsed();
-    report
+    ctx.into_report(breakdown, decision)
 }

@@ -1,7 +1,5 @@
 //! Execution results reported back to the engine.
 
-use std::time::Duration;
-
 use morphstream_common::metrics::Breakdown;
 use morphstream_common::{AbortReason, OpId, TxnId, Value};
 use morphstream_scheduler::SchedulingDecision;
@@ -43,15 +41,6 @@ pub struct BatchReport {
     /// Number of operations that had to be rolled back and redone because an
     /// upstream transaction aborted.
     pub redone_ops: usize,
-    /// Wall-clock time of the executor's own work (exploration plus lazy
-    /// abort resolution), as opposed to the cross-thread clock-tick sums in
-    /// `breakdown`. The engine measures its execution *stage* around this
-    /// call (additionally spanning scheduling, post-processing, and
-    /// reclamation) for its
-    /// [`StageTimings`](morphstream_common::metrics::StageTimings); this
-    /// field is the executor-side lower bound of that interval, exposed for
-    /// consistency checks and external consumers.
-    pub execute_wall: Duration,
 }
 
 impl BatchReport {
@@ -102,7 +91,6 @@ mod tests {
             decision: SchedulingDecision::default(),
             udf_evaluations: 2,
             redone_ops: 0,
-            execute_wall: Duration::ZERO,
         };
         assert_eq!(report.committed(), 1);
         assert_eq!(report.aborted(), 1);
@@ -119,7 +107,6 @@ mod tests {
             decision: SchedulingDecision::default(),
             udf_evaluations: 0,
             redone_ops: 0,
-            execute_wall: Duration::ZERO,
         };
         assert_eq!(report.abort_ratio(), 0.0);
     }

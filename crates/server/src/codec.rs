@@ -384,6 +384,49 @@ mod tests {
         assert_eq!(source.next_batch(8, &mut Vec::new()), 0);
         assert!(matches!(source.error(), Some(ProtocolError::Truncated)));
         assert!(!source.is_open());
+
+        // Magic + length prefix above the frame cap: refused before any
+        // payload is buffered.
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&BINARY_MAGIC);
+        wire.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        let mut source: SocketEventSource<SlEvent, _> =
+            SocketEventSource::new(io::Cursor::new(wire));
+        assert_eq!(source.next_batch(8, &mut Vec::new()), 0);
+        assert!(matches!(
+            source.error(),
+            Some(ProtocolError::Oversized { len }) if *len == MAX_FRAME_LEN + 1
+        ));
+        assert!(!source.is_open());
+    }
+
+    #[test]
+    fn encode_refuses_a_payload_above_the_frame_cap() {
+        /// An event whose binary payload is one byte over the cap.
+        struct Huge;
+        impl WireCodec for Huge {
+            fn encode_binary(&self, out: &mut Vec<u8>) {
+                out.resize(MAX_FRAME_LEN + 1, 0);
+            }
+            fn decode_binary(_: &[u8]) -> Result<Self, ProtocolError> {
+                Ok(Huge)
+            }
+            fn encode_json(&self) -> String {
+                "{}".into()
+            }
+            fn decode_json(_: &str) -> Result<Self, ProtocolError> {
+                Ok(Huge)
+            }
+        }
+        let mut out = Vec::new();
+        assert!(matches!(
+            encode_event(&Huge, WireFormat::Binary, &mut Vec::new(), &mut out),
+            Err(ProtocolError::Oversized { len }) if len == MAX_FRAME_LEN + 1
+        ));
+        assert!(
+            out.is_empty(),
+            "nothing of a refused frame reaches the wire"
+        );
     }
 
     #[test]

@@ -167,12 +167,6 @@ impl SchedulingUnits {
         let had_cycles = sccs.iter().any(|scc| scc.len() > 1);
 
         // --- merge SCCs into final units ---
-        let mut scc_of_group = vec![0usize; g];
-        for (scc_idx, scc) in sccs.iter().enumerate() {
-            for &grp in scc {
-                scc_of_group[grp] = scc_idx;
-            }
-        }
         let mut units: Vec<Unit> = sccs
             .iter()
             .enumerate()
@@ -211,8 +205,6 @@ impl SchedulingUnits {
                 }
             }
         }
-        // keep scc_of_group alive for clarity of the algorithm above
-        let _ = scc_of_group;
 
         Self {
             units,

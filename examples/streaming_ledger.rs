@@ -13,7 +13,7 @@
 
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, MorphStream, TxnEngine};
-use morphstream_baselines::{SStoreEngine, TStreamEngine};
+use morphstream_baselines::{SStore, TStream};
 use morphstream_common::WorkloadConfig;
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
@@ -69,13 +69,13 @@ fn main() {
     {
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = TStreamEngine::new(app, store, engine_config);
+        let mut engine = TStream::engine(app, store, engine_config);
         run_system("TStream", &mut engine, &config);
     }
     {
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = SStoreEngine::new(app, store, engine_config);
+        let mut engine = SStore::engine(app, store, engine_config);
         run_system("S-Store", &mut engine, &config);
     }
 }

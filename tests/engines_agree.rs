@@ -4,7 +4,9 @@
 
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, MorphStream, SchedulingDecision, TxnEngine};
-use morphstream_baselines::{LockedSpeEngine, SStoreEngine, TStreamEngine};
+use std::time::Duration;
+
+use morphstream_baselines::{LockedSpe, SStore, TStream};
 use morphstream_common::config::test_threads;
 use morphstream_common::{Value, WorkloadConfig};
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
@@ -102,7 +104,7 @@ fn tstream_and_sstore_baselines_match_the_oracle() {
     {
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = TStreamEngine::new(
+        let mut engine = TStream::engine(
             app,
             store.clone(),
             EngineConfig::with_threads(test_threads(4))
@@ -119,7 +121,7 @@ fn tstream_and_sstore_baselines_match_the_oracle() {
     {
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = SStoreEngine::new(
+        let mut engine = SStore::engine(
             app,
             store.clone(),
             EngineConfig::with_threads(test_threads(4))
@@ -172,7 +174,7 @@ fn engines_pushed_through_the_txn_engine_trait_match_the_oracle() {
     {
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = TStreamEngine::new(app, store.clone(), engine_config);
+        let mut engine = TStream::engine(app, store.clone(), engine_config);
         push_through_trait(&mut engine, &events);
         let app = StreamingLedgerApp::new(&store, &config);
         assert_eq!(
@@ -184,7 +186,7 @@ fn engines_pushed_through_the_txn_engine_trait_match_the_oracle() {
     {
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = SStoreEngine::new(app, store.clone(), engine_config);
+        let mut engine = SStore::engine(app, store.clone(), engine_config);
         push_through_trait(&mut engine, &events);
         let app = StreamingLedgerApp::new(&store, &config);
         assert_eq!(
@@ -206,7 +208,7 @@ fn engines_pushed_through_the_txn_engine_trait_match_the_oracle() {
             .sum();
         let store = StateStore::new();
         let app = StreamingLedgerApp::new(&store, &config);
-        let mut engine = LockedSpeEngine::with_locks(app, store.clone(), engine_config);
+        let mut engine = LockedSpe::with_locks(app, store.clone(), engine_config, Duration::ZERO);
         push_through_trait(&mut engine, &events);
         let app = StreamingLedgerApp::new(&store, &config);
         let total: Value = final_balances(&store, &app, &config).iter().sum();
@@ -238,11 +240,12 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
 
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, &config);
-    let mut engine = LockedSpeEngine::with_locks(
+    let mut engine = LockedSpe::with_locks(
         app,
         store.clone(),
         EngineConfig::with_threads(test_threads(4))
             .with_punctuation_interval(config.txns_per_batch),
+        Duration::ZERO,
     );
     engine.run(events.clone());
     let app = StreamingLedgerApp::new(&store, &config);
@@ -255,11 +258,12 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
     // stay within what lost updates can do (checked below).
     let store = StateStore::new();
     let app = StreamingLedgerApp::new(&store, &config);
-    let mut engine = LockedSpeEngine::without_locks(
+    let mut engine = LockedSpe::without_locks(
         app,
         store.clone(),
         EngineConfig::with_threads(test_threads(4))
             .with_punctuation_interval(config.txns_per_batch),
+        Duration::ZERO,
     );
     let transfers: Value = events
         .iter()

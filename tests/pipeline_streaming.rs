@@ -6,10 +6,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, EventSink, MorphStream, TxnEngine};
-use morphstream_baselines::{LockedSpeEngine, SStoreEngine, TStreamEngine};
+use morphstream_baselines::{LockedSpe, SStore, TStream};
 use morphstream_common::config::test_threads;
 use morphstream_common::{Value, WorkloadConfig};
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
@@ -217,7 +218,7 @@ fn all_engines_agree_on_final_state_through_the_trait() {
     let ts_store = StateStore::new();
     let ts_app = StreamingLedgerApp::new(&ts_store, &config);
     let tstream = run_via_trait(
-        TStreamEngine::new(ts_app, ts_store.clone(), engine_config()),
+        TStream::engine(ts_app, ts_store.clone(), engine_config()),
         &ts_store,
         events.clone(),
     );
@@ -226,7 +227,7 @@ fn all_engines_agree_on_final_state_through_the_trait() {
     let ss_store = StateStore::new();
     let ss_app = StreamingLedgerApp::new(&ss_store, &config);
     let sstore = run_via_trait(
-        SStoreEngine::new(ss_app, ss_store.clone(), engine_config()),
+        SStore::engine(ss_app, ss_store.clone(), engine_config()),
         &ss_store,
         events,
     );
@@ -369,13 +370,13 @@ fn every_engine_keeps_the_session_contract() {
     let morph = MorphStream::new(app, store, engine_config());
     session_contract("MorphStream", morph, false);
     let (app, store) = ledger();
-    let tstream = TStreamEngine::new(app, store, engine_config());
+    let tstream = TStream::engine(app, store, engine_config());
     session_contract("TStream", tstream, false);
     let (app, store) = ledger();
-    let sstore = SStoreEngine::new(app, store, engine_config());
+    let sstore = SStore::engine(app, store, engine_config());
     session_contract("S-Store", sstore, false);
     let (app, store) = ledger();
-    let locked = LockedSpeEngine::with_locks(app, store, engine_config());
+    let locked = LockedSpe::with_locks(app, store, engine_config(), Duration::ZERO);
     session_contract("locked SPE", locked, false);
 
     // A whole dataflow is an engine like the others: the served two-operator
