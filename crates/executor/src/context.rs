@@ -1,6 +1,17 @@
 //! Shared execution context: per-operation finite state machines, result
 //! storage, and abort/rollback/redo handling.
+//!
+//! The context binds the store's tables once, when the batch starts
+//! ([`StateStore::tables`]): every read, write, window scan and rollback of
+//! an operation then goes straight to its [`MvTable`], and no per-operation
+//! call takes the store-wide lock or clones a table handle. A table created
+//! after the batch started is past the bound snapshot and is looked up
+//! through [`StateStore::table`] instead, so it behaves exactly as a bound
+//! one. Nothing per operation is counted in a field the workers share: an
+//! operation records that it was evaluated under its own runtime lock, and
+//! the report sums those flags.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -8,10 +19,11 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use morphstream_common::error::Result as StoreResult;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{AbortReason, Key, OpId, TxnId, Value};
+use morphstream_common::{AbortReason, Key, OpId, TableId, Timestamp, TxnId, Value};
 use morphstream_scheduler::{AbortHandling, SchedulingDecision};
-use morphstream_storage::StateStore;
+use morphstream_storage::{MvTable, StateStore};
 use morphstream_tpg::{AccessKind, Tpg, UdfInput, UdfOutcome};
 
 use crate::report::{BatchReport, TxnOutcome};
@@ -39,6 +51,8 @@ struct OpRuntime {
     wrote: bool,
     /// Result value (read value or written value).
     result: Option<Value>,
+    /// Whether `run_op` evaluated the UDF (redos are counted separately).
+    evaluated: bool,
 }
 
 impl Default for OpRuntime {
@@ -48,6 +62,7 @@ impl Default for OpRuntime {
             resolved_key: None,
             wrote: false,
             result: None,
+            evaluated: false,
         }
     }
 }
@@ -56,6 +71,8 @@ impl Default for OpRuntime {
 pub struct ExecContext {
     tpg: Arc<Tpg>,
     store: StateStore,
+    /// The store's tables, indexed by id, as they were when the batch began.
+    tables: Vec<Arc<MvTable>>,
     abort_mode: AbortHandling,
     runtime: Vec<Mutex<OpRuntime>>,
     in_flight: Vec<AtomicBool>,
@@ -67,17 +84,17 @@ pub struct ExecContext {
     /// Global abort coordinator: abort propagation, rollback and redo run
     /// under this lock so they never race with each other.
     coordinator: Mutex<()>,
-    udf_evaluations: AtomicUsize,
     redone_ops: AtomicUsize,
 }
 
 impl ExecContext {
-    /// Create the context for one batch.
+    /// Create the context for one batch, binding the store's tables.
     pub fn new(tpg: Arc<Tpg>, store: StateStore, abort_mode: AbortHandling) -> Self {
         let n = tpg.num_ops();
         let t = tpg.num_txns();
         Self {
             tpg,
+            tables: store.tables(),
             store,
             abort_mode,
             runtime: (0..n).map(|_| Mutex::new(OpRuntime::default())).collect(),
@@ -87,8 +104,38 @@ impl ExecContext {
             txn_reasons: Mutex::new(HashMap::new()),
             failures: Mutex::new(Vec::new()),
             coordinator: Mutex::new(()),
-            udf_evaluations: AtomicUsize::new(0),
             redone_ops: AtomicUsize::new(0),
+        }
+    }
+
+    /// Table `id`: the handle bound when the batch began, or — for a table
+    /// created since — the store's.
+    fn table(&self, id: TableId) -> StoreResult<Cow<'_, Arc<MvTable>>> {
+        match self.tables.get(id.index()) {
+            Some(table) => Ok(Cow::Borrowed(table)),
+            None => self.store.table(id).map(Cow::Owned),
+        }
+    }
+
+    /// Newest value of `(table, key)` visible before `ts`, or zero when the
+    /// read fails (unknown table or key, no visible version).
+    fn read_before(&self, table: TableId, key: Key, ts: Timestamp) -> Value {
+        self.table(table)
+            .and_then(|t| t.read_before(key, ts, 0))
+            .unwrap_or_default()
+    }
+
+    /// Append the values of `(table, key)` in the window `[lo, hi]` to `out`.
+    fn window_values(
+        &self,
+        table: TableId,
+        key: Key,
+        lo: Timestamp,
+        hi: Timestamp,
+        out: &mut Vec<Value>,
+    ) {
+        if let Ok(versions) = self.table(table).and_then(|t| t.window(key, lo, hi)) {
+            out.extend(versions.into_iter().map(|v| v.value));
         }
     }
 
@@ -142,6 +189,7 @@ impl ExecContext {
                 return;
             }
             rt.state = OpState::Ready;
+            rt.evaluated = true;
         }
         self.in_flight[op].store(true, Ordering::Release);
 
@@ -193,7 +241,6 @@ impl ExecContext {
     /// inputs, run the UDF, and append the resulting version for writes.
     /// Returns `(resolved_key, result_value, wrote_version)`.
     fn evaluate(&self, op: OpId) -> Result<(Key, Value, bool), AbortReason> {
-        self.udf_evaluations.fetch_add(1, Ordering::Relaxed);
         let operation = self.tpg.op(op);
         let spec = &operation.spec;
         let ts = operation.ts;
@@ -209,43 +256,29 @@ impl ExecContext {
 
         // Visibility: strictly earlier timestamps (operations of the same
         // transaction do not see each other's writes, Section 2.1.1).
-        let target_value = self
-            .store
-            .read_before(spec.table, key, ts, 0)
-            .unwrap_or_default();
+        let target_value = self.read_before(spec.table, key, ts);
 
-        let mut params = Vec::with_capacity(spec.params.len());
-        for p in &spec.params {
-            params.push(
-                self.store
-                    .read_before(p.table, p.key, ts, 0)
-                    .unwrap_or_default(),
-            );
-        }
+        let params = spec
+            .params
+            .iter()
+            .map(|p| self.read_before(p.table, p.key, ts))
+            .collect();
 
-        let window_values = if let Some(window) = spec.window {
+        let mut window_values = Vec::new();
+        if let Some(window) = spec.window {
             let lo = ts.saturating_sub(window);
             match spec.kind {
-                AccessKind::WindowRead => self
-                    .store
-                    .window_values(spec.table, key, lo, ts)
-                    .unwrap_or_default(),
-                AccessKind::WindowWrite => {
-                    let mut all = Vec::new();
-                    for p in &spec.params {
-                        all.extend(
-                            self.store
-                                .window_values(p.table, p.key, lo, ts)
-                                .unwrap_or_default(),
-                        );
-                    }
-                    all
+                AccessKind::WindowRead => {
+                    self.window_values(spec.table, key, lo, ts, &mut window_values)
                 }
-                _ => Vec::new(),
+                AccessKind::WindowWrite => {
+                    for p in &spec.params {
+                        self.window_values(p.table, p.key, lo, ts, &mut window_values);
+                    }
+                }
+                _ => {}
             }
-        } else {
-            Vec::new()
-        };
+        }
 
         let input = UdfInput {
             target: target_value,
@@ -262,8 +295,8 @@ impl ExecContext {
         let (result, wrote) = match outcome {
             UdfOutcome::Value(v) => {
                 if spec.kind.is_write() {
-                    self.store
-                        .write(spec.table, key, ts, operation.stmt, op as u64, v)
+                    self.table(spec.table)
+                        .and_then(|t| t.write(key, ts, operation.stmt, op as u64, v))
                         .map_err(|e| AbortReason::ConsistencyViolation {
                             state: morphstream_common::StateRef::new(spec.table, key),
                             detail: e.to_string(),
@@ -287,11 +320,9 @@ impl ExecContext {
     fn materialise_keys(&self, op: OpId) {
         let operation = self.tpg.op(op);
         let (spec, ts) = (&operation.spec, operation.ts);
-        let _ = self
-            .store
-            .read_before(spec.table, spec.target.resolve(ts), ts, 0);
+        self.read_before(spec.table, spec.target.resolve(ts), ts);
         for p in &spec.params {
-            let _ = self.store.read_before(p.table, p.key, ts, 0);
+            self.read_before(p.table, p.key, ts);
         }
     }
 
@@ -301,9 +332,9 @@ impl ExecContext {
         // the rollback must be scoped to this transaction's own timestamp or
         // it could delete a committed version surviving from an earlier batch
         // whose writer happened to share the id.
-        let _ = self
-            .store
-            .rollback_writer_at(operation.spec.table, key, op as u64, operation.ts);
+        if let Ok(table) = self.table(operation.spec.table) {
+            table.rollback_writer_at(key, op as u64, operation.ts);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -388,6 +419,11 @@ impl ExecContext {
 
     /// Transitive TD/PD descendants of `roots`, in timestamp order.
     fn descendants_of(&self, roots: &[OpId]) -> Vec<OpId> {
+        // An abort whose failing write came first rolls nothing back: it
+        // has nothing to redo, so it need not allocate a batch-sized bitmap.
+        if roots.is_empty() {
+            return Vec::new();
+        }
         let mut seen = vec![false; self.tpg.num_ops()];
         let mut stack: Vec<OpId> = roots.to_vec();
         let mut out = Vec::new();
@@ -460,6 +496,7 @@ impl ExecContext {
     /// Consume the context and assemble the batch report.
     pub fn into_report(self, breakdown: Breakdown, decision: SchedulingDecision) -> BatchReport {
         let reasons = self.txn_reasons.into_inner();
+        let mut evaluated = 0usize;
         let mut outcomes = Vec::with_capacity(self.tpg.num_txns());
         for txn in 0..self.tpg.num_txns() {
             let aborted = self.txn_aborted[txn].load(Ordering::Acquire);
@@ -470,6 +507,7 @@ impl ExecContext {
                 if rt.state == OpState::Aborted {
                     any_aborted_op = true;
                 }
+                evaluated += usize::from(rt.evaluated);
                 op_results.push((op, rt.result));
             }
             let committed = !aborted && !any_aborted_op;
@@ -489,12 +527,13 @@ impl ExecContext {
                 op_results,
             });
         }
+        let redone_ops = self.redone_ops.into_inner();
         BatchReport {
             outcomes,
             breakdown,
             decision,
-            udf_evaluations: self.udf_evaluations.load(Ordering::Relaxed),
-            redone_ops: self.redone_ops.load(Ordering::Relaxed),
+            udf_evaluations: evaluated + redone_ops,
+            redone_ops,
         }
     }
 }
@@ -748,6 +787,43 @@ mod tests {
         assert_eq!(report.aborted(), 1);
         // the non-deterministic write to key 1 was rolled back.
         assert_eq!(store.read_latest(T, 1).unwrap(), 0);
+    }
+
+    /// Tables are bound when the context is created; one created afterwards
+    /// is reached through the store, for reads, writes and rollbacks alike.
+    #[test]
+    fn a_table_created_after_the_batch_began_is_read_and_written() {
+        let store = store_with_balances(2, 0);
+        let late = TableId(1);
+        let mut batch = TransactionBatch::new();
+        batch.push(Transaction::new(
+            1,
+            vec![OperationSpec::write(
+                late,
+                3,
+                vec![StateRef::new(late, 4)],
+                udfs::sum_params(),
+            )],
+        ));
+        batch.push(Transaction::new(
+            2,
+            vec![
+                OperationSpec::write(late, 5, vec![], udfs::add_delta(1)),
+                OperationSpec::write(T, 0, vec![], udfs::always_abort()),
+            ],
+        ));
+        let tpg = Arc::new(TpgBuilder::new().build(batch));
+        let ctx = ExecContext::new(tpg, store.clone(), AbortHandling::Eager);
+        assert_eq!(store.create_table("late", 40, true), late);
+        store.seed(late, 4, 9).unwrap();
+        let breakdown = run_sequentially(&ctx);
+        let report = ctx.into_report(breakdown, SchedulingDecision::default());
+        assert_eq!((report.committed(), report.aborted()), (1, 1));
+        // the committed op read key 4 and wrote key 3 of the late table …
+        assert_eq!(store.read_latest(late, 3).unwrap(), 9);
+        // … and the aborted transaction's write to it was rolled back
+        assert_eq!(store.read_latest(late, 5).unwrap(), 40);
+        assert_eq!(report.udf_evaluations, 3);
     }
 
     #[test]

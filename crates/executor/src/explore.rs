@@ -57,7 +57,7 @@ fn process_unit(
     unit: usize,
     breakdown: &mut Breakdown,
 ) {
-    for &op in &units.units()[unit].ops {
+    for &op in units.unit_ops(unit) {
         ctx.run_op(op, breakdown);
     }
 }
@@ -211,6 +211,13 @@ impl ReadyQueue {
 
     fn mark_settled(&self) {
         if self.settled.fetch_add(1, Ordering::AcqRel) + 1 >= self.total {
+            // Notify under the queue lock: a worker in `pop` checks `settled`
+            // and starts waiting without releasing that lock in between, so
+            // it is either before its check (and sees the count) or already
+            // waiting (and gets this wake-up). Notifying without the lock
+            // could land between the two and leave it asleep until its poll
+            // times out.
+            let _queue = self.queue.lock();
             self.available.notify_all();
         }
     }

@@ -89,6 +89,15 @@ impl StateStore {
             .ok_or(MorphError::UnknownTable(id.0))
     }
 
+    /// Handles on every table, indexed by table id — one store-wide lock
+    /// acquisition for a caller that then touches many tables many times
+    /// (the executor binds a batch's tables this way). A table created
+    /// after the call is not in the snapshot; look it up with
+    /// [`StateStore::table`].
+    pub fn tables(&self) -> Vec<Arc<MvTable>> {
+        self.inner.tables.read().clone()
+    }
+
     /// Pre-allocate the dense key range `[0, n)` of `table`.
     pub fn preallocate_range(&self, table: TableId, n: u64) -> Result<()> {
         self.table(table)?.preallocate_range(n);
@@ -311,6 +320,22 @@ mod tests {
         assert_eq!(store.read_before(t, 1, 5, 0).unwrap(), 10);
         assert_eq!(store.rollback_writer_at(t, 1, 99, 5).unwrap(), 1);
         assert_eq!(store.read_latest(t, 1).unwrap(), 10);
+    }
+
+    #[test]
+    fn tables_snapshot_is_indexed_by_id_and_shares_state() {
+        let store = StateStore::new();
+        let a = store.create_table("a", 1, false);
+        let b = store.create_table("b", 2, true);
+        let tables = store.tables();
+        assert_eq!(tables.len(), 2);
+        assert_eq!((tables[a.index()].id(), tables[b.index()].id()), (a, b));
+        tables[b.index()].write(7, 1, 0, 1, 70).unwrap();
+        assert_eq!(store.read_latest(b, 7).unwrap(), 70);
+        // a table created afterwards is not in the snapshot
+        store.create_table("c", 0, false);
+        assert_eq!(tables.len(), 2);
+        assert_eq!(store.tables().len(), 3);
     }
 
     #[test]

@@ -81,16 +81,18 @@ impl TpgBuilder {
         // ---- Decomposition (serial prelude of the stream phase) ----
         // Operation ids are assignment order, so this pass stays serial; it
         // is a cheap flat append compared to list insertion and edge
-        // derivation, which are sharded below.
-        let mut ops: Vec<Operation> = Vec::new();
-        let mut txn_ops: Vec<Vec<OpId>> = Vec::with_capacity(txns.len());
+        // derivation, which are sharded below. Ids are handed out in
+        // transaction order, so each transaction owns the id range starting
+        // at its `txn_start` entry.
+        let mut ops: Vec<Operation> = Vec::with_capacity(txns.iter().map(|t| t.ops.len()).sum());
+        let mut txn_start: Vec<OpId> = Vec::with_capacity(txns.len());
         let mut txn_ts: Vec<Timestamp> = Vec::with_capacity(txns.len());
         // (op id, ts, stmt) of non-deterministic operations, in ts order.
         let mut non_det: Vec<(OpId, Timestamp, u32)> = Vec::new();
 
         for (txn_id, txn) in txns.into_iter().enumerate() {
             txn_ts.push(txn.ts);
-            let mut ids = Vec::with_capacity(txn.ops.len());
+            txn_start.push(ops.len());
             for (stmt_idx, spec) in txn.ops.into_iter().enumerate() {
                 let id = ops.len();
                 let stmt = stmt_idx as u32;
@@ -104,9 +106,7 @@ impl TpgBuilder {
                     stmt,
                     spec,
                 });
-                ids.push(id);
             }
-            txn_ops.push(ids);
         }
 
         // ---- Sharded stream + transaction processing phases ----
@@ -143,7 +143,7 @@ impl TpgBuilder {
             }
         }
 
-        Tpg::assemble(ops, edges, txn_ops, txn_ts, expected_abort_ratio)
+        Tpg::assemble(ops, edges, txn_start, txn_ts, expected_abort_ratio)
     }
 }
 

@@ -1,9 +1,17 @@
 //! The Task Precedence Graph.
-
-use std::collections::HashMap;
+//!
+//! The graph is stored flat, in compressed-sparse-row form: all parent
+//! edges of the batch sit in one array grouped by target operation, all
+//! child edges in another grouped by source, and an offset array per side
+//! says where each operation's group starts. A transaction's operations are
+//! a contiguous id range — the builder numbers operations in transaction
+//! order — so the transactions need only their start offsets. Building a
+//! graph therefore costs a constant number of allocations, not a few per
+//! operation and per transaction.
 
 use morphstream_common::{OpId, Timestamp, TxnId};
 
+use crate::flat::FlatLists;
 use crate::operation::Operation;
 
 /// Kind of a dependency edge.
@@ -61,12 +69,13 @@ pub struct TpgStats {
 #[derive(Debug, Default)]
 pub struct Tpg {
     ops: Vec<Operation>,
-    /// Incoming execution-constraining edges (TD/PD) per op.
-    parents: Vec<Vec<(OpId, DepKind)>>,
-    /// Outgoing execution-constraining edges (TD/PD) per op.
-    children: Vec<Vec<(OpId, DepKind)>>,
-    /// Operations of each transaction, in statement order (LD groups).
-    txn_ops: Vec<Vec<OpId>>,
+    /// Incoming execution-constraining edges (TD/PD) per op, by source.
+    parents: FlatLists<(OpId, DepKind)>,
+    /// Outgoing execution-constraining edges (TD/PD) per op, by target.
+    children: FlatLists<(OpId, DepKind)>,
+    /// Operations of each transaction, in statement order (LD groups): the
+    /// identity array `0..num_ops` cut at each transaction's first op.
+    txn_ops: FlatLists<OpId>,
     /// Timestamp of each transaction.
     txn_ts: Vec<Timestamp>,
     stats: TpgStats,
@@ -74,53 +83,64 @@ pub struct Tpg {
 
 impl Tpg {
     /// Assemble a TPG from planner output. `edges` must only contain TD and
-    /// PD edges; LD grouping is given through `txn_ops`.
+    /// PD edges; LD grouping is given through `txn_start`, the first
+    /// operation id of each transaction: operations must be numbered in
+    /// transaction order, so each transaction owns a contiguous id range.
     pub(crate) fn assemble(
         ops: Vec<Operation>,
-        edges: Vec<(OpId, OpId, DepKind)>,
-        txn_ops: Vec<Vec<OpId>>,
+        mut edges: Vec<(OpId, OpId, DepKind)>,
+        mut txn_start: Vec<OpId>,
         txn_ts: Vec<Timestamp>,
         expected_abort_ratio: f64,
     ) -> Self {
         let n = ops.len();
-        let mut parents: Vec<Vec<(OpId, DepKind)>> = vec![Vec::new(); n];
-        let mut children: Vec<Vec<(OpId, DepKind)>> = vec![Vec::new(); n];
+        debug_assert_eq!(txn_start.len(), txn_ts.len());
+        txn_start.push(n);
+        debug_assert!(
+            txn_start.first() == Some(&0)
+                && txn_start.windows(2).enumerate().all(|(txn, w)| {
+                    w[0] <= w[1] && ops[w[0]..w[1]].iter().all(|op| op.txn == txn)
+                }),
+            "each transaction must own a contiguous, ordered range of op ids"
+        );
+
         let mut td_edges = 0usize;
         let mut pd_edges = 0usize;
-
-        // Deduplicate (from, to) pairs: an operation pair may be linked by
-        // both a TD and a PD; the executor needs exactly one constraint per
-        // pair so that dependency counting matches notifications.
-        let mut seen: HashMap<(OpId, OpId), DepKind> = HashMap::with_capacity(edges.len());
-        for (from, to, kind) in edges {
+        for &(from, to, kind) in &edges {
             debug_assert!(from < n && to < n, "edge endpoints must be valid ops");
             debug_assert_ne!(from, to, "self edges are not allowed");
             match kind {
                 DepKind::Td => td_edges += 1,
                 DepKind::Pd => pd_edges += 1,
-                DepKind::Ld => unreachable!("LD edges are tracked via txn_ops"),
+                DepKind::Ld => unreachable!("LD edges are implied by txn_start"),
             }
-            // PD wins over TD for reporting purposes when both exist.
-            seen.entry((from, to))
-                .and_modify(|k| {
-                    if kind == DepKind::Pd {
-                        *k = DepKind::Pd;
-                    }
-                })
-                .or_insert(kind);
         }
-        let mut dedup: Vec<((OpId, OpId), DepKind)> = seen.into_iter().collect();
-        dedup.sort_by_key(|((from, to), _)| (*from, *to));
-        for ((from, to), kind) in dedup {
-            children[from].push((to, kind));
-            parents[to].push((from, kind));
-        }
+        // Deduplicate (from, to) pairs: an operation pair may be linked by
+        // both a TD and a PD; the executor needs exactly one constraint per
+        // pair so that dependency counting matches notifications. PD wins
+        // over TD for reporting purposes when both exist (PD sorts last).
+        edges.sort_unstable();
+        edges.dedup_by(|later, kept| {
+            let same_pair = (later.0, later.1) == (kept.0, kept.1);
+            if same_pair {
+                kept.2 = later.2;
+            }
+            same_pair
+        });
 
-        let ld_edges = txn_ops.iter().map(|ops| ops.len().saturating_sub(1)).sum();
+        // `edges` is sorted by (source, target) and grouping is stable, so
+        // children come out by target and parents by source.
+        let children = FlatLists::group(n, || edges.iter().map(|&(f, t, k)| (f, (t, k))));
+        let parents = FlatLists::group(n, || edges.iter().map(|&(f, t, k)| (t, (f, k))));
+
+        let ld_edges = txn_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]).saturating_sub(1))
+            .sum();
 
         let mut stats = TpgStats {
             num_ops: n,
-            num_txns: txn_ops.len(),
+            num_txns: txn_ts.len(),
             ld_edges,
             td_edges,
             pd_edges,
@@ -128,11 +148,8 @@ impl Tpg {
             ..TpgStats::default()
         };
 
-        let mut degree_sum = 0usize;
-        for c in &children {
-            stats.max_out_degree = stats.max_out_degree.max(c.len());
-            degree_sum += c.len();
-        }
+        let degree_sum = edges.len();
+        stats.max_out_degree = (0..n).map(|op| children.list(op).len()).max().unwrap_or(0);
         stats.mean_out_degree = if n == 0 {
             0.0
         } else {
@@ -166,7 +183,7 @@ impl Tpg {
             ops,
             parents,
             children,
-            txn_ops,
+            txn_ops: FlatLists::from_parts((0..n).collect(), txn_start),
             txn_ts,
             stats,
         }
@@ -179,7 +196,7 @@ impl Tpg {
 
     /// Number of transactions.
     pub fn num_txns(&self) -> usize {
-        self.txn_ops.len()
+        self.txn_ts.len()
     }
 
     /// Operation by id.
@@ -194,17 +211,17 @@ impl Tpg {
 
     /// Incoming TD/PD edges of `id`.
     pub fn parents(&self, id: OpId) -> &[(OpId, DepKind)] {
-        &self.parents[id]
+        self.parents.list(id)
     }
 
     /// Outgoing TD/PD edges of `id`.
     pub fn children(&self, id: OpId) -> &[(OpId, DepKind)] {
-        &self.children[id]
+        self.children.list(id)
     }
 
     /// Operations of transaction `txn` in statement order.
     pub fn txn_ops(&self, txn: TxnId) -> &[OpId] {
-        &self.txn_ops[txn]
+        self.txn_ops.list(txn)
     }
 
     /// Timestamp of transaction `txn`.
@@ -221,8 +238,8 @@ impl Tpg {
     /// and debug assertions, not on the hot path.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.ops.len();
-        for (id, parents) in self.parents.iter().enumerate() {
-            for (p, kind) in parents {
+        for id in 0..n {
+            for (p, kind) in self.parents(id) {
                 if *p >= n {
                     return Err(format!("op {id} has out-of-range parent {p}"));
                 }
@@ -231,13 +248,13 @@ impl Tpg {
                         "edge {p} -> {id} ({kind:?}) goes backwards in time"
                     ));
                 }
-                if !self.children[*p].iter().any(|(c, _)| *c == id) {
+                if !self.children(*p).iter().any(|(c, _)| *c == id) {
                     return Err(format!("edge {p} -> {id} missing from children list"));
                 }
             }
         }
-        for (txn, ops) in self.txn_ops.iter().enumerate() {
-            for op in ops {
+        for txn in 0..self.num_txns() {
+            for op in self.txn_ops(txn) {
                 if self.ops[*op].txn != txn {
                     return Err(format!("op {op} listed under wrong transaction {txn}"));
                 }
@@ -281,13 +298,7 @@ mod tests {
             (0, 1, DepKind::Pd), // duplicate pair with a different kind
             (2, 3, DepKind::Td),
         ];
-        Tpg::assemble(
-            ops,
-            edges,
-            vec![vec![0], vec![1, 2], vec![3]],
-            vec![1, 2, 3],
-            0.05,
-        )
+        Tpg::assemble(ops, edges, vec![0, 1, 3], vec![1, 2, 3], 0.05)
     }
 
     #[test]
@@ -302,6 +313,50 @@ mod tests {
         assert_eq!(tpg.children(0).len(), 1);
         assert_eq!(tpg.parents(3), &[(2, DepKind::Td)]);
         assert!(tpg.parents(0).is_empty());
+    }
+
+    #[test]
+    fn adjacency_slices_are_exact_and_ordered() {
+        // op 3 has parents 0, 1 and 2 — given out of order, one pair twice —
+        // and op 0 has children 1 and 3.
+        let ops = vec![
+            op(0, 0, 1, 0, 10, true),
+            op(1, 1, 2, 0, 10, true),
+            op(2, 2, 3, 0, 20, true),
+            op(3, 3, 4, 0, 10, false),
+        ];
+        let edges = vec![
+            (2, 3, DepKind::Pd),
+            (0, 3, DepKind::Td),
+            (1, 3, DepKind::Td),
+            (0, 1, DepKind::Td),
+            (1, 3, DepKind::Pd),
+        ];
+        let tpg = Tpg::assemble(ops, edges, vec![0, 1, 2, 3], vec![1, 2, 3, 4], 0.0);
+        tpg.validate().unwrap();
+        let parents: Vec<_> = (0..4).map(|id| tpg.parents(id).to_vec()).collect();
+        assert_eq!(
+            parents,
+            [
+                vec![],
+                vec![(0, DepKind::Td)],
+                vec![],
+                vec![(0, DepKind::Td), (1, DepKind::Pd), (2, DepKind::Pd)],
+            ]
+        );
+        let children: Vec<_> = (0..4).map(|id| tpg.children(id).to_vec()).collect();
+        assert_eq!(
+            children,
+            [
+                vec![(1, DepKind::Td), (3, DepKind::Td)],
+                vec![(3, DepKind::Pd)],
+                vec![(3, DepKind::Pd)],
+                vec![],
+            ]
+        );
+        assert_eq!(tpg.stats().max_out_degree, 2);
+        assert_eq!(tpg.stats().mean_out_degree, 1.0);
+        assert_eq!(tpg.stats().ld_edges, 0);
     }
 
     #[test]
@@ -321,7 +376,9 @@ mod tests {
     #[test]
     fn txn_accessors_round_trip() {
         let tpg = sample_tpg();
+        assert_eq!(tpg.txn_ops(0), &[0]);
         assert_eq!(tpg.txn_ops(1), &[1, 2]);
+        assert_eq!(tpg.txn_ops(2), &[3]);
         assert_eq!(tpg.txn_ts(1), 2);
         assert_eq!(tpg.op(2).stmt, 1);
         assert_eq!(tpg.ops().len(), 4);
@@ -331,6 +388,8 @@ mod tests {
     fn empty_tpg_is_valid() {
         let tpg = Tpg::assemble(vec![], vec![], vec![], vec![], 0.0);
         assert_eq!(tpg.num_ops(), 0);
+        assert_eq!(tpg.num_txns(), 0);
+        assert_eq!(tpg.stats().max_out_degree, 0);
         tpg.validate().unwrap();
     }
 }

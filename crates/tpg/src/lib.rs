@@ -24,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod builder;
+mod flat;
 pub mod graph;
 pub mod operation;
 pub mod sorted_list;
@@ -37,4 +38,4 @@ pub use operation::{
     AccessKind, KeyResolver, KeySpec, Operation, OperationSpec, Udf, UdfInput, UdfOutcome,
 };
 pub use txn::{Transaction, TransactionBatch};
-pub use units::{SchedulingUnits, Unit};
+pub use units::SchedulingUnits;

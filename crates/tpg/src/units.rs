@@ -11,7 +11,8 @@ use std::collections::HashMap;
 
 use morphstream_common::OpId;
 
-use crate::graph::Tpg;
+use crate::flat::FlatLists;
+use crate::graph::{DepKind, Tpg};
 
 /// Grouping key used by the unit constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,51 +23,58 @@ enum GroupKey {
     Txn(usize),
 }
 
-/// One scheduling unit: a set of operations scheduled and dispatched
-/// together, in timestamp order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Unit {
-    /// Unit index.
-    pub id: usize,
-    /// Operations of the unit in execution (timestamp) order.
-    pub ops: Vec<OpId>,
-}
-
 /// The partition of a TPG into scheduling units plus the unit-level
-/// dependency graph.
+/// dependency graph. A unit is a set of operations scheduled and dispatched
+/// together, in timestamp order.
+///
+/// The operations, parents and children of all units are each kept in one
+/// flat array, so the fine partition — one unit per operation — costs a
+/// constant number of allocations however large the batch. The grouping
+/// constructors build per-unit lists and flatten them once at the end.
 #[derive(Debug, Clone)]
 pub struct SchedulingUnits {
-    units: Vec<Unit>,
+    ops: FlatLists<OpId>,
     unit_of: Vec<usize>,
-    parents: Vec<Vec<usize>>,
-    children: Vec<Vec<usize>>,
+    parents: FlatLists<usize>,
+    children: FlatLists<usize>,
     /// Whether coarse grouping produced circular dependencies that had to be
     /// merged away. This feeds the decision model's `Cyclic Dependency`
     /// input.
     pub had_cycles: bool,
 }
 
+/// Units as per-unit lists, before they are flattened: what the grouping
+/// constructors build and edit.
+struct UnitLists {
+    units: Vec<Vec<OpId>>,
+    unit_of: Vec<usize>,
+    parents: Vec<Vec<usize>>,
+    children: Vec<Vec<usize>>,
+    had_cycles: bool,
+}
+
+impl UnitLists {
+    fn flatten(self) -> SchedulingUnits {
+        SchedulingUnits {
+            ops: FlatLists::from_lists(&self.units),
+            unit_of: self.unit_of,
+            parents: FlatLists::from_lists(&self.parents),
+            children: FlatLists::from_lists(&self.children),
+            had_cycles: self.had_cycles,
+        }
+    }
+}
+
 impl SchedulingUnits {
-    /// Fine-grained units: one operation per unit.
+    /// Fine-grained units: one operation per unit, unit `i` holding op `i`;
+    /// the unit graph is the TPG's TD/PD graph.
     pub fn fine(tpg: &Tpg) -> Self {
         let n = tpg.num_ops();
-        let units = (0..n)
-            .map(|id| Unit { id, ops: vec![id] })
-            .collect::<Vec<_>>();
-        let unit_of = (0..n).collect::<Vec<_>>();
-        let mut parents = vec![Vec::new(); n];
-        let mut children = vec![Vec::new(); n];
-        for (op, op_parents) in parents.iter_mut().enumerate() {
-            for (p, _) in tpg.parents(op) {
-                op_parents.push(*p);
-                children[*p].push(op);
-            }
-        }
         Self {
-            units,
-            unit_of,
-            parents,
-            children,
+            ops: FlatLists::from_parts((0..n).collect(), (0..=n).collect()),
+            unit_of: (0..n).collect(),
+            parents: op_edges(tpg, Tpg::parents),
+            children: op_edges(tpg, Tpg::children),
             had_cycles: false,
         }
     }
@@ -82,13 +90,14 @@ impl SchedulingUnits {
                 .known_key()
                 .map(|key| GroupKey::State(operation.spec.table.0, key))
         })
+        .flatten()
     }
 
     /// Transaction-granularity units: every state transaction is one unit, the
     /// scheduling model of S-Store (whole transactions are the unit of
     /// scheduling, executed serially when they conflict).
     pub fn by_transaction(tpg: &Tpg) -> Self {
-        Self::grouped(tpg, |tpg, op| Some(GroupKey::Txn(tpg.op(op).txn)))
+        Self::grouped(tpg, |tpg, op| Some(GroupKey::Txn(tpg.op(op).txn))).flatten()
     }
 
     /// Partition-granularity transaction units: every transaction is one unit
@@ -104,12 +113,11 @@ impl SchedulingUnits {
         // Iterate units in timestamp order of their first op.
         let mut order: Vec<usize> = (0..units.units.len()).collect();
         order.sort_by_key(|&u| {
-            let first = units.units[u].ops[0];
+            let first = units.units[u][0];
             (tpg.op(first).ts, first)
         });
         for &unit in &order {
             let mut partitions: Vec<u64> = units.units[unit]
-                .ops
                 .iter()
                 .filter_map(|&op| tpg.op(op).known_key())
                 .map(|key| key % num_partitions as u64)
@@ -126,10 +134,10 @@ impl SchedulingUnits {
                 last_unit_of_partition.insert(p, unit);
             }
         }
-        units
+        units.flatten()
     }
 
-    fn grouped(tpg: &Tpg, group_key: impl Fn(&Tpg, OpId) -> Option<GroupKey>) -> Self {
+    fn grouped(tpg: &Tpg, group_key: impl Fn(&Tpg, OpId) -> Option<GroupKey>) -> UnitLists {
         let n = tpg.num_ops();
         // --- initial grouping ---
         let mut group_of = vec![usize::MAX; n];
@@ -167,25 +175,21 @@ impl SchedulingUnits {
         let had_cycles = sccs.iter().any(|scc| scc.len() > 1);
 
         // --- merge SCCs into final units ---
-        let mut units: Vec<Unit> = sccs
+        let mut units: Vec<Vec<OpId>> = sccs
             .iter()
-            .enumerate()
-            .map(|(id, scc)| {
+            .map(|scc| {
                 let mut ops: Vec<OpId> = scc.iter().flat_map(|&grp| groups[grp].clone()).collect();
                 ops.sort_by_key(|&op| (tpg.op(op).ts, tpg.op(op).stmt, op));
-                Unit { id, ops }
+                ops
             })
             .collect();
         // Drop empty units (possible when the TPG is empty).
-        units.retain(|u| !u.ops.is_empty());
-        for (idx, unit) in units.iter_mut().enumerate() {
-            unit.id = idx;
-        }
+        units.retain(|ops| !ops.is_empty());
 
         let mut unit_of = vec![usize::MAX; n];
-        for unit in &units {
-            for &op in &unit.ops {
-                unit_of[op] = unit.id;
+        for (unit, ops) in units.iter().enumerate() {
+            for &op in ops {
+                unit_of[op] = unit;
             }
         }
         // Recompute unit-level adjacency after merging.
@@ -206,7 +210,7 @@ impl SchedulingUnits {
             }
         }
 
-        Self {
+        UnitLists {
             units,
             unit_of,
             parents,
@@ -217,12 +221,12 @@ impl SchedulingUnits {
 
     /// Number of units.
     pub fn num_units(&self) -> usize {
-        self.units.len()
+        self.ops.num_lists()
     }
 
-    /// All units.
-    pub fn units(&self) -> &[Unit] {
-        &self.units
+    /// Operations of `unit` in execution (timestamp) order.
+    pub fn unit_ops(&self, unit: usize) -> &[OpId] {
+        self.ops.list(unit)
     }
 
     /// The unit an operation belongs to.
@@ -232,25 +236,25 @@ impl SchedulingUnits {
 
     /// Units that must complete before `unit` can be dispatched.
     pub fn parents(&self, unit: usize) -> &[usize] {
-        &self.parents[unit]
+        self.parents.list(unit)
     }
 
     /// Units that wait for `unit`.
     pub fn children(&self, unit: usize) -> &[usize] {
-        &self.children[unit]
+        self.children.list(unit)
     }
 
     /// Check that the unit graph (after merging) is acyclic; returns an error
     /// message when it is not. Used by tests.
     pub fn validate_acyclic(&self) -> Result<(), String> {
         // Kahn's algorithm: if we cannot pop every unit the graph has a cycle.
-        let n = self.units.len();
-        let mut indegree: Vec<usize> = (0..n).map(|u| self.parents[u].len()).collect();
+        let n = self.num_units();
+        let mut indegree: Vec<usize> = (0..n).map(|u| self.parents(u).len()).collect();
         let mut queue: Vec<usize> = (0..n).filter(|&u| indegree[u] == 0).collect();
         let mut visited = 0usize;
         while let Some(u) = queue.pop() {
             visited += 1;
-            for &c in &self.children[u] {
+            for &c in self.children(u) {
                 indegree[c] -= 1;
                 if indegree[c] == 0 {
                     queue.push(c);
@@ -263,6 +267,19 @@ impl SchedulingUnits {
             Err(format!("unit graph has a cycle: visited {visited} of {n}"))
         }
     }
+}
+
+/// One side of the TPG's TD/PD adjacency, kinds dropped: the unit graph of
+/// the fine partition.
+fn op_edges(tpg: &Tpg, adjacency: fn(&Tpg, OpId) -> &[(OpId, DepKind)]) -> FlatLists<usize> {
+    let n = tpg.num_ops();
+    FlatLists::group(n, || {
+        (0..n).flat_map(|op| {
+            adjacency(tpg, op)
+                .iter()
+                .map(move |&(other, _)| (op, other))
+        })
+    })
 }
 
 /// Iterative Kosaraju SCC over an adjacency-list graph.
@@ -359,8 +376,45 @@ mod tests {
         assert!(!units.had_cycles);
         units.validate_acyclic().unwrap();
         for op in 0..tpg.num_ops() {
-            assert_eq!(units.units()[units.unit_of(op)].ops, vec![op]);
+            assert_eq!(units.unit_of(op), op);
+            assert_eq!(units.unit_ops(op), &[op]);
+            let parents: Vec<OpId> = tpg.parents(op).iter().map(|(p, _)| *p).collect();
+            let children: Vec<OpId> = tpg.children(op).iter().map(|(c, _)| *c).collect();
+            assert_eq!(units.parents(op), parents.as_slice());
+            assert_eq!(units.children(op), children.as_slice());
         }
+        // the key-0 chain 0 -> 1 -> 2; op 3 stands alone
+        assert_eq!(units.parents(1), &[0]);
+        assert_eq!(units.children(1), &[2]);
+        assert!(units.parents(3).is_empty() && units.children(3).is_empty());
+    }
+
+    #[test]
+    fn fine_unit_adjacency_keeps_the_tpg_order() {
+        // op 3 reads keys 0, 1 and 2 written by ops 0, 1 and 2: three parents,
+        // listed by source; op 0 has children 3 and 4, listed by target.
+        let mut batch = TransactionBatch::new();
+        for key in 0..3u64 {
+            batch.push(Transaction::new(
+                key + 1,
+                vec![OperationSpec::write(T, key, vec![], udfs::add_delta(1))],
+            ));
+        }
+        let params = (0..3).rev().map(|k| StateRef::new(T, k)).collect();
+        batch.push(Transaction::new(
+            4,
+            vec![OperationSpec::write(T, 9, params, udfs::sum_params())],
+        ));
+        batch.push(Transaction::new(
+            5,
+            vec![OperationSpec::write(T, 0, vec![], udfs::add_delta(1))],
+        ));
+        let tpg = TpgBuilder::new().build(batch);
+        let units = SchedulingUnits::fine(&tpg);
+        assert_eq!(units.parents(3), &[0, 1, 2]);
+        assert_eq!(units.children(0), &[3, 4]);
+        assert_eq!(units.parents(4), &[0]);
+        assert!(units.children(4).is_empty());
     }
 
     #[test]
@@ -371,14 +425,9 @@ mod tests {
         assert!(!units.had_cycles);
         units.validate_acyclic().unwrap();
         let key0_unit = units.unit_of(0);
-        assert_eq!(units.units()[key0_unit].ops.len(), 3);
         // ops inside a unit are ordered by timestamp
-        let ts: Vec<_> = units.units()[key0_unit]
-            .ops
-            .iter()
-            .map(|&op| tpg.op(op).ts)
-            .collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(units.unit_ops(key0_unit), &[0, 1, 2]);
+        assert_eq!(units.unit_ops(units.unit_of(3)), &[3]);
     }
 
     #[test]
@@ -420,7 +469,7 @@ mod tests {
         units.validate_acyclic().unwrap();
         // all three ops end up in one merged unit
         assert_eq!(units.num_units(), 1);
-        assert_eq!(units.units()[0].ops.len(), 3);
+        assert_eq!(units.unit_ops(0), &[0, 1, 2]);
     }
 
     #[test]
@@ -479,7 +528,9 @@ mod tests {
         let u2 = units.unit_of(2);
         assert_ne!(u0, u2);
         assert!(units.parents(u2).contains(&u0));
-        assert_eq!(units.units()[u0].ops.len(), 2);
+        assert_eq!(units.unit_ops(u0), &[0, 1]);
+        assert_eq!(units.unit_ops(u2), &[2]);
+        assert_eq!(units.children(u0), &[u2]);
     }
 
     #[test]
@@ -507,11 +558,15 @@ mod tests {
     #[test]
     fn empty_tpg_has_no_units() {
         let tpg = TpgBuilder::new().build(TransactionBatch::new());
-        let fine = SchedulingUnits::fine(&tpg);
-        let coarse = SchedulingUnits::coarse(&tpg);
-        assert_eq!(fine.num_units(), 0);
-        assert_eq!(coarse.num_units(), 0);
-        fine.validate_acyclic().unwrap();
-        coarse.validate_acyclic().unwrap();
+        for units in [
+            SchedulingUnits::fine(&tpg),
+            SchedulingUnits::coarse(&tpg),
+            SchedulingUnits::by_transaction(&tpg),
+            SchedulingUnits::by_partitioned_transaction(&tpg, 4),
+        ] {
+            assert_eq!(units.num_units(), 0);
+            assert!(!units.had_cycles);
+            units.validate_acyclic().unwrap();
+        }
     }
 }
