@@ -22,11 +22,12 @@ use parking_lot::Mutex;
 use morphstream::storage::StateStore;
 use morphstream::{BatchExecutor, EngineConfig, ExecutedBatch, MorphStream, StreamApp, TxnOutcome};
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::AbortReason;
+use morphstream_common::{fan_out, AbortReason};
 use morphstream_tpg::{AccessKind, Transaction, TransactionBatch, UdfInput, UdfOutcome};
 
 /// The conventional-SPE batch executor: round-robin workers against the
-/// latest state values, optionally under one global lock.
+/// latest state values, optionally under one global lock. The calling thread
+/// is worker 0, so a one-worker batch spawns no thread.
 pub struct LockedSpe {
     /// Whether every transaction holds the global lock.
     locks: bool,
@@ -96,38 +97,27 @@ impl BatchExecutor for LockedSpe {
         let (locks, remote_latency, exec_clock) =
             (self.locks, self.remote_latency, &self.exec_clock);
 
-        let partials: Vec<Breakdown> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for worker in 0..threads {
-                let (txns, outcomes) = (&txns, &outcomes);
-                let (global_lock, next_writer) = (&global_lock, &next_writer);
-                handles.push(scope.spawn(move || {
-                    let mut breakdown = Breakdown::new();
-                    for (txn_idx, txn) in txns.iter().enumerate().skip(worker).step_by(threads) {
-                        let lock_wait = Instant::now();
-                        let guard = locks.then(|| global_lock.lock());
-                        breakdown.add(BreakdownBucket::Lock, lock_wait.elapsed());
+        let partials = fan_out(threads, |worker| {
+            let mut breakdown = Breakdown::new();
+            for (txn_idx, txn) in txns.iter().enumerate().skip(worker).step_by(threads) {
+                let lock_wait = Instant::now();
+                let guard = locks.then(|| global_lock.lock());
+                breakdown.add(BreakdownBucket::Lock, lock_wait.elapsed());
 
-                        let useful = Instant::now();
-                        let outcome = run_transaction(
-                            txn_idx,
-                            txn,
-                            store,
-                            remote_latency,
-                            next_writer,
-                            exec_clock,
-                        );
-                        breakdown.add(BreakdownBucket::Useful, useful.elapsed());
-                        drop(guard);
-                        *outcomes[txn_idx].lock() = Some(outcome);
-                    }
-                    breakdown
-                }));
+                let useful = Instant::now();
+                let outcome = run_transaction(
+                    txn_idx,
+                    txn,
+                    store,
+                    remote_latency,
+                    &next_writer,
+                    exec_clock,
+                );
+                breakdown.add(BreakdownBucket::Useful, useful.elapsed());
+                drop(guard);
+                *outcomes[txn_idx].lock() = Some(outcome);
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("locked-SPE worker panicked"))
-                .collect()
+            breakdown
         });
 
         let mut breakdown = Breakdown::new();

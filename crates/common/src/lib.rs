@@ -3,9 +3,10 @@
 //! This crate contains the vocabulary types used across the workspace
 //! (keys, values, timestamps, transaction identifiers), the workload
 //! configuration knobs of the paper's Table 6, deterministic random number
-//! generation and Zipfian sampling used by the workload generators, and the
+//! generation and Zipfian sampling used by the workload generators, the
 //! measurement infrastructure (throughput, latency distributions, and the
-//! runtime breakdown of Figure 16a).
+//! runtime breakdown of Figure 16a), and [`fan_out`], the one helper that
+//! spreads a batch's work over worker threads.
 //!
 //! Nothing in this crate knows about transactions or scheduling; it exists so
 //! that the planning, scheduling, execution, and benchmarking crates agree on
@@ -22,8 +23,10 @@ pub mod protocol;
 pub mod rng;
 pub mod toml;
 pub mod types;
+mod workers;
 pub mod zipf;
 
 pub use config::{EngineConfig, TopologyConfig, WorkloadConfig};
 pub use error::{AbortReason, MorphError};
 pub use types::{Key, OpId, StateRef, TableId, Timestamp, TxnId, Value};
+pub use workers::fan_out;

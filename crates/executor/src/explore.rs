@@ -14,6 +14,10 @@
 //! * **non-structured** — a shared ready queue plus per-unit dependency
 //!   counters; finishing a unit asynchronously enqueues its newly-ready
 //!   children (queue wait is accounted as `explore` time).
+//!
+//! Every driver fans out through [`fan_out`]: the calling thread is worker
+//! 0 and only workers `1..num_threads` get a thread of their own, so a
+//! one-worker batch runs entirely on the caller and spawns nothing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,6 +26,7 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+use morphstream_common::fan_out;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
 use morphstream_scheduler::ExplorationStrategy;
 use morphstream_tpg::SchedulingUnits;
@@ -62,18 +67,19 @@ fn process_unit(
     }
 }
 
-/// Longest-path rank of every unit over the unit DAG, plus the number of
-/// strata.
-fn unit_strata(units: &SchedulingUnits) -> (Vec<usize>, usize) {
+/// The units grouped by their longest dependency path over the unit DAG:
+/// stratum `r` lists, in ascending order, the units whose longest chain of
+/// ancestors is `r` units long.
+fn unit_strata(units: &SchedulingUnits) -> Vec<Vec<usize>> {
     let n = units.num_units();
     let mut rank = vec![0usize; n];
     let mut indegree: Vec<usize> = (0..n).map(|u| units.parents(u).len()).collect();
     let mut queue: VecDeque<usize> = (0..n).filter(|&u| indegree[u] == 0).collect();
-    let mut max_rank = 0;
+    let mut num_strata = 0;
     let mut visited = 0;
     while let Some(u) = queue.pop_front() {
         visited += 1;
-        max_rank = max_rank.max(rank[u]);
+        num_strata = num_strata.max(rank[u] + 1);
         for &c in units.children(u) {
             rank[c] = rank[c].max(rank[u] + 1);
             indegree[c] -= 1;
@@ -83,7 +89,11 @@ fn unit_strata(units: &SchedulingUnits) -> (Vec<usize>, usize) {
         }
     }
     debug_assert_eq!(visited, n, "unit graph must be acyclic after merging");
-    (rank, if n == 0 { 0 } else { max_rank + 1 })
+    let mut strata = vec![Vec::new(); num_strata];
+    for (unit, &r) in rank.iter().enumerate() {
+        strata[r].push(unit);
+    }
+    strata
 }
 
 // ---------------------------------------------------------------------------
@@ -91,36 +101,20 @@ fn unit_strata(units: &SchedulingUnits) -> (Vec<usize>, usize) {
 // ---------------------------------------------------------------------------
 
 fn run_bfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Vec<Breakdown> {
-    let (rank, num_strata) = unit_strata(units);
-    let mut strata: Vec<Vec<usize>> = vec![Vec::new(); num_strata];
-    for (unit, &r) in rank.iter().enumerate() {
-        strata[r].push(unit);
-    }
+    let strata = unit_strata(units);
     let barrier = Barrier::new(num_threads);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_threads);
-        for worker in 0..num_threads {
-            let strata = &strata;
-            let barrier = &barrier;
-            handles.push(scope.spawn(move || {
-                let mut breakdown = Breakdown::new();
-                for stratum in strata {
-                    // every worker takes an interleaved slice of the stratum
-                    for unit in stratum.iter().skip(worker).step_by(num_threads) {
-                        process_unit(ctx, units, *unit, &mut breakdown);
-                    }
-                    let wait = Instant::now();
-                    barrier.wait();
-                    breakdown.add(BreakdownBucket::Sync, wait.elapsed());
-                }
-                breakdown
-            }));
+    fan_out(num_threads, |worker| {
+        let mut breakdown = Breakdown::new();
+        for stratum in &strata {
+            // every worker takes an interleaved slice of the stratum
+            for unit in stratum.iter().skip(worker).step_by(num_threads) {
+                process_unit(ctx, units, *unit, &mut breakdown);
+            }
+            let wait = Instant::now();
+            barrier.wait();
+            breakdown.add(BreakdownBucket::Sync, wait.elapsed());
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("BFS worker panicked"))
-            .collect()
+        breakdown
     })
 }
 
@@ -129,47 +123,31 @@ fn run_bfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Ve
 // ---------------------------------------------------------------------------
 
 fn run_dfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Vec<Breakdown> {
-    let (rank, _) = unit_strata(units);
-    let n = units.num_units();
-    // Assign units to threads round-robin in rank order so that every thread
+    // Deal the units round-robin in stratum order, so that every worker
     // processes its own units in topological order.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&u| (rank[u], u));
-    let assignments: Vec<Vec<usize>> = (0..num_threads)
-        .map(|w| order.iter().copied().skip(w).step_by(num_threads).collect())
-        .collect();
+    let order = unit_strata(units).concat();
 
-    // settled[unit] counts remaining unfinished parent units.
-    let remaining: Vec<AtomicUsize> = (0..n)
+    // remaining[unit] counts the unit's unfinished parent units.
+    let remaining: Vec<AtomicUsize> = (0..units.num_units())
         .map(|u| AtomicUsize::new(units.parents(u).len()))
         .collect();
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_threads);
-        for assignment in assignments.iter() {
-            let remaining = &remaining;
-            handles.push(scope.spawn(move || {
-                let mut breakdown = Breakdown::new();
-                for &unit in assignment {
-                    // spin until the unit's dependencies are settled
-                    let wait = Instant::now();
-                    while remaining[unit].load(Ordering::Acquire) > 0 {
-                        std::hint::spin_loop();
-                        std::thread::yield_now();
-                    }
-                    breakdown.add(BreakdownBucket::Explore, wait.elapsed());
-                    process_unit(ctx, units, unit, &mut breakdown);
-                    for &child in units.children(unit) {
-                        remaining[child].fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                breakdown
-            }));
+    fan_out(num_threads, |worker| {
+        let mut breakdown = Breakdown::new();
+        for &unit in order.iter().skip(worker).step_by(num_threads) {
+            // spin until the unit's dependencies are settled
+            let wait = Instant::now();
+            while remaining[unit].load(Ordering::Acquire) > 0 {
+                std::hint::spin_loop();
+                std::thread::yield_now();
+            }
+            breakdown.add(BreakdownBucket::Explore, wait.elapsed());
+            process_unit(ctx, units, unit, &mut breakdown);
+            for &child in units.children(unit) {
+                remaining[child].fetch_sub(1, Ordering::AcqRel);
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("DFS worker panicked"))
-            .collect()
+        breakdown
     })
 }
 
@@ -235,31 +213,20 @@ fn run_ns(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Vec
         total: n,
     };
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(num_threads);
-        for _ in 0..num_threads {
-            let ready = &ready;
-            let remaining = &remaining;
-            handles.push(scope.spawn(move || {
-                let mut breakdown = Breakdown::new();
-                while let Some(unit) = ready.pop(&mut breakdown) {
-                    process_unit(ctx, units, unit, &mut breakdown);
-                    // asynchronously notify dependents (the signal-holder of
-                    // the paper's ns-explore)
-                    for &child in units.children(unit) {
-                        if remaining[child].fetch_sub(1, Ordering::AcqRel) == 1 {
-                            ready.push(child);
-                        }
-                    }
-                    ready.mark_settled();
+    fan_out(num_threads, |_| {
+        let mut breakdown = Breakdown::new();
+        while let Some(unit) = ready.pop(&mut breakdown) {
+            process_unit(ctx, units, unit, &mut breakdown);
+            // asynchronously notify dependents (the signal-holder of the
+            // paper's ns-explore)
+            for &child in units.children(unit) {
+                if remaining[child].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    ready.push(child);
                 }
-                breakdown
-            }));
+            }
+            ready.mark_settled();
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("ns-explore worker panicked"))
-            .collect()
+        breakdown
     })
 }
 
@@ -383,11 +350,19 @@ mod tests {
     fn strata_ranks_respect_unit_dependencies() {
         let tpg = Arc::new(TpgBuilder::new().build(transfer_workload(8, 50)));
         let units = morphstream_tpg::SchedulingUnits::coarse(&tpg);
-        let (rank, num_strata) = unit_strata(&units);
-        assert!(num_strata >= 1);
+        let strata = unit_strata(&units);
+        assert!(!strata.is_empty());
+        let mut stratum_of = vec![usize::MAX; units.num_units()];
+        for (r, stratum) in strata.iter().enumerate() {
+            assert!(stratum.windows(2).all(|w| w[0] < w[1]));
+            for &unit in stratum {
+                stratum_of[unit] = r;
+            }
+        }
+        assert!(stratum_of.iter().all(|&r| r != usize::MAX));
         for unit in 0..units.num_units() {
             for &parent in units.parents(unit) {
-                assert!(rank[parent] < rank[unit]);
+                assert!(stratum_of[parent] < stratum_of[unit]);
             }
         }
     }

@@ -3,7 +3,8 @@
 //! Given a planned [`Tpg`](morphstream_tpg::Tpg), a
 //! [`SchedulingDecision`](morphstream_scheduler::SchedulingDecision) and the
 //! multi-version [`StateStore`](morphstream_storage::StateStore), the executor
-//! runs every operation of the batch on a pool of worker threads while
+//! runs every operation of the batch on `num_threads` workers — the calling
+//! thread is worker 0, so a one-worker batch spawns no thread — while
 //! maintaining the finite-state machine of Section 6.1 (BLK → RDY → EXE /
 //! ABT) for every vertex. Aborted transactions are rolled back through the
 //! multi-version table and their dependents are redone (Section 6.3.2), either

@@ -13,15 +13,16 @@
 //! sorted lists whose [`shard_of`] hash lands on it, fills them from the
 //! decomposed operation array, and immediately derives their edges, so list
 //! insertion *and* edge derivation scale with the configured worker count.
+//! The calling thread builds shard 0 and only the other shards get a thread
+//! ([`fan_out`]), so a one-shard build spawns nothing.
 //! Non-deterministic operations pessimistically broadcast a placeholder into
-//! every list of every shard. The serial and sharded paths produce identical
-//! graphs — each list's contents (and therefore its derived edges) do not
-//! depend on which worker owns it, and [`Tpg::assemble`] canonicalises edge
-//! order.
+//! every list of every shard. Every shard count produces the same graph —
+//! each list's contents (and therefore its derived edges) do not depend on
+//! which worker owns it, and [`Tpg::assemble`] canonicalises edge order.
 
 use std::collections::HashMap;
 
-use morphstream_common::{OpId, StateRef, Timestamp, TxnId};
+use morphstream_common::{fan_out, OpId, StateRef, Timestamp, TxnId};
 
 use crate::graph::{DepKind, Tpg};
 use crate::operation::Operation;
@@ -64,9 +65,10 @@ impl TpgBuilder {
     }
 
     /// Build the TPG for one batch. The effective shard count is clamped by
-    /// the batch size (see [`effective_shards`]): tiny batches run on the
-    /// calling thread — spawning workers that each rescan the whole operation
-    /// array to own one or zero lists would cost more than it saves.
+    /// the batch size (see [`effective_shards`]): tiny batches are one shard,
+    /// built on the calling thread — extra workers that each rescan the whole
+    /// operation array to own one or zero lists would cost more than they
+    /// save.
     pub fn build(&self, batch: TransactionBatch) -> Tpg {
         self.build_with(batch, None)
     }
@@ -112,23 +114,13 @@ impl TpgBuilder {
         // ---- Sharded stream + transaction processing phases ----
         let txn_of: Vec<TxnId> = ops.iter().map(|o| o.txn).collect();
         let shards = forced_shards.unwrap_or_else(|| effective_shards(self.num_threads, &ops));
-        let mut edges: Vec<(OpId, OpId, DepKind)> = if shards <= 1 {
-            shard_edges(&ops, &non_det, &txn_of, 0, 1)
-        } else {
-            let results: Vec<Vec<(OpId, OpId, DepKind)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..shards)
-                    .map(|shard| {
-                        let (ops, non_det, txn_of) = (&ops, &non_det, &txn_of);
-                        scope.spawn(move || shard_edges(ops, non_det, txn_of, shard, shards))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("construction worker panicked"))
-                    .collect()
-            });
-            results.into_iter().flatten().collect()
-        };
+        let mut per_shard = fan_out(shards, |shard| {
+            shard_edges(&ops, &non_det, &txn_of, shard, shards)
+        })
+        .into_iter();
+        // Shard 0's edges are the base, so a one-shard build copies nothing.
+        let mut edges = per_shard.next().unwrap_or_default();
+        edges.extend(per_shard.flatten());
 
         // Non-deterministic operations must also be ordered against each
         // other: chain them by timestamp so that two operations that might
@@ -183,9 +175,8 @@ fn effective_shards(num_threads: usize, ops: &[Operation]) -> usize {
 }
 
 /// Build the sorted lists owned by `shard` (out of `shards`) and derive their
-/// TD/PD edges. With `shards == 1` this is the whole batch — the serial path
-/// and every parallel shard run exactly this code, which is what keeps the
-/// two modes structurally identical.
+/// TD/PD edges. With `shards == 1` this is the whole batch — every shard
+/// count runs exactly this code, which is what keeps the graphs identical.
 ///
 /// Insertion order within a list matches the serial builder: operations are
 /// scanned in id (= decomposition) order, the target entry of an operation

@@ -1,14 +1,21 @@
 //! Cross-crate integration tests: every engine (MorphStream under all fixed
 //! scheduling decisions plus the correct baselines) must produce the same
-//! final state as a sequential oracle on the same workload.
+//! final state as a sequential oracle on the same workload, and runs its
+//! UDFs on the calling thread plus at most `num_threads - 1` others.
 
 use morphstream::storage::StateStore;
-use morphstream::{EngineConfig, MorphStream, SchedulingDecision, TxnEngine};
+use morphstream::{
+    EngineConfig, MorphStream, SchedulingDecision, StreamApp, TxnBuilder, TxnEngine, TxnOutcome,
+    Udf, UdfInput, UdfOutcome,
+};
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use morphstream_baselines::{LockedSpe, SStore, TStream};
 use morphstream_common::config::test_threads;
-use morphstream_common::{Value, WorkloadConfig};
+use morphstream_common::{TableId, Value, WorkloadConfig};
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
 fn config() -> WorkloadConfig {
@@ -284,4 +291,89 @@ fn locked_spe_with_locks_conserves_money_but_unlocked_may_not() {
     let unlocked_total: Value = final_balances(&store, &app, &config).iter().sum();
     assert!(unlocked_total <= expected_total + transfers);
     assert!(unlocked_total >= expected_total - deposits - transfers);
+}
+
+/// Counters over 16 keys whose UDF records the thread it runs on.
+struct ThreadProbe {
+    table: TableId,
+    threads: Arc<Mutex<HashSet<ThreadId>>>,
+}
+
+impl StreamApp for ThreadProbe {
+    type Event = u64;
+    type Output = ();
+
+    fn state_access(&self, event: &u64, txn: &mut TxnBuilder) {
+        let threads = self.threads.clone();
+        let udf: Udf = Arc::new(move |input: &UdfInput| {
+            threads
+                .lock()
+                .expect("a UDF panicked while recording its thread")
+                .insert(thread::current().id());
+            Ok(UdfOutcome::Value(input.target + 1))
+        });
+        txn.write(self.table, event % 16, udf);
+    }
+
+    fn post_process(&self, _event: &u64, _outcome: &TxnOutcome) {}
+}
+
+type MakeEngine = Box<dyn Fn(ThreadProbe, StateStore, EngineConfig) -> MorphStream<ThreadProbe>>;
+
+/// The threads the UDFs of one 64-event punctuation ran on, with `make`'s
+/// engine at `workers` workers. One punctuation, because every batch that
+/// spawns gets threads with fresh ids.
+fn udf_threads(make: &MakeEngine, workers: usize) -> HashSet<ThreadId> {
+    let store = StateStore::new();
+    let table = store.create_table("counters", 0, false);
+    store.preallocate_range(table, 16).unwrap();
+    let threads = Arc::new(Mutex::new(HashSet::new()));
+    let app = ThreadProbe {
+        table,
+        threads: threads.clone(),
+    };
+    let config = EngineConfig::with_threads(workers).with_punctuation_interval(64);
+    let report = make(app, store, config).run(0..64);
+    assert_eq!(report.committed, 64);
+    let seen = threads.lock().unwrap().clone();
+    seen
+}
+
+#[test]
+fn the_caller_is_worker_zero_and_one_worker_spawns_no_thread() {
+    let mut engines: Vec<(String, MakeEngine)> = vec![
+        ("adaptive MorphStream".into(), Box::new(MorphStream::new)),
+        ("TStream".into(), Box::new(TStream::engine)),
+        ("S-Store".into(), Box::new(SStore::engine)),
+        (
+            "locked SPE".into(),
+            Box::new(|app, store, config| {
+                LockedSpe::with_locks(app, store, config, Duration::ZERO)
+            }),
+        ),
+    ];
+    for decision in SchedulingDecision::all() {
+        engines.push((
+            format!("MorphStream under {decision}"),
+            Box::new(move |app, store, config| {
+                MorphStream::new(app, store, config).with_fixed_decision(decision)
+            }),
+        ));
+    }
+    let caller = thread::current().id();
+    for (name, make) in &engines {
+        assert_eq!(
+            udf_threads(make, 1),
+            HashSet::from([caller]),
+            "{name} at one worker ran a UDF off the calling thread"
+        );
+        let others = udf_threads(make, 2)
+            .into_iter()
+            .filter(|&t| t != caller)
+            .count();
+        assert!(
+            others <= 1,
+            "{name} at two workers ran UDFs on {others} threads besides the caller"
+        );
+    }
 }
