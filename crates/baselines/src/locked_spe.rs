@@ -138,6 +138,7 @@ impl BatchExecutor for LockedSpe {
             plan: Duration::ZERO,
             decision: None,
             coarse_unit_builds: 0,
+            workers: threads.max(1),
         }
     }
 }

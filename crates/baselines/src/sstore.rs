@@ -70,6 +70,7 @@ impl BatchExecutor for SStore {
             plan,
             decision: Some(DECISION),
             coarse_unit_builds: 0,
+            workers: threads.max(1),
         }
     }
 }

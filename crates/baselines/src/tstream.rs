@@ -83,6 +83,7 @@ impl BatchExecutor for TStream {
             plan,
             decision: Some(DECISION),
             coarse_unit_builds: 1,
+            workers: threads.max(1),
         }
     }
 }

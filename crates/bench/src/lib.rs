@@ -13,5 +13,6 @@
 
 pub mod figs;
 pub mod harness;
+pub mod workers;
 
 pub use harness::{Scale, SystemReport};

@@ -173,7 +173,15 @@ impl Default for WorkloadConfig {
 /// System-level engine configuration shared by MorphStream and the baselines.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Number of worker threads used by the execution stage.
+    /// Worker threads a batch may use — at most, per the batch's declared
+    /// work. MorphStream engages the calling thread plus one worker per
+    /// [`WORK_PER_WORKER_US`](crate::WORK_PER_WORKER_US) (2.5 ms) of the UDF
+    /// work the batch declares (`cost_us` summed), capped here, for the TPG
+    /// build and exploration alike (`effective_workers`); a batch declaring
+    /// no work runs on the caller alone. The constant comes from a sweep of
+    /// the Streaming Ledger shapes at one and two workers
+    /// (`fig21_hardware --workers`; table in ROADMAP item 4). The
+    /// reconstructed baselines engage all `num_threads`.
     pub num_threads: usize,
     /// Number of input events between punctuations. `None` means "use the
     /// workload's `txns_per_batch`".

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use morphstream_common::metrics::{Breakdown, BreakdownBucket, StageTimings};
-use morphstream_common::{EngineConfig, TableId, Timestamp};
+use morphstream_common::{effective_workers, EngineConfig, TableId, Timestamp};
 use morphstream_executor::{execute_batch_with_units, TxnOutcome};
 use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision};
 use morphstream_storage::StateStore;
@@ -69,10 +69,12 @@ pub struct ExecutedBatch {
     pub decision: Option<SchedulingDecision>,
     /// Coarse scheduling-unit partitions built for the group.
     pub coarse_unit_builds: u64,
+    /// Workers the group engaged, the calling thread included.
+    pub workers: usize,
 }
 
 /// Plans (if it plans at all) and executes one decomposed group of a
-/// punctuation batch against the store, on `threads` workers.
+/// punctuation batch against the store, on at most `threads` workers.
 ///
 /// The engine owns everything around the call — decomposition, timestamps,
 /// post-processing, pinning, dirty-marking, reclamation and the batch
@@ -93,15 +95,6 @@ pub trait BatchExecutor: Send {
 /// (per [`SchedulingMode`]), and run it.
 struct Morph {
     mode: SchedulingMode,
-    planner: TpgBuilder,
-}
-
-impl Morph {
-    fn new(mode: SchedulingMode, config: &EngineConfig) -> Self {
-        // TPG construction is sharded over the execution worker count.
-        let planner = TpgBuilder::new().with_threads(config.num_threads.max(1));
-        Self { mode, planner }
-    }
 }
 
 impl BatchExecutor for Morph {
@@ -111,9 +104,13 @@ impl BatchExecutor for Morph {
         store: &StateStore,
         threads: usize,
     ) -> ExecutedBatch {
+        // The group engages the workers its declared UDF work pays for, up
+        // to `threads`, for planning and execution alike.
+        let workers = effective_workers(threads, batch.declared_cost_us());
+
         // Planning: TPG construction, sharded by state key.
         let plan_started = Instant::now();
-        let tpg = Arc::new(self.planner.build(batch));
+        let tpg = Arc::new(TpgBuilder::new().with_threads(workers).build(batch));
         let plan = plan_started.elapsed();
 
         // Scheduling: decision model over the TPG properties. The coarse
@@ -139,7 +136,7 @@ impl BatchExecutor for Morph {
         let explore = explore_start.elapsed();
 
         // Execution.
-        let report = execute_batch_with_units(tpg, units, decision, store, threads);
+        let report = execute_batch_with_units(tpg, units, decision, store, workers);
         let mut breakdown = report.breakdown;
         breakdown.add(BreakdownBucket::Explore, explore);
         ExecutedBatch {
@@ -149,6 +146,7 @@ impl BatchExecutor for Morph {
             plan,
             decision: Some(decision),
             coarse_unit_builds,
+            workers,
         }
     }
 }
@@ -196,7 +194,9 @@ impl<A: StreamApp> MorphStream<A> {
     pub(crate) fn with_shared_app(app: Arc<A>, store: StateStore, config: EngineConfig) -> Self {
         Self {
             reclaim_visits: ReclaimVisits::new([&store]),
-            executor: Box::new(Morph::new(SchedulingMode::default(), &config)),
+            executor: Box::new(Morph {
+                mode: SchedulingMode::default(),
+            }),
             app,
             store,
             config,
@@ -209,7 +209,7 @@ impl<A: StreamApp> MorphStream<A> {
     /// Run the built-in executor under `mode` (adaptive by default).
     #[must_use = "builder methods return the updated value instead of mutating in place"]
     pub fn with_scheduling_mode(mut self, mode: SchedulingMode) -> Self {
-        self.executor = Box::new(Morph::new(mode, &self.config));
+        self.executor = Box::new(Morph { mode });
         self
     }
 
@@ -341,6 +341,7 @@ impl<A: StreamApp> MorphStream<A> {
         let mut aborted = 0usize;
         let mut redone_ops = 0usize;
         let mut coarse_unit_builds = 0u64;
+        let mut workers = 0usize;
         for group in groups {
             if group.is_empty() {
                 outcomes_per_group.push(Vec::new());
@@ -357,6 +358,7 @@ impl<A: StreamApp> MorphStream<A> {
             aborted += executed.outcomes.len() - group_committed;
             redone_ops += executed.redone_ops;
             coarse_unit_builds += executed.coarse_unit_builds;
+            workers = workers.max(executed.workers);
             outcomes_per_group.push(executed.outcomes);
         }
         let construct = decompose + plan;
@@ -400,6 +402,7 @@ impl<A: StreamApp> MorphStream<A> {
             decision: decision_of_first_group.unwrap_or_default(),
             redone_ops,
             coarse_unit_builds,
+            workers,
             reclaim_keys_visited,
             bytes_retained: self.store.bytes_retained(),
             timings: StageTimings {
@@ -790,9 +793,38 @@ mod tests {
     }
 
     #[test]
-    fn the_planner_follows_the_worker_count() {
-        let built_in = Morph::new(SchedulingMode::default(), &EngineConfig::with_threads(3));
-        assert_eq!(built_in.planner.threads(), 3);
+    fn the_workers_follow_the_declared_work() {
+        /// One deposit per event, each declaring `cost_us` of UDF work.
+        struct Costed {
+            accounts: TableId,
+            cost_us: u64,
+        }
+        impl StreamApp for Costed {
+            type Event = u64;
+            type Output = ();
+            fn state_access(&self, event: &u64, txn: &mut TxnBuilder) {
+                txn.set_cost_us(self.cost_us)
+                    .write(self.accounts, event % 64, udfs::add_delta(1));
+            }
+            fn post_process(&self, _event: &u64, _outcome: &TxnOutcome) {}
+        }
+
+        const EVENTS: u64 = 16;
+        let workers_at = |cost_us: u64| -> Vec<usize> {
+            let (store, accounts) = setup(0);
+            let config = EngineConfig::with_threads(3).with_punctuation_interval(EVENTS as usize);
+            let mut engine = MorphStream::new(Costed { accounts, cost_us }, store, config);
+            let report = engine.run(0..EVENTS);
+            report.batches.iter().map(|b| b.workers).collect()
+        };
+        let share = morphstream_common::WORK_PER_WORKER_US;
+        // `num_threads` is a ceiling: a batch that declares no work runs on
+        // the caller alone, …
+        assert_eq!(workers_at(0), [1]);
+        // … each share of declared work pays for one more worker …
+        assert_eq!(workers_at(share.div_ceil(EVENTS)), [2]);
+        // … and no batch engages more than the configured three.
+        assert_eq!(workers_at(10 * share / EVENTS), [3]);
     }
 
     #[test]

@@ -39,6 +39,12 @@ pub struct BatchSummary {
     /// whose decision needed the cycle flag or chose `c-schedule`, so 0 for a
     /// batch the cheap TD/PD test already sent to `f-schedule`.
     pub coarse_unit_builds: u64,
+    /// Workers the batch engaged, the calling thread included: MorphStream
+    /// engages what the batch's declared UDF work pays for, at most
+    /// `EngineConfig::num_threads` (the most any group engaged, when the
+    /// nested configuration is used; the most any operator instance's batch
+    /// engaged, for a topology round); a baseline engages `num_threads`.
+    pub workers: usize,
     /// Version chains the after-batch reclaim visited: the keys written
     /// since their last reclaim, not the keys of the tables. On a store
     /// shared with concurrently running engines, their visits count too.
@@ -324,6 +330,7 @@ impl<O> RunReport<O> {
             p50_latency_ms: pct(50.0),
             p95_latency_ms: pct(95.0),
             peak_bytes_retained: self.memory.peak_bytes(),
+            batch_workers: self.batches.last().map_or(0, |b| b.workers as u64),
             latency: self.latency.histogram(),
             operators: self
                 .operators
@@ -404,6 +411,8 @@ pub struct ReportSnapshot {
     pub p95_latency_ms: f64,
     /// Largest state-store footprint observed (gauge, bytes).
     pub peak_bytes_retained: u64,
+    /// Workers the newest batch engaged (gauge; 0 before the first batch).
+    pub batch_workers: u64,
     /// End-to-end latency distribution as a fixed-bucket histogram — the
     /// fold-able form `/metrics` renders as `_bucket`/`_sum`/`_count` rows.
     pub latency: LatencyHistogram,
@@ -439,6 +448,9 @@ impl ReportSnapshot {
         if other.events > 0 {
             self.p50_latency_ms = other.p50_latency_ms;
             self.p95_latency_ms = other.p95_latency_ms;
+        }
+        if other.batches > 0 {
+            self.batch_workers = other.batch_workers;
         }
         self.peak_bytes_retained = self.peak_bytes_retained.max(other.peak_bytes_retained);
         self.latency.fold(&other.latency);
@@ -508,6 +520,7 @@ mod tests {
             decision: SchedulingDecision::default(),
             redone_ops: 0,
             coarse_unit_builds: 0,
+            workers: 1,
             reclaim_keys_visited: 0,
             bytes_retained: 0,
             timings: StageTimings {
@@ -545,6 +558,7 @@ mod tests {
                 decision: d,
                 redone_ops: 0,
                 coarse_unit_builds: 0,
+                workers: 1,
                 reclaim_keys_visited: 0,
                 bytes_retained: 0,
                 timings: StageTimings::default(),
@@ -565,6 +579,7 @@ mod tests {
             decision: SchedulingDecision::default(),
             redone_ops: 1,
             coarse_unit_builds: 2,
+            workers: 1,
             reclaim_keys_visited: 7,
             bytes_retained: 512,
             timings: StageTimings {
@@ -586,6 +601,7 @@ mod tests {
             processing_seconds: 0.5,
             p95_latency_ms: 7.0,
             peak_bytes_retained: 100,
+            batch_workers: 2,
             ..Default::default()
         };
         session.operators.push(OperatorCounters {
@@ -610,6 +626,10 @@ mod tests {
         assert_eq!(total.edges[0].queue_full_waits, 6);
         assert_eq!(total.peak_bytes_retained, 100);
         assert!((total.events_per_second() - 20.0).abs() < 1e-9);
+        // the newest batch's worker count survives a session without batches
+        assert_eq!(total.batch_workers, 2);
+        total.fold(&ReportSnapshot::default());
+        assert_eq!(total.batch_workers, 2);
     }
 
     #[test]
@@ -618,6 +638,7 @@ mod tests {
         report.outputs.extend([1, 2]);
         report.record_batch(summary(2, 2), &Breakdown::new(), Duration::from_millis(5));
         let snap = report.snapshot();
+        assert_eq!(snap.batch_workers, 1);
         assert_eq!(snap.latency.count, 2);
         let rows = snap.latency.cumulative_buckets();
         assert_eq!(rows.last().unwrap().1, 2);

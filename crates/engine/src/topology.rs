@@ -165,6 +165,8 @@ struct RoundAcc {
     entry_events: usize,
     totals: InstanceStats,
     decision: Option<SchedulingDecision>,
+    /// The most workers any instance's batch of the round engaged.
+    workers: usize,
 }
 
 /// Everything a topology session accumulates on the caller side: the
@@ -247,6 +249,7 @@ impl<In, Out: 'static> Session<In, Out> {
                 entry_events: 0,
                 totals: InstanceStats::default(),
                 decision: None,
+                workers: 0,
             },
         );
         seq
@@ -281,6 +284,7 @@ impl<In, Out: 'static> Session<In, Out> {
                     acc.entry_events += round.delta.events;
                     acc.decision = acc.decision.or(round.decision);
                 }
+                acc.workers = acc.workers.max(round.workers);
                 acc.totals.merge(&round.delta);
                 let at = (round.node, round.instance);
                 self.live_counters.insert(at, round.live);
@@ -315,6 +319,7 @@ impl<In, Out: 'static> Session<In, Out> {
                 decision: acc.decision.unwrap_or_default(),
                 redone_ops: acc.totals.redone_ops,
                 coarse_unit_builds: acc.totals.coarse_unit_builds,
+                workers: acc.workers,
                 reclaim_keys_visited,
                 bytes_retained: self.stores.iter().map(StateStore::bytes_retained).sum(),
                 timings: acc.totals.timings,

@@ -20,7 +20,7 @@ use super::route::ErasedRoute;
 use crate::app::StreamApp;
 use crate::engine::MorphStream;
 use crate::pipeline::TxnEngine;
-use crate::report::{OperatorCounters, OperatorReport};
+use crate::report::{BatchSummary, OperatorCounters, OperatorReport};
 
 /// Cumulative session counters of one operator instance's engine. Deltas
 /// between two snapshots describe one propagation round.
@@ -83,8 +83,8 @@ pub(super) trait ErasedInstance: Send {
     fn take_outputs(&mut self) -> Box<dyn Any + Send>;
     /// Cumulative session counters of this instance's engine.
     fn stats(&self) -> InstanceStats;
-    /// The scheduling decision of the newest completed batch.
-    fn last_decision(&self) -> Option<SchedulingDecision>;
+    /// The newest completed batch of the session.
+    fn last_batch(&self) -> Option<&BatchSummary>;
     /// Close the instance's session and condense it into a sub-report.
     fn finish_instance(&mut self, name: &str) -> OperatorReport;
 }
@@ -135,8 +135,8 @@ where
         }
     }
 
-    fn last_decision(&self) -> Option<SchedulingDecision> {
-        self.engine.report().batches.last().map(|b| b.decision)
+    fn last_batch(&self) -> Option<&BatchSummary> {
+        self.engine.report().batches.last()
     }
 
     fn finish_instance(&mut self, name: &str) -> OperatorReport {
@@ -288,6 +288,9 @@ pub(super) struct RoundReport {
     /// On entry instances, the newest batch's scheduling decision (it labels
     /// the round).
     pub(super) decision: Option<SchedulingDecision>,
+    /// Workers the instance's newest batch engaged, when the round completed
+    /// one; 0 otherwise.
+    pub(super) workers: usize,
     /// The instance's cumulative counters after the round — the live
     /// observability feed behind [`Topology::live_rows`](super::Topology::live_rows).
     pub(super) live: OperatorCounters,
@@ -438,7 +441,9 @@ impl InstanceCore {
             aborted: self.baseline.aborted as u64,
             batches: self.inst.completed_batches() as u64,
         };
-        let decision = self.is_entry.then(|| self.inst.last_decision()).flatten();
+        let last = self.inst.last_batch();
+        let decision = last.filter(|_| self.is_entry).map(|b| b.decision);
+        let workers = last.filter(|_| delta.events > 0).map_or(0, |b| b.workers);
         let finished = (kind == RoundKind::Finish).then(|| {
             self.baseline = InstanceStats::default();
             self.inst.finish_instance(&self.label)
@@ -450,6 +455,7 @@ impl InstanceCore {
             is_entry: self.is_entry,
             delta,
             decision,
+            workers,
             live,
             finished,
         })));

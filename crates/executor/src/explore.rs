@@ -102,7 +102,9 @@ fn unit_strata(units: &SchedulingUnits) -> Vec<Vec<usize>> {
 
 fn run_bfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Vec<Breakdown> {
     let strata = unit_strata(units);
-    let barrier = Barrier::new(num_threads);
+    // A lone worker has nobody to wait for, and a barrier wait still costs
+    // it a condvar round trip per stratum.
+    let barrier = (num_threads > 1).then(|| Barrier::new(num_threads));
     fan_out(num_threads, |worker| {
         let mut breakdown = Breakdown::new();
         for stratum in &strata {
@@ -110,9 +112,11 @@ fn run_bfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Ve
             for unit in stratum.iter().skip(worker).step_by(num_threads) {
                 process_unit(ctx, units, *unit, &mut breakdown);
             }
-            let wait = Instant::now();
-            barrier.wait();
-            breakdown.add(BreakdownBucket::Sync, wait.elapsed());
+            if let Some(barrier) = &barrier {
+                let wait = Instant::now();
+                barrier.wait();
+                breakdown.add(BreakdownBucket::Sync, wait.elapsed());
+            }
         }
         breakdown
     })
@@ -135,13 +139,17 @@ fn run_dfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Ve
     fan_out(num_threads, |worker| {
         let mut breakdown = Breakdown::new();
         for &unit in order.iter().skip(worker).step_by(num_threads) {
-            // spin until the unit's dependencies are settled
-            let wait = Instant::now();
-            while remaining[unit].load(Ordering::Acquire) > 0 {
-                std::hint::spin_loop();
-                std::thread::yield_now();
+            // spin until the unit's dependencies are settled; the clock runs
+            // only when the unit was not ready on the first look
+            let unsettled = || remaining[unit].load(Ordering::Acquire) > 0;
+            if unsettled() {
+                let wait = Instant::now();
+                while unsettled() {
+                    std::hint::spin_loop();
+                    std::thread::yield_now();
+                }
+                breakdown.add(BreakdownBucket::Explore, wait.elapsed());
             }
-            breakdown.add(BreakdownBucket::Explore, wait.elapsed());
             process_unit(ctx, units, unit, &mut breakdown);
             for &child in units.children(unit) {
                 remaining[child].fetch_sub(1, Ordering::AcqRel);
@@ -155,48 +163,71 @@ fn run_dfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Ve
 // non-structured
 // ---------------------------------------------------------------------------
 
+/// The units ready to run, and how many workers sleep waiting for one.
+struct Ready {
+    units: VecDeque<usize>,
+    sleepers: usize,
+}
+
 struct ReadyQueue {
-    queue: Mutex<VecDeque<usize>>,
+    ready: Mutex<Ready>,
     available: Condvar,
     settled: AtomicUsize,
     total: usize,
 }
 
 impl ReadyQueue {
+    /// Enqueue a ready unit and wake a sleeper, if there is one. A notify
+    /// is a futex syscall even when nobody waits, so a lone worker — or a
+    /// team whose members are all busy — skips it. A worker counts itself
+    /// a sleeper under the lock before it waits, so none is missed.
     fn push(&self, unit: usize) {
-        self.queue.lock().push_back(unit);
-        self.available.notify_one();
+        let mut ready = self.ready.lock();
+        ready.units.push_back(unit);
+        let wake = ready.sleepers > 0;
+        drop(ready);
+        if wake {
+            self.available.notify_one();
+        }
     }
 
     /// Pop the next ready unit; returns `None` when every unit has settled.
-    /// The wait time is added to the `explore` bucket.
+    /// Time spent waiting for a unit is added to the `explore` bucket; the
+    /// clock starts only once the first look finds nothing ready.
     fn pop(&self, breakdown: &mut Breakdown) -> Option<usize> {
-        let wait = Instant::now();
-        let mut queue = self.queue.lock();
-        loop {
-            if let Some(unit) = queue.pop_front() {
-                breakdown.add(BreakdownBucket::Explore, wait.elapsed());
-                return Some(unit);
+        let mut ready = self.ready.lock();
+        let mut waiting_since = None;
+        let unit = loop {
+            if let Some(unit) = ready.units.pop_front() {
+                break Some(unit);
             }
             if self.settled.load(Ordering::Acquire) >= self.total {
-                breakdown.add(BreakdownBucket::Explore, wait.elapsed());
-                return None;
+                break None;
             }
+            waiting_since.get_or_insert_with(Instant::now);
+            ready.sleepers += 1;
             self.available
-                .wait_for(&mut queue, std::time::Duration::from_millis(1));
+                .wait_for(&mut ready, std::time::Duration::from_millis(1));
+            ready.sleepers -= 1;
+        };
+        if let Some(since) = waiting_since {
+            breakdown.add(BreakdownBucket::Explore, since.elapsed());
         }
+        unit
     }
 
     fn mark_settled(&self) {
         if self.settled.fetch_add(1, Ordering::AcqRel) + 1 >= self.total {
-            // Notify under the queue lock: a worker in `pop` checks `settled`
-            // and starts waiting without releasing that lock in between, so
-            // it is either before its check (and sees the count) or already
-            // waiting (and gets this wake-up). Notifying without the lock
-            // could land between the two and leave it asleep until its poll
-            // times out.
-            let _queue = self.queue.lock();
-            self.available.notify_all();
+            // Look for sleepers under the lock: a worker in `pop` checks
+            // `settled` and counts itself a sleeper without releasing that
+            // lock in between, so it either sees the count or is counted
+            // here and gets this wake-up. Looking without the lock could
+            // land between the two and leave it asleep until its poll times
+            // out.
+            let ready = self.ready.lock();
+            if ready.sleepers > 0 {
+                self.available.notify_all();
+            }
         }
     }
 }
@@ -207,7 +238,10 @@ fn run_ns(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Vec
         .map(|u| AtomicUsize::new(units.parents(u).len()))
         .collect();
     let ready = ReadyQueue {
-        queue: Mutex::new((0..n).filter(|&u| units.parents(u).is_empty()).collect()),
+        ready: Mutex::new(Ready {
+            units: (0..n).filter(|&u| units.parents(u).is_empty()).collect(),
+            sleepers: 0,
+        }),
         available: Condvar::new(),
         settled: AtomicUsize::new(0),
         total: n,

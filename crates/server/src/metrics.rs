@@ -335,6 +335,12 @@ fn render_at(total: &ReportSnapshot, metrics: &ServerMetrics, now: Duration) -> 
         "Largest state-store footprint observed.",
         total.peak_bytes_retained as f64,
     );
+    gauge(
+        &mut out,
+        "morphstream_batch_workers",
+        "Workers the newest batch engaged: what its declared UDF work pays for, at most --threads.",
+        total.batch_workers as f64,
+    );
 
     // End-to-end latency as a real histogram: cumulative buckets, quantiles
     // computable server-side with histogram_quantile().
@@ -648,8 +654,9 @@ mod tests {
 
     /// The durability families moved from a struct inside the snapshot to
     /// the mirror itself, and the per-operator families into one loop; what
-    /// a scrape says did not change. The fixture is the parent commit's
-    /// rendering of this same input.
+    /// a scrape says did not change. The fixture is an earlier rendering of
+    /// this same input; a scrape may gain families (as it gained
+    /// `morphstream_batch_workers`), never change or lose one.
     #[test]
     fn a_durable_scrape_is_byte_identical_to_the_parent_commits() {
         let metrics = ServerMetrics::new();
@@ -678,6 +685,7 @@ mod tests {
             batches: 10,
             processing_seconds: 0.5,
             peak_bytes_retained: 4_096,
+            batch_workers: 2,
             ..Default::default()
         };
         total.latency.observe_micros(700);

@@ -174,6 +174,13 @@ fn metrics_endpoint_serves_prometheus_that_sums_to_the_final_report() {
             "{name} diverged from the final report"
         );
     }
+    // The served operators declare no UDF work, so every batch runs on the
+    // thread that cut it, however many threads the server was given.
+    assert_eq!(
+        metric_value(&scrape, "morphstream_batch_workers"),
+        Some(1.0)
+    );
+    assert_eq!(summary.snapshot.batch_workers, 1);
     let per_operator: f64 = summary
         .snapshot
         .operators

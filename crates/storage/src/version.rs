@@ -133,10 +133,22 @@ impl VersionChain {
     /// is scoped to the aborting transaction's own timestamp — a version that
     /// survived from an earlier batch can never be collaterally deleted by a
     /// later abort that happens to reuse the writer id.
+    ///
+    /// The chain is sorted by `(ts, stmt)`, so only the versions at `ts` are
+    /// looked at: found by binary search and compacted in place, moving the
+    /// newer tail once.
     pub fn remove_writer_at(&mut self, writer: WriterId, ts: Timestamp) -> usize {
-        let before = self.versions.len();
-        self.versions.retain(|v| v.writer != writer || v.ts != ts);
-        before - self.versions.len()
+        let start = self.versions.partition_point(|v| v.ts < ts);
+        let end = start + self.versions[start..].partition_point(|v| v.ts == ts);
+        let mut kept = start;
+        for i in start..end {
+            if self.versions[i].writer != writer {
+                self.versions[kept] = self.versions[i];
+                kept += 1;
+            }
+        }
+        self.versions.drain(kept..end);
+        end - kept
     }
 
     /// Drop every version except the newest one at or before `ts`, plus any
@@ -234,6 +246,35 @@ mod tests {
         assert_eq!(chain.read_before(30, 0).unwrap().value, 100);
         // removing a non-existent writer is a no-op
         assert_eq!(chain.remove_writer_at(99, 20), 0);
+    }
+
+    /// Random chains built by out-of-order inserts, with few timestamps (so
+    /// many ties) and few writer ids (so ids recur across timestamps, as
+    /// batch-local operation ids do across batches): removing any writer at
+    /// any timestamp leaves what the linear scan it replaced would leave.
+    #[test]
+    fn remove_writer_at_matches_a_linear_scan_on_random_chains() {
+        let mut rng = morphstream_common::rng::DetRng::new(0x5eed);
+        for _ in 0..500 {
+            let mut chain = VersionChain::with_initial(0);
+            for i in 0..rng.next_below(24) {
+                let ts = 1 + rng.next_below(6);
+                let stmt = rng.next_below(3) as u32;
+                chain.insert(v(ts, stmt, rng.next_below(4), i as Value));
+            }
+            let (writer, ts) = (rng.next_below(5), rng.next_below(8));
+            let before = chain.len();
+            let mut linear = chain.versions().to_vec();
+            linear.retain(|v| v.writer != writer || v.ts != ts);
+
+            let removed = chain.remove_writer_at(writer, ts);
+            assert_eq!(chain.versions(), &linear[..]);
+            assert_eq!(removed, before - linear.len());
+            assert!(chain
+                .versions()
+                .windows(2)
+                .all(|w| w[0].order_key() <= w[1].order_key()));
+        }
     }
 
     #[test]

@@ -108,6 +108,15 @@ impl TransactionBatch {
         self.txns.iter().map(Transaction::len).sum()
     }
 
+    /// UDF work the batch declares: the `cost_us` of every operation, summed.
+    pub fn declared_cost_us(&self) -> u64 {
+        self.txns
+            .iter()
+            .flat_map(|t| &t.ops)
+            .map(|op| op.cost_us)
+            .sum()
+    }
+
     /// Consume the batch, returning transactions sorted by timestamp (ties
     /// broken by arrival order, which `sort_by_key` preserves because it is
     /// stable). This is the sorting step of the stream processing phase.
@@ -147,6 +156,15 @@ mod tests {
         batch.push(txn(1, 3));
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.total_ops(), 5);
+        assert_eq!(batch.declared_cost_us(), 0);
+        batch.push(Transaction::new(
+            3,
+            vec![
+                OperationSpec::read(TableId(0), 1).with_cost_us(7),
+                OperationSpec::read(TableId(0), 2).with_cost_us(5),
+            ],
+        ));
+        assert_eq!(batch.declared_cost_us(), 12);
         assert!(!batch.is_empty());
         assert_eq!(batch.txns()[0].ts, 2);
     }

@@ -151,6 +151,7 @@ fn a_report_stores_and_snapshots_per_batch_not_per_event() {
             decision: Default::default(),
             redone_ops: 0,
             coarse_unit_builds: 0,
+            workers: 1,
             reclaim_keys_visited: 1_500,
             bytes_retained: bytes,
             timings: StageTimings::default(),

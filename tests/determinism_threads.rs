@@ -4,16 +4,25 @@
 //! (SL, GS, OSED, SEA, TP, Dynamic). This catches data races in the sharded
 //! TPG builder and the parallel executor that the oracle-equivalence tests
 //! (which fix one thread count per run) can miss.
+//!
+//! A batch engages only the workers its declared UDF work pays for, so
+//! every operation here declares [`COST_US`]: enough that a full batch
+//! engages a second worker, which each multi-thread leg checks.
 
 use std::fmt::Debug;
 
 use morphstream::storage::StateStore;
-use morphstream::{EngineConfig, MorphStream, StreamApp, TxnEngine};
-use morphstream_common::{Timestamp, WorkloadConfig};
+use morphstream::{EngineConfig, MorphStream, StreamApp, TxnBuilder, TxnEngine, TxnOutcome};
+use morphstream_common::{Timestamp, WorkloadConfig, WORK_PER_WORKER_US};
 use morphstream_workloads::{
     DynamicWorkload, GrepSumApp, OsedApp, SeaApp, SeaGenerator, StreamingLedgerApp,
     TollProcessingApp, TweetGenerator,
 };
+
+/// UDF cost every operation declares, µs: every full batch below holds at
+/// least 100 operations, so it declares the share that engages a second
+/// worker (and at most a few more).
+const COST_US: u64 = WORK_PER_WORKER_US.div_ceil(100);
 
 /// FNV-1a over the `Debug` rendering of every output, in event order.
 fn output_digest<O: Debug>(outputs: &[O]) -> u64 {
@@ -35,8 +44,8 @@ struct RunDigest {
 }
 
 /// Build a fresh engine via `make`, run the workload at `threads` workers,
-/// and fingerprint the result.
-fn run_once<A, F>(make: &F, threads: usize) -> RunDigest
+/// and fingerprint the result, with the most workers any batch engaged.
+fn run_once<A, F>(make: &F, threads: usize) -> (RunDigest, usize)
 where
     A: StreamApp,
     A::Output: Debug,
@@ -49,35 +58,64 @@ where
     };
     let mut engine = MorphStream::new(app, store.clone(), config);
     let report = engine.run(events);
-    RunDigest {
+    let digest = RunDigest {
         state: store.state_digest(),
         outputs: output_digest(&report.outputs),
         committed: report.committed,
         aborted: report.aborted,
-    }
+    };
+    let workers = report.batches.iter().map(|b| b.workers).max();
+    (digest, workers.unwrap_or(0))
 }
 
-/// The digest must be identical for threads 1..=8.
+/// The digest must be identical for threads 1..=8, and every run past one
+/// thread must have engaged more than one worker.
 fn assert_deterministic<A, F>(workload: &str, make: F)
 where
     A: StreamApp,
     A::Output: Debug,
     F: Fn() -> (A, StateStore, Vec<A::Event>, EngineConfig),
 {
-    let reference = run_once(&make, 1);
+    let (reference, _) = run_once(&make, 1);
     for threads in 2..=8usize {
-        let digest = run_once(&make, threads);
+        let (digest, workers) = run_once(&make, threads);
         assert_eq!(
             digest, reference,
             "{workload}: run with {threads} threads diverged"
         );
+        assert!(
+            workers > 1,
+            "{workload}: no batch engaged a second worker at {threads} threads"
+        );
+    }
+}
+
+/// Declares [`COST_US`] on every operation of an application that declares
+/// no UDF cost of its own.
+struct Costed<A>(A);
+
+impl<A: StreamApp> StreamApp for Costed<A> {
+    type Event = A::Event;
+    type Output = A::Output;
+
+    fn state_access(&self, event: &A::Event, txn: &mut TxnBuilder) {
+        txn.set_cost_us(COST_US);
+        self.0.state_access(event, txn);
+    }
+
+    fn post_process(&self, event: &A::Event, outcome: &TxnOutcome) -> A::Output {
+        self.0.post_process(event, outcome)
+    }
+
+    fn expected_abort_ratio(&self) -> f64 {
+        self.0.expected_abort_ratio()
     }
 }
 
 fn small(config: WorkloadConfig) -> WorkloadConfig {
     config
         .with_key_space(256)
-        .with_udf_complexity_us(0)
+        .with_udf_complexity_us(COST_US)
         .with_txns_per_batch(128)
 }
 
@@ -127,7 +165,7 @@ fn osed_is_deterministic_across_thread_counts() {
         };
         let (tweets, _expected) = generator.generate();
         let store = StateStore::new();
-        let app = OsedApp::new(&store, generator.window as Timestamp + 1);
+        let app = Costed(OsedApp::new(&store, generator.window as Timestamp + 1));
         let engine_config = EngineConfig::with_threads(1)
             .with_punctuation_interval(generator.window + 1)
             .with_reclaim_after_batch(false);
@@ -145,7 +183,7 @@ fn sea_is_deterministic_across_thread_counts() {
         };
         let events = generator.generate();
         let store = StateStore::new();
-        let app = SeaApp::new(&store, generator.stocks, 100);
+        let app = Costed(SeaApp::new(&store, generator.stocks, 100));
         let engine_config = EngineConfig::with_threads(1)
             .with_punctuation_interval(128)
             .with_reclaim_after_batch(false);

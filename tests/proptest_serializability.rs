@@ -2,6 +2,10 @@
 //! arbitrary scheduling decisions, the committed state MorphStream produces
 //! equals the state of a sequential oracle, and aborted transactions leave no
 //! trace.
+//!
+//! A batch engages only the workers its declared UDF work pays for, so the
+//! multi-thread cases declare a cost on every operation that makes their
+//! first batch pay for a second worker, and check that one did.
 
 use proptest::prelude::*;
 
@@ -10,7 +14,7 @@ use morphstream::{
     AbortHandling, EngineConfig, ExplorationStrategy, Granularity, MorphStream, SchedulingDecision,
     StreamApp, TxnBuilder, TxnEngine, TxnOutcome,
 };
-use morphstream_common::{StateRef, TableId, Value};
+use morphstream_common::{StateRef, TableId, Value, WORK_PER_WORKER_US};
 use morphstream_tpg::udfs;
 
 #[derive(Debug, Clone)]
@@ -21,6 +25,8 @@ enum Op {
 
 struct Ledger {
     accounts: TableId,
+    /// UDF cost every operation declares, µs.
+    cost_us: u64,
 }
 
 impl StreamApp for Ledger {
@@ -28,6 +34,7 @@ impl StreamApp for Ledger {
     type Output = bool;
 
     fn state_access(&self, event: &Op, txn: &mut TxnBuilder) {
+        txn.set_cost_us(self.cost_us);
         match event {
             Op::Deposit { account, amount } => {
                 txn.write(self.accounts, *account, udfs::add_delta(*amount));
@@ -51,6 +58,16 @@ impl StreamApp for Ledger {
 
 const ACCOUNTS: u64 = 8;
 const INITIAL: Value = 50;
+
+/// The per-operation cost at which the first batch of `events` cut every
+/// `punctuation` events declares the share of work that engages a second
+/// worker — every event has at least one operation — or none at one thread.
+fn op_cost_us(threads: usize, events: usize, punctuation: usize) -> u64 {
+    if threads == 1 {
+        return 0;
+    }
+    WORK_PER_WORKER_US.div_ceil(events.min(punctuation) as u64)
+}
 
 /// Sequential oracle: final balances plus the commit/abort outcome of every
 /// event in timestamp order (the serializable history the engine must match).
@@ -124,8 +141,9 @@ proptest! {
         let store = StateStore::new();
         let accounts = store.create_table("accounts", INITIAL, false);
         store.preallocate_range(accounts, ACCOUNTS).unwrap();
+        let cost_us = op_cost_us(threads, events.len(), punctuation);
         let mut engine = MorphStream::new(
-            Ledger { accounts },
+            Ledger { accounts, cost_us },
             store.clone(),
             EngineConfig::with_threads(threads).with_punctuation_interval(punctuation),
         )
@@ -133,6 +151,10 @@ proptest! {
         let report = engine.run(events.clone());
 
         prop_assert_eq!(report.events(), events.len());
+        prop_assert_eq!(
+            report.batches.iter().any(|b| b.workers > 1),
+            threads > 1
+        );
         let snapshot = store.snapshot_latest(accounts).unwrap();
         let got: Vec<Value> = (0..ACCOUNTS).map(|k| snapshot[&k]).collect();
         prop_assert_eq!(got, expected);
@@ -168,8 +190,9 @@ proptest! {
         let store = StateStore::new();
         let accounts = store.create_table("accounts", INITIAL, false);
         store.preallocate_range(accounts, ACCOUNTS).unwrap();
+        let cost_us = op_cost_us(threads, events.len(), punctuation);
         let mut engine = MorphStream::new(
-            Ledger { accounts },
+            Ledger { accounts, cost_us },
             store.clone(),
             EngineConfig::with_threads(threads).with_punctuation_interval(punctuation),
         );
@@ -180,6 +203,10 @@ proptest! {
         let report = pipeline.finish();
 
         prop_assert_eq!(report.events(), events.len());
+        prop_assert_eq!(
+            report.batches.iter().any(|b| b.workers > 1),
+            threads > 1
+        );
         // serializable history: per-event outcomes equal the sequential oracle
         prop_assert_eq!(&report.outputs, &expected_outcomes);
         let snapshot = store.snapshot_latest(accounts).unwrap();
