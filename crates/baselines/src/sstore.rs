@@ -11,8 +11,9 @@
 //! partitions the graph into *transaction-granularity* units with additional
 //! partition-level conflict edges
 //! ([`SchedulingUnits::by_partitioned_transaction`]), then executes them with
-//! the non-structured driver and eager aborts. Everything around the batch
-//! is MorphStream's own punctuation path ([`SStore::engine`]).
+//! the non-structured driver and eager aborts; a one-worker batch runs its
+//! operations in timestamp order and builds no units. Everything around the
+//! batch is MorphStream's own punctuation path ([`SStore::engine`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,8 +23,8 @@ use morphstream::{
     AbortHandling, BatchExecutor, EngineConfig, ExecutedBatch, ExplorationStrategy, Granularity,
     MorphStream, SchedulingDecision, StreamApp,
 };
-use morphstream_executor::execute_batch_with_units;
-use morphstream_tpg::{SchedulingUnits, TpgBuilder, TransactionBatch};
+use morphstream_executor::execute_tpg;
+use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, TransactionBatch};
 
 /// S-Store's one way to run a batch: whole transactions, dispatched as
 /// their partitions free up, aborts resolved as they happen.
@@ -61,8 +62,8 @@ impl BatchExecutor for SStore {
         let plan = plan_started.elapsed();
         // One state partition per worker, as in the original system where
         // each partition is owned by one site.
-        let units = SchedulingUnits::by_partitioned_transaction(&tpg, threads.max(1));
-        let report = execute_batch_with_units(tpg, units, DECISION, store, threads);
+        let partitions = |tpg: &Tpg| SchedulingUnits::by_partitioned_transaction(tpg, threads);
+        let report = execute_tpg(tpg, DECISION, store, threads, partitions);
         ExecutedBatch {
             outcomes: report.outcomes,
             breakdown: report.breakdown,

@@ -12,8 +12,10 @@
 //! structured DFS driver (spin-waiting on dependencies, like TStream's
 //! blocking) and lazy abort handling; when any transaction aborted, the
 //! wasted re-processing of the batch is emulated by re-spinning the useful
-//! time once, mirroring the whole-batch redo. Everything around the batch
-//! is MorphStream's own punctuation path ([`TStream::engine`]).
+//! time once, mirroring the whole-batch redo. As every executor's, a
+//! one-worker batch runs its operations in timestamp order and builds no
+//! chains. Everything around the batch is MorphStream's own punctuation
+//! path ([`TStream::engine`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,8 +26,8 @@ use morphstream::{
     MorphStream, SchedulingDecision, StreamApp,
 };
 use morphstream_common::metrics::BreakdownBucket;
-use morphstream_executor::execute_batch_with_units;
-use morphstream_tpg::{SchedulingUnits, TpgBuilder, TransactionBatch};
+use morphstream_executor::execute_tpg;
+use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, TransactionBatch};
 
 /// TStream's one way to run a batch: depth-first over per-key operation
 /// chains, aborts resolved once the batch is done.
@@ -61,9 +63,14 @@ impl BatchExecutor for TStream {
         let plan_started = Instant::now();
         let tpg = Arc::new(self.planner.build(batch));
         let plan = plan_started.elapsed();
-        let units = SchedulingUnits::coarse(&tpg);
+        // The operation chains exist only for two or more workers to explore.
+        let mut coarse_unit_builds = 0;
+        let chains = |tpg: &Tpg| {
+            coarse_unit_builds += 1;
+            SchedulingUnits::coarse(tpg)
+        };
         let execute_started = Instant::now();
-        let report = execute_batch_with_units(tpg, units, DECISION, store, threads);
+        let report = execute_tpg(tpg, DECISION, store, threads, chains);
         let execute_elapsed = execute_started.elapsed();
         let any_aborted = report.aborted() > 0;
         let mut breakdown = report.breakdown;
@@ -82,7 +89,7 @@ impl BatchExecutor for TStream {
             redone_ops: report.redone_ops,
             plan,
             decision: Some(DECISION),
-            coarse_unit_builds: 1,
+            coarse_unit_builds,
             workers: threads.max(1),
         }
     }

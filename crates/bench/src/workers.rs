@@ -17,8 +17,8 @@ use morphstream::{
     BatchExecutor, DecisionModel, EngineConfig, ExecutedBatch, Granularity, MorphStream, TxnEngine,
 };
 use morphstream_common::{effective_workers, WorkloadConfig};
-use morphstream_executor::execute_batch_with_units;
-use morphstream_tpg::{SchedulingUnits, TpgBuilder, TransactionBatch};
+use morphstream_executor::execute_tpg;
+use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, TransactionBatch};
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
 use crate::harness::{banner, Scale};
@@ -43,11 +43,11 @@ impl BatchExecutor for Pinned {
         let decision = self.model.decide_with(tpg.stats(), || {
             coarse.insert(SchedulingUnits::coarse(&tpg)).had_cycles
         });
-        let units = match decision.granularity {
-            Granularity::Coarse => coarse.unwrap_or_else(|| SchedulingUnits::coarse(&tpg)),
-            Granularity::Fine => SchedulingUnits::fine(&tpg),
+        let partition = |tpg: &Tpg| match decision.granularity {
+            Granularity::Coarse => coarse.unwrap_or_else(|| SchedulingUnits::coarse(tpg)),
+            Granularity::Fine => SchedulingUnits::fine(tpg),
         };
-        let report = execute_batch_with_units(tpg, units, decision, store, self.workers);
+        let report = execute_tpg(tpg, decision, store, self.workers, partition);
         ExecutedBatch {
             outcomes: report.outcomes,
             breakdown: report.breakdown,

@@ -1,4 +1,104 @@
-//! Small deterministic hashing utilities shared by state digests and tests.
+//! Small hashing utilities: the deterministic digest shared by state
+//! digests and tests, and the seeded hasher of the per-operation maps.
+
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+
+/// The `BuildHasher` of the maps every operation of a batch touches: a
+/// table's version chains, the planner's per-state sorted lists and the
+/// coarse partition's groups. Their keys are integers and small tuples of
+/// them, which one multiply per word mixes in a few cycles where SipHash
+/// spends tens of nanoseconds.
+///
+/// Each map draws its own seed from std's [`RandomState`], so bucket
+/// placement cannot be predicted from the key stream and differs between
+/// maps and processes; the table's keys can arrive from outside the program.
+/// Nothing may depend on a map's iteration order.
+#[derive(Debug, Clone, Copy)]
+pub struct SeededState {
+    seed: u64,
+}
+
+impl SeededState {
+    /// A state with a fresh random seed.
+    pub fn new() -> Self {
+        Self::with_seed(RandomState::new().hash_one(0x5EED_u64))
+    }
+
+    /// A state with a fixed seed, for tests that compare two seeds. The
+    /// maps of the engine always take [`SeededState::new`].
+    #[doc(hidden)]
+    pub fn with_seed(seed: u64) -> Self {
+        Self { seed }
+    }
+}
+
+impl Default for SeededState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl BuildHasher for SeededState {
+    type Hasher = SeededHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> SeededHasher {
+        SeededHasher { state: self.seed }
+    }
+}
+
+/// The hasher [`SeededState`] builds: each 64-bit word is xored into the
+/// state, multiplied by an odd constant into 128 bits, and the two halves of
+/// the product are xored together. The high half carries every input bit,
+/// so the low bits (the bucket) and the high bits (the control byte) of the
+/// result both depend on all of them — a single 64-bit product would leave
+/// keys that differ only in their high bits in one bucket whatever the
+/// seed.
+#[derive(Debug, Clone, Copy)]
+pub struct SeededHasher {
+    state: u64,
+}
+
+impl SeededHasher {
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.state ^ word) * u128::from(Self::MULTIPLIER);
+        self.state = (product as u64) ^ ((product >> 64) as u64);
+    }
+}
+
+impl Hasher for SeededHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
 
 /// Incremental FNV-1a (64-bit). Deterministic across platforms and runs, so
 /// digests can be compared between thread counts, pipeline modes, and CI
@@ -65,6 +165,7 @@ impl Default for Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn digest_is_deterministic_and_order_sensitive() {
@@ -91,6 +192,33 @@ mod tests {
         assert!(Fnv1a::verify(region, trailer));
         assert!(!Fnv1a::verify(b"coverex", trailer));
         assert!(!Fnv1a::verify(region, &trailer[..7]));
+    }
+
+    #[test]
+    fn seeded_hashes_depend_on_the_seed_and_spread_dense_keys() {
+        let (a, b) = (SeededState::with_seed(1), SeededState::with_seed(2));
+        assert_eq!(a.hash_one(7u64), a.hash_one(7u64));
+        assert_ne!(a.hash_one(7u64), b.hash_one(7u64));
+        // the fresh seeds of two maps differ
+        assert_ne!(SeededState::new().seed, SeededState::new().seed);
+        // a dense key range fills the buckets (low bits) and the control
+        // bytes (top seven bits) of a table alike
+        let (mut low, mut top) = (HashSet::new(), HashSet::new());
+        for key in 0..1_024u64 {
+            let hash = a.hash_one(key);
+            low.insert(hash & 1_023);
+            top.insert(hash >> 57);
+        }
+        assert!(low.len() > 600, "{} of 1024 buckets", low.len());
+        assert_eq!(top.len(), 128);
+        // keys that differ only in their high bits spread over the buckets
+        // too, under either seed
+        for state in [a, b] {
+            let low: HashSet<u64> = (0..1_024u64)
+                .map(|i| state.hash_one(i << 54) & 1_023)
+                .collect();
+            assert!(low.len() > 600, "{} of 1024 buckets", low.len());
+        }
     }
 
     #[test]

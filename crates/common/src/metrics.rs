@@ -14,7 +14,10 @@ use std::time::Duration;
 /// Buckets of the Figure 16a runtime breakdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BreakdownBucket {
-    /// Time spent running user-defined functions and touching state.
+    /// Time spent running operations: their user-defined functions, state
+    /// access and per-operation bookkeeping, less what aborting took
+    /// meanwhile. Read once per scheduling unit on two or more workers and
+    /// once per batch on one, never per operation.
     Useful,
     /// Blocking on barriers or waiting for other threads / mode switching.
     Sync,

@@ -22,10 +22,10 @@ use std::time::{Duration, Instant};
 
 use morphstream_common::metrics::{Breakdown, BreakdownBucket, StageTimings};
 use morphstream_common::{effective_workers, EngineConfig, TableId, Timestamp};
-use morphstream_executor::{execute_batch_with_units, TxnOutcome};
+use morphstream_executor::{execute_tpg, TxnOutcome};
 use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision};
 use morphstream_storage::StateStore;
-use morphstream_tpg::{SchedulingUnits, TpgBuilder, Transaction, TransactionBatch};
+use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, Transaction, TransactionBatch};
 
 use crate::app::{StreamApp, TxnBuilder};
 use crate::pipeline::{BatchHook, PendingBatch, SessionState, TxnEngine};
@@ -115,28 +115,29 @@ impl BatchExecutor for Morph {
 
         // Scheduling: decision model over the TPG properties. The coarse
         // partition is built only if the model needs its cycle flag to
-        // choose, or the decision taken is to run on it.
+        // choose, or two or more workers are to run on it; one worker runs
+        // the operations in timestamp order and explores no units.
         let explore_start = Instant::now();
         let mut coarse_unit_builds = 0u64;
-        let mut build_coarse = || {
+        let mut build_coarse = |tpg: &Tpg| {
             coarse_unit_builds += 1;
-            SchedulingUnits::coarse(&tpg)
+            SchedulingUnits::coarse(tpg)
         };
         let mut coarse_units = None;
         let decision = match &self.mode {
             SchedulingMode::Fixed(decision) => *decision,
             SchedulingMode::Adaptive(model) => model.decide_with(tpg.stats(), || {
-                coarse_units.insert(build_coarse()).had_cycles
+                coarse_units.insert(build_coarse(&tpg)).had_cycles
             }),
-        };
-        let units = match decision.granularity {
-            Granularity::Coarse => coarse_units.take().unwrap_or_else(build_coarse),
-            Granularity::Fine => SchedulingUnits::fine(&tpg),
         };
         let explore = explore_start.elapsed();
 
         // Execution.
-        let report = execute_batch_with_units(tpg, units, decision, store, workers);
+        let partition = |tpg: &Tpg| match decision.granularity {
+            Granularity::Coarse => coarse_units.unwrap_or_else(|| build_coarse(tpg)),
+            Granularity::Fine => SchedulingUnits::fine(tpg),
+        };
+        let report = execute_tpg(tpg, decision, store, workers, partition);
         let mut breakdown = report.breakdown;
         breakdown.add(BreakdownBucket::Explore, explore);
         ExecutedBatch {

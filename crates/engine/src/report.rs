@@ -36,8 +36,9 @@ pub struct BatchSummary {
     /// Operations redone because of upstream aborts.
     pub redone_ops: usize,
     /// Coarse scheduling-unit partitions built for the batch: one per group
-    /// whose decision needed the cycle flag or chose `c-schedule`, so 0 for a
-    /// batch the cheap TD/PD test already sent to `f-schedule`.
+    /// whose decision needed the cycle flag, or chose `c-schedule` and ran on
+    /// two or more workers; so 0 for a batch the cheap TD/PD test already
+    /// sent to `f-schedule`.
     pub coarse_unit_builds: u64,
     /// Workers the batch engaged, the calling thread included: MorphStream
     /// engages what the batch's declared UDF work pays for, at most

@@ -167,6 +167,10 @@ impl ExecContext {
     /// multi-version store, append the produced version, and settle its FSM
     /// state. On failure the abort-handling mechanism configured for the
     /// batch is applied.
+    ///
+    /// Only the time spent aborting, rolling back and redoing is charged
+    /// here, to `abort`; the caller times the operations it runs as a
+    /// whole, so no clock is read per operation.
     pub fn run_op(&self, op: OpId, breakdown: &mut Breakdown) {
         let txn = self.tpg.op(op).txn;
 
@@ -193,11 +197,7 @@ impl ExecContext {
         }
         self.in_flight[op].store(true, Ordering::Release);
 
-        let started = Instant::now();
-        let evaluated = self.evaluate(op);
-        breakdown.add(BreakdownBucket::Useful, started.elapsed());
-
-        match evaluated {
+        match self.evaluate(op) {
             Ok((resolved_key, result, wrote)) => {
                 let mut rollback_own_write = false;
                 {

@@ -1,7 +1,13 @@
 //! Exploration drivers: how worker threads traverse the scheduling units of a
 //! TPG (Section 5.1).
 //!
-//! All three drivers operate on the unit partition produced by the
+//! The exploration strategy and the granularity apply from two workers on.
+//! One worker has nothing left for them to decide: it runs the operations on
+//! the caller in `(ts, stmt, op)` order, which is a schedule of every TPG
+//! (see [`run_in_order`]), with no units, no dependency counters, no queue
+//! and no thread.
+//!
+//! Two or more workers operate on the unit partition produced by the
 //! granularity decision (fine = one operation per unit, coarse = operation
 //! chains). The drivers differ in how ready units are discovered:
 //!
@@ -16,8 +22,10 @@
 //!   children (queue wait is accounted as `explore` time).
 //!
 //! Every driver fans out through [`fan_out`]: the calling thread is worker
-//! 0 and only workers `1..num_threads` get a thread of their own, so a
-//! one-worker batch runs entirely on the caller and spawns nothing.
+//! 0 and only workers `1..num_threads` get a thread of their own.
+//!
+//! `useful` time is read once per unit, or once per batch at one worker, as
+//! the wall time spent running operations less what aborts took meanwhile.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,33 +34,91 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
-use morphstream_common::fan_out;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
+use morphstream_common::{fan_out, OpId};
 use morphstream_scheduler::ExplorationStrategy;
-use morphstream_tpg::SchedulingUnits;
+use morphstream_tpg::{SchedulingUnits, Tpg};
 
 use crate::context::ExecContext;
 
-/// Run every unit of the batch with `num_threads` workers following the given
-/// exploration strategy, merging per-worker breakdowns into `breakdown`.
+/// Run every operation of the batch with `num_threads` workers, merging
+/// per-worker breakdowns into `breakdown`.
+///
+/// One worker runs the operations in order on the caller and never calls
+/// `partition`. Two or more build the units with `partition` — time charged
+/// to `explore` — and traverse them following `strategy`.
 pub fn run(
     ctx: &ExecContext,
-    units: &SchedulingUnits,
     strategy: ExplorationStrategy,
     num_threads: usize,
+    partition: impl FnOnce(&Tpg) -> SchedulingUnits,
     breakdown: &mut Breakdown,
 ) {
+    if num_threads <= 1 {
+        run_in_order(ctx, breakdown);
+        return;
+    }
+    let started = Instant::now();
+    let units = partition(ctx.tpg());
+    breakdown.add(BreakdownBucket::Explore, started.elapsed());
     if units.num_units() == 0 {
         return;
     }
     let partials = match strategy {
-        ExplorationStrategy::StructuredBfs => run_bfs(ctx, units, num_threads),
-        ExplorationStrategy::StructuredDfs => run_dfs(ctx, units, num_threads),
-        ExplorationStrategy::NonStructured => run_ns(ctx, units, num_threads),
+        ExplorationStrategy::StructuredBfs => run_bfs(ctx, &units, num_threads),
+        ExplorationStrategy::StructuredDfs => run_dfs(ctx, &units, num_threads),
+        ExplorationStrategy::NonStructured => run_ns(ctx, &units, num_threads),
     };
     for partial in partials {
         breakdown.merge(&partial);
     }
+}
+
+/// Run `work`, charging its wall time less what it charged to `abort` to the
+/// `useful` bucket.
+fn charge_useful(breakdown: &mut Breakdown, work: impl FnOnce(&mut Breakdown)) {
+    let started = Instant::now();
+    let aborting_before = breakdown.get(BreakdownBucket::Abort);
+    work(breakdown);
+    let aborting = breakdown.get(BreakdownBucket::Abort) - aborting_before;
+    breakdown.add(
+        BreakdownBucket::Useful,
+        started.elapsed().saturating_sub(aborting),
+    );
+}
+
+/// One worker: every operation on the caller, in `(ts, stmt, op)` order.
+///
+/// Every TD and PD edge, the non-deterministic chain included, runs forward
+/// in that order: a sorted list is ordered by `(ts, stmt, op)` and each edge
+/// links an earlier entry to a later one. The order therefore schedules any
+/// TPG under any exploration strategy and granularity, and reaches their
+/// state and outputs. It is also the order the store orders versions by, so
+/// when the batch's timestamps are distinct an operation runs after every
+/// write it can see, and an eager abort never has an executed descendant to
+/// redo.
+fn run_in_order(ctx: &ExecContext, breakdown: &mut Breakdown) {
+    let tpg = ctx.tpg();
+    let order_key = |op: OpId| {
+        let operation = tpg.op(op);
+        (operation.ts, operation.stmt, op)
+    };
+    charge_useful(breakdown, |breakdown| {
+        // Ops are numbered in timestamp order of their transactions, and in
+        // statement order within one, so op-id order is `(ts, stmt, op)`
+        // order unless two transactions share a timestamp.
+        if (0..tpg.num_ops()).is_sorted_by_key(order_key) {
+            for op in 0..tpg.num_ops() {
+                ctx.run_op(op, breakdown);
+            }
+        } else {
+            let mut order: Vec<OpId> = (0..tpg.num_ops()).collect();
+            order.sort_unstable_by_key(|&op| order_key(op));
+            for op in order {
+                ctx.run_op(op, breakdown);
+            }
+        }
+    });
 }
 
 /// Process one unit: run its operations in timestamp order.
@@ -62,9 +128,11 @@ fn process_unit(
     unit: usize,
     breakdown: &mut Breakdown,
 ) {
-    for &op in units.unit_ops(unit) {
-        ctx.run_op(op, breakdown);
-    }
+    charge_useful(breakdown, |breakdown| {
+        for &op in units.unit_ops(unit) {
+            ctx.run_op(op, breakdown);
+        }
+    });
 }
 
 /// The units grouped by their longest dependency path over the unit DAG:
@@ -102,9 +170,7 @@ fn unit_strata(units: &SchedulingUnits) -> Vec<Vec<usize>> {
 
 fn run_bfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Vec<Breakdown> {
     let strata = unit_strata(units);
-    // A lone worker has nobody to wait for, and a barrier wait still costs
-    // it a condvar round trip per stratum.
-    let barrier = (num_threads > 1).then(|| Barrier::new(num_threads));
+    let barrier = Barrier::new(num_threads);
     fan_out(num_threads, |worker| {
         let mut breakdown = Breakdown::new();
         for stratum in &strata {
@@ -112,11 +178,9 @@ fn run_bfs(ctx: &ExecContext, units: &SchedulingUnits, num_threads: usize) -> Ve
             for unit in stratum.iter().skip(worker).step_by(num_threads) {
                 process_unit(ctx, units, *unit, &mut breakdown);
             }
-            if let Some(barrier) = &barrier {
-                let wait = Instant::now();
-                barrier.wait();
-                breakdown.add(BreakdownBucket::Sync, wait.elapsed());
-            }
+            let wait = Instant::now();
+            barrier.wait();
+            breakdown.add(BreakdownBucket::Sync, wait.elapsed());
         }
         breakdown
     })
@@ -178,9 +242,9 @@ struct ReadyQueue {
 
 impl ReadyQueue {
     /// Enqueue a ready unit and wake a sleeper, if there is one. A notify
-    /// is a futex syscall even when nobody waits, so a lone worker — or a
-    /// team whose members are all busy — skips it. A worker counts itself
-    /// a sleeper under the lock before it waits, so none is missed.
+    /// is a futex syscall even when nobody waits, so a team whose members
+    /// are all busy skips it. A worker counts itself a sleeper under the
+    /// lock before it waits, so none is missed.
     fn push(&self, unit: usize) {
         let mut ready = self.ready.lock();
         ready.units.push_back(unit);
@@ -269,7 +333,7 @@ mod tests {
     use super::*;
     use crate::context::ExecContext;
     use morphstream_common::{StateRef, TableId, Value};
-    use morphstream_scheduler::AbortHandling;
+    use morphstream_scheduler::{AbortHandling, Granularity, SchedulingDecision};
     use morphstream_storage::StateStore;
     use morphstream_tpg::{udfs, OperationSpec, TpgBuilder, Transaction, TransactionBatch};
     use std::sync::Arc;
@@ -317,6 +381,24 @@ mod tests {
             .sum()
     }
 
+    const STRATEGIES: [ExplorationStrategy; 3] = [
+        ExplorationStrategy::StructuredBfs,
+        ExplorationStrategy::StructuredDfs,
+        ExplorationStrategy::NonStructured,
+    ];
+
+    fn partition(coarse: bool) -> impl FnOnce(&Tpg) -> SchedulingUnits {
+        move |tpg| {
+            if coarse {
+                SchedulingUnits::coarse(tpg)
+            } else {
+                SchedulingUnits::fine(tpg)
+            }
+        }
+    }
+
+    /// Run the transfer workload; the partition is built only from two
+    /// workers on.
     fn run_with(
         strategy: ExplorationStrategy,
         coarse: bool,
@@ -327,14 +409,15 @@ mod tests {
         let store = fresh_store(ACCOUNTS, 1_000);
         let initial = total_balance(&store, ACCOUNTS);
         let tpg = Arc::new(TpgBuilder::new().build(transfer_workload(ACCOUNTS, TXNS)));
-        let units = if coarse {
-            morphstream_tpg::SchedulingUnits::coarse(&tpg)
-        } else {
-            morphstream_tpg::SchedulingUnits::fine(&tpg)
-        };
         let ctx = ExecContext::new(tpg, store.clone(), AbortHandling::Eager);
         let mut breakdown = Breakdown::new();
-        run(&ctx, &units, strategy, threads, &mut breakdown);
+        let mut partitioned = false;
+        let units = |tpg: &Tpg| {
+            partitioned = true;
+            partition(coarse)(tpg)
+        };
+        run(&ctx, strategy, threads, units, &mut breakdown);
+        assert_eq!(partitioned, threads > 1, "{threads} workers");
         (store, initial)
     }
 
@@ -358,32 +441,121 @@ mod tests {
 
     #[test]
     fn coarse_units_preserve_total_balance_across_strategies() {
-        for strategy in [
-            ExplorationStrategy::StructuredBfs,
-            ExplorationStrategy::StructuredDfs,
-            ExplorationStrategy::NonStructured,
-        ] {
+        for strategy in STRATEGIES {
             let (store, initial) = run_with(strategy, true, 4);
             assert_eq!(total_balance(&store, 32), initial, "strategy {strategy}");
         }
     }
 
+    /// One worker runs the plain in-order loop whatever the strategy and
+    /// granularity asked for.
     #[test]
     fn single_threaded_execution_works_for_all_strategies() {
-        for strategy in [
-            ExplorationStrategy::StructuredBfs,
-            ExplorationStrategy::StructuredDfs,
-            ExplorationStrategy::NonStructured,
-        ] {
-            let (store, initial) = run_with(strategy, false, 1);
-            assert_eq!(total_balance(&store, 32), initial, "strategy {strategy}");
+        for strategy in STRATEGIES {
+            for coarse in [false, true] {
+                let (store, initial) = run_with(strategy, coarse, 1);
+                assert_eq!(total_balance(&store, 32), initial, "strategy {strategy}");
+            }
+        }
+    }
+
+    /// Each strategy's loop at its smallest team.
+    #[test]
+    fn two_workers_run_every_strategy_over_both_granularities() {
+        for strategy in STRATEGIES {
+            for coarse in [false, true] {
+                let (store, initial) = run_with(strategy, coarse, 2);
+                assert_eq!(
+                    total_balance(&store, 32),
+                    initial,
+                    "strategy {strategy}, coarse {coarse}"
+                );
+            }
+        }
+    }
+
+    /// The builder's tie batch — timestamps tied across transactions and
+    /// statements, a non-deterministic write among them — plus a tied
+    /// transaction whose second write fails after its first one ran.
+    fn tie_batch() -> TransactionBatch {
+        let mut b = TransactionBatch::new();
+        for ts in [2u64, 1, 2, 1, 3] {
+            b.push(Transaction::new(
+                ts,
+                vec![
+                    OperationSpec::write(T, ts % 3, vec![], udfs::add_delta(1)),
+                    OperationSpec::write(
+                        T,
+                        (ts + 1) % 3,
+                        vec![StateRef::new(T, (ts + 1) % 3), StateRef::new(T, ts % 3)],
+                        udfs::sum_params(),
+                    ),
+                ],
+            ));
+        }
+        b.push(Transaction::new(
+            2,
+            vec![OperationSpec::non_det_write(
+                T,
+                Arc::new(|ts| ts),
+                vec![],
+                udfs::set_value(9),
+            )],
+        ));
+        b.push(Transaction::new(
+            2,
+            vec![
+                OperationSpec::write(T, 1, vec![], udfs::add_delta(100)),
+                OperationSpec::write(T, 3, vec![], udfs::always_abort()),
+            ],
+        ));
+        b
+    }
+
+    #[test]
+    fn one_worker_reaches_the_explorers_state_under_timestamp_ties() {
+        // Here op-id order is no schedule: some edge runs from a higher id
+        // to a lower one.
+        let tpg = TpgBuilder::new().build(tie_batch());
+        assert!((0..tpg.num_ops()).any(|op| tpg.parents(op).iter().any(|(p, _)| *p > op)));
+
+        let run_ties = |decision: SchedulingDecision, threads: usize| {
+            let store = fresh_store(4, 10);
+            let tpg = Arc::new(TpgBuilder::new().build(tie_batch()));
+            let ctx = ExecContext::new(tpg, store.clone(), decision.abort_handling);
+            let mut breakdown = Breakdown::new();
+            let coarse = decision.granularity == Granularity::Coarse;
+            run(
+                &ctx,
+                decision.exploration,
+                threads,
+                partition(coarse),
+                &mut breakdown,
+            );
+            ctx.resolve_lazy_aborts(&mut breakdown);
+            let report = ctx.into_report(breakdown, decision);
+            let committed: Vec<_> = report
+                .outcomes
+                .into_iter()
+                .map(|o| (o.committed, o.committed.then_some(o.op_results)))
+                .collect();
+            (store.state_digest(), committed)
+        };
+        for decision in SchedulingDecision::all() {
+            let (digest, outcomes) = run_ties(decision, 1);
+            assert_eq!(outcomes.iter().filter(|(c, _)| !c).count(), 1);
+            assert_eq!(
+                (digest, outcomes),
+                run_ties(decision, 4),
+                "{decision}: one worker against four"
+            );
         }
     }
 
     #[test]
     fn strata_ranks_respect_unit_dependencies() {
         let tpg = Arc::new(TpgBuilder::new().build(transfer_workload(8, 50)));
-        let units = morphstream_tpg::SchedulingUnits::coarse(&tpg);
+        let units = SchedulingUnits::coarse(&tpg);
         let strata = unit_strata(&units);
         assert!(!strata.is_empty());
         let mut stratum_of = vec![usize::MAX; units.num_units()];
@@ -404,16 +576,18 @@ mod tests {
     #[test]
     fn empty_unit_partition_is_a_no_op() {
         let tpg = Arc::new(TpgBuilder::new().build(TransactionBatch::new()));
-        let units = morphstream_tpg::SchedulingUnits::fine(&tpg);
         let store = fresh_store(1, 0);
         let ctx = ExecContext::new(tpg, store, AbortHandling::Eager);
         let mut breakdown = Breakdown::new();
-        run(
-            &ctx,
-            &units,
-            ExplorationStrategy::NonStructured,
-            4,
-            &mut breakdown,
-        );
+        for threads in [1, 4] {
+            let strategy = ExplorationStrategy::NonStructured;
+            run(
+                &ctx,
+                strategy,
+                threads,
+                SchedulingUnits::fine,
+                &mut breakdown,
+            );
+        }
     }
 }

@@ -3,13 +3,17 @@
 //! Given a planned [`Tpg`](morphstream_tpg::Tpg), a
 //! [`SchedulingDecision`](morphstream_scheduler::SchedulingDecision) and the
 //! multi-version [`StateStore`](morphstream_storage::StateStore), the executor
-//! runs every operation of the batch on `num_threads` workers — the calling
-//! thread is worker 0, so a one-worker batch spawns no thread — while
+//! runs every operation of the batch on `num_threads` workers while
 //! maintaining the finite-state machine of Section 6.1 (BLK → RDY → EXE /
 //! ABT) for every vertex. Aborted transactions are rolled back through the
 //! multi-version table and their dependents are redone (Section 6.3.2), either
 //! eagerly as failures occur or lazily after the graph has been fully
 //! explored, according to the abort-handling decision.
+//!
+//! The decision's exploration strategy and granularity apply from two
+//! workers on. A one-worker batch runs its operations on the calling thread
+//! in `(ts, stmt)` order, a schedule of every TPG, and builds no scheduling
+//! units; only its abort handling still matters.
 
 #![warn(missing_docs)]
 
@@ -27,27 +31,27 @@ use morphstream_scheduler::{AbortHandling, SchedulingDecision};
 use morphstream_storage::StateStore;
 use morphstream_tpg::{SchedulingUnits, Tpg};
 
-/// Execute one batch (one TPG) partitioned into `units` against `store` with
-/// `num_threads` workers, following `decision`.
+/// Execute one batch (one TPG) against `store` with `num_threads` workers,
+/// following `decision`. `partition` builds the scheduling units the workers
+/// explore; it is called only when two or more workers do.
 ///
 /// Returns the per-transaction outcomes plus the runtime breakdown gathered
 /// while executing.
-pub fn execute_batch_with_units(
+pub fn execute_tpg(
     tpg: Arc<Tpg>,
-    units: SchedulingUnits,
     decision: SchedulingDecision,
     store: &StateStore,
     num_threads: usize,
+    partition: impl FnOnce(&Tpg) -> SchedulingUnits,
 ) -> BatchReport {
-    let num_threads = num_threads.max(1);
-    let ctx = ExecContext::new(tpg.clone(), store.clone(), decision.abort_handling);
+    let ctx = ExecContext::new(tpg, store.clone(), decision.abort_handling);
 
     let mut breakdown = Breakdown::new();
     explore::run(
         &ctx,
-        &units,
         decision.exploration,
         num_threads,
+        partition,
         &mut breakdown,
     );
 
@@ -58,4 +62,15 @@ pub fn execute_batch_with_units(
     }
 
     ctx.into_report(breakdown, decision)
+}
+
+/// [`execute_tpg`] over an already built partition `units`.
+pub fn execute_batch_with_units(
+    tpg: Arc<Tpg>,
+    units: SchedulingUnits,
+    decision: SchedulingDecision,
+    store: &StateStore,
+    num_threads: usize,
+) -> BatchReport {
+    execute_tpg(tpg, decision, store, num_threads, |_| units)
 }

@@ -268,13 +268,7 @@ impl StateStore {
     pub fn state_digest(&self) -> u64 {
         let mut hash = morphstream_common::hash::Fnv1a::new();
         for table in self.inner.tables.read().iter() {
-            let mut entries: Vec<(Key, Value)> = table.snapshot_latest().into_iter().collect();
-            entries.sort_unstable_by_key(|(k, _)| *k);
-            hash.update(&table.id().0.to_le_bytes());
-            for (key, value) in entries {
-                hash.update(&key.to_le_bytes());
-                hash.update(&value.to_le_bytes());
-            }
+            table.digest_into(&mut hash);
         }
         hash.finish()
     }

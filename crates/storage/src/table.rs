@@ -7,6 +7,7 @@ use std::sync::atomic::Ordering;
 use parking_lot::RwLock;
 
 use morphstream_common::error::Result;
+use morphstream_common::hash::{Fnv1a, SeededState};
 use morphstream_common::{Key, MorphError, StateRef, TableId, Timestamp, Value};
 
 use crate::version::{Version, VersionChain, WriterId};
@@ -20,7 +21,8 @@ const SHARDS: usize = 64;
 /// table-wide figures are sums over the shards, never walks over the keys.
 #[derive(Default)]
 struct Shard {
-    chains: HashMap<Key, VersionChain>,
+    /// Every state access hashes its key here, hence the fast seeded hasher.
+    chains: HashMap<Key, VersionChain, SeededState>,
     /// Keys whose chain may hold more than one version: the only chains a
     /// reclaim has anything to drop from. A key is pushed when its chain
     /// grows past one version and stays (flagged in the chain, so listed at
@@ -381,6 +383,18 @@ impl MvTable {
         }
         out
     }
+
+    /// Mix the table id and the latest value of every key, in key order,
+    /// into `hash`: this table's part of `StateStore::state_digest`.
+    pub(crate) fn digest_into(&self, hash: &mut Fnv1a) {
+        let mut entries: Vec<(Key, Value)> = self.snapshot_latest().into_iter().collect();
+        entries.sort_unstable_by_key(|(k, _)| *k);
+        hash.update(&self.id.0.to_le_bytes());
+        for (key, value) in entries {
+            hash.update(&key.to_le_bytes());
+            hash.update(&value.to_le_bytes());
+        }
+    }
 }
 
 impl std::fmt::Debug for MvTable {
@@ -396,6 +410,22 @@ impl std::fmt::Debug for MvTable {
 
 #[cfg(test)]
 impl MvTable {
+    /// [`MvTable::new`] with the chain maps hashing under fixed seeds.
+    fn with_seed(
+        id: TableId,
+        name: &str,
+        default_value: Value,
+        auto_create: bool,
+        seed: u64,
+    ) -> Self {
+        let mut table = Self::new(id, name, default_value, auto_create);
+        for (i, shard) in table.shards.iter_mut().enumerate() {
+            let state = SeededState::with_seed(seed.wrapping_add(i as u64));
+            shard.get_mut().chains = HashMap::with_hasher(state);
+        }
+        table
+    }
+
     /// What the per-shard totals must equal, found the way they used to be:
     /// by visiting every chain. `(versions, bytes, listed keys, keys)`.
     fn walk(&self) -> (u64, u64, usize, usize) {
@@ -595,44 +625,48 @@ mod tests {
         t.assert_totals_match_walk();
     }
 
+    /// Drive `t` through 4 000 random steps — writes (some out of order),
+    /// rollbacks, seeds, preallocations, auto-creating reads and reclaims —
+    /// checking the per-shard totals against a walk after every step.
+    fn mixed_history(t: &MvTable) {
+        use morphstream_common::rng::DetRng;
+        let auto_create = t.is_auto_create();
+        t.preallocate_range(24);
+        let mut rng = DetRng::new(0x5EED ^ auto_create as u64);
+        let mut ts = 0;
+        for step in 0..4_000u64 {
+            let key = rng.next_below(if auto_create { 40 } else { 24 });
+            match rng.next_below(16) {
+                0..=8 => {
+                    ts += 1;
+                    // some writes land out of order, as speculation does
+                    let at = ts - rng.next_below(3).min(ts - 1);
+                    t.write(key, at, 0, step % 7, step as Value).unwrap();
+                }
+                9..=10 => {
+                    t.rollback_writer_at(key, rng.next_below(7), ts - rng.next_below(3).min(ts));
+                }
+                11 => t.seed(key, step as Value),
+                12 => t.preallocate(key..key + 3),
+                13 => {
+                    let _ = t.read_before(key + 8, ts + 1, 0);
+                }
+                _ => {
+                    let visited = t.reclaim_keys_visited();
+                    let multi = t.walk().2 as u64;
+                    t.truncate_before(ts.saturating_sub(rng.next_below(4)));
+                    assert_eq!(t.reclaim_keys_visited() - visited, multi);
+                }
+            }
+            t.assert_totals_match_walk();
+        }
+    }
+
     #[test]
     fn totals_equal_a_walk_after_every_step_of_a_mixed_history() {
-        use morphstream_common::rng::DetRng;
         for auto_create in [false, true] {
             let t = MvTable::new(TableId(0), "t", 5, auto_create);
-            t.preallocate_range(24);
-            let mut rng = DetRng::new(0x5EED ^ auto_create as u64);
-            let mut ts = 0;
-            for step in 0..4_000u64 {
-                let key = rng.next_below(if auto_create { 40 } else { 24 });
-                match rng.next_below(16) {
-                    0..=8 => {
-                        ts += 1;
-                        // some writes land out of order, as speculation does
-                        let at = ts - rng.next_below(3).min(ts - 1);
-                        t.write(key, at, 0, step % 7, step as Value).unwrap();
-                    }
-                    9..=10 => {
-                        t.rollback_writer_at(
-                            key,
-                            rng.next_below(7),
-                            ts - rng.next_below(3).min(ts),
-                        );
-                    }
-                    11 => t.seed(key, step as Value),
-                    12 => t.preallocate(key..key + 3),
-                    13 => {
-                        let _ = t.read_before(key + 8, ts + 1, 0);
-                    }
-                    _ => {
-                        let visited = t.reclaim_keys_visited();
-                        let multi = t.walk().2 as u64;
-                        t.truncate_before(ts.saturating_sub(rng.next_below(4)));
-                        assert_eq!(t.reclaim_keys_visited() - visited, multi);
-                    }
-                }
-                t.assert_totals_match_walk();
-            }
+            mixed_history(&t);
             // a reclaim past every write leaves one version per key and an
             // empty list: the next one visits nothing
             t.truncate_before(u64::MAX);
@@ -641,6 +675,36 @@ mod tests {
             let visited = t.reclaim_keys_visited();
             t.truncate_before(u64::MAX);
             assert_eq!(t.reclaim_keys_visited(), visited);
+        }
+    }
+
+    /// Where the chain maps place their keys is the seed's business only:
+    /// the same history over two seeds leaves the same versions, snapshot,
+    /// digest and totals.
+    #[test]
+    fn the_chain_maps_seed_changes_no_visible_state() {
+        for auto_create in [false, true] {
+            let tables = [1, 2].map(|seed| {
+                let t = MvTable::with_seed(TableId(0), "t", 5, auto_create, seed);
+                mixed_history(&t);
+                t
+            });
+            let [a, b] = &tables;
+            assert_eq!(a.snapshot_latest(), b.snapshot_latest());
+            let digest = |t: &MvTable| {
+                let mut hash = Fnv1a::new();
+                t.digest_into(&mut hash);
+                hash.finish()
+            };
+            assert_eq!(digest(a), digest(b));
+            for key in 0..40 {
+                assert_eq!(
+                    a.window(key, 0, u64::MAX).ok(),
+                    b.window(key, 0, u64::MAX).ok()
+                );
+            }
+            assert_eq!(a.walk(), b.walk());
+            assert_eq!(a.reclaim_keys_visited(), b.reclaim_keys_visited());
         }
     }
 

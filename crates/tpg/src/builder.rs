@@ -22,6 +22,7 @@
 
 use std::collections::HashMap;
 
+use morphstream_common::hash::SeededState;
 use morphstream_common::{fan_out, OpId, StateRef, Timestamp, TxnId};
 
 use crate::graph::{DepKind, Tpg};
@@ -70,13 +71,19 @@ impl TpgBuilder {
     /// operation array to own one or zero lists would cost more than they
     /// save.
     pub fn build(&self, batch: TransactionBatch) -> Tpg {
-        self.build_with(batch, None)
+        self.build_with(batch, None, None)
     }
 
     /// `build` with an optional forced shard count, bypassing the batch-size
     /// clamp — used by the shard-equivalence tests to exercise the parallel
-    /// path on deliberately tiny batches.
-    fn build_with(&self, batch: TransactionBatch, forced_shards: Option<usize>) -> Tpg {
+    /// path on deliberately tiny batches — and optional fixed seeds for the
+    /// list maps, for the tests that compare two seeds.
+    fn build_with(
+        &self,
+        batch: TransactionBatch,
+        forced_shards: Option<usize>,
+        lists_seed: Option<u64>,
+    ) -> Tpg {
         let expected_abort_ratio = batch.expected_abort_ratio;
         let txns = batch.into_sorted();
 
@@ -115,7 +122,10 @@ impl TpgBuilder {
         let txn_of: Vec<TxnId> = ops.iter().map(|o| o.txn).collect();
         let shards = forced_shards.unwrap_or_else(|| effective_shards(self.num_threads, &ops));
         let mut per_shard = fan_out(shards, |shard| {
-            shard_edges(&ops, &non_det, &txn_of, shard, shards)
+            let lists = lists_seed.map_or_else(SeededState::new, |seed| {
+                SeededState::with_seed(seed.wrapping_add(shard as u64))
+            });
+            shard_edges(&ops, &non_det, &txn_of, shard, shards, lists)
         })
         .into_iter();
         // Shard 0's edges are the base, so a one-shard build copies nothing.
@@ -183,17 +193,21 @@ fn effective_shards(num_threads: usize, ops: &[Operation]) -> usize {
 /// precedes its parameter entries, and non-deterministic placeholders are
 /// broadcast after all real/parameter entries — so ties in the `(ts, stmt,
 /// op)` sort key resolve identically via the stable finalize sort.
+///
+/// The lists live in a map hashed under `lists`; its iteration order reaches
+/// only the order of the edges, which [`Tpg::assemble`] sorts.
 fn shard_edges(
     ops: &[Operation],
     non_det: &[(OpId, Timestamp, u32)],
     txn_of: &[TxnId],
     shard: usize,
     shards: usize,
+    lists: SeededState,
 ) -> Vec<(OpId, OpId, DepKind)> {
     let owned = |state: &StateRef| shards == 1 || shard_of(state.table, state.key, shards) == shard;
 
     // ---- Stream processing phase (this shard's lists) ----
-    let mut lists: HashMap<StateRef, SortedList> = HashMap::new();
+    let mut lists: HashMap<StateRef, SortedList, SeededState> = HashMap::with_hasher(lists);
     for op in ops {
         if let Some(key) = op.spec.target.known() {
             let state = StateRef::new(op.spec.table, key);
@@ -355,7 +369,7 @@ mod tests {
         // tiny batch: force the parallel path past the batch-size clamp
         let parallel = TpgBuilder::new()
             .with_threads(4)
-            .build_with(figure3_batch(), Some(4));
+            .build_with(figure3_batch(), Some(4), None);
         assert_same_graph(&serial, &parallel);
     }
 
@@ -428,9 +442,11 @@ mod tests {
         // least six shards own no list at all and must contribute no edges.
         let serial = TpgBuilder::new().build(figure3_batch());
         for threads in [2, 3, 8, 16] {
-            let sharded = TpgBuilder::new()
-                .with_threads(threads)
-                .build_with(figure3_batch(), Some(threads));
+            let sharded = TpgBuilder::new().with_threads(threads).build_with(
+                figure3_batch(),
+                Some(threads),
+                None,
+            );
             sharded.validate().unwrap();
             assert_same_graph(&serial, &sharded);
         }
@@ -458,7 +474,7 @@ mod tests {
         let serial = TpgBuilder::new().build(batch());
         let sharded = TpgBuilder::new()
             .with_threads(4)
-            .build_with(batch(), Some(4));
+            .build_with(batch(), Some(4), None);
         serial.validate().unwrap();
         sharded.validate().unwrap();
         assert_same_graph(&serial, &sharded);
@@ -466,47 +482,81 @@ mod tests {
         assert_eq!(serial.stats().pd_edges, 5);
     }
 
+    /// Several transactions share timestamps, and one operation both targets
+    /// and references the same key (a Real and a Virtual entry with an
+    /// identical (ts, stmt, op) sort key), with a non-deterministic write in
+    /// the middle of the tied timestamps.
+    fn tie_batch() -> TransactionBatch {
+        let mut b = TransactionBatch::new();
+        for ts in [2u64, 1, 2, 1, 3] {
+            b.push(Transaction::new(
+                ts,
+                vec![
+                    OperationSpec::write(T, ts % 3, vec![], udfs::add_delta(1)),
+                    OperationSpec::write(
+                        T,
+                        (ts + 1) % 3,
+                        vec![StateRef::new(T, (ts + 1) % 3), StateRef::new(T, ts % 3)],
+                        udfs::sum_params(),
+                    ),
+                ],
+            ));
+        }
+        b.push(Transaction::new(
+            2,
+            vec![OperationSpec::non_det_write(
+                T,
+                Arc::new(|ts| ts),
+                vec![],
+                udfs::set_value(9),
+            )],
+        ));
+        b
+    }
+
     #[test]
     fn sharded_construction_orders_timestamp_ties_like_the_serial_builder() {
-        // Several transactions share timestamps, and one operation both
-        // targets and references the same key (a Real and a Virtual entry
-        // with an identical (ts, stmt, op) sort key) — tie order inside each
-        // sorted list must match the serial builder exactly.
-        let batch = || {
-            let mut b = TransactionBatch::new();
-            for ts in [2u64, 1, 2, 1, 3] {
+        // Tie order inside each sorted list must match the serial builder
+        // exactly.
+        let serial = TpgBuilder::new().build(tie_batch());
+        for threads in [2, 4, 8] {
+            let sharded = TpgBuilder::new().with_threads(threads).build_with(
+                tie_batch(),
+                Some(threads),
+                None,
+            );
+            sharded.validate().unwrap();
+            assert_same_graph(&serial, &sharded);
+        }
+    }
+
+    #[test]
+    fn the_lists_map_seed_changes_no_edge() {
+        let wide = || {
+            let mut b = tie_batch();
+            for ts in 4..=400u64 {
                 b.push(Transaction::new(
                     ts,
                     vec![
-                        OperationSpec::write(T, ts % 3, vec![], udfs::add_delta(1)),
+                        OperationSpec::write(T, ts % 97, vec![], udfs::add_delta(1)),
                         OperationSpec::write(
                             T,
-                            (ts + 1) % 3,
-                            vec![StateRef::new(T, (ts + 1) % 3), StateRef::new(T, ts % 3)],
+                            (ts * 13) % 97,
+                            vec![StateRef::new(T, ts % 97)],
                             udfs::sum_params(),
                         ),
                     ],
                 ));
             }
-            // one non-det op in the middle of the tied timestamps
-            b.push(Transaction::new(
-                2,
-                vec![OperationSpec::non_det_write(
-                    T,
-                    Arc::new(|ts| ts),
-                    vec![],
-                    udfs::set_value(9),
-                )],
-            ));
             b
         };
-        let serial = TpgBuilder::new().build(batch());
-        for threads in [2, 4, 8] {
-            let sharded = TpgBuilder::new()
-                .with_threads(threads)
-                .build_with(batch(), Some(threads));
-            sharded.validate().unwrap();
-            assert_same_graph(&serial, &sharded);
+        for shards in [1, 3] {
+            let builder = TpgBuilder::new().with_threads(shards);
+            let a = builder.build_with(wide(), Some(shards), Some(1));
+            let b = builder.build_with(wide(), Some(shards), Some(0xDEAD_BEEF));
+            a.validate().unwrap();
+            assert_same_graph(&a, &b);
+            assert_same_graph(&a, &TpgBuilder::new().build(wide()));
         }
     }
 

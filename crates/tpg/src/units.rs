@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use morphstream_common::hash::SeededState;
 use morphstream_common::OpId;
 
 use crate::flat::FlatLists;
@@ -142,7 +143,9 @@ impl SchedulingUnits {
         // --- initial grouping ---
         let mut group_of = vec![usize::MAX; n];
         let mut groups: Vec<Vec<OpId>> = Vec::new();
-        let mut by_target: HashMap<GroupKey, usize> = HashMap::new();
+        // Groups are numbered in op order, so the map's hasher reaches no
+        // unit id.
+        let mut by_target: HashMap<GroupKey, usize, SeededState> = HashMap::default();
         for (op, slot) in group_of.iter_mut().enumerate() {
             let group = match group_key(tpg, op) {
                 Some(key) => *by_target.entry(key).or_insert_with(|| {

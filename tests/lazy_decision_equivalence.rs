@@ -1,5 +1,5 @@
 //! The engine builds the coarse scheduling units only when the decision
-//! model asks for their cycle flag (or chooses to run on them). That is an
+//! model asks for their cycle flag (or two or more workers run on them). That is an
 //! evaluation-order change: on every batch the decision must equal the one
 //! the eager form takes — coarse units first, then `decide` — and the build
 //! must happen exactly when the TD/PD-per-operation test leaves `c-schedule`
@@ -261,22 +261,35 @@ fn chain_heavy_streams_take_the_coarse_branch_and_the_cycle_veto() {
     assert_eq!(tally.coarse, 0);
 
     // A fixed fine-grained decision builds no coarse partition at all, and
-    // a fixed coarse-grained one builds exactly the one it runs on.
-    for (granularity, builds_per_batch) in [(Granularity::Fine, 0), (Granularity::Coarse, 1)] {
-        let store = StateStore::new();
-        let app = StreamingLedgerApp::new(&store, &config);
-        let engine_config =
-            EngineConfig::with_threads(test_threads(2)).with_punctuation_interval(1_024);
-        let decision = morphstream::SchedulingDecision {
-            granularity,
-            ..Default::default()
-        };
-        let mut engine = MorphStream::new(app, store, engine_config).with_fixed_decision(decision);
-        let report = engine.run(mixed.iter().cloned());
-        assert_eq!(
-            report.coarse_unit_builds,
-            builds_per_batch * 8,
-            "{granularity:?}"
-        );
+    // a fixed coarse-grained one builds exactly the one it runs on. Only a
+    // batch on two or more workers runs on units: the stream as generated
+    // declares no UDF work and builds none; at 3 µs per operation a batch
+    // declares a second worker's share and builds one.
+    for cost_us in [0, 3] {
+        for granularity in [Granularity::Fine, Granularity::Coarse] {
+            let store = StateStore::new();
+            let app = StreamingLedgerApp::new(&store, &config.with_udf_complexity_us(cost_us));
+            let engine_config =
+                EngineConfig::with_threads(test_threads(2)).with_punctuation_interval(1_024);
+            let decision = morphstream::SchedulingDecision {
+                granularity,
+                ..Default::default()
+            };
+            let mut engine =
+                MorphStream::new(app, store, engine_config).with_fixed_decision(decision);
+            let report = engine.run(mixed.iter().cloned());
+            let spread = report.batches.iter().filter(|b| b.workers > 1).count() as u64;
+            if cost_us == 0 {
+                assert_eq!(spread, 0);
+            }
+            let builds = match granularity {
+                Granularity::Fine => 0,
+                Granularity::Coarse => spread,
+            };
+            assert_eq!(
+                report.coarse_unit_builds, builds,
+                "{granularity:?} at {cost_us} µs"
+            );
+        }
     }
 }
