@@ -13,6 +13,10 @@
 //!
 //! The store is organised as named tables ([`StateStore`]), each a sharded
 //! hash map of per-key version chains protected by `parking_lot` locks.
+//! A chain keeps up to two versions inside its map slot — a key's committed
+//! version plus the one write a batch gives it before the after-batch
+//! reclaim — so most state accesses touch no heap; a third version spills
+//! the chain to a heap `Vec` whose capacity it keeps for the next spill.
 
 #![warn(missing_docs)]
 

@@ -30,13 +30,16 @@ struct Shard {
     multi: Vec<Key>,
     /// Versions retained by `chains`.
     versions: u64,
-    /// Bytes retained by `chains`: every chain's capacity plus its key.
+    /// Bytes retained by `chains`: every chain's inline slots and spilled
+    /// capacity, plus its key.
     bytes: u64,
     /// Chains visited by every reclaim so far.
     reclaim_visited: u64,
 }
 
-/// Bytes a chain accounts for in its shard's total.
+/// Bytes a chain accounts for in its shard's total: its inline slots, the
+/// heap capacity its spills left it, and its key. Only a write that spills
+/// past that capacity grows it; rollback and reclaim never shrink it.
 fn chain_bytes(chain: &VersionChain) -> u64 {
     chain.bytes_retained() + std::mem::size_of::<Key>() as u64
 }
@@ -179,8 +182,15 @@ impl MvTable {
         }
     }
 
-    /// Pre-allocate the dense key range `[0, n)`.
+    /// Pre-allocate the dense key range `[0, n)`. Each shard's map is sized
+    /// for its share of the range first, so filling it moves no slot: a
+    /// chain's slot holds its first versions, which makes a rehash costly.
     pub fn preallocate_range(&self, n: u64) {
+        let share = (n as usize).div_ceil(SHARDS);
+        for shard in &self.shards {
+            let chains = &mut shard.write().chains;
+            chains.reserve(share.saturating_sub(chains.len()));
+        }
         self.preallocate(0..n);
     }
 
@@ -357,7 +367,8 @@ impl MvTable {
     }
 
     /// Approximate bytes retained by the table's version chains: every
-    /// chain's capacity plus its key, summed from the per-shard totals.
+    /// chain's inline slots and spilled capacity plus its key, summed from
+    /// the per-shard totals.
     pub fn bytes_retained(&self) -> u64 {
         self.sum_shards(|shard| shard.bytes)
     }
@@ -459,6 +470,8 @@ impl MvTable {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn table() -> MvTable {
@@ -627,13 +640,16 @@ mod tests {
 
     /// Drive `t` through 4 000 random steps — writes (some out of order),
     /// rollbacks, seeds, preallocations, auto-creating reads and reclaims —
-    /// checking the per-shard totals against a walk after every step.
+    /// checking the per-shard totals against a walk after every step. Some
+    /// chain provably spills (reaches three versions) and comes back to one,
+    /// so the totals are checked on both sides of the inline/spill boundary.
     fn mixed_history(t: &MvTable) {
         use morphstream_common::rng::DetRng;
         let auto_create = t.is_auto_create();
         t.preallocate_range(24);
         let mut rng = DetRng::new(0x5EED ^ auto_create as u64);
         let mut ts = 0;
+        let (mut spilled, mut came_back) = (HashSet::new(), false);
         for step in 0..4_000u64 {
             let key = rng.next_below(if auto_create { 40 } else { 24 });
             match rng.next_below(16) {
@@ -659,7 +675,17 @@ mod tests {
                 }
             }
             t.assert_totals_match_walk();
+            for shard in &t.shards {
+                for (key, chain) in &shard.read().chains {
+                    if chain.len() >= 3 {
+                        spilled.insert(*key);
+                    } else if chain.len() == 1 {
+                        came_back |= spilled.remove(key);
+                    }
+                }
+            }
         }
+        assert!(came_back, "no chain went from three versions back to one");
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! * windowed reads return precisely the versions inside the window;
 //! * the sequence of visible values at increasing timestamps is consistent
 //!   with replaying the writes in timestamp order;
-//! * the table's running totals (`version_count`, `bytes_retained`) and the
-//!   keys its reclaims visit are, after every step of any history, what a
-//!   model that walks every chain finds.
+//! * the table's versions, running totals (`version_count`,
+//!   `bytes_retained`) and the keys its reclaims visit are, after every step
+//!   of any history, what a model of plain sorted `Vec`s finds — not the
+//!   table's own `VersionChain`, which keeps its first versions inline.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use morphstream_common::{Key, TableId, Timestamp, Value};
-use morphstream_storage::{MvTable, Version, VersionChain};
+use morphstream_storage::{MvTable, Version, VersionChain, INITIAL_WRITER};
 
 /// One step of a table history.
 #[derive(Debug, Clone)]
@@ -56,11 +57,66 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// The table as plain chains, every figure found by walking them.
+/// One key's versions as a plain sorted `Vec`, each operation written the
+/// simplest way that keeps `(ts, stmt)` order.
+struct ModelChain {
+    versions: Vec<Version>,
+    /// Most versions held since the key was created or seeded: the heap
+    /// capacity a chain keeps after spilling must cover it.
+    peak: usize,
+}
+
+impl ModelChain {
+    fn with_initial(value: Value) -> Self {
+        let initial = Version {
+            ts: 0,
+            stmt: 0,
+            writer: INITIAL_WRITER,
+            value,
+        };
+        Self {
+            versions: vec![initial],
+            peak: 1,
+        }
+    }
+
+    fn insert(&mut self, version: Version) {
+        let key = (version.ts, version.stmt);
+        let idx = self.versions.partition_point(|v| (v.ts, v.stmt) <= key);
+        self.versions.insert(idx, version);
+        self.peak = self.peak.max(self.versions.len());
+    }
+
+    fn remove_writer_at(&mut self, writer: u64, ts: Timestamp) {
+        self.versions.retain(|v| v.writer != writer || v.ts != ts);
+    }
+
+    fn truncate_before(&mut self, ts: Timestamp) {
+        let keep_from = self.versions.partition_point(|v| v.ts <= ts);
+        self.versions.drain(..keep_from.saturating_sub(1));
+    }
+
+    /// Bounds on the bytes the table may account for this key: its key and
+    /// inline slots, plus — once it has spilled — a heap capacity of at
+    /// least its peak and at most twice that.
+    fn bytes_bounds(&self) -> (u64, u64) {
+        let version = std::mem::size_of::<Version>();
+        let slots = VersionChain::default().bytes_retained() as usize;
+        let fixed = (std::mem::size_of::<Key>() + slots) as u64;
+        if self.peak * version <= slots {
+            (fixed, fixed)
+        } else {
+            let spilled = (self.peak * version) as u64;
+            (fixed + spilled, fixed + 2 * spilled)
+        }
+    }
+}
+
+/// The table as plain `Vec` chains, every figure found by walking them.
 struct Model {
     default_value: Value,
     auto_create: bool,
-    chains: BTreeMap<Key, VersionChain>,
+    chains: BTreeMap<Key, ModelChain>,
     /// Keys whose chain outgrew one version since a reclaim last found it
     /// at one: what the next reclaim has to visit.
     outgrown: BTreeSet<Key>,
@@ -70,8 +126,10 @@ struct Model {
 
 impl Model {
     fn create(&mut self, key: Key) {
-        let initial = VersionChain::with_initial(self.default_value);
-        self.chains.entry(key).or_insert(initial);
+        let value = self.default_value;
+        self.chains
+            .entry(key)
+            .or_insert_with(|| ModelChain::with_initial(value));
     }
 
     fn apply(&mut self, step: &Step) {
@@ -87,7 +145,7 @@ impl Model {
                         writer,
                         value,
                     });
-                    if chain.len() > 1 {
+                    if chain.versions.len() > 1 {
                         self.outgrown.insert(key);
                     }
                 }
@@ -98,7 +156,7 @@ impl Model {
                 }
             }
             Step::Seed(key, value) => {
-                self.chains.insert(key, VersionChain::with_initial(value));
+                self.chains.insert(key, ModelChain::with_initial(value));
             }
             Step::Preallocate(key, n) => (key..key + n).for_each(|key| self.create(key)),
             Step::Read(key, _) => {
@@ -113,7 +171,7 @@ impl Model {
                         chain.truncate_before(ts);
                     }
                     let chains = &self.chains;
-                    self.outgrown.retain(|key| chains[key].len() > 1);
+                    self.outgrown.retain(|key| chains[key].versions.len() > 1);
                 }
             }
             Step::Pin => self.pinned = true,
@@ -276,13 +334,17 @@ proptest! {
             prop_assert_eq!(table.key_count(), model.chains.len(), "after {:?}", step);
             for (key, chain) in &model.chains {
                 let surviving = table.window(*key, 0, Timestamp::MAX).unwrap();
-                prop_assert_eq!(&surviving[..], chain.versions(), "key {} after {:?}", key, step);
+                prop_assert_eq!(&surviving, &chain.versions, "key {} after {:?}", key, step);
             }
-            let versions: usize = model.chains.values().map(VersionChain::len).sum();
+            let versions: usize = model.chains.values().map(|c| c.versions.len()).sum();
             prop_assert_eq!(table.version_count(), versions as u64, "after {:?}", step);
-            let key_bytes = std::mem::size_of::<Key>() as u64;
-            let bytes: u64 = model.chains.values().map(|c| c.bytes_retained() + key_bytes).sum();
-            prop_assert_eq!(table.bytes_retained(), bytes, "after {:?}", step);
+            let (low, high) = model
+                .chains
+                .values()
+                .map(ModelChain::bytes_bounds)
+                .fold((0, 0), |(low, high), (l, h)| (low + l, high + h));
+            let bytes = table.bytes_retained();
+            prop_assert!((low..=high).contains(&bytes), "{} bytes after {:?}", bytes, step);
             prop_assert_eq!(table.reclaim_keys_visited(), model.visited, "after {:?}", step);
             prop_assert!(model.outgrown.len() <= model.chains.len());
         }
