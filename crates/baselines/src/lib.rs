@@ -35,38 +35,6 @@ pub use locked_spe::LockedSpe;
 pub use sstore::SStore;
 pub use tstream::TStream;
 
-/// Identifies one of the systems under comparison; used by the benchmark
-/// harness to label rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SystemUnderTest {
-    /// MorphStream with adaptive scheduling.
-    MorphStream,
-    /// The TStream reconstruction.
-    TStream,
-    /// The S-Store reconstruction.
-    SStore,
-    /// Conventional SPE + external state, with locking.
-    LockedSpeWithLocks,
-    /// Conventional SPE + external state, without locking (incorrect).
-    LockedSpeWithoutLocks,
-    /// A MorphStream operator topology (a multi-operator dataflow driven
-    /// through the same `TxnEngine` trait as the single-operator systems).
-    Topology,
-}
-
-impl std::fmt::Display for SystemUnderTest {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SystemUnderTest::MorphStream => "MorphStream",
-            SystemUnderTest::TStream => "TStream",
-            SystemUnderTest::SStore => "S-Store",
-            SystemUnderTest::LockedSpeWithLocks => "Flink+Redis (w/ locks)",
-            SystemUnderTest::LockedSpeWithoutLocks => "Flink+Redis (w/o locks)",
-            SystemUnderTest::Topology => "MorphStream topology",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,17 +138,5 @@ mod tests {
                 report.decision_trace()
             );
         }
-    }
-
-    #[test]
-    fn system_labels_match_figure_11() {
-        assert_eq!(SystemUnderTest::MorphStream.to_string(), "MorphStream");
-        assert_eq!(SystemUnderTest::SStore.to_string(), "S-Store");
-        assert!(SystemUnderTest::LockedSpeWithLocks
-            .to_string()
-            .contains("w/ locks"));
-        assert!(SystemUnderTest::LockedSpeWithoutLocks
-            .to_string()
-            .contains("w/o locks"));
     }
 }

@@ -1,7 +1,7 @@
 //! The sweep that fixes `morphstream_common::WORK_PER_WORKER_US`: Streaming
 //! Ledger batches planned and executed at one and at two workers over a grid
 //! of UDF cost `C` and punctuation interval `T`, next to the count the rule
-//! engages (`fig21_hardware --workers`).
+//! engages (`figs 21 --workers`).
 //!
 //! The engine engages what a batch's declared work pays for, so the sweep
 //! pins the count instead: [`Pinned`] is MorphStream's own batch executor —

@@ -180,7 +180,7 @@ pub struct EngineConfig {
     /// build and exploration alike (`effective_workers`); a batch declaring
     /// no work runs on the caller alone. The constant comes from a sweep of
     /// the Streaming Ledger shapes at one and two workers
-    /// (`fig21_hardware --workers`; table in ROADMAP item 4). The
+    /// (`figs 21 --workers`; table in ROADMAP item 6). The
     /// reconstructed baselines engage all `num_threads`.
     pub num_threads: usize,
     /// Number of input events between punctuations. `None` means "use the

@@ -157,11 +157,12 @@ fn benchmark_streams_decide_as_the_eager_form_and_build_no_coarse_units() {
     assert_eq!(tally.coarse, 0);
 }
 
-/// Grep&Sum base of the decision sweeps (`crates/bench/src/figs.rs`).
+/// Grep&Sum base of the decision sweeps (`figs::gs_config` in
+/// `crates/bench`): Table 6's C = 10 µs, so at two threads the engine runs
+/// its batches on two workers.
 fn gs_base() -> WorkloadConfig {
     WorkloadConfig::grep_sum()
         .with_key_space(20_000)
-        .with_udf_complexity_us(1)
         .with_txns_per_batch(1_024)
 }
 

@@ -2,15 +2,17 @@
 //! fused single-operator TP application and its two-operator topology split
 //! must produce identical `state_digest()`s and identical per-event outputs,
 //! across worker-thread counts (`MORPH_TEST_THREADS`), the inline vs the
-//! threaded topology driver, and keyed statistics parallelism 1 vs 4 —
-//! while the topology is driven exclusively through the *generic*
-//! `TxnEngine` surface (`Pipeline::push_iter` and `TxnEngine::run`), never
-//! through topology-specific calls.
+//! threaded topology driver, keyed statistics parallelism 1 vs 4, and with
+//! or without an incremental checkpoint every four batches — while the
+//! topology is driven exclusively through the *generic* `TxnEngine` surface
+//! (`Pipeline::push_iter`, `TxnEngine::checkpoint` and `TxnEngine::run`),
+//! never through topology-specific calls.
 
 use morphstream::storage::StateStore;
 use morphstream::{EngineConfig, MorphStream, RunReport, TopologyConfig, TxnEngine};
 use morphstream_common::config::test_threads;
 use morphstream_common::WorkloadConfig;
+use morphstream_durability::CheckpointBuilder;
 use morphstream_workloads::{TollProcessingApp, TpEvent};
 
 fn config() -> WorkloadConfig {
@@ -42,15 +44,18 @@ fn run_fused(threads: usize) -> (u64, RunReport<bool>) {
 
 /// Run the two-operator split through the generic `Pipeline` session.
 fn run_topology(threads: usize) -> (u64, RunReport<bool>) {
-    run_topology_with(threads, false, 1)
+    run_topology_with(threads, false, 1, false)
 }
 
 /// The split with explicit driver choices: inline vs per-operator
-/// threads, and keyed statistics parallelism.
+/// threads, keyed statistics parallelism, and whether to take an incremental
+/// checkpoint every four batches. Taking one flushes the open batch and the
+/// dirty flags; it must change neither the state nor the outputs.
 fn run_topology_with(
     threads: usize,
     concurrent: bool,
     parallelism: usize,
+    checkpointed: bool,
 ) -> (u64, RunReport<bool>) {
     let store = StateStore::new();
     let mut topology = TollProcessingApp::topology_with(
@@ -60,9 +65,21 @@ fn run_topology_with(
         TopologyConfig::default().with_concurrent(concurrent),
         parallelism,
     );
-    let mut pipeline = topology.pipeline();
-    pipeline.push_iter(events());
-    let report = pipeline.finish();
+    let events = events();
+    let chunk = if checkpointed {
+        4 * config().txns_per_batch
+    } else {
+        events.len()
+    };
+    for events in events.chunks(chunk) {
+        topology.pipeline().push_iter(events.iter().cloned());
+        if checkpointed {
+            let mut checkpoint = CheckpointBuilder::new();
+            TxnEngine::checkpoint(&mut topology, &mut checkpoint);
+            assert!(checkpoint.table_count() > 0);
+        }
+    }
+    let report = topology.finish();
     (store.state_digest(), report)
 }
 
@@ -99,14 +116,17 @@ fn split_topology_matches_the_fused_app_across_thread_counts() {
 fn threaded_driver_and_keyed_parallelism_match_the_inline_driver() {
     // The acceptance matrix of the concurrent-runtime redesign: digests and
     // outputs must be identical across {serial, concurrent} × parallelism
-    // {1, 4} × threads {1, MORPH_TEST_THREADS}.
+    // {1, 4} × threads {1, MORPH_TEST_THREADS} × checkpoints {off, on}.
     let (expected_digest, expected) = run_fused(1);
-    for concurrent in [false, true] {
+    for (concurrent, checkpointed) in [(false, false), (true, false), (false, true), (true, true)] {
         for parallelism in [1usize, 4] {
             for threads in [1, test_threads(4)] {
-                let (digest, report) = run_topology_with(threads, concurrent, parallelism);
-                let label =
-                    format!("concurrent={concurrent} parallelism={parallelism} threads={threads}");
+                let (digest, report) =
+                    run_topology_with(threads, concurrent, parallelism, checkpointed);
+                let label = format!(
+                    "concurrent={concurrent} parallelism={parallelism} threads={threads} \
+                     checkpointed={checkpointed}"
+                );
                 assert_eq!(digest, expected_digest, "digest diverged at {label}");
                 assert_eq!(
                     report.outputs, expected.outputs,
