@@ -26,7 +26,6 @@ use crate::harness::{banner, Scale};
 /// MorphStream's batch executor at a pinned worker count.
 struct Pinned {
     workers: usize,
-    model: DecisionModel,
 }
 
 impl BatchExecutor for Pinned {
@@ -40,7 +39,7 @@ impl BatchExecutor for Pinned {
         let tpg = Arc::new(TpgBuilder::new().with_threads(self.workers).build(batch));
         let plan = plan_started.elapsed();
         let mut coarse = None;
-        let decision = self.model.decide_with(tpg.stats(), || {
+        let decision = DecisionModel.decide_with(tpg.stats(), || {
             coarse.insert(SchedulingUnits::coarse(&tpg)).had_cycles
         });
         let partition = |tpg: &Tpg| match decision.granularity {
@@ -135,10 +134,7 @@ fn run_at(config: &WorkloadConfig, events: &[SlEvent], workers: usize) -> f64 {
     let app = StreamingLedgerApp::new(&store, config);
     let engine_config =
         EngineConfig::with_threads(workers).with_punctuation_interval(config.txns_per_batch);
-    let mut engine = MorphStream::new(app, store, engine_config).with_executor(Pinned {
-        workers,
-        model: DecisionModel::new(),
-    });
+    let mut engine = MorphStream::new(app, store, engine_config).with_executor(Pinned { workers });
     engine.run(events.iter().cloned()).k_events_per_second()
 }
 

@@ -81,7 +81,7 @@ fn phases(
 /// ns-explore / f-schedule / e-abort. The abort rule reads the app's
 /// configured abort ratio (1 %), not the phase's.
 #[test]
-#[ignore = "does not hold today (ROADMAP item 8)"]
+#[ignore = "does not hold today (ROADMAP item 4)"]
 fn fig12_the_decision_changes_across_the_phases() {
     let rows = fig12::measure(Scale::Smoke);
     let decisions: Vec<SchedulingDecision> = phases(&rows, SystemUnderTest::MorphStream)
@@ -101,7 +101,7 @@ fn fig12_the_decision_changes_across_the_phases() {
 /// It held in this run; over three runs before, TStream won Deposits in two
 /// and RisingSkew and RisingTransfers flipped between runs.
 #[test]
-#[ignore = "timing (ROADMAP item 8)"]
+#[ignore = "timing (ROADMAP item 9)"]
 fn fig12_morphstream_wins_every_phase() {
     let rows = fig12::measure(Scale::Smoke);
     let morph = phases(&rows, SystemUnderTest::MorphStream);
@@ -117,7 +117,7 @@ fn fig12_morphstream_wins_every_phase() {
 
 /// Release `figs 13` (k events/s): Nested 246, Plain-1 141, Plain-2 169.
 #[test]
-#[ignore = "timing (ROADMAP item 8)"]
+#[ignore = "timing (ROADMAP item 9)"]
 fn fig13_nested_beats_both_plain_strategies() {
     let rows = fig13::measure(Scale::Smoke);
     let kps = |label: &str| {
@@ -247,7 +247,7 @@ fn coarse_cycles<A: StreamApp>(app: &A, events: &[A::Event], punctuation: usize)
 /// four batches. Over 20 000 keys at θ = 0.2 a batch of 1 024 updates rarely
 /// writes both ends of a read, whether it reads one state or three.
 #[test]
-#[ignore = "does not hold today (ROADMAP item 8)"]
+#[ignore = "does not hold today (ROADMAP item 4)"]
 fn fig19_only_the_cyclic_workload_has_coarse_cycles() {
     for (case, config, events) in fig19::cycle_points(Scale::Smoke) {
         let app = GrepSumApp::new(&StateStore::new(), &config);
@@ -261,7 +261,7 @@ fn fig19_only_the_cyclic_workload_has_coarse_cycles() {
 /// 79.5 / 75.6 / 78.9 and 132.7 / 110.9 / 124.8; at θ = 0 115.5 / 139.2 /
 /// 133.9 and 147.5 / 140.3 / 138.4.
 #[test]
-#[ignore = "timing (ROADMAP item 8)"]
+#[ignore = "timing (ROADMAP item 9)"]
 fn fig18_ns_explore_wins_under_skew() {
     let (_, by_skew) = fig18::measure(Scale::Smoke);
     let ns = sweep_kps(&by_skew, "ns-explore", 1.0);
@@ -273,7 +273,7 @@ fn fig18_ns_explore_wins_under_skew() {
 /// 140.7 / 142.4; cyclic 76.2 / 75.4 and 141.5 / 128.1. The margins are
 /// within the spread, and the cyclic case has no cycles (above).
 #[test]
-#[ignore = "timing (ROADMAP item 8)"]
+#[ignore = "timing (ROADMAP item 9)"]
 fn fig19_c_schedule_wins_only_without_cycles() {
     let (by_cycles, _, _) = fig19::measure(Scale::Smoke);
     let f = |case| sweep_kps(&by_cycles, "f-schedule", case);
@@ -285,7 +285,7 @@ fn fig19_c_schedule_wins_only_without_cycles() {
 /// Release `figs 20` (k events/s, e / l): C = 50 µs at 40 % aborts 36.8 /
 /// 36.6; C = 0 at 90 % aborts 1 004 / 991.
 #[test]
-#[ignore = "timing (ROADMAP item 8)"]
+#[ignore = "timing (ROADMAP item 9)"]
 fn fig20_l_abort_wins_only_on_cheap_udfs() {
     let (by_complexity, by_ratio) = fig20::measure(Scale::Smoke);
     let e = sweep_kps(&by_complexity, "e-abort", 50);
@@ -303,7 +303,7 @@ fn fig20_l_abort_wins_only_on_cheap_udfs() {
 /// 329.7 at two. At C = 1 µs a 1 024-event batch declares ≈ 1.6 ms of work,
 /// which engages one worker whatever the core count.
 #[test]
-#[ignore = "timing (ROADMAP item 8)"]
+#[ignore = "timing (ROADMAP item 5)"]
 fn fig21_morphstream_scales_with_cores() {
     let (_, scalability) = fig21::measure(Scale::Smoke);
     let at = |cores: usize| {

@@ -180,11 +180,11 @@ pub struct EngineConfig {
     /// build and exploration alike (`effective_workers`); a batch declaring
     /// no work runs on the caller alone. The constant comes from a sweep of
     /// the Streaming Ledger shapes at one and two workers
-    /// (`figs 21 --workers`; table in ROADMAP item 6). The
+    /// (`figs 21 --workers`; table in ROADMAP item 5). The
     /// reconstructed baselines engage all `num_threads`.
     pub num_threads: usize,
-    /// Number of input events between punctuations. `None` means "use the
-    /// workload's `txns_per_batch`".
+    /// Number of input events between punctuations. `None` means no
+    /// punctuation by count: the engine cuts one batch per flush.
     pub punctuation_interval: Option<usize>,
     /// Reclaim multi-version state and processed TPGs after every batch
     /// (the analogue of the paper's "clear temporal objects" switch used in

@@ -139,7 +139,7 @@ pub enum JsonValue {
     Bool(bool),
     /// `null`.
     Null,
-    /// An array of numbers (the only nested shape the wire protocol needs).
+    /// An array of numbers (the only nested shape the parser accepts).
     Numbers(Vec<f64>),
 }
 
@@ -168,17 +168,6 @@ impl JsonValue {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array of unsigned integers.
-    pub fn as_u64_array(&self) -> Option<Vec<u64>> {
-        match self {
-            JsonValue::Numbers(ns) => ns
-                .iter()
-                .map(|n| JsonValue::Number(*n).as_u64())
-                .collect::<Option<Vec<u64>>>(),
             _ => None,
         }
     }
@@ -446,7 +435,7 @@ mod tests {
         assert_eq!(map["type"].as_str(), Some("transfer"));
         assert_eq!(map["from"].as_u64(), Some(1));
         assert_eq!(map["amount"].as_i64(), Some(-5));
-        assert_eq!(map["keys"].as_u64_array(), Some(vec![1, 2, 3]));
+        assert_eq!(map["keys"], JsonValue::Numbers(vec![1.0, 2.0, 3.0]));
         assert_eq!(map["b"], JsonValue::Bool(true));
         assert_eq!(map["z"], JsonValue::Null);
     }

@@ -25,8 +25,8 @@ use crate::json::JsonParseError;
 pub const BINARY_MAGIC: [u8; 4] = *b"MSB1";
 
 /// Hard upper bound on one frame's payload, protecting the server from a
-/// hostile or corrupt length prefix. Large enough for any event the
-/// workloads define (a GrepSum event with hundreds of keys is still < 4 KiB).
+/// hostile or corrupt length prefix. Far larger than any event the served
+/// workload defines (a Streaming Ledger transfer is 25 bytes).
 pub const MAX_FRAME_LEN: usize = 64 * 1024;
 
 /// Why a frame or event failed to decode.
@@ -119,9 +119,8 @@ impl WireFormat {
 
 /// An event type that can travel over both wire formats.
 ///
-/// Implemented by the workload event types (`SlEvent`, `GsEvent`); the
-/// server decodes whichever event type its configured application expects,
-/// and the load generator encodes the same type — both through this one
+/// Implemented by the served workload's event type (`SlEvent`); the server
+/// decodes it and the load generator encodes it, both through this one
 /// trait, so a new workload only has to implement `WireCodec` to become
 /// servable.
 pub trait WireCodec: Sized {
@@ -191,17 +190,6 @@ impl<'a> PayloadReader<'a> {
         ))
     }
 
-    /// Read a `u32` count followed by that many `u64`s. The count is bounded
-    /// by the remaining payload, so a corrupt count cannot trigger a huge
-    /// allocation.
-    pub fn u64_list(&mut self) -> Result<Vec<u64>, ProtocolError> {
-        let count = self.u32()? as usize;
-        if count > (self.bytes.len() - self.pos) / 8 {
-            return Err(ProtocolError::Truncated);
-        }
-        (0..count).map(|_| self.u64()).collect()
-    }
-
     /// Everything not yet consumed.
     pub fn rest(&mut self) -> &'a [u8] {
         let out = &self.bytes[self.pos..];
@@ -241,15 +229,6 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-/// Append a `u32` count and the listed `u64`s (inverse of
-/// [`PayloadReader::u64_list`]).
-pub fn put_u64_list(out: &mut Vec<u8>, items: &[u64]) {
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for item in items {
-        out.extend_from_slice(&item.to_le_bytes());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,20 +238,17 @@ mod tests {
         let mut payload = Vec::new();
         payload.push(7u8);
         payload.extend_from_slice(&42u64.to_le_bytes());
-        put_u64_list(&mut payload, &[1, 2, 3]);
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        for item in [1u64, 2, 3] {
+            payload.extend_from_slice(&item.to_le_bytes());
+        }
         let mut r = PayloadReader::new(&payload);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), 42);
-        assert_eq!(r.u64_list().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.u32().unwrap(), 3);
+        assert_eq!(r.i64().unwrap(), 1);
+        assert_eq!(r.bytes(16).unwrap().len(), 16);
         r.finish().unwrap();
-
-        // a count larger than the remaining payload must not allocate
-        let mut corrupt = Vec::new();
-        corrupt.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            PayloadReader::new(&corrupt).u64_list(),
-            Err(ProtocolError::Truncated)
-        ));
 
         // trailing bytes are an error, not silently ignored
         let mut r = PayloadReader::new(&payload);

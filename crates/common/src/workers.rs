@@ -6,7 +6,7 @@
 /// batch a spawn, barrier or wake-up round trips, and cache lines that
 /// bounce between cores, and below this much real work per extra worker one
 /// worker doing it all wins. Fixed by the sweep `figs 21 --workers`
-/// (ROADMAP item 6): on the Streaming Ledger shapes a second worker first
+/// (ROADMAP item 5): on the Streaming Ledger shapes a second worker first
 /// pays between 2.05 and 3.27 ms of declared work.
 pub const WORK_PER_WORKER_US: u64 = 2_500;
 

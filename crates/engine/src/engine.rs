@@ -35,23 +35,6 @@ use crate::report::{BatchSummary, ReclaimVisits, RunReport};
 /// *nested* configuration of Section 8.2.3).
 type GroupFn<E> = Box<dyn Fn(&E) -> usize + Send + Sync>;
 
-/// How the engine picks scheduling decisions.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedulingMode {
-    /// Evaluate the heuristic decision model per batch (and per group when
-    /// grouped processing is used) — the "Morph" behaviour.
-    Adaptive(DecisionModel),
-    /// Always use one fixed decision (used by the ablation studies of
-    /// Section 8.4).
-    Fixed(SchedulingDecision),
-}
-
-impl Default for SchedulingMode {
-    fn default() -> Self {
-        SchedulingMode::Adaptive(DecisionModel::new())
-    }
-}
-
 /// What a [`BatchExecutor`] hands back for one group of a punctuation batch.
 #[derive(Debug)]
 pub struct ExecutedBatch {
@@ -77,10 +60,10 @@ pub struct ExecutedBatch {
 /// punctuation batch against the store, on at most `threads` workers.
 ///
 /// The engine owns everything around the call — decomposition, timestamps,
-/// post-processing, pinning, dirty-marking, reclamation and the batch
-/// summary — so systems that differ only in how a batch runs share one
-/// punctuation path. MorphStream's adaptive or fixed scheduling is the
-/// built-in executor; [`MorphStream::with_executor`] installs another.
+/// post-processing, pinning, reclamation and the batch summary — so systems
+/// that differ only in how a batch runs share one punctuation path.
+/// MorphStream's adaptive or fixed scheduling is the built-in executor;
+/// [`MorphStream::with_executor`] installs another.
 pub trait BatchExecutor: Send {
     /// Plan and execute `batch`.
     fn execute(
@@ -91,10 +74,13 @@ pub trait BatchExecutor: Send {
     ) -> ExecutedBatch;
 }
 
-/// The built-in executor: build the group's TPG, decide how to schedule it
-/// (per [`SchedulingMode`]), and run it.
+/// The built-in executor: build the group's TPG, decide how to schedule it,
+/// and run it.
 struct Morph {
-    mode: SchedulingMode,
+    /// The decision every group runs under (the ablation studies of Section
+    /// 8.4); `None` evaluates the decision model per group — the "Morph"
+    /// behaviour.
+    fixed: Option<SchedulingDecision>,
 }
 
 impl BatchExecutor for Morph {
@@ -124,12 +110,11 @@ impl BatchExecutor for Morph {
             SchedulingUnits::coarse(tpg)
         };
         let mut coarse_units = None;
-        let decision = match &self.mode {
-            SchedulingMode::Fixed(decision) => *decision,
-            SchedulingMode::Adaptive(model) => model.decide_with(tpg.stats(), || {
+        let decision = self.fixed.unwrap_or_else(|| {
+            DecisionModel.decide_with(tpg.stats(), || {
                 coarse_units.insert(build_coarse(&tpg)).had_cycles
-            }),
-        };
+            })
+        });
         let explore = explore_start.elapsed();
 
         // Execution.
@@ -195,9 +180,7 @@ impl<A: StreamApp> MorphStream<A> {
     pub(crate) fn with_shared_app(app: Arc<A>, store: StateStore, config: EngineConfig) -> Self {
         Self {
             reclaim_visits: ReclaimVisits::new([&store]),
-            executor: Box::new(Morph {
-                mode: SchedulingMode::default(),
-            }),
+            executor: Box::new(Morph { fixed: None }),
             app,
             store,
             config,
@@ -207,17 +190,14 @@ impl<A: StreamApp> MorphStream<A> {
         }
     }
 
-    /// Run the built-in executor under `mode` (adaptive by default).
+    /// Fix the scheduling decision for every batch instead of evaluating
+    /// the decision model per batch.
     #[must_use = "builder methods return the updated value instead of mutating in place"]
-    pub fn with_scheduling_mode(mut self, mode: SchedulingMode) -> Self {
-        self.executor = Box::new(Morph { mode });
+    pub fn with_fixed_decision(mut self, decision: SchedulingDecision) -> Self {
+        self.executor = Box::new(Morph {
+            fixed: Some(decision),
+        });
         self
-    }
-
-    /// Fix the scheduling decision for every batch.
-    #[must_use = "builder methods return the updated value instead of mutating in place"]
-    pub fn with_fixed_decision(self, decision: SchedulingDecision) -> Self {
-        self.with_scheduling_mode(SchedulingMode::Fixed(decision))
     }
 
     /// Plan and execute every group with `executor` instead of the built-in
@@ -378,10 +358,6 @@ impl<A: StreamApp> MorphStream<A> {
         for table in &windowed_tables {
             let _ = self.store.pin_table(*table);
         }
-        // Checkpoint cue: decomposition already knows which tables this
-        // batch touched, so dirty-marking rides on that set instead of
-        // relying solely on the per-write flag inside the store.
-        self.store.mark_tables_dirty(&written_tables);
         if self.config.reclaim_after_batch {
             // Per-table scope: reclaim only the tables this batch wrote. The
             // watermark lives in this engine's timestamp domain, so on a
@@ -791,6 +767,14 @@ mod tests {
         assert_eq!(second.events(), 50);
         // batch indices restart per session; timestamps keep advancing
         assert_eq!(second.batches.first().map(|b| b.batch), Some(0));
+
+        // Without a punctuation interval only the flush cuts: one batch.
+        let (store, accounts) = setup(1_000);
+        let mut unpunctuated =
+            MorphStream::new(Transfers { accounts }, store, EngineConfig::with_threads(2));
+        let report = unpunctuated.run(transfer_events(50));
+        assert_eq!(report.batches.len(), 1);
+        assert_eq!(report.batches[0].events, 50);
     }
 
     #[test]

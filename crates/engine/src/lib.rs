@@ -57,7 +57,7 @@ pub mod report;
 pub mod topology;
 
 pub use app::{StreamApp, TxnBuilder};
-pub use engine::{BatchExecutor, ExecutedBatch, MorphStream, SchedulingMode};
+pub use engine::{BatchExecutor, ExecutedBatch, MorphStream};
 pub use pipeline::{
     BatchHook, CheckpointSink, CheckpointSource, EventSink, EventSource, FnSink, OutputDigest,
     OutputSink, PendingBatch, Pipeline, SessionState, TxnEngine,

@@ -23,4 +23,4 @@ pub mod decision;
 pub mod model;
 
 pub use decision::{AbortHandling, ExplorationStrategy, Granularity, SchedulingDecision};
-pub use model::{DecisionModel, ModelThresholds, WorkloadObservation};
+pub use model::{DecisionModel, WorkloadObservation};

@@ -17,9 +17,9 @@
 //!   frequent (batched clean-up is cheaper than fine-grained rollback);
 //!   `e-abort` otherwise.
 //!
-//! The concrete thresholds are configurable ([`ModelThresholds`]); the
-//! defaults were tuned on the micro-benchmarks of Section 8.4, mirroring how
-//! the paper derives its bracketed threshold numbers experimentally.
+//! The thresholds are constants tuned on the micro-benchmarks of Section
+//! 8.4, mirroring how the paper derives its bracketed threshold numbers
+//! experimentally.
 
 use morphstream_tpg::TpgStats;
 
@@ -54,119 +54,67 @@ fn per_op(stats: &TpgStats, edges: usize) -> f64 {
     }
 }
 
-/// Tunable thresholds of the decision model (the bracketed numbers of
-/// Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelThresholds {
-    /// Dependencies per operation above which the batch counts as having a
-    /// "high" number of dependencies.
-    pub deps_per_op_high: f64,
-    /// Degree skew (max out-degree / mean out-degree) above which the state
-    /// access distribution counts as skewed.
-    pub degree_skew_high: f64,
-    /// Temporal dependencies per operation above which TD count is "high".
-    pub td_per_op_high: f64,
-    /// Parametric dependencies per operation above which PD count is "high".
-    pub pd_per_op_high: f64,
-    /// Mean UDF cost (µs) above which vertex computation is "complex".
-    pub complexity_high_us: f64,
-    /// Abort ratio above which aborts are "frequent".
-    pub abort_ratio_high: f64,
+// The bracketed numbers of Figure 7.
+
+/// Dependencies per operation from which a batch has "many" dependencies.
+const DEPS_PER_OP_HIGH: f64 = 0.6;
+/// Degree skew (max out-degree / mean out-degree) above which the state
+/// access distribution is skewed.
+const DEGREE_SKEW_HIGH: f64 = 8.0;
+/// Temporal dependencies per operation from which the TD count is "high".
+const TD_PER_OP_HIGH: f64 = 0.6;
+/// Parametric dependencies per operation from which the PD count is "high".
+const PD_PER_OP_HIGH: f64 = 0.15;
+/// Mean UDF cost (µs) from which vertex computation is "complex".
+const COMPLEXITY_HIGH_US: f64 = 50.0;
+/// Abort ratio from which aborts are "frequent".
+const ABORT_RATIO_HIGH: f64 = 0.25;
+
+/// Exploration strategy (dimension I of Figure 7).
+fn exploration_for(stats: &TpgStats) -> ExplorationStrategy {
+    if per_op(stats, stats.td_edges + stats.pd_edges) >= DEPS_PER_OP_HIGH
+        && stats.degree_skew <= DEGREE_SKEW_HIGH
+    {
+        // Many dependencies, balanced degree distribution: strata keep
+        // threads busy and synchronisation is cheap relative to the number
+        // of resolved dependencies.
+        ExplorationStrategy::StructuredBfs
+    } else {
+        ExplorationStrategy::NonStructured
+    }
 }
 
-impl Default for ModelThresholds {
-    fn default() -> Self {
-        Self {
-            deps_per_op_high: 0.6,
-            degree_skew_high: 8.0,
-            td_per_op_high: 0.6,
-            pd_per_op_high: 0.15,
-            complexity_high_us: 50.0,
-            abort_ratio_high: 0.25,
-        }
+/// Scheduling granularity (dimension II of Figure 7), cheapest conjunct
+/// first: `coarse_cycles` is called only when the TD and PD counts already
+/// favour `c-schedule`.
+fn granularity_for(stats: &TpgStats, coarse_cycles: impl FnOnce() -> bool) -> Granularity {
+    if per_op(stats, stats.td_edges) >= TD_PER_OP_HIGH
+        && per_op(stats, stats.pd_edges) < PD_PER_OP_HIGH
+        && !coarse_cycles()
+    {
+        Granularity::Coarse
+    } else {
+        Granularity::Fine
+    }
+}
+
+/// Abort handling mechanism (dimension III of Figure 7).
+fn abort_handling_for(stats: &TpgStats) -> AbortHandling {
+    if stats.mean_cost_us < COMPLEXITY_HIGH_US && stats.expected_abort_ratio >= ABORT_RATIO_HIGH {
+        AbortHandling::Lazy
+    } else {
+        AbortHandling::Eager
     }
 }
 
 /// The heuristic decision model.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct DecisionModel {
-    thresholds: ModelThresholds,
-}
+pub struct DecisionModel;
 
 impl DecisionModel {
-    /// Model with default thresholds.
+    /// The model.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Model with custom thresholds.
-    pub fn with_thresholds(thresholds: ModelThresholds) -> Self {
-        Self { thresholds }
-    }
-
-    /// Thresholds currently in use.
-    pub fn thresholds(&self) -> &ModelThresholds {
-        &self.thresholds
-    }
-
-    /// Pick the exploration strategy (dimension I of Figure 7).
-    pub fn decide_exploration(&self, obs: &WorkloadObservation) -> ExplorationStrategy {
-        self.exploration_for(&obs.stats)
-    }
-
-    fn exploration_for(&self, stats: &TpgStats) -> ExplorationStrategy {
-        let t = &self.thresholds;
-        if per_op(stats, stats.td_edges + stats.pd_edges) >= t.deps_per_op_high {
-            if stats.degree_skew <= t.degree_skew_high {
-                // Many dependencies, balanced degree distribution: strata keep
-                // threads busy and synchronisation is cheap relative to the
-                // number of resolved dependencies.
-                ExplorationStrategy::StructuredBfs
-            } else {
-                ExplorationStrategy::NonStructured
-            }
-        } else {
-            ExplorationStrategy::NonStructured
-        }
-    }
-
-    /// Pick the scheduling granularity (dimension II of Figure 7).
-    pub fn decide_granularity(&self, obs: &WorkloadObservation) -> Granularity {
-        self.granularity_for(&obs.stats, || obs.coarse_cycles)
-    }
-
-    /// The granularity rule, cheapest conjunct first: `coarse_cycles` is
-    /// called only when the TD and PD counts already favour `c-schedule`.
-    fn granularity_for(
-        &self,
-        stats: &TpgStats,
-        coarse_cycles: impl FnOnce() -> bool,
-    ) -> Granularity {
-        let t = &self.thresholds;
-        if per_op(stats, stats.td_edges) >= t.td_per_op_high
-            && per_op(stats, stats.pd_edges) < t.pd_per_op_high
-            && !coarse_cycles()
-        {
-            Granularity::Coarse
-        } else {
-            Granularity::Fine
-        }
-    }
-
-    /// Pick the abort handling mechanism (dimension III of Figure 7).
-    pub fn decide_abort_handling(&self, obs: &WorkloadObservation) -> AbortHandling {
-        self.abort_handling_for(&obs.stats)
-    }
-
-    fn abort_handling_for(&self, stats: &TpgStats) -> AbortHandling {
-        let t = &self.thresholds;
-        if stats.mean_cost_us < t.complexity_high_us
-            && stats.expected_abort_ratio >= t.abort_ratio_high
-        {
-            AbortHandling::Lazy
-        } else {
-            AbortHandling::Eager
-        }
+        Self
     }
 
     /// Full decision across the three dimensions.
@@ -186,9 +134,9 @@ impl DecisionModel {
         coarse_cycles: impl FnOnce() -> bool,
     ) -> SchedulingDecision {
         SchedulingDecision {
-            exploration: self.exploration_for(stats),
-            granularity: self.granularity_for(stats, coarse_cycles),
-            abort_handling: self.abort_handling_for(stats),
+            exploration: exploration_for(stats),
+            granularity: granularity_for(stats, coarse_cycles),
+            abort_handling: abort_handling_for(stats),
         }
     }
 }
@@ -218,60 +166,57 @@ mod tests {
         }
     }
 
+    fn decide(stats: TpgStats, coarse_cycles: bool) -> SchedulingDecision {
+        DecisionModel::new().decide(&WorkloadObservation::new(stats, coarse_cycles))
+    }
+
     #[test]
     fn many_uniform_dependencies_pick_structured_exploration() {
-        let obs = WorkloadObservation::new(stats(1000, 900, 100, 2.0, 10.0, 0.0), false);
         assert_eq!(
-            DecisionModel::new().decide_exploration(&obs),
+            decide(stats(1000, 900, 100, 2.0, 10.0, 0.0), false).exploration,
             ExplorationStrategy::StructuredBfs
         );
     }
 
     #[test]
     fn skewed_dependencies_pick_non_structured_exploration() {
-        let obs = WorkloadObservation::new(stats(1000, 900, 100, 50.0, 10.0, 0.0), false);
         assert_eq!(
-            DecisionModel::new().decide_exploration(&obs),
+            decide(stats(1000, 900, 100, 50.0, 10.0, 0.0), false).exploration,
             ExplorationStrategy::NonStructured
         );
     }
 
     #[test]
     fn few_dependencies_pick_non_structured_exploration() {
-        let obs = WorkloadObservation::new(stats(1000, 50, 10, 1.5, 10.0, 0.0), false);
         assert_eq!(
-            DecisionModel::new().decide_exploration(&obs),
+            decide(stats(1000, 50, 10, 1.5, 10.0, 0.0), false).exploration,
             ExplorationStrategy::NonStructured
         );
     }
 
     #[test]
     fn coarse_granularity_requires_acyclic_many_td_few_pd() {
-        let model = DecisionModel::new();
-        let good = WorkloadObservation::new(stats(1000, 900, 20, 2.0, 10.0, 0.0), false);
-        assert_eq!(model.decide_granularity(&good), Granularity::Coarse);
+        let granularity = |stats, cycles| decide(stats, cycles).granularity;
+        let good = stats(1000, 900, 20, 2.0, 10.0, 0.0);
+        assert_eq!(granularity(good.clone(), false), Granularity::Coarse);
+        assert_eq!(granularity(good, true), Granularity::Fine);
 
-        let cyclic = WorkloadObservation::new(stats(1000, 900, 20, 2.0, 10.0, 0.0), true);
-        assert_eq!(model.decide_granularity(&cyclic), Granularity::Fine);
+        let many_pd = stats(1000, 900, 400, 2.0, 10.0, 0.0);
+        assert_eq!(granularity(many_pd, false), Granularity::Fine);
 
-        let many_pd = WorkloadObservation::new(stats(1000, 900, 400, 2.0, 10.0, 0.0), false);
-        assert_eq!(model.decide_granularity(&many_pd), Granularity::Fine);
-
-        let few_td = WorkloadObservation::new(stats(1000, 100, 20, 2.0, 10.0, 0.0), false);
-        assert_eq!(model.decide_granularity(&few_td), Granularity::Fine);
+        let few_td = stats(1000, 100, 20, 2.0, 10.0, 0.0);
+        assert_eq!(granularity(few_td, false), Granularity::Fine);
     }
 
     #[test]
     fn the_cycle_flag_is_asked_for_only_when_td_and_pd_leave_coarse_open() {
-        let model = DecisionModel::new();
         let ask = |stats: &TpgStats, cycles: bool| {
             let mut asked = false;
-            let decision = model.decide_with(stats, || {
+            let decision = DecisionModel::new().decide_with(stats, || {
                 asked = true;
                 cycles
             });
-            let eager = model.decide(&WorkloadObservation::new(stats.clone(), cycles));
-            assert_eq!(decision, eager);
+            assert_eq!(decision, decide(stats.clone(), cycles));
             asked
         };
         let open = stats(1000, 900, 20, 2.0, 10.0, 0.0);
@@ -287,61 +232,54 @@ mod tests {
 
     #[test]
     fn abort_handling_follows_cost_and_abort_ratio() {
-        let model = DecisionModel::new();
-        let cheap_aborty = WorkloadObservation::new(stats(100, 0, 0, 1.0, 5.0, 0.5), false);
-        assert_eq!(
-            model.decide_abort_handling(&cheap_aborty),
-            AbortHandling::Lazy
-        );
+        let abort_handling = |stats| decide(stats, false).abort_handling;
+        let cheap_aborty = stats(100, 0, 0, 1.0, 5.0, 0.5);
+        assert_eq!(abort_handling(cheap_aborty), AbortHandling::Lazy);
 
-        let cheap_clean = WorkloadObservation::new(stats(100, 0, 0, 1.0, 5.0, 0.01), false);
-        assert_eq!(
-            model.decide_abort_handling(&cheap_clean),
-            AbortHandling::Eager
-        );
+        let cheap_clean = stats(100, 0, 0, 1.0, 5.0, 0.01);
+        assert_eq!(abort_handling(cheap_clean), AbortHandling::Eager);
 
-        let expensive_aborty = WorkloadObservation::new(stats(100, 0, 0, 1.0, 90.0, 0.5), false);
-        assert_eq!(
-            model.decide_abort_handling(&expensive_aborty),
-            AbortHandling::Eager
-        );
+        let expensive_aborty = stats(100, 0, 0, 1.0, 90.0, 0.5);
+        assert_eq!(abort_handling(expensive_aborty), AbortHandling::Eager);
     }
 
     #[test]
     fn full_decision_combines_all_three_dimensions() {
-        let model = DecisionModel::new();
         // Phase-1-like workload of Figure 12: many scattered deposits — lots
         // of TDs/LDs, few PDs, uniform distribution, no aborts.
-        let obs = WorkloadObservation::new(stats(10_000, 9_000, 100, 2.0, 10.0, 0.0), false);
-        let d = model.decide(&obs);
+        let d = decide(stats(10_000, 9_000, 100, 2.0, 10.0, 0.0), false);
         assert_eq!(d.exploration, ExplorationStrategy::StructuredBfs);
         assert_eq!(d.granularity, Granularity::Coarse);
         assert_eq!(d.abort_handling, AbortHandling::Eager);
 
         // Phase-4-like workload: rising abort ratio with cheap UDFs morphs
         // abort handling to lazy.
-        let obs = WorkloadObservation::new(stats(10_000, 9_000, 100, 2.0, 10.0, 0.6), false);
-        assert_eq!(model.decide(&obs).abort_handling, AbortHandling::Lazy);
+        let d = decide(stats(10_000, 9_000, 100, 2.0, 10.0, 0.6), false);
+        assert_eq!(d.abort_handling, AbortHandling::Lazy);
     }
 
     #[test]
-    fn custom_thresholds_change_decisions() {
-        let strict = DecisionModel::with_thresholds(ModelThresholds {
-            deps_per_op_high: 10.0,
-            ..ModelThresholds::default()
-        });
-        let obs = WorkloadObservation::new(stats(1000, 900, 100, 2.0, 10.0, 0.0), false);
-        assert_eq!(
-            strict.decide_exploration(&obs),
-            ExplorationStrategy::NonStructured
-        );
-        assert_eq!(strict.thresholds().deps_per_op_high, 10.0);
+    fn each_rule_flips_at_its_threshold() {
+        // Exploration: 0.6 dependencies per op, degree skew 8.
+        let explore = |td, skew| decide(stats(1000, td, 0, skew, 0.0, 0.0), false).exploration;
+        assert_eq!(explore(600, 8.0), ExplorationStrategy::StructuredBfs);
+        assert_eq!(explore(599, 8.0), ExplorationStrategy::NonStructured);
+        assert_eq!(explore(600, 8.001), ExplorationStrategy::NonStructured);
+        // Granularity: 0.6 TDs per op, fewer than 0.15 PDs per op.
+        let granularity = |td, pd| decide(stats(1000, td, pd, 1.0, 0.0, 0.0), false).granularity;
+        assert_eq!(granularity(600, 149), Granularity::Coarse);
+        assert_eq!(granularity(599, 149), Granularity::Fine);
+        assert_eq!(granularity(600, 150), Granularity::Fine);
+        // Abort handling: cost under 50 µs, abort ratio 0.25.
+        let abort = |cost, ratio| decide(stats(100, 0, 0, 1.0, cost, ratio), false).abort_handling;
+        assert_eq!(abort(49.9, 0.25), AbortHandling::Lazy);
+        assert_eq!(abort(50.0, 0.25), AbortHandling::Eager);
+        assert_eq!(abort(49.9, 0.249), AbortHandling::Eager);
     }
 
     #[test]
     fn empty_batch_degenerates_gracefully() {
-        let obs = WorkloadObservation::new(TpgStats::default(), false);
-        let d = DecisionModel::new().decide(&obs);
+        let d = decide(TpgStats::default(), false);
         assert_eq!(d.exploration, ExplorationStrategy::NonStructured);
         assert_eq!(d.granularity, Granularity::Fine);
         assert_eq!(d.abort_handling, AbortHandling::Eager);

@@ -245,9 +245,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         let mut opts = ServeOptions {
             event_addr: "127.0.0.1:7878".into(),
             metrics_addr: "127.0.0.1:9878".into(),
-            // A session per ~10M events keeps the in-engine report bounded
-            // on an unbounded stream while staying invisible at smoke scale.
-            session_events: 10_000_000,
             ..ServeOptions::default()
         };
         apply_serve_flags(args, &mut opts)?;
@@ -305,7 +302,6 @@ fn cmd_standby(args: &[String]) -> ExitCode {
         let mut opts = ServeOptions {
             event_addr: "127.0.0.1:7878".into(),
             metrics_addr: "127.0.0.1:9879".into(),
-            session_events: 10_000_000,
             ..ServeOptions::default()
         };
         apply_serve_flags(args, &mut opts)?;

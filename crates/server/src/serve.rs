@@ -72,7 +72,8 @@ pub struct ServeOptions {
     /// raise it to demonstrate back-pressure end to end.
     pub audit_cost_us: u64,
     /// Rotate the engine session after this many ingested events, folding
-    /// its report into the lifetime totals (0 = never rotate).
+    /// its report into the lifetime totals (0 = never rotate). The default,
+    /// 10M, keeps the in-engine report bounded on an unbounded stream.
     pub session_events: u64,
     /// Durable data directory (checkpoints + write-ahead log). `None`
     /// keeps nothing on disk.
@@ -103,7 +104,7 @@ impl Default for ServeOptions {
             channel_capacity: 2,
             concurrent: false,
             audit_cost_us: 0,
-            session_events: 0,
+            session_events: 10_000_000,
             data_dir: None,
             checkpoint_interval: 100_000,
             fsync: FsyncPolicy::Interval,
@@ -617,4 +618,14 @@ pub fn reference_run(opts: &ServeOptions, events: Vec<SlEvent>) -> io::Result<Se
         frames: 0,
         decode_errors: 0,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_options_rotate_the_session_every_ten_million_events() {
+        assert_eq!(ServeOptions::default().session_events, 10_000_000);
+    }
 }

@@ -1,5 +1,5 @@
 //! Property tests of the wire protocol (vendored proptest shim): arbitrary
-//! events round-trip both formats bit-exactly, and arbitrary byte soup fed
+//! SL events round-trip both formats bit-exactly, and arbitrary byte soup fed
 //! to the socket decoder errors instead of panicking — the server-facing
 //! totality guarantee.
 
@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use morphstream::EventSource;
 use morphstream_common::protocol::{WireCodec, WireFormat};
 use morphstream_server::{encode_event, write_preamble, SocketEventSource};
-use morphstream_workloads::{GsEvent, SlEvent};
+use morphstream_workloads::SlEvent;
 
 /// Largest integer JSON carries exactly (the parser goes through `f64`).
 const JSON_MAX: u64 = (1 << 53) - 1;
@@ -21,22 +21,6 @@ fn sl_event(key_bound: u64, amount_bound: i64) -> impl Strategy<Value = SlEvent>
             .prop_map(|(account, amount)| { SlEvent::Deposit { account, amount } }),
         (0..key_bound, 0..key_bound, 0..amount_bound)
             .prop_map(|(from, to, amount)| { SlEvent::Transfer { from, to, amount } }),
-    ]
-}
-
-fn gs_event(key_bound: u64) -> impl Strategy<Value = GsEvent> {
-    let keys = || proptest::collection::vec(0..key_bound, 0..6);
-    prop_oneof![
-        (0..key_bound, keys(), -1_000i64..1_000, 0u64..2).prop_map(
-            |(target, sources, value, abort)| GsEvent::Update {
-                target,
-                sources,
-                value,
-                inject_abort: abort == 1,
-            }
-        ),
-        (keys(), 0..key_bound).prop_map(|(keys, window)| GsEvent::WindowSum { keys, window }),
-        (0..key_bound, keys()).prop_map(|(seed, read_keys)| GsEvent::NonDetSum { seed, read_keys }),
     ]
 }
 
@@ -77,12 +61,6 @@ proptest! {
     fn sl_events_round_trip_json_in_the_safe_integer_range(
         event in sl_event(JSON_MAX, JSON_MAX as i64)
     ) {
-        round_trip(&event, WireFormat::JsonLines);
-    }
-
-    #[test]
-    fn gs_events_round_trip_both_formats(event in gs_event(JSON_MAX)) {
-        round_trip(&event, WireFormat::Binary);
         round_trip(&event, WireFormat::JsonLines);
     }
 

@@ -60,30 +60,17 @@ impl TpgBuilder {
         self
     }
 
-    /// The configured construction worker count.
-    pub fn threads(&self) -> usize {
-        self.num_threads
-    }
-
-    /// Build the TPG for one batch. The effective shard count is clamped by
-    /// the batch size (see [`effective_shards`]): tiny batches are one shard,
-    /// built on the calling thread — extra workers that each rescan the whole
-    /// operation array to own one or zero lists would cost more than they
-    /// save.
+    /// Build the TPG for one batch in exactly as many shards as the
+    /// configured workers; one shard is built on the calling thread. The
+    /// engine configures the workers `effective_workers` engaged for the
+    /// batch, so planning and execution use one team.
     pub fn build(&self, batch: TransactionBatch) -> Tpg {
-        self.build_with(batch, None, None)
+        self.build_with(batch, None)
     }
 
-    /// `build` with an optional forced shard count, bypassing the batch-size
-    /// clamp — used by the shard-equivalence tests to exercise the parallel
-    /// path on deliberately tiny batches — and optional fixed seeds for the
-    /// list maps, for the tests that compare two seeds.
-    fn build_with(
-        &self,
-        batch: TransactionBatch,
-        forced_shards: Option<usize>,
-        lists_seed: Option<u64>,
-    ) -> Tpg {
+    /// `build` with optional fixed seeds for the list maps, for the tests
+    /// that compare two seeds.
+    fn build_with(&self, batch: TransactionBatch, lists_seed: Option<u64>) -> Tpg {
         let expected_abort_ratio = batch.expected_abort_ratio;
         let txns = batch.into_sorted();
 
@@ -120,7 +107,7 @@ impl TpgBuilder {
 
         // ---- Sharded stream + transaction processing phases ----
         let txn_of: Vec<TxnId> = ops.iter().map(|o| o.txn).collect();
-        let shards = forced_shards.unwrap_or_else(|| effective_shards(self.num_threads, &ops));
+        let shards = self.num_threads;
         let mut per_shard = fan_out(shards, |shard| {
             let lists = lists_seed.map_or_else(SeededState::new, |seed| {
                 SeededState::with_seed(seed.wrapping_add(shard as u64))
@@ -147,41 +134,6 @@ impl TpgBuilder {
 
         Tpg::assemble(ops, edges, txn_start, txn_ts, expected_abort_ratio)
     }
-}
-
-/// Roughly how many operations each construction shard should own before an
-/// extra worker pays for its spawn and its full-batch filtering scan.
-const MIN_OPS_PER_SHARD: usize = 128;
-
-/// How many operations to sample when estimating the batch's state
-/// cardinality.
-const CARDINALITY_SAMPLE: usize = 128;
-
-/// Effective shard count for a batch: never more than the configured
-/// workers, never so many that a shard owns fewer than [`MIN_OPS_PER_SHARD`]
-/// operations, and never more than the batch's estimated distinct-state
-/// count (paper-scale punctuations of 10k+ transactions over a wide key
-/// space use every worker; unit-test-sized or hot-key batches run serially
-/// instead of spawning workers that would own zero lists).
-fn effective_shards(num_threads: usize, ops: &[Operation]) -> usize {
-    let by_size = num_threads.min(ops.len() / MIN_OPS_PER_SHARD);
-    if by_size <= 1 {
-        return 1;
-    }
-    // Distinct states touched by a prefix sample bound the useful shard
-    // count: a hot-key batch has ~1 distinct state in any sample and gains
-    // nothing from sharding, however many operations it holds.
-    let mut sampled: std::collections::HashSet<StateRef> =
-        std::collections::HashSet::with_capacity(CARDINALITY_SAMPLE * 2);
-    for op in ops.iter().take(CARDINALITY_SAMPLE) {
-        if let Some(key) = op.spec.target.known() {
-            sampled.insert(StateRef::new(op.spec.table, key));
-        }
-        for param in &op.spec.params {
-            sampled.insert(*param);
-        }
-    }
-    by_size.min(sampled.len()).max(1)
 }
 
 /// Build the sorted lists owned by `shard` (out of `shards`) and derive their
@@ -366,43 +318,14 @@ mod tests {
     #[test]
     fn parallel_and_serial_construction_agree() {
         let serial = TpgBuilder::new().build(figure3_batch());
-        // tiny batch: force the parallel path past the batch-size clamp
-        let parallel = TpgBuilder::new()
-            .with_threads(4)
-            .build_with(figure3_batch(), Some(4), None);
+        let parallel = TpgBuilder::new().with_threads(4).build(figure3_batch());
         assert_same_graph(&serial, &parallel);
-    }
-
-    /// `count` single-op transactions cycling over `keys` distinct keys.
-    fn dummy_ops(count: usize, keys: u64) -> Vec<Operation> {
-        (0..count)
-            .map(|i| Operation {
-                id: i,
-                txn: i,
-                ts: i as u64 + 1,
-                stmt: 0,
-                spec: OperationSpec::write(T, i as u64 % keys, vec![], udfs::add_delta(1)),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn effective_shards_clamp_by_batch_size_and_cardinality() {
-        assert_eq!(effective_shards(8, &dummy_ops(5, 5)), 1); // tiny: serial
-        assert_eq!(effective_shards(8, &dummy_ops(128, 128)), 1);
-        assert_eq!(effective_shards(8, &dummy_ops(256, 256)), 2);
-        // paper-scale over a wide key space: all workers
-        assert_eq!(effective_shards(8, &dummy_ops(10_240, 1_024)), 8);
-        assert_eq!(effective_shards(1, &dummy_ops(10_240, 1_024)), 1);
-        // hot-key batches gain nothing from sharding, however large
-        assert_eq!(effective_shards(8, &dummy_ops(10_240, 1)), 1);
-        assert_eq!(effective_shards(8, &dummy_ops(10_240, 3)), 3);
     }
 
     #[test]
     fn large_batches_shard_through_the_public_path() {
-        // Enough operations (600 txns x 2 ops) that build() itself picks a
-        // multi-shard construction; the graph must match the serial build.
+        // 600 txns x 2 ops over 64 keys: every shard owns lists; the graph
+        // must match the serial build.
         let batch = || {
             let mut b = TransactionBatch::new();
             for ts in 1..=600u64 {
@@ -421,7 +344,6 @@ mod tests {
             }
             b
         };
-        assert!(effective_shards(4, &dummy_ops(1_200, 64)) > 1);
         let serial = TpgBuilder::new().build(batch());
         let sharded = TpgBuilder::new().with_threads(4).build(batch());
         sharded.validate().unwrap();
@@ -430,10 +352,10 @@ mod tests {
 
     #[test]
     fn default_builder_is_single_threaded() {
-        assert_eq!(TpgBuilder::new().threads(), 1);
-        assert_eq!(TpgBuilder::default().threads(), 1);
-        assert_eq!(TpgBuilder::new().with_threads(0).threads(), 1);
-        assert_eq!(TpgBuilder::new().with_threads(6).threads(), 6);
+        assert_eq!(TpgBuilder::new().num_threads, 1);
+        assert_eq!(TpgBuilder::default().num_threads, 1);
+        assert_eq!(TpgBuilder::new().with_threads(0).num_threads, 1);
+        assert_eq!(TpgBuilder::new().with_threads(6).num_threads, 6);
     }
 
     #[test]
@@ -442,11 +364,9 @@ mod tests {
         // least six shards own no list at all and must contribute no edges.
         let serial = TpgBuilder::new().build(figure3_batch());
         for threads in [2, 3, 8, 16] {
-            let sharded = TpgBuilder::new().with_threads(threads).build_with(
-                figure3_batch(),
-                Some(threads),
-                None,
-            );
+            let sharded = TpgBuilder::new()
+                .with_threads(threads)
+                .build(figure3_batch());
             sharded.validate().unwrap();
             assert_same_graph(&serial, &sharded);
         }
@@ -472,9 +392,7 @@ mod tests {
             b
         };
         let serial = TpgBuilder::new().build(batch());
-        let sharded = TpgBuilder::new()
-            .with_threads(4)
-            .build_with(batch(), Some(4), None);
+        let sharded = TpgBuilder::new().with_threads(4).build(batch());
         serial.validate().unwrap();
         sharded.validate().unwrap();
         assert_same_graph(&serial, &sharded);
@@ -520,11 +438,7 @@ mod tests {
         // exactly.
         let serial = TpgBuilder::new().build(tie_batch());
         for threads in [2, 4, 8] {
-            let sharded = TpgBuilder::new().with_threads(threads).build_with(
-                tie_batch(),
-                Some(threads),
-                None,
-            );
+            let sharded = TpgBuilder::new().with_threads(threads).build(tie_batch());
             sharded.validate().unwrap();
             assert_same_graph(&serial, &sharded);
         }
@@ -552,8 +466,8 @@ mod tests {
         };
         for shards in [1, 3] {
             let builder = TpgBuilder::new().with_threads(shards);
-            let a = builder.build_with(wide(), Some(shards), Some(1));
-            let b = builder.build_with(wide(), Some(shards), Some(0xDEAD_BEEF));
+            let a = builder.build_with(wide(), Some(1));
+            let b = builder.build_with(wide(), Some(0xDEAD_BEEF));
             a.validate().unwrap();
             assert_same_graph(&a, &b);
             assert_same_graph(&a, &TpgBuilder::new().build(wide()));

@@ -1,28 +1,22 @@
-//! [`WireCodec`] implementations for the workload event types, making SL and
-//! GS streams servable over `morphstream serve`'s two wire formats.
+//! The [`WireCodec`] implementation for Streaming Ledger events, the one
+//! event type `morphstream serve` carries over its two wire formats.
 //!
-//! Binary layouts are a one-byte variant tag followed by fixed-width
-//! little-endian fields (`u64` keys, `i64` amounts) and length-prefixed key
-//! lists; JSON lines are flat objects discriminated by a `"type"` field.
-//! Every decoder is total: malformed bytes or JSON produce a
-//! [`ProtocolError`], never a panic, and both decoders reject trailing
-//! content so one frame is exactly one event.
+//! The binary layout is a one-byte variant tag followed by fixed-width
+//! little-endian fields (`u64` accounts, `i64` amounts); JSON lines are flat
+//! objects discriminated by a `"type"` field. Both decoders are total:
+//! malformed bytes or JSON produce a [`ProtocolError`], never a panic, and
+//! both reject trailing content so one frame is exactly one event.
 
 use std::collections::BTreeMap;
 
 use morphstream_common::json::{parse_object, JsonObject, JsonValue};
-use morphstream_common::protocol::{put_u64_list, PayloadReader, ProtocolError, WireCodec};
+use morphstream_common::protocol::{PayloadReader, ProtocolError, WireCodec};
 
-use crate::gs::GsEvent;
 use crate::sl::SlEvent;
 
-// Binary variant tags. Tag spaces are per event type: the connection's
-// application determines which event type frames decode as.
+// Binary variant tags.
 const SL_DEPOSIT: u8 = 0;
 const SL_TRANSFER: u8 = 1;
-const GS_UPDATE: u8 = 0;
-const GS_WINDOW_SUM: u8 = 1;
-const GS_NON_DET_SUM: u8 = 2;
 
 fn field<'m>(
     map: &'m BTreeMap<String, JsonValue>,
@@ -42,25 +36,6 @@ fn i64_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<i64, Protoc
     field(map, key)?
         .as_i64()
         .ok_or_else(|| ProtocolError::Malformed(format!("field {key:?} is not an integer")))
-}
-
-fn list_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<Vec<u64>, ProtocolError> {
-    field(map, key)?
-        .as_u64_array()
-        .ok_or_else(|| ProtocolError::Malformed(format!("field {key:?} is not a key list")))
-}
-
-fn bool_field(map: &BTreeMap<String, JsonValue>, key: &str) -> Result<bool, ProtocolError> {
-    match field(map, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(ProtocolError::Malformed(format!(
-            "field {key:?} is not a boolean"
-        ))),
-    }
-}
-
-fn number_list(items: &[u64]) -> Vec<String> {
-    items.iter().map(|k| k.to_string()).collect()
 }
 
 impl WireCodec for SlEvent {
@@ -133,120 +108,10 @@ impl WireCodec for SlEvent {
     }
 }
 
-impl WireCodec for GsEvent {
-    fn encode_binary(&self, out: &mut Vec<u8>) {
-        match self {
-            GsEvent::Update {
-                target,
-                sources,
-                value,
-                inject_abort,
-            } => {
-                out.push(GS_UPDATE);
-                out.extend_from_slice(&target.to_le_bytes());
-                put_u64_list(out, sources);
-                out.extend_from_slice(&value.to_le_bytes());
-                out.push(u8::from(*inject_abort));
-            }
-            GsEvent::WindowSum { keys, window } => {
-                out.push(GS_WINDOW_SUM);
-                put_u64_list(out, keys);
-                out.extend_from_slice(&window.to_le_bytes());
-            }
-            GsEvent::NonDetSum { seed, read_keys } => {
-                out.push(GS_NON_DET_SUM);
-                out.extend_from_slice(&seed.to_le_bytes());
-                put_u64_list(out, read_keys);
-            }
-        }
-    }
-
-    fn decode_binary(payload: &[u8]) -> Result<Self, ProtocolError> {
-        let mut r = PayloadReader::new(payload);
-        let event = match r.u8()? {
-            GS_UPDATE => GsEvent::Update {
-                target: r.u64()?,
-                sources: r.u64_list()?,
-                value: r.i64()?,
-                inject_abort: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => {
-                        return Err(ProtocolError::Malformed(format!(
-                            "boolean byte must be 0 or 1, got {b}"
-                        )))
-                    }
-                },
-            },
-            GS_WINDOW_SUM => GsEvent::WindowSum {
-                keys: r.u64_list()?,
-                window: r.u64()?,
-            },
-            GS_NON_DET_SUM => GsEvent::NonDetSum {
-                seed: r.u64()?,
-                read_keys: r.u64_list()?,
-            },
-            tag => return Err(ProtocolError::UnknownTag(tag)),
-        };
-        r.finish()?;
-        Ok(event)
-    }
-
-    fn encode_json(&self) -> String {
-        match self {
-            GsEvent::Update {
-                target,
-                sources,
-                value,
-                inject_abort,
-            } => JsonObject::new()
-                .string("type", "update")
-                .unsigned("target", *target)
-                .array("sources", number_list(sources))
-                .number("value", *value)
-                .boolean("inject_abort", *inject_abort)
-                .build(),
-            GsEvent::WindowSum { keys, window } => JsonObject::new()
-                .string("type", "window_sum")
-                .array("keys", number_list(keys))
-                .unsigned("window", *window)
-                .build(),
-            GsEvent::NonDetSum { seed, read_keys } => JsonObject::new()
-                .string("type", "non_det_sum")
-                .unsigned("seed", *seed)
-                .array("read_keys", number_list(read_keys))
-                .build(),
-        }
-    }
-
-    fn decode_json(line: &str) -> Result<Self, ProtocolError> {
-        let map = parse_object(line)?;
-        match field(&map, "type")?.as_str() {
-            Some("update") => Ok(GsEvent::Update {
-                target: u64_field(&map, "target")?,
-                sources: list_field(&map, "sources")?,
-                value: i64_field(&map, "value")?,
-                inject_abort: bool_field(&map, "inject_abort")?,
-            }),
-            Some("window_sum") => Ok(GsEvent::WindowSum {
-                keys: list_field(&map, "keys")?,
-                window: u64_field(&map, "window")?,
-            }),
-            Some("non_det_sum") => Ok(GsEvent::NonDetSum {
-                seed: u64_field(&map, "seed")?,
-                read_keys: list_field(&map, "read_keys")?,
-            }),
-            other => Err(ProtocolError::Malformed(format!(
-                "unknown GS event type {other:?}"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GrepSumApp, StreamingLedgerApp};
+    use crate::StreamingLedgerApp;
     use morphstream_common::WorkloadConfig;
 
     fn binary_round_trip<E: WireCodec + PartialEq + std::fmt::Debug>(event: &E) {
@@ -270,69 +135,8 @@ mod tests {
     }
 
     #[test]
-    fn generated_gs_events_round_trip_both_formats() {
-        let config = WorkloadConfig::grep_sum().with_key_space(1 << 20);
-        for event in GrepSumApp::source(&config, 200) {
-            binary_round_trip(&event);
-            json_round_trip(&event);
-        }
-    }
-
-    #[test]
-    fn gs_variants_round_trip_including_edge_values() {
-        // Binary carries the full 64-bit range.
-        for event in [
-            GsEvent::Update {
-                target: u64::MAX,
-                sources: vec![],
-                value: i64::MIN,
-                inject_abort: true,
-            },
-            GsEvent::WindowSum {
-                keys: vec![0, u64::MAX],
-                window: u64::MAX,
-            },
-            GsEvent::NonDetSum {
-                seed: 0,
-                read_keys: vec![1, 2, 3],
-            },
-        ] {
-            binary_round_trip(&event);
-        }
-        // JSON numbers are f64: integers round-trip losslessly up to 2^53
-        // (larger keys must use the binary format — the decoder rejects them
-        // rather than silently rounding).
-        let max_json = (1u64 << 53) - 1;
-        for event in [
-            GsEvent::Update {
-                target: max_json,
-                sources: vec![],
-                value: -(1i64 << 53),
-                inject_abort: true,
-            },
-            GsEvent::WindowSum {
-                keys: vec![0, max_json],
-                window: max_json,
-            },
-            GsEvent::NonDetSum {
-                seed: 0,
-                read_keys: vec![1, 2, 3],
-            },
-        ] {
-            binary_round_trip(&event);
-            json_round_trip(&event);
-        }
-        let oversized = GsEvent::NonDetSum {
-            seed: u64::MAX,
-            read_keys: vec![],
-        };
-        assert!(GsEvent::decode_json(&oversized.encode_json()).is_err());
-    }
-
-    #[test]
     fn malformed_binary_payloads_error_without_panicking() {
-        // empty payload, unknown tag, truncated fields, trailing bytes,
-        // out-of-range boolean, corrupt list count
+        // empty payload, unknown tag, truncated fields, trailing bytes
         assert!(SlEvent::decode_binary(&[]).is_err());
         assert!(matches!(
             SlEvent::decode_binary(&[9]),
@@ -350,28 +154,6 @@ mod tests {
             SlEvent::decode_binary(&ok),
             Err(ProtocolError::Malformed(_))
         ));
-
-        let mut bad_bool = Vec::new();
-        GsEvent::Update {
-            target: 1,
-            sources: vec![2],
-            value: 3,
-            inject_abort: false,
-        }
-        .encode_binary(&mut bad_bool);
-        *bad_bool.last_mut().unwrap() = 7;
-        assert!(matches!(
-            GsEvent::decode_binary(&bad_bool),
-            Err(ProtocolError::Malformed(_))
-        ));
-
-        let mut bad_count = vec![GS_NON_DET_SUM];
-        bad_count.extend_from_slice(&0u64.to_le_bytes());
-        bad_count.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            GsEvent::decode_binary(&bad_count),
-            Err(ProtocolError::Truncated)
-        ));
     }
 
     #[test]
@@ -383,12 +165,10 @@ mod tests {
             r#"{"type":"deposit","account":-1,"amount":5}"#,
             r#"{"type":"deposit","account":1}"#,
             r#"{"type":"transfer","from":1,"to":2,"amount":"lots"}"#,
-            r#"{"type":"update","target":1,"sources":[1.5],"value":2,"inject_abort":false}"#,
-            r#"{"type":"update","target":1,"sources":[1],"value":2,"inject_abort":"yes"}"#,
+            r#"{"type":"deposit","account":[1],"amount":5}"#,
             "not json",
         ] {
             assert!(SlEvent::decode_json(bad).is_err(), "SL accepted {bad:?}");
-            assert!(GsEvent::decode_json(bad).is_err(), "GS accepted {bad:?}");
         }
     }
 }

@@ -43,7 +43,6 @@ where
     A::Event: Clone,
 {
     let model = DecisionModel::new();
-    let thresholds = model.thresholds();
     let planner = TpgBuilder::new().with_threads(2);
     let store = StateStore::new();
     let app = make_app(&store);
@@ -71,9 +70,11 @@ where
         });
         assert_eq!(lazy, eager, "{label}, batch {index}");
 
-        let ops = stats.num_ops.max(1) as f64;
-        let open = stats.td_edges as f64 / ops >= thresholds.td_per_op_high
-            && (stats.pd_edges as f64 / ops) < thresholds.pd_per_op_high;
+        // c-schedule is left open when an acyclic partition would take it.
+        let open = model
+            .decide(&WorkloadObservation::new(stats.clone(), false))
+            .granularity
+            == Granularity::Coarse;
         assert_eq!(asked, open, "{label}, batch {index}: {stats:?}");
         if eager.granularity == Granularity::Coarse {
             assert!(asked && !coarse.had_cycles, "{label}, batch {index}");
