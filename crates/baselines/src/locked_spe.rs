@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use morphstream::storage::StateStore;
 use morphstream::{BatchExecutor, EngineConfig, ExecutedBatch, MorphStream, StreamApp, TxnOutcome};
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{fan_out, AbortReason};
+use morphstream_common::{fan_out, spin_for, AbortReason};
 use morphstream_tpg::{AccessKind, Transaction, TransactionBatch, UdfInput, UdfOutcome};
 
 /// The conventional-SPE batch executor: round-robin workers against the
@@ -166,11 +166,11 @@ fn run_transaction(
             continue;
         }
         let key = spec.target.resolve(txn.ts);
-        emulate_round_trip(remote_latency);
+        spin_for(remote_latency);
         let target = store.read_latest(spec.table, key).unwrap_or_default();
         let mut params = Vec::with_capacity(spec.params.len());
         for p in &spec.params {
-            emulate_round_trip(remote_latency);
+            spin_for(remote_latency);
             params.push(store.read_latest(p.table, p.key).unwrap_or_default());
         }
         let window = match (spec.window, spec.kind) {
@@ -190,12 +190,7 @@ fn run_transaction(
             }
             _ => Vec::new(),
         };
-        if spec.cost_us > 0 {
-            let deadline = Instant::now() + Duration::from_micros(spec.cost_us);
-            while Instant::now() < deadline {
-                std::hint::spin_loop();
-            }
-        }
+        spin_for(Duration::from_micros(spec.cost_us));
         let input = UdfInput {
             target,
             params,
@@ -209,7 +204,7 @@ fn run_transaction(
         match outcome {
             Ok(UdfOutcome::Value(v)) => {
                 if spec.kind.is_write() {
-                    emulate_round_trip(remote_latency);
+                    spin_for(remote_latency);
                     let writer = u64::MAX / 2 + next_writer.fetch_add(1, Ordering::Relaxed) as u64;
                     let exec_ts = exec_clock.fetch_add(1, Ordering::Relaxed);
                     let _ = store.write(spec.table, key, exec_ts, stmt as u32, writer, v);
@@ -241,17 +236,6 @@ fn run_transaction(
         committed: abort_reason.is_none(),
         abort_reason,
         op_results: op_results.into_iter().collect(),
-    }
-}
-
-#[inline]
-fn emulate_round_trip(latency: Duration) {
-    if latency.is_zero() {
-        return;
-    }
-    let deadline = Instant::now() + latency;
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
     }
 }
 

@@ -26,6 +26,7 @@ use morphstream::{
     MorphStream, SchedulingDecision, StreamApp,
 };
 use morphstream_common::metrics::BreakdownBucket;
+use morphstream_common::spin_for;
 use morphstream_executor::execute_tpg;
 use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, TransactionBatch};
 
@@ -77,10 +78,7 @@ impl BatchExecutor for TStream {
         if any_aborted {
             // TStream redoes the entire batch once aborts are discovered;
             // emulate the wasted wall-clock time of that redo.
-            let redo_deadline = Instant::now() + execute_elapsed;
-            while Instant::now() < redo_deadline {
-                std::hint::spin_loop();
-            }
+            spin_for(execute_elapsed);
             breakdown.add(BreakdownBucket::Abort, execute_elapsed);
         }
         ExecutedBatch {

@@ -1,5 +1,8 @@
-//! The one place a batch fans its work out over threads, and the rule for
-//! how many threads a batch's declared work pays for.
+//! The one place a batch fans its work out over threads, the rule for how
+//! many threads a batch's declared work pays for, and the spin that
+//! emulates declared work.
+
+use std::time::{Duration, Instant};
 
 /// Declared UDF work, in µs, that pays for one more worker. The calling
 /// thread is worker 0 and is always engaged; every further worker costs the
@@ -18,6 +21,20 @@ pub const WORK_PER_WORKER_US: u64 = 2_500;
 pub fn effective_workers(threads: usize, declared_cost_us: u64) -> usize {
     let extra = usize::try_from(declared_cost_us / WORK_PER_WORKER_US).unwrap_or(usize::MAX);
     extra.saturating_add(1).min(threads.max(1))
+}
+
+/// Spin on the calling thread for `duration`: the emulated cost of a UDF
+/// (the paper's `C`), of a remote-state round trip, or of a redo. Returns at
+/// once on zero.
+#[inline]
+pub fn spin_for(duration: Duration) {
+    if duration.is_zero() {
+        return;
+    }
+    let deadline = Instant::now() + duration;
+    while Instant::now() < deadline {
+        std::hint::spin_loop();
+    }
 }
 
 /// Run `work(w)` for every worker `w` in `0..workers` and return the results

@@ -215,3 +215,55 @@ fn feed_generation_is_deterministic_and_entry_ordinals_follow_declaration_order(
     assert_eq!(first, second);
     assert!(first.iter().all(|ev| ev.feed == 0));
 }
+
+/// Every registered app, route and feed source builds from its default keys
+/// and runs deterministically: one small scenario per app, the sources and
+/// routes assigned round-robin so each appears at least once, each scenario
+/// run twice on fresh stores.
+#[test]
+fn every_registry_entry_builds_with_default_keys_and_runs_deterministically() {
+    use morphstream_dataflow::{apps, routes, sources};
+    assert!(apps().len() >= sources().len().max(routes().len()));
+    let run = |text: &str| {
+        let mut loaded = load(text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let events = std::mem::take(&mut loaded.events);
+        let mut pipeline = loaded.topology.pipeline();
+        pipeline.push_iter(events);
+        let report = pipeline.finish();
+        let entry = report.operators.iter().find(|op| op.name == "entry");
+        let entry_events = entry.expect("the entry stage reports").events;
+        (loaded.store.state_digest(), entry_events, report.outputs)
+    };
+    for (i, app) in apps().iter().enumerate() {
+        let source = &sources()[i % sources().len()];
+        let route = &routes()[i % routes().len()];
+        let text = format!(
+            r#"
+[topology]
+terminal = "sink"
+punctuation = 16
+
+[[feeds]]
+id = "feed"
+source = "{}"
+entry = "entry"
+events = 96
+seed = 11
+
+[[stages]]
+id = "entry"
+app = "{}"
+
+[[stages]]
+id = "sink"
+app = "tally"
+inputs = ["entry"]
+route = "{}"
+"#,
+            source.name, app.name, route.name
+        );
+        let (digest, events, outputs) = run(&text);
+        assert_eq!(events, 96, "the entry stage saw every event\n{text}");
+        assert_eq!(run(&text), (digest, events, outputs), "{text}");
+    }
+}

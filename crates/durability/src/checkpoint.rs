@@ -1,14 +1,9 @@
-//! Incremental, punctuation-aligned checkpoints of [`StateStore`] state.
+//! Punctuation-aligned checkpoints of [`StateStore`] state.
 //!
-//! A checkpoint is a snapshot of every table that was *dirtied* since the
-//! previous checkpoint (see `MvTable::take_dirty`), captured at a flush
-//! barrier so no in-flight batch straddles the cut. Because the first
-//! checkpoint after a fresh start (or after a restore) sees every table
-//! dirty — `create_table`/`preallocate`/`seed` all mark — it is naturally a
-//! *full* checkpoint, and every full checkpoint supersedes the chain before
-//! it. Recovery therefore loads a chain that always begins with a full
-//! checkpoint and merges later sections over earlier ones (per-table,
-//! later wins), then replays the write-ahead log from `events_applied`.
+//! A checkpoint is a snapshot of every table of every store, captured at a
+//! flush barrier so no in-flight batch straddles the cut. Each one
+//! supersedes every checkpoint before it, so recovery loads exactly one
+//! file, then replays the write-ahead log from its `events_applied`.
 //!
 //! # The `MSC1` on-disk format
 //!
@@ -22,7 +17,8 @@
 //! u64 id                      monotonically increasing checkpoint id
 //! u64 events_applied          input events covered by this checkpoint
 //! u64 output_digest           FNV-1a state of the output stream so far
-//! u8  full                    1 = supersedes all earlier checkpoints
+//! u8  full                    always 1; 0 marks an incremental checkpoint
+//!                             of an older build, which decoding refuses
 //! u32 store_count
 //!   u32 ordinal               store position in TxnEngine::checkpoint order
 //!   u32 table_count
@@ -38,7 +34,6 @@
 //! checksum is verified before the payload is trusted, and trailing bytes
 //! are rejected.
 
-use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -47,7 +42,7 @@ use morphstream::pipeline::{CheckpointSink, CheckpointSource};
 use morphstream_common::hash::Fnv1a;
 use morphstream_common::json::{self, JsonObject};
 use morphstream_common::protocol::{PayloadReader, ProtocolError};
-use morphstream_common::{Key, TableId, Value};
+use morphstream_common::{Key, Value};
 use morphstream_storage::StateStore;
 
 use crate::error::DurabilityError;
@@ -72,14 +67,14 @@ pub struct TableSnapshot {
     pub entries: Vec<(Key, Value)>,
 }
 
-/// The dirty tables of one store, identified by its checkpoint ordinal.
+/// Every table of one store, identified by its checkpoint ordinal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreSection {
     /// Position of the store in the engine's `checkpoint` enumeration. The
     /// topology enumerates deduplicated stores in builder order, which is
     /// deterministic across restarts of the same topology.
     pub ordinal: u32,
-    /// Snapshots of the tables dirtied since the previous checkpoint.
+    /// Snapshots of the store's tables, in table-id order.
     pub tables: Vec<TableSnapshot>,
 }
 
@@ -92,8 +87,6 @@ pub struct Checkpoint {
     pub events_applied: u64,
     /// FNV-1a state of the output digest at the cut (resumed on restore).
     pub output_digest: u64,
-    /// True when every table of every store is included.
-    pub full: bool,
     /// Per-store sections, in checkpoint-ordinal order.
     pub stores: Vec<StoreSection>,
 }
@@ -106,7 +99,7 @@ impl Checkpoint {
         out.extend_from_slice(&self.id.to_le_bytes());
         out.extend_from_slice(&self.events_applied.to_le_bytes());
         out.extend_from_slice(&self.output_digest.to_le_bytes());
-        out.push(self.full as u8);
+        out.push(1); // full: every checkpoint is
         out.extend_from_slice(&(self.stores.len() as u32).to_le_bytes());
         for store in &self.stores {
             out.extend_from_slice(&store.ordinal.to_le_bytes());
@@ -148,11 +141,15 @@ impl Checkpoint {
         let id = r.u64()?;
         let events_applied = r.u64()?;
         let output_digest = r.u64()?;
-        let full = match r.u8()? {
-            0 => false,
-            1 => true,
+        match r.u8()? {
+            1 => {}
+            0 => {
+                return Err(ProtocolError::Malformed(
+                    "incremental checkpoint (written by an older build)".into(),
+                ))
+            }
             other => return Err(ProtocolError::UnknownTag(other)),
-        };
+        }
         let raw_stores = r.u32()? as usize;
         let store_count = r.bounded_count(raw_stores, 8, "stores")?;
         let mut stores = Vec::with_capacity(store_count);
@@ -194,51 +191,27 @@ impl Checkpoint {
             id,
             events_applied,
             output_digest,
-            full,
             stores,
         })
     }
 }
 
-/// [`CheckpointSink`] that captures the dirty tables of every store an
-/// engine exposes, then builds a [`Checkpoint`] from them.
-///
-/// `full` starts true and survives only if every store reported all of its
-/// tables dirty — i.e. the snapshot covers the complete state.
+/// [`CheckpointSink`] that captures every table of every store an engine
+/// exposes, then builds a [`Checkpoint`] from them.
 #[derive(Debug, Default)]
 pub struct CheckpointBuilder {
     sections: Vec<StoreSection>,
-    taken: Vec<(u32, Vec<TableId>)>,
-    full: bool,
 }
 
 impl CheckpointBuilder {
     /// Empty builder; pass to `TxnEngine::checkpoint`.
     pub fn new() -> Self {
-        Self {
-            sections: Vec::new(),
-            taken: Vec::new(),
-            full: true,
-        }
-    }
-
-    /// True when every table of every store seen so far was dirty.
-    pub fn is_full(&self) -> bool {
-        self.full
+        Self::default()
     }
 
     /// Number of table snapshots captured.
     pub fn table_count(&self) -> usize {
         self.sections.iter().map(|s| s.tables.len()).sum()
-    }
-
-    /// The dirty table ids this builder consumed, per store ordinal. The
-    /// engine's `checkpoint` *takes* the dirty flags, so if persisting the
-    /// built checkpoint fails these ids must be handed to a [`RedirtySink`]
-    /// — otherwise the tables silently drop out of every later incremental
-    /// checkpoint.
-    pub fn taken_dirty(&self) -> Vec<(u32, Vec<TableId>)> {
-        self.taken.clone()
     }
 
     /// Finish into a [`Checkpoint`] carrying the given cut metadata.
@@ -247,28 +220,27 @@ impl CheckpointBuilder {
             id,
             events_applied,
             output_digest,
-            full: self.full,
             stores: self.sections,
         }
     }
 }
 
 impl CheckpointSink for CheckpointBuilder {
-    fn store(&mut self, ordinal: usize, store: &StateStore, dirty: Vec<TableId>) {
-        self.full = self.full && dirty.len() == store.table_count();
-        self.taken.push((ordinal as u32, dirty.clone()));
-        let mut tables = Vec::with_capacity(dirty.len());
-        for id in dirty {
-            let Ok(table) = store.table(id) else { continue };
-            let mut entries: Vec<(Key, Value)> = table.snapshot_latest().into_iter().collect();
-            entries.sort_unstable_by_key(|(key, _)| *key);
-            tables.push(TableSnapshot {
-                name: table.name().to_string(),
-                default_value: table.default_value(),
-                auto_create: table.is_auto_create(),
-                entries,
-            });
-        }
+    fn store(&mut self, ordinal: usize, store: &StateStore) {
+        let tables = store
+            .tables()
+            .iter()
+            .map(|table| {
+                let mut entries: Vec<(Key, Value)> = table.snapshot_latest().into_iter().collect();
+                entries.sort_unstable_by_key(|(key, _)| *key);
+                TableSnapshot {
+                    name: table.name().to_string(),
+                    default_value: table.default_value(),
+                    auto_create: table.is_auto_create(),
+                    entries,
+                }
+            })
+            .collect();
         self.sections.push(StoreSection {
             ordinal: ordinal as u32,
             tables,
@@ -276,74 +248,13 @@ impl CheckpointSink for CheckpointBuilder {
     }
 }
 
-/// [`CheckpointSink`] that *returns* dirty flags to their stores after a
-/// checkpoint failed to persist. Built from the failed builder's
-/// [`CheckpointBuilder::taken_dirty`] and passed to `TxnEngine::checkpoint`
-/// again: each store gets back both the ids the failed attempt consumed and
-/// whatever this enumeration itself just took, so the next successful
-/// checkpoint re-captures every table the failed one covered.
-#[derive(Debug)]
-pub struct RedirtySink {
-    sections: Vec<(u32, Vec<TableId>)>,
-}
-
-impl RedirtySink {
-    /// Wrap the dirty ids a failed checkpoint consumed.
-    pub fn new(sections: Vec<(u32, Vec<TableId>)>) -> Self {
-        Self { sections }
-    }
-}
-
-impl CheckpointSink for RedirtySink {
-    fn store(&mut self, ordinal: usize, store: &StateStore, dirty: Vec<TableId>) {
-        // This enumeration took fresh dirty flags of its own; restore those
-        // alongside the ids from the failed attempt.
-        store.mark_tables_dirty(&dirty);
-        for (o, ids) in &self.sections {
-            if *o as usize == ordinal {
-                store.mark_tables_dirty(ids);
-            }
-        }
-    }
-}
-
-/// [`CheckpointSource`] built by merging a checkpoint chain: per
-/// `(ordinal, table name)`, the section from the *latest* checkpoint wins
-/// (each section carries the table's complete contents at its cut).
-#[derive(Debug, Default)]
-pub struct ChainRestore {
-    stores: HashMap<u32, BTreeMap<String, TableSnapshot>>,
-}
-
-impl ChainRestore {
-    /// Empty restore source.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Merge one checkpoint over the chain accumulated so far. Apply in
-    /// id order; later tables replace earlier ones wholesale.
-    pub fn apply(&mut self, checkpoint: Checkpoint) {
-        for section in checkpoint.stores {
-            let tables = self.stores.entry(section.ordinal).or_default();
-            for table in section.tables {
-                tables.insert(table.name.clone(), table);
-            }
-        }
-    }
-
-    /// Number of distinct tables the merged chain restores.
-    pub fn table_count(&self) -> usize {
-        self.stores.values().map(|t| t.len()).sum()
-    }
-}
-
-impl CheckpointSource for ChainRestore {
+/// A checkpoint restores itself: each store gets the tables of its section.
+impl CheckpointSource for Checkpoint {
     fn restore(&mut self, ordinal: usize, store: &StateStore) {
-        let Some(tables) = self.stores.get(&(ordinal as u32)) else {
+        let Some(section) = self.stores.iter().find(|s| s.ordinal as usize == ordinal) else {
             return;
         };
-        for snap in tables.values() {
+        for snap in &section.tables {
             // Idempotent: returns the existing id when the application
             // already created the table during construction.
             let id = store.create_table(&snap.name, snap.default_value, snap.auto_create);
@@ -361,15 +272,13 @@ pub struct ManifestEntry {
     pub id: u64,
     /// File name (relative to the checkpoint directory).
     pub file: String,
-    /// Whether the checkpoint supersedes everything before it.
-    pub full: bool,
     /// Input events the checkpoint covers.
     pub events_applied: u64,
     /// Encoded size in bytes.
     pub bytes: u64,
-    /// True when the entry was superseded by a later full checkpoint but is
-    /// kept as bounded history under a retention policy. Retained entries
-    /// are never part of the live chain that recovery loads.
+    /// True when the entry was superseded by a later checkpoint but is kept
+    /// as bounded history under a retention policy. Recovery never loads a
+    /// retained entry.
     pub retained: bool,
 }
 
@@ -378,7 +287,7 @@ impl ManifestEntry {
         JsonObject::new()
             .unsigned("id", self.id)
             .string("file", &self.file)
-            .boolean("full", self.full)
+            .boolean("full", true)
             .unsigned("events_applied", self.events_applied)
             .unsigned("bytes", self.bytes)
             .boolean("retained", self.retained)
@@ -402,10 +311,14 @@ impl ManifestEntry {
         if file.contains(['/', '\\']) || file.contains("..") {
             return Err(DurabilityError::corrupt("manifest file escapes directory"));
         }
+        if fields.get("full") != Some(&json::JsonValue::Bool(true)) {
+            return Err(DurabilityError::corrupt(format!(
+                "{file} is an incremental checkpoint (written by an older build)"
+            )));
+        }
         Ok(Self {
             id: unsigned("id")?,
             file,
-            full: fields.get("full") == Some(&json::JsonValue::Bool(true)),
             events_applied: unsigned("events_applied")?,
             bytes: unsigned("bytes")?,
             retained: fields.get("retained") == Some(&json::JsonValue::Bool(true)),
@@ -422,16 +335,12 @@ pub struct SavedCheckpoint {
     pub path: PathBuf,
 }
 
-/// State recovered from a checkpoint chain, ready to seed an engine.
+/// The newest checkpoint, loaded and ready to seed an engine.
 pub struct LoadedChain {
-    /// Merged restore source; pass to `TxnEngine::restore`.
-    pub restore: ChainRestore,
-    /// Resume WAL replay at this event index.
-    pub events_applied: u64,
-    /// Resume the output digest from this FNV-1a state.
-    pub output_digest: u64,
-    /// Id of the newest checkpoint in the chain.
-    pub last_id: u64,
+    /// The checkpoint; pass to `TxnEngine::restore`. Its `events_applied`
+    /// is where WAL replay resumes, its `output_digest` the FNV-1a state
+    /// the output digest resumes from.
+    pub restore: Checkpoint,
 }
 
 /// Directory of checkpoint files plus the manifest that orders them.
@@ -445,11 +354,12 @@ pub struct LoadedChain {
 /// reference, so both are benign.
 pub struct CheckpointStore {
     dir: PathBuf,
-    entries: Vec<ManifestEntry>,
+    /// The newest checkpoint, the one recovery loads.
+    live: Option<ManifestEntry>,
     /// Superseded history kept under the retention policy, oldest first.
     retained: Vec<ManifestEntry>,
-    /// How many superseded checkpoints to keep when a full checkpoint
-    /// collapses the chain; 0 deletes them immediately (the default).
+    /// How many superseded checkpoints to keep; 0 deletes each as soon as
+    /// its successor is published (the default).
     retain: usize,
 }
 
@@ -463,10 +373,10 @@ impl CheckpointStore {
     }
 
     /// Open like [`CheckpointStore::open`], but keep up to `retain`
-    /// superseded checkpoints as history: when a full checkpoint collapses
-    /// the chain, the displaced entries are marked `retained` in the
-    /// manifest instead of deleted, and only entries beyond the bound are
-    /// pruned (always after the new manifest is published).
+    /// superseded checkpoints as history: each save marks the checkpoint it
+    /// displaces `retained` in the manifest instead of deleting it, and only
+    /// entries beyond the bound are pruned (always after the new manifest is
+    /// published).
     pub fn open_with_retention(
         dir: impl Into<PathBuf>,
         retain: usize,
@@ -474,7 +384,7 @@ impl CheckpointStore {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let manifest = dir.join(MANIFEST_NAME);
-        let mut entries = Vec::new();
+        let mut live = None;
         let mut retained = Vec::new();
         match fs::read_to_string(&manifest) {
             Ok(text) => {
@@ -482,8 +392,10 @@ impl CheckpointStore {
                     let entry = ManifestEntry::from_json(line)?;
                     if entry.retained {
                         retained.push(entry);
-                    } else {
-                        entries.push(entry);
+                    } else if live.replace(entry).is_some() {
+                        return Err(DurabilityError::corrupt(
+                            "manifest lists more than one live checkpoint",
+                        ));
                     }
                 }
             }
@@ -492,7 +404,7 @@ impl CheckpointStore {
         }
         Ok(Self {
             dir,
-            entries,
+            live,
             retained,
             retain,
         })
@@ -500,22 +412,18 @@ impl CheckpointStore {
 
     /// Id the next checkpoint should carry (one past the newest on disk).
     pub fn next_id(&self) -> u64 {
-        self.entries
-            .last()
+        self.live
+            .as_ref()
             .or(self.retained.last())
             .map(|e| e.id + 1)
             .unwrap_or(0)
     }
 
-    /// Number of checkpoints in the live chain.
-    pub fn chain_len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Manifest entries of the live chain, oldest first. Retained history
-    /// is not part of the chain; see [`CheckpointStore::retained_entries`].
+    /// The manifest entry of the newest checkpoint, or none: zero or one
+    /// entry. Retained history is listed by
+    /// [`CheckpointStore::retained_entries`].
     pub fn entries(&self) -> &[ManifestEntry] {
-        &self.entries
+        self.live.as_slice()
     }
 
     /// Superseded checkpoints kept as history, oldest first.
@@ -528,13 +436,12 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Persist a checkpoint and publish it in the manifest. A *full*
-    /// checkpoint supersedes the chain: the manifest collapses to the single
-    /// new entry, and only once that manifest is durably published are the
-    /// superseded checkpoint files deleted — a crash in between leaves stale
-    /// files no manifest references, which recovery ignores. The reverse
-    /// order would let a crash strand a manifest pointing at deleted files,
-    /// bricking startup.
+    /// Persist a checkpoint and publish it in the manifest. It supersedes
+    /// the one before it, and only once the new manifest is durably
+    /// published is the superseded file deleted — a crash in between leaves
+    /// a stale file no manifest references, which recovery ignores. The
+    /// reverse order would let a crash strand a manifest pointing at a
+    /// deleted file, bricking startup.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<SavedCheckpoint, DurabilityError> {
         let encoded = checkpoint.encode();
         let file = format!("chk-{:08}.msc", checkpoint.id);
@@ -551,26 +458,21 @@ impl CheckpointStore {
         let entry = ManifestEntry {
             id: checkpoint.id,
             file,
-            full: checkpoint.full,
             events_applied: checkpoint.events_applied,
             bytes: encoded.len() as u64,
             retained: false,
         };
-        let mut pruned: Vec<ManifestEntry> = Vec::new();
-        if checkpoint.full {
-            let superseded = self.entries.drain(..);
-            if self.retain == 0 {
-                pruned.extend(superseded);
-            } else {
-                self.retained.extend(superseded.map(|mut e| {
-                    e.retained = true;
-                    e
-                }));
-                let over = self.retained.len().saturating_sub(self.retain);
-                pruned.extend(self.retained.drain(..over));
-            }
-        }
-        self.entries.push(entry);
+        let superseded = self.live.replace(entry);
+        let pruned: Vec<ManifestEntry> = if self.retain == 0 {
+            superseded.into_iter().collect()
+        } else {
+            self.retained.extend(superseded.map(|mut e| {
+                e.retained = true;
+                e
+            }));
+            let over = self.retained.len().saturating_sub(self.retain);
+            self.retained.drain(..over).collect()
+        };
         self.rewrite_manifest()?;
         // Only now — the new manifest no longer references these files.
         for old in &pruned {
@@ -590,7 +492,7 @@ impl CheckpointStore {
                 .create(true)
                 .truncate(true)
                 .open(&tmp)?;
-            for entry in self.retained.iter().chain(&self.entries) {
+            for entry in self.retained.iter().chain(&self.live) {
                 writeln!(f, "{}", entry.to_json())?;
             }
             f.sync_data()?;
@@ -600,40 +502,26 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Load and merge the full checkpoint chain. Returns `None` when no
-    /// checkpoint exists. A manifest that references a missing or corrupt
-    /// file is a hard error: publication order guarantees referenced files
-    /// are complete, so damage here means the data is actually lost.
+    /// Load the newest checkpoint. Returns `None` when none exists. A
+    /// manifest that references a missing or corrupt file is a hard error:
+    /// publication order guarantees referenced files are complete, so damage
+    /// here means the data is actually lost.
     pub fn load_chain(&self) -> Result<Option<LoadedChain>, DurabilityError> {
-        let Some(last) = self.entries.last() else {
+        let Some(entry) = &self.live else {
             return Ok(None);
         };
-        if !self.entries[0].full {
-            return Err(DurabilityError::corrupt(
-                "checkpoint chain does not begin with a full checkpoint",
-            ));
-        }
-        let mut restore = ChainRestore::new();
-        let mut output_digest = 0;
-        for entry in &self.entries {
-            let mut bytes = Vec::new();
-            File::open(self.dir.join(&entry.file))?.read_to_end(&mut bytes)?;
-            let checkpoint = Checkpoint::decode(&bytes)
-                .map_err(|e| DurabilityError::corrupt(format!("{}: {e}", entry.file)))?;
-            if checkpoint.id != entry.id {
-                return Err(DurabilityError::corrupt(format!(
-                    "{}: id {} does not match manifest id {}",
-                    entry.file, checkpoint.id, entry.id
-                )));
-            }
-            output_digest = checkpoint.output_digest;
-            restore.apply(checkpoint);
+        let mut bytes = Vec::new();
+        File::open(self.dir.join(&entry.file))?.read_to_end(&mut bytes)?;
+        let checkpoint = Checkpoint::decode(&bytes)
+            .map_err(|e| DurabilityError::corrupt(format!("{}: {e}", entry.file)))?;
+        if checkpoint.id != entry.id {
+            return Err(DurabilityError::corrupt(format!(
+                "{}: id {} does not match manifest id {}",
+                entry.file, checkpoint.id, entry.id
+            )));
         }
         Ok(Some(LoadedChain {
-            restore,
-            events_applied: last.events_applied,
-            output_digest,
-            last_id: last.id,
+            restore: checkpoint,
         }))
     }
 }
@@ -645,6 +533,7 @@ mod tests {
     use morphstream::udfs;
     use morphstream::TxnEngine;
     use morphstream::{EngineConfig, MorphStream, StreamApp, TxnBuilder};
+    use morphstream_common::TableId;
 
     struct Counter {
         table: TableId,
@@ -668,7 +557,6 @@ mod tests {
             id: 7,
             events_applied: 123,
             output_digest: 0xdead_beef_cafe_f00d,
-            full: true,
             stores: vec![StoreSection {
                 ordinal: 0,
                 tables: vec![TableSnapshot {
@@ -708,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_checkpoints_skip_clean_tables() {
+    fn every_checkpoint_captures_every_table() {
         let store = StateStore::new();
         let hot = store.create_table("hot", 0, true);
         let cold: Vec<TableId> = (0..7)
@@ -720,45 +608,61 @@ mod tests {
                 store.seed(*table, key, 1).unwrap();
             }
         }
+        let capture = |id| {
+            let mut builder = CheckpointBuilder::new();
+            CheckpointSink::store(&mut builder, 0, &store);
+            builder.build(id, 0, 0)
+        };
+        let first = capture(0);
 
-        // First checkpoint sees both tables dirty: full.
-        let mut first = CheckpointBuilder::new();
-        CheckpointSink::store(&mut first, 0, &store, store.take_dirty_tables());
-        assert!(first.is_full());
-        let full_bytes = first.build(0, 0, 0).encode().len();
-
-        // Touch only `hot`; the next checkpoint carries one table and is
-        // dramatically smaller than the full snapshot.
+        // Touch only `hot`: the next checkpoint still carries all eight
+        // tables, in id order, and `hot` at its new value.
         store.seed(hot, 5, 42).unwrap();
-        let mut second = CheckpointBuilder::new();
-        CheckpointSink::store(&mut second, 0, &store, store.take_dirty_tables());
-        assert!(!second.is_full());
-        let incr = second.build(1, 0, 0);
-        assert_eq!(incr.stores[0].tables.len(), 1);
-        assert_eq!(incr.stores[0].tables[0].name, "hot");
-        let incr_bytes = incr.encode().len();
-        assert!(
-            incr_bytes * 4 < full_bytes,
-            "incremental {incr_bytes}B should be well under full {full_bytes}B"
+        let second = capture(1);
+        let names: Vec<&str> = second.stores[0]
+            .tables
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect();
+        assert_eq!(
+            names,
+            ["hot", "cold0", "cold1", "cold2", "cold3", "cold4", "cold5", "cold6"]
         );
+        assert_eq!(second.stores[0].tables[0].entries[5], (5, 42));
+        assert_eq!(second.stores[0].tables[1..], first.stores[0].tables[1..]);
     }
 
     #[test]
-    fn chain_restore_merges_later_sections_over_earlier() {
-        let mut chain = ChainRestore::new();
-        chain.apply(sample_checkpoint());
-        let mut newer = sample_checkpoint();
-        newer.id = 8;
-        newer.full = false;
-        newer.stores[0].tables[0].entries = vec![(0, 99), (3, -2), (9, 100)];
-        chain.apply(newer);
+    fn a_checkpoint_chain_of_an_older_build_is_refused() {
+        // The file: the `full` byte (after magic, id, events, digest) is 0.
+        let mut bytes = sample_checkpoint().encode();
+        bytes.truncate(bytes.len() - 8);
+        bytes[28] = 0;
+        Fnv1a::seal(&mut bytes, 0);
+        assert!(matches!(
+            Checkpoint::decode(&bytes),
+            Err(ProtocolError::Malformed(_))
+        ));
 
-        let store = StateStore::new();
-        let source: &mut dyn CheckpointSource = &mut chain;
-        source.restore(0, &store);
-        let id = store.table_id("accounts").unwrap();
-        assert_eq!(store.read_latest(id, 0).unwrap(), 99);
-        assert_eq!(store.read_latest(id, 3).unwrap(), -2);
+        // The manifest: a live entry not marked full, or two live entries.
+        let line = |id: u64, full: bool| {
+            format!(
+                "{{\"id\":{id},\"file\":\"chk-{id:08}.msc\",\"full\":{full},\
+                 \"events_applied\":0,\"bytes\":0,\"retained\":false}}\n"
+            )
+        };
+        let dir = test_dir("chk-older");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(MANIFEST_NAME), line(0, true)).unwrap();
+        assert_eq!(CheckpointStore::open(&dir).unwrap().entries().len(), 1);
+        for manifest in [line(0, false), line(0, true) + &line(1, true)] {
+            fs::write(dir.join(MANIFEST_NAME), manifest).unwrap();
+            assert!(matches!(
+                CheckpointStore::open(&dir),
+                Err(DurabilityError::Corrupt(_))
+            ));
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -767,32 +671,23 @@ mod tests {
         let mut cs = CheckpointStore::open(&dir).unwrap();
         assert_eq!(cs.next_id(), 0);
 
-        let mut full = sample_checkpoint();
-        full.id = 0;
-        cs.save(&full).unwrap();
-        let mut incr = sample_checkpoint();
-        incr.id = 1;
-        incr.full = false;
-        incr.events_applied = 200;
-        cs.save(&incr).unwrap();
-        assert_eq!(cs.chain_len(), 2);
+        let mut first = sample_checkpoint();
+        first.id = 0;
+        cs.save(&first).unwrap();
+        let mut second = sample_checkpoint();
+        second.id = 1;
+        second.events_applied = 200;
+        cs.save(&second).unwrap();
+        // The second supersedes the first, whose file is gone.
+        assert_eq!(cs.entries().len(), 1);
+        assert!(!dir.join("chk-00000000.msc").exists());
+        assert!(dir.join("chk-00000001.msc").exists());
 
-        // Reopen: the chain survives and loads.
+        // Reopen: the newest checkpoint survives and loads.
         let cs2 = CheckpointStore::open(&dir).unwrap();
         assert_eq!(cs2.next_id(), 2);
         let loaded = cs2.load_chain().unwrap().unwrap();
-        assert_eq!(loaded.events_applied, 200);
-        assert_eq!(loaded.last_id, 1);
-
-        // A new full checkpoint collapses the chain and deletes old files.
-        let mut supersede = sample_checkpoint();
-        supersede.id = 2;
-        supersede.events_applied = 300;
-        let mut cs3 = CheckpointStore::open(&dir).unwrap();
-        cs3.save(&supersede).unwrap();
-        assert_eq!(cs3.chain_len(), 1);
-        assert!(!dir.join("chk-00000000.msc").exists());
-        assert!(dir.join("chk-00000002.msc").exists());
+        assert_eq!(loaded.restore, second);
 
         let _ = fs::remove_dir_all(&dir);
     }
@@ -812,9 +707,9 @@ mod tests {
         fs::write(dir.join("chk-00000099.msc"), stale.encode()).unwrap();
 
         let cs2 = CheckpointStore::open(&dir).unwrap();
-        assert_eq!(cs2.chain_len(), 1);
+        assert_eq!(cs2.entries().len(), 1);
         let loaded = cs2.load_chain().unwrap().unwrap();
-        assert_eq!(loaded.last_id, 0);
+        assert_eq!(loaded.restore.id, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -850,15 +745,15 @@ mod tests {
             cs.save(&chk).unwrap();
             assert_consistent(&dir);
         }
-        // The superseded full checkpoint is retained, not deleted.
-        assert_eq!(cs.chain_len(), 1);
+        // The superseded checkpoint is retained, not deleted.
+        assert_eq!(cs.entries().len(), 1);
         assert_eq!(cs.retained_entries().len(), 1);
         assert_eq!(cs.retained_entries()[0].id, 0);
         assert!(dir.join("chk-00000000.msc").exists());
-        // Recovery still loads only the live chain.
-        assert_eq!(cs.load_chain().unwrap().unwrap().last_id, 1);
+        // Recovery still loads only the live checkpoint.
+        assert_eq!(cs.load_chain().unwrap().unwrap().restore.id, 1);
 
-        // A third full checkpoint overflows the bound: the oldest retained
+        // A third checkpoint overflows the bound: the oldest retained
         // file is pruned, the newer one kept.
         let mut chk = sample_checkpoint();
         chk.id = 2;
@@ -878,31 +773,8 @@ mod tests {
         let cs2 = CheckpointStore::open_with_retention(&dir, 1).unwrap();
         assert_eq!(cs2.next_id(), 3);
         assert_eq!(cs2.retained_entries().len(), 1);
-        assert_eq!(cs2.load_chain().unwrap().unwrap().last_id, 2);
+        assert_eq!(cs2.load_chain().unwrap().unwrap().restore.id, 2);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn redirty_sink_returns_consumed_dirty_flags() {
-        let store = StateStore::new();
-        let a = store.create_table("a", 0, true);
-        let b = store.create_table("b", 0, true);
-        store.seed(a, 1, 1).unwrap();
-        store.seed(b, 1, 1).unwrap();
-
-        // A checkpoint attempt consumes the flags...
-        let mut builder = CheckpointBuilder::new();
-        CheckpointSink::store(&mut builder, 0, &store, store.take_dirty_tables());
-        let taken = builder.taken_dirty();
-        assert_eq!(taken, vec![(0, vec![a, b])]);
-        assert!(store.take_dirty_tables().is_empty());
-
-        // ...persisting fails; the redirty pass (with a fresh write landing
-        // in between) restores both the failed attempt's ids and its own.
-        store.seed(a, 2, 2).unwrap();
-        let mut sink = RedirtySink::new(taken);
-        CheckpointSink::store(&mut sink, 0, &store, store.take_dirty_tables());
-        assert_eq!(store.take_dirty_tables(), vec![a, b]);
     }
 
     #[test]
@@ -915,7 +787,7 @@ mod tests {
 
         let mut builder = CheckpointBuilder::new();
         TxnEngine::checkpoint(&mut engine, &mut builder);
-        let chk = builder.build(0, 6, 0);
+        let mut chk = builder.build(0, 6, 0);
         let digest_before = store.state_digest();
 
         // Fresh store + engine, restore, compare digests.
@@ -923,9 +795,7 @@ mod tests {
         let table2 = store2.create_table("counts", 0, true);
         let app2 = Counter { table: table2 };
         let mut engine2 = MorphStream::new(app2, store2.clone(), EngineConfig::with_threads(2));
-        let mut chain = ChainRestore::new();
-        chain.apply(chk);
-        TxnEngine::restore(&mut engine2, &mut chain);
+        TxnEngine::restore(&mut engine2, &mut chk);
         assert_eq!(store2.state_digest(), digest_before);
     }
 }

@@ -12,16 +12,16 @@
 //!   markers frame the log (the fsync point under [`FsyncPolicy::Interval`]):
 //!   a primary writes its own every `punctuation` events, a replica mirrors
 //!   its primary's with [`DurableEngine::mark_punctuation`].
-//! * **Checkpoint** — flush the engine to a barrier; capture the tables
-//!   dirtied since the last checkpoint with the WAL index and output-digest
-//!   state of the same cut; publish atomically; rotate the WAL and delete
-//!   the segments the checkpoint covers. If the publish fails, the dirty
-//!   flags the capture consumed are handed back and the WAL is left alone:
-//!   the next checkpoint re-captures, and replay still covers the writes.
-//! * **Recover** ([`DurableEngine::open`]) — restore the newest checkpoint
-//!   chain, resume the output digest from its saved state, walk the WAL
-//!   once (sealing a torn or headerless last segment where the walk
-//!   stopped), replay the events the chain does not cover, and
+//! * **Checkpoint** — flush the engine to a barrier; capture every table
+//!   with the WAL index and output-digest state of the same cut; publish
+//!   atomically, superseding the previous checkpoint; rotate the WAL and
+//!   delete the segments the checkpoint covers. If the publish fails, the
+//!   WAL is left alone: the next checkpoint captures everything again, and
+//!   replay still covers the writes.
+//! * **Recover** ([`DurableEngine::open`]) — restore the newest checkpoint,
+//!   resume the output digest from its saved state, walk the WAL once
+//!   (sealing a torn or headerless last segment where the walk stopped),
+//!   replay the events the checkpoint does not cover, and
 //!   re-anchor with a fresh checkpoint so a second restart replays nothing.
 //!   Punctuation placement does not affect final state or outputs
 //!   (timestamps follow ingestion order, MVCC resolves by timestamp), so the
@@ -41,7 +41,7 @@ use morphstream_common::hash::Fnv1a;
 use morphstream_common::json::JsonObject;
 use morphstream_common::protocol::WireCodec;
 
-use crate::checkpoint::{Checkpoint, CheckpointBuilder, CheckpointStore, RedirtySink};
+use crate::checkpoint::{Checkpoint, CheckpointBuilder, CheckpointStore};
 use crate::error::DurabilityError;
 use crate::wal::{recover_wal, FsyncPolicy, WalLog};
 
@@ -50,7 +50,7 @@ use crate::wal::{recover_wal, FsyncPolicy, WalLog};
 pub struct Recovery {
     /// Id of the newest checkpoint restored, if any existed.
     pub checkpoint_id: Option<u64>,
-    /// Events the restored checkpoint chain covered.
+    /// Events the restored checkpoint covered.
     pub events_applied: u64,
     /// WAL events replayed through the engine on top of the checkpoint.
     pub replayed_events: u64,
@@ -185,16 +185,16 @@ where
         let mut digest = Fnv1a::new();
         if let Some(mut loaded) = checkpoints.load_chain()? {
             engine.restore(&mut loaded.restore);
-            digest = Fnv1a::from_state(loaded.output_digest);
-            events_applied = loaded.events_applied;
-            checkpoint_id = Some(loaded.last_id);
+            digest = Fnv1a::from_state(loaded.restore.output_digest);
+            events_applied = loaded.restore.events_applied;
+            checkpoint_id = Some(loaded.restore.id);
         }
         // Installed before the replay so replayed outputs are digested too.
         let output_digest = OutputDigest::install(&mut engine, digest);
 
         let wal_dir = dir.join("wal");
         // One walk of the log: it frames and checksums every record, decodes
-        // the events the chain does not cover, and seals the newest segment
+        // the events the checkpoint does not cover, and seals the newest segment
         // where it stops being whole — the replay below (plus the re-anchor)
         // covers its events, and once new appends start a newer segment a
         // torn one would otherwise read as damage in a sealed segment on the
@@ -299,8 +299,8 @@ where
     }
 
     /// Take a checkpoint right now (the module documentation has the
-    /// steps). `Err` means it was not published — the dirty flags were
-    /// handed back — or that it was but the WAL could not be trimmed.
+    /// steps). `Err` means it was not published, or that it was but the WAL
+    /// could not be trimmed.
     /// Without a data directory there is nothing to take: `Ok(())`.
     pub fn checkpoint_now(&mut self) -> Result<(), DurabilityError> {
         let Some(disk) = self.disk.as_mut() else {
@@ -314,23 +314,14 @@ where
         // the engine, so the digest state and the WAL index describe the
         // same cut as the captured tables.
         let events_applied = self.next_index;
-        let taken_dirty = builder.taken_dirty();
         let checkpoint = builder.build(
             disk.checkpoints.next_id(),
             events_applied,
             self.output_digest.finish(),
         );
-        let saved = match disk.checkpoints.save(&checkpoint) {
-            Ok(saved) => saved,
-            Err(e) => {
-                // Never persisted, but the engine already consumed the dirty
-                // flags: give them back so the next checkpoint re-captures
-                // these tables, and leave the WAL untruncated so replay
-                // still covers their writes.
-                self.engine.checkpoint(&mut RedirtySink::new(taken_dirty));
-                return Err(e);
-            }
-        };
+        // On failure the WAL stays untruncated, so replay still covers
+        // what the checkpoint would have.
+        let saved = disk.checkpoints.save(&checkpoint)?;
         disk.stats.checkpoints += 1;
         disk.stats.checkpoint_bytes += saved.bytes;
         disk.stats.last_checkpoint = started.elapsed();
@@ -340,30 +331,30 @@ where
     }
 
     /// Discard all local state — engine, WAL, checkpoints — and adopt the
-    /// checkpoint chain a primary shipped, which must cover exactly
-    /// `events_applied` events (an empty chain is the empty state at 0).
+    /// checkpoint a primary shipped, which must cover exactly
+    /// `events_applied` events (no checkpoint is the empty state at 0).
     /// The old handles are dropped before their files are deleted; the
-    /// chain is then written out and recovered like any other directory
+    /// checkpoint is then written out and recovered like any other directory
     /// ([`DurableEngine::open`], re-anchor included) into the fresh
     /// `engine`. On error nothing of the old state remains in memory, and
     /// whatever reached the disk is what the next `open` recovers. Needs a
-    /// data directory to write the chain to.
+    /// data directory to write the checkpoint to.
     pub fn adopt_chain(
         self,
         engine: E,
-        chain: &[Checkpoint],
+        checkpoint: Option<&Checkpoint>,
         events_applied: u64,
     ) -> Result<Self, DurabilityError> {
-        let covered = chain.last().map_or(0, |c| c.events_applied);
+        let covered = checkpoint.map_or(0, |c| c.events_applied);
         if covered != events_applied {
             return Err(DurabilityError::corrupt(format!(
-                "shipped chain covers {covered} events, primary announced {events_applied}"
+                "shipped checkpoint covers {covered} events, primary announced {events_applied}"
             )));
         }
         let disk = self.disk.as_ref().ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "adopting a checkpoint chain needs a data directory",
+                "adopting a checkpoint needs a data directory",
             )
         })?;
         let (dir, fsync, interval, retain, punctuation) = (
@@ -381,7 +372,7 @@ where
             }
         }
         let mut shipped = CheckpointStore::open_with_retention(dir.join("checkpoints"), retain)?;
-        for checkpoint in chain {
+        if let Some(checkpoint) = checkpoint {
             shipped.save(checkpoint)?;
         }
         Ok(Self::open(Some(&dir), engine, fsync, interval, retain, punctuation)?.0)
@@ -423,7 +414,7 @@ where
         self.output_digest.finish()
     }
 
-    /// Id of the newest checkpoint in the live chain, if any.
+    /// Id of the newest checkpoint, if any.
     pub fn latest_checkpoint_id(&self) -> Option<u64> {
         let disk = self.disk.as_ref()?;
         disk.checkpoints.entries().last().map(|e| e.id)

@@ -1,14 +1,12 @@
-//! # Durability: incremental checkpoints + write-ahead input log
+//! # Durability: checkpoints + write-ahead input log
 //!
 //! Crash recovery for MorphStream engines, built from two halves that meet
 //! at punctuation boundaries:
 //!
-//! * [`checkpoint`] — incremental snapshots of [`StateStore`] state. Each
-//!   checkpoint captures only the tables dirtied since the previous one
-//!   (per-table dirty bits maintained by the storage layer), serialized in
-//!   the versioned `MSC1` binary format and published atomically (temp
-//!   file + rename + directory fsync). A checkpoint that happens to cover
-//!   every table is *full* and supersedes the chain before it.
+//! * [`checkpoint`] — snapshots of [`StateStore`] state. Each checkpoint
+//!   captures every table of every store, serialized in the versioned
+//!   `MSC1` binary format and published atomically (temp file + rename +
+//!   directory fsync), and supersedes the one before it.
 //! * [`wal`] — a write-ahead log of input events, appended *before* events
 //!   reach the engine, framed into `MSW1` segments with a CRC per
 //!   record and a configurable [`FsyncPolicy`]. Segments rotate at
@@ -37,8 +35,8 @@ pub mod error;
 pub mod wal;
 
 pub use checkpoint::{
-    ChainRestore, Checkpoint, CheckpointBuilder, CheckpointStore, LoadedChain, ManifestEntry,
-    RedirtySink, SavedCheckpoint, StoreSection, TableSnapshot, CHECKPOINT_MAGIC, MANIFEST_NAME,
+    Checkpoint, CheckpointBuilder, CheckpointStore, LoadedChain, ManifestEntry, SavedCheckpoint,
+    StoreSection, TableSnapshot, CHECKPOINT_MAGIC, MANIFEST_NAME,
 };
 pub use durable::{DurableEngine, DurableStats, Recovery};
 pub use error::DurabilityError;

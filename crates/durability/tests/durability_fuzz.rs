@@ -45,22 +45,18 @@ fn checkpoint() -> impl Strategy<Value = Checkpoint> {
         0..u64::MAX,
         0..u64::MAX,
         0..u64::MAX,
-        0u8..2,
         proptest::collection::vec(
             (0u32..8, proptest::collection::vec(table_snapshot(), 0..4))
                 .prop_map(|(ordinal, tables)| StoreSection { ordinal, tables }),
             0..4,
         ),
     )
-        .prop_map(
-            |(id, events_applied, output_digest, full, stores)| Checkpoint {
-                id,
-                events_applied,
-                output_digest,
-                full: full == 1,
-                stores,
-            },
-        )
+        .prop_map(|(id, events_applied, output_digest, stores)| Checkpoint {
+            id,
+            events_applied,
+            output_digest,
+            stores,
+        })
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

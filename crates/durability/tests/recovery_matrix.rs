@@ -133,11 +133,10 @@ const SHAPE: Shape = Shape {
 };
 
 /// A checkpoint that cannot be published must cost nothing: the WAL stays
-/// whole, the dirty flags come back, the next checkpoint captures what the
-/// failed one would have, and a crash after it still recovers to the
-/// uninterrupted digests.
+/// whole, the next checkpoint captures what the failed one would have, and
+/// a crash after it still recovers to the uninterrupted digests.
 #[test]
-fn failed_checkpoint_keeps_the_wal_and_redirties_for_the_next_one() {
+fn failed_checkpoint_keeps_the_wal_for_the_next_one() {
     let events = test_events();
     let dir = test_dir("failed-save");
     let (checkpoints, aside) = (dir.join("checkpoints"), dir.join("checkpoints.aside"));
@@ -159,8 +158,8 @@ fn failed_checkpoint_keeps_the_wal_and_redirties_for_the_next_one() {
             "nothing published, WAL neither rotated nor truncated"
         );
 
-        // The directory comes back; the retry captures the tables the failed
-        // attempt consumed, and truncates the WAL behind itself.
+        // The directory comes back; the retry captures every table, and
+        // truncates the WAL behind itself.
         std::fs::remove_file(&checkpoints).unwrap();
         std::fs::rename(&aside, &checkpoints).unwrap();
         a.durable.checkpoint_now().expect("checkpoint after repair");
@@ -321,20 +320,20 @@ fn events_logged_after_a_failed_append_survive_the_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Adopting a shipped chain on a directory with history of its own discards
-/// that history — WAL and checkpoints — before installing the chain.
+/// Adopting a shipped checkpoint on a directory with history of its own
+/// discards that history — WAL and checkpoints — before installing it.
 #[test]
 fn adopt_chain_discards_local_wal_and_checkpoints_first() {
     let events = test_events();
     let announced = CHECKPOINT_AT as u64;
 
-    // The chain a primary would ship: one checkpoint at CHECKPOINT_AT.
+    // The checkpoint a primary would ship, at CHECKPOINT_AT.
     let primary_dir = test_dir("adopt-primary");
     let mut primary = Lifetime::open(SHAPE, &primary_dir);
     primary.ingest(&events[..CHECKPOINT_AT]);
     primary.durable.checkpoint_now().expect("checkpoint");
     let shipped = std::fs::read(primary_dir.join("checkpoints/chk-00000000.msc")).unwrap();
-    let chain = [Checkpoint::decode(&shipped).expect("chain decodes")];
+    let checkpoint = Checkpoint::decode(&shipped).expect("checkpoint decodes");
 
     // A replica with unrelated local history: other events, two
     // checkpoints, a WAL tail.
@@ -345,11 +344,11 @@ fn adopt_chain_discards_local_wal_and_checkpoints_first() {
     replica.durable.checkpoint_now().expect("checkpoint");
     replica.ingest(&events[400..450]);
 
-    // A chain that does not cover the announced index is refused before
+    // A checkpoint that does not cover the announced index is refused before
     // anything is deleted: the directory still recovers.
     let refused = replica
         .durable
-        .adopt_chain(build(SHAPE).0, &chain, announced + 1);
+        .adopt_chain(build(SHAPE).0, Some(&checkpoint), announced + 1);
     assert!(refused.is_err());
     let replica = Lifetime::open(SHAPE, &dir);
     assert_eq!(replica.durable.next_index(), 150);
@@ -358,7 +357,7 @@ fn adopt_chain_discards_local_wal_and_checkpoints_first() {
     let mut adopted = Lifetime {
         durable: replica
             .durable
-            .adopt_chain(fresh, &chain, announced)
+            .adopt_chain(fresh, Some(&checkpoint), announced)
             .expect("adopt"),
         stores,
         recovery: None,
@@ -368,7 +367,7 @@ fn adopt_chain_discards_local_wal_and_checkpoints_first() {
     assert_eq!(
         adopted.durable.latest_checkpoint_id(),
         Some(1),
-        "old checkpoints (ids 0..=2) deleted: the chain's 0, re-anchored as 1"
+        "old checkpoints (ids 0..=2) deleted: the shipped 0, re-anchored as 1"
     );
     adopted.ingest(&events[CHECKPOINT_AT..323]);
     drop(adopted);

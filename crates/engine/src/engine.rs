@@ -417,7 +417,7 @@ impl<A: StreamApp> TxnEngine for MorphStream<A> {
         // The flush is the checkpoint barrier: the store reflects every
         // pushed event before it is offered.
         TxnEngine::flush(self);
-        sink.store(0, &self.store, self.store.take_dirty_tables());
+        sink.store(0, &self.store);
     }
 
     fn restore(&mut self, source: &mut dyn crate::pipeline::CheckpointSource) {

@@ -62,7 +62,6 @@ use std::time::Instant;
 
 use morphstream_common::hash::Fnv1a;
 use morphstream_common::metrics::Breakdown;
-use morphstream_common::TableId;
 use morphstream_storage::StateStore;
 
 use crate::report::{BatchSummary, RunReport};
@@ -310,13 +309,12 @@ impl<E, O> Default for SessionState<E, O> {
 /// Receives the state of an engine at a checkpoint barrier: one call per
 /// distinct [`StateStore`] the engine operates on, in a stable ordinal order
 /// (single-store engines call with ordinal 0; a topology enumerates its
-/// deduplicated stores). `dirty` lists the tables whose visible state may
-/// have changed since the flags were last taken — the incremental-snapshot
-/// set. The sink decides how to serialize; the engine only guarantees it is
-/// quiescent (flushed) for the duration of the call.
+/// deduplicated stores). The sink decides what to capture and how to
+/// serialize; the engine only guarantees it is quiescent (flushed) for the
+/// duration of the call.
 pub trait CheckpointSink {
     /// Offer one store for snapshotting.
-    fn store(&mut self, ordinal: usize, store: &StateStore, dirty: Vec<TableId>);
+    fn store(&mut self, ordinal: usize, store: &StateStore);
 }
 
 /// Supplies checkpointed state back to an engine at restore time: the mirror

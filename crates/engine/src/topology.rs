@@ -512,7 +512,7 @@ where
         // sink walks it.
         TxnEngine::flush(self);
         for (ordinal, store) in self.session.stores.iter().enumerate() {
-            sink.store(ordinal, store, store.take_dirty_tables());
+            sink.store(ordinal, store);
         }
     }
 

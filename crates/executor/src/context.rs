@@ -15,13 +15,13 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use morphstream_common::error::Result as StoreResult;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{AbortReason, Key, OpId, TableId, Timestamp, TxnId, Value};
+use morphstream_common::{spin_for, AbortReason, Key, OpId, TableId, Timestamp, TxnId, Value};
 use morphstream_scheduler::{AbortHandling, SchedulingDecision};
 use morphstream_storage::{MvTable, StateStore};
 use morphstream_tpg::{AccessKind, Tpg, UdfInput, UdfOutcome};
@@ -224,14 +224,14 @@ impl ExecContext {
                 if self.dirty[op].swap(false, Ordering::AcqRel) {
                     let t0 = Instant::now();
                     let _guard = self.coordinator.lock();
-                    self.redo_ops_locked(vec![op], breakdown);
+                    self.redo_ops_locked(vec![op]);
                     breakdown.add(BreakdownBucket::Abort, t0.elapsed());
                 }
             }
             Err(reason) => {
                 self.in_flight[op].store(false, Ordering::Release);
                 let t0 = Instant::now();
-                self.handle_failure(op, reason, breakdown);
+                self.handle_failure(op, reason);
                 breakdown.add(BreakdownBucket::Abort, t0.elapsed());
             }
         }
@@ -246,13 +246,8 @@ impl ExecContext {
         let ts = operation.ts;
         let key = spec.target.resolve(ts);
 
-        // Emulated UDF complexity (the paper's `C` knob): spin for cost_us.
-        if spec.cost_us > 0 {
-            let deadline = Instant::now() + std::time::Duration::from_micros(spec.cost_us);
-            while Instant::now() < deadline {
-                std::hint::spin_loop();
-            }
-        }
+        // Emulated UDF complexity (the paper's `C` knob).
+        spin_for(Duration::from_micros(spec.cost_us));
 
         // Visibility: strictly earlier timestamps (operations of the same
         // transaction do not see each other's writes, Section 2.1.1).
@@ -341,11 +336,11 @@ impl ExecContext {
     // Abort handling
     // ------------------------------------------------------------------
 
-    fn handle_failure(&self, op: OpId, reason: AbortReason, breakdown: &mut Breakdown) {
+    fn handle_failure(&self, op: OpId, reason: AbortReason) {
         match self.abort_mode {
             AbortHandling::Eager => {
                 let _guard = self.coordinator.lock();
-                self.abort_txn_locked(op, reason, breakdown);
+                self.abort_txn_locked(op, reason);
             }
             AbortHandling::Lazy => {
                 // Log the failure; clean-up happens after the TPG has been
@@ -372,7 +367,7 @@ impl ExecContext {
         let t0 = Instant::now();
         let _guard = self.coordinator.lock();
         for (op, reason) in failures {
-            self.abort_txn_locked(op, reason, breakdown);
+            self.abort_txn_locked(op, reason);
         }
         breakdown.add(BreakdownBucket::Abort, t0.elapsed());
     }
@@ -381,7 +376,7 @@ impl ExecContext {
     /// and redo every executed dependent operation. Runs with the coordinator
     /// lock held; cascading failures (a redone operation aborting) are
     /// processed until a fixpoint.
-    fn abort_txn_locked(&self, failed_op: OpId, reason: AbortReason, breakdown: &mut Breakdown) {
+    fn abort_txn_locked(&self, failed_op: OpId, reason: AbortReason) {
         let mut worklist: Vec<(OpId, AbortReason)> = vec![(failed_op, reason)];
         while let Some((fop, freason)) = worklist.pop() {
             let txn = self.tpg.op(fop).txn;
@@ -412,7 +407,7 @@ impl ExecContext {
             // Dependents of the rolled-back writes read values that no longer
             // exist: redo them (transitions T5/T6 of Figure 8).
             let descendants = self.descendants_of(&rolled_back);
-            let failures = self.redo_ops_locked(descendants, breakdown);
+            let failures = self.redo_ops_locked(descendants);
             worklist.extend(failures);
         }
     }
@@ -443,11 +438,7 @@ impl ExecContext {
     /// Roll back and re-execute the given operations (skipping aborted ones
     /// and ones that have not executed yet). Returns newly failed operations.
     /// Must be called with the coordinator lock held.
-    fn redo_ops_locked(
-        &self,
-        ops: Vec<OpId>,
-        _breakdown: &mut Breakdown,
-    ) -> Vec<(OpId, AbortReason)> {
+    fn redo_ops_locked(&self, ops: Vec<OpId>) -> Vec<(OpId, AbortReason)> {
         let mut new_failures = Vec::new();
         for op in ops {
             // In-flight operations will notice the dirty flag themselves once

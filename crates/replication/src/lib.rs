@@ -7,7 +7,7 @@
 //!
 //! * [`ReplicationSender`] (primary): a background thread that tails the
 //!   WAL files and streams batches + punctuation markers to the standby,
-//!   bootstrapping it from the checkpoint chain when its position is not
+//!   bootstrapping it from the newest checkpoint when its position is not
 //!   servable from the log. [`AckMode::Sync`] extends the ingest
 //!   back-pressure chain across machines: each connection's reads wait for
 //!   the standby's acknowledgement.

@@ -17,7 +17,7 @@
 //! |-----|-------------------|-------------------|---------|
 //! | 1   | `Hello`           | primary → standby | protocol version, punctuation interval, WAL tip |
 //! | 2   | `Position`        | standby → primary | durable index, newest checkpoint id |
-//! | 3   | `BeginBootstrap`  | primary → standby | chain length, events the chain covers |
+//! | 3   | `BeginBootstrap`  | primary → standby | checkpoints that follow (0 or 1), events covered |
 //! | 4   | `CheckpointChunk` | primary → standby | file-complete flag, raw `MSC1` bytes |
 //! | 5   | `Batch`           | primary → standby | first index + raw `MSB1` event payloads |
 //! | 6   | `Punct`           | primary → standby | the WAL punctuation marker value |
@@ -79,11 +79,12 @@ pub enum Frame {
         checkpoint_id: Option<u64>,
     },
     /// The standby cannot be served from the primary's WAL: discard local
-    /// state and receive the checkpoint chain instead.
+    /// state and receive the primary's newest checkpoint instead.
     BeginBootstrap {
-        /// Number of checkpoint files that will follow.
+        /// Number of checkpoint files that will follow: 0 or 1. The field
+        /// is a `u32` on the wire; a standby refuses any value above 1.
         chain_len: u32,
-        /// Event index the chain covers; WAL shipping resumes there.
+        /// Event index the checkpoint covers; WAL shipping resumes there.
         events_applied: u64,
     },
     /// A slice of one checkpoint file.

@@ -5,7 +5,7 @@
 //! stateless across disconnects: on every (re)connection it handshakes,
 //! learns the standby's durable position, and either resumes from that
 //! index in the WAL or — when truncation has moved past it, or the standby
-//! is fresh or divergent — re-syncs it by shipping the checkpoint chain
+//! is fresh or divergent — re-syncs it by shipping its newest checkpoint
 //! first ([`Frame::BeginBootstrap`]).
 //!
 //! The serve ingest path calls [`ReplicationSender::notify`] after each
@@ -285,25 +285,26 @@ fn run_connection(shared: &Shared, opts: &SenderOptions, mut stream: TcpStream) 
     ship(shared, opts, &mut stream, reader, start, &mut scratch)
 }
 
-/// Ship the checkpoint chain; returns the event index it covers.
+/// Ship the newest checkpoint, if there is one; returns the event index it
+/// covers.
 fn send_bootstrap(
     stream: &mut TcpStream,
     checkpoint_dir: &PathBuf,
     scratch: &mut Vec<u8>,
 ) -> io::Result<u64> {
-    let chain = CheckpointStore::open(checkpoint_dir).map_err(to_io)?;
-    let entries = chain.entries().to_vec();
-    let events_applied = entries.last().map(|e| e.events_applied).unwrap_or(0);
+    let checkpoints = CheckpointStore::open(checkpoint_dir).map_err(to_io)?;
+    let newest = checkpoints.entries().last();
+    let events_applied = newest.map_or(0, |e| e.events_applied);
     send_frame(
         stream,
         &Frame::BeginBootstrap {
-            chain_len: entries.len() as u32,
+            chain_len: newest.is_some() as u32,
             events_applied,
         },
         scratch,
     )?;
-    for entry in &entries {
-        let bytes = std::fs::read(chain.dir().join(&entry.file))?;
+    if let Some(entry) = newest {
+        let bytes = std::fs::read(checkpoints.dir().join(&entry.file))?;
         let mut chunks = bytes.chunks(CHECKPOINT_CHUNK).peekable();
         while let Some(chunk) = chunks.next() {
             send_frame(

@@ -11,7 +11,7 @@
 //! 2. Either WAL batches start arriving at exactly that index, or the
 //!    primary decides the position is unservable and sends
 //!    [`Frame::BeginBootstrap`]: the standby discards local state and
-//!    rebuilds from the shipped checkpoint chain before tailing.
+//!    rebuilds from the shipped checkpoint before tailing.
 //! 3. Every `Batch` goes through [`DurableEngine::ingest`] — the same
 //!    log-then-push path the primary's ingest takes — and is acknowledged
 //!    with the standby's durable index; `Punct` frames mirror the primary's
@@ -67,10 +67,10 @@ pub struct StandbyOptions {
     pub data_dir: PathBuf,
     /// Fsync policy of the standby's WAL.
     pub fsync: FsyncPolicy,
-    /// Events between the standby's own incremental checkpoints
+    /// Events between the standby's own checkpoints
     /// (0 = checkpoint only at recovery and promotion).
     pub checkpoint_interval: u64,
-    /// Superseded checkpoint chains to retain (0 = prune immediately).
+    /// Superseded checkpoints to keep as history (0 = prune immediately).
     pub checkpoint_retain: usize,
 }
 
@@ -244,12 +244,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, mut factory: EngineFa
     }
 }
 
-/// In-flight checkpoint-chain transfer state.
+/// In-flight checkpoint transfer state.
 struct Bootstrap {
-    remaining: u32,
     events_applied: u64,
     buf: Vec<u8>,
-    chain: Vec<Checkpoint>,
 }
 
 fn handle_primary(
@@ -331,22 +329,33 @@ fn process_frame(
         Frame::BeginBootstrap {
             chain_len,
             events_applied,
-        } => {
-            let pending = Bootstrap {
-                remaining: chain_len,
+        } => match chain_len {
+            // Nothing to ship: the primary itself starts at `events_applied`
+            // (0 unless its history was truncated away without any
+            // checkpoint, which cannot happen).
+            0 => adopt(
+                shared,
+                factory,
+                replica,
+                None,
                 events_applied,
-                buf: Vec::new(),
-                chain: Vec::new(),
-            };
-            if chain_len == 0 {
-                // Nothing to ship: the primary itself starts at
-                // `events_applied` (0 unless its history was truncated away
-                // without any checkpoint, which cannot happen).
-                adopt(shared, factory, replica, pending, stream, scratch)?;
-            } else {
-                *bootstrap = Some(pending);
+                stream,
+                scratch,
+            )?,
+            1 => {
+                *bootstrap = Some(Bootstrap {
+                    events_applied,
+                    buf: Vec::new(),
+                })
             }
-        }
+            // A primary ships its newest checkpoint and nothing else.
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("bootstrap announces {chain_len} checkpoints, at most 1 is valid"),
+                ))
+            }
+        },
         Frame::CheckpointChunk { last_chunk, data } => {
             let state = bootstrap.as_mut().ok_or_else(|| {
                 io::Error::new(
@@ -358,15 +367,17 @@ fn process_frame(
             if !last_chunk {
                 return Ok(());
             }
-            state
-                .chain
-                .push(Checkpoint::decode(&state.buf).map_err(to_io)?);
-            state.buf.clear();
-            state.remaining = state.remaining.saturating_sub(1);
-            if state.remaining == 0 {
-                let complete = bootstrap.take().expect("bootstrap in flight");
-                adopt(shared, factory, replica, complete, stream, scratch)?;
-            }
+            let complete = bootstrap.take().expect("bootstrap in flight");
+            let checkpoint = Checkpoint::decode(&complete.buf).map_err(to_io)?;
+            adopt(
+                shared,
+                factory,
+                replica,
+                Some(&checkpoint),
+                complete.events_applied,
+                stream,
+                scratch,
+            )?;
         }
         Frame::Batch {
             first_index,
@@ -438,14 +449,15 @@ fn live<'r>(
         })
 }
 
-/// Bootstrap complete: discard local state and adopt the shipped chain into
-/// a fresh engine ([`DurableEngine::adopt_chain`]), then acknowledge the
-/// new position.
+/// Bootstrap complete: discard local state and adopt the shipped checkpoint
+/// into a fresh engine ([`DurableEngine::adopt_chain`]), then acknowledge
+/// the new position.
 fn adopt(
     shared: &Shared,
     factory: &mut EngineFactory,
     replica: &mut Option<Promoted>,
-    shipped: Bootstrap,
+    checkpoint: Option<&Checkpoint>,
+    events_applied: u64,
     stream: &mut TcpStream,
     scratch: &mut Vec<u8>,
 ) -> io::Result<()> {
@@ -455,7 +467,7 @@ fn adopt(
     };
     let ReplicaEngine { engine, stores } = factory()?;
     let durable = old
-        .adopt_chain(engine, &shipped.chain, shipped.events_applied)
+        .adopt_chain(engine, checkpoint, events_applied)
         .map_err(to_io)?;
     let adopted = replica.insert(Promoted { durable, stores });
     ack(shared, stream, scratch, &adopted.durable)

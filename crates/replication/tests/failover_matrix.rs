@@ -6,7 +6,7 @@
 //! Each cell runs a real [`StandbyServer`] on localhost and a real
 //! [`ReplicationSender`] tailing the primary's WAL files, so the whole
 //! `MSR1` path is exercised: handshake, live tailing, punctuation frames,
-//! acks, and (in the bootstrap test) checkpoint-chain transfer to a fresh
+//! acks, and (in the bootstrap test) checkpoint transfer to a fresh
 //! standby whose position the primary's truncated WAL can no longer serve.
 //!
 //! The primary side is the production [`DurableEngine`] driven in-process
@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use morphstream_durability::{DurableEngine, FsyncPolicy};
 use morphstream_replication::{
-    AckMode, Promoted, ReplicaEngine, ReplicationSender, SenderOptions, StandbyEngine,
-    StandbyOptions, StandbyServer,
+    AckMode, Frame, FrameReader, Promoted, ReplicaEngine, ReplicationSender, SenderOptions,
+    StandbyEngine, StandbyOptions, StandbyServer, REPL_MAGIC, REPL_VERSION,
 };
 use morphstream_workloads::SlEvent;
 use support::{test_dir, test_events, Digests, Shape, CHECKPOINT_AT, EVENTS, PUNCTUATION};
@@ -212,9 +212,9 @@ fn fresh_standby_bootstraps_from_the_checkpoint_chain_over_the_wire() {
         .expect("reserve a port")
         .to_string();
 
-    // Build primary history *before* any standby exists: two checkpoints
-    // (a full one and an incremental on top), with the WAL truncated behind
-    // them — a fresh standby's position 0 is unservable. Nothing listens
+    // Build primary history *before* any standby exists: two checkpoints,
+    // the second superseding the first, with the WAL truncated behind them
+    // — a fresh standby's position 0 is unservable. Nothing listens
     // yet; the sender retries with backoff until the standby comes up,
     // which is itself part of the scenario.
     let mut primary = Primary::start(
@@ -228,8 +228,8 @@ fn fresh_standby_bootstraps_from_the_checkpoint_chain_over_the_wire() {
     primary.push_replicated(&events[100..CHECKPOINT_AT]);
     primary.checkpoint();
 
-    // Now the standby comes up and the sender reaches it: the chain must
-    // ship over the wire before live tailing begins.
+    // Now the standby comes up and the sender reaches it: the newest
+    // checkpoint must ship over the wire before live tailing begins.
     let mut options = standby_options(&standby_dir);
     options.listen = standby_addr;
     let standby = StandbyServer::start(options, Box::new(move || Ok(build_engine(concurrent))))
@@ -238,7 +238,7 @@ fn fresh_standby_bootstraps_from_the_checkpoint_chain_over_the_wire() {
     primary.push_replicated(&events[CHECKPOINT_AT..]);
     primary.wait_acked(EVENTS as u64);
 
-    // The standby was served the chain, not WAL-from-zero: the sender only
+    // The standby was served the checkpoint, not WAL-from-zero: the sender only
     // ever shipped the live tail.
     let sender_stats = primary.sender.stats();
     assert_eq!(
@@ -312,5 +312,69 @@ fn standby_recovers_its_own_directory_across_restarts() {
     assert_eq!(recovered, expected, "restarted standby diverged");
 
     let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&standby_dir);
+}
+
+/// A primary ships its newest checkpoint and nothing else, so a
+/// `BeginBootstrap` announcing more than one is a protocol error: the
+/// standby drops the connection instead of waiting for a chain, and its
+/// state is untouched.
+#[test]
+fn a_bootstrap_announcing_more_than_one_checkpoint_is_refused() {
+    use std::io::{Read, Write};
+
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let standby_dir = test_dir("chain-refused");
+    let standby = StandbyServer::start(
+        standby_options(&standby_dir),
+        Box::new(|| Ok(build_engine(false))),
+    )
+    .expect("standby starts");
+
+    let mut primary = std::net::TcpStream::connect(standby.listen_addr()).expect("connect");
+    let mut wire = REPL_MAGIC.to_vec();
+    Frame::Hello {
+        version: REPL_VERSION,
+        punctuation: PUNCTUATION as u64,
+        wal_next: 0,
+    }
+    .encode(&mut wire);
+    primary.write_all(&wire).expect("send hello");
+    primary.set_read_timeout(Some(DEADLINE)).unwrap();
+    let mut reader = FrameReader::new();
+    let mut buf = [0u8; 256];
+    let position = loop {
+        if let Some(frame) = reader.next().expect("well-formed reply") {
+            break frame;
+        }
+        let n = primary.read(&mut buf).expect("position arrives");
+        assert!(n > 0, "standby closed before replying");
+        reader.extend(&buf[..n]);
+    };
+    assert!(matches!(position, Frame::Position { next_index: 0, .. }));
+
+    primary
+        .write_all(
+            &Frame::BeginBootstrap {
+                chain_len: 2,
+                events_applied: 0,
+            }
+            .to_bytes(),
+        )
+        .expect("send bootstrap");
+    // The standby hangs up (EOF or reset); a timeout would mean it is
+    // waiting for checkpoint chunks.
+    match primary.read(&mut buf) {
+        Ok(n) => assert_eq!(n, 0, "no reply to a refused bootstrap"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "standby kept the connection open: {e}"
+        ),
+    }
+    assert_eq!(standby.durable_index(), 0);
+    standby.shutdown();
     let _ = std::fs::remove_dir_all(&standby_dir);
 }

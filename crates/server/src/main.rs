@@ -50,10 +50,12 @@ serve accepts events on --addr (length-prefixed binary after an MSB1 magic,
 or JSON lines; auto-detected per connection), serves Prometheus metrics on
 http://<metrics-addr>/metrics and liveness on /healthz, and drains in-flight
 punctuations on SIGINT/SIGTERM before exiting. With --data-dir, every event
-is written ahead to a WAL and state is checkpointed incrementally every
+is written ahead to a WAL and every table is checkpointed every
 --checkpoint-interval events (0 = only at startup recovery and shutdown);
-after a crash, restarting with the same --data-dir restores the latest
-checkpoint chain and replays the WAL tail to digest-identical state. With
+each checkpoint supersedes the one before it, and --checkpoint-retain N
+keeps the N newest superseded ones as history (default 0). After a crash,
+restarting with the same --data-dir restores the latest checkpoint and
+replays the WAL tail to digest-identical state. With
 --topology, serve runs a declarative TOML dataflow (one entry stage; wire
 events enter there, terminal outputs are digested) instead of the builtin
 ledger -> audit chain — durability and recovery apply unchanged. With

@@ -78,13 +78,14 @@ pub struct ServeOptions {
     /// Durable data directory (checkpoints + write-ahead log). `None`
     /// keeps nothing on disk.
     pub data_dir: Option<std::path::PathBuf>,
-    /// Events between incremental checkpoints when durability is on
+    /// Events between checkpoints when durability is on
     /// (0 = checkpoint only at recovery and shutdown).
     pub checkpoint_interval: u64,
     /// When the write-ahead log fsyncs.
     pub fsync: FsyncPolicy,
-    /// Superseded checkpoint chains to retain on disk (0 = prune each as
-    /// soon as its successor's manifest is published).
+    /// Superseded checkpoints to keep on disk as history (0 = prune each as
+    /// soon as its successor's manifest is published). Recovery only ever
+    /// loads the newest checkpoint.
     pub checkpoint_retain: usize,
     /// Ship the WAL to a standby at this replication address (requires
     /// `data_dir`; the WAL files are the replication source of truth).

@@ -11,8 +11,10 @@ use morphstream_common::protocol::WireFormat;
 use common::{
     http_get, metric_value, send_stream, temp_dir, test_events, test_options, wait_for_ingest,
 };
-use morphstream_durability::{decode_segment, FsyncPolicy, WalLog};
-use morphstream_server::{reference_run, Server};
+use morphstream_durability::{
+    decode_segment, Checkpoint, CheckpointStore, DurableEngine, FsyncPolicy, WalLog,
+};
+use morphstream_server::{build_topology, reference_run, Server};
 use morphstream_workloads::SlEvent;
 
 /// Graceful restart: stop a durable server mid-stream, start a second one on
@@ -239,5 +241,97 @@ fn torn_wal_tail_is_dropped_and_reported() {
     assert_eq!(decoded.events.len(), 900);
 
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Served on `scenarios/fraud.toml`, whose `audit` table stops changing
+/// after the first batches: every checkpoint still captures all five
+/// tables and supersedes the one before it, so however long the server
+/// runs the manifest holds one live checkpoint, and a crash restarts from
+/// it (plus the WAL tail) to the digests of the uninterrupted run.
+#[test]
+fn every_served_checkpoint_holds_every_table_and_supersedes_the_last() {
+    const EVENTS: usize = 20_000;
+    let dir = temp_dir("fraud-whole");
+    let mut opts = test_options(Some(dir.clone()));
+    let scenario =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/fraud.toml");
+    opts.topology = Some(scenario);
+    opts.checkpoint_interval = 2_000;
+    let events = test_events(EVENTS + 1_000, &opts.workload);
+    let mut reference_opts = opts.clone();
+    reference_opts.data_dir = None;
+    let expected = reference_run(&reference_opts, events.clone()).expect("reference run");
+
+    // What `serve` does with the same options, in the same 256-event
+    // chunks; superseded checkpoints are kept as history so each can be
+    // read. Dropping the engine is the `kill -9` image.
+    let open = |opts: &morphstream_server::ServeOptions| {
+        let (engine, store, _) = build_topology(opts).expect("scenario loads");
+        let (durable, recovery) = DurableEngine::open(
+            Some(&dir),
+            engine,
+            FsyncPolicy::Never,
+            opts.checkpoint_interval,
+            usize::MAX,
+            opts.workload.txns_per_batch as u64,
+        )
+        .expect("open durable engine");
+        (durable, store, recovery)
+    };
+    let published = {
+        let (mut durable, _, recovery) = open(&opts);
+        assert!(recovery.is_none(), "fresh data dir");
+        for chunk in events[..EVENTS].chunks(256) {
+            durable.ingest(chunk.iter().cloned()).expect("ingest");
+        }
+        durable.stats().checkpoints
+    };
+    // A checkpoint falls due every eight chunks (2 048 events).
+    assert_eq!(published, 9);
+
+    let checkpoints = CheckpointStore::open(dir.join("checkpoints")).expect("manifest");
+    assert_eq!(checkpoints.entries().len(), 1, "one live checkpoint");
+    assert_eq!(checkpoints.retained_entries().len(), 8);
+    let mut names = None;
+    for entry in checkpoints
+        .retained_entries()
+        .iter()
+        .chain(checkpoints.entries())
+    {
+        let bytes = std::fs::read(dir.join("checkpoints").join(&entry.file)).expect("read");
+        let checkpoint = Checkpoint::decode(&bytes).expect("decodes");
+        let tables: Vec<String> = checkpoint
+            .stores
+            .iter()
+            .flat_map(|store| store.tables.iter().map(|t| t.name.clone()))
+            .collect();
+        assert_eq!(tables.len(), 5, "{}: {tables:?}", entry.file);
+        assert_eq!(names.get_or_insert_with(|| tables.clone()), &tables);
+    }
+
+    let live = checkpoints.entries()[0].clone();
+    let (mut durable, store, recovery) = open(&opts);
+    let recovery = recovery.expect("the crash image recovers");
+    assert_eq!(recovery.checkpoint_id, Some(live.id));
+    assert_eq!(recovery.events_applied, live.events_applied);
+    assert_eq!(
+        recovery.replayed_events,
+        EVENTS as u64 - live.events_applied
+    );
+    durable
+        .ingest(events[EVENTS..].iter().cloned())
+        .expect("ingest the rest");
+    durable.finish_session();
+    assert_eq!(
+        store.state_digest(),
+        expected.ledger_digest,
+        "scenario state diverged"
+    );
+    assert_eq!(
+        durable.output_digest(),
+        expected.output_digest,
+        "output stream diverged"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -236,29 +236,9 @@ impl StateStore {
         Ok(self.table(table)?.snapshot_latest())
     }
 
-    /// Explicitly mark `tables` dirty for the next checkpoint — used by
-    /// engines that already track per-batch written tables, so a checkpoint
-    /// never misses a table even if a write path bypasses the store handle.
-    pub fn mark_tables_dirty(&self, tables: &[TableId]) {
-        for id in tables {
-            if let Ok(table) = self.table(*id) {
-                table.mark_dirty();
-            }
-        }
-    }
-
-    /// Collect and clear the dirty flags of every table, returning the ids
-    /// (sorted) whose visible state may have changed since the last call —
-    /// the set an incremental checkpoint must snapshot.
-    pub fn take_dirty_tables(&self) -> Vec<TableId> {
-        self.inner
-            .tables
-            .read()
-            .iter()
-            .filter(|t| t.take_dirty())
-            .map(|t| t.id())
-            .collect()
-    }
+    /// Does nothing: every checkpoint captures every table, so there is no
+    /// dirty set to add to. Kept only because `benchmark/` still calls it.
+    pub fn mark_tables_dirty(&self, _tables: &[TableId]) {}
 
     /// Deterministic FNV-1a digest of the latest committed value of every key
     /// of every table, in table-id / key order. Two stores hold identical
@@ -410,26 +390,6 @@ mod tests {
         assert_eq!(a.state_digest(), b.state_digest());
         // repeated evaluation is stable
         assert_eq!(a.state_digest(), a.state_digest());
-    }
-
-    #[test]
-    fn dirty_tables_are_collected_once_and_in_id_order() {
-        let store = StateStore::new();
-        let a = store.create_table("a", 0, false);
-        let b = store.create_table("b", 0, false);
-        let c = store.create_table("c", 0, false);
-        store.preallocate_range(a, 2).unwrap();
-        store.preallocate_range(b, 2).unwrap();
-        store.preallocate_range(c, 2).unwrap();
-        // creation dirties everything; take clears
-        assert_eq!(store.take_dirty_tables(), vec![a, b, c]);
-        assert!(store.take_dirty_tables().is_empty());
-        // only the written table comes back
-        store.write(b, 0, 1, 0, 1, 5).unwrap();
-        assert_eq!(store.take_dirty_tables(), vec![b]);
-        // explicit marking for engine-tracked writes
-        store.mark_tables_dirty(&[c, TableId(99)]);
-        assert_eq!(store.take_dirty_tables(), vec![c]);
     }
 
     #[test]

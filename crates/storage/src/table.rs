@@ -72,13 +72,6 @@ pub struct MvTable {
     /// reads aggregate historical versions, so once a table serves windows
     /// its history must survive after-batch reclamation.
     pinned: std::sync::atomic::AtomicBool,
-    /// Whether the table's *visible* state may have changed since the flag
-    /// was last taken — the incremental-checkpoint cue. A new table starts
-    /// dirty (it has never been captured by a checkpoint); afterwards the
-    /// flag is set by every path that can change `snapshot_latest` (seed,
-    /// preallocate, write, and the auto-create branch of reads); truncation
-    /// keeps the latest version per key so it does not dirty.
-    dirty: std::sync::atomic::AtomicBool,
 }
 
 impl MvTable {
@@ -100,7 +93,6 @@ impl MvTable {
             auto_create,
             shards,
             pinned: std::sync::atomic::AtomicBool::new(false),
-            dirty: std::sync::atomic::AtomicBool::new(true),
         }
     }
 
@@ -137,26 +129,6 @@ impl MvTable {
         self.auto_create
     }
 
-    /// Mark the table's visible state as changed since the last checkpoint.
-    pub fn mark_dirty(&self) {
-        // Check-before-store keeps the steady state read-only: repeated
-        // writes to an already-dirty table do not bounce the cache line.
-        if !self.dirty.load(Ordering::Relaxed) {
-            self.dirty.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether the visible state may have changed since the flag was taken.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty.load(Ordering::Relaxed)
-    }
-
-    /// Clear the dirty flag, returning whether it was set — one checkpoint's
-    /// "does this table need a new snapshot section" test.
-    pub fn take_dirty(&self) -> bool {
-        self.dirty.swap(false, Ordering::Relaxed)
-    }
-
     #[inline]
     fn shard_for(&self, key: Key) -> &RwLock<Shard> {
         // Fibonacci hashing spreads dense key ranges across shards.
@@ -170,15 +142,10 @@ impl MvTable {
 
     /// Pre-allocate `keys` with the table's default value.
     pub fn preallocate<I: IntoIterator<Item = Key>>(&self, keys: I) {
-        let mut any_created = false;
         for key in keys {
-            let mut shard = self.shard_for(key).write();
-            let keys_before = shard.chains.len();
-            shard.chain_mut(key, Some(self.default_value));
-            any_created |= shard.chains.len() > keys_before;
-        }
-        if any_created {
-            self.mark_dirty();
+            self.shard_for(key)
+                .write()
+                .chain_mut(key, Some(self.default_value));
         }
     }
 
@@ -210,7 +177,6 @@ impl MvTable {
             chain.listed = prev.listed;
         }
         shard.chains.insert(key, chain);
-        self.mark_dirty();
     }
 
     /// Whether `key` exists in the table.
@@ -294,7 +260,6 @@ impl MvTable {
         if newly_listed {
             shard.multi.push(key);
         }
-        self.mark_dirty();
         Ok(())
     }
 
@@ -580,31 +545,6 @@ mod tests {
         assert_eq!(t.version_count(), before);
         // the full window history survives
         assert_eq!(t.window(3, 1, 20).unwrap().len(), 20);
-    }
-
-    #[test]
-    fn dirty_tracks_visible_state_changes_only() {
-        // a new table is dirty by definition: never checkpointed
-        let t = MvTable::new(TableId(0), "accounts", 1000, false);
-        assert!(t.is_dirty());
-        t.preallocate_range(4);
-        assert!(t.take_dirty());
-        assert!(!t.is_dirty());
-        // preallocating existing keys changes nothing visible
-        t.preallocate_range(4);
-        assert!(!t.is_dirty());
-        t.write(1, 5, 0, 1, 7).unwrap();
-        assert!(t.take_dirty());
-        // truncation keeps the latest version per key: stays clean
-        t.truncate_before(5);
-        assert!(!t.is_dirty());
-        t.seed(2, 9);
-        assert!(t.take_dirty());
-        // an auto-created read materialises a key → dirty
-        let auto = MvTable::new(TableId(1), "words", 0, true);
-        auto.take_dirty();
-        assert_eq!(auto.read_before(3, 1, 0).unwrap(), 0);
-        assert!(auto.is_dirty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! must produce identical `state_digest()`s and identical per-event outputs,
 //! across worker-thread counts (`MORPH_TEST_THREADS`), the inline vs the
 //! threaded topology driver, keyed statistics parallelism 1 vs 4, and with
-//! or without an incremental checkpoint every four batches — while the
+//! or without a checkpoint every four batches — while the
 //! topology is driven exclusively through the *generic* `TxnEngine` surface
 //! (`Pipeline::push_iter`, `TxnEngine::checkpoint` and `TxnEngine::run`),
 //! never through topology-specific calls.
@@ -48,9 +48,9 @@ fn run_topology(threads: usize) -> (u64, RunReport<bool>) {
 }
 
 /// The split with explicit driver choices: inline vs per-operator
-/// threads, keyed statistics parallelism, and whether to take an incremental
-/// checkpoint every four batches. Taking one flushes the open batch and the
-/// dirty flags; it must change neither the state nor the outputs.
+/// threads, keyed statistics parallelism, and whether to take a checkpoint
+/// every four batches. Taking one flushes the open batch; it must change
+/// neither the state nor the outputs.
 fn run_topology_with(
     threads: usize,
     concurrent: bool,
