@@ -4,10 +4,11 @@
 //!   order) are sorted by timestamp and decomposed into operations; logical
 //!   dependencies are implied by the per-transaction operation lists; every
 //!   operation is inserted into the sorted list of the state it targets, and
-//!   virtual operations are inserted for parameter states, window sources,
-//!   and (pessimistically, into every list) non-deterministic accesses.
+//!   virtual operations are inserted for parameter states and window
+//!   sources.
 //! * **Transaction processing phase** — each sorted list is scanned once to
-//!   derive TD and PD edges.
+//!   derive TD and PD edges, and ordered against the non-deterministic
+//!   operations of its own table (Section 4.4), which stand in no list.
 //!
 //! Both phases are sharded by state key: each worker owns the disjoint set of
 //! sorted lists whose [`shard_of`] hash lands on it, fills them from the
@@ -15,19 +16,21 @@
 //! insertion *and* edge derivation scale with the configured worker count.
 //! The calling thread builds shard 0 and only the other shards get a thread
 //! ([`fan_out`]), so a one-shard build spawns nothing.
-//! Non-deterministic operations pessimistically broadcast a placeholder into
-//! every list of every shard. Every shard count produces the same graph —
-//! each list's contents (and therefore its derived edges) do not depend on
-//! which worker owns it, and [`Tpg::assemble`] canonicalises edge order.
+//! Every shard count produces the same graph — each list's contents (and
+//! therefore its derived edges) do not depend on which worker owns it, the
+//! per-table chain of non-deterministic operations is built once, and
+//! [`Tpg::assemble`] canonicalises edge order.
 
 use std::collections::HashMap;
 
 use morphstream_common::hash::SeededState;
-use morphstream_common::{fan_out, OpId, StateRef, Timestamp, TxnId};
+use morphstream_common::{fan_out, OpId, StateRef, TxnId};
 
 use crate::graph::{DepKind, Tpg};
 use crate::operation::Operation;
-use crate::sorted_list::{derive_edges, shard_of, ListEntry, SortedList, VirtualRole};
+use crate::sorted_list::{
+    chain_runs, derive_edges, shard_of, EntryAccess, ListEntry, NonDetOp, SortedList,
+};
 use crate::txn::TransactionBatch;
 
 /// Builds a [`Tpg`] from a [`TransactionBatch`].
@@ -82,9 +85,8 @@ impl TpgBuilder {
         // at its `txn_start` entry.
         let mut ops: Vec<Operation> = Vec::with_capacity(txns.iter().map(|t| t.ops.len()).sum());
         let mut txn_start: Vec<OpId> = Vec::with_capacity(txns.len());
-        let mut txn_ts: Vec<Timestamp> = Vec::with_capacity(txns.len());
-        // (op id, ts, stmt) of non-deterministic operations, in ts order.
-        let mut non_det: Vec<(OpId, Timestamp, u32)> = Vec::new();
+        let mut txn_ts = Vec::with_capacity(txns.len());
+        let mut non_det: Vec<NonDetOp> = Vec::new();
 
         for (txn_id, txn) in txns.into_iter().enumerate() {
             txn_ts.push(txn.ts);
@@ -93,7 +95,7 @@ impl TpgBuilder {
                 let id = ops.len();
                 let stmt = stmt_idx as u32;
                 if spec.target.known().is_none() {
-                    non_det.push((id, txn.ts, stmt));
+                    non_det.push((spec.table, txn.ts, stmt, id));
                 }
                 ops.push(Operation {
                     id,
@@ -106,6 +108,7 @@ impl TpgBuilder {
         }
 
         // ---- Sharded stream + transaction processing phases ----
+        non_det.sort_unstable();
         let txn_of: Vec<TxnId> = ops.iter().map(|o| o.txn).collect();
         let shards = self.num_threads;
         let mut per_shard = fan_out(shards, |shard| {
@@ -119,17 +122,16 @@ impl TpgBuilder {
         let mut edges = per_shard.next().unwrap_or_default();
         edges.extend(per_shard.flatten());
 
-        // Non-deterministic operations must also be ordered against each
-        // other: chain them by timestamp so that two operations that might
-        // both touch the same (unknown) state never run concurrently.
-        let same_txn = |a: OpId, b: OpId| txn_of[a] == txn_of[b];
-        non_det.sort_by_key(|(id, ts, stmt)| (*ts, *stmt, *id));
-        for pair in non_det.windows(2) {
-            let (from, _, _) = pair[0];
-            let (to, _, _) = pair[1];
-            if !same_txn(from, to) {
-                edges.push((from, to, DepKind::Pd));
-            }
+        // Non-deterministic operations of one table might touch the same
+        // state, so each table's are chained in `(ts, stmt, op)` order.
+        let same_txn = |a: &NonDetOp, b: &NonDetOp| txn_of[a.3] == txn_of[b.3];
+        for table in non_det.chunk_by(|a, b| a.0 == b.0) {
+            chain_runs(
+                table,
+                |_| true,
+                same_txn,
+                |a, b| edges.push((a.3, b.3, DepKind::Pd)),
+            );
         }
 
         Tpg::assemble(ops, edges, txn_start, txn_ts, expected_abort_ratio)
@@ -137,20 +139,21 @@ impl TpgBuilder {
 }
 
 /// Build the sorted lists owned by `shard` (out of `shards`) and derive their
-/// TD/PD edges. With `shards == 1` this is the whole batch — every shard
-/// count runs exactly this code, which is what keeps the graphs identical.
+/// TD/PD edges, ordering each against `non_det` (sorted, as a batch's
+/// [`NonDetOp`]s) of its table. With `shards == 1` this is the whole batch —
+/// every shard count runs exactly this code, which is what keeps the graphs
+/// identical.
 ///
 /// Insertion order within a list matches the serial builder: operations are
-/// scanned in id (= decomposition) order, the target entry of an operation
-/// precedes its parameter entries, and non-deterministic placeholders are
-/// broadcast after all real/parameter entries — so ties in the `(ts, stmt,
-/// op)` sort key resolve identically via the stable finalize sort.
+/// scanned in id (= decomposition) order and the target entry of an
+/// operation precedes its parameter entries, so ties in the `(ts, stmt, op)`
+/// sort key resolve identically via the stable finalize sort.
 ///
 /// The lists live in a map hashed under `lists`; its iteration order reaches
 /// only the order of the edges, which [`Tpg::assemble`] sorts.
 fn shard_edges(
     ops: &[Operation],
-    non_det: &[(OpId, Timestamp, u32)],
+    non_det: &[NonDetOp],
     txn_of: &[TxnId],
     shard: usize,
     shards: usize,
@@ -159,58 +162,51 @@ fn shard_edges(
     let owned = |state: &StateRef| shards == 1 || shard_of(state.table, state.key, shards) == shard;
 
     // ---- Stream processing phase (this shard's lists) ----
+    use EntryAccess::{ForeignParam, Param, Read, Write};
     let mut lists: HashMap<StateRef, SortedList, SeededState> = HashMap::with_hasher(lists);
+    let entry = |op: &Operation, access| ListEntry {
+        op: op.id,
+        ts: op.ts,
+        stmt: op.stmt,
+        access,
+    };
     for op in ops {
         if let Some(key) = op.spec.target.known() {
+            let access = if op.is_write() { Write } else { Read };
             let state = StateRef::new(op.spec.table, key);
             if owned(&state) {
                 lists
                     .entry(state)
-                    .or_insert_with(|| SortedList::new(state.table, state.key))
-                    .push(ListEntry::Real {
-                        op: op.id,
-                        ts: op.ts,
-                        stmt: op.stmt,
-                        is_write: op.spec.kind.is_write(),
-                    });
+                    .or_insert_with(|| SortedList::new(state.table))
+                    .push(entry(op, access));
             }
         }
         for param in &op.spec.params {
             if owned(param) {
+                let foreign = param.table != op.spec.table;
                 lists
                     .entry(*param)
-                    .or_insert_with(|| SortedList::new(param.table, param.key))
-                    .push(ListEntry::Virtual {
-                        op: op.id,
-                        ts: op.ts,
-                        stmt: op.stmt,
-                        role: VirtualRole::ParamSource,
-                    });
+                    .or_insert_with(|| SortedList::new(param.table))
+                    .push(entry(op, if foreign { ForeignParam } else { Param }));
             }
-        }
-    }
-
-    // Pessimistic handling of non-deterministic accesses: a placeholder in
-    // every sorted list that exists in this batch (Section 4.4) — here,
-    // every list this shard owns; the union over shards covers the batch.
-    for (id, ts, stmt) in non_det {
-        for list in lists.values_mut() {
-            list.push(ListEntry::Virtual {
-                op: *id,
-                ts: *ts,
-                stmt: *stmt,
-                role: VirtualRole::NonDetPlaceholder,
-            });
         }
     }
 
     // ---- Transaction processing phase (this shard's lists) ----
     let same_txn = |a: OpId, b: OpId| txn_of[a] == txn_of[b];
+    let of_table = |table| match non_det {
+        [] => non_det,
+        _ => {
+            let start = non_det.partition_point(|n| n.0 < table);
+            let len = non_det[start..].partition_point(|n| n.0 == table);
+            &non_det[start..start + len]
+        }
+    };
     let mut edges = Vec::new();
     let mut finalized: Vec<SortedList> = lists.into_values().collect();
     for list in &mut finalized {
         list.finalize();
-        let derived = derive_edges(list, same_txn);
+        let derived = derive_edges(list, of_table(list.table), same_txn);
         edges.extend(derived.td.into_iter().map(|(f, t)| (f, t, DepKind::Td)));
         edges.extend(derived.pd.into_iter().map(|(f, t)| (f, t, DepKind::Pd)));
     }
@@ -565,6 +561,181 @@ mod tests {
         let tpg = TpgBuilder::new().build(batch);
         assert!(tpg.parents(1).iter().any(|(p, _)| *p == 0));
         assert!(tpg.parents(2).iter().any(|(p, _)| *p == 1));
+    }
+
+    /// Whether `to` is reachable from `from` along TD/PD edges.
+    fn reaches(tpg: &Tpg, from: OpId, to: OpId) -> bool {
+        let mut seen = vec![false; tpg.num_ops()];
+        let mut stack = vec![from];
+        while let Some(op) = stack.pop() {
+            if op == to {
+                return true;
+            }
+            for &(child, _) in tpg.children(op) {
+                if !std::mem::replace(&mut seen[child], true) {
+                    stack.push(child);
+                }
+            }
+        }
+        false
+    }
+
+    fn non_det_write(table: TableId) -> OperationSpec {
+        OperationSpec::non_det_write(table, Arc::new(|ts| ts % 4), vec![], udfs::set_value(1))
+    }
+
+    #[test]
+    fn non_det_ops_are_chained_per_table_across_same_transaction_runs() {
+        // X1 and X2 are transaction A, X3 is transaction B: the chain must
+        // order both X1 and X2 before X3.
+        let mut batch = TransactionBatch::new();
+        batch.push(Transaction::new(
+            1,
+            vec![non_det_write(T), non_det_write(T)],
+        ));
+        batch.push(Transaction::new(2, vec![non_det_write(T)]));
+        // and a non-det op on another table joins no chain of `T`
+        batch.push(Transaction::new(3, vec![non_det_write(TableId(1))]));
+        batch.push(Transaction::new(4, vec![non_det_write(T)]));
+        for shards in [1, 2, 4] {
+            let tpg = TpgBuilder::new().with_threads(shards).build(batch.clone());
+            tpg.validate().unwrap();
+            // ops: 0 = X1, 1 = X2, 2 = X3, 3 = table 1, 4 = ts 4
+            for (from, to) in [(0, 2), (1, 2), (0, 4), (1, 4), (2, 4)] {
+                assert!(reaches(&tpg, from, to), "{from} -> {to} at {shards} shards");
+            }
+            assert!(tpg.parents(3).is_empty() && tpg.children(3).is_empty());
+            assert!(!reaches(&tpg, 0, 1) && !reaches(&tpg, 1, 0));
+        }
+    }
+
+    #[test]
+    fn non_det_ops_take_no_list_entry_and_two_edges_per_real_op_at_most() {
+        // 1 000 lists of one write each, and a non-det write after every
+        // tenth: the edges must not grow with lists × non-det ops.
+        let mut batch = TransactionBatch::new();
+        for i in 0..1_000u64 {
+            let ts = 2 * i + 1;
+            batch.push(Transaction::new(
+                ts,
+                vec![OperationSpec::write(T, i, vec![], udfs::add_delta(1))],
+            ));
+            if i % 10 == 9 {
+                batch.push(Transaction::new(ts + 1, vec![non_det_write(T)]));
+            }
+        }
+        // a second table's lists gain nothing
+        for i in 0..100u64 {
+            batch.push(Transaction::new(
+                2_001 + i,
+                vec![OperationSpec::write(
+                    TableId(1),
+                    i,
+                    vec![],
+                    udfs::add_delta(1),
+                )],
+            ));
+        }
+        for shards in [1, 4] {
+            let tpg = TpgBuilder::new().with_threads(shards).build(batch.clone());
+            tpg.validate().unwrap();
+            let s = tpg.stats();
+            assert_eq!((s.num_ops, s.non_det_ops), (1_200, 100));
+            assert_eq!(s.td_edges, 0);
+            assert!(s.pd_edges <= 2 * 1_000 + 99, "{} PD edges", s.pd_edges);
+            // ids 10, 21, 32, … are the non-det writes
+            for op in (0..1_100).filter(|op| op % 11 != 10) {
+                let (prev, next) = (op - op % 11, op - op % 11 + 10);
+                assert!(reaches(&tpg, op, next), "{op} -> {next}");
+                assert!(
+                    prev == 0 || reaches(&tpg, prev - 1, op),
+                    "{} -> {op}",
+                    prev - 1
+                );
+            }
+            assert!((1_100..1_200).all(|op| tpg.parents(op).is_empty()));
+        }
+    }
+
+    /// xorshift64*, so the property test needs no dependency.
+    fn next(state: &mut u64, below: u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D) % below
+    }
+
+    /// A random batch over two tables of four keys: reads, writes with
+    /// parameters in either table, non-det reads and writes; timestamps tie.
+    fn random_batch(seed: u64) -> TransactionBatch {
+        let mut rng = seed | 1;
+        let mut batch = TransactionBatch::new();
+        for _ in 0..1 + next(&mut rng, 12) {
+            let ts = 1 + next(&mut rng, 8);
+            let ops = (0..1 + next(&mut rng, 3))
+                .map(|_| {
+                    let table = TableId(next(&mut rng, 2) as u32);
+                    let key = next(&mut rng, 4);
+                    let params: Vec<StateRef> = (0..next(&mut rng, 3))
+                        .map(|_| {
+                            StateRef::new(TableId(next(&mut rng, 2) as u32), next(&mut rng, 4))
+                        })
+                        .collect();
+                    match next(&mut rng, 4) {
+                        0 => OperationSpec::read(table, key),
+                        1 => OperationSpec::write(table, key, params, udfs::sum_params()),
+                        2 => OperationSpec::non_det_read(table, Arc::new(|ts| ts % 4), None),
+                        _ => OperationSpec::non_det_write(
+                            table,
+                            Arc::new(|ts| ts % 4),
+                            params,
+                            udfs::sum_params(),
+                        ),
+                    }
+                })
+                .collect();
+            batch.push(Transaction::new(ts, ops));
+        }
+        batch
+    }
+
+    #[test]
+    fn every_access_that_may_conflict_with_a_non_det_op_is_ordered() {
+        for seed in 0..300u64 {
+            for shards in [1, 2, 4] {
+                let tpg = TpgBuilder::new()
+                    .with_threads(shards)
+                    .build(random_batch(seed));
+                tpg.validate().unwrap();
+                let ops = tpg.ops();
+                let order = |o: &Operation| (o.ts, o.stmt, o.id);
+                let non_det = |o: &Operation| o.spec.kind.is_non_deterministic();
+                for (a, b) in ops.iter().flat_map(|a| ops.iter().map(move |b| (a, b))) {
+                    if a.txn == b.txn || order(a) >= order(b) {
+                        continue;
+                    }
+                    let same_table = a.spec.table == b.spec.table;
+                    let must = match (non_det(a), non_det(b)) {
+                        // a real op on (t, k) and a non-det op on t
+                        (true, false) | (false, true) => same_table,
+                        // two non-det ops on t, one of which writes
+                        (true, true) => same_table && (a.is_write() || b.is_write()),
+                        (false, false) => false,
+                    };
+                    // a non-det write on t, then a read of some (t, k) as a
+                    // parameter
+                    let param = non_det(a)
+                        && a.is_write()
+                        && b.spec.params.iter().any(|p| p.table == a.spec.table);
+                    assert!(
+                        !(must || param) || reaches(&tpg, a.id, b.id),
+                        "seed {seed}, {shards} shards: op {} must precede op {}",
+                        a.id,
+                        b.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

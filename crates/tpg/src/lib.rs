@@ -18,8 +18,8 @@
 //! processing phase* derives TD/PD edges from those lists. Both phases are
 //! shardable by state key ([`sorted_list::shard_of`]) and run on the
 //! [`TpgBuilder`]'s configured worker count. Window operations (Section 4.3)
-//! and non-deterministic state accesses (Section 4.4) are handled with the
-//! generalized window rule and pessimistic virtual operations respectively.
+//! take the generalized window rule; a non-deterministic state access
+//! (Section 4.4) is ordered against every sorted list of its own table.
 
 #![warn(missing_docs)]
 
