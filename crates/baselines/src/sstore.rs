@@ -11,9 +11,11 @@
 //! partitions the graph into *transaction-granularity* units with additional
 //! partition-level conflict edges
 //! ([`SchedulingUnits::by_partitioned_transaction`]), then executes them with
-//! the non-structured driver and eager aborts; a one-worker batch runs its
-//! operations in timestamp order and builds no units. Everything around the
-//! batch is MorphStream's own punctuation path ([`SStore::engine`]).
+//! the non-structured driver and eager aborts. At one thread the batch is
+//! one partition, run the way S-Store runs one: no graph, no units, its
+//! transactions one at a time in timestamp order
+//! ([`ExecutedBatch::serial`]). Everything around the batch is
+//! MorphStream's own punctuation path ([`SStore::engine`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,6 +59,9 @@ impl BatchExecutor for SStore {
         store: &StateStore,
         threads: usize,
     ) -> ExecutedBatch {
+        if threads <= 1 {
+            return ExecutedBatch::serial(batch, store, Some(DECISION));
+        }
         let plan_started = Instant::now();
         let tpg = Arc::new(self.planner.build(batch));
         let plan = plan_started.elapsed();
@@ -71,7 +76,7 @@ impl BatchExecutor for SStore {
             plan,
             decision: Some(DECISION),
             coarse_unit_builds: 0,
-            workers: threads.max(1),
+            workers: threads,
         }
     }
 }

@@ -12,9 +12,11 @@
 //! structured DFS driver (spin-waiting on dependencies, like TStream's
 //! blocking) and lazy abort handling; when any transaction aborted, the
 //! wasted re-processing of the batch is emulated by re-spinning the useful
-//! time once, mirroring the whole-batch redo. As every executor's, a
-//! one-worker batch runs its operations in timestamp order and builds no
-//! chains. Everything around the batch is MorphStream's own punctuation
+//! time once, mirroring the whole-batch redo. At one thread there is
+//! nothing to run in parallel: the batch plans no graph and builds no
+//! chains, and its transactions run one at a time in timestamp order
+//! ([`ExecutedBatch::serial`]), still paying the redo penalty when one
+//! aborted. Everything around the batch is MorphStream's own punctuation
 //! path ([`TStream::engine`]).
 
 use std::sync::Arc;
@@ -61,35 +63,42 @@ impl BatchExecutor for TStream {
         store: &StateStore,
         threads: usize,
     ) -> ExecutedBatch {
-        let plan_started = Instant::now();
-        let tpg = Arc::new(self.planner.build(batch));
-        let plan = plan_started.elapsed();
-        // The operation chains exist only for two or more workers to explore.
-        let mut coarse_unit_builds = 0;
-        let chains = |tpg: &Tpg| {
-            coarse_unit_builds += 1;
-            SchedulingUnits::coarse(tpg)
+        let (mut executed, execute_elapsed) = if threads <= 1 {
+            let execute_started = Instant::now();
+            let executed = ExecutedBatch::serial(batch, store, Some(DECISION));
+            (executed, execute_started.elapsed())
+        } else {
+            let plan_started = Instant::now();
+            let tpg = Arc::new(self.planner.build(batch));
+            let plan = plan_started.elapsed();
+            let mut coarse_unit_builds = 0;
+            let chains = |tpg: &Tpg| {
+                coarse_unit_builds += 1;
+                SchedulingUnits::coarse(tpg)
+            };
+            let execute_started = Instant::now();
+            let report = execute_tpg(tpg, DECISION, store, threads, chains);
+            let execute_elapsed = execute_started.elapsed();
+            let executed = ExecutedBatch {
+                outcomes: report.outcomes,
+                breakdown: report.breakdown,
+                redone_ops: report.redone_ops,
+                plan,
+                decision: Some(DECISION),
+                coarse_unit_builds,
+                workers: threads,
+            };
+            (executed, execute_elapsed)
         };
-        let execute_started = Instant::now();
-        let report = execute_tpg(tpg, DECISION, store, threads, chains);
-        let execute_elapsed = execute_started.elapsed();
-        let any_aborted = report.aborted() > 0;
-        let mut breakdown = report.breakdown;
-        if any_aborted {
+        if executed.outcomes.iter().any(|o| !o.committed) {
             // TStream redoes the entire batch once aborts are discovered;
             // emulate the wasted wall-clock time of that redo.
             spin_for(execute_elapsed);
-            breakdown.add(BreakdownBucket::Abort, execute_elapsed);
+            executed
+                .breakdown
+                .add(BreakdownBucket::Abort, execute_elapsed);
         }
-        ExecutedBatch {
-            outcomes: report.outcomes,
-            breakdown,
-            redone_ops: report.redone_ops,
-            plan,
-            decision: Some(DECISION),
-            coarse_unit_builds,
-            workers: threads.max(1),
-        }
+        executed
     }
 }
 

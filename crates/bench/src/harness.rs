@@ -168,7 +168,8 @@ pub fn bench_sl_config(scale: Scale) -> (WorkloadConfig, usize) {
 
 /// Worker threads the harness runs with: the host's cores, at least two and
 /// at most eight. The scheduling figures compare multi-worker schedules; a
-/// one-worker batch runs every decision as the same timestamp-order loop.
+/// one-worker batch takes no decision and runs its transactions serially,
+/// in timestamp order.
 pub fn bench_threads() -> usize {
     morphstream_common::config::default_parallelism().clamp(2, 8)
 }

@@ -5,9 +5,10 @@
 //!
 //! The engine engages what a batch's declared work pays for, so the sweep
 //! pins the count instead: [`Pinned`] is MorphStream's own batch executor —
-//! sharded TPG build, adaptive decision, execution — at a fixed number of
-//! workers, installed with `MorphStream::with_executor`, so everything
-//! around the batch is the engine's punctuation path.
+//! sharded TPG build, adaptive decision, execution; at one worker the
+//! serial loop — at a fixed number of workers, installed with
+//! `MorphStream::with_executor`, so everything around the batch is the
+//! engine's punctuation path.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -35,6 +36,9 @@ impl BatchExecutor for Pinned {
         store: &StateStore,
         _threads: usize,
     ) -> ExecutedBatch {
+        if self.workers == 1 {
+            return ExecutedBatch::serial(batch, store, None);
+        }
         let plan_started = Instant::now();
         let tpg = Arc::new(TpgBuilder::new().with_threads(self.workers).build(batch));
         let plan = plan_started.elapsed();

@@ -17,7 +17,7 @@
 //! | 16 | [`fig16_every_system_pays_for_construction`]; the baselines' half: `tstream_and_sstore_charge_planning_to_construct_and_report_their_decision` in `crates/baselines` |
 //! | 17 | [`fig17_clean_up_retains_less_and_changes_nothing`] |
 //! | 18, 19 | [`fig18_19_every_configuration_engages_two_workers`]; does not hold: [`fig19_only_the_cyclic_workload_has_coarse_cycles`] (ignored); timing: [`fig18_ns_explore_wins_under_skew`], [`fig19_c_schedule_wins_only_without_cycles`] (ignored) |
-//! | 20 | e-abort redoes nothing at one worker: `tests/one_worker_runs_in_timestamp_order.rs` at the workspace root; timing: [`fig20_l_abort_wins_only_on_cheap_udfs`] (ignored) |
+//! | 20 | a one-worker batch redoes nothing under either abort handling: `tests/one_worker_runs_in_timestamp_order.rs` at the workspace root; timing: [`fig20_l_abort_wins_only_on_cheap_udfs`] (ignored) |
 //! | 21 | timing: [`fig21_morphstream_scales_with_cores`] (ignored) |
 //! | 23 | `osed::tests::detected_popularity_tracks_expected_popularity` in `crates/workloads` |
 //! | 25 | `sea::tests::join_matches_track_the_analytical_expectation` in `crates/workloads` |
@@ -240,7 +240,8 @@ fn assert_two_workers<P: std::fmt::Debug>(figure: &str, rows: &[SweepRow<P>]) {
 }
 
 /// A decision changes a schedule only from two workers on: a one-worker
-/// batch runs its operations in timestamp order whatever the decision.
+/// batch runs its transactions serially, in timestamp order, whatever the
+/// decision.
 #[test]
 fn fig18_19_every_configuration_engages_two_workers() {
     let (by_interval, by_skew) = fig18::measure(Scale::Smoke);

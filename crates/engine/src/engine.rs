@@ -11,6 +11,11 @@
 //! * The **TxnExecutor** runs the batch through the executor crate
 //!   (execution stage).
 //!
+//! Planning and scheduling pay off only when a batch's work is spread over
+//! workers. A group that engages one worker skips both: its transactions run
+//! on the caller one at a time, in timestamp order, with no TPG
+//! ([`ExecutedBatch::serial`]), as S-Store runs one partition.
+//!
 //! A punctuation runs the three stages in order on the thread that cut it:
 //! the `ingest` that crossed the interval, or a `flush`. Planning,
 //! scheduling and execution of each group are a [`BatchExecutor`]'s; the
@@ -22,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use morphstream_common::metrics::{Breakdown, BreakdownBucket, StageTimings};
 use morphstream_common::{effective_workers, EngineConfig, TableId, Timestamp};
-use morphstream_executor::{execute_tpg, TxnOutcome};
+use morphstream_executor::{execute_serial, execute_tpg, TxnOutcome};
 use morphstream_scheduler::{DecisionModel, Granularity, SchedulingDecision};
 use morphstream_storage::StateStore;
 use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, Transaction, TransactionBatch};
@@ -56,6 +61,35 @@ pub struct ExecutedBatch {
     pub workers: usize,
 }
 
+impl ExecutedBatch {
+    /// Run `batch` on one worker, the caller: its transactions one at a
+    /// time in timestamp order, with no TPG and no scheduling units
+    /// ([`execute_serial`]). `decision` is what the group reports — a
+    /// fixed one, or `None` where the decision would be the model's: no
+    /// decision can change a one-worker schedule.
+    pub fn serial(
+        batch: TransactionBatch,
+        store: &StateStore,
+        decision: Option<SchedulingDecision>,
+    ) -> Self {
+        let txns = batch.into_sorted();
+        let report = execute_serial(
+            txns.iter().map(|txn| (txn.ts, &txn.ops)),
+            store,
+            decision.unwrap_or_default(),
+        );
+        Self {
+            outcomes: report.outcomes,
+            breakdown: report.breakdown,
+            redone_ops: report.redone_ops,
+            plan: Duration::ZERO,
+            decision,
+            coarse_unit_builds: 0,
+            workers: 1,
+        }
+    }
+}
+
 /// Plans (if it plans at all) and executes one decomposed group of a
 /// punctuation batch against the store, on at most `threads` workers.
 ///
@@ -75,7 +109,7 @@ pub trait BatchExecutor: Send {
 }
 
 /// The built-in executor: build the group's TPG, decide how to schedule it,
-/// and run it.
+/// and run it — or, when the group engages one worker, run it serially.
 struct Morph {
     /// The decision every group runs under (the ablation studies of Section
     /// 8.4); `None` evaluates the decision model per group — the "Morph"
@@ -91,8 +125,12 @@ impl BatchExecutor for Morph {
         threads: usize,
     ) -> ExecutedBatch {
         // The group engages the workers its declared UDF work pays for, up
-        // to `threads`, for planning and execution alike.
+        // to `threads`, for planning and execution alike. One worker plans
+        // nothing and takes no decision of the model's.
         let workers = effective_workers(threads, batch.declared_cost_us());
+        if workers == 1 {
+            return ExecutedBatch::serial(batch, store, self.fixed);
+        }
 
         // Planning: TPG construction, sharded by state key.
         let plan_started = Instant::now();
@@ -101,8 +139,7 @@ impl BatchExecutor for Morph {
 
         // Scheduling: decision model over the TPG properties. The coarse
         // partition is built only if the model needs its cycle flag to
-        // choose, or two or more workers are to run on it; one worker runs
-        // the operations in timestamp order and explores no units.
+        // choose, or the decision is to run on it.
         let explore_start = Instant::now();
         let mut coarse_unit_builds = 0u64;
         let mut build_coarse = |tpg: &Tpg| {

@@ -28,17 +28,23 @@ pub struct BatchSummary {
     /// (throughput).
     pub elapsed: Duration,
     /// The scheduling decision the engine's batch executor ran the batch
-    /// under (the decision of the first group when the nested configuration
-    /// is used): MorphStream's adaptive or fixed choice, or a baseline's own
-    /// fixed one. The default decision for an executor that takes none (the
-    /// locked SPE).
+    /// under (the decision of the first group that took one when the nested
+    /// configuration is used): MorphStream's adaptive or fixed choice, or a
+    /// baseline's own fixed one.
+    ///
+    /// A batch that took no decision reports `SchedulingDecision::default()`:
+    /// one run by an executor that takes none (the locked SPE), and one whose
+    /// every group engaged a single worker under the adaptive model, since a
+    /// one-worker batch runs serially and no decision could change its
+    /// schedule. A fixed decision is reported at one worker too. Count only
+    /// batches with `workers >= 2` when tallying what the model decided.
     pub decision: SchedulingDecision,
     /// Operations redone because of upstream aborts.
     pub redone_ops: usize,
     /// Coarse scheduling-unit partitions built for the batch: one per group
-    /// whose decision needed the cycle flag, or chose `c-schedule` and ran on
-    /// two or more workers; so 0 for a batch the cheap TD/PD test already
-    /// sent to `f-schedule`.
+    /// on two or more workers whose decision needed the cycle flag or chose
+    /// `c-schedule`; so 0 for a batch the cheap TD/PD test already sent to
+    /// `f-schedule`, and for a one-worker group, which plans nothing.
     pub coarse_unit_builds: u64,
     /// Workers the batch engaged, the calling thread included: MorphStream
     /// engages what the batch's declared UDF work pays for, at most

@@ -1,32 +1,26 @@
-//! Shared execution context: per-operation finite state machines, result
-//! storage, and abort/rollback/redo handling.
+//! Shared execution context of a multi-worker batch: per-operation finite
+//! state machines, result storage, and abort/rollback/redo handling.
 //!
-//! The context binds the store's tables once, when the batch starts
-//! ([`StateStore::tables`]): every read, write, window scan and rollback of
-//! an operation then goes straight to its [`MvTable`], and no per-operation
-//! call takes the store-wide lock or clones a table handle. A table created
-//! after the batch started is past the bound snapshot and is looked up
-//! through [`StateStore::table`] instead, so it behaves exactly as a bound
-//! one. Nothing per operation is counted in a field the workers share: an
-//! operation records that it was evaluated under its own runtime lock, and
-//! the report sums those flags.
+//! Operations reach the store through the tables the batch bound when it
+//! began ([`BoundTables`]). Nothing per operation is counted in a field the
+//! workers share: an operation records that it was evaluated under its own
+//! runtime lock, and the report sums those flags.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use morphstream_common::error::Result as StoreResult;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{spin_for, AbortReason, Key, OpId, TableId, Timestamp, TxnId, Value};
+use morphstream_common::{AbortReason, Key, OpId, TxnId, Value};
 use morphstream_scheduler::{AbortHandling, SchedulingDecision};
-use morphstream_storage::{MvTable, StateStore};
-use morphstream_tpg::{AccessKind, Tpg, UdfInput, UdfOutcome};
+use morphstream_storage::StateStore;
+use morphstream_tpg::{Tpg, UdfInput};
 
 use crate::report::{BatchReport, TxnOutcome};
+use crate::tables::{BoundTables, Evaluated};
 
 /// Execution state of a TPG vertex (Table 3 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +64,7 @@ impl Default for OpRuntime {
 /// Shared execution context for one batch.
 pub struct ExecContext {
     tpg: Arc<Tpg>,
-    store: StateStore,
-    /// The store's tables, indexed by id, as they were when the batch began.
-    tables: Vec<Arc<MvTable>>,
+    tables: BoundTables,
     abort_mode: AbortHandling,
     runtime: Vec<Mutex<OpRuntime>>,
     in_flight: Vec<AtomicBool>,
@@ -94,8 +86,7 @@ impl ExecContext {
         let t = tpg.num_txns();
         Self {
             tpg,
-            tables: store.tables(),
-            store,
+            tables: BoundTables::bind(&store),
             abort_mode,
             runtime: (0..n).map(|_| Mutex::new(OpRuntime::default())).collect(),
             in_flight: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -105,37 +96,6 @@ impl ExecContext {
             failures: Mutex::new(Vec::new()),
             coordinator: Mutex::new(()),
             redone_ops: AtomicUsize::new(0),
-        }
-    }
-
-    /// Table `id`: the handle bound when the batch began, or — for a table
-    /// created since — the store's.
-    fn table(&self, id: TableId) -> StoreResult<Cow<'_, Arc<MvTable>>> {
-        match self.tables.get(id.index()) {
-            Some(table) => Ok(Cow::Borrowed(table)),
-            None => self.store.table(id).map(Cow::Owned),
-        }
-    }
-
-    /// Newest value of `(table, key)` visible before `ts`, or zero when the
-    /// read fails (unknown table or key, no visible version).
-    fn read_before(&self, table: TableId, key: Key, ts: Timestamp) -> Value {
-        self.table(table)
-            .and_then(|t| t.read_before(key, ts, 0))
-            .unwrap_or_default()
-    }
-
-    /// Append the values of `(table, key)` in the window `[lo, hi]` to `out`.
-    fn window_values(
-        &self,
-        table: TableId,
-        key: Key,
-        lo: Timestamp,
-        hi: Timestamp,
-        out: &mut Vec<Value>,
-    ) {
-        if let Ok(versions) = self.table(table).and_then(|t| t.window(key, lo, hi)) {
-            out.extend(versions.into_iter().map(|v| v.value));
         }
     }
 
@@ -237,99 +197,30 @@ impl ExecContext {
         }
     }
 
-    /// Evaluate an operation against the store: resolve the key, gather UDF
-    /// inputs, run the UDF, and append the resulting version for writes.
-    /// Returns `(resolved_key, result_value, wrote_version)`.
-    fn evaluate(&self, op: OpId) -> Result<(Key, Value, bool), AbortReason> {
+    /// Evaluate an operation against the store (see
+    /// [`BoundTables::evaluate`]).
+    fn evaluate(&self, op: OpId) -> Result<Evaluated, AbortReason> {
         let operation = self.tpg.op(op);
-        let spec = &operation.spec;
-        let ts = operation.ts;
-        let key = spec.target.resolve(ts);
-
-        // Emulated UDF complexity (the paper's `C` knob).
-        spin_for(Duration::from_micros(spec.cost_us));
-
-        // Visibility: strictly earlier timestamps (operations of the same
-        // transaction do not see each other's writes, Section 2.1.1).
-        let target_value = self.read_before(spec.table, key, ts);
-
-        let params = spec
-            .params
-            .iter()
-            .map(|p| self.read_before(p.table, p.key, ts))
-            .collect();
-
-        let mut window_values = Vec::new();
-        if let Some(window) = spec.window {
-            let lo = ts.saturating_sub(window);
-            match spec.kind {
-                AccessKind::WindowRead => {
-                    self.window_values(spec.table, key, lo, ts, &mut window_values)
-                }
-                AccessKind::WindowWrite => {
-                    for p in &spec.params {
-                        self.window_values(p.table, p.key, lo, ts, &mut window_values);
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        let input = UdfInput {
-            target: target_value,
-            params,
-            window: window_values,
-            ts,
-        };
-
-        let outcome = match &spec.udf {
-            Some(udf) => udf(&input)?,
-            None => UdfOutcome::Unchanged,
-        };
-
-        let (result, wrote) = match outcome {
-            UdfOutcome::Value(v) => {
-                if spec.kind.is_write() {
-                    self.table(spec.table)
-                        .and_then(|t| t.write(key, ts, operation.stmt, op as u64, v))
-                        .map_err(|e| AbortReason::ConsistencyViolation {
-                            state: morphstream_common::StateRef::new(spec.table, key),
-                            detail: e.to_string(),
-                        })?;
-                    (v, true)
-                } else {
-                    (v, false)
-                }
-            }
-            UdfOutcome::Unchanged => (input.target, false),
-        };
-        Ok((key, result, wrote))
+        self.tables.evaluate(
+            &operation.spec,
+            operation.ts,
+            operation.stmt,
+            op,
+            &mut UdfInput::default(),
+        )
     }
 
-    /// Touch the keys `op` would have read. Evaluating an operation
-    /// materialises the missing keys of auto-create tables; how many siblings
-    /// of a failing operation get that far before the abort lands depends on
-    /// the schedule, so the ones that never ran are brought to the same
-    /// footprint — the key set after a batch is then a function of the batch
-    /// alone, and state digests do not move with thread timing.
+    /// Touch the keys `op` would have read (see
+    /// [`BoundTables::materialise_keys`]).
     fn materialise_keys(&self, op: OpId) {
         let operation = self.tpg.op(op);
-        let (spec, ts) = (&operation.spec, operation.ts);
-        self.read_before(spec.table, spec.target.resolve(ts), ts);
-        for p in &spec.params {
-            self.read_before(p.table, p.key, ts);
-        }
+        self.tables.materialise_keys(&operation.spec, operation.ts);
     }
 
     fn rollback_op_write(&self, op: OpId, key: Key) {
         let operation = self.tpg.op(op);
-        // Writer ids are batch-local op ids, so they recur in every batch:
-        // the rollback must be scoped to this transaction's own timestamp or
-        // it could delete a committed version surviving from an earlier batch
-        // whose writer happened to share the id.
-        if let Ok(table) = self.table(operation.spec.table) {
-            table.rollback_writer_at(key, op as u64, operation.ts);
-        }
+        self.tables
+            .rollback_write(operation.spec.table, key, op, operation.ts);
     }
 
     // ------------------------------------------------------------------

@@ -1,13 +1,12 @@
 //! Exploration drivers: how worker threads traverse the scheduling units of a
 //! TPG (Section 5.1).
 //!
-//! The exploration strategy and the granularity apply from two workers on.
-//! One worker has nothing left for them to decide: it runs the operations on
-//! the caller in `(ts, stmt, op)` order, which is a schedule of every TPG
-//! (see [`run_in_order`]), with no units, no dependency counters, no queue
-//! and no thread.
+//! Exploration is for two or more workers: a one-worker batch runs its
+//! transactions in timestamp order without a TPG
+//! ([`execute_serial`](crate::execute_serial)) and never reaches these
+//! drivers.
 //!
-//! Two or more workers operate on the unit partition produced by the
+//! The workers operate on the unit partition produced by the
 //! granularity decision (fine = one operation per unit, coarse = operation
 //! chains). The drivers differ in how ready units are discovered:
 //!
@@ -24,8 +23,8 @@
 //! Every driver fans out through [`fan_out`]: the calling thread is worker
 //! 0 and only workers `1..num_threads` get a thread of their own.
 //!
-//! `useful` time is read once per unit, or once per batch at one worker, as
-//! the wall time spent running operations less what aborts took meanwhile.
+//! `useful` time is read once per unit, as the wall time spent running
+//! operations less what aborts took meanwhile.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,19 +33,16 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
+use morphstream_common::fan_out;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{fan_out, OpId};
 use morphstream_scheduler::ExplorationStrategy;
 use morphstream_tpg::{SchedulingUnits, Tpg};
 
 use crate::context::ExecContext;
 
 /// Run every operation of the batch with `num_threads` workers, merging
-/// per-worker breakdowns into `breakdown`.
-///
-/// One worker runs the operations in order on the caller and never calls
-/// `partition`. Two or more build the units with `partition` — time charged
-/// to `explore` — and traverse them following `strategy`.
+/// per-worker breakdowns into `breakdown`: build the units with `partition`
+/// — time charged to `explore` — and traverse them following `strategy`.
 pub fn run(
     ctx: &ExecContext,
     strategy: ExplorationStrategy,
@@ -54,10 +50,6 @@ pub fn run(
     partition: impl FnOnce(&Tpg) -> SchedulingUnits,
     breakdown: &mut Breakdown,
 ) {
-    if num_threads <= 1 {
-        run_in_order(ctx, breakdown);
-        return;
-    }
     let started = Instant::now();
     let units = partition(ctx.tpg());
     breakdown.add(BreakdownBucket::Explore, started.elapsed());
@@ -85,40 +77,6 @@ fn charge_useful(breakdown: &mut Breakdown, work: impl FnOnce(&mut Breakdown)) {
         BreakdownBucket::Useful,
         started.elapsed().saturating_sub(aborting),
     );
-}
-
-/// One worker: every operation on the caller, in `(ts, stmt, op)` order.
-///
-/// Every TD and PD edge, the non-deterministic chain included, runs forward
-/// in that order: a sorted list is ordered by `(ts, stmt, op)` and each edge
-/// links an earlier entry to a later one. The order therefore schedules any
-/// TPG under any exploration strategy and granularity, and reaches their
-/// state and outputs. It is also the order the store orders versions by, so
-/// when the batch's timestamps are distinct an operation runs after every
-/// write it can see, and an eager abort never has an executed descendant to
-/// redo.
-fn run_in_order(ctx: &ExecContext, breakdown: &mut Breakdown) {
-    let tpg = ctx.tpg();
-    let order_key = |op: OpId| {
-        let operation = tpg.op(op);
-        (operation.ts, operation.stmt, op)
-    };
-    charge_useful(breakdown, |breakdown| {
-        // Ops are numbered in timestamp order of their transactions, and in
-        // statement order within one, so op-id order is `(ts, stmt, op)`
-        // order unless two transactions share a timestamp.
-        if (0..tpg.num_ops()).is_sorted_by_key(order_key) {
-            for op in 0..tpg.num_ops() {
-                ctx.run_op(op, breakdown);
-            }
-        } else {
-            let mut order: Vec<OpId> = (0..tpg.num_ops()).collect();
-            order.sort_unstable_by_key(|&op| order_key(op));
-            for op in order {
-                ctx.run_op(op, breakdown);
-            }
-        }
-    });
 }
 
 /// Process one unit: run its operations in timestamp order.
@@ -397,8 +355,8 @@ mod tests {
         }
     }
 
-    /// Run the transfer workload; the partition is built only from two
-    /// workers on.
+    /// Run the transfer workload through `execute_tpg`; the partition is
+    /// built only from two workers on.
     fn run_with(
         strategy: ExplorationStrategy,
         coarse: bool,
@@ -409,14 +367,21 @@ mod tests {
         let store = fresh_store(ACCOUNTS, 1_000);
         let initial = total_balance(&store, ACCOUNTS);
         let tpg = Arc::new(TpgBuilder::new().build(transfer_workload(ACCOUNTS, TXNS)));
-        let ctx = ExecContext::new(tpg, store.clone(), AbortHandling::Eager);
-        let mut breakdown = Breakdown::new();
+        let decision = SchedulingDecision {
+            exploration: strategy,
+            granularity: if coarse {
+                Granularity::Coarse
+            } else {
+                Granularity::Fine
+            },
+            abort_handling: AbortHandling::Eager,
+        };
         let mut partitioned = false;
         let units = |tpg: &Tpg| {
             partitioned = true;
             partition(coarse)(tpg)
         };
-        run(&ctx, strategy, threads, units, &mut breakdown);
+        crate::execute_tpg(tpg, decision, &store, threads, units);
         assert_eq!(partitioned, threads > 1, "{threads} workers");
         (store, initial)
     }
@@ -447,8 +412,8 @@ mod tests {
         }
     }
 
-    /// One worker runs the plain in-order loop whatever the strategy and
-    /// granularity asked for.
+    /// One worker runs the serial loop whatever the strategy and granularity
+    /// asked for.
     #[test]
     fn single_threaded_execution_works_for_all_strategies() {
         for strategy in STRATEGIES {
@@ -514,26 +479,18 @@ mod tests {
 
     #[test]
     fn one_worker_reaches_the_explorers_state_under_timestamp_ties() {
-        // Here op-id order is no schedule: some edge runs from a higher id
-        // to a lower one.
+        // Op-id order — the serial loop's, transaction by transaction — is
+        // no topological order here: some edge runs from a higher id to a
+        // lower one. Such an edge orders two accesses at one timestamp,
+        // which read strictly before it and so do not see each other.
         let tpg = TpgBuilder::new().build(tie_batch());
         assert!((0..tpg.num_ops()).any(|op| tpg.parents(op).iter().any(|(p, _)| *p > op)));
 
         let run_ties = |decision: SchedulingDecision, threads: usize| {
             let store = fresh_store(4, 10);
             let tpg = Arc::new(TpgBuilder::new().build(tie_batch()));
-            let ctx = ExecContext::new(tpg, store.clone(), decision.abort_handling);
-            let mut breakdown = Breakdown::new();
             let coarse = decision.granularity == Granularity::Coarse;
-            run(
-                &ctx,
-                decision.exploration,
-                threads,
-                partition(coarse),
-                &mut breakdown,
-            );
-            ctx.resolve_lazy_aborts(&mut breakdown);
-            let report = ctx.into_report(breakdown, decision);
+            let report = crate::execute_tpg(tpg, decision, &store, threads, partition(coarse));
             let committed: Vec<_> = report
                 .outcomes
                 .into_iter()

@@ -10,19 +10,24 @@
 //! eagerly as failures occur or lazily after the graph has been fully
 //! explored, according to the abort-handling decision.
 //!
-//! The decision's exploration strategy and granularity apply from two
-//! workers on. A one-worker batch runs its operations on the calling thread
-//! in `(ts, stmt)` order, a schedule of every TPG, and builds no scheduling
-//! units; only its abort handling still matters.
+//! That machinery is for two or more workers. A one-worker batch needs no
+//! graph: [`execute_serial`] runs its transactions on the calling thread,
+//! one at a time in timestamp order, with no TPG, no [`ExecContext`] and no
+//! per-operation lock, and redoes nothing under any decision (see
+//! [`serial`]). [`execute_tpg`] at one worker runs that loop over the
+//! planned operations.
 
 #![warn(missing_docs)]
 
 pub mod context;
 pub mod explore;
 pub mod report;
+pub mod serial;
+mod tables;
 
 pub use context::{ExecContext, OpState};
 pub use report::{BatchReport, TxnOutcome};
+pub use serial::execute_serial;
 
 use std::sync::Arc;
 
@@ -33,7 +38,8 @@ use morphstream_tpg::{SchedulingUnits, Tpg};
 
 /// Execute one batch (one TPG) against `store` with `num_threads` workers,
 /// following `decision`. `partition` builds the scheduling units the workers
-/// explore; it is called only when two or more workers do.
+/// explore; it is called only when two or more workers do. One worker runs
+/// the operations through [`execute_serial`], transaction by transaction.
 ///
 /// Returns the per-transaction outcomes plus the runtime breakdown gathered
 /// while executing.
@@ -44,6 +50,15 @@ pub fn execute_tpg(
     num_threads: usize,
     partition: impl FnOnce(&Tpg) -> SchedulingUnits,
 ) -> BatchReport {
+    if num_threads <= 1 {
+        // Op ids run `0..num_ops` across the transactions in id order, the
+        // numbering `execute_serial` hands out.
+        let txns = (0..tpg.num_txns()).map(|txn| {
+            let ops = tpg.txn_ops(txn).iter().map(|&op| &tpg.op(op).spec);
+            (tpg.txn_ts(txn), ops)
+        });
+        return execute_serial(txns, store, decision);
+    }
     let ctx = ExecContext::new(tpg, store.clone(), decision.abort_handling);
 
     let mut breakdown = Breakdown::new();

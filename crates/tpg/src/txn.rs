@@ -121,7 +121,10 @@ impl TransactionBatch {
     /// broken by arrival order, which `sort_by_key` preserves because it is
     /// stable). This is the sorting step of the stream processing phase.
     pub fn into_sorted(mut self) -> Vec<Transaction> {
-        self.txns.sort_by_key(|t| t.ts);
+        // The engine stamps a batch in arrival order: nothing to sort.
+        if !self.txns.is_sorted_by_key(|t| t.ts) {
+            self.txns.sort_by_key(|t| t.ts);
+        }
         self.txns
     }
 }

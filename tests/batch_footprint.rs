@@ -1,12 +1,16 @@
 //! What a batch allocates on its hot path does not grow with the batch —
 //! stated as exact allocation counts, so the test means the same on any
-//! host: the fine scheduling partition is a fixed number of flat arrays, and
-//! an abort that rolls nothing back allocates nothing batch-sized.
+//! host: the fine scheduling partition is a fixed number of flat arrays, an
+//! abort that rolls nothing back allocates nothing batch-sized, and a
+//! one-worker punctuation plans no graph, so each event costs the engine one
+//! allocation — its outcome's result list.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use morphstream::{EngineConfig, MorphStream, StreamApp, TxnBuilder, TxnEngine, TxnOutcome};
 use morphstream_common::metrics::Breakdown;
 use morphstream_common::TableId;
 use morphstream_executor::ExecContext;
@@ -124,4 +128,73 @@ fn an_abort_that_rolls_nothing_back_allocates_nothing_batch_sized() {
         bytes
     };
     assert_eq!(bytes(64), bytes(4_096));
+}
+
+/// One deposit per event, to the event's own key: a single-write
+/// transaction. The app counts the allocations its own code makes — the
+/// operation list and the UDF — so the engine's can be told apart.
+struct Deposits {
+    table: TableId,
+    own: AtomicU64,
+}
+
+impl StreamApp for Deposits {
+    type Event = u64;
+    type Output = bool;
+
+    fn state_access(&self, event: &u64, txn: &mut TxnBuilder) {
+        let (_, count, _) = counted(|| {
+            txn.write(self.table, *event, udfs::add_delta(1));
+        });
+        self.own.fetch_add(count, Ordering::Relaxed);
+    }
+
+    fn post_process(&self, _event: &u64, outcome: &TxnOutcome) -> bool {
+        outcome.committed
+    }
+}
+
+/// Events of the largest punctuation measured.
+const MOST_EVENTS: u64 = 4_096;
+
+/// Allocations the engine makes on this thread for one one-worker
+/// punctuation over `events` deposits (keys `0..events`), the app's own
+/// left out. A first punctuation over every key is not counted: it leaves
+/// the store's per-shard reclaim lists at the capacity the counted one
+/// needs.
+fn punctuation_allocations(events: u64) -> u64 {
+    let store = StateStore::new();
+    let table = store.create_table("accounts", 0, false);
+    store.preallocate_range(table, MOST_EVENTS).unwrap();
+    let app = Deposits {
+        table,
+        own: AtomicU64::new(0),
+    };
+    let mut engine = MorphStream::new(app, store, EngineConfig::with_threads(1));
+    engine.run(0..MOST_EVENTS);
+    for event in 0..events {
+        engine.ingest(event);
+    }
+    let own_before = engine.app().own.load(Ordering::Relaxed);
+    let ((), count, _) = counted(|| engine.flush());
+    let own = engine.app().own.load(Ordering::Relaxed) - own_before;
+    let batch = engine.report().batches.last().expect("the punctuation ran");
+    assert_eq!((batch.events, batch.workers), (events as usize, 1));
+    count - own
+}
+
+#[test]
+fn a_one_worker_punctuation_plans_no_graph_and_allocates_one_result_list_per_event() {
+    const EVENTS: u64 = 1_024;
+    let [one, two, four] = [EVENTS, 2 * EVENTS, 4 * EVENTS].map(punctuation_allocations);
+    // A buffer that grows by doubling — the batch's transaction list, the
+    // session's outputs — adds one allocation each time the batch doubles,
+    // the same from T to 2T as from 2T to 4T; the second difference leaves
+    // the allocations that grow with the events.
+    let per_event = (four - two) - (two - one);
+    assert_eq!(
+        per_event, EVENTS,
+        "{per_event} allocations per {EVENTS} events \
+         (punctuations of T, 2T, 4T: {one}, {two}, {four})"
+    );
 }

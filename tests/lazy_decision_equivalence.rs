@@ -6,20 +6,55 @@
 //! open. Checked batch by batch on the benchmark's streams, on the fig18–20
 //! sweep points of `crates/bench`, and on crafted streams that take the
 //! branches none of those do (`Coarse` picked; `Coarse` vetoed by a cycle).
+//!
+//! Only a batch that engages two or more workers takes a decision: a
+//! one-worker batch runs serially, plans no graph and builds no units. So
+//! every stream declares enough UDF work per operation ([`COST_US`]) that
+//! its batches engage two workers, the engine runs on at least two threads,
+//! and the engine's decisions are compared on the batches that engaged two.
 
 use std::path::PathBuf;
 
 use morphstream::storage::StateStore;
-use morphstream::{EngineConfig, MorphStream, StreamApp, TxnBuilder, TxnEngine};
+use morphstream::{EngineConfig, MorphStream, StreamApp, TxnBuilder, TxnEngine, TxnOutcome};
 use morphstream_common::config::test_threads;
-use morphstream_common::{Timestamp, WorkloadConfig};
+use morphstream_common::{Timestamp, WorkloadConfig, WORK_PER_WORKER_US};
 use morphstream_dataflow::apps::FraudEnrichmentStage;
 use morphstream_dataflow::{build_events, ScenarioSpec};
 use morphstream_scheduler::{DecisionModel, Granularity, WorkloadObservation};
 use morphstream_tpg::{SchedulingUnits, TpgBuilder, Transaction, TransactionBatch};
 use morphstream_workloads::{GrepSumApp, GsEvent, StreamingLedgerApp};
 
-/// What one stream's batches added up to.
+/// UDF work every operation of a checked stream declares, µs: a 512-event
+/// batch of single-operation transactions — the smallest checked here —
+/// then declares past one worker's share, so the batches engage two
+/// workers and take a decision. The model reads cost only against 50 µs,
+/// so the streams decide as they do at C = 0.
+const COST_US: u64 = 5;
+
+/// `A`, with every operation declaring [`COST_US`]: for the apps that
+/// declare no cost of their own.
+struct Costed<A>(A);
+
+impl<A: StreamApp> StreamApp for Costed<A> {
+    type Event = A::Event;
+    type Output = A::Output;
+
+    fn state_access(&self, event: &A::Event, txn: &mut TxnBuilder) {
+        txn.set_cost_us(COST_US);
+        self.0.state_access(event, txn);
+    }
+
+    fn post_process(&self, event: &A::Event, outcome: &TxnOutcome) -> A::Output {
+        self.0.post_process(event, outcome)
+    }
+
+    fn expected_abort_ratio(&self) -> f64 {
+        self.0.expected_abort_ratio()
+    }
+}
+
+/// What one stream's batches that engaged two or more workers added up to.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct Tally {
     batches: usize,
@@ -32,7 +67,8 @@ struct Tally {
 /// Plan every batch of `events` as the engine does and compare the lazy
 /// decision with the eager one; then run the engine itself over the same
 /// events and compare what it decided and how many coarse partitions it
-/// built.
+/// built on the batches that engaged two or more workers — there must be
+/// some. The tally counts those batches.
 fn check<A: StreamApp>(
     label: &str,
     make_app: impl Fn(&StateStore) -> A,
@@ -46,7 +82,6 @@ where
     let planner = TpgBuilder::new().with_threads(2);
     let store = StateStore::new();
     let app = make_app(&store);
-    let mut tally = Tally::default();
     let mut decisions = Vec::new();
     for (index, batch_events) in events.chunks(punctuation).enumerate() {
         let ts_base = (index * punctuation) as Timestamp + 1;
@@ -79,26 +114,36 @@ where
         if eager.granularity == Granularity::Coarse {
             assert!(asked && !coarse.had_cycles, "{label}, batch {index}");
         }
-        tally.batches += 1;
-        tally.asked += asked as usize;
-        tally.coarse += (eager.granularity == Granularity::Coarse) as usize;
-        decisions.push(eager);
+        decisions.push((eager, asked));
     }
 
     let store = StateStore::new();
-    let config = EngineConfig::with_threads(test_threads(2)).with_punctuation_interval(punctuation);
+    let threads = test_threads(2).max(2);
+    let config = EngineConfig::with_threads(threads).with_punctuation_interval(punctuation);
     let mut engine = MorphStream::new(make_app(&store), store, config);
     let report = engine.run(events.iter().cloned());
-    let decided: Vec<_> = report.batches.iter().map(|b| b.decision).collect();
-    assert_eq!(decided, decisions, "{label}: the engine's decisions");
-    let builds: Vec<u64> = report
-        .batches
-        .iter()
-        .map(|b| b.coarse_unit_builds)
-        .collect();
-    assert_eq!(builds.iter().sum::<u64>(), tally.asked as u64, "{label}");
+    assert_eq!(report.batches.len(), decisions.len(), "{label}");
+    let mut tally = Tally::default();
+    for (index, (batch, (eager, asked))) in report.batches.iter().zip(decisions).enumerate() {
+        if batch.workers < 2 {
+            assert_eq!(batch.coarse_unit_builds, 0, "{label}, batch {index}");
+            continue;
+        }
+        assert_eq!(
+            batch.decision, eager,
+            "{label}, batch {index}: the decision"
+        );
+        assert_eq!(
+            batch.coarse_unit_builds,
+            u64::from(asked),
+            "{label}, batch {index}: coarse builds"
+        );
+        tally.batches += 1;
+        tally.asked += asked as usize;
+        tally.coarse += (eager.granularity == Granularity::Coarse) as usize;
+    }
+    assert!(tally.batches > 0, "{label}: no batch engaged two workers");
     assert_eq!(report.coarse_unit_builds, tally.asked as u64, "{label}");
-    assert!(builds.iter().all(|n| *n <= 1), "{label}: {builds:?}");
     tally
 }
 
@@ -118,7 +163,7 @@ fn sl_config(theta: f64, abort_ratio: f64, punctuation: usize, keys: u64) -> Wor
     WorkloadConfig::streaming_ledger()
         .with_zipf_theta(theta)
         .with_abort_ratio(abort_ratio)
-        .with_udf_complexity_us(0)
+        .with_udf_complexity_us(COST_US)
         .with_txns_per_batch(punctuation)
         .with_key_space(keys)
         .with_seed(0xD5EE_D001)
@@ -149,9 +194,10 @@ fn benchmark_streams_decide_as_the_eager_form_and_build_no_coarse_units() {
         feed.events = STREAM_EVENTS / feeds;
     }
     let events = build_events(&spec).expect("feeds generate");
+    assert!(spec.punctuation as u64 * COST_US >= WORK_PER_WORKER_US);
     let tally = check(
         "topo_fraud entry",
-        |store| FraudEnrichmentStage::new(store, "enrichment"),
+        |store| Costed(FraudEnrichmentStage::new(store, "enrichment")),
         &events,
         spec.punctuation,
     );
@@ -196,13 +242,13 @@ fn decision_sweep_points_decide_as_the_eager_form() {
             config.with_txns_per_batch(interval),
         );
     }
-    // fig20: UDF cost and abort ratio
-    for cost in [0, 20, 50] {
+    // fig20: UDF cost and abort ratio (C = 0 declares `COST_US`)
+    for cost in [COST_US, 20, 50] {
         let config = gs_base().with_udf_complexity_us(cost).with_abort_ratio(0.4);
         point(format!("fig20 C={cost}"), config);
     }
     for percent in [10, 50, 90] {
-        let config = gs_base().with_udf_complexity_us(0);
+        let config = gs_base().with_udf_complexity_us(COST_US);
         point(
             format!("fig20 a={percent}%"),
             config.with_abort_ratio(percent as f64 / 100.0),
@@ -264,9 +310,9 @@ fn chain_heavy_streams_take_the_coarse_branch_and_the_cycle_veto() {
 
     // A fixed fine-grained decision builds no coarse partition at all, and
     // a fixed coarse-grained one builds exactly the one it runs on. Only a
-    // batch on two or more workers runs on units: the stream as generated
-    // declares no UDF work and builds none; at 3 µs per operation a batch
-    // declares a second worker's share and builds one.
+    // batch on two or more workers runs on units: at 0 µs per operation a
+    // batch declares no UDF work and builds none; at 3 µs it declares a
+    // second worker's share and builds one.
     for cost_us in [0, 3] {
         for granularity in [Granularity::Fine, Granularity::Coarse] {
             let store = StateStore::new();

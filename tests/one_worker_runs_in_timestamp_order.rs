@@ -1,13 +1,14 @@
-//! A one-worker batch is a plain loop over its operations in `(ts, stmt)`
-//! order, whatever exploration strategy and granularity its decision names:
-//! the order the multi-version store sees versions in is a schedule of
-//! every TPG. Stated as orders and counts, so the gate means the same on any
-//! host:
+//! A one-worker batch is a plain loop over its transactions in timestamp
+//! order, whatever decision it runs under: the order the multi-version
+//! store sees versions in is a schedule of every TPG. Stated as orders and
+//! counts, so the gate means the same on any host:
 //!
 //! * the UDFs record `(ts, stmt)` as they are evaluated, and the first
 //!   `num_ops` evaluations come in that order;
-//! * an eager abort never finds an executed descendant to redo, so a batch
-//!   whose timestamps are distinct redoes nothing under e-abort;
+//! * a failing transaction is undone at once and no other transaction has
+//!   read its writes, so the batch redoes nothing and evaluates each
+//!   operation exactly once, under every decision, TStream's and S-Store's
+//!   included;
 //! * the state and the outputs equal those of a run on four workers.
 //!
 //! Every fifth transaction fails in its second write after its first write
@@ -187,10 +188,12 @@ fn a_one_worker_batch_evaluates_in_timestamp_order_and_redoes_nothing_eagerly() 
                 out_of_order.map(|i| main_loop[i]),
                 out_of_order.map(|i| main_loop[i + 1])
             );
-            if one.abort_handling == AbortHandling::Eager {
-                assert_eq!(one.redone_ops, 0, "{label}: redone under e-abort");
-                assert_eq!(one.log.len(), NUM_OPS, "{label}: evaluations");
-            }
+            assert_eq!(
+                one.redone_ops, 0,
+                "{label}: redone under {:?}",
+                one.abort_handling
+            );
+            assert_eq!(one.log.len(), NUM_OPS, "{label}: evaluations");
         }
     }
 }
