@@ -8,7 +8,11 @@
 //!
 //! * **Ingest** — every event is appended to the WAL *before* it is pushed
 //!   into the engine, under the caller's one lock, so the log is always a
-//!   superset of what the engine has seen, in identical order. Punctuation
+//!   superset of what the engine has seen, in identical order. One
+//!   [`DurableEngine::ingest`] call is one chunk: its events' records, and
+//!   the punctuation marker that falls due after them, go to the log in one
+//!   write (one fsync under [`FsyncPolicy::Always`]) before any of them is
+//!   pushed, so a chunk is logged and pushed whole or not at all. Punctuation
 //!   markers frame the log (the fsync point under [`FsyncPolicy::Interval`]):
 //!   a primary writes its own every `punctuation` events, a replica mirrors
 //!   its primary's with [`DurableEngine::mark_punctuation`].
@@ -108,6 +112,9 @@ where
     /// The data directory's log and checkpoints; `None` keeps nothing on
     /// disk.
     disk: Option<Disk>,
+    /// The chunk being ingested, held between its append and its push;
+    /// empty between calls, its capacity reused.
+    chunk: Vec<E::Event>,
 }
 
 /// A data directory: the WAL, the checkpoint store, and when to write each.
@@ -129,19 +136,18 @@ struct Disk {
 }
 
 impl Disk {
-    /// Account `logged` just-appended events: write a punctuation marker if
-    /// one is due, and say whether an interval checkpoint is.
+    /// Whether a self-written punctuation marker falls due after `events`
+    /// more events.
+    fn marker_due(&self, events: u64) -> bool {
+        self.punctuation > 0 && self.since_marker + events >= self.punctuation
+    }
+
+    /// Account `logged` just-appended events (and the marker appended with
+    /// them if one was due), and say whether an interval checkpoint is due.
     fn logged(&mut self, logged: u64) -> bool {
         self.since_checkpoint += logged;
-        if self.punctuation == 0 {
-            return false;
-        }
-        self.since_marker += logged;
-        if self.since_marker >= self.punctuation {
-            self.since_marker %= self.punctuation;
-            if let Err(e) = self.wal.mark_punctuation() {
-                eprintln!("morphstream durability: WAL punctuation marker failed: {e}");
-            }
+        if self.punctuation > 0 {
+            self.since_marker = (self.since_marker + logged) % self.punctuation;
         }
         self.checkpoint_due()
     }
@@ -175,6 +181,7 @@ where
                 output_digest,
                 next_index: 0,
                 disk: None,
+                chunk: Vec::new(),
             };
             return Ok((durable, None));
         };
@@ -223,6 +230,7 @@ where
                 since_marker: 0,
                 stats: DurableStats::default(),
             }),
+            chunk: Vec::new(),
         };
         let recovery = (checkpoint_id.is_some() || replayed_events > 0).then_some(Recovery {
             checkpoint_id,
@@ -238,32 +246,39 @@ where
         Ok((durable, recovery))
     }
 
-    /// Log then push `events`, in order; stops at the first event the WAL
-    /// refuses (it and the rest are dropped, never pushed unlogged) and
-    /// returns that error. Either way the logged prefix is accounted:
-    /// [`DurableEngine::next_index`] advanced by it, a due punctuation
-    /// marker written, a due interval checkpoint taken.
+    /// Log then push `events`, in order, as one chunk: their records, and
+    /// the punctuation marker that falls due after them, are appended with
+    /// one write before any event is pushed. The chunk is logged whole or
+    /// not at all: if the WAL refuses it, no event of it is pushed,
+    /// [`DurableEngine::next_index`] does not move, and the error is
+    /// returned. Once logged, the chunk is pushed and accounted, and a due
+    /// interval checkpoint taken. Without a data directory the events are
+    /// pushed as they come.
     pub fn ingest(
         &mut self,
         events: impl IntoIterator<Item = E::Event>,
     ) -> Result<(), DurabilityError> {
-        let first = self.next_index;
-        let mut result = Ok(());
-        for event in events {
-            if let Some(disk) = self.disk.as_mut() {
-                if let Err(e) = disk.wal.append_event(&event) {
-                    result = Err(e);
-                    break;
-                }
+        let Some(disk) = self.disk.as_mut() else {
+            for event in events {
+                self.engine.ingest(event);
+                self.next_index += 1;
             }
-            self.engine.ingest(event);
-            self.next_index += 1;
+            return Ok(());
+        };
+        self.chunk.extend(events);
+        let count = self.chunk.len() as u64;
+        if let Err(e) = disk.wal.append_chunk(&self.chunk, disk.marker_due(count)) {
+            self.chunk.clear();
+            return Err(e);
         }
-        let logged = self.next_index - first;
-        if self.disk.as_mut().is_some_and(|disk| disk.logged(logged)) {
+        for event in self.chunk.drain(..) {
+            self.engine.ingest(event);
+        }
+        self.next_index += count;
+        if disk.logged(count) {
             self.checkpoint_or_warn();
         }
-        result
+        Ok(())
     }
 
     /// Mirror a punctuation marker the primary wrote (replicas only), then

@@ -4,6 +4,13 @@
 //! of the log — events with index ≥ the latest checkpoint's
 //! `events_applied` — through the same pipeline.
 //!
+//! Appends come in chunks ([`WalLog::append_chunk`]): the records of a
+//! chunk's events, and the punctuation marker that falls due after them,
+//! are framed into one buffer and written with one `write` — and, where the
+//! policy asks for it, one fsync. A chunk is logged whole or not at all.
+//! The bytes are the same however the events were chunked: one event per
+//! call ([`WalLog::append_event`]) writes the same log.
+//!
 //! # The `MSW1` segment format
 //!
 //! The log is a directory of segment files named `seg-<first_index>.msw`.
@@ -67,8 +74,9 @@ const RECORD_TRAILER: usize = 8;
 /// When the log fsyncs, trading durability against append latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// fsync after every record: no acknowledged event is ever lost, at the
-    /// cost of one disk round-trip per event.
+    /// fsync after every append: no acknowledged event is ever lost, at the
+    /// cost of one disk round-trip per appended chunk (per
+    /// `DurableEngine::ingest` call).
     Always,
     /// fsync at punctuation markers and checkpoints: a crash can lose at
     /// most the current punctuation interval of acknowledged events.
@@ -112,11 +120,16 @@ struct Tip {
 }
 
 impl Tip {
-    /// Append `record` whole, or leave the segment marked suspect.
-    fn append(&mut self, record: &[u8]) -> io::Result<()> {
-        let written = self.file.write_all(record);
+    /// Append `records` whole (and fsync them when `sync`), or leave the
+    /// segment marked suspect: a record whose sync failed is cut off like
+    /// one whose write did.
+    fn append(&mut self, records: &[u8], sync: bool) -> io::Result<()> {
+        let mut written = self.file.write_all(records);
+        if sync && written.is_ok() {
+            written = self.file.sync_data();
+        }
         match written {
-            Ok(()) => self.len += record.len() as u64,
+            Ok(()) => self.len += records.len() as u64,
             Err(_) => self.suspect = true,
         }
         written
@@ -137,12 +150,12 @@ impl Tip {
 
 /// Append half of the write-ahead log.
 ///
-/// An append that fails part-way may leave a partial record at the end of
-/// the open segment. Nothing is ever written behind one: the next append
-/// (or the rotation that would seal the segment) first cuts the segment
-/// back to its last whole record, and fails in its turn for as long as
-/// that cannot be done — acknowledged events never sit behind bytes that
-/// recovery would stop at.
+/// An append whose write or fsync fails may leave part of its chunk at the
+/// end of the open segment. Nothing is ever written behind it: the next
+/// append (or the rotation that would seal the segment) first cuts the
+/// segment back to where the last whole chunk ended, and fails in its turn
+/// for as long as that cannot be done — acknowledged events never sit
+/// behind bytes that recovery would stop at or replay.
 pub struct WalLog {
     dir: PathBuf,
     policy: FsyncPolicy,
@@ -248,59 +261,92 @@ impl WalLog {
         Ok(self.current.as_mut().expect("segment just ensured"))
     }
 
-    /// Finish the record in `scratch` — [`RECORD_HEADER`] placeholder bytes
-    /// with the tag set, then the payload — and append it with a single
-    /// `write_all`: a concurrent [`WalTailer`] may still observe the record
-    /// half-written, but the log pays one syscall per record.
-    fn append_record(&mut self) -> Result<(), DurabilityError> {
-        let payload_len = self.scratch.len() - RECORD_HEADER;
+    /// Frame one record at the end of `scratch`: tag, `u32` length, the
+    /// payload `encode` appends, FNV-1a trailer.
+    fn frame(&mut self, tag: u8, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), DurabilityError> {
+        let start = self.scratch.len();
+        self.scratch.extend_from_slice(&[tag, 0, 0, 0, 0]);
+        encode(&mut self.scratch);
+        let payload_len = self.scratch.len() - start - RECORD_HEADER;
         if payload_len > MAX_FRAME_LEN {
             return Err(DurabilityError::corrupt(format!(
                 "WAL record of {payload_len} bytes exceeds the frame limit"
             )));
         }
-        self.scratch[1..RECORD_HEADER].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        Fnv1a::seal(&mut self.scratch, 0);
-
-        let record = std::mem::take(&mut self.scratch);
-        let written = self
-            .ensure_segment()
-            .and_then(|tip| Ok(tip.append(&record)?));
-        self.scratch = record;
-        written?;
-        self.records_appended += 1;
-        self.bytes_appended += self.scratch.len() as u64;
+        self.scratch[start + 1..start + RECORD_HEADER]
+            .copy_from_slice(&(payload_len as u32).to_le_bytes());
+        Fnv1a::seal(&mut self.scratch, start);
         Ok(())
     }
 
-    /// Append one event; returns the global index it was assigned. With
-    /// [`FsyncPolicy::Always`] the record is durable on return.
-    pub fn append_event<T: WireCodec>(&mut self, event: &T) -> Result<u64, DurabilityError> {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[REC_EVENT, 0, 0, 0, 0]);
-        event.encode_binary(&mut self.scratch);
-        self.append_record()?;
-        let index = self.next_index;
-        self.next_index += 1;
-        if self.policy == FsyncPolicy::Always {
-            self.sync()?;
+    /// Append the `events` records framed in `scratch`, plus the
+    /// punctuation marker behind them when `punctuate`, with a single
+    /// `write_all` (and at most one fsync): a concurrent [`WalTailer`] may
+    /// still observe the write half-done, but the log pays one syscall per
+    /// call. All or nothing: a failed write or sync advances no counter and
+    /// leaves the segment to be cut back before the next append. Returns the
+    /// global index of the first event.
+    fn append_framed(&mut self, events: u64, punctuate: bool) -> Result<u64, DurabilityError> {
+        let first = self.next_index;
+        let mut records = events;
+        if punctuate {
+            let covered = first + events;
+            self.frame(REC_PUNCTUATION, |out| {
+                out.extend_from_slice(&covered.to_le_bytes())
+            })?;
+            records += 1;
         }
-        Ok(index)
+        if records == 0 {
+            return Ok(first);
+        }
+        let sync = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Interval => punctuate,
+            FsyncPolicy::Never => false,
+        };
+        let chunk = std::mem::take(&mut self.scratch);
+        let written = self
+            .ensure_segment()
+            .and_then(|tip| Ok(tip.append(&chunk, sync)?));
+        self.scratch = chunk;
+        written?;
+        self.next_index += events;
+        self.records_appended += records;
+        self.bytes_appended += self.scratch.len() as u64;
+        Ok(first)
+    }
+
+    /// Append `events` and, when `punctuate`, the punctuation marker that
+    /// frames them, as one write: the chunk is logged whole or not at all.
+    /// Each record is what [`WalLog::append_event`] writes for that event
+    /// and the marker what [`WalLog::mark_punctuation`] writes after them, so
+    /// the bytes on disk do not depend on how appends are chunked. With
+    /// [`FsyncPolicy::Always`] (or a marker under
+    /// [`FsyncPolicy::Interval`]) the chunk is durable on return. Returns the
+    /// global index of the first event.
+    pub fn append_chunk<T: WireCodec>(
+        &mut self,
+        events: &[T],
+        punctuate: bool,
+    ) -> Result<u64, DurabilityError> {
+        self.scratch.clear();
+        for event in events {
+            self.frame(REC_EVENT, |out| event.encode_binary(out))?;
+        }
+        self.append_framed(events.len() as u64, punctuate)
+    }
+
+    /// Append one event: [`WalLog::append_chunk`] of one. Returns the global
+    /// index it was assigned.
+    pub fn append_event<T: WireCodec>(&mut self, event: &T) -> Result<u64, DurabilityError> {
+        self.append_chunk(std::slice::from_ref(event), false)
     }
 
     /// Append a punctuation marker framing the events appended so far. With
     /// [`FsyncPolicy::Interval`] this is also the fsync point.
     pub fn mark_punctuation(&mut self) -> Result<(), DurabilityError> {
         self.scratch.clear();
-        self.scratch
-            .extend_from_slice(&[REC_PUNCTUATION, 0, 0, 0, 0]);
-        self.scratch
-            .extend_from_slice(&self.next_index.to_le_bytes());
-        self.append_record()?;
-        if self.policy != FsyncPolicy::Never {
-            self.sync()?;
-        }
-        Ok(())
+        self.append_framed(0, true).map(drop)
     }
 
     /// fsync the open segment (no-op when nothing is open).
@@ -1110,6 +1156,33 @@ mod tests {
             );
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A chunk whose fsync fails is not logged either: no index or counter
+    /// moves, and the segment is cut back before the next append. (fsync on
+    /// `/dev/null` fails with EINVAL on Linux; the write to it succeeds.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_chunk_whose_sync_fails_is_not_logged() {
+        let dir = test_dir("wal-failed-sync");
+        let mut log = WalLog::open(&dir, FsyncPolicy::Always, 0).unwrap();
+        log.append_chunk(&[Probe(0), Probe(1)], false).unwrap();
+        let counted = (log.records_appended(), log.bytes_appended());
+        let null = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        let real = log.swap_segment(null).unwrap();
+        assert!(log.append_chunk(&[Probe(2), Probe(3)], true).is_err());
+        assert_eq!(log.next_index(), 2, "the chunk was not logged");
+        assert_eq!((log.records_appended(), log.bytes_appended()), counted);
+        drop(real);
+
+        assert_eq!(log.append_chunk(&[Probe(2)], false).unwrap(), 2);
+        let state: WalState<Probe> = read_wal(&dir).unwrap();
+        assert!(!state.torn_tail);
+        assert_eq!(
+            state.events,
+            (0..3).map(|i| (i, Probe(i))).collect::<Vec<_>>()
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,6 +19,7 @@ mod support;
 use std::path::Path;
 
 use morphstream::storage::StateStore;
+use morphstream::TxnEngine;
 use morphstream_durability::{Checkpoint, DurableEngine, FsyncPolicy, Recovery};
 use morphstream_workloads::SlEvent;
 use support::{
@@ -284,6 +285,9 @@ fn events_logged_after_a_failed_append_survive_the_crash() {
     {
         let mut a = Lifetime::open(SHAPE, &dir);
         a.ingest(&events[..100]);
+        a.durable.flush();
+        let counted = a.durable.engine().report().events();
+        let digest = a.durable.output_digest();
         // 7 bytes of the next record reach the file, then its write fails:
         // the bytes (and the cursor past them, as a `write_all` cut short
         // leaves it) are put there through the segment's real handle, the
@@ -300,6 +304,15 @@ fn events_logged_after_a_failed_append_survive_the_crash() {
             100,
             "nothing of the chunk is logged"
         );
+        // A chunk is logged whole or not at all, and pushed only once
+        // logged: the engine saw none of the refused chunk.
+        a.durable.flush();
+        assert_eq!(
+            a.durable.engine().report().events(),
+            counted,
+            "nothing of the chunk is pushed"
+        );
+        assert_eq!(a.durable.output_digest(), digest, "and nothing emitted");
         drop(real);
         // The client resends from the durable index; these are acknowledged.
         a.ingest(&events[100..323]);

@@ -556,8 +556,9 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         }
         maybe_rotate_session(&shared, logged);
         if logged < n as u64 {
-            // A WAL append failed mid-chunk: the unlogged remainder was
-            // dropped, so stop reading rather than ingest a gapped stream.
+            // The WAL refused the chunk: a chunk is logged whole or not at
+            // all, so none of it was logged or pushed. Stop reading rather
+            // than ingest a gapped stream.
             break;
         }
     }
