@@ -9,11 +9,12 @@
 //! through its one door,
 //! [`DurableEngine::ingest`](morphstream_durability::DurableEngine::ingest)
 //! — the same with or without a data directory; without one nothing is
-//! logged. Back-pressure is end-to-end: a slow operator fills the bounded
-//! inter-operator channel, the blocked ingest holds the engine lock, the
-//! connection handler stops reading, and TCP flow control throttles the
-//! client — memory stays bounded to one punctuation interval plus the
-//! channel capacity.
+//! logged. One engine thread owns that engine; connection handlers decode
+//! chunks of events and hand them to it over a bounded channel. Back-pressure
+//! is end-to-end: a slow operator fills the bounded inter-operator channel,
+//! the blocked ingest holds back the engine's reply, the connection handler
+//! stops reading, and TCP flow control throttles the client — memory stays
+//! bounded to one punctuation interval plus the channel capacity.
 //!
 //! Observability is a `/metrics` endpoint in Prometheus text format (live
 //! [`ReportSnapshot`](morphstream::ReportSnapshot) of the current session

@@ -15,6 +15,12 @@
 //! old server had already ingested are sent again — delivery under
 //! reconnection is at-least-once, which is why failover flows restart the
 //! client with `--skip <morphstream_durable_events>` instead.
+//!
+//! A run ends by half-closing the connection and reading it to EOF. The
+//! server closes its side only after its engine has ingested the last chunk
+//! it read, so `Ok` means a live server ingested the whole stream; a reset
+//! or read error (a server that died, or stopped reading) is an `Err`, and
+//! the process exits non-zero.
 
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -84,9 +90,9 @@ const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
 /// What the run achieved, as observed from the client side.
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
-    /// Events actually sent.
+    /// Events sent — and, the run having ended `Ok`, ingested.
     pub sent: usize,
-    /// Wall-clock duration of the whole run.
+    /// Wall-clock duration of the whole run, up to the server's close.
     pub elapsed: Duration,
     /// Median per-burst socket write latency.
     pub p50_write_ms: f64,
@@ -202,9 +208,10 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadgenReport> {
         }
     }
     stream.flush()?;
-    // Half-close tells the server the stream is complete; it keeps
-    // processing everything already buffered.
+    // Half-close tells the server the stream is complete; it closes its side
+    // once everything it read is ingested (see the module docs).
     stream.shutdown(std::net::Shutdown::Write)?;
+    io::copy(&mut stream, &mut io::sink())?;
     let elapsed = started.elapsed();
 
     let pct = |p: f64| {
@@ -290,6 +297,53 @@ mod tests {
 
         let drained = server.join().expect("server thread");
         assert!(drained > 0, "second connection saw no data");
+    }
+
+    /// A server that stops reading part-way and closes with bytes unread
+    /// resets the connection: the client reports that as a failure, not as
+    /// a stream sent.
+    #[test]
+    fn a_server_that_drops_the_stream_part_way_fails_the_run() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut head = [0u8; 1024];
+            conn.read_exact(&mut head)
+                .expect("read the head of the stream");
+            // Give the client time to write the whole stream into the
+            // socket buffers and half-close, then drop it unread: the kernel
+            // resets the connection. (A run that fails regardless of this
+            // wait; a client that stops at its half-close would pass.)
+            std::thread::sleep(Duration::from_millis(300));
+        });
+        let run = run_loadgen(&LoadgenOptions {
+            addr: addr.to_string(),
+            events: 20_000,
+            ..LoadgenOptions::default()
+        });
+        server.join().expect("server thread");
+        assert!(run.is_err(), "a dropped stream was reported as sent");
+    }
+
+    /// Against a real server, `Ok` means ingested: the count covers the
+    /// stream the moment the run returns, without polling.
+    #[test]
+    fn an_ok_run_has_been_ingested_when_it_returns() {
+        let mut opts = crate::ServeOptions::default();
+        opts.workload.udf_complexity_us = 0;
+        let server = crate::Server::start(opts).expect("server starts");
+        let events = 50_000;
+        let report = run_loadgen(&LoadgenOptions {
+            addr: server.event_addr().to_string(),
+            events,
+            key_space: 10_000,
+            ..LoadgenOptions::default()
+        })
+        .expect("loadgen against a live server");
+        assert_eq!(report.sent, events);
+        assert_eq!(server.events_ingested(), events as u64);
+        assert_eq!(server.shutdown().snapshot.events, events as u64);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Live observability: lifetime metric state and the `/metrics` endpoint.
 //!
-//! [`ServerMetrics`] holds the server's lifetime totals as a folded
-//! [`ReportSnapshot`] (sessions rotate to bound report memory; each finished
-//! session's snapshot is folded in) plus socket-layer counters maintained by
-//! the connection handlers. A scrape combines the folded base with a live
-//! snapshot of the current session and renders Prometheus text exposition
-//! format — every number a scrape reports therefore sums to exactly what the
-//! final [`RunReport`](morphstream::RunReport) would say if the server shut
-//! down at that instant.
+//! [`ServerMetrics`] holds the server's lifetime totals as the engine thread
+//! last published them — the folded finished sessions (sessions rotate to
+//! bound report memory) plus a live snapshot of the current one — and the
+//! socket-layer counters the connection handlers maintain. A scrape renders
+//! the published totals in Prometheus text exposition format without
+//! touching the engine, so every number it reports sums to exactly what the
+//! final [`RunReport`](morphstream::RunReport) would have said had the server
+//! shut down after the engine's last chunk or flush.
 //!
 //! The HTTP side is a deliberately small single-threaded responder: scrapes
 //! are rare, the response is one string, and pulling in an HTTP stack for
@@ -24,10 +24,9 @@ use morphstream::{OperatorCounters, ReportSnapshot};
 use morphstream_durability::DurableStats;
 use morphstream_replication::ReplicationStats;
 
-/// Durability counters as the ingest path last mirrored them from its
+/// Durability counters as the engine thread last mirrored them from its
 /// [`DurableEngine`](morphstream_durability::DurableEngine) (which owns the
-/// real ones), behind a lock of their own so that scrapes never wait for
-/// the engine lock.
+/// real ones).
 #[derive(Default)]
 pub struct DurabilityStats(Mutex<Mirrored>);
 
@@ -143,13 +142,11 @@ impl DurabilityStats {
     }
 }
 
-/// Shared metric state: folded lifetime totals plus socket-layer counters.
+/// Shared metric state: published lifetime totals plus socket-layer counters.
 pub struct ServerMetrics {
-    /// Totals of every *finished* session, folded.
-    base: Mutex<ReportSnapshot>,
-    /// Last coherent lifetime total (base + live), served when the engine
-    /// lock is contended at scrape time (e.g. blocked in back-pressure).
-    cached: Mutex<ReportSnapshot>,
+    /// Lifetime totals as the engine thread last published them: what every
+    /// scrape serves, so a scrape never waits behind the dataflow.
+    published: Mutex<ReportSnapshot>,
     /// Connections accepted over the server's lifetime.
     pub connections: AtomicU64,
     /// Frames/lines decoded over the server's lifetime.
@@ -176,8 +173,7 @@ impl ServerMetrics {
     /// Fresh, all-zero metric state.
     pub fn new() -> Self {
         Self {
-            base: Mutex::new(ReportSnapshot::default()),
-            cached: Mutex::new(ReportSnapshot::default()),
+            published: Mutex::new(ReportSnapshot::default()),
             connections: AtomicU64::new(0),
             frames: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
@@ -209,26 +205,15 @@ impl ServerMetrics {
         self.durability.mirror(stats, self.clock());
     }
 
-    /// Fold a finished session's snapshot into the lifetime base.
-    pub fn fold_session(&self, snapshot: &ReportSnapshot) {
-        self.base.lock().expect("metrics lock").fold(snapshot);
+    /// Replace the lifetime totals scrapes serve.
+    pub fn publish(&self, total: ReportSnapshot) {
+        *self.published.lock().expect("metrics lock") = total;
     }
 
-    /// Lifetime totals given a live snapshot of the current session; also
-    /// refreshes the stale-scrape cache.
-    pub fn total_with_live(&self, live: &ReportSnapshot) -> ReportSnapshot {
-        let mut total = self.base.lock().expect("metrics lock").clone();
-        total.fold(live);
-        *self.cached.lock().expect("metrics lock") = total.clone();
-        total
-    }
-
-    /// The last coherent lifetime total, for scrapes that cannot take the
-    /// engine lock without blocking behind back-pressure. (The durability
-    /// families a scrape renders are live either way: their mirror has a
-    /// lock of its own.)
-    pub fn cached_total(&self) -> ReportSnapshot {
-        self.cached.lock().expect("metrics lock").clone()
+    /// The lifetime totals as last published (all zero before the first
+    /// publish).
+    pub fn published_total(&self) -> ReportSnapshot {
+        self.published.lock().expect("metrics lock").clone()
     }
 }
 

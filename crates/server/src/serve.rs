@@ -4,25 +4,27 @@
 //! `ledger → audit` [`Topology`]: the entry operator executes the
 //! deposits/transfers, and a downstream `audit` operator tallies commit
 //! outcomes into its own table (its per-event cost is the configurable
-//! "slow terminal operator" of the back-pressure story). The engine sits in
-//! a [`DurableEngine`] — on the `--data-dir` directory, or on none — and
-//! [`DurableEngine::ingest`] is the one way in: each accepted connection
-//! decodes chunks of events through a [`SocketEventSource`] and ingests them
-//! under the engine lock, so the back-pressure chain extends to the socket:
-//! a slow operator fills the bounded inter-operator channel, the blocked
-//! ingest holds the lock, the handler stops reading, the kernel socket
-//! buffer fills, and TCP flow control throttles the client. Memory stays
-//! bounded to one punctuation interval plus the channel capacity.
+//! "slow terminal operator" of the back-pressure story). One engine thread
+//! owns the [`DurableEngine`] (on the `--data-dir` directory, or on none);
+//! [`DurableEngine::ingest`] is the one way in. Each connection decodes
+//! chunks of events through a [`SocketEventSource`] and hands them over one
+//! bounded channel, one in flight: it decodes the next while the engine
+//! ingests the current one, and hands it over after the current one's reply.
+//! So back-pressure reaches the socket: a slow operator fills the bounded
+//! inter-operator channel, the blocked ingest holds back the reply, the
+//! handler stops reading, and TCP flow control throttles the client.
 //!
-//! Sessions rotate after a configurable number of events so the in-engine
-//! [`RunReport`](morphstream::RunReport) never grows without bound; each
-//! finished session's [`ReportSnapshot`] folds into the lifetime totals the
-//! `/metrics` endpoint serves (see [`crate::metrics`]).
+//! The engine thread is the one place that sees every arrival in order: it
+//! counts what it ingested, publishes the totals `/metrics` serves (see
+//! [`crate::metrics`]), flushes the partial batch once the stream goes quiet,
+//! and rotates the session after a configurable number of events, folding
+//! its [`ReportSnapshot`] into the lifetime totals, so the in-engine
+//! [`RunReport`](morphstream::RunReport) stays bounded.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -40,11 +42,18 @@ use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 use crate::codec::SocketEventSource;
 use crate::metrics::{render_prometheus, ServerMetrics};
 
-/// Events decoded per engine-lock acquisition; small enough to interleave
-/// connections fairly, large enough to amortise the lock.
+/// Events a connection decodes into one chunk for the engine thread: one
+/// `ingest` call and one WAL write. Small enough to interleave connections
+/// fairly, large enough to amortise the hand-over.
 const INGEST_CHUNK: usize = 256;
 
-/// Poll interval of the accept loop and the idle tick of quiet connections.
+/// Chunks that may wait for the engine thread; a connection that finds the
+/// channel full blocks, and stops reading its socket.
+const HANDOFF_CHUNKS: usize = 4;
+
+/// Poll interval of the accept loop and of quiet connections' reads (they
+/// check the stop flag), and how long the engine thread waits for a chunk
+/// before it flushes the partial batch.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Everything `morphstream serve` needs to come up. [`Default`] binds
@@ -219,27 +228,21 @@ pub struct ServerSummary {
     pub decode_errors: u64,
 }
 
-/// Shared state between the accept loop, connection handlers, the metrics
-/// responder, and the shutdown path.
+/// State the engine thread, the connection handlers, the metrics responder
+/// and shutdown share. The engine is not in it: the engine thread owns it.
 struct Shared {
-    /// The served engine. One lock: WAL appends and pushes must interleave
-    /// in the same order, and a checkpoint is a consistent cut only while
-    /// no push is in flight.
-    engine: Mutex<DurableEngine<ServeEngine>>,
     metrics: ServerMetrics,
-    /// The replication shipping thread, when `--replicate-to` is set. Lives
-    /// outside the engine lock: it tails the WAL *files*, so ingest only
-    /// nudges it (and, in sync mode, waits for acks) after releasing the
-    /// lock.
+    /// The WAL shipping thread (`--replicate-to`): the engine thread nudges
+    /// it after each chunk; in sync mode the chunk's connection waits for it.
     sender: Option<ReplicationSender>,
     stop: AtomicBool,
-    session_events: u64,
-    ingested_since_rotate: AtomicU64,
-    /// Events pushed into the engine over the server's lifetime; incremented
-    /// after each chunk's pushes complete, so once it reaches a client's send
-    /// count a subsequent `flush`/`finish` is guaranteed to cover the stream.
-    pushed: AtomicU64,
+    /// What [`Server::events_ingested`] reads; only the engine thread adds.
+    ingested: AtomicU64,
 }
+
+/// A decoded chunk on its way to the engine thread, with where its reply
+/// goes: the WAL tip after the chunk, or `None` if the log refused it.
+type Chunk = (Vec<SlEvent>, mpsc::Sender<Option<u64>>);
 
 /// A running server; shut it down with [`Server::shutdown`].
 pub struct Server {
@@ -248,8 +251,7 @@ pub struct Server {
     metrics_addr: SocketAddr,
     accept_thread: JoinHandle<()>,
     metrics_thread: JoinHandle<()>,
-    ledger_store: StateStore,
-    audit_store: StateStore,
+    engine_thread: JoinHandle<ServerSummary>,
     recovery: Option<RecoveryReport>,
 }
 
@@ -297,7 +299,7 @@ impl Server {
 
     /// Common tail of [`Server::start`] and [`Server::start_promoted`]:
     /// start replication shipping (when configured), bind both listeners,
-    /// and spawn the accept + metrics threads.
+    /// and spawn the engine, accept and metrics threads.
     fn launch(
         opts: ServeOptions,
         durable: DurableEngine<ServeEngine>,
@@ -343,33 +345,31 @@ impl Server {
         let (metrics_listener, metrics_addr) = crate::metrics::bind(&opts.metrics_addr)?;
 
         let shared = Arc::new(Shared {
-            engine: Mutex::new(durable),
             metrics,
             sender,
             stop: AtomicBool::new(false),
-            session_events: opts.session_events,
-            ingested_since_rotate: AtomicU64::new(0),
-            pushed: AtomicU64::new(0),
+            ingested: AtomicU64::new(0),
         });
 
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = thread::Builder::new()
-            .name("morphstream-accept".into())
-            .spawn(move || accept_loop(event_listener, accept_shared))
-            .expect("spawn accept loop");
-
-        let http_shared = Arc::clone(&shared);
-        let metrics_thread = thread::Builder::new()
-            .name("morphstream-metrics".into())
-            .spawn(move || {
-                let running = {
-                    let shared = Arc::clone(&http_shared);
-                    move || !shared.stop.load(Ordering::SeqCst)
-                };
-                let scrape_body = move || scrape(&http_shared);
-                crate::metrics::serve_http(metrics_listener, running, scrape_body);
-            })
-            .expect("spawn metrics responder");
+        let (chunks, inbox) = mpsc::sync_channel(HANDOFF_CHUNKS);
+        let on_engine = Arc::clone(&shared);
+        let stores = [ledger_store, audit_store];
+        let engine_thread = spawn("morphstream-engine".into(), move || {
+            run_engine(durable, inbox, &on_engine, opts.session_events, stores)
+        });
+        let on_accept = Arc::clone(&shared);
+        let accept_thread = spawn("morphstream-accept".into(), move || {
+            accept_loop(event_listener, &on_accept, chunks)
+        });
+        let on_http = Arc::clone(&shared);
+        let metrics_thread = spawn("morphstream-metrics".into(), move || {
+            let (stop, metrics) = (&on_http.stop, &on_http.metrics);
+            crate::metrics::serve_http(
+                metrics_listener,
+                || !stop.load(Ordering::SeqCst),
+                || render_prometheus(&metrics.published_total(), metrics),
+            );
+        });
 
         Ok(Server {
             shared,
@@ -377,8 +377,7 @@ impl Server {
             metrics_addr,
             accept_thread,
             metrics_thread,
-            ledger_store,
-            audit_store,
+            engine_thread,
             recovery,
         })
     }
@@ -403,97 +402,129 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
     }
 
-    /// Events pushed into the engine over the server's lifetime. A client
-    /// that sent `n` events and half-closed can poll this to `n` before
-    /// [`Server::shutdown`] to guarantee the summary accounts for all of
-    /// them (shutdown stops *accepting*, it does not wait for connections
-    /// that are still in the kernel's accept backlog).
+    /// Events the engine thread ingested over the server's lifetime. It moves
+    /// only after [`DurableEngine::ingest`] returns, before the chunk's
+    /// connection hears back, so it covers the stream of a client that
+    /// half-closed and read its socket to EOF. [`Server::shutdown`] stops
+    /// *accepting*: a client that does not read to EOF polls this first.
     pub fn events_ingested(&self) -> u64 {
-        self.shared.pushed.load(Ordering::SeqCst)
+        self.shared.ingested.load(Ordering::SeqCst)
     }
 
-    /// Graceful shutdown: stop accepting, let every connection handler
-    /// finish its in-flight chunk, take a final checkpoint (with a data
-    /// directory) so a clean restart replays nothing, then drain buffered punctuations
-    /// (`flush` + `finish`) so nothing pushed before the stop is lost, and
-    /// return the lifetime summary.
+    /// Graceful shutdown: stop accepting and let every connection settle its
+    /// in-flight chunk. The engine thread, its last sender gone, then takes
+    /// a final checkpoint (so a clean restart replays nothing), drains the
+    /// buffered punctuations (`flush` + `finish`) and returns the summary.
     pub fn shutdown(self) -> ServerSummary {
         self.request_stop();
         self.accept_thread.join().expect("accept loop panicked");
-        self.metrics_thread
-            .join()
-            .expect("metrics responder panicked");
-        let (final_snapshot, tip, output_digest) = {
-            let mut durable = self.shared.engine.lock().expect("engine lock");
-            if let Err(e) = durable.checkpoint_now() {
-                eprintln!("morphstream serve: final checkpoint failed: {e}");
-            }
-            self.shared.metrics.mirror_durable(durable.stats());
-            let snapshot = durable.finish_session().snapshot();
-            (snapshot, durable.next_index(), durable.output_digest())
-        };
-        if let Some(sender) = self.shared.sender.as_ref() {
-            // Best-effort drain: give the standby a bounded window to
-            // acknowledge everything this server logged (the final
-            // checkpoint above covers the tip, so even a late-joining
-            // standby can be bootstrapped to it).
-            sender.notify(tip);
-            let deadline = Instant::now() + Duration::from_secs(5);
-            sender.wait_for_ack(tip, &|| Instant::now() >= deadline);
-        }
-        self.shared.metrics.fold_session(&final_snapshot);
-        let snapshot = self
-            .shared
-            .metrics
-            .total_with_live(&ReportSnapshot::default());
-        ServerSummary {
-            snapshot,
-            ledger_digest: self.ledger_store.state_digest(),
-            audit_digest: self.audit_store.state_digest(),
-            output_digest,
-            connections: self.shared.metrics.connections.load(Ordering::Relaxed),
-            frames: self.shared.metrics.frames.load(Ordering::Relaxed),
-            decode_errors: self.shared.metrics.decode_errors.load(Ordering::Relaxed),
-        }
+        self.metrics_thread.join().expect("metrics thread panicked");
+        self.engine_thread.join().expect("engine thread panicked")
     }
 }
 
-/// Live lifetime totals: the folded base plus the current session's report,
-/// with live operator/edge rows spliced in (the session report only carries
-/// rows at `finish`). Also refreshes the stale-scrape cache.
-fn live_total(shared: &Shared, engine: &ServeEngine) -> ReportSnapshot {
+/// The engine thread: ingest each chunk in arrival order until every
+/// sender is gone, then checkpoint, finish the session and summarise. A
+/// quiet [`POLL`] flushes the partial batch, but only if a chunk arrived
+/// since the last flush: an idle server does nothing.
+fn run_engine(
+    mut durable: DurableEngine<ServeEngine>,
+    inbox: mpsc::Receiver<Chunk>,
+    shared: &Shared,
+    session_events: u64,
+    [ledger_store, audit_store]: [StateStore; 2],
+) -> ServerSummary {
+    let mut base = ReportSnapshot::default();
+    let mut since_rotate = 0;
+    let mut unflushed = false;
+    publish(&shared.metrics, &base, durable.engine());
+    loop {
+        let (events, reply) = match inbox.recv_timeout(POLL) {
+            Ok(chunk) => chunk,
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                if unflushed {
+                    durable.flush();
+                    publish(&shared.metrics, &base, durable.engine());
+                    unflushed = false;
+                }
+                continue;
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        let first = durable.next_index();
+        let logged = durable.ingest(events).map_err(|e| {
+            eprintln!("morphstream serve: WAL append failed, closing connection: {e}");
+        });
+        let tip = durable.next_index();
+        shared.ingested.fetch_add(tip - first, Ordering::SeqCst);
+        shared.metrics.mirror_durable(durable.stats());
+        publish(&shared.metrics, &base, durable.engine());
+        let _ = reply.send(logged.is_ok().then_some(tip));
+        if let Some(sender) = shared.sender.as_ref() {
+            sender.notify(tip);
+        }
+        // Fold the session into the lifetime totals once enough events have
+        // flowed, bounding in-engine report memory on an unbounded stream.
+        since_rotate += tip - first;
+        if session_events > 0 && since_rotate >= session_events {
+            since_rotate = 0;
+            base.fold(&durable.finish_session().snapshot());
+        }
+        unflushed = true;
+    }
+    if let Err(e) = durable.checkpoint_now() {
+        eprintln!("morphstream serve: final checkpoint failed: {e}");
+    }
+    base.fold(&durable.finish_session().snapshot());
+    let tip = durable.next_index();
+    if let Some(sender) = shared.sender.as_ref() {
+        // Best-effort drain: give the standby a bounded window to
+        // acknowledge everything this server logged (the final checkpoint
+        // covers the tip, so even a late-joining standby can be
+        // bootstrapped to it).
+        sender.notify(tip);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        sender.wait_for_ack(tip, &|| Instant::now() >= deadline);
+    }
+    let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    ServerSummary {
+        snapshot: base,
+        ledger_digest: ledger_store.state_digest(),
+        audit_digest: audit_store.state_digest(),
+        output_digest: durable.output_digest(),
+        connections: counter(&shared.metrics.connections),
+        frames: counter(&shared.metrics.frames),
+        decode_errors: counter(&shared.metrics.decode_errors),
+    }
+}
+
+/// Publish the lifetime totals: the folded sessions plus a live snapshot of
+/// the current one, with its live operator/edge rows spliced in (the
+/// session report only carries rows at `finish`).
+fn publish(metrics: &ServerMetrics, base: &ReportSnapshot, engine: &ServeEngine) {
     let mut live = engine.report().snapshot();
-    let (operators, edges) = engine.live_rows();
-    live.operators = operators;
-    live.edges = edges;
-    shared.metrics.total_with_live(&live)
+    (live.operators, live.edges) = engine.live_rows();
+    let mut total = base.clone();
+    total.fold(&live);
+    metrics.publish(total);
 }
 
-/// Render the current lifetime metrics: a live engine snapshot when the
-/// engine lock is free, else the last coherent one — a scrape never waits
-/// behind the dataflow, and never serves more than one ingest chunk of
-/// staleness, because the ingest path refreshes the fallback after every
-/// chunk it pushes.
-fn scrape(shared: &Shared) -> String {
-    let total = match shared.engine.try_lock() {
-        Ok(durable) => live_total(shared, durable.engine()),
-        Err(_) => shared.metrics.cached_total(),
-    };
-    render_prometheus(&total, &shared.metrics)
+/// Spawn a named thread; failing to is fatal.
+fn spawn<T: Send + 'static>(name: String, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
+    let builder = thread::Builder::new().name(name);
+    builder.spawn(f).expect("spawn a server thread")
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, chunks: mpsc::SyncSender<Chunk>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, peer)) => {
                 shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                let conn_shared = Arc::clone(&shared);
-                let handle = thread::Builder::new()
-                    .name(format!("morphstream-conn-{peer}"))
-                    .spawn(move || handle_connection(stream, conn_shared))
-                    .expect("spawn connection handler");
-                handlers.push(handle);
+                let (shared, chunks) = (Arc::clone(shared), chunks.clone());
+                handlers.push(spawn(format!("morphstream-conn-{peer}"), move || {
+                    handle_connection(stream, &shared, &chunks)
+                }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
             Err(e) => {
@@ -508,97 +539,62 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// One connection: decode chunks of events and ingest them through the
-/// shared durable engine. The read timeout doubles as the idle tick (flush partial batches,
-/// poll the stop flag) and as the guarantee that shutdown never waits on a
-/// silent client.
-fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
+/// One connection: decode chunks of events and hand them to the engine
+/// thread, one in flight at a time — the next chunk is decoded while the
+/// engine ingests the current one, and handed over only after the current
+/// one's reply. The read timeout polls the stop flag, so shutdown never
+/// waits on a silent client. The connection closes only after the reply to
+/// its last chunk.
+fn handle_connection(stream: TcpStream, shared: &Shared, chunks: &mpsc::SyncSender<Chunk>) {
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     let mut source: SocketEventSource<SlEvent> = SocketEventSource::new(stream);
+    let (reply, replies) = mpsc::channel();
     let mut buf: Vec<SlEvent> = Vec::with_capacity(INGEST_CHUNK);
+    let mut in_flight = false;
     loop {
         let n = source.next_batch(INGEST_CHUNK, &mut buf);
-        if n == 0 {
-            if !source.is_open() || shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            // Quiet interval: process the trailing partial batch so a slow
-            // trickle of events still commits without waiting for a full
-            // punctuation. try_lock — another connection may be mid-push.
-            if let Ok(mut durable) = shared.engine.try_lock() {
-                durable.flush();
-            }
-            continue;
-        }
-        let (logged, tip) = {
-            let mut durable = shared.engine.lock().expect("engine lock");
-            let first = durable.next_index();
-            if let Err(e) = durable.ingest(buf.drain(..)) {
-                eprintln!("morphstream serve: WAL append failed, closing connection: {e}");
-            }
-            shared.metrics.mirror_durable(durable.stats());
-            // Keep the scrape fallback current while the lock is held anyway.
-            live_total(&shared, durable.engine());
-            let tip = durable.next_index();
-            (tip - first, tip)
-        };
-        shared.pushed.fetch_add(logged, Ordering::SeqCst);
-        if let Some(sender) = shared.sender.as_ref() {
-            // Nudge the shipping thread outside the engine lock; in sync
-            // mode this connection's reads then wait for the standby's
-            // acknowledgement — extending the back-pressure chain across
-            // machines without ever stalling the engine itself.
-            sender.notify(tip);
-            if logged > 0 && sender.ack_mode() == AckMode::Sync {
-                sender.wait_for_ack(tip, &|| shared.stop.load(Ordering::SeqCst));
-            }
-        }
-        maybe_rotate_session(&shared, logged);
-        if logged < n as u64 {
+        if std::mem::take(&mut in_flight) && !settle(&replies, shared) {
             // The WAL refused the chunk: a chunk is logged whole or not at
             // all, so none of it was logged or pushed. Stop reading rather
             // than ingest a gapped stream.
             break;
         }
+        if n == 0 {
+            if !source.is_open() || shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            continue;
+        }
+        let events = std::mem::replace(&mut buf, Vec::with_capacity(INGEST_CHUNK));
+        if chunks.send((events, reply.clone())).is_err() {
+            break;
+        }
+        in_flight = true;
     }
-    if !source.is_open() {
-        // The connection ended (EOF or protocol error): process its trailing
-        // partial batch now, so a closed stream is fully reflected in state
-        // and metrics without waiting for other traffic or shutdown.
-        shared.engine.lock().expect("engine lock").flush();
-    }
-    shared
-        .metrics
+    let counters = &shared.metrics;
+    counters
         .frames
         .fetch_add(source.frames(), Ordering::Relaxed);
     if let Some(e) = source.error() {
-        shared.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+        counters.decode_errors.fetch_add(1, Ordering::Relaxed);
         eprintln!("morphstream serve: connection closed by protocol error: {e}");
     }
 }
 
-/// Fold the current session into the lifetime totals once enough events have
-/// flowed, bounding in-engine report memory on an unbounded stream.
-fn maybe_rotate_session(shared: &Shared, just_ingested: u64) {
-    if shared.session_events == 0 {
-        return;
+/// Wait for the reply to a connection's in-flight chunk and, in sync-ack
+/// mode, for the standby's acknowledgement of its tip — outside the engine,
+/// so the engine never stalls on the standby. False when the WAL refused
+/// the chunk.
+fn settle(replies: &mpsc::Receiver<Option<u64>>, shared: &Shared) -> bool {
+    let Ok(Some(tip)) = replies.recv() else {
+        return false;
+    };
+    let sender = shared.sender.as_ref();
+    if let Some(sender) = sender.filter(|s| s.ack_mode() == AckMode::Sync) {
+        sender.wait_for_ack(tip, &|| shared.stop.load(Ordering::SeqCst));
     }
-    let total = shared
-        .ingested_since_rotate
-        .fetch_add(just_ingested, Ordering::Relaxed)
-        + just_ingested;
-    if total < shared.session_events {
-        return;
-    }
-    let mut durable = shared.engine.lock().expect("engine lock");
-    // Re-check under the lock: another handler may have rotated already.
-    if shared.ingested_since_rotate.load(Ordering::Relaxed) < shared.session_events {
-        return;
-    }
-    shared.ingested_since_rotate.store(0, Ordering::Relaxed);
-    let snapshot = durable.finish_session().snapshot();
-    shared.metrics.fold_session(&snapshot);
+    true
 }
 
 /// Feed `events` to the same dataflow [`Server::start`] runs, via
@@ -625,9 +621,107 @@ pub fn reference_run(opts: &ServeOptions, events: Vec<SlEvent>) -> io::Result<Se
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode_event, write_preamble};
 
     #[test]
     fn default_options_rotate_the_session_every_ten_million_events() {
         assert_eq!(ServeOptions::default().session_events, 10_000_000);
+    }
+
+    /// The WAL refuses one chunk: its open segment is swapped for a
+    /// read-only handle, and the append after the refused one heals it. The
+    /// connection that sent the chunk hears the refusal and stops reading,
+    /// so its next chunk is never handed over; neither chunk is counted;
+    /// and another connection's chunk is still ingested.
+    #[test]
+    fn a_refused_chunk_stops_its_connection_and_no_other() {
+        use morphstream_common::protocol::WireFormat;
+        use std::io::Write;
+
+        let dir = std::env::temp_dir().join(format!("morph-serve-refusal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut opts = ServeOptions::default();
+        opts.workload = opts
+            .workload
+            .with_key_space(10_000)
+            .with_txns_per_batch(100);
+        opts.workload.udf_complexity_us = 0;
+        let events = StreamingLedgerApp::generate(&opts.workload, 4 * INGEST_CHUNK, 0.5);
+        let (topology, ledger, audit) = build_topology(&opts).expect("topology");
+        let (mut durable, _) =
+            DurableEngine::open(Some(&dir), topology, FsyncPolicy::Never, 0, 0, 100)
+                .expect("open the data directory");
+        // One event opens a segment; a read-only handle then takes its place.
+        durable
+            .ingest(events[..1].iter().cloned())
+            .expect("first append");
+        let segment = dir.join("wal").join(format!("seg-{:020}.msw", 0));
+        let read_only = std::fs::File::open(&segment).expect("open the segment");
+        let real = durable.wal_mut().swap_segment(read_only);
+        assert!(real.is_some(), "a segment is open");
+
+        let shared = Arc::new(Shared {
+            metrics: ServerMetrics::new(),
+            sender: None,
+            stop: AtomicBool::new(false),
+            ingested: AtomicU64::new(0),
+        });
+        let (chunks, inbox) = mpsc::sync_channel(HANDOFF_CHUNKS);
+        let on_engine = Arc::clone(&shared);
+        let engine =
+            thread::spawn(move || run_engine(durable, inbox, &on_engine, 0, [ledger, audit]));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let connect = |stream: &[SlEvent]| {
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+            let (mut wire, mut scratch) = (Vec::new(), Vec::new());
+            write_preamble(WireFormat::Binary, &mut wire);
+            for event in stream {
+                encode_event(event, WireFormat::Binary, &mut scratch, &mut wire).unwrap();
+            }
+            client.write_all(&wire).expect("send");
+            let (conn, _) = listener.accept().expect("accept");
+            let (shared, chunks) = (Arc::clone(&shared), chunks.clone());
+            let handler = thread::spawn(move || handle_connection(conn, &shared, &chunks));
+            (client, handler)
+        };
+
+        // Three chunks on a connection that stays open: only the refusal
+        // ends its handler.
+        let (_open, refused) = connect(&events[1..1 + 3 * INGEST_CHUNK]);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !refused.is_finished() && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        let kept_reading = !refused.is_finished();
+        shared.stop.store(kept_reading, Ordering::SeqCst);
+        refused.join().expect("handler");
+        assert!(!kept_reading, "the refused connection kept reading");
+        assert_eq!(
+            shared.ingested.load(Ordering::SeqCst),
+            0,
+            "a refused chunk is not counted"
+        );
+
+        let accepted = &events[1 + 3 * INGEST_CHUNK..];
+        let (client, handler) = connect(accepted);
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        handler.join().expect("handler");
+        assert_eq!(
+            shared.ingested.load(Ordering::SeqCst),
+            accepted.len() as u64
+        );
+
+        drop(chunks);
+        let summary = engine.join().expect("engine thread");
+        let mut logged = vec![events[0].clone()];
+        logged.extend_from_slice(accepted);
+        let expected = reference_run(&opts, logged).expect("reference run");
+        assert_eq!(summary.snapshot.events, expected.snapshot.events);
+        assert_eq!(summary.ledger_digest, expected.ledger_digest);
+        assert_eq!(summary.output_digest, expected.output_digest);
+        drop(real);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

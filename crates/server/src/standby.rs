@@ -84,10 +84,10 @@ impl StandbyHandle {
                     move || !stop.load(Ordering::SeqCst)
                 };
                 // The standby has no live engine report to splice in: the
-                // cached (empty) totals plus the replication atomics are
+                // published (empty) totals plus the replication atomics are
                 // the whole story until promotion.
                 let scrape =
-                    move || render_prometheus(&scrape_metrics.cached_total(), &scrape_metrics);
+                    move || render_prometheus(&scrape_metrics.published_total(), &scrape_metrics);
                 crate::metrics::serve_http_with(listener, running, scrape, |path| {
                     (path == "/promote").then(|| {
                         trigger_promote();

@@ -92,9 +92,22 @@ fn slow_consumer_back_pressures_with_bounded_memory() {
     let events = test_events(10_000, &opts.workload);
     let server = Server::start(opts).expect("server starts");
     send_stream(server.event_addr(), &events, WireFormat::Binary);
+    // A scrape while the audit stage is flooded serves the published
+    // totals: it never waits behind the dataflow, nor runs ahead of it.
+    let (head, flooded) = http_get(server.metrics_addr(), "/metrics");
     wait_for_ingest(&server, 10_000);
     let summary = server.shutdown();
 
+    assert!(
+        head.starts_with("HTTP/1.1 200"),
+        "scrape under load: {head}"
+    );
+    let scraped = metric_value(&flooded, "morphstream_events_total").expect("events scraped");
+    assert!(
+        scraped <= summary.snapshot.events as f64,
+        "a scrape counted {scraped} events, the summary {}",
+        summary.snapshot.events
+    );
     assert_eq!(summary.snapshot.events, 10_000, "nothing lost under load");
     let waits: u64 = summary
         .snapshot
