@@ -3,11 +3,13 @@
 //! The paper compares MorphStream against three kinds of systems:
 //!
 //! * **S-Store** — shared state is partitioned; the whole state transaction is
-//!   the unit of scheduling and conflicting transactions (same partition) are
-//!   executed serially in timestamp order ([`SStore`]).
+//!   the unit of scheduling, and each group of partitions the batch's
+//!   transactions span runs as one serial loop in timestamp order, with no
+//!   graph ([`SStore`]).
 //! * **TStream** — transactions are decomposed into per-key operation chains
 //!   executed in parallel; aborts are only handled once the whole batch has
-//!   been processed, which forces re-processing of the batch ([`TStream`]).
+//!   been processed, which forces re-processing of the batch. It runs
+//!   MorphStream's planned path under one fixed decision ([`TStream`]).
 //! * **A conventional SPE with external state (Flink + Redis)** — every state
 //!   access is a round trip to an external store guarded by a distributed
 //!   lock ([`LockedSpe`]); disabling the lock is fast but incorrect.

@@ -10,16 +10,17 @@
 //!
 //! The reconstruction maps this to coarse (per-key) units explored with the
 //! structured DFS driver (spin-waiting on dependencies, like TStream's
-//! blocking) and lazy abort handling; when any transaction aborted, the
-//! wasted re-processing of the batch is emulated by re-spinning the useful
-//! time once, mirroring the whole-batch redo. At one thread there is
-//! nothing to run in parallel: the batch plans no graph and builds no
-//! chains, and its transactions run one at a time in timestamp order
+//! blocking) and lazy abort handling: MorphStream's planned path
+//! ([`ExecutedBatch::planned`]) under that one fixed decision, with a
+//! one-shard planner. When any transaction aborted, the wasted
+//! re-processing of the batch is emulated by re-spinning the execution time
+//! once, mirroring the whole-batch redo. At one thread there is nothing to
+//! run in parallel: the batch plans no graph and builds no chains, and its
+//! transactions run one at a time in timestamp order
 //! ([`ExecutedBatch::serial`]), still paying the redo penalty when one
 //! aborted. Everything around the batch is MorphStream's own punctuation
 //! path ([`TStream::engine`]).
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use morphstream::storage::StateStore;
@@ -29,8 +30,7 @@ use morphstream::{
 };
 use morphstream_common::metrics::BreakdownBucket;
 use morphstream_common::spin_for;
-use morphstream_executor::execute_tpg;
-use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, TransactionBatch};
+use morphstream_tpg::{TpgBuilder, TransactionBatch};
 
 /// TStream's one way to run a batch: depth-first over per-key operation
 /// chains, aborts resolved once the batch is done.
@@ -63,33 +63,13 @@ impl BatchExecutor for TStream {
         store: &StateStore,
         threads: usize,
     ) -> ExecutedBatch {
-        let (mut executed, execute_elapsed) = if threads <= 1 {
-            let execute_started = Instant::now();
-            let executed = ExecutedBatch::serial(batch, store, Some(DECISION));
-            (executed, execute_started.elapsed())
+        let started = Instant::now();
+        let mut executed = if threads <= 1 {
+            ExecutedBatch::serial(batch, store, Some(DECISION))
         } else {
-            let plan_started = Instant::now();
-            let tpg = Arc::new(self.planner.build(batch));
-            let plan = plan_started.elapsed();
-            let mut coarse_unit_builds = 0;
-            let chains = |tpg: &Tpg| {
-                coarse_unit_builds += 1;
-                SchedulingUnits::coarse(tpg)
-            };
-            let execute_started = Instant::now();
-            let report = execute_tpg(tpg, DECISION, store, threads, chains);
-            let execute_elapsed = execute_started.elapsed();
-            let executed = ExecutedBatch {
-                outcomes: report.outcomes,
-                breakdown: report.breakdown,
-                redone_ops: report.redone_ops,
-                plan,
-                decision: Some(DECISION),
-                coarse_unit_builds,
-                workers: threads,
-            };
-            (executed, execute_elapsed)
+            ExecutedBatch::planned(&self.planner, batch, store, threads, Some(DECISION))
         };
+        let execute_elapsed = started.elapsed().saturating_sub(executed.plan);
         if executed.outcomes.iter().any(|o| !o.committed) {
             // TStream redoes the entire batch once aborts are discovered;
             // emulate the wasted wall-clock time of that redo.
@@ -106,9 +86,9 @@ impl BatchExecutor for TStream {
 mod tests {
     use super::*;
     use morphstream::udfs;
+    use morphstream::TxnOutcome;
     use morphstream::{TxnBuilder, TxnEngine};
     use morphstream_common::{TableId, Value};
-    use morphstream_executor::TxnOutcome;
 
     struct Deposits {
         accounts: TableId,

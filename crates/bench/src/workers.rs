@@ -4,22 +4,17 @@
 //! engages (`figs 21 --workers`).
 //!
 //! The engine engages what a batch's declared work pays for, so the sweep
-//! pins the count instead: [`Pinned`] is MorphStream's own batch executor —
-//! sharded TPG build, adaptive decision, execution; at one worker the
-//! serial loop — at a fixed number of workers, installed with
+//! pins the count instead: [`Pinned`] runs each batch as MorphStream's own
+//! executor does — at one worker the serial loop, from two on
+//! [`ExecutedBatch::planned`] with a sharded build and the adaptive
+//! decision — at a fixed number of workers, installed with
 //! `MorphStream::with_executor`, so everything around the batch is the
 //! engine's punctuation path.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use morphstream::storage::StateStore;
-use morphstream::{
-    BatchExecutor, DecisionModel, EngineConfig, ExecutedBatch, Granularity, MorphStream, TxnEngine,
-};
+use morphstream::{BatchExecutor, EngineConfig, ExecutedBatch, MorphStream, TxnEngine};
 use morphstream_common::{effective_workers, WorkloadConfig};
-use morphstream_executor::execute_tpg;
-use morphstream_tpg::{SchedulingUnits, Tpg, TpgBuilder, TransactionBatch};
+use morphstream_tpg::{TpgBuilder, TransactionBatch};
 use morphstream_workloads::{SlEvent, StreamingLedgerApp};
 
 use crate::harness::{banner, Scale};
@@ -39,27 +34,8 @@ impl BatchExecutor for Pinned {
         if self.workers == 1 {
             return ExecutedBatch::serial(batch, store, None);
         }
-        let plan_started = Instant::now();
-        let tpg = Arc::new(TpgBuilder::new().with_threads(self.workers).build(batch));
-        let plan = plan_started.elapsed();
-        let mut coarse = None;
-        let decision = DecisionModel.decide_with(tpg.stats(), || {
-            coarse.insert(SchedulingUnits::coarse(&tpg)).had_cycles
-        });
-        let partition = |tpg: &Tpg| match decision.granularity {
-            Granularity::Coarse => coarse.unwrap_or_else(|| SchedulingUnits::coarse(tpg)),
-            Granularity::Fine => SchedulingUnits::fine(tpg),
-        };
-        let report = execute_tpg(tpg, decision, store, self.workers, partition);
-        ExecutedBatch {
-            outcomes: report.outcomes,
-            breakdown: report.breakdown,
-            redone_ops: report.redone_ops,
-            plan,
-            decision: Some(decision),
-            coarse_unit_builds: 0,
-            workers: self.workers,
-        }
+        let planner = TpgBuilder::new().with_threads(self.workers);
+        ExecutedBatch::planned(&planner, batch, store, self.workers, None)
     }
 }
 

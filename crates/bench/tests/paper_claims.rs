@@ -166,7 +166,12 @@ fn fig14_15_engines_agree_on_windowed_and_non_deterministic_streams() {
                 let (result, workers) = gs_run(system, &events, threads);
                 let label = format!("{stream} stream, {system} at {threads} threads");
                 assert!(result == expected, "{label}: digest or outputs diverged");
-                if threads == 2 {
+                // S-Store runs each merged group of partitions as one loop,
+                // and every batch here spans both: a window read of 20 keys
+                // or a non-deterministic access, which names every partition.
+                if threads == 2 && system == SystemUnderTest::SStore {
+                    assert!(workers.iter().all(|&w| w == 1), "{label}: {workers:?}");
+                } else if threads == 2 {
                     assert!(workers.iter().all(|&w| w >= 2), "{label}: {workers:?}");
                 }
             }

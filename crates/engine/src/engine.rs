@@ -14,13 +14,16 @@
 //! Planning and scheduling pay off only when a batch's work is spread over
 //! workers. A group that engages one worker skips both: its transactions run
 //! on the caller one at a time, in timestamp order, with no TPG
-//! ([`ExecutedBatch::serial`]), as S-Store runs one partition.
+//! ([`ExecutedBatch::serial`]), as S-Store runs one partition. From two
+//! workers on, the three stages run as written once, in
+//! [`ExecutedBatch::planned`].
 //!
 //! A punctuation runs the three stages in order on the thread that cut it:
 //! the `ingest` that crossed the interval, or a `flush`. Planning,
 //! scheduling and execution of each group are a [`BatchExecutor`]'s; the
 //! built-in one is MorphStream's, and the reconstructed baselines install
 //! their own, so every system shares the rest of the punctuation path.
+//! Those that plan call [`ExecutedBatch::planned`] too.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,7 +53,8 @@ pub struct ExecutedBatch {
     pub breakdown: Breakdown,
     /// Operations redone because of upstream aborts.
     pub redone_ops: usize,
-    /// Time spent building the TPG; zero for an executor that builds none.
+    /// Time spent planning the group: building its TPG, or S-Store's
+    /// partition pass; zero for an executor that plans nothing.
     pub plan: Duration,
     /// The scheduling decision the group ran under; `None` for an executor
     /// that takes none.
@@ -86,6 +90,55 @@ impl ExecutedBatch {
             decision,
             coarse_unit_builds: 0,
             workers: 1,
+        }
+    }
+
+    /// Plan `batch` with `planner`, decide how to schedule it and run it on
+    /// `workers` workers: the paper's three stages. The build is timed into
+    /// [`Self::plan`]; the decision is `fixed`, or the model's over the
+    /// TPG's properties, and its time is charged to `Explore`. The coarse
+    /// partition is built only if the model needs its cycle flag to choose,
+    /// or the decision is to run on it, and each build is counted.
+    pub fn planned(
+        planner: &TpgBuilder,
+        batch: TransactionBatch,
+        store: &StateStore,
+        workers: usize,
+        fixed: Option<SchedulingDecision>,
+    ) -> Self {
+        let plan_started = Instant::now();
+        let tpg = Arc::new(planner.build(batch));
+        let plan = plan_started.elapsed();
+
+        let explore_started = Instant::now();
+        let mut coarse_unit_builds = 0u64;
+        let mut build_coarse = |tpg: &Tpg| {
+            coarse_unit_builds += 1;
+            SchedulingUnits::coarse(tpg)
+        };
+        let mut coarse_units = None;
+        let decision = fixed.unwrap_or_else(|| {
+            DecisionModel.decide_with(tpg.stats(), || {
+                coarse_units.insert(build_coarse(&tpg)).had_cycles
+            })
+        });
+        let explore = explore_started.elapsed();
+
+        let partition = |tpg: &Tpg| match decision.granularity {
+            Granularity::Coarse => coarse_units.unwrap_or_else(|| build_coarse(tpg)),
+            Granularity::Fine => SchedulingUnits::fine(tpg),
+        };
+        let report = execute_tpg(tpg, decision, store, workers, partition);
+        let mut breakdown = report.breakdown;
+        breakdown.add(BreakdownBucket::Explore, explore);
+        Self {
+            outcomes: report.outcomes,
+            breakdown,
+            redone_ops: report.redone_ops,
+            plan,
+            decision: Some(decision),
+            coarse_unit_builds,
+            workers,
         }
     }
 }
@@ -131,46 +184,8 @@ impl BatchExecutor for Morph {
         if workers == 1 {
             return ExecutedBatch::serial(batch, store, self.fixed);
         }
-
-        // Planning: TPG construction, sharded by state key.
-        let plan_started = Instant::now();
-        let tpg = Arc::new(TpgBuilder::new().with_threads(workers).build(batch));
-        let plan = plan_started.elapsed();
-
-        // Scheduling: decision model over the TPG properties. The coarse
-        // partition is built only if the model needs its cycle flag to
-        // choose, or the decision is to run on it.
-        let explore_start = Instant::now();
-        let mut coarse_unit_builds = 0u64;
-        let mut build_coarse = |tpg: &Tpg| {
-            coarse_unit_builds += 1;
-            SchedulingUnits::coarse(tpg)
-        };
-        let mut coarse_units = None;
-        let decision = self.fixed.unwrap_or_else(|| {
-            DecisionModel.decide_with(tpg.stats(), || {
-                coarse_units.insert(build_coarse(&tpg)).had_cycles
-            })
-        });
-        let explore = explore_start.elapsed();
-
-        // Execution.
-        let partition = |tpg: &Tpg| match decision.granularity {
-            Granularity::Coarse => coarse_units.unwrap_or_else(|| build_coarse(tpg)),
-            Granularity::Fine => SchedulingUnits::fine(tpg),
-        };
-        let report = execute_tpg(tpg, decision, store, workers, partition);
-        let mut breakdown = report.breakdown;
-        breakdown.add(BreakdownBucket::Explore, explore);
-        ExecutedBatch {
-            outcomes: report.outcomes,
-            breakdown,
-            redone_ops: report.redone_ops,
-            plan,
-            decision: Some(decision),
-            coarse_unit_builds,
-            workers,
-        }
+        let planner = TpgBuilder::new().with_threads(workers);
+        ExecutedBatch::planned(&planner, batch, store, workers, self.fixed)
     }
 }
 

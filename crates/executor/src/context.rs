@@ -109,11 +109,6 @@ impl ExecContext {
         self.runtime[op].lock().state
     }
 
-    /// Whether the operation reached a terminal state (executed or aborted).
-    pub fn op_settled(&self, op: OpId) -> bool {
-        matches!(self.op_state(op), OpState::Executed | OpState::Aborted)
-    }
-
     /// Whether the transaction has been marked aborted.
     pub fn txn_aborted(&self, txn: TxnId) -> bool {
         self.txn_aborted[txn].load(Ordering::Acquire)
@@ -719,11 +714,9 @@ mod tests {
         let tpg = Arc::new(TpgBuilder::new().build(batch));
         let ctx = ExecContext::new(tpg, store, AbortHandling::Eager);
         assert_eq!(ctx.op_state(0), OpState::Blocked);
-        assert!(!ctx.op_settled(0));
         let mut b = Breakdown::new();
         ctx.run_op(0, &mut b);
         assert_eq!(ctx.op_state(0), OpState::Executed);
-        assert!(ctx.op_settled(0));
         assert!(!ctx.txn_aborted(0));
     }
 }

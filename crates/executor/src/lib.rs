@@ -15,7 +15,8 @@
 //! one at a time in timestamp order, with no TPG, no [`ExecContext`] and no
 //! per-operation lock, and redoes nothing under any decision (see
 //! [`serial`]). [`execute_tpg`] at one worker runs that loop over the
-//! planned operations.
+//! planned operations, and [`execute_serial_groups`] runs key-disjoint
+//! groups of a batch as one such loop per worker.
 
 #![warn(missing_docs)]
 
@@ -27,7 +28,7 @@ mod tables;
 
 pub use context::{ExecContext, OpState};
 pub use report::{BatchReport, TxnOutcome};
-pub use serial::execute_serial;
+pub use serial::{execute_serial, execute_serial_groups};
 
 use std::sync::Arc;
 

@@ -53,15 +53,6 @@ impl BatchReport {
     pub fn aborted(&self) -> usize {
         self.outcomes.len() - self.committed()
     }
-
-    /// Abort ratio of the batch.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            0.0
-        } else {
-            self.aborted() as f64 / self.outcomes.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -94,20 +85,7 @@ mod tests {
         };
         assert_eq!(report.committed(), 1);
         assert_eq!(report.aborted(), 1);
-        assert!((report.abort_ratio() - 0.5).abs() < 1e-9);
         assert_eq!(report.outcomes[0].result(0), Some(5));
         assert_eq!(report.outcomes[1].result(0), None);
-    }
-
-    #[test]
-    fn empty_report_has_zero_abort_ratio() {
-        let report = BatchReport {
-            outcomes: vec![],
-            breakdown: Breakdown::new(),
-            decision: SchedulingDecision::default(),
-            udf_evaluations: 0,
-            redone_ops: 0,
-        };
-        assert_eq!(report.abort_ratio(), 0.0);
     }
 }

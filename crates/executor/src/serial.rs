@@ -17,14 +17,20 @@
 //! builder's: stable by timestamp). None of them sees another's writes,
 //! since reads stop short of their own timestamp, except through a window,
 //! which ends at it; a batch the engine cuts never ties.
+//!
+//! Groups of one batch that share no state run the same loop side by side,
+//! one per worker ([`execute_serial_groups`]), as S-Store's partitions each
+//! run on their own site: no loop reads or writes what another does, so
+//! each sees exactly what the one loop over the whole batch would.
 
 use std::time::Instant;
 
+use morphstream_common::fan_out;
 use morphstream_common::metrics::{Breakdown, BreakdownBucket};
-use morphstream_common::{Key, OpId, TableId, Timestamp};
+use morphstream_common::{Key, OpId, TableId, Timestamp, TxnId};
 use morphstream_scheduler::SchedulingDecision;
 use morphstream_storage::StateStore;
-use morphstream_tpg::{OperationSpec, UdfInput};
+use morphstream_tpg::{OperationSpec, Transaction, UdfInput};
 
 use crate::report::{BatchReport, TxnOutcome};
 use crate::tables::BoundTables;
@@ -42,25 +48,86 @@ pub fn execute_serial<'a, T, O>(
 where
     T: IntoIterator<Item = (Timestamp, O)>,
     O: IntoIterator<Item = &'a OperationSpec>,
+    O::IntoIter: ExactSizeIterator,
+{
+    let mut next_op: OpId = 0;
+    let numbered = txns.into_iter().enumerate().map(|(txn, (ts, ops))| {
+        let ops = ops.into_iter();
+        let first_op = next_op;
+        next_op += ops.len();
+        (txn, ts, first_op, ops)
+    });
+    serial_loop(numbered, &BoundTables::bind(store), decision)
+}
+
+/// Run each of `groups` — indices into `txns`, which is sorted by timestamp
+/// as the builder sorts a batch, each group ascending — as one
+/// [`execute_serial`] loop on its own worker, `groups.len()` of them. Each
+/// operation keeps the id the builder would give it, and the outcomes come
+/// back in the order of `txns`.
+///
+/// The groups must touch disjoint states: a loop sees only its own group's
+/// writes, so its state and outcomes are those of the one loop over `txns`
+/// only if no other group reads or writes what it does.
+pub fn execute_serial_groups(
+    txns: &[Transaction],
+    groups: &[Vec<TxnId>],
+    store: &StateStore,
+    decision: SchedulingDecision,
+) -> BatchReport {
+    let first_ops: Vec<OpId> = txns
+        .iter()
+        .scan(0, |next, txn| {
+            let first = *next;
+            *next += txn.ops.len();
+            Some(first)
+        })
+        .collect();
+    let tables = BoundTables::bind(store);
+    let loops = fan_out(groups.len(), |w| {
+        let group = groups.get(w).into_iter().flatten().map(|&txn| {
+            let Transaction { ts, ops, .. } = &txns[txn];
+            (txn, *ts, first_ops[txn], ops.iter())
+        });
+        serial_loop(group, &tables, decision)
+    });
+    let mut merged = loops
+        .into_iter()
+        .reduce(|mut merged, report| {
+            merged.outcomes.extend(report.outcomes);
+            merged.breakdown.merge(&report.breakdown);
+            merged.udf_evaluations += report.udf_evaluations;
+            merged
+        })
+        .expect("fan_out runs at least one worker");
+    merged.outcomes.sort_unstable_by_key(|outcome| outcome.txn);
+    merged
+}
+
+/// The loop both entry points run: `(txn id, timestamp, id of the first
+/// operation, operations)` one transaction at a time, outcomes in the order
+/// given.
+fn serial_loop<'a, O>(
+    txns: impl Iterator<Item = (TxnId, Timestamp, OpId, O)>,
+    tables: &BoundTables,
+    decision: SchedulingDecision,
+) -> BatchReport
+where
+    O: Iterator<Item = &'a OperationSpec>,
 {
     let started = Instant::now();
-    let tables = BoundTables::bind(store);
-    let txns = txns.into_iter();
     let mut outcomes = Vec::with_capacity(txns.size_hint().0);
     let mut breakdown = Breakdown::new();
     let mut input = UdfInput::default();
     // The versions the current transaction appended, to undo on a failure.
     let mut written: Vec<(TableId, Key, OpId)> = Vec::new();
-    let mut next_op: OpId = 0;
     let mut evaluated = 0usize;
-    for (txn, (ts, ops)) in txns.enumerate() {
-        let ops = ops.into_iter();
+    for (txn, ts, first_op, ops) in txns {
         let mut op_results = Vec::with_capacity(ops.size_hint().0);
         let mut abort_reason = None;
         written.clear();
         for (stmt, spec) in ops.enumerate() {
-            let op = next_op;
-            next_op += 1;
+            let op = first_op + stmt;
             if abort_reason.is_some() {
                 tables.materialise_keys(spec, ts);
                 op_results.push((op, None));

@@ -15,23 +15,14 @@ use morphstream_common::OpId;
 use crate::flat::FlatLists;
 use crate::graph::{DepKind, Tpg};
 
-/// Grouping key used by the unit constructors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum GroupKey {
-    /// Group by target state (operation chains).
-    State(u32, u64),
-    /// Group by owning transaction (S-Store-style whole-transaction units).
-    Txn(usize),
-}
-
 /// The partition of a TPG into scheduling units plus the unit-level
 /// dependency graph. A unit is a set of operations scheduled and dispatched
 /// together, in timestamp order.
 ///
 /// The operations, parents and children of all units are each kept in one
 /// flat array, so the fine partition — one unit per operation — costs a
-/// constant number of allocations however large the batch. The grouping
-/// constructors build per-unit lists and flatten them once at the end.
+/// constant number of allocations however large the batch. The coarse
+/// partition builds per-unit lists and flattens them once at the end.
 #[derive(Debug, Clone)]
 pub struct SchedulingUnits {
     ops: FlatLists<OpId>,
@@ -42,28 +33,6 @@ pub struct SchedulingUnits {
     /// merged away. This feeds the decision model's `Cyclic Dependency`
     /// input.
     pub had_cycles: bool,
-}
-
-/// Units as per-unit lists, before they are flattened: what the grouping
-/// constructors build and edit.
-struct UnitLists {
-    units: Vec<Vec<OpId>>,
-    unit_of: Vec<usize>,
-    parents: Vec<Vec<usize>>,
-    children: Vec<Vec<usize>>,
-    had_cycles: bool,
-}
-
-impl UnitLists {
-    fn flatten(self) -> SchedulingUnits {
-        SchedulingUnits {
-            ops: FlatLists::from_lists(&self.units),
-            unit_of: self.unit_of,
-            parents: FlatLists::from_lists(&self.parents),
-            children: FlatLists::from_lists(&self.children),
-            had_cycles: self.had_cycles,
-        }
-    }
 }
 
 impl SchedulingUnits {
@@ -85,70 +54,20 @@ impl SchedulingUnits {
     /// accesses) form singleton units. Units participating in a dependency
     /// cycle are merged.
     pub fn coarse(tpg: &Tpg) -> Self {
-        Self::grouped(tpg, |tpg, op| {
-            let operation = tpg.op(op);
-            operation
-                .known_key()
-                .map(|key| GroupKey::State(operation.spec.table.0, key))
-        })
-        .flatten()
-    }
-
-    /// Transaction-granularity units: every state transaction is one unit, the
-    /// scheduling model of S-Store (whole transactions are the unit of
-    /// scheduling, executed serially when they conflict).
-    pub fn by_transaction(tpg: &Tpg) -> Self {
-        Self::grouped(tpg, |tpg, op| Some(GroupKey::Txn(tpg.op(op).txn))).flatten()
-    }
-
-    /// Partition-granularity transaction units: every transaction is one unit
-    /// and, in addition, transactions are conflict-checked at the granularity
-    /// of `num_partitions` key partitions rather than individual keys. This
-    /// models S-Store's partitioned stores: two transactions touching the
-    /// same partition are ordered even when they touch different keys.
-    pub fn by_partitioned_transaction(tpg: &Tpg, num_partitions: usize) -> Self {
-        let num_partitions = num_partitions.max(1);
-        let mut units = Self::grouped(tpg, |tpg, op| Some(GroupKey::Txn(tpg.op(op).txn)));
-        // Add partition-conflict edges between transaction units.
-        let mut last_unit_of_partition: HashMap<u64, usize> = HashMap::new();
-        // Iterate units in timestamp order of their first op.
-        let mut order: Vec<usize> = (0..units.units.len()).collect();
-        order.sort_by_key(|&u| {
-            let first = units.units[u][0];
-            (tpg.op(first).ts, first)
-        });
-        for &unit in &order {
-            let mut partitions: Vec<u64> = units.units[unit]
-                .iter()
-                .filter_map(|&op| tpg.op(op).known_key())
-                .map(|key| key % num_partitions as u64)
-                .collect();
-            partitions.sort_unstable();
-            partitions.dedup();
-            for p in partitions {
-                if let Some(&prev) = last_unit_of_partition.get(&p) {
-                    if prev != unit && !units.children[prev].contains(&unit) {
-                        units.children[prev].push(unit);
-                        units.parents[unit].push(prev);
-                    }
-                }
-                last_unit_of_partition.insert(p, unit);
-            }
-        }
-        units.flatten()
-    }
-
-    fn grouped(tpg: &Tpg, group_key: impl Fn(&Tpg, OpId) -> Option<GroupKey>) -> UnitLists {
         let n = tpg.num_ops();
         // --- initial grouping ---
         let mut group_of = vec![usize::MAX; n];
         let mut groups: Vec<Vec<OpId>> = Vec::new();
         // Groups are numbered in op order, so the map's hasher reaches no
         // unit id.
-        let mut by_target: HashMap<GroupKey, usize, SeededState> = HashMap::default();
+        let mut by_target: HashMap<(u32, u64), usize, SeededState> = HashMap::default();
         for (op, slot) in group_of.iter_mut().enumerate() {
-            let group = match group_key(tpg, op) {
-                Some(key) => *by_target.entry(key).or_insert_with(|| {
+            let operation = tpg.op(op);
+            let target = operation
+                .known_key()
+                .map(|key| (operation.spec.table.0, key));
+            let group = match target {
+                Some(target) => *by_target.entry(target).or_insert_with(|| {
                     groups.push(Vec::new());
                     groups.len() - 1
                 }),
@@ -213,11 +132,11 @@ impl SchedulingUnits {
             }
         }
 
-        UnitLists {
-            units,
+        Self {
+            ops: FlatLists::from_lists(&units),
             unit_of,
-            parents,
-            children,
+            parents: FlatLists::from_lists(&parents),
+            children: FlatLists::from_lists(&children),
             had_cycles,
         }
     }
@@ -509,64 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn transaction_units_group_whole_transactions() {
-        let mut batch = TransactionBatch::new();
-        batch.push(Transaction::new(
-            1,
-            vec![
-                OperationSpec::write(T, 0, vec![], udfs::add_delta(1)),
-                OperationSpec::write(T, 1, vec![], udfs::add_delta(1)),
-            ],
-        ));
-        batch.push(Transaction::new(
-            2,
-            vec![OperationSpec::write(T, 0, vec![], udfs::add_delta(1))],
-        ));
-        let tpg = TpgBuilder::new().build(batch);
-        let units = SchedulingUnits::by_transaction(&tpg);
-        assert_eq!(units.num_units(), 2);
-        units.validate_acyclic().unwrap();
-        // the second transaction's unit depends on the first (shared key 0)
-        let u0 = units.unit_of(0);
-        let u2 = units.unit_of(2);
-        assert_ne!(u0, u2);
-        assert!(units.parents(u2).contains(&u0));
-        assert_eq!(units.unit_ops(u0), &[0, 1]);
-        assert_eq!(units.unit_ops(u2), &[2]);
-        assert_eq!(units.children(u0), &[u2]);
-    }
-
-    #[test]
-    fn partitioned_transactions_add_partition_conflict_edges() {
-        // keys 0 and 4 collide in a 4-partition layout even though they are
-        // different keys, so the two transactions become ordered.
-        let mut batch = TransactionBatch::new();
-        batch.push(Transaction::new(
-            1,
-            vec![OperationSpec::write(T, 0, vec![], udfs::add_delta(1))],
-        ));
-        batch.push(Transaction::new(
-            2,
-            vec![OperationSpec::write(T, 4, vec![], udfs::add_delta(1))],
-        ));
-        let tpg = TpgBuilder::new().build(batch);
-        let plain = SchedulingUnits::by_transaction(&tpg);
-        assert!(plain.parents(plain.unit_of(1)).is_empty());
-        let partitioned = SchedulingUnits::by_partitioned_transaction(&tpg, 4);
-        let u1 = partitioned.unit_of(1);
-        assert_eq!(partitioned.parents(u1).len(), 1);
-        partitioned.validate_acyclic().unwrap();
-    }
-
-    #[test]
     fn empty_tpg_has_no_units() {
         let tpg = TpgBuilder::new().build(TransactionBatch::new());
-        for units in [
-            SchedulingUnits::fine(&tpg),
-            SchedulingUnits::coarse(&tpg),
-            SchedulingUnits::by_transaction(&tpg),
-            SchedulingUnits::by_partitioned_transaction(&tpg, 4),
-        ] {
+        for units in [SchedulingUnits::fine(&tpg), SchedulingUnits::coarse(&tpg)] {
             assert_eq!(units.num_units(), 0);
             assert!(!units.had_cycles);
             units.validate_acyclic().unwrap();

@@ -4,7 +4,10 @@
 //! (and against the parameters read from that table), never against another
 //! table's. Every mode — adaptive MorphStream, each fixed decision, TStream
 //! and S-Store — at two and four threads must leave the state and outputs of
-//! the one-worker run, with each batch engaging at least two workers.
+//! the one-worker run. Every batch of MorphStream and TStream engages at
+//! least two workers. S-Store engages exactly one: every batch holds a
+//! non-deterministic access, which names every partition, so its partitions
+//! merge into one serial loop.
 
 use std::sync::Arc;
 
@@ -88,19 +91,25 @@ impl StreamApp for TwoTables {
 
 type MakeEngine = Box<dyn Fn(TwoTables, StateStore, EngineConfig) -> MorphStream<TwoTables>>;
 
-fn modes() -> Vec<(String, MakeEngine)> {
-    let mut modes: Vec<(String, MakeEngine)> =
-        vec![("adaptive MorphStream".into(), Box::new(MorphStream::new))];
+/// Every mode, named, and whether its batches run as serial loops over
+/// merged partitions (S-Store) rather than on the engaged workers.
+fn modes() -> Vec<(String, MakeEngine, bool)> {
+    let mut modes: Vec<(String, MakeEngine, bool)> = vec![(
+        "adaptive MorphStream".into(),
+        Box::new(MorphStream::new),
+        false,
+    )];
     for decision in SchedulingDecision::all() {
         modes.push((
             format!("MorphStream under {decision}"),
             Box::new(move |app, store, config| {
                 MorphStream::new(app, store, config).with_fixed_decision(decision)
             }),
+            false,
         ));
     }
-    modes.push(("TStream".into(), Box::new(TStream::engine)));
-    modes.push(("S-Store".into(), Box::new(SStore::engine)));
+    modes.push(("TStream".into(), Box::new(TStream::engine), false));
+    modes.push(("S-Store".into(), Box::new(SStore::engine), true));
     modes
 }
 
@@ -126,11 +135,15 @@ fn non_det_accesses_on_one_of_two_tables_agree_with_one_worker_in_every_mode() {
     let (digest, outputs, workers) = run(&modes[0].1, 1);
     assert_eq!(workers, vec![1; EVENTS as usize / PER_BATCH]);
     assert!(outputs.iter().all(|(committed, _)| *committed));
-    for (name, make) in &modes {
+    for (name, make, by_partition) in &modes {
         for threads in [2, 4] {
             let (d, o, workers) = run(make, threads);
             let label = format!("{name} at {threads} threads");
-            assert!(workers.iter().all(|&w| w >= 2), "{label}: {workers:?}");
+            if *by_partition {
+                assert!(workers.iter().all(|&w| w == 1), "{label}: {workers:?}");
+            } else {
+                assert!(workers.iter().all(|&w| w >= 2), "{label}: {workers:?}");
+            }
             assert_eq!(d, digest, "{label}: state");
             assert!(o == outputs, "{label}: outputs");
         }

@@ -15,8 +15,11 @@
 //! ran, so each batch rolls back executed writes. The modes are adaptive
 //! MorphStream, every fixed decision, TStream and S-Store, at one configured
 //! thread and at two; MorphStream engages one worker at two threads too,
-//! because the batch declares no UDF work. TStream and S-Store keep both
-//! threads, so at two they are held to the state and outputs only.
+//! because the batch declares no UDF work. TStream keeps both threads, so at
+//! two it is held to the state and outputs only. S-Store engages one worker
+//! at every thread count, its four-worker reference included: every credit
+//! writes account 0, so every transaction names account 0's partition and
+//! the batch is one serial loop.
 
 use std::sync::{Arc, Mutex};
 
@@ -136,12 +139,23 @@ fn run(make: &MakeEngine, threads: usize, cost_us: u64) -> Run {
     }
 }
 
-/// Every mode, named, and whether it engages workers by declared work.
-fn modes() -> Vec<(String, MakeEngine, bool)> {
-    let mut modes: Vec<(String, MakeEngine, bool)> = vec![(
+/// How a mode's batch engages workers.
+#[derive(Clone, Copy, PartialEq)]
+enum Engages {
+    /// The workers its declared UDF work pays for: MorphStream.
+    DeclaredWork,
+    /// Every configured thread: TStream.
+    Threads,
+    /// One per merged group of partitions, here one: S-Store.
+    OneLoop,
+}
+
+/// Every mode, named, and how it engages workers.
+fn modes() -> Vec<(String, MakeEngine, Engages)> {
+    let mut modes: Vec<(String, MakeEngine, Engages)> = vec![(
         "adaptive MorphStream".into(),
         Box::new(MorphStream::new),
-        true,
+        Engages::DeclaredWork,
     )];
     for decision in SchedulingDecision::all() {
         modes.push((
@@ -149,26 +163,34 @@ fn modes() -> Vec<(String, MakeEngine, bool)> {
             Box::new(move |app, store, config| {
                 MorphStream::new(app, store, config).with_fixed_decision(decision)
             }),
-            true,
+            Engages::DeclaredWork,
         ));
     }
-    modes.push(("TStream".into(), Box::new(TStream::engine), false));
-    modes.push(("S-Store".into(), Box::new(SStore::engine), false));
+    modes.push((
+        "TStream".into(),
+        Box::new(TStream::engine),
+        Engages::Threads,
+    ));
+    modes.push(("S-Store".into(), Box::new(SStore::engine), Engages::OneLoop));
     modes
 }
 
 #[test]
 fn a_one_worker_batch_evaluates_in_timestamp_order_and_redoes_nothing_eagerly() {
     assert_eq!(effective_workers(4, NUM_OPS as u64 * REFERENCE_COST_US), 4);
-    for (name, make, by_declared_work) in modes() {
+    for (name, make, engages) in modes() {
         let reference = run(&make, 4, REFERENCE_COST_US);
-        assert_eq!(reference.workers, 4, "{name}: the reference run");
+        let reference_workers = if engages == Engages::OneLoop { 1 } else { 4 };
+        assert_eq!(
+            reference.workers, reference_workers,
+            "{name}: the reference run"
+        );
         for threads in [1, 2] {
             let one = run(&make, threads, 0);
             let label = format!("{name} at {threads} threads");
             assert_eq!(one.digest, reference.digest, "{label}: state");
             assert_eq!(one.outputs, reference.outputs, "{label}: outputs");
-            if by_declared_work {
+            if engages != Engages::Threads {
                 assert_eq!(one.workers, 1, "{label}: workers engaged");
             }
             if one.workers > 1 {
